@@ -4,12 +4,11 @@ Drives :class:`JetStreamEngine` over a pre-generated update stream at
 several batch sizes and compares the two host graph-store strategies:
 
 * **incremental** — the array-native :class:`DynamicGraph` store splices
-  only the touched adjacency runs per snapshot and computes seed events
-  with the batched array pipeline (the default configuration);
-* **full_rebuild** — ``incremental_snapshots=False`` plus
-  ``seed_pipeline="scalar"``: every snapshot is a from-scratch
-  iterate-and-sort CSR build and seeds are computed one edge at a time,
-  i.e. the pre-incremental behaviour.
+  only the touched adjacency runs per snapshot (the shipped behaviour);
+* **full_rebuild** — the bench points its own graph instance's
+  ``snapshot`` at :meth:`DynamicGraph.rebuild_snapshot`, so every snapshot
+  is a from-scratch iterate-and-sort CSR build, i.e. the pre-incremental
+  store.
 
 Both modes process identical batches and converge to bit-identical states
 (the parity suites enforce this); the difference is pure host-side
@@ -83,12 +82,10 @@ def pregenerate_batches(edges, num_vertices: int, batch_size: int, num_batches: 
 
 def run_mode(edges, num_vertices: int, batches, incremental: bool) -> dict:
     graph = DynamicGraph.from_edges(edges, num_vertices)
-    graph.incremental_snapshots = incremental
+    if not incremental:
+        graph.snapshot = graph.rebuild_snapshot
     engine = JetStreamEngine(
-        graph,
-        make_algorithm(ALGORITHM, source=0),
-        policy=DeletePolicy.DAP,
-        seed_pipeline="auto" if incremental else "scalar",
+        graph, make_algorithm(ALGORITHM, source=0), policy=DeletePolicy.DAP
     )
     engine.initial_compute()
 

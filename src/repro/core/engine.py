@@ -26,6 +26,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.algorithms.base import NULL_CONTEXT, AlgorithmKind, SourceContext
+from repro.core import parallel
 from repro.core.config import AcceleratorConfig
 from repro.core.events import NO_SOURCE, Event, EventBatch
 from repro.core.metrics import (
@@ -66,8 +67,6 @@ def _release_core_resources(cleanup: dict) -> None:
     """GC finalizer for :class:`EngineCore` — must not reference the core."""
     executor = cleanup.pop("executor", None)
     if executor is not None:
-        from repro.core import parallel
-
         parallel.release_shard_executor(executor)
     arena = cleanup.pop("arena", None)
     if arena is not None:
@@ -379,8 +378,6 @@ class EngineCore:
         Process backend: a warm worker-process pool, checked out of the
         module cache and returned by :meth:`close`.
         """
-        from repro.core import parallel
-
         if self._shard_executor is None:
             workers = (
                 self.shard_workers
@@ -405,8 +402,6 @@ class EngineCore:
         explicit close, so neither worker processes nor ``/dev/shm``
         segments can outlive the engine.
         """
-        from repro.core import parallel
-
         executor = self._shard_executor
         self._shard_executor = None
         self._cleanup["executor"] = None
@@ -454,8 +449,6 @@ class EngineCore:
         type.
         """
         if self.engine_mode == "sharded":
-            from repro.core.parallel import ShardedQueueGroup
-
             if self._slice_of is not None:
                 raise ValueError(
                     "engine='sharded' keeps each engine's slice resident in "
@@ -464,7 +457,7 @@ class EngineCore:
                     "shrink the graph"
                 )
             plan = self._shard_plan
-            return ShardedQueueGroup(
+            return parallel.ShardedQueueGroup(
                 self.algorithm,
                 self.config,
                 self.policy,
@@ -500,16 +493,14 @@ class EngineCore:
 
         Implements Algorithm 1 plus request-flag semantics: a vertex
         receiving a request event propagates its state along all out-edges
-        even when the state did not change (§3.4). Dispatches to the
-        vectorized kernel when ``queue`` is a :class:`VectorQueue` and to
-        the parallel sharded kernel for a ``ShardedQueueGroup``.
+        even when the state did not change (§3.4). A :class:`VectorQueue`
+        or ``ShardedQueueGroup`` runs on the array driver
+        (:meth:`_run_array_rounds`); the boxed :class:`CoalescingQueue`
+        runs the scalar oracle loop below.
         """
-        from repro.core import parallel
-
-        if isinstance(queue, parallel.ShardedQueueGroup):
-            return parallel.run_regular_sharded(self, queue, phase)
-        if isinstance(queue, VectorQueue):
-            return self._run_regular_vectorized(queue, phase)
+        if not isinstance(queue, CoalescingQueue):
+            self._run_array_rounds(queue, phase, delete=False)
+            return
         algorithm = self.algorithm
         csr = self.csr
         states = self.states
@@ -613,16 +604,12 @@ class EngineCore:
         tests of §5. The queue must contain the initial delete events
         (``ProcessDeletesSelective``); the bound graph must be the
         *previous* version (§3.5). Returns the impacted-vertex list (the
-        Impact Buffer contents, §4.5). Dispatches to the vectorized kernel
-        when ``queue`` is a :class:`VectorQueue` and to the parallel
-        sharded kernel for a ``ShardedQueueGroup``.
+        Impact Buffer contents, §4.5). Dispatches like
+        :meth:`run_regular`: array driver for the array queues, scalar
+        oracle loop for the boxed queue.
         """
-        from repro.core import parallel
-
-        if isinstance(queue, parallel.ShardedQueueGroup):
-            return parallel.run_delete_sharded(self, queue, phase)
-        if isinstance(queue, VectorQueue):
-            return self._run_delete_vectorized(queue, phase)
+        if not isinstance(queue, CoalescingQueue):
+            return self._run_array_rounds(queue, phase, delete=True)
         algorithm = self.algorithm
         csr = self.csr
         states = self.states
@@ -721,146 +708,49 @@ class EngineCore:
         return impacted
 
     # ------------------------------------------------------------------
-    # Vectorized kernels (structure-of-arrays substrate)
+    # Array substrate: one round driver over the shared kernels
     # ------------------------------------------------------------------
-    def _run_regular_vectorized(self, queue: VectorQueue, phase: PhaseStats) -> None:
-        """Array-kernel form of :meth:`run_regular`.
+    def _kernel_context(self) -> dict:
+        """Kernel context over the core's heap arrays (see repro.core.parallel)."""
+        return {
+            "algorithm": self.algorithm,
+            "policy": self.policy,
+            "states": self.states,
+            "dependency": self.dependency,
+            "prop_factor": self._prop_factor,
+            "offsets": self.csr.out_offsets,
+            "out_targets": self.csr.out_targets,
+            "out_weights": self.csr.out_weights,
+        }
 
-        One round is: drain the whole queue slice as a sorted
-        :class:`EventBatch`, gather states, reduce element-wise, scatter
-        the changed values back, expand the frontier with CSR offset
-        arithmetic, and insert the generated events as one batch. Every
-        :class:`RoundWork` counter is computed to match the scalar loop
-        exactly (see docs/architecture.md, "Vectorized substrate").
+    def _run_array_rounds(self, queue, phase: PhaseStats, delete: bool) -> List[int]:
+        """The array round loop — regular and delete, single-engine and sharded.
+
+        One round: drain the queue as a vertex-sorted :class:`EventBatch`,
+        run the round kernel (:func:`~repro.core.parallel.
+        regular_shard_kernel` or :func:`~repro.core.parallel.
+        delete_shard_kernel`), account the touched vertex/edge lines per
+        row batch, and insert the generated events as one batch. A
+        :class:`VectorQueue` is the one-shard case: the kernel runs inline
+        over the whole drain. A ``ShardedQueueGroup`` drains every engine,
+        runs the same kernel per shard on the core's persistent executor
+        (:func:`~repro.core.parallel.run_shard_round`) and routes the
+        generated events through the inter-engine channel. Work accounting
+        runs on the merged round, so the per-round vectors are identical
+        either way — and equal to the scalar loops' (docs/architecture.md,
+        "Vectorized substrate"). Returns the impacted vertices (delete
+        rounds; ascending vertex id per round).
         """
-        algorithm = self.algorithm
-        states = self.states
-        dependency = self.dependency
-        track_dep = self.policy.tracks_dependency
-        accumulative = algorithm.kind is AlgorithmKind.ACCUMULATIVE
-        threshold = algorithm.propagation_threshold
-        weight_scaled = algorithm.weight_scaled_propagation
-        prop_factor = self._prop_factor
+        group = queue if isinstance(queue, parallel.ShardedQueueGroup) else None
+        kind = "delete" if delete else "regular"
+        kernel = parallel.ROUND_KERNELS[kind]
+        ctx = self._kernel_context()
+        if group is not None:
+            executor = self.shard_executor()
+            if executor.backend == "process":
+                executor.bind(self._process_bind_payload())
         offsets = self.csr.out_offsets
-        out_targets = self.csr.out_targets
-        out_weights = self.csr.out_weights
         page_bytes = self.config.dram_page_bytes
-        max_rows = self.config.scheduler_rows_per_round
-        tracer = self.tracer
-
-        rounds = 0
-        while queue.pending():
-            rounds += 1
-            if rounds > MAX_ROUNDS:
-                raise RuntimeError("engine exceeded MAX_ROUNDS; non-termination?")
-            work = phase.new_round()
-            round_span = (
-                tracer.start("round", occupancy_start=queue.occupancy())
-                if tracer.enabled
-                else None
-            )
-            m_t0 = METRICS.clock() if METRICS.enabled else 0.0
-            try:
-                if not queue.active_pending():
-                    queue.activate_next_slice(work)
-                batch, starts = queue.drain_round(work, max_rows)
-                k = len(batch)
-                if k == 0:
-                    continue
-                t = batch.targets
-                seg_start = np.zeros(k, dtype=bool)
-                seg_start[starts] = True
-                self._account_vertex_batch_arrays(t, seg_start, work, page_bytes)
-                work.events_processed += k
-                work.vertex_reads += k
-
-                # Reduce + conditional write-back (targets are unique: the
-                # queue coalesced all regular events per vertex).
-                old = states[t]
-                new = algorithm.reduce_ufunc(old, batch.payloads)
-                changed = new != old
-                tc = t[changed]
-                states[tc] = new[changed]
-                work.vertex_writes += int(tc.shape[0])
-                if track_dep:
-                    dependency[tc] = batch.sources[changed]
-
-                # Frontier: changed or request-flagged vertices with out-edges.
-                prop = changed | ((batch.flags & 2) != 0)
-                start_all = offsets[t]
-                deg_all = offsets[t + 1] - start_all
-                nz = prop & (deg_all > 0)
-                if not nz.any():
-                    continue
-                idx = np.flatnonzero(nz)
-                v = t[idx]
-                start = start_all[idx]
-                deg = deg_all[idx]
-                work.edges_read += int(deg.sum())
-                row_ids = np.searchsorted(starts, idx, side="right")
-                self._account_edge_batches(start, start + deg, row_ids, work, page_bytes)
-
-                if accumulative:
-                    base = (new[idx] - old[idx]) * prop_factor[v]
-                    if weight_scaled:
-                        eidx = self._edge_indices(start, deg)
-                        values = np.repeat(base, deg) * out_weights[eidx]
-                        keep = (values > threshold) | (values < -threshold)
-                        gen_t = out_targets[eidx][keep]
-                        gen_p = values[keep]
-                        gen_s = np.repeat(v, deg)[keep]
-                    else:
-                        keepv = (base > threshold) | (base < -threshold)
-                        dg = deg[keepv]
-                        eidx = self._edge_indices(start[keepv], dg)
-                        gen_t = out_targets[eidx]
-                        gen_p = np.repeat(base[keepv], dg)
-                        gen_s = np.repeat(v[keepv], dg)
-                else:
-                    # Selective: propagation basis is the post-write state.
-                    eidx = self._edge_indices(start, deg)
-                    gen_t = out_targets[eidx]
-                    gen_p = algorithm.propagate_arrays(
-                        np.repeat(new[idx], deg), out_weights[eidx]
-                    )
-                    gen_s = np.repeat(v, deg)
-                n_gen = int(gen_t.shape[0])
-                if n_gen:
-                    work.events_generated += n_gen
-                    queue.insert_batch(
-                        EventBatch.from_arrays(gen_t, gen_p, 0, gen_s), work
-                    )
-            finally:
-                if round_span is not None:
-                    tracer.end(
-                        round_span, **work_attrs(work), occupancy_end=queue.occupancy()
-                    )
-                if METRICS.enabled:
-                    METRICS.record_round(
-                        work, METRICS.clock() - m_t0, queue.occupancy()
-                    )
-
-    def _run_delete_vectorized(self, queue: VectorQueue, phase: PhaseStats) -> List[int]:
-        """Array-kernel form of :meth:`run_delete`.
-
-        Duplicate targets (the DAP overflow buffer drains uncoalesced
-        events) are resolved per group: the winner is the first event that
-        passes the policy impact test against the pre-round state — the
-        same event the scalar loop resets on, since every later duplicate
-        then fails the identity check.
-        """
-        algorithm = self.algorithm
-        states = self.states
-        dependency = self.dependency
-        policy = self.policy
-        identity = algorithm.identity
-        offsets = self.csr.out_offsets
-        out_targets = self.csr.out_targets
-        out_weights = self.csr.out_weights
-        page_bytes = self.config.dram_page_bytes
-        base_policy = policy is DeletePolicy.BASE
-        vap = policy is DeletePolicy.VAP
-        dap = policy is DeletePolicy.DAP
         max_rows = self.config.scheduler_rows_per_round
         tracer = self.tracer
 
@@ -869,18 +759,24 @@ class EngineCore:
         while queue.pending():
             rounds += 1
             if rounds > MAX_ROUNDS:
-                raise RuntimeError("delete phase exceeded MAX_ROUNDS")
+                raise RuntimeError(f"{kind} phase exceeded MAX_ROUNDS; non-termination?")
             work = phase.new_round()
-            round_span = (
-                tracer.start("round", occupancy_start=queue.occupancy())
-                if tracer.enabled
-                else None
-            )
+            if group is not None:
+                shard_works = [RoundWork() for _ in range(group.num_engines)]
+                phase.shard_rounds.append(shard_works)
+            round_span = None
+            if tracer.enabled:
+                round_span = tracer.start("round", occupancy_start=queue.occupancy())
+                noc_before = parallel.noc_snapshot(phase)
             m_t0 = METRICS.clock() if METRICS.enabled else 0.0
             try:
                 if not queue.active_pending():
+                    # Charge the activated slice's spill read-back to this round.
                     queue.activate_next_slice(work)
-                batch, starts = queue.drain_round(work, max_rows)
+                if group is None:
+                    batch, starts = queue.drain_round(work, max_rows)
+                else:
+                    batch, starts = group.drain_round_merged(max_rows, executor.pool)
                 k = len(batch)
                 if k == 0:
                     continue
@@ -888,74 +784,65 @@ class EngineCore:
                 seg_start = np.zeros(k, dtype=bool)
                 seg_start[starts] = True
                 self._account_vertex_batch_arrays(t, seg_start, work, page_bytes)
-                work.events_processed += k
-                work.vertex_reads += k
 
-                st = states[t]
-                cond = st != identity
-                if dap:
-                    cond &= dependency[t] == batch.sources
-                if vap:
-                    cond &= ~algorithm.more_progressed_arrays(st, batch.payloads)
-                gfirst = np.empty(k, dtype=bool)
-                gfirst[0] = True
-                np.not_equal(t[1:], t[:-1], out=gfirst[1:])
-                gstarts = np.flatnonzero(gfirst)
-                pos = np.where(cond, np.arange(k), k)
-                win = np.minimum.reduceat(pos, gstarts)
-                win = win[win < np.append(gstarts[1:], k)]
-                n_win = int(win.shape[0])
-                phase.deletes_discarded += k - n_win
-                if n_win == 0:
-                    continue
-                v = t[win]
-                pre = st[win]
-                # Reset (tag) the impacted vertices — Algorithm 4, line 11.
-                states[v] = identity
-                work.vertex_writes += n_win
-                if dap:
-                    dependency[v] = NO_SOURCE
-                impacted.extend(v.tolist())
-                phase.vertices_reset += n_win
-
-                start_all = offsets[v]
-                deg_all = offsets[v + 1] - start_all
-                sub = np.flatnonzero(deg_all > 0)
-                if sub.shape[0] == 0:
-                    continue
-                vs = v[sub]
-                start = start_all[sub]
-                deg = deg_all[sub]
-                total = int(deg.sum())
-                work.edges_read += total
-                row_ids = np.searchsorted(starts, win[sub], side="right")
-                self._account_edge_batches(start, start + deg, row_ids, work, page_bytes)
-                eidx = self._edge_indices(start, deg)
-                if base_policy:
-                    # BASE carries no value (Algorithm 4 queues <v, 0>).
-                    gen_p = np.zeros(total, dtype=np.float64)
-                else:
-                    # VAP/DAP carry the contribution computed from the
-                    # pre-reset state (§5.1, §5.2).
-                    gen_p = algorithm.propagate_arrays(
-                        np.repeat(pre[sub], deg), out_weights[eidx]
+                if group is None:
+                    producers, gen_t, gen_p, gen_s = kernel(
+                        ctx, t, batch.payloads, batch.flags, batch.sources, work
                     )
-                work.events_generated += total
-                queue.insert_batch(
-                    EventBatch.from_arrays(
-                        out_targets[eidx], gen_p, 1, np.repeat(vs, deg)
-                    ),
-                    work,
-                )
+                else:
+                    producers, gen_t, gen_p, gen_s = parallel.run_shard_round(
+                        executor,
+                        kind,
+                        ctx,
+                        group.shard_of,
+                        batch,
+                        shard_works,
+                        tracer,
+                        round_span,
+                    )
+                    for shard_work in shard_works:
+                        work.merge(shard_work)
+
+                v = t[producers]
+                start = offsets[v]
+                deg = offsets[v + 1] - start
+                if delete:
+                    # Every producer is a reset vertex; only those with
+                    # out-edges touched edge lines.
+                    n_reset = int(v.shape[0])
+                    phase.deletes_discarded += k - n_reset
+                    phase.vertices_reset += n_reset
+                    impacted.extend(v.tolist())
+                    has_edges = deg > 0
+                    producers = producers[has_edges]
+                    start = start[has_edges]
+                    deg = deg[has_edges]
+                row_ids = np.searchsorted(starts, producers, side="right")
+                self._account_edge_batches(start, start + deg, row_ids, work, page_bytes)
+
+                generated = EventBatch.from_arrays(gen_t, gen_p, int(delete), gen_s)
+                if group is None:
+                    queue.insert_batch(generated, work)
+                else:
+                    group.route_generated(generated, work, phase)
             finally:
                 if round_span is not None:
                     tracer.end(
-                        round_span, **work_attrs(work), occupancy_end=queue.occupancy()
+                        round_span,
+                        **work_attrs(work),
+                        occupancy_end=queue.occupancy(),
+                        **(
+                            parallel.noc_delta_attrs(phase, noc_before)
+                            if group is not None
+                            else {}
+                        ),
                     )
                 if METRICS.enabled:
                     METRICS.record_round(
                         work, METRICS.clock() - m_t0, queue.occupancy()
                     )
+                    if group is not None:
+                        METRICS.record_engine_work(shard_works)
         return impacted
 
     # ------------------------------------------------------------------
@@ -1015,16 +902,6 @@ class EngineCore:
         work.dram_pages += segmented_interval_union(
             (start * 8) // page_bytes, (stop * 8 - 1) // page_bytes, seg
         )
-
-    @staticmethod
-    def _edge_indices(start: np.ndarray, deg: np.ndarray) -> np.ndarray:
-        """Indices into the CSR edge arrays for multiple ``[start, start+deg)``
-        ranges, concatenated in order — the vectorized frontier gather."""
-        total = int(deg.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        exclusive = np.cumsum(deg) - deg
-        return np.arange(total, dtype=np.int64) + np.repeat(start - exclusive, deg)
 
 
 @dataclass

@@ -12,11 +12,14 @@ vectorized SoA substrate:
   interface the orchestration layers already use;
 * :class:`InterEngineChannel` — cross-engine event routing with NoC flit
   and contention accounting via :class:`repro.sim.noc.CrossbarModel`;
-* :func:`regular_shard_kernel` / :func:`delete_shard_kernel` — the pure
-  per-engine round kernels, shared by both execution backends;
-* :func:`run_regular_sharded` / :func:`run_delete_sharded` — the two
-  event-loop drivers, dispatching shard work to the engine core's
-  persistent executor.
+* :func:`regular_shard_kernel` / :func:`delete_shard_kernel` — the array
+  round kernels, the only array implementation of a round: the
+  single-engine vectorized path calls them inline over the whole drain,
+  both sharded backends call them per engine;
+* :func:`run_shard_round` — the multi-shard caller: split the merged
+  drain by owner, dispatch to the engine core's persistent executor,
+  merge back in canonical order. The round loop itself (drain, accounting,
+  tracing, delete bookkeeping) is ``EngineCore``'s one array driver.
 
 **Execution backends.** ``backend="thread"`` (default) runs shard kernels
 on one persistent :class:`ThreadShardExecutor` per engine core — the
@@ -70,6 +73,7 @@ from repro.core.events import NO_SOURCE, Event, EventBatch
 from repro.core.metrics import PhaseStats, RoundWork
 from repro.core.policies import DeletePolicy
 from repro.core.queue import VectorQueue
+from repro.graph.csr import run_indices
 from repro.graph.partition import extend_assignment
 from repro.obs.metrics import REGISTRY as METRICS
 from repro.obs.tracer import work_attrs
@@ -112,7 +116,8 @@ def _timed_task(task, slot, clock):
     return run
 
 
-def _noc_snapshot(phase: PhaseStats):
+def noc_snapshot(phase: PhaseStats):
+    """The phase's NoC counters now, for :func:`noc_delta_attrs` later."""
     return (
         phase.noc_events_local,
         phase.noc_events_remote,
@@ -121,7 +126,8 @@ def _noc_snapshot(phase: PhaseStats):
     )
 
 
-def _noc_delta_attrs(phase: PhaseStats, snapshot) -> dict:
+def noc_delta_attrs(phase: PhaseStats, snapshot) -> dict:
+    """One round's NoC traffic as span attributes (counters since ``snapshot``)."""
     return {
         "noc_events_local": phase.noc_events_local - snapshot[0],
         "noc_events_remote": phase.noc_events_remote - snapshot[1],
@@ -414,90 +420,82 @@ class ShardedQueueGroup:
 
 
 # ----------------------------------------------------------------------
-# Per-shard round kernels (shared by the thread and process backends)
+# Array round kernels (the one implementation of a round)
 # ----------------------------------------------------------------------
-def _edge_indices(start: np.ndarray, deg: np.ndarray) -> np.ndarray:
-    """Indices into the CSR edge arrays for multiple ``[start, start+deg)``
-    ranges, concatenated in order — the vectorized frontier gather."""
-    total = int(deg.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    exclusive = np.cumsum(deg) - deg
-    return np.arange(total, dtype=np.int64) + np.repeat(start - exclusive, deg)
-
-
 def regular_shard_kernel(
     ctx: dict,
-    sel: np.ndarray,
     targets: np.ndarray,
     payloads: np.ndarray,
     flags: np.ndarray,
     sources: np.ndarray,
-    sw: RoundWork,
+    work: RoundWork,
 ):
-    """One engine's computation-phase work over its rows of the round batch.
+    """Computation-phase work over the drained rows it is handed.
 
     ``ctx`` carries the algorithm/policy plus the state, dependency,
-    propagation-factor, and CSR out-arrays — heap views on the thread
-    backend, shared-memory attachments inside worker processes; ``sel``
-    selects this shard's positions in the canonically merged drain batch.
-    Mirrors ``EngineCore._run_regular_vectorized`` operation for operation,
-    and returns the shard's generated events tagged with their producer's
-    drain position (``gen_pos``) for the canonical generation merge.
+    propagation-factor, and CSR out-arrays — heap views in the main
+    process, shared-memory attachments inside worker processes. The rows
+    are one round's drain in ascending-vertex order with unique targets
+    (the queue coalesced all regular events per vertex): the whole round
+    for the single-engine inline call, one engine's rows for a shard.
+
+    Gathers states, reduces element-wise, scatters the changed values
+    back, and expands the frontier (changed or request-flagged vertices
+    with out-edges). Adds its counters to ``work`` and returns
+    ``(producers, gen_t, gen_p, gen_s)``: the local row positions of the
+    propagating vertices and the generated events in generation order.
     """
     algorithm = ctx["algorithm"]
     states = ctx["states"]
     offsets = ctx["offsets"]
     out_targets = ctx["out_targets"]
     out_weights = ctx["out_weights"]
-    ts = targets[sel]
-    old = states[ts]
-    new = algorithm.reduce_ufunc(old, payloads[sel])
+    old = states[targets]
+    new = algorithm.reduce_ufunc(old, payloads)
     changed = new != old
-    tc = ts[changed]
+    tc = targets[changed]
     states[tc] = new[changed]
     if ctx["policy"].tracks_dependency:
-        ctx["dependency"][tc] = sources[sel][changed]
-    prop = changed | ((flags[sel] & 2) != 0)
-    start_all = offsets[ts]
-    deg_all = offsets[ts + 1] - start_all
-    nz = prop & (deg_all > 0)
-    idx = np.flatnonzero(nz)
-    v = ts[idx]
+        ctx["dependency"][tc] = sources[changed]
+    prop = changed | ((flags & 2) != 0)
+    start_all = offsets[targets]
+    deg_all = offsets[targets + 1] - start_all
+    idx = np.flatnonzero(prop & (deg_all > 0))
+    v = targets[idx]
     start = start_all[idx]
     deg = deg_all[idx]
     if algorithm.kind is AlgorithmKind.ACCUMULATIVE:
+        # Linear fast path: forwarded delta is the incoming delta scaled
+        # by the hoisted per-source factor.
         threshold = algorithm.propagation_threshold
         base = (new[idx] - old[idx]) * ctx["prop_factor"][v]
         if algorithm.weight_scaled_propagation:
-            eidx = _edge_indices(start, deg)
+            eidx = run_indices(start, deg)
             values = np.repeat(base, deg) * out_weights[eidx]
             keep = (values > threshold) | (values < -threshold)
             gen_t = out_targets[eidx][keep]
             gen_p = values[keep]
             gen_s = np.repeat(v, deg)[keep]
-            gen_pos = np.repeat(sel[idx], deg)[keep]
         else:
             keepv = (base > threshold) | (base < -threshold)
             dg = deg[keepv]
-            eidx = _edge_indices(start[keepv], dg)
+            eidx = run_indices(start[keepv], dg)
             gen_t = out_targets[eidx]
             gen_p = np.repeat(base[keepv], dg)
             gen_s = np.repeat(v[keepv], dg)
-            gen_pos = np.repeat(sel[idx][keepv], dg)
     else:
         # Selective: propagation basis is the post-write state.
-        eidx = _edge_indices(start, deg)
+        eidx = run_indices(start, deg)
         gen_t = out_targets[eidx]
         gen_p = algorithm.propagate_arrays(np.repeat(new[idx], deg), out_weights[eidx])
         gen_s = np.repeat(v, deg)
-        gen_pos = np.repeat(sel[idx], deg)
-    sw.events_processed = int(sel.shape[0])
-    sw.vertex_reads = int(sel.shape[0])
-    sw.vertex_writes = int(tc.shape[0])
-    sw.edges_read = int(deg.sum())
-    sw.events_generated = int(gen_t.shape[0])
-    return sel[idx], gen_t, gen_p, gen_s, gen_pos
+    k = int(targets.shape[0])
+    work.events_processed += k
+    work.vertex_reads += k
+    work.vertex_writes += int(tc.shape[0])
+    work.edges_read += int(deg.sum())
+    work.events_generated += int(gen_t.shape[0])
+    return idx, gen_t, gen_p, gen_s
 
 
 _EMPTY_I = np.empty(0, dtype=np.int64)
@@ -506,79 +504,76 @@ _EMPTY_F = np.empty(0, dtype=np.float64)
 
 def delete_shard_kernel(
     ctx: dict,
-    sel: np.ndarray,
     targets: np.ndarray,
     payloads: np.ndarray,
     flags: np.ndarray,
     sources: np.ndarray,
-    sw: RoundWork,
+    work: RoundWork,
 ):
-    """One engine's recovery-phase work over its rows of the round batch.
+    """Recovery-phase work over the drained rows it is handed.
 
-    Resolves duplicate target groups with the same first-qualifying-event
-    rule as the vectorized oracle (groups never span engines — a vertex
-    lives in exactly one shard), resets impacted vertices, and expands
-    delete propagation. Same context/selection conventions as
-    :func:`regular_shard_kernel`; returns
-    ``(win_global, discarded, gen_t, gen_p, gen_s, gen_pos)``.
+    Duplicate targets (the DAP overflow buffer drains uncoalesced events)
+    are resolved per group: the winner is the first event that passes the
+    policy impact test against the pre-round state — the same event the
+    scalar loop resets on, since every later duplicate then fails the
+    identity check. Groups never span engines (a vertex lives in exactly
+    one shard). Resets the impacted vertices and expands delete
+    propagation along their out-edges. Same conventions as
+    :func:`regular_shard_kernel`; the returned producers are the winning
+    rows, *including* those without out-edges.
     """
-    n_local = int(sel.shape[0])
-    if n_local == 0:
-        return _EMPTY_I, 0, _EMPTY_I, _EMPTY_F, _EMPTY_I, _EMPTY_I
+    k = int(targets.shape[0])
+    if k == 0:
+        return _EMPTY_I, _EMPTY_I, _EMPTY_F, _EMPTY_I
     algorithm = ctx["algorithm"]
     policy = ctx["policy"]
     states = ctx["states"]
     offsets = ctx["offsets"]
-    out_targets = ctx["out_targets"]
-    out_weights = ctx["out_weights"]
     identity = algorithm.identity
     dap = policy is DeletePolicy.DAP
-    ts = targets[sel]
-    st = states[ts]
+    st = states[targets]
     cond = st != identity
     if dap:
-        cond &= ctx["dependency"][ts] == sources[sel]
+        cond &= ctx["dependency"][targets] == sources
     if policy is DeletePolicy.VAP:
-        cond &= ~algorithm.more_progressed_arrays(st, payloads[sel])
-    gfirst = np.empty(n_local, dtype=bool)
+        cond &= ~algorithm.more_progressed_arrays(st, payloads)
+    gfirst = np.empty(k, dtype=bool)
     gfirst[0] = True
-    np.not_equal(ts[1:], ts[:-1], out=gfirst[1:])
+    np.not_equal(targets[1:], targets[:-1], out=gfirst[1:])
     gstarts = np.flatnonzero(gfirst)
-    pos = np.where(cond, np.arange(n_local), n_local)
+    pos = np.where(cond, np.arange(k), k)
     win = np.minimum.reduceat(pos, gstarts)
-    win = win[win < np.append(gstarts[1:], n_local)]
-    n_win = int(win.shape[0])
-    v = ts[win]
-    pre = st[win]
+    win = win[win < np.append(gstarts[1:], k)]
+    v = targets[win]
     # Reset (tag) the impacted vertices — Algorithm 4, line 11.
     states[v] = identity
     if dap:
         ctx["dependency"][v] = NO_SOURCE
-    win_global = sel[win]
     start_all = offsets[v]
     deg_all = offsets[v + 1] - start_all
     sub = np.flatnonzero(deg_all > 0)
-    vs = v[sub]
-    start = start_all[sub]
     deg = deg_all[sub]
     total = int(deg.sum())
-    eidx = _edge_indices(start, deg)
+    eidx = run_indices(start_all[sub], deg)
     if policy is DeletePolicy.BASE:
         # BASE carries no value (Algorithm 4 queues <v, 0>).
         gen_p = np.zeros(total, dtype=np.float64)
     else:
         # VAP/DAP carry the contribution computed from the
         # pre-reset state (§5.1, §5.2).
-        gen_p = algorithm.propagate_arrays(np.repeat(pre[sub], deg), out_weights[eidx])
-    gen_t = out_targets[eidx]
-    gen_s = np.repeat(vs, deg)
-    gen_pos = np.repeat(win_global[sub], deg)
-    sw.events_processed = n_local
-    sw.vertex_reads = n_local
-    sw.vertex_writes = n_win
-    sw.edges_read = total
-    sw.events_generated = total
-    return win_global, n_local - n_win, gen_t, gen_p, gen_s, gen_pos
+        gen_p = algorithm.propagate_arrays(
+            np.repeat(st[win][sub], deg), ctx["out_weights"][eidx]
+        )
+    work.events_processed += k
+    work.vertex_reads += k
+    work.vertex_writes += int(win.shape[0])
+    work.edges_read += total
+    work.events_generated += total
+    return win, ctx["out_targets"][eidx], gen_p, np.repeat(v[sub], deg)
+
+
+#: Round kernel per phase kind (the ``kind`` of the worker ``round`` op).
+ROUND_KERNELS = {"regular": regular_shard_kernel, "delete": delete_shard_kernel}
 
 
 # ----------------------------------------------------------------------
@@ -679,16 +674,12 @@ def _process_worker_main(conn) -> None:
                     reply = ("ok",)
                 elif op == "round":
                     _, kind, jobs, batch_arrays, timed = message
-                    kernel = (
-                        regular_shard_kernel
-                        if kind == "regular"
-                        else delete_shard_kernel
-                    )
+                    kernel = ROUND_KERNELS[kind]
                     out = []
                     for shard_id, sel in jobs:
                         sw = RoundWork()
                         t0 = clock() if timed else 0.0
-                        result = kernel(ctx, sel, *batch_arrays, sw)
+                        result = kernel(ctx, *(a[sel] for a in batch_arrays), sw)
                         t1 = clock() if timed else 0.0
                         out.append((shard_id, result, sw, t0, t1))
                     reply = ("ok", out)
@@ -870,8 +861,8 @@ def _shutdown_executor_cache() -> None:
 atexit.register(_shutdown_executor_cache)
 
 
-def _run_shard_round(executor, kind, ctx, sels, batch, shard_works, timed, clock):
-    """Run one round's shard kernels on ``executor``; per-shard order out.
+def _dispatch_shards(executor, kind, ctx, sels, batch_arrays, shard_works, timed, clock):
+    """Run one round's kernel per shard on ``executor``; per-shard order out.
 
     Thread backend: closures over the heap context run on the persistent
     pool, kernels filling ``shard_works`` in place. Process backend: one
@@ -880,7 +871,6 @@ def _run_shard_round(executor, kind, ctx, sels, batch, shard_works, timed, clock
     Returns ``(results, task_times)`` indexed by shard id.
     """
     num_engines = len(sels)
-    batch_arrays = (batch.targets, batch.payloads, batch.flags, batch.sources)
     if executor.backend == "process":
         results, works, times = executor.run_round(
             kind, num_engines, sels, batch_arrays, timed
@@ -889,11 +879,11 @@ def _run_shard_round(executor, kind, ctx, sels, batch, shard_works, timed, clock
             shard_works[shard_id].merge(works[shard_id])
         return results, times
 
-    kernel = regular_shard_kernel if kind == "regular" else delete_shard_kernel
+    kernel = ROUND_KERNELS[kind]
 
     def shard_task(sel, sw):
         def run():
-            return kernel(ctx, sel, *batch_arrays, sw)
+            return kernel(ctx, *(a[sel] for a in batch_arrays), sw)
 
         return run
 
@@ -906,257 +896,50 @@ def _run_shard_round(executor, kind, ctx, sels, batch, shard_works, timed, clock
     return executor.run_tasks(tasks), task_times
 
 
-def _thread_kernel_context(core) -> dict:
-    """Kernel context over the core's heap arrays (thread backend)."""
-    return {
-        "algorithm": core.algorithm,
-        "policy": core.policy,
-        "states": core.states,
-        "dependency": core.dependency,
-        "prop_factor": core._prop_factor,
-        "offsets": core.csr.out_offsets,
-        "out_targets": core.csr.out_targets,
-        "out_weights": core.csr.out_weights,
-    }
+def run_shard_round(
+    executor, kind, ctx, shard_of, batch, shard_works, tracer, round_span
+):
+    """One round as the multi-shard caller of the array kernels.
 
-
-# ----------------------------------------------------------------------
-# Sharded event-loop drivers
-# ----------------------------------------------------------------------
-def run_regular_sharded(core, group: ShardedQueueGroup, phase: PhaseStats) -> None:
-    """Computation phase over parallel shards (Algorithm 1 on 8 engines).
-
-    One round: each engine drains its queue; drains merge in canonical
-    order; each engine reduces + expands its own vertices' frontier on the
-    core's persistent executor (disjoint rows of the shared state arrays —
-    heap-shared across threads or shm-shared across worker processes);
-    generated events merge back in producer drain-position order and route
-    through the inter-engine channel. Work accounting runs on the merged
-    round so the per-round vectors equal the single-engine vectorized
-    kernel's.
+    Splits the canonically merged drain ``batch`` by owning engine, runs
+    the ``kind`` kernel per shard on ``executor`` (disjoint rows of the
+    shared state arrays — heap-shared across threads, shm-shared across
+    worker processes), and merges the results back into the single-engine
+    order: producer positions ascending, generated events by producing
+    vertex. A vertex produces from at most one drain position per round
+    and positions ascend with vertex id, so the stable sort on the source
+    id *is* the oracle's generation order. Returns the same
+    ``(producers, gen_t, gen_p, gen_s)`` the inline kernel call returns.
     """
-    from repro.core.engine import MAX_ROUNDS
-
-    offsets = core.csr.out_offsets
-    page_bytes = core.config.dram_page_bytes
-    max_rows = core.config.scheduler_rows_per_round
-    num_engines = group.num_engines
-
-    executor = core.shard_executor()
-    if executor.backend == "process":
-        executor.bind(core._process_bind_payload())
-        ctx = None
-    else:
-        ctx = _thread_kernel_context(core)
-    pool = executor.pool
-
-    tracer = core.tracer
-    rounds = 0
-    while group.pending():
-        rounds += 1
-        if rounds > MAX_ROUNDS:
-            raise RuntimeError("engine exceeded MAX_ROUNDS; non-termination?")
-        work = phase.new_round()
-        shard_works = [RoundWork() for _ in range(num_engines)]
-        phase.shard_rounds.append(shard_works)
-        round_span = None
-        if tracer.enabled:
-            round_span = tracer.start("round", occupancy_start=group.occupancy())
-            noc_before = _noc_snapshot(phase)
-        m_t0 = METRICS.clock() if METRICS.enabled else 0.0
-        try:
-            if not group.active_pending():
-                group.activate_next_slice(work)
-            batch, starts = group.drain_round_merged(max_rows, pool)
-            k = len(batch)
-            if k == 0:
-                continue
-            t = batch.targets
-            seg_start = np.zeros(k, dtype=bool)
-            seg_start[starts] = True
-            core._account_vertex_batch_arrays(t, seg_start, work, page_bytes)
-            work.events_processed += k
-            work.vertex_reads += k
-
-            owner = group.shard_of[t]
-            sels = [np.flatnonzero(owner == s) for s in range(num_engines)]
-            results, task_times = _run_shard_round(
-                executor,
-                "regular",
-                ctx,
-                sels,
-                batch,
-                shard_works,
-                timed=round_span is not None,
-                clock=getattr(tracer, "clock", None),
+    owner = shard_of[batch.targets]
+    sels = [np.flatnonzero(owner == s) for s in range(len(shard_works))]
+    results, task_times = _dispatch_shards(
+        executor,
+        kind,
+        ctx,
+        sels,
+        (batch.targets, batch.payloads, batch.flags, batch.sources),
+        shard_works,
+        timed=round_span is not None,
+        clock=getattr(tracer, "clock", None),
+    )
+    if round_span is not None:
+        for s, sw in enumerate(shard_works):
+            tracer.emit(
+                "engine",
+                f"engine-{s}",
+                task_times[s][0],
+                task_times[s][1],
+                parent=round_span,
+                engine=s,
+                **work_attrs(sw),
             )
-            if round_span is not None:
-                for s in range(num_engines):
-                    tracer.emit(
-                        "engine",
-                        f"engine-{s}",
-                        task_times[s][0],
-                        task_times[s][1],
-                        parent=round_span,
-                        engine=s,
-                        **work_attrs(shard_works[s]),
-                    )
-            work.vertex_writes += sum(sw.vertex_writes for sw in shard_works)
-            work.edges_read += sum(sw.edges_read for sw in shard_works)
-
-            prop_pos = np.concatenate([r[0] for r in results])
-            if prop_pos.shape[0]:
-                gidx = np.sort(prop_pos)
-                v = t[gidx]
-                start = offsets[v]
-                deg = offsets[v + 1] - start
-                row_ids = np.searchsorted(starts, gidx, side="right")
-                core._account_edge_batches(start, start + deg, row_ids, work, page_bytes)
-
-            gen_pos = np.concatenate([r[4] for r in results])
-            n_gen = int(gen_pos.shape[0])
-            if n_gen:
-                order = np.argsort(gen_pos, kind="stable")
-                generated = EventBatch(
-                    np.concatenate([r[1] for r in results])[order],
-                    np.concatenate([r[2] for r in results])[order],
-                    np.zeros(n_gen, dtype=np.int64),
-                    np.concatenate([r[3] for r in results])[order],
-                )
-                work.events_generated += n_gen
-                group.route_generated(generated, work, phase)
-        finally:
-            if round_span is not None:
-                tracer.end(
-                    round_span,
-                    **work_attrs(work),
-                    occupancy_end=group.occupancy(),
-                    **_noc_delta_attrs(phase, noc_before),
-                )
-            if METRICS.enabled:
-                METRICS.record_round(work, METRICS.clock() - m_t0, group.occupancy())
-                METRICS.record_engine_work(shard_works)
-
-
-def run_delete_sharded(
-    core, group: ShardedQueueGroup, phase: PhaseStats
-) -> List[int]:
-    """Recovery phase over parallel shards (Algorithm 4 on 8 engines).
-
-    Per-engine tasks run :func:`delete_shard_kernel` on the core's
-    persistent executor; merging follows the same canonical orders as the
-    regular driver. Returns the impacted list in the oracle's order
-    (ascending vertex id per round).
-    """
-    from repro.core.engine import MAX_ROUNDS
-
-    offsets = core.csr.out_offsets
-    page_bytes = core.config.dram_page_bytes
-    max_rows = core.config.scheduler_rows_per_round
-    num_engines = group.num_engines
-
-    executor = core.shard_executor()
-    if executor.backend == "process":
-        executor.bind(core._process_bind_payload())
-        ctx = None
-    else:
-        ctx = _thread_kernel_context(core)
-    pool = executor.pool
-
-    tracer = core.tracer
-    impacted: List[int] = []
-    rounds = 0
-    while group.pending():
-        rounds += 1
-        if rounds > MAX_ROUNDS:
-            raise RuntimeError("delete phase exceeded MAX_ROUNDS")
-        work = phase.new_round()
-        shard_works = [RoundWork() for _ in range(num_engines)]
-        phase.shard_rounds.append(shard_works)
-        round_span = None
-        if tracer.enabled:
-            round_span = tracer.start("round", occupancy_start=group.occupancy())
-            noc_before = _noc_snapshot(phase)
-        m_t0 = METRICS.clock() if METRICS.enabled else 0.0
-        try:
-            if not group.active_pending():
-                group.activate_next_slice(work)
-            batch, starts = group.drain_round_merged(max_rows, pool)
-            k = len(batch)
-            if k == 0:
-                continue
-            t = batch.targets
-            seg_start = np.zeros(k, dtype=bool)
-            seg_start[starts] = True
-            core._account_vertex_batch_arrays(t, seg_start, work, page_bytes)
-            work.events_processed += k
-            work.vertex_reads += k
-
-            owner = group.shard_of[t]
-            sels = [np.flatnonzero(owner == s) for s in range(num_engines)]
-            results, task_times = _run_shard_round(
-                executor,
-                "delete",
-                ctx,
-                sels,
-                batch,
-                shard_works,
-                timed=round_span is not None,
-                clock=getattr(tracer, "clock", None),
-            )
-            if round_span is not None:
-                for s in range(num_engines):
-                    tracer.emit(
-                        "engine",
-                        f"engine-{s}",
-                        task_times[s][0],
-                        task_times[s][1],
-                        parent=round_span,
-                        engine=s,
-                        **work_attrs(shard_works[s]),
-                    )
-            phase.deletes_discarded += sum(r[1] for r in results)
-            win_all = np.concatenate([r[0] for r in results])
-            n_win = int(win_all.shape[0])
-            work.vertex_writes += n_win
-            phase.vertices_reset += n_win
-            work.edges_read += sum(sw.edges_read for sw in shard_works)
-            if n_win:
-                win_sorted = np.sort(win_all)
-                v = t[win_sorted]
-                impacted.extend(v.tolist())
-                start_all = offsets[v]
-                deg_all = offsets[v + 1] - start_all
-                sub = np.flatnonzero(deg_all > 0)
-                if sub.shape[0]:
-                    start = start_all[sub]
-                    deg = deg_all[sub]
-                    row_ids = np.searchsorted(starts, win_sorted[sub], side="right")
-                    core._account_edge_batches(
-                        start, start + deg, row_ids, work, page_bytes
-                    )
-
-            gen_pos = np.concatenate([r[5] for r in results])
-            n_gen = int(gen_pos.shape[0])
-            if n_gen:
-                order = np.argsort(gen_pos, kind="stable")
-                generated = EventBatch(
-                    np.concatenate([r[2] for r in results])[order],
-                    np.concatenate([r[3] for r in results])[order],
-                    np.ones(n_gen, dtype=np.int64),
-                    np.concatenate([r[4] for r in results])[order],
-                )
-                work.events_generated += n_gen
-                group.route_generated(generated, work, phase)
-        finally:
-            if round_span is not None:
-                tracer.end(
-                    round_span,
-                    **work_attrs(work),
-                    occupancy_end=group.occupancy(),
-                    **_noc_delta_attrs(phase, noc_before),
-                )
-            if METRICS.enabled:
-                METRICS.record_round(work, METRICS.clock() - m_t0, group.occupancy())
-                METRICS.record_engine_work(shard_works)
-    return impacted
+    producers = np.sort(np.concatenate([sel[r[0]] for sel, r in zip(sels, results)]))
+    gen_s = np.concatenate([r[3] for r in results])
+    order = np.argsort(gen_s, kind="stable")
+    return (
+        producers,
+        np.concatenate([r[1] for r in results])[order],
+        np.concatenate([r[2] for r in results])[order],
+        gen_s[order],
+    )

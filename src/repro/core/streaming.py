@@ -24,46 +24,30 @@ The per-phase work metrics feed the architectural timing model
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.algorithms.base import Algorithm, AlgorithmKind, SourceContext
+from repro.algorithms.base import Algorithm, AlgorithmKind
 from repro.core.config import AcceleratorConfig
 from repro.core.engine import EngineCore
-from repro.core.events import NO_SOURCE, Event, EventBatch
+from repro.core.events import NO_SOURCE, EventBatch
 from repro.core.metrics import RunMetrics
 from repro.core.policies import DeletePolicy
+from repro.graph.csr import CSRGraph, run_indices
 from repro.graph.dynamic import DynamicGraph
 from repro.obs.metrics import REGISTRY as METRICS
 from repro.streams import UpdateBatch
 
-Edge = Tuple[int, int, float]
-
-_EMPTY_I64 = np.zeros(0, dtype=np.int64)
-_EMPTY_F64 = np.zeros(0, dtype=np.float64)
+#: Parallel ``(src, dst, weight)`` columns of a directed edge set.
+EdgeArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _run_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenated ``[start, start + length)`` index ranges.
-
-    Expands per-vertex CSR runs into one flat gather index without a Python
-    loop: equivalent to ``np.concatenate([np.arange(s, s + l) ...])``.
-    """
-    total = int(lengths.sum())
-    if total == 0:
-        return _EMPTY_I64
-    exclusive = np.cumsum(lengths) - lengths
-    return np.repeat(starts - exclusive, lengths) + np.arange(total, dtype=np.int64)
-
-
-def _interleave_mirrors(
-    u: np.ndarray, v: np.ndarray, w: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _interleave_mirrors(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> EdgeArrays:
     """Symmetric-graph expansion: each edge followed by its mirror.
 
-    Matches the scalar list construction exactly — original then reversed
-    edge, interleaved in batch order, self-loops not mirrored.
+    Original then reversed edge, interleaved in batch order; self-loops
+    are not mirrored.
     """
     mirror = u != v
     counts = mirror.astype(np.int64) + 1
@@ -82,41 +66,63 @@ def _interleave_mirrors(
     return ou, ov, ow
 
 
-class _SeedBuffer:
-    """Collects seed events and inserts them as one :class:`EventBatch`.
+def _source_ctx(algorithm, csr, sources: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-element ``(out_degree, out_weight_sum)`` context in ``csr``.
 
-    The streaming orchestration computes seed payloads one edge at a time
-    (Python-level stream decoding), but the queue insert is batched so the
-    vectorized substrate coalesces the whole seed set with one
-    scatter-reduce. Insertion order — and therefore every coalescing
-    outcome and work counter — matches the former per-event inserts.
+    Degrees come from offset arithmetic. When the algorithm's context hook
+    reads the weight sums, they are reproduced **bit for bit** with
+    :meth:`SourceContext.of` — a per-source left fold over the CSR-ordered
+    out-edges. A prefix-sum difference or pairwise ``reduceat`` would round
+    differently, so the fold stays a Python loop over the (few) distinct
+    touched sources. Selective algorithms with a vectorized propagate
+    ignore the context entirely, so the fold is skipped for them.
     """
+    offsets = csr.out_offsets
+    degrees = offsets[sources + 1] - offsets[sources]
+    selective_fast = (
+        algorithm.kind is AlgorithmKind.SELECTIVE
+        and type(algorithm).propagate_arrays is not Algorithm.propagate_arrays
+    )
+    if selective_fast or not algorithm.ctx_needs_weight_sums or len(sources) == 0:
+        return degrees, np.zeros(len(sources), dtype=np.float64)
+    uniq, inverse = np.unique(sources, return_inverse=True)
+    weights = csr.out_weights
+    sums = np.empty(len(uniq), dtype=np.float64)
+    for i, u in enumerate(uniq):
+        total = 0.0
+        for j in range(int(offsets[u]), int(offsets[u + 1])):
+            total += float(weights[j])
+        sums[i] = total
+    return degrees, sums[inverse]
 
-    __slots__ = ("targets", "payloads", "flags", "sources")
 
-    def __init__(self):
-        self.targets: List[int] = []
-        self.payloads: List[float] = []
-        self.flags: List[int] = []
-        self.sources: List[int] = []
+def _edge_payloads(core: EngineCore, work, csr, edges: EdgeArrays) -> np.ndarray:
+    """Each edge's contribution from its source's current state, priced on
+    ``csr`` — the stream reader's one state read per edge (§3.3)."""
+    u, _v, w = edges
+    work.vertex_reads += len(u)
+    degrees, wsums = _source_ctx(core.algorithm, csr, u)
+    return core.algorithm.propagate_ctx_arrays(core.states[u], w, degrees, wsums)
 
-    def add(self, target: int, payload: float, flags: int, source: int) -> None:
-        self.targets.append(target)
-        self.payloads.append(payload)
-        self.flags.append(flags)
-        self.sources.append(source)
 
-    def flush(self, queue, work) -> None:
-        if not self.targets:
-            return
-        queue.insert_batch(
-            EventBatch.from_arrays(
-                self.targets, self.payloads, self.flags, self.sources
-            ),
-            work,
-        )
-        self.targets, self.payloads = [], []
-        self.flags, self.sources = [], []
+def _insertion_seeds(core: EngineCore, work, csr, insertions: EdgeArrays) -> EventBatch:
+    """``ProcessInserts``: one event per inserted edge, priced on ``csr``.
+
+    Shared by the selective flow, the CommonGraph addition pass and
+    :func:`evaluate_at_versions`; the caller inserts the batch.
+    """
+    iu, iv, _iw = insertions
+    work.events_generated += len(iu)
+    return EventBatch.from_arrays(iv, _edge_payloads(core, work, csr, insertions), 0, iu)
+
+
+def _seed_new_vertices(algorithm, queue, work, old_n: int, new_n: int) -> None:
+    """Deliver owed initial events to vertices ``old_n .. new_n - 1``."""
+    if new_n <= old_n:
+        return
+    targets, payloads = algorithm.seed_events_for_new_vertices(old_n, new_n)
+    work.events_generated += len(targets)
+    queue.insert_batch(EventBatch.from_arrays(targets, payloads, 0, NO_SOURCE), work)
 
 
 @dataclass
@@ -168,16 +174,6 @@ class JetStreamEngine:
         over the heap arrays) or ``"process"`` (worker processes over
         shared-memory segments — see repro.core.parallel). Results are
         bit-identical across backends.
-    seed_pipeline:
-        How streaming seed events (delete payloads, reapproximation
-        requests, insertion seeds, net corrections) are computed:
-        ``auto`` (default — batched array kernels whenever the algorithm
-        ships vectorized hooks), ``array`` (force the array pipeline; the
-        degree-aware hooks fall back to exact element-wise loops for
-        algorithms without vectorized forms), or ``scalar`` (the original
-        per-edge Python loop, kept verbatim as the equivalence oracle).
-        Both pipelines produce bit-identical events, coalescing outcomes,
-        and work counters.
     """
 
     def __init__(
@@ -192,7 +188,6 @@ class JetStreamEngine:
         shard_workers: Optional[int] = None,
         backend: str = "thread",
         tracer=None,
-        seed_pipeline: str = "auto",
     ):
         if algorithm.needs_symmetric and not graph.symmetric:
             raise ValueError(
@@ -228,26 +223,6 @@ class JetStreamEngine:
         #: stand-in graph scale would swamp the incremental advantage the
         #: paper measures at 45M–1.46B-edge scale. See DESIGN.md §4.
         self.two_phase_accumulative = two_phase_accumulative
-        if seed_pipeline not in ("auto", "array", "scalar"):
-            raise ValueError(
-                f"unknown seed_pipeline {seed_pipeline!r}; "
-                "expected 'auto', 'array', or 'scalar'"
-            )
-        self.seed_pipeline = seed_pipeline
-        self._array_seeds = seed_pipeline == "array" or (
-            seed_pipeline == "auto" and algorithm.supports_vectorized
-        )
-        # Selective algorithms with a vectorized propagate ignore the source
-        # context entirely, so the seed pipeline can skip building it; the
-        # exact out-weight-sum fold is only needed when propagate_ctx_arrays
-        # actually reads that column.
-        self._selective_fast = (
-            algorithm.kind is AlgorithmKind.SELECTIVE
-            and type(algorithm).propagate_arrays is not Algorithm.propagate_arrays
-        )
-        self._needs_weight_sums = (
-            not self._selective_fast and algorithm.ctx_needs_weight_sums
-        )
         self.core = EngineCore(
             algorithm,
             config or AcceleratorConfig(),
@@ -259,7 +234,10 @@ class JetStreamEngine:
             tracer=tracer,
         )
         self._initialized = False
-        self.history: List[StreamingResult] = []
+        #: Batches applied so far (labels the run spans). Results are
+        #: returned, never retained: a long-lived session would otherwise
+        #: pin a full state copy per batch.
+        self._batches_applied = 0
 
     def close(self) -> None:
         """Release the worker pool and any shared-memory segments.
@@ -332,14 +310,12 @@ class JetStreamEngine:
                 num_edges=csr.num_edges,
             )
         self._initialized = True
-        result = StreamingResult(
+        return StreamingResult(
             states=core.states.copy(),
             metrics=metrics,
             graph_version=self.graph.version,
             queue_stats=queue.lifetime_stats(),
         )
-        self.history.append(result)
-        return result
 
     # ------------------------------------------------------------------
     # Incremental evaluation — §4.6.2
@@ -361,7 +337,7 @@ class JetStreamEngine:
             "batch",
             algorithm=self.algorithm.name,
             engine_mode=self.core.engine_mode,
-            batch_index=len(self.history) - 1,
+            batch_index=self._batches_applied,
             insertions=len(batch.insertions),
             deletions=len(batch.deletions),
             stream_records=batch.size,
@@ -383,23 +359,18 @@ class JetStreamEngine:
                 stream_records=batch.size,
                 num_vertices=self.graph.num_vertices,
             )
-        self.history.append(result)
+        self._batches_applied += 1
         return result
 
     # -- selective flow (Algorithm 5) ----------------------------------
     def _apply_selective(self, batch: UpdateBatch) -> StreamingResult:
         core = self.core
-        algorithm = self.algorithm
         metrics = RunMetrics()
         old_csr = self.graph.snapshot()
         core.bind_graph(old_csr)
 
-        if self._array_seeds:
-            deletions = self._directed_deletions_arrays(batch)
-            insertions = self._directed_insertions_arrays(batch)
-        else:
-            deletions = self._directed_deletions(batch)
-            insertions = self._directed_insertions(batch)
+        deletions = self._directed_deletions(batch)
+        insertions = self._directed_insertions(batch)
 
         # Phase 1: ProcessDeletesSelective + ResetImpacted on the old graph.
         tracer = core.tracer
@@ -411,21 +382,7 @@ class JetStreamEngine:
             with tracer.round(seed_work, queue), METRICS.round_scope(
                 seed_work, queue
             ):
-                if self._array_seeds:
-                    self._seed_deletes_array(queue, seed_work, old_csr, deletions)
-                else:
-                    buf = _SeedBuffer()
-                    for u, v, w in deletions:
-                        # The stream reader computes the payload from the previous
-                        # converged source state (§3.3); BASE events carry no value.
-                        if self.policy is DeletePolicy.BASE:
-                            payload = 0.0
-                        else:
-                            payload = algorithm.propagate(float(core.states[u]), w, SourceContext.of(old_csr, u))
-                        seed_work.vertex_reads += 1
-                        seed_work.events_generated += 1
-                        buf.add(v, payload, 1, u)
-                    buf.flush(queue, seed_work)
+                self._seed_deletes(queue, seed_work, old_csr, deletions)
             impacted = core.run_delete(queue, delete_phase)
         if METRICS.enabled:
             METRICS.record_phase(delete_phase)
@@ -442,31 +399,18 @@ class JetStreamEngine:
         with tracer.phase(compute_phase):
             work = compute_phase.new_round()
             with tracer.round(work, queue), METRICS.round_scope(work, queue):
-                if self._array_seeds:
-                    self._seed_reapprox_array(
-                        queue, work, compute_phase, new_csr, impacted, insertions
-                    )
-                else:
-                    identity = algorithm.identity
-                    buf = _SeedBuffer()
-                    for i in impacted:
-                        self_payload = algorithm.self_event(i)
-                        if self_payload is not None:
-                            buf.add(i, self_payload, 0, NO_SOURCE)
-                            work.events_generated += 1
-                        sources = new_csr.in_neighbors(i)
-                        for u in sources:
-                            buf.add(int(u), identity, 2, NO_SOURCE)
-                        n_req = int(sources.shape[0])
-                        work.events_generated += n_req
-                        compute_phase.request_events += n_req
-                    for u, v, w in insertions:
-                        payload = algorithm.propagate(float(core.states[u]), w, SourceContext.of(new_csr, u))
-                        work.vertex_reads += 1
-                        work.events_generated += 1
-                        buf.add(v, payload, 0, u)
-                    buf.flush(queue, work)
-                self._seed_new_vertices(queue, work, old_csr.num_vertices, new_csr.num_vertices)
+                seeds = [
+                    self._reapprox_seeds(work, compute_phase, new_csr, impacted),
+                    _insertion_seeds(core, work, new_csr, insertions),
+                ]
+                queue.insert_batch(EventBatch.concat(seeds), work)
+                _seed_new_vertices(
+                    self.algorithm,
+                    queue,
+                    work,
+                    old_csr.num_vertices,
+                    new_csr.num_vertices,
+                )
             core.run_regular(queue, compute_phase)
         if METRICS.enabled:
             METRICS.record_phase(compute_phase)
@@ -498,25 +442,13 @@ class JetStreamEngine:
         vertex→engine map across the common and addition phases.
         """
         core = self.core
-        algorithm = self.algorithm
         metrics = RunMetrics()
-        old_csr = self.graph.snapshot()
-        old_n = old_csr.num_vertices
+        old_n = self.graph.snapshot().num_vertices
 
-        if self._array_seeds:
-            du, dv, _dw = self._directed_deletions_arrays(batch)
-            insertions = self._directed_insertions_arrays(batch)
-        else:
-            dels = self._directed_deletions(batch)
-            m = len(dels)
-            du = np.fromiter((e[0] for e in dels), dtype=np.int64, count=m)
-            dv = np.fromiter((e[1] for e in dels), dtype=np.int64, count=m)
-            insertions = self._directed_insertions(batch)
-
+        du, dv, _dw = self._directed_deletions(batch)
+        insertions = self._directed_insertions(batch)
         eu, ev, ew = self.graph.edge_arrays()
         keep = ~self._edge_key_member(eu, ev, du, dv, old_n)
-        from repro.graph.csr import CSRGraph
-
         common_csr = CSRGraph.from_arrays(old_n, eu[keep], ev[keep], ew[keep])
 
         # Phase 1: full convergence on the common graph from Identity.
@@ -545,30 +477,12 @@ class JetStreamEngine:
         with tracer.phase(addition_phase):
             work = addition_phase.new_round()
             with tracer.round(work, queue), METRICS.round_scope(work, queue):
-                if self._array_seeds:
-                    iu, iv, iw = insertions
-                    mi = len(iu)
-                    work.vertex_reads += mi
-                    work.events_generated += mi
-                    if mi:
-                        degrees, wsums = self._source_ctx(new_csr, iu)
-                        payloads = algorithm.propagate_ctx_arrays(
-                            core.states[iu], iw, degrees, wsums
-                        )
-                        queue.insert_batch(
-                            EventBatch.from_arrays(iv, payloads, 0, iu), work
-                        )
-                else:
-                    buf = _SeedBuffer()
-                    for u, v, w in insertions:
-                        payload = algorithm.propagate(
-                            float(core.states[u]), w, SourceContext.of(new_csr, u)
-                        )
-                        work.vertex_reads += 1
-                        work.events_generated += 1
-                        buf.add(v, payload, 0, u)
-                    buf.flush(queue, work)
-                self._seed_new_vertices(queue, work, old_n, new_csr.num_vertices)
+                queue.insert_batch(
+                    _insertion_seeds(core, work, new_csr, insertions), work
+                )
+                _seed_new_vertices(
+                    self.algorithm, queue, work, old_n, new_csr.num_vertices
+                )
             core.run_regular(queue, addition_phase)
         if METRICS.enabled:
             METRICS.record_phase(addition_phase)
@@ -587,25 +501,47 @@ class JetStreamEngine:
             return self._apply_accumulative_two_phase(batch)
         return self._apply_accumulative_net(batch)
 
+    def _stale_and_replacements(self, old_csr, batch: UpdateBatch):
+        """Edges whose contribution a batch retracts, and those it (re)adds.
+
+        For degree-dependent propagation every mutated source's out-degree
+        changes, so ALL its previous out-edge contributions are stale
+        (Fig. 5) and every surviving one is re-added beside the batch's
+        insertions; otherwise only the deleted/inserted edges themselves.
+        Returns ``(stale, replacements, modified_sources)`` — the last is
+        ``None`` when no expansion happened.
+        """
+        du, dv, dw = self._directed_deletions(batch)
+        iu, iv, iw = self._directed_insertions(batch)
+        if not self.algorithm.degree_dependent:
+            return (du, dv, dw), (iu, iv, iw), None
+        old_n = old_csr.num_vertices
+        modified = np.unique(np.concatenate([du, iu[iu < old_n]]))
+        su, sv, sw = self._expand_out_edges(old_csr, modified)
+        keep = ~self._edge_key_member(su, sv, du, dv, old_n)
+        replacements = (
+            np.concatenate([su[keep], iu]),
+            np.concatenate([sv[keep], iv]),
+            np.concatenate([sw[keep], iw]),
+        )
+        return (su, sv, sw), replacements, modified
+
     def _apply_accumulative_net(self, batch: UpdateBatch) -> StreamingResult:
         """Single-phase net-correction flow (default; see __init__ note).
 
         Every stale contribution of a mutated source is negated and its
         replacement added *as one coalesced seed per target vertex*; the
         net corrections then converge in a single computation phase on the
-        new graph. Equivalent fixed point to Algorithm 6.
+        new graph. Equivalent fixed point to Algorithm 6. The per-target
+        fold is ``np.add.at``, which applies updates sequentially in index
+        order — stale edges first, then replacements, each in edge order.
         """
-        if self._array_seeds:
-            return self._apply_accumulative_net_array(batch)
         core = self.core
         algorithm = self.algorithm
         metrics = RunMetrics()
-
-        deletions = self._directed_deletions(batch)
-        insertions = self._directed_insertions(batch)
-        deleted_keys = {(u, v) for u, v, _ in deletions}
         old_csr = self.graph.snapshot()
         old_n = old_csr.num_vertices
+        stale, replacements, _ = self._stale_and_replacements(old_csr, batch)
 
         tracer = core.tracer
         phase = metrics.phase("reevaluation")
@@ -615,48 +551,34 @@ class JetStreamEngine:
             # the graph mutation), so the seed round span carries no
             # occupancy samples — only the work vector.
             with tracer.round(work), METRICS.round_scope(work):
-                corrections: Dict[int, float] = {}
-                if algorithm.degree_dependent:
-                    modified: Set[int] = {u for u, _, _ in deletions}
-                    modified.update(u for u, _, _ in insertions if u < old_n)
-                    stale: List[Edge] = []
-                    for u in sorted(modified):
-                        for v, w in self.graph.out_edges(u):
-                            stale.append((u, v, w))
-                    replacements = [e for e in stale if (e[0], e[1]) not in deleted_keys]
-                    replacements.extend(insertions)
-                else:
-                    stale = deletions
-                    replacements = list(insertions)
-
-                for u, v, w in stale:
-                    delta = -algorithm.propagate(
-                        float(core.states[u]), w, SourceContext.of(old_csr, u)
-                    )
-                    work.vertex_reads += 1
-                    corrections[v] = corrections.get(v, 0.0) + delta
+                stale_delta = -_edge_payloads(core, work, old_csr, stale)
 
                 # Mutate; replacements are priced against the new structure.
                 self._mutate_graph(batch)
                 new_csr = self.graph.snapshot()
                 core.grow(new_csr.num_vertices)
                 core.bind_graph(new_csr)
-                for u, v, w in replacements:
-                    delta = algorithm.propagate(
-                        float(core.states[u]), w, SourceContext.of(new_csr, u)
-                    )
-                    work.vertex_reads += 1
-                    corrections[v] = corrections.get(v, 0.0) + delta
+                repl_delta = _edge_payloads(core, work, new_csr, replacements)
+
+                corrections = np.zeros(new_csr.num_vertices, dtype=np.float64)
+                np.add.at(corrections, stale[1], stale_delta)
+                np.add.at(corrections, replacements[1], repl_delta)
+                # The predicate only ever sees touched targets.
+                touched = np.zeros(new_csr.num_vertices, dtype=bool)
+                touched[stale[1]] = True
+                touched[replacements[1]] = True
+                seeds = np.flatnonzero(touched)
+                seeds = seeds[self._should_propagate_mask(corrections[seeds])]
 
                 queue = core.new_queue()
-                buf = _SeedBuffer()
-                for v in sorted(corrections):
-                    delta = corrections[v]
-                    if algorithm.should_propagate(delta):
-                        work.events_generated += 1
-                        buf.add(v, delta, 0, NO_SOURCE)
-                buf.flush(queue, work)
-                self._seed_new_vertices(queue, work, old_n, new_csr.num_vertices)
+                work.events_generated += len(seeds)
+                queue.insert_batch(
+                    EventBatch.from_arrays(seeds, corrections[seeds], 0, NO_SOURCE),
+                    work,
+                )
+                _seed_new_vertices(
+                    algorithm, queue, work, old_n, new_csr.num_vertices
+                )
             core.run_regular(queue, phase)
         if METRICS.enabled:
             METRICS.record_phase(phase)
@@ -669,217 +591,20 @@ class JetStreamEngine:
         )
 
     def _apply_accumulative_two_phase(self, batch: UpdateBatch) -> StreamingResult:
-        if self._array_seeds:
-            return self._apply_accumulative_two_phase_array(batch)
+        """The paper's literal two-phase Algorithm 6 flow."""
         core = self.core
         algorithm = self.algorithm
         metrics = RunMetrics()
-
-        deletions = self._directed_deletions(batch)
-        insertions = self._directed_insertions(batch)
-        deleted_keys = {(u, v) for u, v, _ in deletions}
-
-        if algorithm.degree_dependent:
-            # Every mutated source's out-degree changes, so ALL its previous
-            # out-edge contributions are stale (Fig. 5): sink the source.
-            modified_sources: Set[int] = {u for u, _, _ in deletions}
-            modified_sources.update(u for u, _, _ in insertions if u < self.graph.num_vertices)
-            expanded_deletes: List[Edge] = []
-            for u in sorted(modified_sources):
-                for v, w in self.graph.out_edges(u):
-                    expanded_deletes.append((u, v, w))
-            re_adds = [e for e in expanded_deletes if (e[0], e[1]) not in deleted_keys]
-            re_adds.extend(insertions)
-            intermediate_csr = self.graph.snapshot_with_sinks(modified_sources)
-        else:
-            expanded_deletes = deletions
-            re_adds = list(insertions)
-            survivors = [e for e in self.graph.edges() if (e[0], e[1]) not in deleted_keys]
-            from repro.graph.csr import CSRGraph
-
-            intermediate_csr = CSRGraph(self.graph.num_vertices, survivors)
-
-        old_csr = self.graph.snapshot()
-
-        # Phase 1: negative events drain stale contributions (Algorithm 3)
-        # while the intermediate graph blocks cyclic re-propagation.
-        tracer = core.tracer
-        delete_phase = metrics.phase("delete-negation")
-        with tracer.phase(delete_phase):
-            seed_work = delete_phase.new_round()
-            with tracer.round(seed_work), METRICS.round_scope(seed_work):
-                negative_events = []
-                for u, v, w in expanded_deletes:
-                    delta = -algorithm.propagate(
-                        float(core.states[u]), w, SourceContext.of(old_csr, u)
-                    )
-                    seed_work.vertex_reads += 1
-                    if algorithm.should_propagate(delta):
-                        negative_events.append(Event(v, delta, 0, u))
-                core.bind_graph(intermediate_csr)
-                queue = core.new_queue()
-                seed_work.events_generated += len(negative_events)
-                queue.insert_batch(EventBatch.from_events(negative_events), seed_work)
-            core.run_regular(queue, delete_phase)
-        if METRICS.enabled:
-            METRICS.record_phase(delete_phase)
-
-        # Mutate; switch to the new structure.
-        old_n = self.graph.num_vertices
-        self._mutate_graph(batch)
-        new_csr = self.graph.snapshot()
-        core.grow(new_csr.num_vertices)
-        core.bind_graph(new_csr)
-
-        # Phase 2: re-add surviving + new edges at the new degrees.
-        compute_phase = metrics.phase("reevaluation")
-        with tracer.phase(compute_phase):
-            work = compute_phase.new_round()
-            with tracer.round(work, queue), METRICS.round_scope(work, queue):
-                buf = _SeedBuffer()
-                for u, v, w in re_adds:
-                    delta = algorithm.propagate(
-                        float(core.states[u]), w, SourceContext.of(new_csr, u)
-                    )
-                    work.vertex_reads += 1
-                    if algorithm.should_propagate(delta):
-                        work.events_generated += 1
-                        buf.add(v, delta, 0, u)
-                buf.flush(queue, work)
-                self._seed_new_vertices(queue, work, old_n, new_csr.num_vertices)
-            core.run_regular(queue, compute_phase)
-        if METRICS.enabled:
-            METRICS.record_phase(compute_phase)
-
-        return StreamingResult(
-            states=core.states.copy(),
-            metrics=metrics,
-            graph_version=self.graph.version,
-            queue_stats=queue.lifetime_stats(),
-        )
-
-    def _apply_accumulative_net_array(self, batch: UpdateBatch) -> StreamingResult:
-        """Array-kernel variant of the net-correction flow.
-
-        Stale-contribution expansion, context gathering, and the per-target
-        correction fold all run as batched NumPy kernels; every event,
-        coalescing outcome, and work counter is bit-identical to the scalar
-        loop (``np.add.at`` applies updates sequentially in index order,
-        which matches the dict fold because both enumerate the same edges
-        in the same order).
-        """
-        core = self.core
-        algorithm = self.algorithm
-        metrics = RunMetrics()
-
-        du, dv, dw = self._directed_deletions_arrays(batch)
-        iu, iv, iw = self._directed_insertions_arrays(batch)
         old_csr = self.graph.snapshot()
         old_n = old_csr.num_vertices
+        stale, replacements, modified = self._stale_and_replacements(old_csr, batch)
 
-        tracer = core.tracer
-        phase = metrics.phase("reevaluation")
-        with tracer.phase(phase):
-            work = phase.new_round()
-            with tracer.round(work), METRICS.round_scope(work):
-                if algorithm.degree_dependent:
-                    modified = np.unique(np.concatenate([du, iu[iu < old_n]]))
-                    su, sv, sw = self._expand_out_edges(old_csr, modified)
-                    keep = ~self._edge_key_member(su, sv, du, dv, old_n)
-                    ru = np.concatenate([su[keep], iu])
-                    rv = np.concatenate([sv[keep], iv])
-                    rw = np.concatenate([sw[keep], iw])
-                else:
-                    su, sv, sw = du, dv, dw
-                    ru, rv, rw = iu, iv, iw
-
-                degrees, wsums = self._source_ctx(old_csr, su)
-                stale_delta = -algorithm.propagate_ctx_arrays(
-                    core.states[su], sw, degrees, wsums
-                )
-                work.vertex_reads += len(su)
-
-                # Mutate; replacements are priced against the new structure.
-                self._mutate_graph(batch)
-                new_csr = self.graph.snapshot()
-                core.grow(new_csr.num_vertices)
-                core.bind_graph(new_csr)
-                degrees, wsums = self._source_ctx(new_csr, ru)
-                repl_delta = algorithm.propagate_ctx_arrays(
-                    core.states[ru], rw, degrees, wsums
-                )
-                work.vertex_reads += len(ru)
-
-                corrections = np.zeros(new_csr.num_vertices, dtype=np.float64)
-                np.add.at(corrections, sv, stale_delta)
-                np.add.at(corrections, rv, repl_delta)
-                if type(algorithm).should_propagate is Algorithm.should_propagate:
-                    seeds = np.flatnonzero(
-                        np.abs(corrections) > algorithm.propagation_threshold
-                    )
-                else:
-                    # A custom predicate only ever sees touched targets in
-                    # the scalar flow; preserve that.
-                    touched = np.unique(np.concatenate([sv, rv]))
-                    flag = np.fromiter(
-                        (
-                            algorithm.should_propagate(float(corrections[v]))
-                            for v in touched
-                        ),
-                        dtype=bool,
-                        count=len(touched),
-                    )
-                    seeds = touched[flag]
-
-                queue = core.new_queue()
-                work.events_generated += len(seeds)
-                if len(seeds):
-                    queue.insert_batch(
-                        EventBatch.from_arrays(
-                            seeds, corrections[seeds], 0, NO_SOURCE
-                        ),
-                        work,
-                    )
-                self._seed_new_vertices(queue, work, old_n, new_csr.num_vertices)
-            core.run_regular(queue, phase)
-        if METRICS.enabled:
-            METRICS.record_phase(phase)
-
-        return StreamingResult(
-            states=core.states.copy(),
-            metrics=metrics,
-            graph_version=self.graph.version,
-            queue_stats=queue.lifetime_stats(),
-        )
-
-    def _apply_accumulative_two_phase_array(
-        self, batch: UpdateBatch
-    ) -> StreamingResult:
-        """Array-kernel variant of the two-phase Algorithm 6 flow."""
-        core = self.core
-        algorithm = self.algorithm
-        metrics = RunMetrics()
-
-        du, dv, dw = self._directed_deletions_arrays(batch)
-        iu, iv, iw = self._directed_insertions_arrays(batch)
-        old_csr = self.graph.snapshot()
-        old_n = old_csr.num_vertices
-
-        if algorithm.degree_dependent:
-            modified = np.unique(np.concatenate([du, iu[iu < old_n]]))
-            su, sv, sw = self._expand_out_edges(old_csr, modified)
-            keep = ~self._edge_key_member(su, sv, du, dv, old_n)
-            ru = np.concatenate([su[keep], iu])
-            rv = np.concatenate([sv[keep], iv])
-            rw = np.concatenate([sw[keep], iw])
+        if modified is not None:
+            # Sink every mutated source (Fig. 5).
             intermediate_csr = self.graph.snapshot_with_sinks(modified)
         else:
-            su, sv, sw = du, dv, dw
-            ru, rv, rw = iu, iv, iw
             eu, ev, ew = self.graph.edge_arrays()
-            survives = ~self._edge_key_member(eu, ev, du, dv, old_n)
-            from repro.graph.csr import CSRGraph
-
+            survives = ~self._edge_key_member(eu, ev, stale[0], stale[1], old_n)
             intermediate_csr = CSRGraph.from_arrays(
                 old_n, eu[survives], ev[survives], ew[survives]
             )
@@ -891,21 +616,10 @@ class JetStreamEngine:
         with tracer.phase(delete_phase):
             seed_work = delete_phase.new_round()
             with tracer.round(seed_work), METRICS.round_scope(seed_work):
-                degrees, wsums = self._source_ctx(old_csr, su)
-                deltas = -algorithm.propagate_ctx_arrays(
-                    core.states[su], sw, degrees, wsums
-                )
-                seed_work.vertex_reads += len(su)
-                sendable = self._should_propagate_mask(deltas)
+                deltas = -_edge_payloads(core, seed_work, old_csr, stale)
                 core.bind_graph(intermediate_csr)
                 queue = core.new_queue()
-                seed_work.events_generated += int(sendable.sum())
-                queue.insert_batch(
-                    EventBatch.from_arrays(
-                        sv[sendable], deltas[sendable], 0, su[sendable]
-                    ),
-                    seed_work,
-                )
+                self._seed_sendable(queue, seed_work, stale, deltas)
             core.run_regular(queue, delete_phase)
         if METRICS.enabled:
             METRICS.record_phase(delete_phase)
@@ -921,22 +635,11 @@ class JetStreamEngine:
         with tracer.phase(compute_phase):
             work = compute_phase.new_round()
             with tracer.round(work, queue), METRICS.round_scope(work, queue):
-                degrees, wsums = self._source_ctx(new_csr, ru)
-                deltas = algorithm.propagate_ctx_arrays(
-                    core.states[ru], rw, degrees, wsums
+                deltas = _edge_payloads(core, work, new_csr, replacements)
+                self._seed_sendable(queue, work, replacements, deltas)
+                _seed_new_vertices(
+                    algorithm, queue, work, old_n, new_csr.num_vertices
                 )
-                work.vertex_reads += len(ru)
-                sendable = self._should_propagate_mask(deltas)
-                n_send = int(sendable.sum())
-                work.events_generated += n_send
-                if n_send:
-                    queue.insert_batch(
-                        EventBatch.from_arrays(
-                            rv[sendable], deltas[sendable], 0, ru[sendable]
-                        ),
-                        work,
-                    )
-                self._seed_new_vertices(queue, work, old_n, new_csr.num_vertices)
             core.run_regular(queue, compute_phase)
         if METRICS.enabled:
             METRICS.record_phase(compute_phase)
@@ -962,27 +665,9 @@ class JetStreamEngine:
             if self.graph.has_edge(edge.u, edge.v) and edge.key() not in deleted:
                 raise ValueError(f"batch inserts duplicate edge {edge.u}->{edge.v}")
 
-    def _directed_deletions(self, batch: UpdateBatch) -> List[Edge]:
-        out: List[Edge] = []
-        for edge in batch.deletions:
-            w = self.graph.edge_weight(edge.u, edge.v)
-            out.append((edge.u, edge.v, w))
-            if self.graph.symmetric and edge.u != edge.v:
-                out.append((edge.v, edge.u, w))
-        return out
-
-    def _directed_insertions(self, batch: UpdateBatch) -> List[Edge]:
-        out: List[Edge] = []
-        for edge in batch.insertions:
-            out.append((edge.u, edge.v, edge.w))
-            if self.graph.symmetric and edge.u != edge.v:
-                out.append((edge.v, edge.u, edge.w))
-        return out
-
-    def _directed_deletions_arrays(
-        self, batch: UpdateBatch
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Array form of :meth:`_directed_deletions` (same order)."""
+    def _directed_deletions(self, batch: UpdateBatch) -> EdgeArrays:
+        """The batch's deletions as directed edges carrying their current
+        weights (each followed by its mirror on a symmetric graph)."""
         dels = batch.deletions
         m = len(dels)
         u = np.fromiter((e.u for e in dels), dtype=np.int64, count=m)
@@ -996,10 +681,9 @@ class JetStreamEngine:
             return u, v, w
         return _interleave_mirrors(u, v, w)
 
-    def _directed_insertions_arrays(
-        self, batch: UpdateBatch
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Array form of :meth:`_directed_insertions` (same order)."""
+    def _directed_insertions(self, batch: UpdateBatch) -> EdgeArrays:
+        """The batch's insertions as directed edges (mirrored like
+        :meth:`_directed_deletions`)."""
         ins = batch.insertions
         m = len(ins)
         u = np.fromiter((e.u for e in ins), dtype=np.int64, count=m)
@@ -1010,9 +694,7 @@ class JetStreamEngine:
         return _interleave_mirrors(u, v, w)
 
     @staticmethod
-    def _expand_out_edges(
-        csr, sources: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _expand_out_edges(csr, sources: np.ndarray) -> EdgeArrays:
         """All out-edges of ``sources`` (ascending ids), in CSR edge order.
 
         The degree-dependent delete flows expand each mutated source to its
@@ -1020,7 +702,7 @@ class JetStreamEngine:
         """
         offsets = csr.out_offsets
         lengths = offsets[sources + 1] - offsets[sources]
-        edge_idx = _run_indices(offsets[sources], lengths)
+        edge_idx = run_indices(offsets[sources], lengths)
         return (
             np.repeat(sources, lengths),
             csr.out_targets[edge_idx].astype(np.int64, copy=False),
@@ -1045,32 +727,6 @@ class JetStreamEngine:
         pos_clipped = np.minimum(pos, len(keys) - 1)
         return (pos < len(keys)) & (keys[pos_clipped] == probe)
 
-    def _source_ctx(
-        self, csr, sources: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-element ``(out_degree, out_weight_sum)`` context in ``csr``.
-
-        Degrees come from offset arithmetic. When the algorithm's context
-        hook reads the weight sums, they are reproduced **bit for bit**
-        with :meth:`SourceContext.of` — a per-source left fold over the
-        CSR-ordered out-edges. A prefix-sum difference or pairwise
-        ``reduceat`` would round differently, so the fold stays a Python
-        loop over the (few) distinct touched sources.
-        """
-        offsets = csr.out_offsets
-        degrees = offsets[sources + 1] - offsets[sources]
-        if not self._needs_weight_sums or len(sources) == 0:
-            return degrees, np.zeros(len(sources), dtype=np.float64)
-        uniq, inverse = np.unique(sources, return_inverse=True)
-        weights = csr.out_weights
-        sums = np.empty(len(uniq), dtype=np.float64)
-        for i, u in enumerate(uniq):
-            total = 0.0
-            for j in range(int(offsets[u]), int(offsets[u + 1])):
-                total += float(weights[j])
-            sums[i] = total
-        return degrees, sums[inverse]
-
     def _should_propagate_mask(self, deltas: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`Algorithm.should_propagate` over seed deltas."""
         algorithm = self.algorithm
@@ -1084,36 +740,40 @@ class JetStreamEngine:
             count=len(deltas),
         )
 
-    def _seed_deletes_array(self, queue, work, old_csr, deletions) -> None:
-        """Array form of the selective delete-seed loop (same events)."""
-        du, dv, dw = deletions
-        m = len(du)
-        work.vertex_reads += m
-        work.events_generated += m
-        if m == 0:
-            return
+    def _seed_sendable(self, queue, work, edges: EdgeArrays, deltas) -> None:
+        """Queue one event per edge whose delta clears the threshold."""
+        u, v, _w = edges
+        sendable = self._should_propagate_mask(deltas)
+        work.events_generated += int(sendable.sum())
+        queue.insert_batch(
+            EventBatch.from_arrays(v[sendable], deltas[sendable], 0, u[sendable]),
+            work,
+        )
+
+    def _seed_deletes(self, queue, work, old_csr, deletions: EdgeArrays) -> None:
+        """``ProcessDeletesSelective``: one delete event per deleted edge.
+
+        The stream reader computes the payload from the previous converged
+        source state (§3.3); BASE events carry no value.
+        """
+        du, dv, _dw = deletions
+        work.events_generated += len(du)
         if self.policy is DeletePolicy.BASE:
-            payloads = np.zeros(m, dtype=np.float64)
+            work.vertex_reads += len(du)
+            payloads = np.zeros(len(du), dtype=np.float64)
         else:
-            degrees, wsums = self._source_ctx(old_csr, du)
-            payloads = self.algorithm.propagate_ctx_arrays(
-                self.core.states[du], dw, degrees, wsums
-            )
+            payloads = _edge_payloads(self.core, work, old_csr, deletions)
         queue.insert_batch(EventBatch.from_arrays(dv, payloads, 1, du), work)
 
-    def _seed_reapprox_array(
-        self, queue, work, compute_phase, new_csr, impacted, insertions
-    ) -> None:
-        """Array form of the reapproximation + insertion seeding.
+    def _reapprox_seeds(self, work, compute_phase, new_csr, impacted) -> EventBatch:
+        """``Reapproximate``: self + request events of the impacted vertices.
 
-        Per impacted vertex the scalar loop emits an optional self event
-        followed by one request event per in-neighbor; the array form
-        scatters the self events into the head slot of each vertex's run
-        and gathers the request targets straight from the in-CSR, so the
-        concatenated layout reproduces the scalar emission order exactly.
+        Per impacted vertex: an optional self event (its re-injected
+        initial value) followed by one request event per in-neighbor. The
+        self events are scattered into the head slot of each vertex's run
+        and the request targets gathered straight from the in-CSR.
         """
         algorithm = self.algorithm
-        core = self.core
         imp = np.asarray(impacted, dtype=np.int64)
         self_mask, self_payloads = algorithm.self_events_arrays(imp)
         in_offsets = new_csr.in_offsets
@@ -1131,63 +791,19 @@ class JetStreamEngine:
         flags[self_pos] = 0
         request_pos = np.ones(total, dtype=bool)
         request_pos[self_pos] = False
-        edge_idx = _run_indices(in_offsets[imp], requests_per)
+        edge_idx = run_indices(in_offsets[imp], requests_per)
         targets[request_pos] = new_csr.in_sources[edge_idx]
 
         n_requests = int(requests_per.sum())
         work.events_generated += int(self_mask.sum()) + n_requests
         compute_phase.request_events += n_requests
-
-        iu, iv, iw = insertions
-        mi = len(iu)
-        work.vertex_reads += mi
-        work.events_generated += mi
-        if mi:
-            degrees, wsums = self._source_ctx(new_csr, iu)
-            ins_payloads = algorithm.propagate_ctx_arrays(
-                core.states[iu], iw, degrees, wsums
-            )
-        else:
-            ins_payloads = _EMPTY_F64
-
-        all_targets = np.concatenate([targets, iv])
-        if len(all_targets) == 0:
-            return
-        queue.insert_batch(
-            EventBatch.from_arrays(
-                all_targets,
-                np.concatenate([payloads, ins_payloads]),
-                np.concatenate([flags, np.zeros(mi, dtype=np.int64)]),
-                np.concatenate([np.full(total, NO_SOURCE, dtype=np.int64), iu]),
-            ),
-            work,
-        )
+        return EventBatch.from_arrays(targets, payloads, flags, NO_SOURCE)
 
     def _mutate_graph(self, batch: UpdateBatch) -> None:
         self.graph.apply_batch(
             [(e.u, e.v, e.w) for e in batch.insertions],
             [(e.u, e.v) for e in batch.deletions],
         )
-
-    def _seed_new_vertices(self, queue, work, old_n: int, new_n: int) -> None:
-        """Deliver owed initial events to vertices created by this batch."""
-        if new_n <= old_n:
-            return
-        if self._array_seeds:
-            targets, payloads = self.algorithm.seed_events_for_new_vertices(
-                old_n, new_n
-            )
-            work.events_generated += len(targets)
-            if len(targets):
-                queue.insert_batch(
-                    EventBatch.from_arrays(targets, payloads, 0, NO_SOURCE), work
-                )
-            return
-        for v in range(old_n, new_n):
-            payload = self.algorithm.seed_event_for_new_vertex(v)
-            if payload is not None:
-                work.events_generated += 1
-                queue.insert(Event(v, payload, 0, NO_SOURCE), work)
 
 
 # ----------------------------------------------------------------------
@@ -1215,25 +831,6 @@ class MultiVersionResult:
     def total_events(self) -> int:
         """All events processed across the common + per-version passes."""
         return self.common_events + sum(self.per_version_events.values())
-
-
-def _seed_fresh_vertices(algorithm, queue, work, old_n: int, new_n: int) -> None:
-    """Initial events owed to vertices outside the common prefix."""
-    if new_n <= old_n:
-        return
-    if algorithm.supports_vectorized:
-        targets, payloads = algorithm.seed_events_for_new_vertices(old_n, new_n)
-        work.events_generated += len(targets)
-        if len(targets):
-            queue.insert_batch(
-                EventBatch.from_arrays(targets, payloads, 0, NO_SOURCE), work
-            )
-        return
-    for v in range(old_n, new_n):
-        payload = algorithm.seed_event_for_new_vertex(v)
-        if payload is not None:
-            work.events_generated += 1
-            queue.insert(Event(v, payload, 0, NO_SOURCE), work)
 
 
 def evaluate_at_versions(
@@ -1265,8 +862,6 @@ def evaluate_at_versions(
     versions = sorted({int(v) for v in versions})
     if not versions:
         raise ValueError("versions must be non-empty")
-    from repro.graph.csr import CSRGraph
-
     if algorithm.kind is not AlgorithmKind.SELECTIVE:
         return _evaluate_versions_independent(
             store, algorithm, versions, config, engine, num_engines, backend, tracer
@@ -1316,16 +911,16 @@ def evaluate_at_versions(
             with tracer_.phase(phase):
                 work = phase.new_round()
                 with tracer_.round(work, queue), METRICS.round_scope(work, queue):
-                    buf = _SeedBuffer()
-                    for u, v, w in additions:
-                        payload = algorithm.propagate(
-                            float(core.states[u]), w, SourceContext.of(csr_v, u)
-                        )
-                        work.vertex_reads += 1
-                        work.events_generated += 1
-                        buf.add(v, payload, 0, u)
-                    buf.flush(queue, work)
-                    _seed_fresh_vertices(
+                    m = len(additions)
+                    insertions = (
+                        np.fromiter((e[0] for e in additions), np.int64, m),
+                        np.fromiter((e[1] for e in additions), np.int64, m),
+                        np.fromiter((e[2] for e in additions), np.float64, m),
+                    )
+                    queue.insert_batch(
+                        _insertion_seeds(core, work, csr_v, insertions), work
+                    )
+                    _seed_new_vertices(
                         algorithm, queue, work, slice_.common_vertices, n_v
                     )
                 core.run_regular(queue, phase)
@@ -1347,8 +942,6 @@ def _evaluate_versions_independent(
     store, algorithm, versions, config, engine, num_engines, backend, tracer
 ) -> MultiVersionResult:
     """Per-version cold evaluation — no shareable prefix (accumulative)."""
-    from repro.graph.csr import CSRGraph  # noqa: F401  (parity of imports)
-
     core = EngineCore(
         algorithm,
         config or AcceleratorConfig(),

@@ -323,6 +323,21 @@ def _build_csr(
     return offsets, dst.astype(np.int64), wgt.astype(np.float64)
 
 
+def run_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Gather indices for multiple CSR ``[start, start + length)`` runs.
+
+    The runs are concatenated in order — equivalent to
+    ``np.concatenate([np.arange(s, s + l) ...])`` without the Python loop.
+    Every frontier expansion (engine kernels, streaming seed expansion)
+    goes through this one function.
+    """
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    exclusive = np.cumsum(lengths) - lengths
+    return np.arange(total, dtype=np.int64) + np.repeat(starts - exclusive, lengths)
+
+
 def edges_from_arrays(
     src: Sequence[int], dst: Sequence[int], wgt: Sequence[float]
 ) -> List[Edge]:

@@ -196,23 +196,11 @@ class DynamicGraph:
         When true every mutation is mirrored, keeping the edge set
         symmetric. Used for Connected Components, whose tag/request
         propagation must travel both directions.
-    incremental_snapshots:
-        When true (default) ``snapshot()`` maintains the CSR arrays by
-        splicing the touched adjacency runs; when false every snapshot is
-        a from-scratch rebuild (:meth:`rebuild_snapshot`) — the
-        pre-incremental behaviour, kept as the benchmark comparator and
-        fuzz oracle.
     """
 
-    def __init__(
-        self,
-        num_vertices: int = 0,
-        symmetric: bool = False,
-        incremental_snapshots: bool = True,
-    ):
+    def __init__(self, num_vertices: int = 0, symmetric: bool = False):
         self.num_vertices = int(num_vertices)
         self.symmetric = bool(symmetric)
-        self.incremental_snapshots = bool(incremental_snapshots)
         self.version = 0
         #: Live directed edge set: ``(u, v) -> weight``. The source of
         #: truth for membership; the arrays lag behind until a flush.
@@ -535,13 +523,11 @@ class DynamicGraph:
     def snapshot(self) -> CSRGraph:
         """Immutable CSR snapshot of the current version.
 
-        Incremental mode splices the pending mutations into the persistent
-        key arrays and hands the offsets/weights to the snapshot directly
-        (every flush is copy-on-write, so older snapshots stay isolated);
-        repeated calls without intervening mutations hit a cache.
+        Splices the pending mutations into the persistent key arrays and
+        hands the offsets/weights to the snapshot directly (every flush is
+        copy-on-write, so older snapshots stay isolated); repeated calls
+        without intervening mutations hit a cache.
         """
-        if not self.incremental_snapshots:
-            return self.rebuild_snapshot()
         if (
             self._snapshot_cache is not None
             and self._snapshot_cache[0] == self._mutations

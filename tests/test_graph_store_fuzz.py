@@ -197,13 +197,12 @@ def test_snapshot_cache_and_copy_on_write_isolation():
     assert second.has_edge(0, 2) and not second.has_edge(1, 2)
 
 
-def test_non_incremental_mode_always_rebuilds():
-    graph = DynamicGraph(4, incremental_snapshots=False)
+def test_rebuild_snapshot_always_rebuilds():
+    graph = DynamicGraph(4)
     graph.add_edge(0, 1, 1.0)
-    a = graph.snapshot()
-    b = graph.snapshot()
-    assert a is not b
-    assert graph.store_stats()["full_rebuilds"] >= 2
+    a, b = graph.rebuild_snapshot(), graph.rebuild_snapshot()
+    assert a is not b and a == b == graph.snapshot()
+    assert graph.store_stats()["full_rebuilds"] == 2
 
 
 class TestDeltaVersionStore:

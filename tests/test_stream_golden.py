@@ -1,6 +1,6 @@
 """Streaming-equivalence goldens: the seed pipeline is bit-stable.
 
-The vectorized seed pipeline (array-native ``DynamicGraph`` + batched seed
+The array seed pipeline (array-native ``DynamicGraph`` + batched seed
 generation in ``core/streaming.py``) must reproduce the original per-edge
 Python orchestrator *exactly*: identical converged states (hashed), the
 same per-phase/per-round work vectors (``events_processed``,
@@ -12,8 +12,8 @@ the pre-refactor scalar implementation. Three invariants are enforced:
 
 1. **Golden equality** — every scenario, replayed on the current code with
    its default configuration, matches the pinned record field for field.
-2. **Pipeline cross-parity** — when the engine exposes a seed-pipeline
-   selector, the scalar fallback and the array pipeline agree bitwise.
+2. **Hook-default parity** — an algorithm shipping no array hooks rides
+   the same pipeline through the ``Algorithm`` defaults, same record.
 3. **Reference states** — final converged states equal a cold-start
    ``reference.py`` computation on the final graph (per-algorithm
    tolerance), across algorithms × policies.
@@ -28,11 +28,12 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import pytest
 
 from repro.algorithms import make_algorithm
+from repro.algorithms.base import Algorithm
 from repro.core.policies import DeletePolicy
 from repro.core.streaming import JetStreamEngine
 from repro.graph import generators
@@ -176,22 +177,15 @@ def _result_record(result) -> dict:
     }
 
 
-def run_scenario(scenario: dict, engine: str = "auto",
-                 seed_pipeline: Optional[str] = None) -> Tuple[dict, JetStreamEngine]:
+def run_scenario(scenario: dict, make=make_algorithm) -> Tuple[dict, JetStreamEngine]:
     """Replay one scenario; returns (serializable record, engine)."""
-    algorithm = make_algorithm(scenario["algorithm"], source=0)
+    algorithm = make(scenario["algorithm"], source=0)
     graph = _build_graph(algorithm)
-    kwargs = {}
-    if scenario["flavor"] == "two_phase":
-        kwargs["two_phase_accumulative"] = True
-    if seed_pipeline is not None:
-        kwargs["seed_pipeline"] = seed_pipeline
     stream_engine = JetStreamEngine(
         graph,
         algorithm,
         policy=POLICIES[scenario["policy"]],
-        engine=engine,
-        **kwargs,
+        two_phase_accumulative=scenario["flavor"] == "two_phase",
     )
     if scenario["flavor"] == "growth":
         batches = _growth_batches(graph.num_vertices)
@@ -239,21 +233,28 @@ def goldens() -> Dict[str, dict]:
     return {rec["scenario"]: rec for rec in data["scenarios"]}
 
 
-@pytest.mark.parametrize("key", SCENARIO_KEYS)
+def _scalar_only_twin(name: str, source: int):
+    """``make_algorithm`` with every array hook back at its default."""
+    twin = make_algorithm(name, source=source)
+    hooks = ("propagate_arrays", "propagate_ctx_arrays", "propagation_factor_arrays",
+             "self_events_arrays", "seed_events_for_new_vertices")
+    defaults = {hook: getattr(Algorithm, hook) for hook in hooks}
+    twin.__class__ = type("ScalarOnly", (type(twin),), {"reduce_ufunc": None, **defaults})
+    return twin
+
+
+SCALAR_ONLY_KEYS = ["sssp/dap", "sssp/growth", "pagerank/base", "pagerank/growth"]
+
+
+@pytest.mark.parametrize("key", SCENARIO_KEYS + [f"{k}@scalar-only" for k in SCALAR_ONLY_KEYS])
 def test_matches_pre_refactor_golden(goldens, key):
-    """Default pipeline reproduces the pinned pre-refactor observables."""
+    """The pipeline reproduces the pinned pre-refactor observables — with
+    the shipped array hooks and (``@scalar-only``) through the element-wise
+    ``Algorithm`` hook defaults of a twin that ships none."""
+    key, _, scalar_only = key.partition("@")
     scenario = next(s for s in SCENARIOS if s["key"] == key)
-    record, _ = run_scenario(scenario)
+    record, _ = run_scenario(scenario, _scalar_only_twin if scalar_only else make_algorithm)
     _assert_records_equal(record, goldens[key], key)
-
-
-@pytest.mark.parametrize("key", SCENARIO_KEYS)
-def test_scalar_and_array_seed_pipelines_agree(key):
-    """The scalar fallback and the array seed pipeline are bit-identical."""
-    scenario = next(s for s in SCENARIOS if s["key"] == key)
-    scalar, _ = run_scenario(scenario, seed_pipeline="scalar")
-    vector, _ = run_scenario(scenario, seed_pipeline="array")
-    _assert_records_equal(vector, scalar, key)
 
 
 @pytest.mark.parametrize("key", SCENARIO_KEYS)

@@ -1,6 +1,8 @@
 """JetStream streaming tests for selective algorithms (Algorithm 4/5)."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -199,22 +201,21 @@ class TestPolicyBehaviour:
 
 
 class TestApiContracts:
-    def test_apply_before_initial_rejected(self):
+    @pytest.fixture
+    def engine(self):
         graph = DynamicGraph.from_edges([(0, 1, 1.0)], 2)
-        engine = JetStreamEngine(graph, make_algorithm("sssp", source=0))
+        return JetStreamEngine(graph, make_algorithm("sssp", source=0))
+
+    def test_apply_before_initial_rejected(self, engine):
         with pytest.raises(RuntimeError):
             engine.apply_batch(UpdateBatch(insertions=[Edge(1, 0, 1.0)]))
 
-    def test_missing_deletion_rejected(self):
-        graph = DynamicGraph.from_edges([(0, 1, 1.0)], 2)
-        engine = JetStreamEngine(graph, make_algorithm("sssp", source=0))
+    def test_missing_deletion_rejected(self, engine):
         engine.initial_compute()
         with pytest.raises(ValueError):
             engine.apply_batch(UpdateBatch(deletions=[Edge(1, 0)]))
 
-    def test_duplicate_insertion_rejected(self):
-        graph = DynamicGraph.from_edges([(0, 1, 1.0)], 2)
-        engine = JetStreamEngine(graph, make_algorithm("sssp", source=0))
+    def test_duplicate_insertion_rejected(self, engine):
         engine.initial_compute()
         with pytest.raises(ValueError):
             engine.apply_batch(UpdateBatch(insertions=[Edge(0, 1, 2.0)]))
@@ -224,16 +225,17 @@ class TestApiContracts:
         with pytest.raises(ValueError):
             JetStreamEngine(graph, make_algorithm("cc"))
 
-    def test_history_recorded(self):
-        graph = DynamicGraph.from_edges([(0, 1, 1.0)], 2)
-        engine = JetStreamEngine(graph, make_algorithm("sssp", source=0))
-        engine.initial_compute()
-        engine.apply_batch(UpdateBatch(insertions=[Edge(1, 0, 1.0)]))
-        assert len(engine.history) == 2
+    def test_results_are_not_retained(self, engine):
+        """A long-lived session must not pin a state copy per batch."""
+        batch = UpdateBatch(insertions=[Edge(1, 0, 1.0)])
+        for run in (engine.initial_compute, lambda: engine.apply_batch(batch)):
+            result = run()
+            states_ref = weakref.ref(result.states)
+            del result
+            gc.collect()
+            assert states_ref() is None
 
-    def test_query_result_is_copy(self):
-        graph = DynamicGraph.from_edges([(0, 1, 1.0)], 2)
-        engine = JetStreamEngine(graph, make_algorithm("sssp", source=0))
+    def test_query_result_is_copy(self, engine):
         engine.initial_compute()
         result = engine.query_result()
         result[0] = 123.0
