@@ -15,6 +15,14 @@ service interleaves, and records the sustained rates the ROADMAP's
   update ops/s including HTTP + queue overhead.
 * **serve/read** — the mixed phase's read side as its own gated row:
   reads/s across the read clients.
+* **serve/express_keepalive**, **serve/read_keepalive** — the same two
+  shapes from a client that keeps one connection open, as real clients
+  and ``benchmarks/e2e`` do. The other clients here open a connection
+  per request, which cannot see a per-response stall on a persistent
+  connection (the 44 ms Nagle/delayed-ACK stall never showed in this
+  file). The express phase runs a second time over one connection; the
+  mixed phase gains one keep-alive reader whose median round trip is
+  ``read_keepalive_p50_us``.
 * **serve/mixed_traced** — the mixed phase again with request tracing
   armed (access log + stage marks on every request): the gated row is
   the traced ingest rate, so a tracing-overhead regression trips the
@@ -48,6 +56,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import http.client
+import urllib.parse
 import urllib.request
 
 import numpy as np
@@ -163,12 +173,41 @@ class Client:
         with urllib.request.urlopen(self.base + path, timeout=120) as response:
             return json.loads(response.read().decode("utf-8"))
 
+    def close(self) -> None:
+        pass  # nothing outlives a request
+
+
+class KeepAliveClient:
+    """The same two calls over one persistent connection."""
+
+    def __init__(self, base_url: str):
+        url = urllib.parse.urlsplit(base_url)
+        self.conn = http.client.HTTPConnection(url.hostname, url.port, timeout=120)
+
+    def _call(self, method: str, path: str, data=None) -> dict:
+        self.conn.request(method, path, body=data)
+        response = self.conn.getresponse()
+        raw = response.read()
+        if response.status != 200:
+            raise RuntimeError(f"{method} {path} -> {response.status}: {raw[:200]!r}")
+        return json.loads(raw.decode("utf-8"))
+
+    def post(self, path: str, body: dict) -> dict:
+        return self._call("POST", path, json.dumps(body).encode("utf-8"))
+
+    def get(self, path: str) -> dict:
+        return self._call("GET", path)
+
+    def close(self) -> None:
+        self.conn.close()
+
 
 def run_mixed_phase(
     base_url: str, cfg: dict, batches_by_client, session: str = "bench"
 ) -> dict:
     """Concurrent ingest + read clients; returns both sides' rates."""
-    read_latencies = [[] for _ in range(cfg["read_clients"])]
+    # The last reader is the keep-alive one, reported on its own.
+    read_latencies = [[] for _ in range(cfg["read_clients"] + 1)]
     ingest_latencies = [[] for _ in range(cfg["ingest_clients"])]
     errors = []
 
@@ -183,7 +222,8 @@ def run_mixed_phase(
             errors.append(repr(exc))
 
     def read_worker(client_id: int):
-        client = Client(base_url)
+        keepalive = client_id == cfg["read_clients"]
+        client = KeepAliveClient(base_url) if keepalive else Client(base_url)
         try:
             for _ in range(cfg["reads_per_client"]):
                 t0 = time.perf_counter()
@@ -191,13 +231,15 @@ def run_mixed_phase(
                 read_latencies[client_id].append(time.perf_counter() - t0)
         except Exception as exc:  # pragma: no cover
             errors.append(repr(exc))
+        finally:
+            client.close()
 
     threads = [
         threading.Thread(target=ingest_worker, args=(c,))
         for c in range(cfg["ingest_clients"])
     ] + [
         threading.Thread(target=read_worker, args=(c,))
-        for c in range(cfg["read_clients"])
+        for c in range(cfg["read_clients"] + 1)
     ]
     t0 = time.perf_counter()
     for thread in threads:
@@ -210,6 +252,7 @@ def run_mixed_phase(
 
     total_batches = cfg["ingest_clients"] * cfg["batches_per_client"]
     total_records = total_batches * cfg["batch_size"]
+    keepalive_latencies = read_latencies.pop()
     latencies = sorted(lat for per in read_latencies for lat in per)
     ingests = sorted(lat for per in ingest_latencies for lat in per)
     reads_total = len(latencies)
@@ -223,13 +266,14 @@ def run_mixed_phase(
         "read_p50_us": statistics.median(latencies) * 1e6,
         "read_p99_us": latencies[int(0.99 * (reads_total - 1))] * 1e6,
         "read_max_us": latencies[-1] * 1e6,
+        "reads_keepalive": len(keepalive_latencies),
+        "read_keepalive_p50_us": statistics.median(keepalive_latencies) * 1e6,
         "ingest_p50_us": statistics.median(ingests) * 1e6,
         "ingest_p99_us": ingests[int(0.99 * (len(ingests) - 1))] * 1e6,
     }
 
 
-def run_express_phase(base_url: str, updates) -> dict:
-    client = Client(base_url)
+def run_express_phase(client, updates) -> dict:
     safe = 0
     t0 = time.perf_counter()
     for update in updates:
@@ -273,7 +317,7 @@ def run_traced_phase(server, cfg: dict, base_edges, untraced: dict) -> dict:
         # client-acknowledged request to land in the log before closing.
         expected = (
             cfg["ingest_clients"] * cfg["batches_per_client"]
-            + cfg["read_clients"] * cfg["reads_per_client"]
+            + (cfg["read_clients"] + 1) * cfg["reads_per_client"]
         )
         deadline = time.monotonic() + 5.0
         while (
@@ -335,10 +379,19 @@ def collect(quick: bool) -> dict:
         # tracing-on vs tracing-off comparison.
         app.create_session(edges, ALGORITHM, name="bench-traced", source=0)
         traced = run_traced_phase(server, cfg, base_edges, mixed)
-        express = run_express_phase(
-            server.url,
-            fresh_single_updates(cfg, base_edges, cfg["express_updates"]),
+        updates = fresh_single_updates(
+            cfg, base_edges, 2 * cfg["express_updates"]
         )
+        express = run_express_phase(
+            Client(server.url), updates[: cfg["express_updates"]]
+        )
+        keepalive_client = KeepAliveClient(server.url)
+        try:
+            express_keepalive = run_express_phase(
+                keepalive_client, updates[cfg["express_updates"] :]
+            )
+        finally:
+            keepalive_client.close()
         stats = Client(server.url).get("/sessions/bench/stats")
     finally:
         server.stop()
@@ -347,7 +400,12 @@ def collect(quick: bool) -> dict:
         "version": 1,
         "quick": quick,
         "config": cfg,
-        "results": {"mixed": mixed, "express": express, "mixed_traced": traced},
+        "results": {
+            "mixed": mixed,
+            "express": express,
+            "express_keepalive": express_keepalive,
+            "mixed_traced": traced,
+        },
         "final_stats": stats,
     }
 
@@ -355,6 +413,7 @@ def collect(quick: bool) -> dict:
 def render(report: dict) -> str:
     mixed = report["results"]["mixed"]
     express = report["results"]["express"]
+    keepalive = report["results"]["express_keepalive"]
     cfg = report["config"]
     lines = [
         f"serve load test — {cfg['graph']}, {cfg['ingest_clients']} ingest + "
@@ -365,6 +424,8 @@ def render(report: dict) -> str:
         f"p50 {mixed['read_p50_us']:.0f} us  p99 {mixed['read_p99_us']:.0f} us",
         f"  express      : {express['updates_per_s']:>8.1f} updates/s "
         f"({express['safe']}/{express['updates']} safe)",
+        f"  keep-alive   : {keepalive['updates_per_s']:>8.1f} updates/s   "
+        f"read p50 {mixed['read_keepalive_p50_us']:.0f} us (one connection)",
     ]
     traced = report["results"].get("mixed_traced")
     if traced:

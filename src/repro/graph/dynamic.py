@@ -657,9 +657,10 @@ class DeltaVersionStore:
         #: Base edge set as a dict so retention folds are O(delta), not
         #: O(E log E) — a long-running serve session evicts one delta per
         #: write once the bound is reached, so the fold is on the hot path.
-        self._base_edges: Dict[Tuple[int, int], float] = {
-            (u, v): w for u, v, w in graph.edges()
-        }
+        #: A copy of the graph's own index shares its key tuples and
+        #: weights instead of allocating a second set per edge; dict order
+        #: carries no meaning (every reader sorts the items).
+        self._base_edges: Dict[Tuple[int, int], float] = dict(graph._index)
         self._base_vertices = graph.num_vertices
         #: version -> (insertions, deletion keys), ordered.
         self._deltas: List[Tuple[int, List[Edge], List[Tuple[int, int]]]] = []

@@ -289,48 +289,47 @@ def flatten_serve(report: dict) -> List[dict]:
     exact request totals the workload configuration fixes — records
     applied, reads served, updates applied — so the determinism check
     survives the nondeterministic client interleaving wall-clock brings.
+
+    The ``*_keepalive`` rows are the same shapes from a client holding one
+    connection open — the only rows that see a per-response stall on a
+    persistent connection. ``read_keepalive`` gates the median round trip
+    as its reciprocal (sequential reads/s of that one client).
     """
     results = report.get("results", {})
-    rows = []
+    rows: List[dict] = []
+
+    def row(key: str, events_per_s: float, events: int) -> None:
+        rows.append(
+            {
+                "suite": "serve",
+                "key": key,
+                "events_per_s": float(events_per_s),
+                "events": int(events),
+            }
+        )
+
     mixed = results.get("mixed")
     if mixed:
-        rows.append(
-            {
-                "suite": "serve",
-                "key": "mixed_ingest",
-                "events_per_s": float(mixed["batches_per_s"]),
-                "events": int(mixed["records_applied"]),
-            }
-        )
-        rows.append(
-            {
-                "suite": "serve",
-                "key": "mixed_read",
-                "events_per_s": float(mixed["reads_per_s"]),
-                "events": int(mixed["reads_total"]),
-            }
-        )
-    express = results.get("express")
-    if express:
-        rows.append(
-            {
-                "suite": "serve",
-                "key": "express",
-                "events_per_s": float(express["updates_per_s"]),
-                "events": int(express["updates"]),
-            }
-        )
+        row("mixed_ingest", mixed["batches_per_s"], mixed["records_applied"])
+        row("mixed_read", mixed["reads_per_s"], mixed["reads_total"])
+        if "read_keepalive_p50_us" in mixed:
+            row(
+                "read_keepalive",
+                1e6 / mixed["read_keepalive_p50_us"],
+                mixed["reads_keepalive"],
+            )
+    for key in ("express", "express_keepalive"):
+        express = results.get(key)
+        if express:
+            row(key, express["updates_per_s"], express["updates"])
     traced = results.get("mixed_traced")
     if traced:
         # The tracing-overhead gate: this row regressing while
         # mixed_ingest holds means request tracing itself got slower.
-        rows.append(
-            {
-                "suite": "serve",
-                "key": "mixed_ingest_traced",
-                "events_per_s": float(traced["batches_per_s"]),
-                "events": int(traced["records_applied"]),
-            }
+        row(
+            "mixed_ingest_traced",
+            traced["batches_per_s"],
+            traced["records_applied"],
         )
     return rows
 

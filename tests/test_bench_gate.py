@@ -90,8 +90,11 @@ SERVE_REPORT = {
             "records_applied": 5000,
             "reads_per_s": 1000.0,
             "reads_total": 1200,
+            "reads_keepalive": 300,
+            "read_keepalive_p50_us": 500.0,
         },
         "express": {"updates_per_s": 1200.0, "updates": 1000},
+        "express_keepalive": {"updates_per_s": 2400.0, "updates": 1000},
     }
 }
 
@@ -201,13 +204,18 @@ class TestFlatten:
         assert [r["key"] for r in rows] == [
             "mixed_ingest",
             "mixed_read",
+            "read_keepalive",
             "express",
+            "express_keepalive",
         ]
         assert all(r["suite"] == "serve" for r in rows)
         # Events are the exact request totals (determinism column).
-        assert [r["events"] for r in rows] == [5000, 1200, 1000]
+        assert [r["events"] for r in rows] == [5000, 1200, 300, 1000, 1000]
         assert rows[0]["events_per_s"] == 90.0
         assert rows[1]["events_per_s"] == 1000.0
+        # A 500 us median round trip gates as 2000 sequential reads/s.
+        assert rows[2]["events_per_s"] == 2000.0
+        assert rows[4]["events_per_s"] == 2400.0
 
     def test_commongraph_rows(self):
         rows = bench_gate.flatten_commongraph(COMMONGRAPH_REPORT)

@@ -9,8 +9,11 @@ perturbed.
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
+import statistics
+import time
 import urllib.error
 import urllib.request
 
@@ -586,26 +589,61 @@ class TestMetricsServer:
                 assert int(response.headers["Content-Length"]) > 0
                 assert response.read() == b""
 
+    def test_keepalive_scrapes_do_not_stall(self, registry):
+        """Regression: headers and body left as two sends, so on a
+        persistent connection Nagle held the body for the client's
+        delayed ACK — ~44 ms per scrape however small the registry."""
+        registry.counter("repro_rounds_total").inc(1)
+        with MetricsServer(registry) as server:
+            conn = http.client.HTTPConnection(server.host, server.port, timeout=5)
+            try:
+                conn.connect()
+                sock = conn.sock
+                round_trips = []
+                for _ in range(40):
+                    t0 = time.perf_counter()
+                    conn.request("GET", "/metrics")
+                    response = conn.getresponse()
+                    body = response.read()
+                    round_trips.append(time.perf_counter() - t0)
+                    assert response.status == 200
+                    assert b"repro_rounds_total 1" in body
+                    # Same socket throughout: a reconnect per request
+                    # would hide the stall.
+                    assert conn.sock is sock
+            finally:
+                conn.close()
+        assert statistics.median(round_trips) < 0.010
+
 
 class TestSendPayloadHardening:
     """Regression: a client dropping the connection mid-write used to
     kill the handler with an unhandled BrokenPipeError traceback."""
 
     class _FakeHandler:
-        """Just enough of BaseHTTPRequestHandler for send_payload."""
+        """Just enough of PayloadHandler for send_payload: a buffered
+        ``wfile`` whose flush is the (possibly failing) socket write."""
 
         def __init__(self, fail_with=None):
             self.close_connection = False
             self.headers_sent = []
             self.body = b""
+            self.flushes = 0
             self._fail_with = fail_with
             handler = self
 
             class _WFile:
+                pending = b""
+
                 def write(self, data):
+                    self.pending += data
+
+                def flush(self):
                     if handler._fail_with is not None:
                         raise handler._fail_with
-                    handler.body += data
+                    handler.flushes += 1
+                    handler.body += self.pending
+                    self.pending = b""
 
             self.wfile = _WFile()
 
@@ -632,15 +670,15 @@ class TestSendPayloadHardening:
         ok = send_payload(handler, 200, "text/plain", b"hello")
         assert ok is True
         assert handler.body == b"hello"
+        assert handler.flushes == 1  # the one socket write of the response
         assert ("Content-Length", "5") in handler.headers_sent
         assert handler.close_connection is False
 
     def test_head_only_skips_the_body_write(self):
-        # head_only must not touch wfile at all — a HEAD response to a
-        # gone client would otherwise still raise.
-        handler = self._FakeHandler(fail_with=BrokenPipeError())
+        handler = self._FakeHandler()
         ok = send_payload(handler, 200, "text/plain", b"hello", head_only=True)
         assert ok is True
+        assert handler.flushes == 1 and handler.body == b""
         assert ("Content-Length", "5") in handler.headers_sent
 
 

@@ -10,13 +10,18 @@ Covers the serving contract end to end:
   configured bound, driven deterministically via the writer gate;
 * graceful shutdown — queued ops drain and answer their clients before
   the session is torn down;
-* the HTTP protocol surface (routes, error codes, metrics mount).
+* the HTTP protocol surface (routes, error codes, metrics mount);
+* the transport — keep-alive round trips that do not stall, and request
+  framing that survives HEAD errors and a bad ``Content-Length``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
+import socket
+import statistics
 import threading
 import time
 import urllib.error
@@ -103,6 +108,96 @@ class TestServeSessionCore:
         assert log["dropped"] == 0
         assert [entry["kind"] for entry in log["log"]] == ["batch", "update"]
         assert [entry["seq"] for entry in log["log"]] == [1, 2]
+
+    def test_applied_log_rebuilds_replayable_json(self, app):
+        # The log is stored packed; what /log returns must still be plain
+        # JSON that replays to the live state, with the server's defaults
+        # for an update sent without w/op spelled out.
+        served = make_session(app)
+        served.submit(
+            "batch", {"insertions": [[1, 3, 0.5], [3, 0, 2]], "deletions": [[0, 2]]}
+        )
+        served.submit("batch", {"deletions": [[3, 0]]})
+        served.submit("update", {"u": 0, "v": 3})
+        served.submit("update", {"u": 0, "v": 3, "op": "delete", "extra": 1})
+        served.submit("update", {"u": 2, "v": 0, "w": 4, "op": "insert"})
+        log = json.loads(json.dumps(served.applied_log()))
+        assert log["dropped"] == 0
+        assert log["log"] == [
+            {
+                "kind": "batch",
+                "payload": {
+                    "insertions": [[1, 3, 0.5], [3, 0, 2.0]],
+                    "deletions": [[0, 2]],
+                },
+                "seq": 1,
+            },
+            {
+                "kind": "batch",
+                "payload": {"insertions": [], "deletions": [[3, 0]]},
+                "seq": 2,
+            },
+            {
+                "kind": "update",
+                "payload": {"u": 0, "v": 3, "w": 1.0, "op": "insert"},
+                "seq": 3,
+            },
+            {
+                "kind": "update",
+                "payload": {"u": 0, "v": 3, "w": 1.0, "op": "delete"},
+                "seq": 4,
+            },
+            {
+                "kind": "update",
+                "payload": {"u": 2, "v": 0, "w": 4.0, "op": "insert"},
+                "seq": 5,
+            },
+        ]
+        # == cannot tell 3 from 3.0: ids stay ints, weights floats.
+        for entry in log["log"]:
+            payload = entry["payload"]
+            if entry["kind"] == "update":
+                ids, weights = [payload["u"], payload["v"]], [payload["w"]]
+            else:
+                ids = [x for e in payload["insertions"] for x in e[:2]]
+                ids += [x for e in payload["deletions"] for x in e]
+                weights = [e[2] for e in payload["insertions"]]
+            assert all(type(x) is int for x in ids)
+            assert all(type(w) is float for w in weights)
+
+        oracle = Accelerator().load_graph(EDGES)
+        oracle.configure("sssp", source=0)
+        oracle.run()
+        for entry in log["log"]:
+            payload = entry["payload"]
+            if entry["kind"] == "batch":
+                oracle.push_updates(
+                    insertions=[tuple(e) for e in payload["insertions"]],
+                    deletions=[tuple(e) for e in payload["deletions"]],
+                )
+                oracle.run()
+            else:
+                oracle.apply_update(
+                    payload["u"], payload["v"], payload["w"], op=payload["op"]
+                )
+        snapshot = served.read_snapshot()
+        assert snapshot.seq == 5
+        assert state_digest(oracle.read_results()) == snapshot.digest
+        oracle.close()
+
+    def test_applied_log_ring_keeps_the_newest_entries(self, app):
+        served = app.create_session(EDGES, "sssp", name="ring", log_bound=2)
+        served.submit("batch", {"insertions": [[1, 3, 0.5]]})
+        served.submit("update", {"u": 0, "v": 3, "w": 9.0})
+        served.submit("update", {"u": 0, "v": 3, "op": "delete"})
+        log = served.applied_log()
+        assert log["dropped"] == 1
+        assert [(e["seq"], e["kind"]) for e in log["log"]] == [
+            (2, "update"),
+            (3, "update"),
+        ]
+        assert log["log"][1]["payload"]["op"] == "delete"
+        assert served.stats()["log_dropped"] == 1
 
     def test_writer_error_is_rethrown_in_the_submitter(self, app):
         served = make_session(app)
@@ -651,6 +746,116 @@ class TestHttpProtocol:
             t2.join(timeout=10)
         finally:
             REGISTRY.disable().reset()
+
+
+class TestKeepAliveTransport:
+    """One persistent connection, as a real client (and the repo
+    benchmark) uses: responses must not stall and framing must hold."""
+
+    @pytest.fixture
+    def conn(self, server):
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        conn.connect()
+        yield conn
+        conn.close()
+
+    @staticmethod
+    def round_trip(conn, method, path, body=None, headers=None):
+        data = None if body is None else json.dumps(body).encode("utf-8")
+        conn.request(method, path, body=data, headers=headers or {})
+        response = conn.getresponse()
+        raw = response.read()
+        return response, raw
+
+    def test_back_to_back_requests_do_not_stall(self, client, conn):
+        """Regression: every keep-alive response cost ~44 ms — headers and
+        body were two sends, and Nagle held the second for the client's
+        delayed ACK. A 13 us express update was a 44 ms request."""
+        create_http_session(client)
+        sock = conn.sock
+
+        def timed(method, path, body=None):
+            t0 = time.perf_counter()
+            response, raw = self.round_trip(conn, method, path, body)
+            elapsed = time.perf_counter() - t0
+            assert response.status == 200, raw
+            # Same socket throughout: a reconnect per request hides it.
+            assert conn.sock is sock
+            return elapsed
+
+        gets = [timed("GET", "/healthz") for _ in range(40)]
+        posts = [
+            timed(
+                "POST",
+                "/sessions/s/update",
+                {"u": 0, "v": 3, "w": 100.0, "op": "insert"}
+                if i % 2 == 0
+                else {"u": 0, "v": 3, "op": "delete"},
+            )
+            for i in range(40)
+        ]
+        assert statistics.median(gets) < 0.010
+        assert statistics.median(posts) < 0.010
+
+    @pytest.mark.parametrize("path", ["/nope", "/sessions/zz/read"])
+    def test_head_error_reply_has_no_body(self, conn, path):
+        """Regression: the error reply ignored head_only, and its JSON body
+        was read by the client as the start of the next response."""
+        response, raw = self.round_trip(conn, "HEAD", path)
+        assert response.status == 404
+        assert int(response.headers["Content-Length"]) > 0
+        assert raw == b""
+        response, raw = self.round_trip(conn, "GET", "/healthz")
+        assert response.status == 200
+        assert json.loads(raw) == {"status": "ok", "sessions": []}
+
+    def test_expect_100_continue_is_not_held_in_the_buffer(self, server, client):
+        # curl sends Expect: 100-continue with any body over 1 KB and
+        # waits for the interim response before sending it; that response
+        # has no send_payload flush of its own.
+        create_http_session(client)
+        body = json.dumps({"insertions": [[1, 3, 0.5]]}).encode("utf-8")
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            sock.sendall(
+                b"POST /sessions/s/ingest HTTP/1.1\r\nHost: x\r\n"
+                b"Expect: 100-continue\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body)
+            )
+            assert sock.recv(1024).startswith(b"HTTP/1.1 100 Continue\r\n")
+            sock.sendall(body)
+            reply = b""
+            while not reply.endswith(b"}\n"):  # the JSON body's last bytes
+                reply += sock.recv(4096)
+        assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert json.loads(reply.split(b"\r\n\r\n", 1)[1])["seq"] == 1
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_is_a_400_not_a_dead_thread(
+        self, server, client, conn, capfd, length
+    ):
+        """Regression: int("abc") raised out of the handler (traceback on
+        stderr, connection dropped with no reply); negatives read as
+        "no body" and applied an empty batch."""
+        create_http_session(client)
+        response, raw = self.round_trip(
+            conn,
+            "POST",
+            "/sessions/s/ingest",
+            headers={"Content-Length": length},
+        )
+        assert response.status == 400
+        assert json.loads(raw)["error"] == "BAD_LENGTH"
+        # The request's extent is unknown, so the server says it will
+        # close rather than parse whatever follows as the next request.
+        assert response.headers["Connection"] == "close"
+        assert "Traceback" not in capfd.readouterr().err
+        # Nothing was applied, and the server still answers.
+        status, read = client.get("/sessions/s/read")
+        assert status == 200 and read["seq"] == 0
+        status, reply = client.post(
+            "/sessions/s/ingest", {"insertions": [[1, 3, 0.5]]}
+        )
+        assert status == 200 and reply["seq"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,37 @@ class TestDeltaVersionStore:
         for version, expected in snapshots.items():
             assert sorted(store.reconstruct(version).edges()) == expected
 
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_base_is_an_independent_copy_of_the_live_edge_set(self, symmetric):
+        # The base is built from the graph's own index (shared key tuples,
+        # no per-edge rebuild): same content as edges(), detached from it.
+        graph = DynamicGraph.from_edges(
+            [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0), (3, 3, 4.0)],
+            symmetric=symmetric,
+        )
+        graph.apply_batch([(0, 2, 5.0), (4, 1, 6.0)], [(1, 2)])
+        graph.add_edge(2, 4, 7.0)
+        graph.remove_edge(0, 1)
+        store = DeltaVersionStore(graph)
+        expected = {(u, v): w for u, v, w in graph.edges()}
+        assert store._base_edges == expected
+        assert all(
+            type(u) is int and type(v) is int and type(w) is float
+            for (u, v), w in store._base_edges.items()
+        )
+        base_version = graph.version
+        want, got = graph.snapshot(), store.reconstruct(base_version)
+        assert got.num_vertices == want.num_vertices
+        for mine, theirs in zip(got.edge_arrays(), want.edge_arrays()):
+            np.testing.assert_array_equal(mine, theirs)
+
+        graph.apply_batch([(1, 3, 8.0)], [(2, 3)])
+        store.record_batch([(1, 3, 8.0)], [(2, 3)])
+        assert store._base_edges == expected
+        assert sorted(store.reconstruct(base_version).edges()) == sorted(
+            (u, v, w) for (u, v), w in expected.items()
+        )
+
     def test_unknown_version_rejected(self):
         graph = random_digraph(seed=4)
         store = DeltaVersionStore(graph)
