@@ -10,10 +10,10 @@ import pytest
 from repro.algorithms import make_algorithm
 from repro.core.config import AcceleratorConfig
 from repro.core.engine import GraphPulseEngine
-from repro.core.events import Event
+from repro.core.events import Event, EventBatch
 from repro.core.metrics import RoundWork
 from repro.core.policies import DeletePolicy
-from repro.core.queue import CoalescingQueue
+from repro.core.queue import CoalescingQueue, VectorQueue
 from repro.core.streaming import JetStreamEngine
 from repro.graph import generators
 from repro.graph.dynamic import DynamicGraph
@@ -38,6 +38,35 @@ def test_queue_insert_throughput(benchmark):
         queue.drain_round(work)
 
     benchmark(insert_all)
+
+
+@pytest.mark.parametrize("k", [1, 1_000, 100_000])
+def test_vector_queue_insert_batch(benchmark, k):
+    """``VectorQueue.insert_batch`` on ``k`` R-MAT-skewed targets.
+
+    One round of the array engine: a batch onto empty cells, then the
+    drain. ``k=1`` is the serve fall-through shape, where the number of
+    NumPy calls is the cost; at ``k=100_000`` the passes over the batch are.
+    """
+    num_vertices = 16_384
+    algorithm = make_algorithm("sssp", source=0)
+    queue = VectorQueue(algorithm, AcceleratorConfig(), DeletePolicy.DAP, num_vertices)
+    edges = generators.rmat(num_vertices, k, seed=23)
+    batch = EventBatch.from_arrays(
+        [v for _, v, _ in edges],
+        [w for _, _, w in edges],
+        sources=[u for u, _, _ in edges],
+    )
+
+    def insert_and_drain():
+        work = RoundWork()
+        queue.insert_batch(batch, work)
+        queue.drain_round(work)
+        return work
+
+    work = benchmark(insert_and_drain)
+    benchmark.extra_info["events"] = k
+    benchmark.extra_info["coalesce_ops"] = work.coalesce_ops
 
 
 def test_queue_coalesce_heavy(benchmark):

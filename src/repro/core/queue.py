@@ -42,7 +42,58 @@ class QueueError(RuntimeError):
     """Raised on invalid queue operation (e.g. mixing event classes)."""
 
 
-class CoalescingQueue:
+#: Later than any batch position (see :meth:`VectorQueue._first_position`).
+_NO_POSITION = np.iinfo(np.int64).max
+
+
+class _SlicedQueue:
+    """What the boxed and the array queue hold alike: the slice map (§4.7),
+    the delete-coalescing switch and the lifetime counters."""
+
+    def __init__(self, algorithm, config, policy, num_vertices, slice_of):
+        self.algorithm = algorithm
+        self.config = config
+        self.policy = policy
+        self.num_vertices = num_vertices
+        if slice_of is not None:
+            slice_of = np.asarray(slice_of, dtype=np.int64)
+            if slice_of.shape[0] < num_vertices:
+                raise ValueError("slice_of must cover every vertex")
+            self.num_slices = int(slice_of.max()) + 1 if slice_of.size else 1
+        else:
+            self.num_slices = 1
+        self._slice_of = slice_of
+        self.active_slice = 0
+        self._occupancy = 0
+        self._delete_coalescing_off = False
+        self.event_bytes = policy.event_bytes(config)
+        # Lifetime statistics
+        self.total_inserts = 0
+        self.total_coalesces = 0
+        self.peak_occupancy = 0
+        self.slice_switches = 0
+
+    def set_delete_coalescing(self, enabled: bool) -> None:
+        """Enable/disable delete coalescing (DAP recovery disables it)."""
+        self._delete_coalescing_off = not enabled
+
+    def slice_id(self, vertex: int) -> int:
+        """Slice holding ``vertex``."""
+        if self._slice_of is None:
+            return 0
+        return int(self._slice_of[vertex])
+
+    def lifetime_stats(self) -> Dict[str, int]:
+        """Lifetime counters (inserts, coalesces, peak occupancy, switches)."""
+        return {
+            "total_inserts": self.total_inserts,
+            "total_coalesces": self.total_coalesces,
+            "peak_occupancy": self.peak_occupancy,
+            "slice_switches": self.slice_switches,
+        }
+
+
+class CoalescingQueue(_SlicedQueue):
     """Event queue with in-place coalescing, slicing, and work accounting.
 
     Parameters
@@ -68,47 +119,14 @@ class CoalescingQueue:
         num_vertices: int = 0,
         slice_of: Optional[np.ndarray] = None,
     ):
-        self.algorithm = algorithm
-        self.config = config
-        self.policy = policy
-        self.num_vertices = num_vertices
-        if slice_of is not None:
-            slice_of = np.asarray(slice_of, dtype=np.int64)
-            if slice_of.shape[0] < num_vertices:
-                raise ValueError("slice_of must cover every vertex")
-            self.num_slices = int(slice_of.max()) + 1 if slice_of.size else 1
-        else:
-            self.num_slices = 1
-        self._slice_of = slice_of
+        super().__init__(algorithm, config, policy, num_vertices, slice_of)
         self._cells: List[Dict[int, Event]] = [dict() for _ in range(self.num_slices)]
         self._overflow: List[Dict[int, List[Event]]] = [
             dict() for _ in range(self.num_slices)
         ]
-        self.active_slice = 0
-        self._occupancy = 0
-        self._delete_coalescing_off = False
-        self.event_bytes = policy.event_bytes(config)
         #: Cross-slice events written off-chip and not yet read back, per
         #: slice; charged as read-back traffic when the slice activates.
         self._spilled_pending = [0] * self.num_slices
-        # Lifetime statistics
-        self.total_inserts = 0
-        self.total_coalesces = 0
-        self.peak_occupancy = 0
-        self.slice_switches = 0
-
-    # ------------------------------------------------------------------
-    # Mode control
-    # ------------------------------------------------------------------
-    def set_delete_coalescing(self, enabled: bool) -> None:
-        """Enable/disable delete coalescing (DAP recovery disables it)."""
-        self._delete_coalescing_off = not enabled
-
-    def slice_id(self, vertex: int) -> int:
-        """Slice holding ``vertex``."""
-        if self._slice_of is None:
-            return 0
-        return int(self._slice_of[vertex])
 
     # ------------------------------------------------------------------
     # Insertion / coalescing
@@ -288,32 +306,34 @@ class CoalescingQueue:
         for event in events:
             self.insert(event, work)
 
-    def lifetime_stats(self) -> Dict[str, int]:
-        """Lifetime counters (inserts, coalesces, peak occupancy, switches)."""
-        return {
-            "total_inserts": self.total_inserts,
-            "total_coalesces": self.total_coalesces,
-            "peak_occupancy": self.peak_occupancy,
-            "slice_switches": self.slice_switches,
-        }
 
-
-class VectorQueue:
+class VectorQueue(_SlicedQueue):
     """Structure-of-arrays coalescing queue with batched scatter-reduce.
 
     Drop-in functional twin of :class:`CoalescingQueue` for the vectorized
     engine: one direct-mapped cell per vertex held in parallel NumPy arrays
     (payload / flags / source / occupancy mask), so inserting a whole
-    :class:`EventBatch` is a handful of array kernels instead of a Python
-    loop:
+    :class:`EventBatch` is a fixed number of O(k) gathers and scatters over
+    the batch as it arrives — like the hardware queue, nothing is sorted:
 
-    * **accumulative coalescing** is ``reduce_ufunc.at`` (``np.add.at``) —
-      an ordered scatter-add that reproduces the scalar fold bit for bit
-      because duplicate indices are applied sequentially in array order;
-    * **selective coalescing** reduces each duplicate-target group with
-      ``np.minimum.reduceat``-style segmented reduction and picks the
-      source of the *first* event attaining the group optimum, which is
-      exactly the event that last strictly improved the scalar fold;
+    * the **first event of each empty target** is found with
+      ``np.minimum.at`` over batch positions (:meth:`_first_position`; the
+      scratch is the source field of the cells about to be written) and
+      stored directly. A minimum is the same in whatever order duplicates
+      are visited, so this never depends on NumPy's unspecified order for
+      duplicate-index assignment; every plain ``array[index] = values``
+      here has distinct indices or one value;
+    * **every other event coalesces** through ``reduce_ufunc.at``, which
+      applies duplicate indices one after another in array order — each
+      cell folds the event sequence the scalar queue folds, so an
+      accumulative sum (``np.add.at``) is the scalar left fold bit for bit;
+    * **selective coalescing** first drops the events that cannot beat
+      their incumbent (ties keep the incumbent, as in the scalar Reduce),
+      then gives the cell the source *and payload* of the first event
+      attaining the folded optimum (again by position minimum) — the event
+      at which the scalar fold last strictly improved. Copying the payload
+      makes the sign of a zero that of the scalar fold's, whichever of
+      ``-0.0``/``+0.0`` ``np.minimum`` returns for the pair;
     * the DAP overflow buffer and slice spill accounting mirror the scalar
       queue operation for operation, so lifetime statistics and per-round
       work vectors stay identical.
@@ -337,18 +357,8 @@ class VectorQueue:
                 f"{algorithm!r} provides no reduce_ufunc; use CoalescingQueue "
                 "(scalar engine) for algorithms without vectorized hooks"
             )
-        self.algorithm = algorithm
-        self.config = config
-        self.policy = policy
-        self.num_vertices = num_vertices
-        if slice_of is not None:
-            slice_of = np.asarray(slice_of, dtype=np.int64)
-            if slice_of.shape[0] < num_vertices:
-                raise ValueError("slice_of must cover every vertex")
-            self.num_slices = int(slice_of.max()) + 1 if slice_of.size else 1
-        else:
-            self.num_slices = 1
-        self._slice_of = slice_of
+        super().__init__(algorithm, config, policy, num_vertices, slice_of)
+        slice_of = self._slice_of
         n = int(num_vertices)
         # ``array_factory(n, fill, dtype)`` lets the sharded process
         # backend place the cell arrays in shared-memory segments; growth
@@ -371,28 +381,6 @@ class VectorQueue:
         ]
         self._overflow_counts = np.zeros(self.num_slices, dtype=np.int64)
         self._spilled_pending = np.zeros(self.num_slices, dtype=np.int64)
-        self.active_slice = 0
-        self._occupancy = 0
-        self._delete_coalescing_off = False
-        self.event_bytes = policy.event_bytes(config)
-        # Lifetime statistics (same meaning as CoalescingQueue's)
-        self.total_inserts = 0
-        self.total_coalesces = 0
-        self.peak_occupancy = 0
-        self.slice_switches = 0
-
-    # ------------------------------------------------------------------
-    # Mode control
-    # ------------------------------------------------------------------
-    def set_delete_coalescing(self, enabled: bool) -> None:
-        """Enable/disable delete coalescing (DAP recovery disables it)."""
-        self._delete_coalescing_off = not enabled
-
-    def slice_id(self, vertex: int) -> int:
-        """Slice holding ``vertex``."""
-        if self._slice_of is None:
-            return 0
-        return int(self._slice_of[vertex])
 
     # ------------------------------------------------------------------
     # Insertion / coalescing
@@ -409,20 +397,57 @@ class VectorQueue:
         """Insert ``batch`` in array order with scatter-reduce coalescing.
 
         Equivalent to inserting each event through the scalar queue in the
-        same order — including every counter ``work`` receives — but runs
-        as O(sort + a few passes) array kernels.
+        same order — including every counter ``work`` receives — but every
+        step is an O(k) gather or scatter over the unsorted arrays. Until
+        the §4.3 coexistence check has passed nothing is written but source
+        fields of empty cells, which nobody reads, so a rejected batch
+        leaves the queue and ``work`` as it found them.
         """
         k = len(batch)
         if k == 0:
             return
-        self.total_inserts += k
-        work.queue_inserts += k
-        t = batch.targets
-        maxt = int(t.max())
-        if maxt >= self._payloads.shape[0]:
+        t, p, f, s = batch.targets, batch.payloads, batch.flags, batch.sources
+        size = self._occupied.shape[0]
+        grow_to = int(t.max()) + 1
+        if grow_to > size:
             # Vertices created mid-stream (single-slice queues only — the
             # boxed queue likewise cannot map a new vertex to a slice).
-            self._grow(maxt + 1)
+            if self._slice_of is not None:
+                raise QueueError(
+                    "cannot grow a slice-partitioned queue; rebuild it with the "
+                    "new slice assignment"
+                )
+            # Cells past the end are empty: read them through one padded
+            # empty cell, so that the check runs before anything grows.
+            cell = np.minimum(t, size)
+            occupied = np.append(self._occupied, False)[cell]
+            cell_flags = np.append(self._flags, 0)[cell]
+            scratch = np.empty(grow_to, dtype=np.int64)
+        else:
+            occupied = self._occupied[t]
+            cell_flags = self._flags[t]
+            scratch = self._sources
+
+        # The first event of each empty target creates the cell (a direct
+        # store) and fixes its class; the target's later events meet that
+        # cell like any other incumbent. An empty cell's source field is
+        # dead until that store writes it, so it serves as the scratch.
+        store = new = np.flatnonzero(~occupied)
+        if new.shape[0]:
+            first = self._first_position(scratch, t[new], new)
+            cell_flags[new] = f[first]
+            store = new[first == new]
+        delete = f & 1
+        if (delete != (cell_flags & 1)).any():
+            raise QueueError(
+                "delete and non-delete events may not coexist for a vertex; "
+                "the scheduler separates the phases (§4.3)"
+            )
+
+        self.total_inserts += k
+        work.queue_inserts += k
+        if grow_to > size:
+            self._grow(grow_to)
         if self._slice_of is not None:
             sids = self._slice_of[t]
             cross = sids != self.active_slice
@@ -431,110 +456,43 @@ class VectorQueue:
                 # Write half of the spill; read-back charged at activation.
                 work.spill_bytes += n_cross * self.event_bytes
                 np.add.at(self._spilled_pending, sids[cross], 1)
-
-        # Group duplicate targets (stable: preserves per-target insert order).
-        order = np.argsort(t, kind="stable")
-        ts = t[order]
-        ps = batch.payloads[order]
-        fs = batch.flags[order]
-        ss = batch.sources[order]
-        first = np.empty(k, dtype=bool)
-        first[0] = True
-        np.not_equal(ts[1:], ts[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        ut = ts[starts]
-        counts = np.diff(np.append(starts, k))
-        occ_u = self._occupied[ut]
-
-        # Delete/non-delete coexistence check (§4.3 separates the phases).
-        ev_del = (fs & 1).astype(bool)
-        cell_del = np.where(occ_u, (self._flags[ut] & 1).astype(bool), ev_del[starts])
-        if np.any(ev_del != np.repeat(cell_del, counts)):
-            raise QueueError(
-                "delete and non-delete events may not coexist for a vertex; "
-                "the scheduler separates the phases (§4.3)"
-            )
-
-        # Classify each event: direct cell store (group-first of an empty
-        # cell), overflow append (extra deletes while coalescing is off),
-        # or coalesce into the existing cell.
-        grp = np.cumsum(first) - 1
-        occ_ev = occ_u[grp]
-        overflow_grp = cell_del & self._delete_coalescing_off
-        ev_first_new = first & ~occ_ev
-        ev_overflow = overflow_grp[grp] & ~ev_first_new
-        ev_coalesce = ~overflow_grp[grp] & ~ev_first_new
-
-        # Direct stores create cells.
-        tn = ts[ev_first_new]
-        created = int(tn.shape[0])
+        created = int(store.shape[0])
         if created:
-            self._payloads[tn] = ps[ev_first_new]
-            self._flags[tn] = fs[ev_first_new]
-            self._sources[tn] = ss[ev_first_new]
-            self._occupied[tn] = True
+            ts = t[store]  # distinct, so plain assignment is well defined
+            self._payloads[ts] = p[store]
+            self._flags[ts] = f[store]
+            self._sources[ts] = s[store]
+            self._occupied[ts] = True
             if self._slice_of is not None:
-                np.add.at(self._cell_counts, self._slice_of[tn], 1)
+                np.add.at(self._cell_counts, self._slice_of[ts], 1)
             else:
                 self._cell_counts[0] += created
+            self._occupancy += created
 
-        # Overflow buffer (extra delete events under DAP, §5.2).
-        n_overflow = int(np.count_nonzero(ev_overflow))
-        if n_overflow:
-            chunk = EventBatch(
-                ts[ev_overflow], ps[ev_overflow], fs[ev_overflow], ss[ev_overflow]
-            )
-            work.spill_bytes += 2 * self.event_bytes * n_overflow
-            if self._slice_of is not None:
-                ov_sids = self._slice_of[chunk.targets]
-                np.add.at(self._overflow_counts, ov_sids, 1)
-                for sid in np.unique(ov_sids):
-                    mask = ov_sids == sid
-                    self._overflow_chunks[int(sid)].append(chunk.take(mask))
-            else:
-                self._overflow_counts[0] += n_overflow
-                self._overflow_chunks[0].append(chunk)
-
-        # Coalesce the rest through Reduce (§4.2).
-        n_coalesce = int(np.count_nonzero(ev_coalesce))
-        if n_coalesce:
+        if created < k:
+            # Every other event met a cell: it coalesces through Reduce
+            # (§4.2) unless it is an extra delete while coalescing is off.
+            met = np.ones(k, dtype=bool)
+            met[store] = False
+            coalesce = folds = np.flatnonzero(met)
+            if delete.any() and (
+                self._delete_coalescing_off or self.policy is not DeletePolicy.VAP
+            ):
+                # Only VAP folds delete payloads (it keeps the most progressed
+                # one, §5.1); BASE tags carry no payload information.
+                is_delete = delete[coalesce] == 1
+                folds = coalesce[~is_delete]
+                if self._delete_coalescing_off:
+                    self._append_overflow(batch.take(coalesce[is_delete]), work)
+                    coalesce = folds
+            n_coalesce = int(coalesce.shape[0])
             self.total_coalesces += n_coalesce
             work.coalesce_ops += n_coalesce
-            # Request/delete flag bits always merge.
-            np.bitwise_or.at(self._flags, ts[ev_coalesce], fs[ev_coalesce])
-            # Value folding: regular events always fold; delete events fold
-            # only under VAP (BASE tags carry no payload information).
-            value_grp = ~overflow_grp & (~cell_del | (self.policy is DeletePolicy.VAP))
-            if self.algorithm.kind is AlgorithmKind.ACCUMULATIVE:
-                vmask = ev_coalesce & value_grp[grp]
-                tv = ts[vmask]
-                if tv.shape[0]:
-                    # Ordered scatter-add == the scalar left fold, bit for
-                    # bit (ufunc.at applies duplicates sequentially).
-                    self.algorithm.reduce_ufunc.at(self._payloads, tv, ps[vmask])
-                    # Source: last event of each group wins. (The scalar
-                    # fold re-stamps on every sum-changing coalesce, which
-                    # is the same unless an event leaves the sum unchanged;
-                    # accumulative algorithms never consume sources — the
-                    # recovery path normalizes their policy to BASE.)
-                    sv = ss[vmask]
-                    last = np.empty(tv.shape[0], dtype=bool)
-                    last[-1] = True
-                    np.not_equal(tv[1:], tv[:-1], out=last[:-1])
-                    self._sources[tv[last]] = sv[last]
-            else:
-                # All events of value groups participate — including the
-                # group-first direct store of a freshly created cell, whose
-                # payload seeds the scalar fold.
-                value_ev = value_grp[grp]
-                if value_ev.any():
-                    self._fold_selective(
-                        ts[value_ev],
-                        ps[value_ev],
-                        ss[value_ev],
-                        (~occ_ev)[value_ev],
-                    )
-        self._occupancy += created + n_overflow
+            if n_coalesce and f.any() and f[coalesce].any():
+                # Request/delete flag bits always merge.
+                np.bitwise_or.at(self._flags, t[coalesce], f[coalesce])
+            if folds.shape[0]:
+                self._fold(batch, folds)
         if self._occupancy > self.peak_occupancy:
             self.peak_occupancy = self._occupancy
         if METRICS.enabled:
@@ -544,13 +502,7 @@ class VectorQueue:
 
     def _grow(self, num_vertices: int) -> None:
         """Extend the cell arrays for vertices created mid-stream."""
-        if self._slice_of is not None:
-            raise QueueError(
-                "cannot grow a slice-partitioned queue; rebuild it with the "
-                "new slice assignment"
-            )
-        current = self._payloads.shape[0]
-        extra = num_vertices - current
+        extra = num_vertices - self._payloads.shape[0]
         self._payloads = np.concatenate(
             [self._payloads, np.zeros(extra, dtype=np.float64)]
         )
@@ -563,39 +515,77 @@ class VectorQueue:
         )
         self.num_vertices = num_vertices
 
-    def _fold_selective(self, tv, pv, sv, new_v) -> None:
-        """Min/max fold of duplicate-target event groups into the cells.
+    @staticmethod
+    def _first_position(scratch, targets, position) -> np.ndarray:
+        """Per event, the smallest ``position`` among the events of its target.
 
-        Matches the scalar sequential fold exactly: the final payload is
-        ``reduce(existing, group best)`` and the final source is the source
-        of the *first* event attaining the group best (the event at which
-        the running fold last strictly improved). Groups whose existing
-        cell already dominates are left untouched — ties keep the
-        incumbent, like the scalar Reduce. ``new_v`` marks events whose
-        cell was created by this batch; those groups update
-        unconditionally because their first event seeded the fold.
+        A minimum is the same in whatever order duplicates are visited, so
+        this needs no sort. ``scratch`` (one ``int64`` per vertex) needs no
+        preparation and is left holding the result at ``targets``: callers
+        pass source fields that they overwrite next.
         """
-        uf = self.algorithm.reduce_ufunc
-        n = tv.shape[0]
-        vfirst = np.empty(n, dtype=bool)
-        vfirst[0] = True
-        np.not_equal(tv[1:], tv[:-1], out=vfirst[1:])
-        vstarts = np.flatnonzero(vfirst)
-        vcounts = np.diff(np.append(vstarts, n))
-        uvt = tv[vstarts]
-        best = uf.reduceat(pv, vstarts)
-        # Position of the first event of each group attaining the best.
-        at_best = pv == np.repeat(best, vcounts)
-        pos = np.where(at_best, np.arange(n), n)
-        first_best = np.minimum.reduceat(pos, vstarts)
-        cand_src = sv[first_best]
-        existing = self._payloads[uvt]
-        new_group = new_v[vstarts]
-        reduced = uf(existing, best)
-        improves = new_group | (reduced != existing)
-        upd = uvt[improves]
-        self._payloads[upd] = np.where(new_group, best, reduced)[improves]
-        self._sources[upd] = cand_src[improves]
+        scratch[targets] = _NO_POSITION
+        np.minimum.at(scratch, targets, position)
+        return scratch[targets]
+
+    def _append_overflow(self, chunk: EventBatch, work: RoundWork) -> None:
+        """Queue extra delete events (in arrival order) in the overflow
+        buffer, which spills to off-chip memory in blocks (DAP, §5.2)."""
+        n_overflow = len(chunk)
+        if not n_overflow:
+            return
+        work.spill_bytes += 2 * self.event_bytes * n_overflow
+        self._occupancy += n_overflow
+        if self._slice_of is not None:
+            ov_sids = self._slice_of[chunk.targets]
+            np.add.at(self._overflow_counts, ov_sids, 1)
+            for sid in np.unique(ov_sids):
+                self._overflow_chunks[int(sid)].append(chunk.take(ov_sids == sid))
+        else:
+            self._overflow_counts[0] += n_overflow
+            self._overflow_chunks[0].append(chunk)
+
+    def _fold(self, batch: EventBatch, folds: np.ndarray) -> None:
+        """Reduce the payloads of the events at positions ``folds`` into
+        their cells.
+
+        ``ufunc.at`` applies duplicate targets one after another in array
+        order, so each cell folds the event sequence the scalar queue folds
+        and an accumulative sum is the scalar left fold bit for bit.
+        """
+        t, p = batch.targets, batch.payloads
+        tv = t[folds]
+        reduce_ufunc = self.algorithm.reduce_ufunc
+        if self.algorithm.kind is AlgorithmKind.ACCUMULATIVE:
+            reduce_ufunc.at(self._payloads, tv, p[folds])
+            # Source: the target's last event wins. (The scalar fold
+            # re-stamps on every sum-changing coalesce, which is the same
+            # unless an event leaves the sum unchanged; accumulative
+            # algorithms never consume sources — the recovery path
+            # normalizes their policy to BASE.)
+            order = -folds
+        else:
+            # An event that cannot beat the incumbent changes nothing, now
+            # or later in the fold (ties keep the incumbent, like the scalar
+            # Reduce). Of the others the cell becomes the first to attain
+            # their optimum — the event at which the scalar fold last
+            # strictly improved — and takes that event's payload bits too,
+            # since a min/max over -0.0 and +0.0 may return either.
+            pv = p[folds]
+            existing = self._payloads[tv]
+            keep = np.flatnonzero(reduce_ufunc(existing, pv) != existing)
+            folds, tv, pv = folds[keep], tv[keep], pv[keep]
+            reduce_ufunc.at(self._payloads, tv, pv)
+            keep = np.flatnonzero(pv == self._payloads[tv])
+            folds, tv = folds[keep], tv[keep]
+            order = folds
+        # Every target left in ``tv`` takes its winner's source, so the
+        # source fields can hold the race for the winning position first.
+        winners = folds[self._first_position(self._sources, tv, order) == order]
+        tw = t[winners]
+        self._sources[tw] = batch.sources[winners]
+        if self.algorithm.kind is AlgorithmKind.SELECTIVE:
+            self._payloads[tw] = p[winners]
 
     # ------------------------------------------------------------------
     # Draining
@@ -733,12 +723,3 @@ class VectorQueue:
     def occupancy(self) -> int:
         """Number of queued events across all slices."""
         return int(self._occupancy)
-
-    def lifetime_stats(self) -> Dict[str, int]:
-        """Lifetime counters (inserts, coalesces, peak occupancy, switches)."""
-        return {
-            "total_inserts": self.total_inserts,
-            "total_coalesces": self.total_coalesces,
-            "peak_occupancy": self.peak_occupancy,
-            "slice_switches": self.slice_switches,
-        }

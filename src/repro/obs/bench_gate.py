@@ -10,9 +10,9 @@ Two checks per comparable row:
 
 * **throughput** — ``events_per_s`` may drop at most ``tolerance``
   (relative) below the baseline median. Wall-clock is machine-dependent,
-  so CI runs this informationally (generous tolerance, or
-  ``--no-fail``) while local runs on the baseline machine use the strict
-  default.
+  so CI runs this informationally (generous tolerance, or ``--no-fail``,
+  which forgives this check only) while local runs on the baseline
+  machine use the strict default.
 * **work** — ``events_processed`` must match the baseline *exactly*.
   Event counts are deterministic and machine-independent; any drift means
   the functional behaviour changed, which no tolerance excuses.
@@ -395,8 +395,9 @@ def compare_rows(
 
     Statuses: ``ok`` (within tolerance), ``improved`` (faster than
     baseline by more than the tolerance), ``regression`` (throughput drop
-    beyond tolerance OR an exact event-count mismatch), ``new`` (no
-    baseline row), ``removed`` (baseline row with no current run).
+    beyond tolerance OR an exact event-count mismatch — the latter also
+    sets ``drift``), ``new`` (no baseline row), ``removed`` (baseline row
+    with no current run).
     """
     base_by_key = {(r["suite"], r["key"]): r for r in baseline}
     out: List[dict] = []
@@ -409,6 +410,7 @@ def compare_rows(
             "baseline_events_per_s": base["events_per_s"] if base else None,
             "delta": None,
             "status": "new",
+            "drift": False,
             "note": "",
         }
         if base is not None:
@@ -418,6 +420,7 @@ def compare_rows(
                 )
             if row["events"] != base["events"]:
                 entry["status"] = "regression"
+                entry["drift"] = True
                 entry["note"] = (
                     f"events_processed drifted: {row['events']} vs "
                     f"baseline {base['events']} (determinism break)"
@@ -442,6 +445,7 @@ def compare_rows(
                 "baseline_events_per_s": base["events_per_s"],
                 "delta": None,
                 "status": "removed",
+                "drift": False,
                 "note": "row present in baseline but not in this run",
             }
         )
@@ -481,8 +485,9 @@ def run_gate(
     """Run the selected suites and gate them against their baselines.
 
     Returns ``{"comparisons": [...], "reports": {suite: report},
-    "regressions": int}``. ``collectors`` lets tests substitute canned
-    report producers for the real benchmark runs.
+    "regressions": int, "drifts": int}`` — ``drifts`` counts the
+    regressions that are event-count mismatches. ``collectors`` lets tests
+    substitute canned report producers for the real benchmark runs.
     """
     suites = list(suites or SUITES)
     collectors = collectors or _COLLECTORS
@@ -519,4 +524,5 @@ def run_gate(
         "comparisons": comparisons,
         "reports": reports,
         "regressions": regressions,
+        "drifts": sum(1 for c in comparisons if c["drift"]),
     }

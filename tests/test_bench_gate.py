@@ -247,7 +247,7 @@ class TestCompareRows:
 
     def test_drop_beyond_tolerance_regresses(self):
         out = compare_rows(self.rows(80.0), self.rows(100.0), tolerance=0.10)
-        assert out[0]["status"] == "regression"
+        assert out[0]["status"] == "regression" and not out[0]["drift"]
         assert "throughput" in out[0]["note"]
 
     def test_speedup_beyond_tolerance_is_improved(self):
@@ -258,7 +258,7 @@ class TestCompareRows:
         out = compare_rows(
             self.rows(500.0, events=101), self.rows(100.0, events=100), 0.10
         )
-        assert out[0]["status"] == "regression"
+        assert out[0]["status"] == "regression" and out[0]["drift"]
         assert "determinism" in out[0]["note"]
 
     def test_new_and_removed_rows(self):
@@ -359,6 +359,7 @@ class TestRunGate:
             collectors=self.collectors(engine=slow),
         )
         assert result["regressions"] == 2  # scalar + vectorized rows
+        assert result["drifts"] == 0
 
     def test_injected_event_drift_is_caught(self, tmp_path):
         drifted = perturbed(TRACE_REPORT, events_delta=3)
@@ -367,7 +368,7 @@ class TestRunGate:
             baseline_paths=self.baselines(tmp_path),
             collectors=self.collectors(trace=drifted),
         )
-        assert result["regressions"] == 2
+        assert result["regressions"] == result["drifts"] == 2
         assert all("determinism" in c["note"] for c in result["comparisons"])
 
     def test_missing_baseline_raises(self, tmp_path):
@@ -503,11 +504,23 @@ class TestBenchCheckCli:
         from repro.cli import main
 
         reports, bases = canned
-        reports["trace"] = perturbed(TRACE_REPORT, events_delta=1)
+        reports["engine"] = perturbed(ENGINE_REPORT, scale=0.4)
         args = self.base_args(bases)
         args += ["--no-fail"]
         assert main(args) == 0
         assert "regression" in capsys.readouterr().out
+
+    def test_no_fail_still_fails_on_event_count_drift(self, canned, capsys):
+        from repro.cli import main
+
+        reports, bases = canned
+        reports["trace"] = perturbed(TRACE_REPORT, events_delta=1)
+        args = self.base_args(bases)
+        args += ["--no-fail"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert "events_processed drifted" in captured.out
+        assert "event-count drift" in captured.err
 
     def test_single_suite_selection(self, canned, capsys):
         from repro.cli import main

@@ -418,3 +418,176 @@ class TestVectorQueue:
         assert stats["total_coalesces"] == 1
         assert stats["peak_occupancy"] == 2
         assert stats["slice_switches"] == 0
+
+    def test_rejected_batch_leaves_queue_untouched(self):
+        """A §4.3 violation raises before anything is counted, grown or stored."""
+        slice_of = np.array([0] * 32 + [1] * 32)
+
+        def build(**kwargs):
+            queue = make_vector_queue(**kwargs)
+            queue.set_delete_coalescing(False)
+            work = RoundWork()
+            queue.insert_batch(
+                EventBatch.from_arrays(
+                    np.array([5, 40, 5, 9]),
+                    np.array([3.0, 2.0, 1.0, 4.0]),
+                    flags=np.array([1, 0, 1, 0]),
+                    sources=np.array([1, 2, 3, 4]),
+                ),
+                work,
+            )
+            return queue, work
+
+        mixed = [
+            # regular event onto a delete cell, among acceptable ones
+            ([9, 5, 41], [1.0, 1.0, 1.0], [0, 0, 0]),
+            # two classes for one previously-empty target
+            ([20, 20, 9], [1.0, 1.0, 1.0], [0, 1, 0]),
+            # delete overflow + cross-slice spill + a new cell, then the clash
+            ([5, 41, 50, 9], [1.0, 1.0, 1.0, 1.0], [1, 0, 0, 1]),
+        ]
+        for kwargs in ({"slice_of": slice_of}, {"num_vertices": 48}):
+            for targets, payloads, flags in mixed:
+                if "slice_of" not in kwargs:
+                    targets = targets + [200]  # would also have to grow
+                    payloads, flags = payloads + [1.0], flags + [0]
+                queue, work = build(**kwargs)
+                untouched, untouched_work = build(**kwargs)
+                with pytest.raises(QueueError):
+                    queue.insert_batch(
+                        EventBatch.from_arrays(
+                            np.array(targets), np.array(payloads), flags=np.array(flags)
+                        ),
+                        work,
+                    )
+                assert work == untouched_work
+                assert queue.lifetime_stats() == untouched.lifetime_stats()
+                assert queue.occupancy() == untouched.occupancy()
+                assert queue.num_vertices == untouched.num_vertices
+                while queue.pending():
+                    assert untouched.pending()
+                    if not queue.active_pending():
+                        assert queue.activate_next_slice(work)
+                        assert untouched.activate_next_slice(untouched_work)
+                    got, got_rows = queue.drain_round(work)
+                    want, want_rows = untouched.drain_round(untouched_work)
+                    assert _batch_bytes(got) == _batch_bytes(want)
+                    assert got_rows.tolist() == want_rows.tolist()
+                assert not untouched.pending()
+                assert work == untouched_work
+
+
+def _batch_bytes(batch):
+    return (
+        batch.targets.tobytes(),
+        batch.payloads.tobytes(),
+        batch.flags.tobytes(),
+        batch.sources.tobytes(),
+    )
+
+
+class TestVectorQueueDifferential:
+    """Seeded fuzz: VectorQueue against CoalescingQueue, insert by insert.
+
+    Whole-engine parity runs only reach the queue through batches a kernel
+    generates. This drives it directly with what a sort over targets used
+    to hide: long duplicate runs, payload ties from different sources,
+    ``-0.0``/``+0.0``/``inf``, all-occupied and all-new batches, overflow
+    arrival order across inserts, growth past ``num_vertices``.
+    """
+
+    V = 48
+    SELECTIVE_POOL = np.array([0.0, -0.0, np.inf, 0.5, 1.0, 1.0, 2.0, 3.0, 7.25])
+    ACCUMULATIVE_POOL = np.array([0.125, 0.25, 0.5, 1.0, 1.0, 3.0, 1e-3])
+
+    def _batch(self, rng, pool, targets, delete_of):
+        targets = np.asarray(targets, dtype=np.int64)
+        k = targets.shape[0]
+        return EventBatch.from_arrays(
+            targets,
+            pool[rng.integers(0, pool.shape[0], k)],
+            flags=delete_of(targets) | (2 * (rng.random(k) < 0.2)),
+            sources=rng.integers(0, 10_000, k),
+        )
+
+    def _drain_both(self, scalar, vector, works, max_rows, compare_sources):
+        if not scalar.active_pending():
+            moved = scalar.activate_next_slice(works[0])
+            assert vector.activate_next_slice(works[1]) == moved
+        rows = scalar.drain_round(works[0], max_rows=max_rows)
+        got, row_starts = vector.drain_round(works[1], max_rows=max_rows)
+        want = EventBatch.from_events([event for row in rows for event in row])
+        if not compare_sources:
+            want.sources = got.sources
+        assert _batch_bytes(got) == _batch_bytes(want)
+        assert np.diff(np.append(row_starts, len(got))).tolist() == [
+            len(row) for row in rows
+        ]
+
+    @pytest.mark.parametrize("sliced", [False, True], ids=["grow", "sliced"])
+    @pytest.mark.parametrize("coalescing", [True, False], ids=["coalesce", "overflow"])
+    @pytest.mark.parametrize(
+        "policy",
+        [DeletePolicy.BASE, DeletePolicy.VAP, DeletePolicy.DAP],
+        ids=lambda p: p.name,
+    )
+    @pytest.mark.parametrize("algorithm", [SSSP, PageRank], ids=lambda a: a.name)
+    def test_matches_scalar_queue(self, algorithm, policy, coalescing, sliced):
+        selective = algorithm is SSSP
+        rng = np.random.default_rng(
+            [selective, len(policy.name), ord(policy.name[0]), coalescing, sliced]
+        )
+        pool = self.SELECTIVE_POOL if selective else self.ACCUMULATIVE_POOL
+        slice_of = rng.integers(0, 3, self.V) if sliced else None
+        scalar = make_queue(policy, algorithm(), self.V, slice_of)
+        vector = make_vector_queue(policy, algorithm(), self.V, slice_of)
+        for queue in (scalar, vector):
+            queue.set_delete_coalescing(coalescing)
+        works = (RoundWork(), RoundWork())
+        limit = self.V if sliced else self.V + 40  # past V: forces _grow
+
+        def insert(targets, delete_of, special=False):
+            batch = self._batch(rng, pool, targets, delete_of)
+            if special:
+                # ±0.0 and inf leave a sum unchanged, where the scalar queue
+                # keeps the older source (see VectorQueue._fold).
+                third = batch.payloads[::3]
+                third[:] = rng.choice(self.SELECTIVE_POOL[:3], third.shape[0])
+            scalar.insert_batch(batch, works[0])
+            vector.insert_batch(batch, works[1])
+            assert works[0] == works[1]
+            assert scalar.lifetime_stats() == vector.lifetime_stats()
+            assert scalar.occupancy() == vector.occupancy()
+
+        def drain_all(compare_sources=True):
+            while scalar.pending():
+                self._drain_both(scalar, vector, works, None, compare_sources)
+            assert not vector.pending()
+
+        for phase in range(12):
+            # One class per target until the queue is empty again (§4.3):
+            # all regular, all delete, or split by target id.
+            delete_of = (np.zeros_like, np.ones_like, lambda t: t % 2)[phase % 3]
+            distinct = rng.permutation(limit)[: rng.integers(1, limit)]
+            insert(distinct, delete_of)  # all new
+            insert(distinct, delete_of)  # all already occupied, one event each
+            insert(np.repeat(distinct[:3], 2), delete_of)  # overflow arrival order
+            for _ in range(6):
+                k = int(rng.integers(1, 80))
+                hot = rng.integers(0, limit, 4)
+                cold = rng.integers(0, limit, k)
+                targets = np.where(rng.random(k) < 0.5, rng.choice(hot, k), cold)
+                insert(targets, delete_of)
+                if rng.random() < 0.4:
+                    max_rows = int(rng.integers(1, 4))
+                    self._drain_both(scalar, vector, works, max_rows, True)
+            # ≥1000 duplicates of one target, between other targets' events
+            run = np.full(1200, int(distinct[0]))
+            run[rng.integers(0, 1200, 100)] = rng.integers(0, limit, 100)
+            insert(run, delete_of)
+            drain_all()
+            if not selective:
+                insert(rng.integers(0, limit, 200), delete_of, special=True)
+                drain_all(compare_sources=False)
+        assert works[0] == works[1]
+        assert scalar.lifetime_stats() == vector.lifetime_stats()
