@@ -5,6 +5,10 @@ these measure the Python implementation's own throughput: queue insertion
 and coalescing, static convergence, and incremental batch application.
 """
 
+import itertools
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.algorithms import make_algorithm
@@ -17,7 +21,11 @@ from repro.core.queue import CoalescingQueue, VectorQueue
 from repro.core.streaming import JetStreamEngine
 from repro.graph import generators
 from repro.graph.dynamic import DynamicGraph
+from repro.host import Accelerator
 from repro.streams import StreamGenerator
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
+import gen  # noqa: E402  (benchmarks/e2e/gen.py: the e2e input generator)
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +125,44 @@ def test_incremental_batch_pagerank(benchmark, medium_graph_edges):
 
     result = benchmark.pedantic(run_batch, rounds=3, iterations=1)
     assert result.metrics.events_processed > 0
+
+
+@pytest.fixture(scope="module")
+def e2e_inputs():
+    """The end-to-end benchmark's rmat-131k graph and insert pool."""
+    return gen.make_inputs(0)
+
+
+@pytest.mark.parametrize("k", [1, 25, 500], ids=lambda k: f"k={k}")
+def test_push_updates_run(benchmark, e2e_inputs, k):
+    """``Session.push_updates`` + ``run`` of a k-insert + k-delete SSSP batch.
+
+    k=500 is the ``batch-sel`` write, k=25 the ``serve-ingest`` batch, and
+    k=1 the shape where the fixed count of NumPy calls per batch is the
+    cost. Batches are tuple lists, as the e2e benchmark sends them; they
+    alternate a swap of base for pool edges and its inverse, so the graph
+    is back at its base every second call.
+    """
+    inputs = e2e_inputs
+    session = Accelerator().load_graph(
+        inputs.base_edges, num_vertices=inputs.num_vertices
+    )
+    session.configure("sssp", source=0)
+    session.run()
+    stream = gen.make_stream(inputs, "micro", 1, k)
+    ins, dels = stream.ins[0], stream.dels[0]
+    swaps = itertools.cycle(
+        [
+            (inputs.edge_tuples(ins), inputs.key_tuples(dels)),
+            (inputs.edge_tuples(dels), inputs.key_tuples(ins)),
+        ]
+    )
+
+    def write():
+        session.push_updates(*next(swaps))
+        return session.run()
+
+    result = benchmark(write)
+    benchmark.extra_info["records"] = 2 * k
+    assert result.graph_version > 0
+    session.close()

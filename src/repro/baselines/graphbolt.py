@@ -121,7 +121,7 @@ class GraphBolt:
                 )
 
         # Mutate, then positive re-additions against the new structure.
-        self.graph.apply_batch(insertions, [(u, v) for u, v, _ in deletions])
+        self.graph.apply_batch(batch.ins, batch.dels)
         new_csr = self.graph.snapshot()
         self._grow(new_csr.num_vertices)
         if algorithm.degree_dependent:

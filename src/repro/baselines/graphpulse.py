@@ -53,11 +53,7 @@ class GraphPulseColdStart:
 
     def apply_batch(self, batch: UpdateBatch) -> ColdStartResult:
         """Apply the batch, then recompute from scratch."""
-        batch.validate()
-        self.graph.apply_batch(
-            [(e.u, e.v, e.w) for e in batch.insertions],
-            [(e.u, e.v) for e in batch.deletions],
-        )
+        self.graph.apply_batch(batch.ins, batch.dels)
         return self._recompute()
 
     def _recompute(self) -> ColdStartResult:

@@ -31,8 +31,6 @@ from repro.core.metrics import SoftwareWork
 from repro.graph.dynamic import DynamicGraph
 from repro.streams import UpdateBatch
 
-Edge = Tuple[int, int, float]
-
 
 @dataclass
 class KickStarterResult:
@@ -91,13 +89,14 @@ class KickStarter:
         """Trim, re-approximate, and incrementally recompute."""
         if self.states is None:
             raise RuntimeError("call initial_compute() before apply_batch()")
-        batch.validate()
         algorithm = self.algorithm
         work = SoftwareWork()
+        # The directed batch (mirrors included), deletions at their stored
+        # weights; raises before anything mutates.
+        checked = self.graph.check_batch(batch)
         old_csr = self.graph.snapshot()
-
-        deletions = self._directed(batch.deletions, weights_from_graph=True)
-        insertions = self._directed(batch.insertions, weights_from_graph=False)
+        deletions = list(zip(*(col.tolist() for col in checked.deletions)))
+        insertions = list(zip(*(col.tolist() for col in checked.insertions)))
 
         # --- Phase 1: tag & trim (value + level dependence) ------------
         # ``in_question`` holds vertices awaiting re-approximation; a vertex
@@ -117,10 +116,7 @@ class KickStarter:
 
         # Mutate the graph before re-approximation so trimmed vertices
         # re-read only surviving in-edges.
-        self.graph.apply_batch(
-            [(e.u, e.v, e.w) for e in batch.insertions],
-            [(e.u, e.v) for e in batch.deletions],
-        )
+        self.graph.apply_batch(checked)
         new_csr = self.graph.snapshot()
         self._grow(new_csr.num_vertices)
 
@@ -256,19 +252,6 @@ class KickStarter:
                 parent = u
                 parent_level = int(level_snapshot[u]) if u < level_snapshot.shape[0] else 0
         return best, parent, parent_level
-
-    def _directed(self, edges, weights_from_graph: bool) -> List[Edge]:
-        out: List[Edge] = []
-        for edge in edges:
-            w = (
-                self.graph.edge_weight(edge.u, edge.v)
-                if weights_from_graph
-                else edge.w
-            )
-            out.append((edge.u, edge.v, w))
-            if self.graph.symmetric and edge.u != edge.v:
-                out.append((edge.v, edge.u, w))
-        return out
 
     def _grow(self, n: int) -> None:
         current = self.states.shape[0]

@@ -484,12 +484,10 @@ def _run_query_at_versions(args, graph, algorithm) -> int:
     accel = Accelerator()
     session = None
     try:
-        edges = [
-            (int(u), int(v), float(w)) for u, v, w in zip(*graph.edge_arrays())
-        ]
+        edges = np.column_stack(graph.edge_arrays())
         if algorithm.needs_symmetric:
             # load_graph re-mirrors; hand it each undirected edge once.
-            edges = [(u, v, w) for u, v, w in edges if u <= v]
+            edges = edges[edges[:, 0] <= edges[:, 1]]
         session = accel.load_graph(
             edges, graph.num_vertices, symmetric=algorithm.needs_symmetric
         )
@@ -507,10 +505,7 @@ def _run_query_at_versions(args, graph, algorithm) -> int:
         )
         for _ in range(args.at_versions):
             batch = generator.next_batch(args.batch_size)
-            session.push_updates(
-                [(e.u, e.v, e.w) for e in batch.insertions],
-                [(e.u, e.v) for e in batch.deletions],
-            )
+            session.push_updates(batch.ins, batch.dels)
             session.run()
         result = session.run_at_versions(0)
         mode = (
@@ -777,10 +772,7 @@ def cmd_serve(args) -> int:
                     args.algorithm, source=args.source
                 ).needs_symmetric,
             )
-            edges = [
-                (int(u), int(v), float(w))
-                for u, v, w in zip(*graph.edge_arrays())
-            ]
+            edges = np.column_stack(graph.edge_arrays())
         else:
             edges = io.read_edge_list(args.edges)
         session = app.create_session(

@@ -38,7 +38,7 @@ from repro.algorithms.base import SELF_SUPPORT, UpdateClassification
 from repro.core.events import NO_SOURCE
 from repro.core.streaming import JetStreamEngine, StreamingResult
 from repro.obs.metrics import REGISTRY as METRICS
-from repro.streams import Edge, UpdateBatch
+from repro.streams import UpdateBatch, vertex_id
 
 
 #: Counter keys of :attr:`ExpressLane.stats`. :meth:`Session.express_stats`
@@ -208,9 +208,7 @@ class ExpressLane:
         """
         if op not in ("insert", "delete"):
             raise ValueError(f"unknown update op {op!r}")
-        u, v = int(u), int(v)
-        if u < 0 or v < 0:
-            raise ValueError("vertex ids must be non-negative")
+        u, v = vertex_id(u), vertex_id(v)
         graph = self.engine.graph
         t0 = perf_counter()
         if op == "insert":
@@ -295,9 +293,9 @@ class ExpressLane:
 
     def _apply_engine(self, u: int, v: int, w: float, op: str) -> StreamingResult:
         if op == "insert":
-            batch = UpdateBatch(insertions=[Edge(u, v, w)])
+            batch = UpdateBatch(insertions=[(u, v, w)])
         else:
-            batch = UpdateBatch(deletions=[Edge(u, v)])
+            batch = UpdateBatch(deletions=[(u, v)])
         result = self.engine.apply_batch(batch)
         self.stats["engine_fallthroughs"] += 1
         self._resync()

@@ -35,36 +35,9 @@ from repro.core.events import NO_SOURCE, EventBatch
 from repro.core.metrics import RunMetrics
 from repro.core.policies import DeletePolicy
 from repro.graph.csr import CSRGraph, run_indices
-from repro.graph.dynamic import DynamicGraph
+from repro.graph.dynamic import CheckedBatch, DynamicGraph, EdgeArrays
 from repro.obs.metrics import REGISTRY as METRICS
 from repro.streams import UpdateBatch
-
-#: Parallel ``(src, dst, weight)`` columns of a directed edge set.
-EdgeArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _interleave_mirrors(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> EdgeArrays:
-    """Symmetric-graph expansion: each edge followed by its mirror.
-
-    Original then reversed edge, interleaved in batch order; self-loops
-    are not mirrored.
-    """
-    mirror = u != v
-    counts = mirror.astype(np.int64) + 1
-    total = int(counts.sum())
-    starts = np.cumsum(counts) - counts
-    ou = np.empty(total, dtype=np.int64)
-    ov = np.empty(total, dtype=np.int64)
-    ow = np.empty(total, dtype=np.float64)
-    ou[starts] = u
-    ov[starts] = v
-    ow[starts] = w
-    mirror_pos = starts[mirror] + 1
-    ou[mirror_pos] = v[mirror]
-    ov[mirror_pos] = u[mirror]
-    ow[mirror_pos] = w[mirror]
-    return ou, ov, ow
-
 
 def _source_ctx(algorithm, csr, sources: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Per-element ``(out_degree, out_weight_sum)`` context in ``csr``.
@@ -326,11 +299,13 @@ class JetStreamEngine:
         The batch's deletions must exist in the current graph and its
         insertions must be fresh edges (:class:`repro.streams.UpdateBatch`
         semantics). The graph is mutated as a side effect (version + 1).
+        The whole directed batch is checked against the graph first
+        (:meth:`DynamicGraph.check_batch`), so a rejected batch leaves the
+        graph and the converged states as they were.
         """
         if not self._initialized:
             raise RuntimeError("call initial_compute() before apply_batch()")
-        batch.validate()
-        self._check_batch(batch)
+        checked = self.graph.check_batch(batch)
         run_t0 = METRICS.clock() if METRICS.enabled else 0.0
         with self.tracer.span(
             "run",
@@ -338,20 +313,20 @@ class JetStreamEngine:
             algorithm=self.algorithm.name,
             engine_mode=self.core.engine_mode,
             batch_index=self._batches_applied,
-            insertions=len(batch.insertions),
-            deletions=len(batch.deletions),
+            insertions=len(batch.ins),
+            deletions=len(batch.dels),
             stream_records=batch.size,
         ):
             if self.algorithm.kind is AlgorithmKind.SELECTIVE:
-                if self.policy.converts_deletions and batch.deletions:
+                if self.policy.converts_deletions and len(batch.dels):
                     # Deletion-to-addition conversion: no recovery phase at
                     # all. Insertion-only batches take the ordinary selective
                     # flow (its delete phase is a no-op on an empty set).
-                    result = self._apply_commongraph(batch)
+                    result = self._apply_commongraph(checked)
                 else:
-                    result = self._apply_selective(batch)
+                    result = self._apply_selective(checked)
             else:
-                result = self._apply_accumulative(batch)
+                result = self._apply_accumulative(checked)
         if METRICS.enabled:
             METRICS.record_run(
                 "batch",
@@ -363,14 +338,12 @@ class JetStreamEngine:
         return result
 
     # -- selective flow (Algorithm 5) ----------------------------------
-    def _apply_selective(self, batch: UpdateBatch) -> StreamingResult:
+    def _apply_selective(self, checked: CheckedBatch) -> StreamingResult:
         core = self.core
         metrics = RunMetrics()
         old_csr = self.graph.snapshot()
         core.bind_graph(old_csr)
-
-        deletions = self._directed_deletions(batch)
-        insertions = self._directed_insertions(batch)
+        deletions, insertions = checked.deletions, checked.insertions
 
         # Phase 1: ProcessDeletesSelective + ResetImpacted on the old graph.
         tracer = core.tracer
@@ -389,7 +362,7 @@ class JetStreamEngine:
         queue.set_delete_coalescing(True)
 
         # Mutate the graph; switch to the new structure.
-        self._mutate_graph(batch)
+        self.graph.apply_batch(checked)
         new_csr = self.graph.snapshot()
         core.grow(new_csr.num_vertices)
         core.bind_graph(new_csr)
@@ -424,7 +397,7 @@ class JetStreamEngine:
         )
 
     # -- commongraph flow (deletion-to-addition conversion) ------------
-    def _apply_commongraph(self, batch: UpdateBatch) -> StreamingResult:
+    def _apply_commongraph(self, checked: CheckedBatch) -> StreamingResult:
         """CommonGraph policy: converge the common graph, add the rest.
 
         Deletions never propagate. The engine returns to Identity and
@@ -445,8 +418,8 @@ class JetStreamEngine:
         metrics = RunMetrics()
         old_n = self.graph.snapshot().num_vertices
 
-        du, dv, _dw = self._directed_deletions(batch)
-        insertions = self._directed_insertions(batch)
+        du, dv, _dw = checked.deletions
+        insertions = checked.insertions
         eu, ev, ew = self.graph.edge_arrays()
         keep = ~self._edge_key_member(eu, ev, du, dv, old_n)
         common_csr = CSRGraph.from_arrays(old_n, eu[keep], ev[keep], ew[keep])
@@ -466,7 +439,7 @@ class JetStreamEngine:
             METRICS.record_phase(common_phase)
 
         # Mutate; the batch's insertions are priced on the new structure.
-        self._mutate_graph(batch)
+        self.graph.apply_batch(checked)
         new_csr = self.graph.snapshot()
         core.grow(new_csr.num_vertices)
         core.bind_graph(new_csr)
@@ -496,12 +469,12 @@ class JetStreamEngine:
         )
 
     # -- accumulative flow (Algorithm 6 / Fig. 5) ----------------------
-    def _apply_accumulative(self, batch: UpdateBatch) -> StreamingResult:
+    def _apply_accumulative(self, checked: CheckedBatch) -> StreamingResult:
         if self.two_phase_accumulative:
-            return self._apply_accumulative_two_phase(batch)
-        return self._apply_accumulative_net(batch)
+            return self._apply_accumulative_two_phase(checked)
+        return self._apply_accumulative_net(checked)
 
-    def _stale_and_replacements(self, old_csr, batch: UpdateBatch):
+    def _stale_and_replacements(self, old_csr, checked: CheckedBatch):
         """Edges whose contribution a batch retracts, and those it (re)adds.
 
         For degree-dependent propagation every mutated source's out-degree
@@ -511,8 +484,8 @@ class JetStreamEngine:
         Returns ``(stale, replacements, modified_sources)`` — the last is
         ``None`` when no expansion happened.
         """
-        du, dv, dw = self._directed_deletions(batch)
-        iu, iv, iw = self._directed_insertions(batch)
+        du, dv, dw = checked.deletions
+        iu, iv, iw = checked.insertions
         if not self.algorithm.degree_dependent:
             return (du, dv, dw), (iu, iv, iw), None
         old_n = old_csr.num_vertices
@@ -526,7 +499,7 @@ class JetStreamEngine:
         )
         return (su, sv, sw), replacements, modified
 
-    def _apply_accumulative_net(self, batch: UpdateBatch) -> StreamingResult:
+    def _apply_accumulative_net(self, checked: CheckedBatch) -> StreamingResult:
         """Single-phase net-correction flow (default; see __init__ note).
 
         Every stale contribution of a mutated source is negated and its
@@ -541,7 +514,7 @@ class JetStreamEngine:
         metrics = RunMetrics()
         old_csr = self.graph.snapshot()
         old_n = old_csr.num_vertices
-        stale, replacements, _ = self._stale_and_replacements(old_csr, batch)
+        stale, replacements, _ = self._stale_and_replacements(old_csr, checked)
 
         tracer = core.tracer
         phase = metrics.phase("reevaluation")
@@ -554,7 +527,7 @@ class JetStreamEngine:
                 stale_delta = -_edge_payloads(core, work, old_csr, stale)
 
                 # Mutate; replacements are priced against the new structure.
-                self._mutate_graph(batch)
+                self.graph.apply_batch(checked)
                 new_csr = self.graph.snapshot()
                 core.grow(new_csr.num_vertices)
                 core.bind_graph(new_csr)
@@ -590,14 +563,14 @@ class JetStreamEngine:
             queue_stats=queue.lifetime_stats(),
         )
 
-    def _apply_accumulative_two_phase(self, batch: UpdateBatch) -> StreamingResult:
+    def _apply_accumulative_two_phase(self, checked: CheckedBatch) -> StreamingResult:
         """The paper's literal two-phase Algorithm 6 flow."""
         core = self.core
         algorithm = self.algorithm
         metrics = RunMetrics()
         old_csr = self.graph.snapshot()
         old_n = old_csr.num_vertices
-        stale, replacements, modified = self._stale_and_replacements(old_csr, batch)
+        stale, replacements, modified = self._stale_and_replacements(old_csr, checked)
 
         if modified is not None:
             # Sink every mutated source (Fig. 5).
@@ -625,7 +598,7 @@ class JetStreamEngine:
             METRICS.record_phase(delete_phase)
 
         # Mutate; switch to the new structure.
-        self._mutate_graph(batch)
+        self.graph.apply_batch(checked)
         new_csr = self.graph.snapshot()
         core.grow(new_csr.num_vertices)
         core.bind_graph(new_csr)
@@ -654,45 +627,6 @@ class JetStreamEngine:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _check_batch(self, batch: UpdateBatch) -> None:
-        deleted = {e.key() for e in batch.deletions}
-        for edge in batch.deletions:
-            if not self.graph.has_edge(edge.u, edge.v):
-                raise ValueError(f"batch deletes missing edge {edge.u}->{edge.v}")
-        for edge in batch.insertions:
-            # Re-inserting an edge deleted in the same batch is the paper's
-            # weight-change idiom (§2.1) and is allowed.
-            if self.graph.has_edge(edge.u, edge.v) and edge.key() not in deleted:
-                raise ValueError(f"batch inserts duplicate edge {edge.u}->{edge.v}")
-
-    def _directed_deletions(self, batch: UpdateBatch) -> EdgeArrays:
-        """The batch's deletions as directed edges carrying their current
-        weights (each followed by its mirror on a symmetric graph)."""
-        dels = batch.deletions
-        m = len(dels)
-        u = np.fromiter((e.u for e in dels), dtype=np.int64, count=m)
-        v = np.fromiter((e.v for e in dels), dtype=np.int64, count=m)
-        w = np.fromiter(
-            (self.graph.edge_weight(e.u, e.v) for e in dels),
-            dtype=np.float64,
-            count=m,
-        )
-        if not self.graph.symmetric:
-            return u, v, w
-        return _interleave_mirrors(u, v, w)
-
-    def _directed_insertions(self, batch: UpdateBatch) -> EdgeArrays:
-        """The batch's insertions as directed edges (mirrored like
-        :meth:`_directed_deletions`)."""
-        ins = batch.insertions
-        m = len(ins)
-        u = np.fromiter((e.u for e in ins), dtype=np.int64, count=m)
-        v = np.fromiter((e.v for e in ins), dtype=np.int64, count=m)
-        w = np.fromiter((e.w for e in ins), dtype=np.float64, count=m)
-        if not self.graph.symmetric:
-            return u, v, w
-        return _interleave_mirrors(u, v, w)
-
     @staticmethod
     def _expand_out_edges(csr, sources: np.ndarray) -> EdgeArrays:
         """All out-edges of ``sources`` (ascending ids), in CSR edge order.
@@ -798,12 +732,6 @@ class JetStreamEngine:
         work.events_generated += int(self_mask.sum()) + n_requests
         compute_phase.request_events += n_requests
         return EventBatch.from_arrays(targets, payloads, flags, NO_SOURCE)
-
-    def _mutate_graph(self, batch: UpdateBatch) -> None:
-        self.graph.apply_batch(
-            [(e.u, e.v, e.w) for e in batch.insertions],
-            [(e.u, e.v) for e in batch.deletions],
-        )
 
 
 # ----------------------------------------------------------------------

@@ -12,13 +12,18 @@ keeps one globally sorted int64 *composite key* array (``src << shift |
 dst`` for the out-direction, ``dst << shift | src`` for the in-direction),
 a parallel weight array, and per-vertex offsets — i.e. the CSR arrays
 themselves, maintained incrementally. A Python dict keyed by ``(u, v)``
-mirrors the live edge set for O(1) membership/weight queries and mutation
-validation; single-edge mutations only touch the dict and are folded into
-the arrays lazily (copy-on-write splice) when a snapshot or adjacency
-query needs them. Splice cost scales with ``batch + E`` memcpy (one
-vectorized compress/insert pass) rather than the old ``O(E log E)``
-Python-iterate-and-lexsort rebuild, and the per-batch Python cost scales
-with the batch alone.
+mirrors the live edge set for O(1) single-edge membership/weight queries.
+
+Two mutation paths share one splice. A *batch* is checked whole, as
+arrays, against the flushed store (:meth:`DynamicGraph.check_batch`: one
+``searchsorted`` answers every membership and weight question, and
+nothing mutates unless the whole batch passes), then spliced into both
+directions at once (:meth:`DynamicGraph.apply_batch`). *Single* edges
+(:meth:`~DynamicGraph.add_edge` / :meth:`~DynamicGraph.remove_edge`, the
+express lane's path) only touch the dict and are folded into the arrays
+lazily when a snapshot, adjacency query or batch check needs them. Either
+way a splice costs one vectorized compress/insert memcpy per direction,
+and Python-level work scales with the batch, not with E.
 
 Because the key arrays are kept in exactly the order
 :func:`repro.graph.csr._build_csr` produces (sorted by source then target,
@@ -40,17 +45,38 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph, _build_csr
+from repro.streams import UpdateBatch, insertion_rows, vertex_ids
 
 Edge = Tuple[int, int, float]
+
+#: Parallel ``(src, dst, weight)`` columns of a directed edge set.
+EdgeArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class GraphMutationError(ValueError):
     """Raised for invalid mutations (missing edge delete, duplicate insert)."""
+
+
+def _index_of(src: np.ndarray, dst: np.ndarray, wgt: np.ndarray) -> Dict:
+    """The live-edge dict of directed ``(src, dst, wgt)`` columns."""
+    return dict(zip(zip(src.tolist(), dst.tolist()), wgt.tolist()))
+
+
+def _mirrored(rows: np.ndarray) -> np.ndarray:
+    """Each ``(u, v, ...)`` row followed by its reverse; self-loops once."""
+    reverse = rows.copy()
+    reverse[:, 0], reverse[:, 1] = rows[:, 1], rows[:, 0]
+    both = np.stack([rows, reverse], axis=1).reshape(-1, rows.shape[1])
+    keep = np.ones(len(both), dtype=bool)
+    keep[1::2] = rows[:, 0] != rows[:, 1]
+    return both[keep]
 
 
 def build_symmetric_graph(
@@ -69,32 +95,57 @@ def build_symmetric_graph(
     :class:`GraphMutationError`, ``"silent"`` keeps the old quiet
     behaviour.
 
-    ``num_vertices`` is a floor on the vertex count, for inputs whose
-    trailing vertices have no edges.
+    ``edges`` may be an ``(n, 3)`` array. ``num_vertices`` is a floor on
+    the vertex count, for inputs whose trailing vertices have no edges.
     """
     if on_conflict not in ("warn", "raise", "silent"):
         raise ValueError(
             f"on_conflict must be 'warn', 'raise', or 'silent', "
             f"not {on_conflict!r}"
         )
-    graph = DynamicGraph(num_vertices, symmetric=True)
-    kept: Dict[Tuple[int, int], float] = {}
-    for u, v, w in edges:
-        key = (u, v) if u <= v else (v, u)
-        w = float(w)
-        if key in kept:
-            if w != kept[key] and on_conflict != "silent":
-                msg = (
-                    f"duplicate edge {u}->{v} weight {w} conflicts with "
-                    f"already-kept weight {kept[key]}; first occurrence wins"
-                )
-                if on_conflict == "raise":
-                    raise GraphMutationError(msg)
-                warnings.warn(msg, stacklevel=2)
-            continue
-        kept[key] = w
-        graph.add_edge(u, v, w, _count_version=False)
-    return graph
+    if not isinstance(edges, (list, tuple, np.ndarray)):
+        edges = list(edges)
+    rows = insertion_rows(edges)
+    u, v, w = rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64), rows[:, 2]
+    undirected = (np.minimum(u, v) << 31) | np.maximum(u, v)
+    _, first, inverse = np.unique(undirected, return_index=True, return_inverse=True)
+    if on_conflict != "silent":
+        kept_at = first[inverse]
+        lossy = (kept_at != np.arange(len(w))) & (w != w[kept_at])
+        for i in np.flatnonzero(lossy):
+            kept = w[kept_at[i]]
+            msg = (
+                f"duplicate edge {u[i]}->{v[i]} weight {w[i]} conflicts with "
+                f"already-kept weight {kept}; first occurrence wins"
+            )
+            if on_conflict == "raise":
+                raise GraphMutationError(msg)
+            warnings.warn(msg, stacklevel=2)
+    return DynamicGraph.from_arrays(
+        u[first], v[first], w[first], num_vertices, symmetric=True
+    )
+
+
+@dataclass(frozen=True)
+class CheckedBatch:
+    """A batch checked against one store state, ready to splice.
+
+    :meth:`DynamicGraph.check_batch` builds it without mutating anything;
+    :meth:`DynamicGraph.apply_batch` splices it. ``insertions`` and
+    ``deletions`` are the directed edges in batch order — on a symmetric
+    graph each followed by its mirror — and the deletions carry the stored
+    weights. ``keep_ins`` / ``keep_dels`` drop the re-inserts at the
+    stored weight and their deletions: such a pair changes nothing.
+    """
+
+    #: ``mutation_stamp`` the check ran against.
+    stamp: int
+    #: Vertex count after the batch (insertions may add vertices).
+    num_vertices: int
+    insertions: EdgeArrays
+    deletions: EdgeArrays
+    keep_ins: np.ndarray
+    keep_dels: np.ndarray
 
 
 class _DirectedCSR:
@@ -158,17 +209,15 @@ class _DirectedCSR:
         """Remove ``del_keys`` and merge ``ins_keys`` (both sorted).
 
         Every deleted key must be present and every inserted key absent
-        (the caller's dict index guarantees it). One vectorized
-        compress-plus-merge pass; the offsets are updated from the touched
-        majors' degree deltas, so the Python-level cost is O(batch) and
-        the array cost one memcpy of each direction.
+        (the caller has checked both). One vectorized compress-plus-merge
+        pass; the offsets are updated from the touched majors' degree
+        deltas, so the Python-level cost is O(batch) and the array cost
+        one memcpy of each direction.
         """
         keys, weights = self.keys, self.weights
         if len(del_keys):
             pos = np.searchsorted(keys, del_keys)
-            keep = np.ones(len(keys), dtype=bool)
-            keep[pos] = False
-            keys, weights = keys[keep], weights[keep]
+            keys, weights = np.delete(keys, pos), np.delete(weights, pos)
         if len(ins_keys):
             pos = np.searchsorted(keys, ins_keys)
             keys = np.insert(keys, pos, ins_keys)
@@ -202,8 +251,8 @@ class DynamicGraph:
         self.num_vertices = int(num_vertices)
         self.symmetric = bool(symmetric)
         self.version = 0
-        #: Live directed edge set: ``(u, v) -> weight``. The source of
-        #: truth for membership; the arrays lag behind until a flush.
+        #: Live directed edge set: ``(u, v) -> weight``. The arrays lag
+        #: behind it only by the pending single-edge mutations.
         self._index: Dict[Tuple[int, int], float] = {}
         self._shift = self._shift_for(self.num_vertices)
         self._out = _DirectedCSR(self.num_vertices)  # major=src, minor=dst
@@ -241,10 +290,28 @@ class DynamicGraph:
     def from_edges(
         cls, edges: Iterable[Edge], num_vertices: int = 0, symmetric: bool = False
     ) -> "DynamicGraph":
-        """Build a graph from an initial edge list (version 0)."""
-        graph = cls(num_vertices, symmetric=symmetric)
-        for u, v, w in edges:
-            graph.add_edge(u, v, w, _count_version=False)
+        """Build a graph from an initial edge list (version 0).
+
+        ``edges`` is an ``(n, 3)`` array or an iterable of ``(u, v, w)``
+        tuples, converted to rows once and bulk-loaded like
+        :meth:`from_arrays`. Given tuples, the live-edge index reuses the
+        caller's id objects rather than allocating two fresh ints per edge
+        (≈8 MB at 138k edges).
+        """
+        if not isinstance(edges, (list, tuple, np.ndarray)):
+            edges = list(edges)
+        rows = insertion_rows(edges)
+        graph, columns = cls._bulk(
+            rows[:, 0], rows[:, 1], rows[:, 2], num_vertices, symmetric
+        )
+        if isinstance(edges, np.ndarray):
+            graph._index = _index_of(*columns)
+            return graph
+        weights = map(float, map(itemgetter(2), edges))
+        graph._index = dict(zip(map(itemgetter(0, 1), edges), weights))
+        if symmetric:
+            weights = map(float, map(itemgetter(2), edges))
+            graph._index.update(zip(map(itemgetter(1, 0), edges), weights))
         return graph
 
     @classmethod
@@ -258,22 +325,32 @@ class DynamicGraph:
     ) -> "DynamicGraph":
         """Bulk-build from parallel arrays (no per-edge Python mutation).
 
-        Semantics match :meth:`from_edges`: duplicate directed edges (after
-        symmetric mirroring) raise :class:`GraphMutationError`, vertex
-        count grows to cover the largest referenced id.
+        Duplicate directed edges (after symmetric mirroring) raise
+        :class:`GraphMutationError`, invalid vertex ids ``ValueError``;
+        the vertex count grows to cover the largest referenced id.
         """
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        graph, columns = cls._bulk(src, dst, wgt, num_vertices, symmetric)
+        graph._index = _index_of(*columns)
+        return graph
+
+    @classmethod
+    def _bulk(
+        cls, src, dst, wgt, num_vertices: int, symmetric: bool
+    ) -> Tuple["DynamicGraph", EdgeArrays]:
+        """Both CSR directions from parallel columns; the caller fills the
+        index. Returns the graph and its directed columns."""
+        src = vertex_ids(np.asarray(src))
+        dst = vertex_ids(np.asarray(dst))
         wgt = np.asarray(wgt, dtype=np.float64)
-        if len(src) and (src.min() < 0 or dst.min() < 0):
-            raise GraphMutationError("vertex ids must be non-negative")
         n = int(num_vertices)
         if len(src):
             n = max(n, int(src.max()) + 1, int(dst.max()) + 1)
         if symmetric and len(src):
             mirror = src != dst  # self-loops are their own mirror
-            src = np.concatenate([src, dst[mirror]])
-            dst = np.concatenate([dst, src[: len(mirror)][mirror]])
+            src, dst = (
+                np.concatenate([src, dst[mirror]]),
+                np.concatenate([dst, src[mirror]]),
+            )
             wgt = np.concatenate([wgt, wgt[mirror]])
         graph = cls(n, symmetric=symmetric)
         shift = graph._shift
@@ -285,10 +362,7 @@ class DynamicGraph:
             )
         graph._out.rebuild(shift, src, dst, wgt, n)
         graph._in.rebuild(shift, dst, src, wgt, n)
-        graph._index = {
-            (int(u), int(v)): float(w) for u, v, w in zip(src, dst, wgt)
-        }
-        return graph
+        return graph, (src, dst, wgt)
 
     @classmethod
     def from_csr(cls, csr: CSRGraph, symmetric: bool = False) -> "DynamicGraph":
@@ -347,24 +421,111 @@ class DynamicGraph:
             self._mutations += 1
 
     # ------------------------------------------------------------------
-    # Batched mutation
+    # Batched mutation: checked whole, spliced eagerly
     # ------------------------------------------------------------------
-    def apply_batch(self, insertions: Iterable[Edge], deletions: Iterable[Tuple[int, int]]) -> None:
-        """Apply a batch: deletions first, then insertions; bumps version.
+    def check_batch(self, batch: UpdateBatch) -> CheckedBatch:
+        """Check a whole batch against the live edge set; mutate nothing.
+
+        The check runs on the *directed* batch, mirrors included, so a symmetric graph refuses a
+        batch naming both ``(u, v)`` and ``(v, u)`` here instead of
+        halfway through the mutation. Raises :class:`GraphMutationError`
+        for a deletion of an edge that is not live, an insertion of a live
+        edge the batch does not also delete (a weight change is delete +
+        insert, §2.1), or a directed edge named twice on one side. One
+        ``searchsorted`` over the flushed out-direction keys answers every
+        membership and weight question.
+        """
+        rows, keys = batch.ins, batch.dels
+        if self.symmetric:
+            rows, keys = _mirrored(rows), _mirrored(keys)
+        iu, iv = rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)
+        iw = rows[:, 2].copy()
+        du, dv = keys[:, 0].copy(), keys[:, 1].copy()
+        self._flush()
+        m = len(du)
+        live, pos, weights = self._lookup(
+            np.concatenate([du, iu]), np.concatenate([dv, iv])
+        )
+        if not live[:m].all():
+            i = int(np.argmin(live[:m]))
+            raise GraphMutationError(f"batch deletes missing edge {du[i]}->{dv[i]}")
+        self._refuse_repeats(pos[:m], du, dv, "deletes")
+        self._refuse_repeats((iu << 31) | iv, iu, iv, "inserts")  # ids < 2**31
+
+        keep_ins, keep_dels = np.ones(len(iu), dtype=bool), np.ones(m, dtype=bool)
+        ins_live, ins_pos = live[m:], pos[m:]
+        if ins_live.any():
+            # A live edge may be inserted only when the batch deletes it.
+            stale = ins_live & ~np.isin(ins_pos, pos[:m])
+            if stale.any():
+                i = int(np.argmax(stale))
+                raise GraphMutationError(
+                    f"batch inserts existing edge {iu[i]}->{iv[i]}; model a "
+                    "weight change as delete followed by insert (per paper §2.1)"
+                )
+            # Re-inserting the stored weight changes nothing: splice neither half.
+            same = ins_live & (iw == weights[m:])
+            if same.any():
+                keep_ins = ~same
+                keep_dels = ~np.isin(pos[:m], ins_pos[same])
+        num_vertices = self.num_vertices
+        if len(rows):
+            num_vertices = max(num_vertices, int(rows[:, :2].max()) + 1)
+        return CheckedBatch(
+            stamp=self._mutations,
+            num_vertices=num_vertices,
+            insertions=(iu, iv, iw),
+            deletions=(du, dv, weights[:m]),
+            keep_ins=keep_ins,
+            keep_dels=keep_dels,
+        )
+
+    def _refuse_repeats(self, keys, u, v, verb: str) -> None:
+        """GraphMutationError if an edge key occurs twice in ``keys``."""
+        if len(keys) < 2:
+            return
+        ordered = np.sort(keys)
+        repeated = ordered[1:] == ordered[:-1]
+        if repeated.any():
+            i = int(np.flatnonzero(keys == ordered[1:][repeated][0])[0])
+            why = " (a symmetric graph mirrors every edge)" if self.symmetric else ""
+            raise GraphMutationError(f"batch {verb} edge {u[i]}->{v[i]} twice{why}")
+
+    def apply_batch(self, insertions, deletions=()) -> None:
+        """Apply a batch, deletions before insertions; bumps version.
 
         The order matches the engine's phase schedule (delete phase precedes
         insertion processing, Algorithm 5/6) and allows a weight change to be
-        expressed as ``delete(u, v)`` + ``insert(u, v, w')`` in one batch.
+        expressed as ``delete(u, v)`` + ``insert(u, v, w')`` in one batch; a
+        re-insert at the stored weight is a no-op. The whole batch is
+        checked (:meth:`check_batch`) before anything mutates, then both
+        CSR directions are spliced straight from its key arrays.
+        ``insertions`` may instead be a :class:`CheckedBatch` of the
+        current state: the engine checks before its delete phase and
+        applies after it.
         """
-        for u, v in deletions:
-            self.remove_edge(u, v, _count_version=False)
-        for u, v, w in insertions:
-            self.add_edge(u, v, w, _count_version=False)
+        if isinstance(insertions, CheckedBatch):
+            checked = insertions
+            if checked.stamp != self._mutations:
+                raise GraphMutationError("batch was checked against an older state")
+        else:
+            checked = self.check_batch(UpdateBatch(insertions, deletions))
+        iu, iv, iw = checked.insertions
+        du, dv, _ = checked.deletions
+        index = self._index
+        list(map(index.__delitem__, zip(du.tolist(), dv.tolist())))
+        index.update(zip(zip(iu.tolist(), iv.tolist()), iw.tolist()))
+        if len(iu) or len(du) or checked.num_vertices > self.num_vertices:
+            self._mutations += 1
+        self.num_vertices = checked.num_vertices
+        self._sync_capacity()
+        keep_i, keep_d = checked.keep_ins, checked.keep_dels
+        self._splice(du[keep_d], dv[keep_d], iu[keep_i], iv[keep_i], iw[keep_i])
         self.version += 1
         self._stats["batches_applied"] += 1
 
     # ------------------------------------------------------------------
-    # Lazy flush: fold dict-level mutations into the CSR arrays
+    # Splice: fold mutations into the CSR arrays
     # ------------------------------------------------------------------
     def _sync_capacity(self) -> None:
         if self.num_vertices > self._capacity:
@@ -375,64 +536,69 @@ class DynamicGraph:
         self._out.grow(self.num_vertices)
         self._in.grow(self.num_vertices)
 
-    def _flush(self) -> None:
-        """Splice all pending mutations into both CSR directions.
+    def _lookup(self, u: np.ndarray, v: np.ndarray) -> EdgeArrays:
+        """``(live, position, stored weight)`` of each directed edge
+        ``u[i] -> v[i]`` in the out-direction arrays (flushed, capacity
+        synced). An absent edge's position is its insertion point and its
+        weight is meaningless."""
+        keys = self._out.keys
+        probe = (u << self._shift) | v
+        pos = np.searchsorted(keys, probe)
+        if not len(keys):
+            return np.zeros(len(u), dtype=bool), pos, np.zeros(len(u))
+        hit = np.minimum(pos, len(keys) - 1)
+        n = self.num_vertices
+        live = (keys[hit] == probe) & (u < n) & (v < n)
+        return live, pos, self._out.weights[hit]
 
-        Pending edits are net-resolved against the base arrays: an edge
-        deleted and re-added with its old weight is a no-op, a weight
-        change is one delete plus one insert. Python cost is O(touched);
-        array cost is one compress/merge memcpy per direction.
+    def _splice(self, del_u, del_v, ins_u, ins_v, ins_w) -> None:
+        """Delete and insert directed edges in both CSR directions.
+
+        Deletions must be live, insertions absent once the deletions are
+        gone, and no edge may repeat on either side.
+        """
+        if not (len(del_u) or len(ins_u)):
+            return
+        shift = self._shift
+        for csr, del_major, del_minor, ins_major, ins_minor in (
+            (self._out, del_u, del_v, ins_u, ins_v),
+            (self._in, del_v, del_u, ins_v, ins_u),
+        ):
+            ins_keys = (ins_major << shift) | ins_minor
+            order = np.argsort(ins_keys)
+            csr.splice(
+                shift,
+                np.sort((del_major << shift) | del_minor),
+                ins_keys[order],
+                ins_w[order],
+            )
+        self._stats["edges_spliced"] += len(del_u) + len(ins_u)
+
+    def _flush(self) -> None:
+        """Splice the pending single-edge mutations into both directions.
+
+        Pending edits are net-resolved against the arrays: an edge deleted
+        and re-added with its old weight is a no-op, a weight change is one
+        delete plus one insert. Python cost is O(touched); array cost is
+        one compress/merge memcpy per direction.
         """
         self._sync_capacity()
         if not self._touched:
             return
-        shift = self._shift
-        t = len(self._touched)
-        t_u = np.empty(t, dtype=np.int64)
-        t_v = np.empty(t, dtype=np.int64)
-        cur_has = np.empty(t, dtype=bool)
-        cur_w = np.empty(t, dtype=np.float64)
+        touched = list(self._touched)
+        t = len(touched)
+        t_u, t_v = np.array(touched, dtype=np.int64).reshape(t, 2).T
         index = self._index
-        for i, key in enumerate(self._touched):
-            t_u[i], t_v[i] = key
-            w = index.get(key)
-            cur_has[i] = w is not None
-            cur_w[i] = w if w is not None else 0.0
-
-        out_keys = (t_u << shift) | t_v
-        order = np.argsort(out_keys)
-        t_u, t_v = t_u[order], t_v[order]
-        out_keys, cur_has, cur_w = out_keys[order], cur_has[order], cur_w[order]
-
-        base_keys = self._out.keys
-        pos = np.searchsorted(base_keys, out_keys)
-        guarded = np.minimum(pos, max(len(base_keys) - 1, 0))
-        in_base = (
-            (pos < len(base_keys)) & (base_keys[guarded] == out_keys)
-            if len(base_keys)
-            else np.zeros(t, dtype=bool)
+        cur_has = np.fromiter(map(index.__contains__, touched), dtype=bool, count=t)
+        cur_w = np.fromiter(
+            map(index.get, touched, repeat(0.0, t)), dtype=np.float64, count=t
         )
-        base_w = (
-            self._out.weights[guarded] if len(base_keys) else np.zeros(t)
-        )
-
+        in_base, _, base_w = self._lookup(t_u, t_v)
         changed = cur_w != base_w
         dels = in_base & (~cur_has | changed)
         ins = cur_has & (~in_base | changed)
-
-        out_del = out_keys[dels]
-        out_ins = out_keys[ins]
-        ins_w = cur_w[ins]
-        self._out.splice(shift, out_del, out_ins, ins_w)
-
-        in_del = (t_v[dels] << shift) | t_u[dels]
-        d_order = np.argsort(in_del)
-        in_ins = (t_v[ins] << shift) | t_u[ins]
-        i_order = np.argsort(in_ins)
-        self._in.splice(shift, in_del[d_order], in_ins[i_order], ins_w[i_order])
-
+        self._splice(t_u[dels], t_v[dels], t_u[ins], t_v[ins], cur_w[ins])
         self._stats["flushes"] += 1
-        self._stats["edges_spliced"] += int(dels.sum() + ins.sum())
         self._touched.clear()
 
     # ------------------------------------------------------------------
@@ -628,6 +794,23 @@ class CommonSlice:
     vertices: Dict[int, int]
 
 
+def _replay(
+    edges: Dict[Tuple[int, int], float],
+    num_vertices: int,
+    rows: np.ndarray,
+    keys: np.ndarray,
+) -> int:
+    """Apply one recorded delta to an edge dict (deletions first);
+    returns the vertex count it grows ``num_vertices`` to."""
+    for u, v in keys.tolist():
+        edges.pop((u, v), None)
+    for u, v, w in rows.tolist():
+        u, v = int(u), int(v)
+        edges[(u, v)] = w
+        num_vertices = max(num_vertices, u + 1, v + 1)
+    return num_vertices
+
+
 class DeltaVersionStore:
     """Delta-encoded graph version history (Version Traveler substitute).
 
@@ -662,38 +845,29 @@ class DeltaVersionStore:
         #: carries no meaning (every reader sorts the items).
         self._base_edges: Dict[Tuple[int, int], float] = dict(graph._index)
         self._base_vertices = graph.num_vertices
-        #: version -> (insertions, deletion keys), ordered.
-        self._deltas: List[Tuple[int, List[Edge], List[Tuple[int, int]]]] = []
+        #: ``(version, insertion rows, deletion keys)``, oldest first; the
+        #: directed ``(n, 3)`` / ``(m, 2)`` arrays that produced ``version``.
+        self._deltas: List[Tuple[int, np.ndarray, np.ndarray]] = []
         #: Last reconstructed state: (version, edge dict, num_vertices).
         self._cursor: Optional[
             Tuple[int, Dict[Tuple[int, int], float], int]
         ] = None
         self._evicted_versions = 0
 
-    def record_batch(
-        self, insertions: Iterable[Edge], deletions: Iterable[Tuple[int, int]]
-    ) -> None:
+    def record_batch(self, insertions, deletions) -> None:
         """Record the delta that produced the graph's *current* version.
 
         Call right after ``graph.apply_batch(insertions, deletions)`` with
-        the same *logical* edges; on symmetric graphs the mirrors the
-        mutation added implicitly are expanded here, so reconstructions
-        stay symmetric.
+        the same *logical* batch: ``(n, 3)`` ``(u, v, w)`` rows and
+        ``(m, 2)`` ``(u, v)`` keys, as arrays or tuple sequences. On
+        symmetric graphs the mirrors the mutation added implicitly are
+        expanded here, so reconstructions stay symmetric.
         """
-        ins = list(insertions)
-        dels = list(deletions)
+        rows = np.asarray(insertions, dtype=np.float64).reshape(-1, 3)
+        keys = np.asarray(deletions, dtype=np.int64).reshape(-1, 2)
         if self.graph.symmetric:
-            ins = [
-                d
-                for u, v, w in ins
-                for d in (((u, v, w), (v, u, w)) if u != v else ((u, v, w),))
-            ]
-            dels = [
-                d
-                for u, v in dels
-                for d in (((u, v), (v, u)) if u != v else ((u, v),))
-            ]
-        self._deltas.append((self.graph.version, ins, dels))
+            rows, keys = _mirrored(rows), _mirrored(keys)
+        self._deltas.append((self.graph.version, rows, keys))
         self._enforce_retention()
 
     def versions(self) -> List[int]:
@@ -715,16 +889,12 @@ class DeltaVersionStore:
             start_version = self._base_version
             edges = dict(self._base_edges)
             num_vertices = self._base_vertices
-        for delta_version, insertions, deletions in self._deltas:
+        for delta_version, rows, keys in self._deltas:
             if delta_version <= start_version:
                 continue
             if delta_version > version:
                 break
-            for key in deletions:
-                edges.pop(key, None)
-            for u, v, w in insertions:
-                edges[(u, v)] = w
-                num_vertices = max(num_vertices, u + 1, v + 1)
+            num_vertices = _replay(edges, num_vertices, rows, keys)
         self._cursor = (version, edges, num_vertices)
         return dict(edges), num_vertices
 
@@ -787,14 +957,10 @@ class DeltaVersionStore:
         if self.keep_versions is None:
             return
         while len(self._deltas) + 1 > self.keep_versions:
-            version, insertions, deletions = self._deltas.pop(0)
-            for key in deletions:
-                self._base_edges.pop(key, None)
-            for u, v, w in insertions:
-                self._base_edges[(u, v)] = w
-                self._base_vertices = max(
-                    self._base_vertices, u + 1, v + 1
-                )
+            version, rows, keys = self._deltas.pop(0)
+            self._base_vertices = _replay(
+                self._base_edges, self._base_vertices, rows, keys
+            )
             self._base_version = version
             self._evicted_versions += 1
             # A cursor parked on a folded version would alias the new base;

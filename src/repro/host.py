@@ -15,6 +15,11 @@ model as the highest-level entry point of the library:
     session.run()                       # incremental re-evaluation
     distances = session.read_results()
 
+A batch crosses the API as arrays — ``(n, 3)`` float64 ``(u, v, w)``
+insertion rows and ``(m, 2)`` int64 ``(u, v)`` deletion keys — and stays
+one :class:`~repro.streams.UpdateBatch` down to the graph store's CSR
+splice; a tuple list is converted once at :meth:`Session.push_updates`.
+
 The facade also tracks the host<->accelerator transfer volumes (graph CSR
 upload, batch records, result read-back) the way a driver would, exposing
 them through :meth:`Session.transfer_stats`.
@@ -23,7 +28,7 @@ them through :meth:`Session.transfer_stats`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,7 +46,7 @@ from repro.graph.csr import EDGE_ENTRY_BYTES, VERTEX_STATE_BYTES
 from repro.graph.dynamic import DeltaVersionStore, DynamicGraph, build_symmetric_graph
 from repro.obs.metrics import REGISTRY as METRICS
 from repro.obs.tracer import NULL_TRACER
-from repro.streams import Edge, UpdateBatch
+from repro.streams import UpdateBatch
 
 EdgeTuple = Tuple[int, int, float]
 
@@ -190,16 +195,24 @@ class Session:
 
     def push_updates(
         self,
-        insertions: Sequence[EdgeTuple] = (),
-        deletions: Sequence[Tuple[int, int]] = (),
+        insertions: Union[np.ndarray, Sequence[EdgeTuple]] = (),
+        deletions: Union[np.ndarray, Sequence[Tuple[int, int]]] = (),
     ) -> "Session":
-        """Stage a batch of streaming updates for the next :meth:`run`."""
+        """Stage a batch of streaming updates for the next :meth:`run`.
+
+        ``insertions`` is an ``(n, 3)`` float64 array of ``(u, v, w)`` rows
+        and ``deletions`` an ``(m, 2)`` int64 array of ``(u, v)`` keys, used
+        as given; tuple lists are converted once here. Raises
+        ``ValueError`` for a vertex id that is not a non-negative integer
+        (``1.7``, ``-1``, a boolean array). The batch is checked against
+        the graph at :meth:`run`: a delete of a missing edge or an insert
+        of a live one (unless the batch also deletes it — the
+        weight-change idiom) raises there and leaves graph and results
+        untouched.
+        """
         if self._pending is not None:
             raise HostApiError("a batch is already staged; run() it first")
-        self._pending = UpdateBatch(
-            insertions=[Edge(u, v, w) for u, v, w in insertions],
-            deletions=[Edge(u, v) for u, v in deletions],
-        )
+        self._pending = UpdateBatch(insertions, deletions)
         self._record_transfer(
             "update_records",
             self._pending.size * self._accelerator.config.stream_record_bytes,
@@ -220,10 +233,7 @@ class Session:
             # The host swaps a fresh CSR pointer after each batch (§4.7).
             self._record_transfer("graph_uploads", 2 * batch.size * EDGE_ENTRY_BYTES)
             if self._version_store is not None:
-                self._version_store.record_batch(
-                    [(e.u, e.v, e.w) for e in batch.insertions],
-                    [(e.u, e.v) for e in batch.deletions],
-                )
+                self._version_store.record_batch(batch.ins, batch.dels)
         return self._last_result
 
     def run_at_versions(
@@ -314,9 +324,9 @@ class Session:
             # the graph version by one; log the single as a delta so
             # time-travel reads see express traffic too.
             if result.op == "insert":
-                self._version_store.record_batch([(u, v, w)], [])
+                self._version_store.record_batch([(result.u, result.v, result.w)], ())
             else:
-                self._version_store.record_batch([], [(u, v)])
+                self._version_store.record_batch((), [(result.u, result.v)])
         tracer = self._accelerator.tracer
         if tracer.enabled:
             # Safe updates produce no run span; this event is their trace
@@ -427,11 +437,15 @@ class Accelerator:
 
     def load_graph(
         self,
-        edges: Iterable[EdgeTuple],
+        edges: Union[np.ndarray, Iterable[EdgeTuple]],
         num_vertices: int = 0,
         symmetric: bool = False,
     ) -> Session:
-        """Allocate and upload a graph, returning a fresh session."""
+        """Allocate and upload a graph, returning a fresh session.
+
+        ``edges`` is an ``(n, 3)`` array or an iterable of ``(u, v, w)``
+        tuples; either way the store is bulk-built from arrays.
+        """
         if symmetric:
             graph = build_symmetric_graph(edges, num_vertices)
         else:

@@ -6,7 +6,10 @@ sequences — inserts, deletes, weight changes, vertex growth (including
 growth across the composite-key capacity boundary, which forces a rekey),
 symmetric mirroring — and assert the spliced arrays are *identical* (every
 offset, target, source, and weight) to a from-scratch :class:`CSRGraph`
-build over an independently tracked edge dict.
+build over an independently tracked edge dict. Batches arrive as tuple
+lists and as ``(n, 3)`` / ``(m, 2)`` arrays; poisoned batches (a missing
+delete, a duplicate insert, a re-insert without its delete, a mirrored
+pair) must be refused whole, leaving no trace in the store.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.graph.csr import CSRGraph
-from repro.graph.dynamic import DeltaVersionStore, DynamicGraph
+from repro.graph.dynamic import DeltaVersionStore, DynamicGraph, GraphMutationError
 
 INITIAL_VERTICES = 24
 INITIAL_EDGES = 70
@@ -146,6 +149,141 @@ def test_incremental_store_matches_from_scratch_rebuild(seed, symmetric, grow):
         # Growth mode must have crossed the power-of-two capacity boundary
         # at least once, exercising the key-stride rekey.
         assert graph.num_vertices > 32
+
+
+def _store_state(graph: DynamicGraph):
+    """Everything a refused batch must leave as it was (store flushed)."""
+    arrays = [
+        a.copy()
+        for csr in (graph._out, graph._in)
+        for a in (csr.keys, csr.weights, csr.offsets)
+    ]
+    return (
+        dict(graph._index),
+        arrays,
+        graph.version,
+        graph.mutation_stamp,
+        graph.num_vertices,
+        graph.store_stats(),
+    )
+
+
+def _assert_same_state(after, before) -> None:
+    index, arrays, *scalars = after
+    assert index == before[0]
+    for got, want in zip(arrays, before[1]):
+        np.testing.assert_array_equal(got, want)
+    assert scalars == list(before[2:])
+
+
+def _fresh_pair(rng, model: _Model, n: int, taken) -> tuple:
+    """A ``(u, v)`` pair, ``u != v``, that is neither live nor in ``taken``."""
+    while True:
+        u, v = (int(x) for x in rng.integers(0, n, size=2))
+        if u != v and not model.contains(u, v) and (u, v) not in taken:
+            return u, v
+
+
+def _poisoned(rng, model: _Model, insertions, deletions, n: int, kind: str):
+    """The valid batch plus one update that makes the whole batch invalid.
+
+    The poison goes last, so a store that applied updates one by one would
+    already have mutated when it reached it.
+    """
+    ins, dels = list(insertions), list(deletions)
+    freed = set(dels) | {(v, u) for u, v in dels}
+    taken = freed | {(u, v) for u, v, _ in ins} | {(v, u) for u, v, _ in ins}
+    if kind == "missing-delete":
+        dels.append(_fresh_pair(rng, model, n, taken))
+    elif kind in ("duplicate-insert", "weight-change-reinsert"):
+        # A live edge the batch does not delete: re-inserting it at any
+        # weight is a duplicate, not a weight change.
+        live = sorted(key for key in model.edges if key not in freed)
+        u, v = live[int(rng.integers(0, len(live)))]
+        w = model.edges[(u, v)] + (1.0 if kind == "weight-change-reinsert" else 0.0)
+        ins.append((u, v, w))
+    elif kind == "mirror-pair":
+        # Symmetric: both orientations of one fresh edge mirror onto each
+        # other. Directed: the same fresh edge twice.
+        u, v = _fresh_pair(rng, model, n, taken)
+        ins += [(u, v, 1.0), (v, u, 1.0) if model.symmetric else (u, v, 2.0)]
+    else:  # pragma: no cover - parametrization typo
+        raise AssertionError(kind)
+    return np.array(ins, dtype=np.float64).reshape(-1, 3), np.array(
+        dels, dtype=np.int64
+    ).reshape(-1, 2)
+
+
+REJECTS = [
+    "missing-delete",
+    "duplicate-insert",
+    "weight-change-reinsert",
+    "mirror-pair",
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("symmetric", [False, True], ids=["directed", "symmetric"])
+@pytest.mark.parametrize("grow", [False, True], ids=["fixed", "growing"])
+def test_array_batches_match_model_and_refusals_leave_no_trace(seed, symmetric, grow):
+    """``apply_batch`` on ``(n, 3)`` / ``(m, 2)`` arrays, against the model.
+
+    Before every valid batch a poisoned copy of it is refused whole: index,
+    both CSR directions, version, mutation stamp and store counters stay
+    exactly as they were. Single-edge mutations (the lazy path) interleave
+    so batch checks meet pending edits. ``edges_spliced`` counts the net
+    splice: a re-insert at the stored weight cancels its deletion.
+    """
+    rng = np.random.default_rng((seed, symmetric, grow, 25))
+    graph = DynamicGraph(INITIAL_VERTICES, symmetric=symmetric)
+    model = _Model(symmetric)
+    for _ in range(INITIAL_EDGES):
+        u, v = (int(x) for x in rng.integers(0, INITIAL_VERTICES, size=2))
+        if not model.contains(u, v):
+            w = float(rng.integers(1, 12))
+            graph.add_edge(u, v, w)
+            model.insert(u, v, w)
+
+    for batch_i in range(NUM_BATCHES):
+        if batch_i % 2:
+            # A pending single edit the next batch check must flush.
+            u, v = _fresh_pair(rng, model, graph.num_vertices, set())
+            graph.add_edge(u, v, 5.0)
+            model.insert(u, v, 5.0)
+        insertions, deletions = _random_batch(rng, model, graph.num_vertices, grow)
+        ins = np.array(insertions, dtype=np.float64).reshape(-1, 3)
+        dels = np.array(deletions, dtype=np.int64).reshape(-1, 2)
+
+        graph.snapshot()  # flush, so the arrays are comparable
+        before = _store_state(graph)
+        kind = REJECTS[batch_i % len(REJECTS)]
+        with pytest.raises(GraphMutationError):
+            graph.apply_batch(
+                *_poisoned(rng, model, insertions, deletions, graph.num_vertices, kind)
+            )
+        _assert_same_state(_store_state(graph), before)
+
+        expected_splice = _net_splice(model, insertions, deletions)
+        spliced = graph.store_stats()["edges_spliced"]
+        graph.apply_batch(ins, dels)
+        _apply_to_model(model, insertions, deletions)
+        assert graph.store_stats()["edges_spliced"] - spliced == expected_splice
+        assert graph.num_edges == len(model.edges)
+        oracle = oracle_csr(model.edges, graph.num_vertices)
+        assert_csr_identical(graph.snapshot(), oracle)
+
+
+def _net_splice(model: _Model, insertions, deletions) -> int:
+    """Directed edges a batch splices: every deleted and inserted edge
+    once, less both halves of each re-insert at the stored weight."""
+
+    def directed(u, v):
+        return {(u, v), (v, u)} if model.symmetric else {(u, v)}
+
+    dels = set().union(*(directed(u, v) for u, v in deletions))
+    ins = {key: w for u, v, w in insertions for key in directed(u, v)}
+    same = sum(1 for key, w in ins.items() if key in dels and model.edges[key] == w)
+    return len(dels) + len(ins) - 2 * same
 
 
 @pytest.mark.parametrize("seed", [0, 7])

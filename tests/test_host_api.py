@@ -116,6 +116,122 @@ class TestSessionLifecycle:
         assert session.graph.version == 1
 
 
+class TestArrayBatches:
+    """One batch type from push_updates to the store, and what it refuses."""
+
+    PATH = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]
+
+    def _session(self, edges=EDGES, algorithm="sssp", symmetric=False):
+        session = Accelerator().load_graph(edges, symmetric=symmetric)
+        session.configure(algorithm, source=0)
+        session.run()
+        return session
+
+    def test_arrays_and_tuples_are_the_same_batch(self):
+        batches = [
+            ([(3, 1, 1.0), (2, 0, 4.0)], [(0, 1)]),
+            ([(0, 2, 7.0)], [(0, 2), (2, 3)]),  # a weight change
+            ([(3, 2, 1.0), (1, 2, 3.0)], [(1, 2)]),  # a no-op re-insert
+        ]
+        runs = []
+        for as_arrays in (False, True):
+            session = self._session()
+            states = []
+            for ins, dels in batches:
+                if as_arrays:
+                    ins = np.array(ins, dtype=np.float64).reshape(-1, 3)
+                    dels = np.array(dels, dtype=np.int64).reshape(-1, 2)
+                session.push_updates(insertions=ins, deletions=dels)
+                states.append(session.run().states.tobytes())
+            stats = session.transfer_stats()
+            runs.append(
+                (
+                    states,
+                    (stats.graph_uploads, stats.update_records, stats.results_read),
+                    session.graph_store_stats(),
+                )
+            )
+        assert runs[0] == runs[1]
+
+    def test_refused_symmetric_batch_leaves_session_untouched(self):
+        """Regression: a mirrored insert pair passed the per-edge checks,
+        the delete phase ran, and the store raised halfway — 0–3 added,
+        1–2 removed, version 0, and states reset to inf."""
+        session = self._session(self.PATH, "cc", symmetric=True)
+        before = session.read_results()
+        edges_before = sorted(session.graph.edges())
+        session.push_updates(insertions=[(0, 3, 1.0), (3, 0, 1.0)], deletions=[(1, 2)])
+        with pytest.raises(ValueError, match="twice"):
+            session.run()
+        assert sorted(session.graph.edges()) == edges_before
+        assert session.graph.version == 0
+        np.testing.assert_array_equal(session.read_results(), before)
+        # The next write applies on the intact state.
+        session.push_updates(deletions=[(1, 2)])
+        result = session.run()
+        np.testing.assert_array_equal(
+            result.states, reference.connected_components(session.graph.snapshot())
+        )
+
+    def test_refused_store_batch_deletes_nothing(self):
+        """Regression: ``apply_batch`` deleted 0->1 before finding 5->6
+        missing."""
+        from repro.graph.dynamic import DynamicGraph, GraphMutationError
+
+        graph = DynamicGraph.from_edges([(0, 1, 1.0), (1, 2, 2.0)], 3)
+        with pytest.raises(GraphMutationError, match="missing edge 5->6"):
+            graph.apply_batch([(2, 0, 1.0)], [(0, 1), (5, 6)])
+        assert sorted(graph.edges()) == [(0, 1, 1.0), (1, 2, 2.0)]
+        assert graph.has_edge(0, 1) and not graph.has_edge(2, 0)
+        assert graph.version == 0
+
+    @pytest.mark.parametrize(
+        "insertions, deletions",
+        [
+            ([(1.7, 3, 1.0)], []),
+            ([(1, 3.5, 1.0)], []),
+            ([(-1, 3, 1.0)], []),
+            ([], [(0.5, 1)]),
+            ([], [(-2, 1)]),
+            (np.array([[True, False, True]]), []),
+            ([], np.array([[True, True]])),
+        ],
+        ids=[
+            "float-u",
+            "float-v",
+            "negative",
+            "float-del",
+            "negative-del",
+            "bool-rows",
+            "bool-keys",
+        ],
+    )
+    def test_non_integer_vertex_ids_rejected(self, insertions, deletions):
+        """Regression: ``(1.7, 3)`` was stored as dict key ``(1.7, 3)``
+        while the CSR got edge 1->3, so ``has_edge(1, 3)`` was False for
+        an edge the engine converged over."""
+        session = self._session()
+        with pytest.raises(ValueError, match="vertex id"):
+            session.push_updates(insertions=insertions, deletions=deletions)
+        # Nothing was staged: the session takes the next batch.
+        session.push_updates(insertions=[(1, 3, 1.0)])
+        session.run()
+        assert session.graph.has_edge(1, 3)
+
+    def test_integral_float_ids_are_ids(self):
+        session = self._session()
+        session.push_updates(insertions=np.array([[1.0, 3.0, 0.5]]))
+        session.run()
+        assert session.graph.has_edge(1, 3)
+        assert list(session.read_results()) == [0.0, 2.0, 5.0, 2.5]
+
+    @pytest.mark.parametrize("u", [1.7, -1, True])
+    def test_express_update_ids_checked(self, u):
+        session = self._session()
+        with pytest.raises(ValueError, match="vertex id"):
+            session.apply_update(u, 3, 0.5)
+
+
 class TestExpressLaneProtocol:
     def test_apply_update_before_configure_rejected(self):
         session = Accelerator().load_graph(EDGES)

@@ -407,6 +407,44 @@ class TestAppRouting:
             app.handle_update("s", {"u": 0})
         with pytest.raises(ServeError, match="insert|delete"):
             app.handle_update("s", {"u": 0, "v": 1, "op": "upsert"})
+        for bad in (1.7, -1, True, "1"):
+            with pytest.raises(ServeError) as exc:
+                app.handle_update("s", {"u": bad, "v": 3})
+            assert exc.value.status == 400 and exc.value.code == "BAD_UPDATE"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"insertions": [[1.7, 3, 0.5]]},
+            {"insertions": [[1, 3, 0.5], [True, 3, 0.5]]},
+            {"insertions": [[-1, 3, 0.5]]},
+            {"insertions": [[1, 3]]},
+            {"insertions": [1, 3, 0.5]},
+            {"deletions": [[0, 1.5]]},
+            {"deletions": [[False, 1]]},
+            {"deletions": [["0", "1"]]},
+        ],
+        ids=[
+            "float",
+            "bool",
+            "negative",
+            "short-row",
+            "flat",
+            "float-key",
+            "bool-key",
+            "string-key",
+        ],
+    )
+    def test_bad_batch_is_400_before_queueing(self, app, payload):
+        """Regression: the writer's ``int(u)`` read JSON ``1.7`` (and
+        ``true``) as vertex 1 and applied the batch."""
+        served = make_session(app)
+        with pytest.raises(ServeError) as exc:
+            app.handle_ingest("s", payload)
+        assert exc.value.status == 400 and exc.value.code == "BAD_BATCH"
+        assert served.read_snapshot().seq == 0 and served.applied_log()["log"] == []
+        assert not served.session.graph.has_edge(1, 3)
+        assert app.handle_ingest("s", {"insertions": [[1, 3, 0.5]]})["seq"] == 1
 
 
 class TestTimeTravelReads:
