@@ -87,23 +87,20 @@ def run_policy(algorithm: str, policy: DeletePolicy, fraction: float) -> dict:
     algo = make_algorithm(algorithm, source=0)
     graph = datasets.load(GRAPH, symmetric=algo.needs_symmetric, seed=0)
     engine = JetStreamEngine(graph, algo, policy=policy)
-    try:
-        engine.initial_compute()
-        batch = deletion_batch(graph, fraction)
-        started = time.perf_counter()
-        result = engine.apply_batch(batch)
-        elapsed = time.perf_counter() - started
-        events = int(result.metrics.events_processed)
-        return {
-            "batch_edges": len(batch.deletions),
-            "wall_clock_s": elapsed,
-            "events_processed": events,
-            "events_per_s": events / elapsed if elapsed > 0 else float("inf"),
-            "vertices_reset": int(result.vertices_reset),
-            "states": result.states.copy(),
-        }
-    finally:
-        engine.close()
+    engine.initial_compute()
+    batch = deletion_batch(graph, fraction)
+    started = time.perf_counter()
+    result = engine.apply_batch(batch)
+    elapsed = time.perf_counter() - started
+    events = int(result.metrics.events_processed)
+    return {
+        "batch_edges": len(batch.deletions),
+        "wall_clock_s": elapsed,
+        "events_processed": events,
+        "events_per_s": events / elapsed if elapsed > 0 else float("inf"),
+        "vertices_reset": int(result.vertices_reset),
+        "states": result.states.copy(),
+    }
 
 
 def collect(quick: bool) -> dict:

@@ -1,21 +1,21 @@
-"""Threads-vs-processes sharded execution wall-clock comparison.
+"""Sharded accounting determinism grid.
 
-Runs static convergence with the sharded parallel backend
-(``engine="sharded"``) across ``backend={thread,process}`` ×
-``num_engines={1,2,8}`` on a generated RMAT power-law graph, verifies
-every cell is *bit-identical* to the single-engine vectorized oracle
-(the tentpole determinism contract), and records the grid both as the
-standalone ``BENCH_sharded.json`` and as a ``"sharded"`` section of
-``BENCH_engine.json`` at the repo root so the perf trajectory is
-tracked across PRs.
+``engine="sharded"`` executes the vectorized array round and splits its
+work by owning engine (``repro.core.parallel``). For each (graph,
+algorithm, ``num_engines`` ∈ {1, 2, 8}) on a generated RMAT power-law
+graph this checks that states and per-round work vectors equal the
+vectorized oracle's, then records the exact counts the gate compares —
+``events_processed``, the per-engine ``events_processed`` vector and the
+NoC flits — in ``BENCH_sharded.json`` at the repo root. The oracle's and
+the sharded run's wall clock are recorded and printed, not gated.
 
 Usable two ways:
 
-* ``python benchmarks/bench_sharded_engine.py`` — standalone, writes
-  both report files and prints a table. ``REPRO_BENCH_QUICK=1``
-  shrinks the graph for CI smoke runs.
-* ``pytest benchmarks/bench_sharded_engine.py`` — the same comparison
-  as a pytest-benchmark test (quick grid unless overridden).
+* ``python benchmarks/bench_sharded_engine.py`` — standalone, writes the
+  report file and prints a table. ``REPRO_BENCH_QUICK=1`` shrinks the
+  graph for CI smoke runs.
+* ``pytest benchmarks/bench_sharded_engine.py`` — the same grid as a
+  pytest-benchmark test (quick grid unless overridden).
 """
 
 from __future__ import annotations
@@ -29,17 +29,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.algorithms import make_algorithm
-from repro.core import parallel
 from repro.core.engine import GraphPulseEngine
-from repro.core.shm import leaked_system_segments
 from repro.graph import generators
 from repro.graph.dynamic import DynamicGraph
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-ENGINE_OUTPUT_PATH = REPO_ROOT / "BENCH_engine.json"
 SHARDED_OUTPUT_PATH = REPO_ROOT / "BENCH_sharded.json"
 
-BACKENDS = ["thread", "process"]
 ENGINE_COUNTS = [1, 2, 8]
 
 
@@ -59,110 +55,55 @@ def build_graph(quick: bool):
 
 
 def run_once(name: str, csr, engine_mode: str, **engine_kwargs):
-    algorithm = make_algorithm(name, source=0)
-    engine = GraphPulseEngine(algorithm, engine=engine_mode, **engine_kwargs)
-    try:
-        started = time.perf_counter()
-        result = engine.compute(csr)
-        elapsed = time.perf_counter() - started
-    finally:
-        if engine_mode == "sharded":
-            engine.close()
-    events = result.metrics.events_processed
-    return result, {
-        "wall_clock_s": elapsed,
-        "events_processed": events,
-        "events_per_s": events / elapsed if elapsed > 0 else float("inf"),
-    }
+    engine = GraphPulseEngine(
+        make_algorithm(name, source=0), engine=engine_mode, **engine_kwargs
+    )
+    started = time.perf_counter()
+    result = engine.compute(csr)
+    return result, time.perf_counter() - started
 
 
 def run_grid(quick: bool) -> dict:
-    """Benchmark thread vs process backends against the vectorized oracle.
-
-    One row per (graph, algorithm, backend, num_engines). Every cell must
-    match the oracle bit-for-bit — the gate's exact event-count check then
-    keeps that determinism pinned across PRs. Speed is recorded, not
-    asserted: the process backend's advantage is real parallelism across
-    cores, which single-core CI runners cannot express.
-    """
+    """One row per (graph, algorithm, num_engines), checked against the oracle."""
     graph_name, num_edges, graph = build_graph(quick)
     csr = graph.snapshot()
-    # Spawn worker pools up front so the first timed process cell measures
-    # steady-state transport, not one-off interpreter startup (the warm
-    # cache then revives these for every cell of the same width).
-    for engines in ENGINE_COUNTS:
-        executor = parallel.acquire_shard_executor(
-            "process", parallel._default_workers(engines)
-        )
-        parallel.release_shard_executor(executor)
     algorithms = ["sssp", "pagerank"] if quick else ["pagerank"]
     rows = []
     for algo in algorithms:
-        oracle, oracle_sample = run_once(algo, csr, "vectorized")
-        oracle_bytes = oracle.states.tobytes()
-        oracle_rows = oracle.metrics.to_rows()
-        by_cell = {}
-        for backend in BACKENDS:
-            for engines in ENGINE_COUNTS:
-                result, sample = run_once(
-                    algo,
-                    csr,
-                    "sharded",
-                    num_engines=engines,
-                    backend=backend,
-                )
-                if result.states.tobytes() != oracle_bytes:
-                    raise AssertionError(
-                        f"{graph_name}/{algo}/{backend}/e{engines}: states "
-                        "diverge from the vectorized oracle — determinism broken"
-                    )
-                if result.metrics.to_rows() != oracle_rows:
-                    raise AssertionError(
-                        f"{graph_name}/{algo}/{backend}/e{engines}: per-round "
-                        "work vectors diverge — determinism broken"
-                    )
-                by_cell[(backend, engines)] = sample
-                rows.append({
-                    "graph": graph_name,
-                    "num_edges": num_edges,
-                    "algorithm": algo,
-                    "backend": backend,
-                    "num_engines": engines,
-                    "oracle_wall_clock_s": oracle_sample["wall_clock_s"],
-                    **sample,
-                })
+        oracle, oracle_s = run_once(algo, csr, "vectorized")
         for engines in ENGINE_COUNTS:
-            ratio = (
-                by_cell[("thread", engines)]["wall_clock_s"]
-                / by_cell[("process", engines)]["wall_clock_s"]
-            )
+            result, sharded_s = run_once(algo, csr, "sharded", num_engines=engines)
+            cell = f"{graph_name}/{algo}/e{engines}"
+            if result.states.tobytes() != oracle.states.tobytes():
+                raise AssertionError(f"{cell}: states diverge from the vectorized oracle")
+            if result.metrics.to_rows() != oracle.metrics.to_rows():
+                raise AssertionError(f"{cell}: per-round work vectors diverge")
+            per_engine = [w.events_processed for w in result.metrics.per_engine_totals()]
+            rows.append({
+                "graph": graph_name,
+                "num_edges": num_edges,
+                "algorithm": algo,
+                "num_engines": engines,
+                "events_processed": result.metrics.events_processed,
+                "engine_events_processed": per_engine,
+                "noc_flits": result.metrics.noc_summary()["flits"],
+                "oracle_wall_clock_s": oracle_s,
+                "wall_clock_s": sharded_s,
+            })
             print(
                 f"{graph_name:>12} {algo:>10} e{engines}: "
-                f"thread {by_cell[('thread', engines)]['wall_clock_s']:8.3f}s  "
-                f"process {by_cell[('process', engines)]['wall_clock_s']:8.3f}s  "
-                f"thread/process {ratio:6.2f}x"
+                f"oracle {oracle_s:8.3f}s  sharded {sharded_s:8.3f}s  "
+                f"per-engine events {per_engine}"
             )
-    leaks = leaked_system_segments()
-    if leaks:
-        raise AssertionError(f"leaked shared-memory segments: {leaks}")
     return {"quick": quick, "results": rows}
 
 
 def main() -> int:
-    quick = quick_mode()
-    report = run_grid(quick)
+    report = run_grid(quick_mode())
     SHARDED_OUTPUT_PATH.write_text(
         json.dumps(report, indent=2) + "\n", encoding="utf-8"
     )
     print(f"[wrote {SHARDED_OUTPUT_PATH}]")
-    existing = {}
-    if ENGINE_OUTPUT_PATH.exists():
-        existing = json.loads(ENGINE_OUTPUT_PATH.read_text(encoding="utf-8"))
-    existing["sharded"] = report
-    ENGINE_OUTPUT_PATH.write_text(
-        json.dumps(existing, indent=2) + "\n", encoding="utf-8"
-    )
-    print(f"[appended 'sharded' section to {ENGINE_OUTPUT_PATH}]")
     return 0
 
 
@@ -171,8 +112,7 @@ def test_sharded_engine_parity(benchmark):
     os.environ.setdefault("REPRO_BENCH_QUICK", "1")
     report = benchmark.pedantic(lambda: run_grid(True), rounds=1, iterations=1)
     benchmark.extra_info["rows"] = {
-        f"{r['graph']}/{r['algorithm']}/{r['backend']}/e{r['num_engines']}":
-            round(r["events_per_s"], 1)
+        f"{r['graph']}/{r['algorithm']}/e{r['num_engines']}": r["engine_events_processed"]
         for r in report["results"]
     }
 

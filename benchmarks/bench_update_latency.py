@@ -150,7 +150,6 @@ def run_safe_inserts(edges, num_vertices: int, count: int) -> dict:
         work += result.edges_scanned + result.state_reads
         assert result.safe, f"heavy insert {u}->{v} classified {result.reason}"
     elapsed = time.perf_counter() - started
-    engine.close()
     return {
         "updates": count,
         "wall_clock_s": elapsed,
@@ -175,7 +174,6 @@ def run_mixed(edges, num_vertices: int, count: int) -> dict:
             work += result.engine_result.metrics.events_processed
     elapsed = time.perf_counter() - started
     stats = dict(lane.stats)
-    engine.close()
     report = {
         "updates": len(updates),
         "wall_clock_s": elapsed,
@@ -210,7 +208,6 @@ def run_engine_batch1(edges, num_vertices: int, count: int) -> dict:
         latencies.append(time.perf_counter() - t0)
         events += result.metrics.events_processed
     elapsed = time.perf_counter() - started
-    engine.close()
     return {
         "updates": len(updates),
         "wall_clock_s": elapsed,

@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.algorithms import make_algorithm
 from repro.algorithms.base import AlgorithmKind
-from repro.core.engine import ENGINE_MODES, SHARD_BACKENDS
+from repro.core.engine import ENGINE_MODES
 from repro.core.policies import DeletePolicy
 from repro.core.streaming import JetStreamEngine
 from repro.graph import datasets, io
@@ -208,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--engine", choices=ENGINE_MODES, default="auto")
     serve.add_argument("--num-engines", type=int, default=8)
-    serve.add_argument("--backend", choices=SHARD_BACKENDS, default="thread")
 
     data = sub.add_parser("datasets", help="describe the dataset stand-ins")
     data.add_argument("--seed", type=int, default=0)
@@ -359,21 +358,14 @@ def _add_graph_args(parser: argparse.ArgumentParser) -> None:
         default="auto",
         help="event substrate: auto picks the vectorized SoA kernels when "
         "the algorithm supports them; scalar forces the boxed-event "
-        "reference path; sharded runs num-engines parallel graph slices",
+        "reference path; sharded runs vectorized and also reports per-engine "
+        "work and NoC traffic for num-engines graph slices",
     )
     parser.add_argument(
         "--num-engines",
         type=int,
         default=8,
-        help="parallel engine count for --engine sharded (Table 1 default: 8)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=SHARD_BACKENDS,
-        default="thread",
-        help="--engine sharded execution backend: thread (persistent thread "
-        "pool over heap arrays) or process (worker processes over "
-        "shared-memory segments); results are bit-identical",
+        help="engine count accounted for by --engine sharded (Table 1 default: 8)",
     )
 
 
@@ -496,7 +488,6 @@ def _run_query_at_versions(args, graph, algorithm) -> int:
             source=args.source,
             engine=args.engine,
             num_engines=args.num_engines,
-            backend=args.backend,
         )
         session.enable_versioning()
         session.run()
@@ -548,14 +539,12 @@ def cmd_query(args) -> int:
         algorithm,
         engine=args.engine,
         num_engines=args.num_engines,
-        backend=args.backend,
         tracer=tracer,
     )
     started = time.time()
     try:
         result = engine.initial_compute()
     except BaseException:
-        engine.close()
         if tracer is not None:
             tracer.close()
         _finish_metrics(args, metrics_on, server)
@@ -582,7 +571,6 @@ def cmd_query(args) -> int:
         print(f"{args.top} most progressed vertices:")
         for v in order:
             print(f"  {int(v):>8}  {states[v]:.6g}")
-    engine.close()
     _finish_trace(tracer, memory, args)
     _finish_metrics(args, metrics_on, server)
     return 0
@@ -600,7 +588,6 @@ def cmd_stream(args) -> int:
         policy=policy,
         engine=args.engine,
         num_engines=args.num_engines,
-        backend=args.backend,
         tracer=tracer,
     )
     timing = AcceleratorTimingModel()
@@ -624,7 +611,6 @@ def cmd_stream(args) -> int:
 
         if args.express:
             _run_express_stream(args, engine)
-            engine.close()
             _finish_trace(tracer, memory, args)
             _finish_metrics(args, metrics_on, server)
             return 0
@@ -661,12 +647,10 @@ def cmd_stream(args) -> int:
                 line += f" {cold_us:>10.1f} {cold_us / max(1e-9, jet_us):>9.1f}x"
             print(line)
     except BaseException:
-        engine.close()
         if tracer is not None:
             tracer.close()
         _finish_metrics(args, metrics_on, server)
         raise
-    engine.close()
     _finish_trace(tracer, memory, args)
     _finish_metrics(args, metrics_on, server)
     return 0
@@ -783,7 +767,6 @@ def cmd_serve(args) -> int:
             policy=args.policy,
             engine=args.engine,
             num_engines=args.num_engines,
-            backend=args.backend,
             symmetric=make_algorithm(
                 args.algorithm, source=args.source
             ).needs_symmetric,

@@ -8,8 +8,8 @@
   (§3.3–§3.5, §4.6.2, Algorithms 2–6);
 * :mod:`repro.core.policies` — Base / VAP / DAP deletion-propagation
   policies (§3.4, §5);
-* :mod:`repro.core.parallel` — sharded multi-engine parallel execution
-  over graph slices (Table 1, §4.7);
+* :mod:`repro.core.parallel` — the array round kernels and their
+  per-engine work / NoC accounting over graph slices (Table 1, §4.7);
 * :mod:`repro.core.config` — the Table 1 hardware/software configurations.
 """
 
@@ -17,14 +17,13 @@ from repro.core.config import AcceleratorConfig, SoftwareConfig
 from repro.core.events import Event, EventFlags
 from repro.core.queue import CoalescingQueue
 from repro.core.engine import GraphPulseEngine, ComputeResult
-from repro.core.parallel import InterEngineChannel, ShardedQueueGroup
+from repro.core.parallel import InterEngineChannel
 from repro.core.policies import DeletePolicy
 from repro.core.streaming import JetStreamEngine, StreamingResult
 from repro.core.pipeline import ArrivalTrace, StreamingPipeline, PipelineReport
 
 __all__ = [
     "InterEngineChannel",
-    "ShardedQueueGroup",
     "AcceleratorConfig",
     "SoftwareConfig",
     "Event",

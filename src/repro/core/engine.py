@@ -19,7 +19,6 @@ that the architectural timing model later converts to cycles.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -41,7 +40,7 @@ from repro.core.queue import CoalescingQueue, VectorQueue
 from repro.graph.csr import CSRGraph
 from repro.obs.metrics import REGISTRY as METRICS
 from repro.obs.tracer import NULL_TRACER, work_attrs
-from repro.graph.partition import extend_assignment, extend_partition, partition_graph
+from repro.graph.partition import extend_assignment, partition_graph
 
 #: Hard cap on scheduler rounds — generous (real runs take tens to a few
 #: thousand rounds); exceeding it indicates non-termination.
@@ -51,26 +50,9 @@ _LINE = 64  # cache-line bytes (fixed by the DRAM interface)
 
 #: Engine substrate choices: ``auto`` picks the vectorized path whenever the
 #: algorithm provides the array hooks, falling back to scalar otherwise;
-#: ``sharded`` runs the vectorized kernels over ``num_engines`` parallel
-#: graph slices (Table 1, §4.7) with deterministic merge.
+#: ``sharded`` runs the vectorized path and additionally reports the work
+#: and crossbar traffic of ``num_engines`` graph slices (Table 1, §4.7).
 ENGINE_MODES = ("auto", "scalar", "vectorized", "sharded")
-
-#: Sharded execution backends: ``thread`` runs shard kernels on one
-#: persistent thread pool over the heap arrays; ``process`` runs one
-#: worker process per pool slot against shared-memory segments
-#: (:mod:`repro.core.shm`) — real CPU parallelism instead of GIL-limited
-#: threads, with bit-identical results (see repro.core.parallel).
-SHARD_BACKENDS = ("thread", "process")
-
-
-def _release_core_resources(cleanup: dict) -> None:
-    """GC finalizer for :class:`EngineCore` — must not reference the core."""
-    executor = cleanup.pop("executor", None)
-    if executor is not None:
-        parallel.release_shard_executor(executor)
-    arena = cleanup.pop("arena", None)
-    if arena is not None:
-        arena.close()
 
 
 class EngineCore:
@@ -84,8 +66,6 @@ class EngineCore:
         queue_event_bytes: Optional[int] = None,
         engine: str = "auto",
         num_engines: int = 8,
-        shard_workers: Optional[int] = None,
-        backend: str = "thread",
         tracer=None,
     ):
         self.algorithm = algorithm
@@ -103,30 +83,8 @@ class EngineCore:
             )
         if num_engines < 1:
             raise ValueError("num_engines must be >= 1")
-        if backend not in SHARD_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {SHARD_BACKENDS}, got {backend!r}"
-            )
-        if backend == "process" and engine != "sharded":
-            raise ValueError("backend='process' requires engine='sharded'")
         self.engine_mode = engine
         self.num_engines = num_engines
-        self.shard_workers = shard_workers
-        self.backend = backend
-        #: Shared-memory state (process backend): the arena owning every
-        #: segment, plus the live state/graph/queue segments. Cleanup runs
-        #: through ``close()`` — or, for abandoned cores, the GC finalizer
-        #: over ``_cleanup`` (which must never reference the core itself).
-        self._arena = None
-        self._state_segment = None
-        self._dependency_segment = None
-        self._graph_segments: Optional[dict] = None
-        self._queue_segments: list = []
-        self._shard_executor = None
-        self._cleanup: dict = {"arena": None, "executor": None}
-        self._finalizer = weakref.finalize(
-            self, _release_core_resources, self._cleanup
-        )
         self.event_bytes = (
             queue_event_bytes
             if queue_event_bytes is not None
@@ -140,7 +98,13 @@ class EngineCore:
         self._slice_of: Optional[np.ndarray] = None
         self._custom_slice_of: Optional[np.ndarray] = None
         self._prop_factor: Optional[np.ndarray] = None
-        self._shard_plan = None  # PartitionResult driving engine="sharded"
+        #: Vertex -> engine map of engine="sharded" (None otherwise).
+        self._shard_of: Optional[np.ndarray] = None
+        self._channel: Optional[parallel.InterEngineChannel] = None
+        if engine == "sharded":
+            self._channel = parallel.InterEngineChannel(
+                self.config, policy.event_bytes(self.config)
+            )
         self.num_slices = 1
 
     # ------------------------------------------------------------------
@@ -148,25 +112,10 @@ class EngineCore:
     # ------------------------------------------------------------------
     def allocate(self, num_vertices: int) -> None:
         """(Re)initialize vertex state to Identity for ``num_vertices``."""
-        if self.backend == "process":
-            arena = self._ensure_arena()
-            old_state = self._state_segment
-            old_dep = self._dependency_segment
-            self._state_segment = arena.full(
-                num_vertices, self.algorithm.identity, np.float64
-            )
-            self._dependency_segment = arena.full(num_vertices, NO_SOURCE, np.int64)
-            arena.release(old_state)
-            arena.release(old_dep)
-            self.states = self._state_segment.array
-            self.dependency = self._dependency_segment.array
-        else:
-            self.states = np.full(
-                num_vertices, self.algorithm.identity, dtype=np.float64
-            )
-            self.dependency = np.full(num_vertices, NO_SOURCE, dtype=np.int64)
+        self.states = np.full(num_vertices, self.algorithm.identity, dtype=np.float64)
+        self.dependency = np.full(num_vertices, NO_SOURCE, dtype=np.int64)
         self._custom_slice_of = None
-        self._shard_plan = None
+        self._shard_of = None
         self._assign_slices(num_vertices)
 
     def grow(self, num_vertices: int) -> None:
@@ -177,36 +126,19 @@ class EngineCore:
         :func:`repro.graph.partition.extend_assignment`), not discarded: the
         old behaviour of rebuilding the contiguous-range slicing silently
         dropped an edge-cut partition the moment a streamed insert created a
-        vertex. The active shard plan grows by the same rule.
+        vertex. The vertex->engine map of ``engine="sharded"`` grows by the
+        same rule.
         """
         current = self.states.shape[0]
         if num_vertices <= current:
             return
         extra = num_vertices - current
-        if self.backend == "process":
-            # Reallocate into fresh segments; the old ones unlink as soon
-            # as the contents are copied out (workers re-attach at the
-            # next phase bind — segment names change, stale ones drop).
-            arena = self._ensure_arena()
-            old_state = self._state_segment
-            old_dep = self._dependency_segment
-            self._state_segment = arena.empty(num_vertices, np.float64)
-            self._state_segment.array[:current] = self.states
-            self._state_segment.array[current:] = self.algorithm.identity
-            self._dependency_segment = arena.empty(num_vertices, np.int64)
-            self._dependency_segment.array[:current] = self.dependency
-            self._dependency_segment.array[current:] = NO_SOURCE
-            arena.release(old_state)
-            arena.release(old_dep)
-            self.states = self._state_segment.array
-            self.dependency = self._dependency_segment.array
-        else:
-            self.states = np.concatenate(
-                [self.states, np.full(extra, self.algorithm.identity, dtype=np.float64)]
-            )
-            self.dependency = np.concatenate(
-                [self.dependency, np.full(extra, NO_SOURCE, dtype=np.int64)]
-            )
+        self.states = np.concatenate(
+            [self.states, np.full(extra, self.algorithm.identity, dtype=np.float64)]
+        )
+        self.dependency = np.concatenate(
+            [self.dependency, np.full(extra, NO_SOURCE, dtype=np.int64)]
+        )
         if self._custom_slice_of is not None:
             self._custom_slice_of = extend_assignment(
                 self._custom_slice_of, num_vertices, self.num_slices
@@ -214,18 +146,18 @@ class EngineCore:
             self._slice_of = self._custom_slice_of
         else:
             self._assign_slices(num_vertices)
-        if self._shard_plan is not None:
-            self._shard_plan = extend_partition(self._shard_plan, num_vertices)
+        if self._shard_of is not None:
+            self._shard_of = extend_assignment(
+                self._shard_of, num_vertices, self.num_engines
+            )
 
     def reset_states(self, num_vertices: Optional[int] = None) -> None:
         """Return every vertex to Identity without discarding the topology.
 
         Unlike :meth:`allocate`, this keeps the installed slice assignment
-        and shard plan intact — a common-graph pass binds a *smaller* edge
-        set over the same vertex range, and repartitioning there would give
-        the base and addition phases different vertex→engine maps (and
-        nondeterministic shard ids between them). The fill happens in place,
-        so shared-memory views stay valid for the process backend.
+        and vertex→engine map intact — a common-graph pass binds a *smaller*
+        edge set over the same vertex range, and repartitioning there would
+        give the base and addition phases different vertex→engine maps.
         """
         target = self.states.shape[0] if num_vertices is None else num_vertices
         if self.states.shape[0] == 0:
@@ -244,8 +176,8 @@ class EngineCore:
         The addition-only passes (COMMONGRAPH batches, multi-version
         evaluation) start from a converged prefix instead of Identity:
         ``states[:n]`` is copied in, any vertices beyond ``n`` (created by
-        later insertions) start at Identity. Slice assignment and shard
-        plan survive, same as :meth:`reset_states`.
+        later insertions) start at Identity. Slice assignment and
+        vertex→engine map survive, same as :meth:`reset_states`.
         """
         n = states.shape[0]
         if self.states.shape[0] == 0:
@@ -280,11 +212,11 @@ class EngineCore:
     def bind_graph(self, csr: CSRGraph) -> None:
         """Point the datapath at a graph snapshot (host CSR swap, §4.7)."""
         self.csr = csr
-        if self.engine_mode == "sharded" and self._shard_plan is None:
+        if self.engine_mode == "sharded" and self._shard_of is None:
             # Edge-cut the first bound snapshot across the engines; growth
-            # extends this plan (see grow), so mid-stream snapshots keep a
+            # extends this map (see grow), so mid-stream snapshots keep a
             # consistent vertex→engine map until an explicit re-partition.
-            self._shard_plan = partition_graph(csr, self.num_engines)
+            self._shard_of = partition_graph(csr, self.num_engines).assignment
         if self.algorithm.kind is AlgorithmKind.ACCUMULATIVE:
             offsets = csr.out_offsets
             self._out_degree = np.diff(offsets)
@@ -305,122 +237,6 @@ class EngineCore:
             self._out_degree = None
             self._out_weight_sum = None
             self._prop_factor = None
-        if self.backend == "process":
-            self._refresh_graph_segments(csr)
-
-    # ------------------------------------------------------------------
-    # Shared-memory lifecycle (backend="process")
-    # ------------------------------------------------------------------
-    def _ensure_arena(self):
-        if self._arena is None:
-            from repro.core.shm import SharedArena
-
-            self._arena = SharedArena(tag="engine")
-            self._cleanup["arena"] = self._arena
-        return self._arena
-
-    def _refresh_graph_segments(self, csr: CSRGraph) -> None:
-        """Mirror the bound CSR's out-arrays (+ hoisted propagation factors)
-        into fresh shared segments, unlinking the previous snapshot's."""
-        arena = self._ensure_arena()
-        old = self._graph_segments or {}
-        segments = csr.share_out_arrays(arena)
-        if self._prop_factor is not None:
-            segments["prop_factor"] = arena.from_array(self._prop_factor)
-        self._graph_segments = segments
-        for segment in old.values():
-            arena.release(segment)
-
-    def _queue_array_factory(self):
-        """Allocator placing queue cell arrays in shared segments (or None).
-
-        Called once per :meth:`new_queue`; the previous queue's segments
-        unlink here — the old queue is obsolete by construction, and an
-        unlinked mapping stays valid for any straggling reference.
-        """
-        if self.backend != "process":
-            return None
-        arena = self._ensure_arena()
-        for segment in self._queue_segments:
-            arena.release(segment)
-        self._queue_segments = []
-        segments = self._queue_segments
-
-        def factory(num: int, fill_value, dtype) -> np.ndarray:
-            segment = arena.full(int(num), fill_value, dtype)
-            segments.append(segment)
-            return segment.array
-
-        return factory
-
-    def _process_bind_payload(self) -> dict:
-        """Attach recipe + algorithm/policy shipped to worker processes at
-        the start of every sharded phase (keys match the kernel context)."""
-        segments = self._graph_segments or {}
-        prop = segments.get("prop_factor")
-        return {
-            "algorithm": self.algorithm,
-            "policy": self.policy,
-            "arrays": {
-                "states": self._state_segment.spec,
-                "dependency": self._dependency_segment.spec,
-                "prop_factor": None if prop is None else prop.spec,
-                "offsets": segments["offsets"].spec,
-                "out_targets": segments["out_targets"].spec,
-                "out_weights": segments["out_weights"].spec,
-            },
-        }
-
-    def shard_executor(self):
-        """The run's persistent shard executor (created on first use).
-
-        Thread backend: one pool for every round/phase/batch of the run.
-        Process backend: a warm worker-process pool, checked out of the
-        module cache and returned by :meth:`close`.
-        """
-        if self._shard_executor is None:
-            workers = (
-                self.shard_workers
-                if self.shard_workers is not None
-                else parallel._default_workers(self.num_engines)
-            )
-            self._shard_executor = parallel.acquire_shard_executor(
-                self.backend, workers
-            )
-            self._cleanup["executor"] = self._shard_executor
-        elif METRICS.enabled:
-            METRICS.record_shard_pool(
-                self.backend, "reuse", self._shard_executor.workers
-            )
-        return self._shard_executor
-
-    def close(self) -> None:
-        """Release the shard executor and unlink every shm segment.
-
-        Idempotent, and safe to call from any point — including exception
-        paths; a GC finalizer covers cores that are dropped without an
-        explicit close, so neither worker processes nor ``/dev/shm``
-        segments can outlive the engine.
-        """
-        executor = self._shard_executor
-        self._shard_executor = None
-        self._cleanup["executor"] = None
-        if executor is not None:
-            parallel.release_shard_executor(executor)
-        arena = self._arena
-        if arena is not None:
-            # Detach the engine-facing views to private copies so final
-            # states stay readable after the segments go away.
-            if self._state_segment is not None:
-                self.states = self.states.copy()
-                self.dependency = self.dependency.copy()
-            self._state_segment = None
-            self._dependency_segment = None
-            self._graph_segments = None
-            self._queue_segments = []
-            self._arena = None
-            self._cleanup["arena"] = None
-            arena.close()
 
     def source_context(self, v: int) -> SourceContext:
         """Out-edge context of ``v`` in the bound graph."""
@@ -441,31 +257,17 @@ class EngineCore:
     def new_queue(self):
         """A coalescing queue sized/partitioned for the current state.
 
-        Returns a :class:`VectorQueue` on the vectorized substrate, a
-        :class:`~repro.core.parallel.ShardedQueueGroup` (one queue per
-        engine) in sharded mode, and the boxed-event
-        :class:`CoalescingQueue` otherwise; all expose the same
-        insertion/slicing interface, and the event loops dispatch on the
-        type.
+        Returns a :class:`VectorQueue` on the vectorized and sharded
+        substrates and the boxed-event :class:`CoalescingQueue` otherwise;
+        both expose the same insertion/slicing interface, and the event
+        loops dispatch on the type.
         """
-        if self.engine_mode == "sharded":
-            if self._slice_of is not None:
-                raise ValueError(
-                    "engine='sharded' keeps each engine's slice resident in "
-                    "its own queue (§4.7) and does not compose with "
-                    "capacity-forced queue slicing; raise queue_bytes or "
-                    "shrink the graph"
-                )
-            plan = self._shard_plan
-            return parallel.ShardedQueueGroup(
-                self.algorithm,
-                self.config,
-                self.policy,
-                num_vertices=self.states.shape[0],
-                shard_of=None if plan is None else plan.assignment,
-                num_engines=self.num_engines,
-                workers=self.shard_workers,
-                queue_array_factory=self._queue_array_factory(),
+        if self.engine_mode == "sharded" and self._slice_of is not None:
+            raise ValueError(
+                "engine='sharded' keeps each engine's slice resident in "
+                "its own queue (§4.7) and does not compose with "
+                "capacity-forced queue slicing; raise queue_bytes or "
+                "shrink the graph"
             )
         queue_cls = VectorQueue if self.uses_vectorized else CoalescingQueue
         return queue_cls(
@@ -494,7 +296,7 @@ class EngineCore:
         Implements Algorithm 1 plus request-flag semantics: a vertex
         receiving a request event propagates its state along all out-edges
         even when the state did not change (§3.4). A :class:`VectorQueue`
-        or ``ShardedQueueGroup`` runs on the array driver
+        runs on the array driver
         (:meth:`_run_array_rounds`); the boxed :class:`CoalescingQueue`
         runs the scalar oracle loop below.
         """
@@ -711,7 +513,7 @@ class EngineCore:
     # Array substrate: one round driver over the shared kernels
     # ------------------------------------------------------------------
     def _kernel_context(self) -> dict:
-        """Kernel context over the core's heap arrays (see repro.core.parallel)."""
+        """Kernel context over the core's arrays (see repro.core.parallel)."""
         return {
             "algorithm": self.algorithm,
             "policy": self.policy,
@@ -724,31 +526,29 @@ class EngineCore:
         }
 
     def _run_array_rounds(self, queue, phase: PhaseStats, delete: bool) -> List[int]:
-        """The array round loop — regular and delete, single-engine and sharded.
+        """The array round loop — regular and delete, every array substrate.
 
         One round: drain the queue as a vertex-sorted :class:`EventBatch`,
         run the round kernel (:func:`~repro.core.parallel.
         regular_shard_kernel` or :func:`~repro.core.parallel.
-        delete_shard_kernel`), account the touched vertex/edge lines per
-        row batch, and insert the generated events as one batch. A
-        :class:`VectorQueue` is the one-shard case: the kernel runs inline
-        over the whole drain. A ``ShardedQueueGroup`` drains every engine,
-        runs the same kernel per shard on the core's persistent executor
-        (:func:`~repro.core.parallel.run_shard_round`) and routes the
-        generated events through the inter-engine channel. Work accounting
-        runs on the merged round, so the per-round vectors are identical
-        either way — and equal to the scalar loops' (docs/architecture.md,
-        "Vectorized substrate"). Returns the impacted vertices (delete
-        rounds; ascending vertex id per round).
+        delete_shard_kernel`) over the whole drain, account the touched
+        vertex/edge lines per row batch, and insert the generated events as
+        one batch. The per-round vectors equal the scalar loops'
+        (docs/architecture.md, "Vectorized substrate"). On
+        ``engine="sharded"`` the round's work is also split by owning
+        engine into ``phase.shard_rounds`` and the generated events crossing
+        engines are charged to the crossbar (``phase.noc_*``); execution is
+        the same. Returns the impacted vertices (delete rounds; ascending
+        vertex id per round).
         """
-        group = queue if isinstance(queue, parallel.ShardedQueueGroup) else None
         kind = "delete" if delete else "regular"
-        kernel = parallel.ROUND_KERNELS[kind]
+        kernel = parallel.delete_shard_kernel if delete else parallel.regular_shard_kernel
         ctx = self._kernel_context()
-        if group is not None:
-            executor = self.shard_executor()
-            if executor.backend == "process":
-                executor.bind(self._process_bind_payload())
+        owner = None
+        if self._channel is not None:
+            owner = self._shard_of = extend_assignment(
+                self._shard_of, self.states.shape[0], self.num_engines
+            )
         offsets = self.csr.out_offsets
         page_bytes = self.config.dram_page_bytes
         max_rows = self.config.scheduler_rows_per_round
@@ -761,9 +561,7 @@ class EngineCore:
             if rounds > MAX_ROUNDS:
                 raise RuntimeError(f"{kind} phase exceeded MAX_ROUNDS; non-termination?")
             work = phase.new_round()
-            if group is not None:
-                shard_works = [RoundWork() for _ in range(group.num_engines)]
-                phase.shard_rounds.append(shard_works)
+            shard_works = None
             round_span = None
             if tracer.enabled:
                 round_span = tracer.start("round", occupancy_start=queue.occupancy())
@@ -773,10 +571,7 @@ class EngineCore:
                 if not queue.active_pending():
                     # Charge the activated slice's spill read-back to this round.
                     queue.activate_next_slice(work)
-                if group is None:
-                    batch, starts = queue.drain_round(work, max_rows)
-                else:
-                    batch, starts = group.drain_round_merged(max_rows, executor.pool)
+                batch, starts = queue.drain_round(work, max_rows)
                 k = len(batch)
                 if k == 0:
                     continue
@@ -785,27 +580,21 @@ class EngineCore:
                 seg_start[starts] = True
                 self._account_vertex_batch_arrays(t, seg_start, work, page_bytes)
 
-                if group is None:
-                    producers, gen_t, gen_p, gen_s = kernel(
-                        ctx, t, batch.payloads, batch.flags, batch.sources, work
-                    )
-                else:
-                    producers, gen_t, gen_p, gen_s = parallel.run_shard_round(
-                        executor,
-                        kind,
-                        ctx,
-                        group.shard_of,
-                        batch,
-                        shard_works,
-                        tracer,
-                        round_span,
-                    )
-                    for shard_work in shard_works:
-                        work.merge(shard_work)
-
+                t0 = tracer.clock() if round_span is not None else 0.0
+                producers, written, gen_t, gen_p, gen_s = kernel(
+                    ctx, t, batch.payloads, batch.flags, batch.sources, work
+                )
+                t1 = tracer.clock() if round_span is not None else 0.0
                 v = t[producers]
                 start = offsets[v]
                 deg = offsets[v + 1] - start
+                if owner is not None:
+                    shard_works = parallel.engine_round_work(
+                        owner, self.num_engines, t, written, v, deg, gen_s
+                    )
+                    phase.shard_rounds.append(shard_works)
+                    if round_span is not None:
+                        self._emit_engine_spans(shard_works, t0, t1, round_span)
                 if delete:
                     # Every producer is a reset vertex; only those with
                     # out-edges touched edge lines.
@@ -820,11 +609,10 @@ class EngineCore:
                 row_ids = np.searchsorted(starts, producers, side="right")
                 self._account_edge_batches(start, start + deg, row_ids, work, page_bytes)
 
+                if owner is not None and gen_t.shape[0]:
+                    self._channel.record(owner[gen_s], owner[gen_t], phase)
                 generated = EventBatch.from_arrays(gen_t, gen_p, int(delete), gen_s)
-                if group is None:
-                    queue.insert_batch(generated, work)
-                else:
-                    group.route_generated(generated, work, phase)
+                queue.insert_batch(generated, work)
             finally:
                 if round_span is not None:
                     tracer.end(
@@ -833,7 +621,7 @@ class EngineCore:
                         occupancy_end=queue.occupancy(),
                         **(
                             parallel.noc_delta_attrs(phase, noc_before)
-                            if group is not None
+                            if owner is not None
                             else {}
                         ),
                     )
@@ -841,9 +629,24 @@ class EngineCore:
                     METRICS.record_round(
                         work, METRICS.clock() - m_t0, queue.occupancy()
                     )
-                    if group is not None:
+                    if shard_works is not None:
                         METRICS.record_engine_work(shard_works)
         return impacted
+
+    def _emit_engine_spans(self, shard_works, t0: float, t1: float, round_span) -> None:
+        """One ``engine`` span per engine under ``round_span``, each covering
+        the round's kernel call (``t0``..``t1``) and carrying that engine's
+        work."""
+        for engine_id, shard_work in enumerate(shard_works):
+            self.tracer.emit(
+                "engine",
+                f"engine-{engine_id}",
+                t0,
+                t1,
+                parent=round_span,
+                engine=engine_id,
+                **work_attrs(shard_work),
+            )
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -937,19 +740,12 @@ class GraphPulseEngine:
         accounting (the static accelerator carries no flags/source).
     engine:
         Substrate selection: ``auto`` (vectorized when the algorithm
-        provides array hooks), ``vectorized``, ``sharded`` (parallel
-        multi-engine slices, Table 1), or ``scalar`` (the boxed reference
-        oracle).
+        provides array hooks), ``vectorized``, ``sharded`` (vectorized,
+        plus per-engine work and NoC accounting over graph slices, Table
+        1), or ``scalar`` (the boxed reference oracle).
     num_engines:
-        Parallel engine count for ``engine="sharded"`` (default 8, Table 1).
-    shard_workers:
-        Worker-pool width for sharded execution (default: one per engine,
-        capped at the CPU count; 1 forces serial shard execution).
-    backend:
-        Sharded execution backend: ``"thread"`` (persistent thread pool
-        over the heap arrays) or ``"process"`` (worker processes over
-        shared-memory segments — see repro.core.parallel). Results are
-        bit-identical across backends.
+        Engine count accounted for by ``engine="sharded"`` (default 8,
+        Table 1).
     tracer:
         A :class:`repro.obs.Tracer` for run observability (default: the
         no-op :data:`~repro.obs.NULL_TRACER`).
@@ -962,8 +758,6 @@ class GraphPulseEngine:
         graphpulse_event_size: bool = True,
         engine: str = "auto",
         num_engines: int = 8,
-        shard_workers: Optional[int] = None,
-        backend: str = "thread",
         tracer=None,
     ):
         config = config or AcceleratorConfig()
@@ -975,8 +769,6 @@ class GraphPulseEngine:
             queue_event_bytes=event_bytes,
             engine=engine,
             num_engines=num_engines,
-            shard_workers=shard_workers,
-            backend=backend,
             tracer=tracer,
         )
 
@@ -989,21 +781,6 @@ class GraphPulseEngine:
     def tracer(self):
         """The observability hook shared with the core."""
         return self.core.tracer
-
-    def close(self) -> None:
-        """Release the worker pool and any shared-memory segments.
-
-        Safe to skip for throwaway engines — a GC finalizer does the same
-        cleanup — but explicit close (or the context-manager form) makes
-        teardown deterministic.
-        """
-        self.core.close()
-
-    def __enter__(self) -> "GraphPulseEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def compute(self, csr: CSRGraph) -> ComputeResult:
         """Evaluate the query on ``csr`` from scratch (cold start)."""

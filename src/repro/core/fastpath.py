@@ -80,8 +80,8 @@ class _ConvergedView:
     """What the classifier sees: converged states over the live edge set.
 
     States and dependencies read through ``engine.core`` on every call —
-    the core replaces its arrays on allocate/grow (heap concat or fresh
-    shared-memory segments), so caching a reference would go stale.
+    the core replaces its arrays on allocate/grow, so caching a
+    reference would go stale.
     Adjacency reads the lane's base CSR filtered/extended by the overlay.
     """
 

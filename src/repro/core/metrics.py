@@ -130,14 +130,14 @@ class PhaseStats:
     deletes_discarded: int = 0
     request_events: int = 0
     touched_vertices: Set[int] = field(default_factory=set)
-    #: Per-engine work vectors of each *kernel* round when the sharded
-    #: backend runs this phase (one ``List[RoundWork]`` per drained round,
+    #: Per-engine work vectors of each *kernel* round when this phase runs
+    #: on ``engine="sharded"`` (one ``List[RoundWork]`` per drained round,
     #: indexed by engine id). Orchestration/seed rounds add no entry. The
-    #: merged per-round vectors in :attr:`rounds` stay bit-identical to the
-    #: single-engine substrates; this is the per-engine decomposition the
-    #: Fig. 11-style utilization analysis derives engine load from.
+    #: per-round vectors in :attr:`rounds` are the single-engine ones; this
+    #: is their per-engine decomposition, which the Fig. 11-style
+    #: utilization analysis derives engine load from.
     shard_rounds: List[List[RoundWork]] = field(default_factory=list)
-    #: Inter-engine NoC traffic of the sharded backend (§4.4/§4.7):
+    #: Inter-engine NoC traffic of ``engine="sharded"`` (§4.4/§4.7):
     #: generated events delivered to the producer's own engine vs. routed
     #: across the crossbar, with flit and contended-cycle estimates from
     #: :class:`repro.sim.noc.CrossbarModel`. Zero on single-engine runs.
@@ -168,7 +168,7 @@ class PhaseStats:
     def per_engine_totals(self) -> List[RoundWork]:
         """Per-engine work summed over this phase's sharded rounds.
 
-        Empty when the phase did not run on the sharded backend.
+        Empty when the phase did not run on ``engine="sharded"``.
         """
         if not self.shard_rounds:
             return []

@@ -350,7 +350,6 @@ class VectorQueue(_SlicedQueue):
         policy: DeletePolicy = DeletePolicy.DAP,
         num_vertices: int = 0,
         slice_of: Optional[np.ndarray] = None,
-        array_factory=None,
     ):
         if getattr(algorithm, "reduce_ufunc", None) is None:
             raise QueueError(
@@ -360,17 +359,10 @@ class VectorQueue(_SlicedQueue):
         super().__init__(algorithm, config, policy, num_vertices, slice_of)
         slice_of = self._slice_of
         n = int(num_vertices)
-        # ``array_factory(n, fill, dtype)`` lets the sharded process
-        # backend place the cell arrays in shared-memory segments; growth
-        # for vertices created mid-stream falls back to private arrays
-        # until the next queue build (see ``_grow``).
-        make = array_factory or (
-            lambda num, fill, dtype: np.full(num, fill, dtype=dtype)
-        )
-        self._payloads = make(n, 0.0, np.float64)
-        self._flags = make(n, 0, np.int64)
-        self._sources = make(n, NO_SOURCE, np.int64)
-        self._occupied = make(n, False, np.bool_)
+        self._payloads = np.full(n, 0.0, dtype=np.float64)
+        self._flags = np.full(n, 0, dtype=np.int64)
+        self._sources = np.full(n, NO_SOURCE, dtype=np.int64)
+        self._occupied = np.full(n, False, dtype=bool)
         if slice_of is not None:
             self._slice_masks = [slice_of[:n] == s for s in range(self.num_slices)]
         else:
@@ -619,29 +611,8 @@ class VectorQueue(_SlicedQueue):
                 return True
         return False
 
-    def pending_targets(self) -> np.ndarray:
-        """Distinct queued target ids of the active slice, ascending.
-
-        Used by the sharded engine group to compute a globally consistent
-        partial-drain row set across per-engine queues before draining.
-        """
-        sid = self.active_slice
-        if self._slice_masks is not None:
-            cell_t = np.flatnonzero(self._occupied & self._slice_masks[sid])
-        else:
-            cell_t = np.flatnonzero(self._occupied)
-        chunks = self._overflow_chunks[sid]
-        if chunks:
-            return np.unique(
-                np.concatenate([cell_t] + [c.targets for c in chunks])
-            )
-        return cell_t
-
     def drain_round(
-        self,
-        work: RoundWork,
-        max_rows: Optional[int] = None,
-        allowed_rows: Optional[np.ndarray] = None,
+        self, work: RoundWork, max_rows: Optional[int] = None
     ) -> Tuple[EventBatch, np.ndarray]:
         """Emit queued events of the active slice as one sorted batch.
 
@@ -651,9 +622,6 @@ class VectorQueue(_SlicedQueue):
         the indices where a new queue row of ``config.queue_row_vertices``
         consecutive vertices begins. ``max_rows`` limits the drain to the
         first N distinct rows, mirroring the scalar partial drain.
-        ``allowed_rows`` instead drains exactly the given row ids (the
-        sharded group passes the globally computed row window so every
-        engine drains the same logical rows); it overrides ``max_rows``.
         """
         sid = self.active_slice
         if self._slice_masks is not None:
@@ -666,12 +634,7 @@ class VectorQueue(_SlicedQueue):
             return EventBatch.empty(), np.empty(0, dtype=np.int64)
         row_width = self.config.queue_row_vertices
 
-        if allowed_rows is not None:
-            cell_t = cell_t[np.isin(cell_t // row_width, allowed_rows)]
-            of_mask = np.isin(of.targets // row_width, allowed_rows)
-            if cell_t.shape[0] == 0 and not of_mask.any():
-                return EventBatch.empty(), np.empty(0, dtype=np.int64)
-        elif max_rows is not None:
+        if max_rows is not None:
             all_t = np.unique(np.concatenate([cell_t, of.targets]))
             rows = np.unique(all_t // row_width)
             allowed = rows[:max_rows]

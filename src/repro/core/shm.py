@@ -1,280 +1,27 @@
-"""Typed shared-memory buffers for the process-parallel sharded backend.
+"""Shared-memory leak probe.
 
-The ``backend="process"`` sharded substrate (:mod:`repro.core.parallel`)
-runs one worker process per shard-pool slot. Workers execute the per-shard
-compute kernels directly against the engine's hot state — vertex states,
-the DAP dependency array, the bound CSR's out-arrays, and the hoisted
-propagation factors — so that state lives in
-:mod:`multiprocessing.shared_memory` segments instead of private heap
-arrays. This module is the small typed-buffer/arena layer both sides use:
-
-* :class:`SharedArena` — owned by the **main** process only. It creates
-  segments, wraps them as NumPy arrays, and is the single place segments
-  are ever unlinked. Workers never create or unlink; they only attach.
-  That asymmetry is what makes crash cleanup trivial: whatever happens to
-  a worker, the main process (or its ``atexit``/finalizer safety nets)
-  removes every name it created.
-* :func:`attach` / :class:`AttachmentCache` — the worker side. Attaching
-  re-maps an existing segment by name while suppressing the
-  ``resource_tracker`` registration (before Python 3.13 every attach
-  re-registers the name with the tracker the workers *share* with their
-  parent, corrupting its one-owner-per-name bookkeeping).
-* :func:`leaked_system_segments` — test/CI hook listing ``/dev/shm``
-  entries that carry this module's name prefix.
-
-Segment names all start with :data:`SEGMENT_PREFIX` so leak checks can
-grep for them without false positives.
+No engine path creates a shared-memory segment. This probe lists the
+``/dev/shm`` entries whose names start with :data:`SEGMENT_PREFIX`, so
+tests and benchmarks can assert that a run left no segment of this
+package behind.
 """
 
 from __future__ import annotations
 
-import atexit
-import itertools
 import os
-import secrets
-import weakref
-from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, Iterable, List, Optional
+from typing import List
 
-import numpy as np
+__all__ = ["SEGMENT_PREFIX", "leaked_system_segments"]
 
-__all__ = [
-    "SEGMENT_PREFIX",
-    "AttachmentCache",
-    "SharedArena",
-    "SharedSegment",
-    "ShmError",
-    "attach",
-    "leaked_system_segments",
-    "live_segment_names",
-]
-
-#: Every segment this layer creates starts with this prefix (plus the
-#: creating pid), so ``ls /dev/shm | grep repro-shm`` is a leak check.
+#: Name prefix of the segments :func:`leaked_system_segments` looks for.
 SEGMENT_PREFIX = "repro-shm"
-
-_COUNTER = itertools.count()
-
-
-class ShmError(RuntimeError):
-    """Raised on shared-memory lifecycle violations (use after close)."""
-
-
-def _new_name() -> str:
-    # pid + counter are unique within a process; the random token keeps a
-    # recycled pid from colliding with a stale segment of a crashed run.
-    return (
-        f"{SEGMENT_PREFIX}-{os.getpid()}-{next(_COUNTER)}-{secrets.token_hex(4)}"
-    )
-
-
-class SharedSegment:
-    """One shared-memory segment exposed as a typed NumPy array."""
-
-    __slots__ = ("name", "shape", "dtype", "array", "_shm", "__weakref__")
-
-    def __init__(self, name: str, shape, dtype, shm, array):
-        self.name = name
-        self.shape = tuple(int(s) for s in shape)
-        self.dtype = np.dtype(dtype)
-        self._shm = shm
-        self.array = array
-
-    @property
-    def spec(self) -> dict:
-        """Picklable attach recipe for worker processes."""
-        return {
-            "name": self.name,
-            "shape": self.shape,
-            "dtype": self.dtype.str,
-        }
-
-    def close(self, unlink: bool) -> None:
-        """Drop the mapping (and the name, when this side owns it).
-
-        The backing ndarray may still be referenced elsewhere (a queue the
-        caller has not dropped yet); ``mmap`` refuses to close while such
-        exported views exist, so the mapping close is best-effort — the
-        unlink is what removes the ``/dev/shm`` name, and it succeeds
-        regardless of live mappings (POSIX semantics: memory is reclaimed
-        once the last mapping goes away).
-        """
-        self.array = None
-        try:
-            self._shm.close()
-        except BufferError:  # live views keep the mapping; name still goes
-            pass
-        if unlink:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:
-                pass
-
-
-class SharedArena:
-    """Factory and owner of shared segments (main-process side).
-
-    All segments created here are unlinked when the arena closes — via the
-    explicit :meth:`close`, the owning engine's finalizer, or the
-    module-level ``atexit`` sweep, whichever fires first (close is
-    idempotent).
-    """
-
-    def __init__(self, tag: str = ""):
-        self.tag = tag
-        self._segments: Dict[str, SharedSegment] = {}
-        self.closed = False
-        _ARENAS.add(self)
-
-    # ------------------------------------------------------------------
-    def _create(self, shape, dtype) -> SharedSegment:
-        if self.closed:
-            raise ShmError("arena is closed")
-        shape = tuple(int(s) for s in np.atleast_1d(np.asarray(shape, dtype=np.int64)))
-        dtype = np.dtype(dtype)
-        nbytes = int(np.prod(shape)) * dtype.itemsize
-        name = _new_name()
-        shm = shared_memory.SharedMemory(name=name, create=True, size=max(1, nbytes))
-        array = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
-        segment = SharedSegment(name, shape, dtype, shm, array)
-        self._segments[name] = segment
-        return segment
-
-    def empty(self, shape, dtype) -> SharedSegment:
-        """New uninitialized segment of ``shape``/``dtype``."""
-        return self._create(shape, dtype)
-
-    def full(self, shape, fill_value, dtype) -> SharedSegment:
-        """New segment filled with ``fill_value``."""
-        segment = self._create(shape, dtype)
-        segment.array[...] = fill_value
-        return segment
-
-    def from_array(self, source: np.ndarray) -> SharedSegment:
-        """New segment holding a copy of ``source``."""
-        segment = self._create(source.shape, source.dtype)
-        segment.array[...] = source
-        return segment
-
-    # ------------------------------------------------------------------
-    def release(self, segment: Optional[SharedSegment]) -> None:
-        """Unlink one segment early (state-array reallocation on grow)."""
-        if segment is None:
-            return
-        if self._segments.pop(segment.name, None) is not None:
-            segment.close(unlink=True)
-
-    def live_names(self) -> List[str]:
-        """Names of segments this arena still owns."""
-        return list(self._segments)
-
-    def close(self) -> None:
-        """Unlink every owned segment. Idempotent."""
-        if self.closed:
-            return
-        self.closed = True
-        segments, self._segments = list(self._segments.values()), {}
-        for segment in segments:
-            segment.close(unlink=True)
-        _ARENAS.discard(self)
-
-
-# Arenas still open in this process; weak so an arena dropped without an
-# explicit close is finalized by GC rather than pinned forever. The atexit
-# sweep catches whatever is still alive at interpreter shutdown.
-_ARENAS: "weakref.WeakSet[SharedArena]" = weakref.WeakSet()
-
-
-def _close_all_arenas() -> None:
-    for arena in list(_ARENAS):
-        arena.close()
-
-
-atexit.register(_close_all_arenas)
-
-
-def live_segment_names() -> List[str]:
-    """Every segment name still owned by an open arena in this process."""
-    names: List[str] = []
-    for arena in list(_ARENAS):
-        names.extend(arena.live_names())
-    return names
 
 
 def leaked_system_segments() -> List[str]:
-    """``/dev/shm`` entries carrying this module's prefix (leak check)."""
+    """``/dev/shm`` entries carrying :data:`SEGMENT_PREFIX` (leak check)."""
     shm_dir = "/dev/shm"
     if not os.path.isdir(shm_dir):  # pragma: no cover - non-Linux hosts
         return []
     return sorted(
         entry for entry in os.listdir(shm_dir) if entry.startswith(SEGMENT_PREFIX)
     )
-
-
-# ----------------------------------------------------------------------
-# Worker (attach-only) side
-# ----------------------------------------------------------------------
-def attach(spec: dict):
-    """Attach to an existing segment; returns ``(array, shm_handle)``.
-
-    The caller must keep the handle alive as long as the array is used and
-    ``close()`` it when done — never ``unlink()``: names belong to the
-    creating process's arena.
-
-    Before Python 3.13 (``track=False``) every attach re-registers the
-    name with the resource tracker. Spawned workers share the *parent's*
-    tracker process, whose bookkeeping is a per-name set — so a worker
-    registering and later unregistering would erase the owner's entry and
-    the owning unlink would log tracker KeyErrors. Suppressing the
-    registration during attach keeps the tracker's view exactly "one
-    owner per name".
-    """
-    original_register = resource_tracker.register
-
-    def _no_shm_register(name, rtype):  # pragma: no cover - trivial shim
-        if rtype != "shared_memory":
-            original_register(name, rtype)
-
-    resource_tracker.register = _no_shm_register
-    try:
-        shm = shared_memory.SharedMemory(name=spec["name"])
-    finally:
-        resource_tracker.register = original_register
-    array = np.ndarray(
-        tuple(spec["shape"]), dtype=np.dtype(spec["dtype"]), buffer=shm.buf
-    )
-    return array, shm
-
-
-class AttachmentCache:
-    """Per-worker cache of attached segments, keyed by segment name.
-
-    Rebinding between phases usually re-sends the same segment names; the
-    cache turns those into no-ops and drops mappings whose segments were
-    reallocated (state growth, CSR swap).
-    """
-
-    def __init__(self):
-        self._attached: Dict[str, tuple] = {}
-
-    def attach(self, spec: dict) -> np.ndarray:
-        entry = self._attached.get(spec["name"])
-        if entry is None:
-            entry = attach(spec)
-            self._attached[spec["name"]] = entry
-        return entry[0]
-
-    def retain(self, names: Iterable[str]) -> None:
-        """Close every attachment not named in ``names``."""
-        keep = set(names)
-        for name in list(self._attached):
-            if name not in keep:
-                array, shm = self._attached.pop(name)
-                del array
-                try:
-                    shm.close()
-                except BufferError:  # pragma: no cover - view still alive
-                    pass
-
-    def close_all(self) -> None:
-        self.retain(())

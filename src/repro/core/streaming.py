@@ -135,18 +135,11 @@ class JetStreamEngine:
     engine:
         Substrate selection: ``auto`` (default — vectorized whenever the
         algorithm provides array hooks), ``vectorized``, ``sharded``
-        (parallel multi-engine graph slices, Table 1 / §4.7), or
-        ``scalar`` (the boxed-event reference oracle).
+        (vectorized, plus per-engine work and NoC accounting over graph
+        slices, Table 1 / §4.7), or ``scalar`` (the boxed-event reference
+        oracle).
     num_engines:
-        Parallel engine count for ``engine="sharded"`` (default 8).
-    shard_workers:
-        Worker-pool width for sharded execution (default: one per engine,
-        capped at the CPU count; 1 forces serial shard execution).
-    backend:
-        Sharded execution backend: ``"thread"`` (persistent thread pool
-        over the heap arrays) or ``"process"`` (worker processes over
-        shared-memory segments — see repro.core.parallel). Results are
-        bit-identical across backends.
+        Engine count accounted for by ``engine="sharded"`` (default 8).
     """
 
     def __init__(
@@ -158,8 +151,6 @@ class JetStreamEngine:
         two_phase_accumulative: bool = False,
         engine: str = "auto",
         num_engines: int = 8,
-        shard_workers: Optional[int] = None,
-        backend: str = "thread",
         tracer=None,
     ):
         if algorithm.needs_symmetric and not graph.symmetric:
@@ -202,8 +193,6 @@ class JetStreamEngine:
             policy,
             engine=engine,
             num_engines=num_engines,
-            shard_workers=shard_workers,
-            backend=backend,
             tracer=tracer,
         )
         self._initialized = False
@@ -211,21 +200,6 @@ class JetStreamEngine:
         #: returned, never retained: a long-lived session would otherwise
         #: pin a full state copy per batch.
         self._batches_applied = 0
-
-    def close(self) -> None:
-        """Release the worker pool and any shared-memory segments.
-
-        Safe to skip for throwaway engines — a GC finalizer does the same
-        cleanup — but explicit close (or the context-manager form) makes
-        teardown deterministic.
-        """
-        self.core.close()
-
-    def __enter__(self) -> "JetStreamEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Queries
@@ -410,7 +384,7 @@ class JetStreamEngine:
         dominates the recovery cost (Fig. 10). The converged common state
         is also the shareable prefix behind :func:`evaluate_at_versions`.
 
-        Slice assignment and shard plan survive the pass (see
+        Slice assignment and vertex→engine map survive the pass (see
         :meth:`EngineCore.reset_states`), so sharded runs keep the same
         vertex→engine map across the common and addition phases.
         """
@@ -768,7 +742,6 @@ def evaluate_at_versions(
     config: Optional[AcceleratorConfig] = None,
     engine: str = "auto",
     num_engines: int = 8,
-    backend: str = "thread",
     tracer=None,
 ) -> MultiVersionResult:
     """Evaluate ``algorithm`` at several recorded graph versions at once.
@@ -792,7 +765,7 @@ def evaluate_at_versions(
         raise ValueError("versions must be non-empty")
     if algorithm.kind is not AlgorithmKind.SELECTIVE:
         return _evaluate_versions_independent(
-            store, algorithm, versions, config, engine, num_engines, backend, tracer
+            store, algorithm, versions, config, engine, num_engines, tracer
         )
 
     slice_ = store.common_slice(versions)
@@ -803,59 +776,55 @@ def evaluate_at_versions(
         DeletePolicy.COMMONGRAPH,
         engine=engine,
         num_engines=num_engines,
-        backend=backend,
         tracer=tracer,
     )
     metrics = RunMetrics()
     states: Dict[int, np.ndarray] = {}
     per_version_events: Dict[int, int] = {}
-    try:
-        tracer_ = core.tracer
-        # Converge the shared common graph once, from Identity.
-        common_phase = metrics.phase("common-convergence")
-        core.allocate(slice_.common_vertices)
-        core.bind_graph(common_csr)
-        queue = core.new_queue()
-        with tracer_.phase(common_phase):
-            work = common_phase.new_round()
-            with tracer_.round(work, queue), METRICS.round_scope(work, queue):
-                core.seed_initial(queue, work)
-            core.run_regular(queue, common_phase)
-        base_states = core.states[: slice_.common_vertices].copy()
-        common_events = common_phase.events_processed
+    tracer_ = core.tracer
+    # Converge the shared common graph once, from Identity.
+    common_phase = metrics.phase("common-convergence")
+    core.allocate(slice_.common_vertices)
+    core.bind_graph(common_csr)
+    queue = core.new_queue()
+    with tracer_.phase(common_phase):
+        work = common_phase.new_round()
+        with tracer_.round(work, queue), METRICS.round_scope(work, queue):
+            core.seed_initial(queue, work)
+        core.run_regular(queue, common_phase)
+    base_states = core.states[: slice_.common_vertices].copy()
+    common_events = common_phase.events_processed
 
-        # Fan out: every version is a pure addition pass from the base.
-        # The shard plan installed by the first bind survives (load_states
-        # never repartitions), so all passes share one vertex→engine map.
-        for ver in versions:
-            n_v = slice_.vertices[ver]
-            additions = slice_.additions[ver]
-            phase = metrics.phase(f"addition-pass@v{ver}")
-            core.load_states(base_states)
-            csr_v = CSRGraph(n_v, list(slice_.common_edges) + list(additions))
-            core.grow(n_v)
-            core.bind_graph(csr_v)
-            queue = core.new_queue()
-            with tracer_.phase(phase):
-                work = phase.new_round()
-                with tracer_.round(work, queue), METRICS.round_scope(work, queue):
-                    m = len(additions)
-                    insertions = (
-                        np.fromiter((e[0] for e in additions), np.int64, m),
-                        np.fromiter((e[1] for e in additions), np.int64, m),
-                        np.fromiter((e[2] for e in additions), np.float64, m),
-                    )
-                    queue.insert_batch(
-                        _insertion_seeds(core, work, csr_v, insertions), work
-                    )
-                    _seed_new_vertices(
-                        algorithm, queue, work, slice_.common_vertices, n_v
-                    )
-                core.run_regular(queue, phase)
-            states[ver] = core.states[:n_v].copy()
-            per_version_events[ver] = phase.events_processed
-    finally:
-        core.close()
+    # Fan out: every version is a pure addition pass from the base.
+    # The vertex→engine map installed by the first bind survives
+    # (load_states never repartitions), so all passes share it.
+    for ver in versions:
+        n_v = slice_.vertices[ver]
+        additions = slice_.additions[ver]
+        phase = metrics.phase(f"addition-pass@v{ver}")
+        core.load_states(base_states)
+        csr_v = CSRGraph(n_v, list(slice_.common_edges) + list(additions))
+        core.grow(n_v)
+        core.bind_graph(csr_v)
+        queue = core.new_queue()
+        with tracer_.phase(phase):
+            work = phase.new_round()
+            with tracer_.round(work, queue), METRICS.round_scope(work, queue):
+                m = len(additions)
+                insertions = (
+                    np.fromiter((e[0] for e in additions), np.int64, m),
+                    np.fromiter((e[1] for e in additions), np.int64, m),
+                    np.fromiter((e[2] for e in additions), np.float64, m),
+                )
+                queue.insert_batch(
+                    _insertion_seeds(core, work, csr_v, insertions), work
+                )
+                _seed_new_vertices(
+                    algorithm, queue, work, slice_.common_vertices, n_v
+                )
+            core.run_regular(queue, phase)
+        states[ver] = core.states[:n_v].copy()
+        per_version_events[ver] = phase.events_processed
     return MultiVersionResult(
         versions=versions,
         states=states,
@@ -867,7 +836,7 @@ def evaluate_at_versions(
 
 
 def _evaluate_versions_independent(
-    store, algorithm, versions, config, engine, num_engines, backend, tracer
+    store, algorithm, versions, config, engine, num_engines, tracer
 ) -> MultiVersionResult:
     """Per-version cold evaluation — no shareable prefix (accumulative)."""
     core = EngineCore(
@@ -876,30 +845,26 @@ def _evaluate_versions_independent(
         DeletePolicy.BASE,
         engine=engine,
         num_engines=num_engines,
-        backend=backend,
         tracer=tracer,
     )
     metrics = RunMetrics()
     states: Dict[int, np.ndarray] = {}
     per_version_events: Dict[int, int] = {}
-    try:
-        for ver in versions:
-            csr = store.reconstruct(ver)
-            phase = metrics.phase(f"cold@v{ver}")
-            core.allocate(csr.num_vertices)
-            core.bind_graph(csr)
-            queue = core.new_queue()
-            with core.tracer.phase(phase):
-                work = phase.new_round()
-                with core.tracer.round(work, queue), METRICS.round_scope(
-                    work, queue
-                ):
-                    core.seed_initial(queue, work)
-                core.run_regular(queue, phase)
-            states[ver] = core.states.copy()
-            per_version_events[ver] = phase.events_processed
-    finally:
-        core.close()
+    for ver in versions:
+        csr = store.reconstruct(ver)
+        phase = metrics.phase(f"cold@v{ver}")
+        core.allocate(csr.num_vertices)
+        core.bind_graph(csr)
+        queue = core.new_queue()
+        with core.tracer.phase(phase):
+            work = phase.new_round()
+            with core.tracer.round(work, queue), METRICS.round_scope(
+                work, queue
+            ):
+                core.seed_initial(queue, work)
+            core.run_regular(queue, phase)
+        states[ver] = core.states.copy()
+        per_version_events[ver] = phase.events_processed
     return MultiVersionResult(
         versions=list(versions),
         states=states,

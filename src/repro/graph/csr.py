@@ -208,20 +208,6 @@ class CSRGraph:
         )
         return src, self.out_targets, self.out_weights
 
-    def share_out_arrays(self, arena) -> dict:
-        """Copy the out-CSR arrays into shared segments of ``arena``.
-
-        Returns ``{"offsets", "out_targets", "out_weights"}`` segments —
-        keyed to match the shard kernels' context — for the process-parallel
-        sharded backend. The in-CSR stays private to the host: workers only
-        expand out-edges.
-        """
-        return {
-            "offsets": arena.from_array(self.out_offsets),
-            "out_targets": arena.from_array(self.out_targets),
-            "out_weights": arena.from_array(self.out_weights),
-        }
-
     def edges(self) -> Iterator[Edge]:
         """Yield every edge as ``(src, dst, weight)`` in CSR order."""
         for u in range(self.num_vertices):

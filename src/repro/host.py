@@ -79,7 +79,7 @@ class Session:
         self._last_result: Optional[StreamingResult] = None
         self._express: Optional[ExpressLane] = None
         self._version_store: Optional[DeltaVersionStore] = None
-        self._engine_opts = {"engine": "auto", "num_engines": 8, "backend": "thread"}
+        self._engine_opts = {"engine": "auto", "num_engines": 8}
         self._closed = False
         self.transfers = TransferStats()
         # Initial CSR upload: out + in structures plus vertex states.
@@ -108,7 +108,6 @@ class Session:
         policy: DeletePolicy = DeletePolicy.DAP,
         engine: str = "auto",
         num_engines: int = 8,
-        backend: str = "thread",
         **algorithm_kwargs,
     ) -> "Session":
         """Bind the application (Reduce/Propagate pair) to the session.
@@ -117,11 +116,8 @@ class Session:
         vectorized SoA kernels when the algorithm supports them, ``scalar``
         forces the boxed-event reference path, ``vectorized`` requires the
         array hooks and raises otherwise, and ``sharded`` runs
-        ``num_engines`` parallel engines over graph slices (Table 1, §4.7)
-        with results bit-identical to ``vectorized``. With
-        ``engine="sharded"``, ``backend`` picks the execution substrate:
-        ``"thread"`` (default) or ``"process"`` (one worker process per
-        pool slot over shared-memory state arrays).
+        ``vectorized`` and also reports the per-engine work and NoC traffic
+        of ``num_engines`` graph slices (Table 1, §4.7).
 
         Reconfiguring an already-run session starts a fresh query: the next
         :meth:`run` is an initial evaluation on the current graph, and
@@ -143,8 +139,6 @@ class Session:
                 f"{algorithm} needs a symmetric graph; pass symmetric=True "
                 "to Accelerator.load_graph"
             )
-        if self._engine is not None:
-            self._engine.close()
         self._engine = JetStreamEngine(
             self._graph,
             algo,
@@ -152,14 +146,9 @@ class Session:
             policy=policy,
             engine=engine,
             num_engines=num_engines,
-            backend=backend,
             tracer=self._accelerator.tracer,
         )
-        self._engine_opts = {
-            "engine": engine,
-            "num_engines": num_engines,
-            "backend": backend,
-        }
+        self._engine_opts = {"engine": engine, "num_engines": num_engines}
         # A new engine has no results: drop the previous query's state so
         # run() performs the initial evaluation instead of demanding a
         # batch for an engine that never ran initial_compute().
@@ -409,9 +398,7 @@ class Session:
         if self._closed:
             return
         self._closed = True
-        if self._engine is not None:
-            self._engine.close()
-            self._engine = None
+        self._engine = None
         self._express = None
         self._accelerator._deregister(self)
 

@@ -18,8 +18,8 @@ event), so the disabled hot paths stay within noise of an uninstrumented
 build (``benchmarks/bench_trace_overhead.py``, mode ``off`` vs
 ``metrics``).
 
-Thread-safety: the sharded backend publishes from worker threads, so all
-mutation goes through a registry-wide lock. Instrumentation happens once
+Thread-safety: the serving daemon publishes from its handler and writer
+threads, so all mutation goes through a registry-wide lock. Instrumentation happens once
 per scheduler round / phase / transfer, so the lock is uncontended in
 practice.
 """
@@ -304,7 +304,7 @@ class MetricsRegistry:
                     self._counter_nolock(total_name).inc(amount)
 
     def record_noc(self, events_local: int, events_remote: int, flits: int) -> None:
-        """Fold one round's inter-engine NoC deliveries (sharded backend)."""
+        """Fold one round's inter-engine NoC deliveries (``engine="sharded"``)."""
         if not self.enabled:
             return
         with self._lock:
@@ -374,28 +374,6 @@ class MetricsRegistry:
                         "repro_engine_events_generated_total",
                         engine=str(engine_id),
                     ).inc(work.events_generated)
-
-    def record_shard_pool(self, backend: str, event: str, workers: int) -> None:
-        """Fold one shard-executor lifecycle event (sharded substrate).
-
-        ``event`` is ``"spawn"`` (a fresh pool was built) or ``"reuse"``
-        (a warm pool was rebound — process-cache hit or a per-phase reuse
-        of the core's live executor).
-        """
-        if not self.enabled:
-            return
-        with self._lock:
-            if event == "spawn":
-                self._counter_nolock(
-                    "repro_shard_pool_spawns_total", backend=backend
-                ).inc()
-            else:
-                self._counter_nolock(
-                    "repro_shard_pool_reuse_total", backend=backend
-                ).inc()
-            self._gauge_nolock(
-                "repro_shard_pool_workers", backend=backend
-            ).set(workers)
 
     def record_express_update(
         self,
@@ -789,9 +767,6 @@ _HELP = {
     "repro_express_safe_ratio": "Lifetime fraction of express updates classified safe.",
     "repro_engine_events_processed_total": "Events processed, by engine shard.",
     "repro_engine_events_generated_total": "Events generated, by engine shard.",
-    "repro_shard_pool_spawns_total": "Shard worker pools built, by backend.",
-    "repro_shard_pool_reuse_total": "Warm shard worker pools reused, by backend.",
-    "repro_shard_pool_workers": "Worker slots in the live shard pool, by backend.",
     "repro_serve_requests_total": "Serve HTTP requests handled, by route and status.",
     "repro_serve_request_latency_seconds": "Serve HTTP request latency, by route.",
     "repro_serve_stage_latency_seconds": "Traced request stage latency, by route and stage.",

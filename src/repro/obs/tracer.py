@@ -1,7 +1,7 @@
 """Structured run tracing: hierarchical spans over the engine substrates.
 
 A :class:`Tracer` emits a tree of spans — ``run`` → ``phase`` → ``round``
-(→ ``engine`` on the sharded backend) — carrying the exact per-round work
+(→ ``engine`` under ``engine="sharded"``) — carrying the exact per-round work
 vectors the engines already record (:class:`~repro.core.metrics.RoundWork`)
 plus wall-clock timings and queue/NoC occupancy snapshots. Spans and point
 events are delivered to pluggable sinks (:mod:`repro.obs.sinks`); the
@@ -215,8 +215,8 @@ class Tracer:
     ) -> Span:
         """Emit an already-timed span without touching the stack.
 
-        Used for concurrent work (per-engine shard tasks) whose start/end
-        times were captured on worker threads.
+        Used for the per-engine spans of a sharded round, which all span
+        the round's one kernel call.
         """
         parent_id = parent.span_id if parent is not None else (
             self._stack[-1].span_id if self._stack else None

@@ -587,7 +587,6 @@ class ServeApp:
         policy: str = DeletePolicy.DAP.value,
         engine: str = "auto",
         num_engines: int = 8,
-        backend: str = "thread",
         symmetric: bool = False,
         num_vertices: int = 0,
         queue_bound: Optional[int] = None,
@@ -614,7 +613,6 @@ class ServeApp:
                 policy=DeletePolicy(policy),
                 engine=engine,
                 num_engines=num_engines,
-                backend=backend,
             )
             session.run()  # initial evaluation: serve needs a converged state
             # Record graph deltas with the same retention as the snapshot
@@ -890,22 +888,24 @@ class _ServeHandler(PayloadHandler):
                         400, "BAD_SESSION", "need 'edges' and 'algorithm'"
                     )
                 # keep_versions: absent -> default ring, 0/null -> unbounded.
-                keep_versions = body.get("keep_versions", DEFAULT_KEEP_VERSIONS)
-                keep_versions = int(keep_versions) if keep_versions else None
+                keep_versions = (
+                    _int_field(body, "keep_versions", None)
+                    if "keep_versions" in body
+                    else DEFAULT_KEEP_VERSIONS
+                )
                 served = app.create_session(
                     body["edges"],
                     body["algorithm"],
                     name=body.get("name"),
-                    source=int(body.get("source", 0)),
+                    source=_int_field(body, "source", 0),
                     policy=body.get("policy", DeletePolicy.DAP.value),
                     engine=body.get("engine", "auto"),
-                    num_engines=int(body.get("num_engines", 8)),
-                    backend=body.get("backend", "thread"),
+                    num_engines=_int_field(body, "num_engines", 8),
                     symmetric=bool(body.get("symmetric", False)),
-                    num_vertices=int(body.get("num_vertices", 0)),
-                    queue_bound=body.get("queue_bound"),
-                    log_bound=body.get("log_bound"),
-                    keep_versions=keep_versions,
+                    num_vertices=_int_field(body, "num_vertices", 0),
+                    queue_bound=_int_field(body, "queue_bound", None),
+                    log_bound=_int_field(body, "log_bound", None),
+                    keep_versions=keep_versions or None,
                 )
                 if ctx is not None:
                     ctx.attrs["session"] = served.name
@@ -962,6 +962,23 @@ def _parse_vertices(query: str) -> Optional[List[int]]:
                     400, "BAD_VERTEX", "vertices must be comma-separated ints"
                 )
     return None
+
+
+def _int_field(body: dict, field: str, default: Optional[int]) -> Optional[int]:
+    """``body[field]`` as an int, ``default`` when absent or null.
+
+    A value ``int()`` refuses (``"many"``, ``[1]``) is a 400 that names
+    the field, not an exception out of the handler.
+    """
+    value = body.get(field)
+    if value is None:
+        return default
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ServeError(
+            400, "BAD_SESSION", f"{field!r} must be an integer, got {value!r}"
+        )
 
 
 def _parse_version(query: str) -> Optional[int]:

@@ -57,18 +57,20 @@ SHARDED_REPORT = {
         {
             "graph": "rmat-2k",
             "algorithm": "sssp",
-            "backend": "thread",
-            "num_engines": 8,
-            "events_per_s": 3000.0,
+            "num_engines": 1,
             "events_processed": 500,
+            "engine_events_processed": [500],
+            "noc_flits": 0,
+            "wall_clock_s": 0.02,
         },
         {
             "graph": "rmat-2k",
             "algorithm": "sssp",
-            "backend": "process",
-            "num_engines": 8,
-            "events_per_s": 2500.0,
+            "num_engines": 2,
             "events_processed": 500,
+            "engine_events_processed": [260, 240],
+            "noc_flits": 90,
+            "wall_clock_s": 0.03,
         },
     ]
 }
@@ -129,8 +131,8 @@ def perturbed(report: dict, scale: float = 1.0, events_delta: int = 0) -> dict:
                 entry[mode]["batches_per_s"] *= scale
                 entry[mode]["events_processed"] += events_delta
     for entry in out.get("results", []):
-        if "backend" in entry:
-            entry["events_per_s"] *= scale
+        if "engine_events_processed" in entry:
+            entry["wall_clock_s"] /= scale
             entry["events_processed"] += events_delta
         for mode in ("dap", "commongraph"):
             if mode in entry:
@@ -186,18 +188,31 @@ class TestFlatten:
 
     def test_sharded_rows(self):
         rows = bench_gate.flatten_sharded(SHARDED_REPORT)
-        assert [r["key"] for r in rows] == [
-            "rmat-2k/sssp/thread/e8",
-            "rmat-2k/sssp/process/e8",
-        ]
+        assert [r["key"] for r in rows] == ["rmat-2k/sssp/e1", "rmat-2k/sssp/e2"]
         assert all(r["suite"] == "sharded" for r in rows)
-        assert rows[0]["events"] == 500
+        # Exact counts only: processed events, NoC flits, per-engine split.
+        assert rows[1]["events"] == [500, 90, 260, 240]
+        assert all(r["events_per_s"] == 0.0 for r in rows)
 
-    def test_sharded_rows_from_combined_engine_report(self):
-        # BENCH_engine.json carries the grid under a "sharded" key.
-        combined = {"results": [], "sharded": SHARDED_REPORT}
-        rows = bench_gate.flatten_sharded(combined)
-        assert len(rows) == 2
+    def test_sharded_wall_clock_is_not_gated(self):
+        slow = perturbed(SHARDED_REPORT, scale=0.1)
+        out = compare_rows(
+            bench_gate.flatten_sharded(slow),
+            bench_gate.flatten_sharded(SHARDED_REPORT),
+            tolerance=0.10,
+        )
+        assert [c["status"] for c in out] == ["ok", "ok"]
+
+    def test_sharded_per_engine_drift_regresses(self):
+        drifted = json.loads(json.dumps(SHARDED_REPORT))
+        drifted["results"][1]["engine_events_processed"] = [250, 250]
+        out = compare_rows(
+            bench_gate.flatten_sharded(drifted),
+            bench_gate.flatten_sharded(SHARDED_REPORT),
+            tolerance=0.10,
+        )
+        assert [c["status"] for c in out] == ["ok", "regression"]
+        assert out[1]["drift"]
 
     def test_serve_rows(self):
         rows = bench_gate.flatten_serve(SERVE_REPORT)
@@ -530,7 +545,7 @@ class TestBenchCheckCli:
         # must not fire when only the engine suite is selected.
         reports["trace"] = perturbed(TRACE_REPORT, scale=0.1)
         reports["stream"] = perturbed(STREAM_REPORT, events_delta=5)
-        reports["sharded"] = perturbed(SHARDED_REPORT, scale=0.1)
+        reports["sharded"] = perturbed(SHARDED_REPORT, events_delta=3)
         reports["serve"] = perturbed(SERVE_REPORT, scale=0.1)
         reports["commongraph"] = perturbed(COMMONGRAPH_REPORT, events_delta=7)
         args = self.base_args(bases)

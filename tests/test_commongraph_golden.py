@@ -264,10 +264,7 @@ def test_run_at_versions_shares_work():
                 ),
                 make_algorithm("sssp", source=0),
             )
-            try:
-                cold_total += cold.initial_compute().metrics.events_processed
-            finally:
-                cold.close()
+            cold_total += cold.initial_compute().metrics.events_processed
         assert result.total_events < cold_total, (
             f"shared evaluation ({result.total_events} events) should beat "
             f"{len(result.versions)} cold runs ({cold_total} events)"

@@ -144,22 +144,18 @@ def _replay(
     express = _make_engine(name, policy, seed)
     oracle = _make_engine(name, policy, seed)
     lane = ExpressLane(express)
-    try:
+    if not np.array_equal(express.query_result(), oracle.query_result()):
+        return 0
+    for index, step in enumerate(steps):
+        if step[0] == "express":
+            _, u, v, w, op = step
+            lane.apply(u, v, w, op)
+            oracle.apply_batch(_oracle_batch(step))
+        else:
+            express.apply_batch(step[1])
+            oracle.apply_batch(step[1])
         if not np.array_equal(express.query_result(), oracle.query_result()):
-            return 0
-        for index, step in enumerate(steps):
-            if step[0] == "express":
-                _, u, v, w, op = step
-                lane.apply(u, v, w, op)
-                oracle.apply_batch(_oracle_batch(step))
-            else:
-                express.apply_batch(step[1])
-                oracle.apply_batch(step[1])
-            if not np.array_equal(express.query_result(), oracle.query_result()):
-                return index + 1
-    finally:
-        express.close()
-        oracle.close()
+            return index + 1
     return None
 
 
@@ -170,19 +166,15 @@ def _final_states_diverge(
     express = _make_engine(name, policy, seed)
     oracle = _make_engine(name, policy, seed)
     lane = ExpressLane(express)
-    try:
-        for step in steps:
-            if step[0] == "express":
-                _, u, v, w, op = step
-                lane.apply(u, v, w, op)
-                oracle.apply_batch(_oracle_batch(step))
-            else:
-                express.apply_batch(step[1])
-                oracle.apply_batch(step[1])
-        return not np.array_equal(express.query_result(), oracle.query_result())
-    finally:
-        express.close()
-        oracle.close()
+    for step in steps:
+        if step[0] == "express":
+            _, u, v, w, op = step
+            lane.apply(u, v, w, op)
+            oracle.apply_batch(_oracle_batch(step))
+        else:
+            express.apply_batch(step[1])
+            oracle.apply_batch(step[1])
+    return not np.array_equal(express.query_result(), oracle.query_result())
 
 
 def _minimal_failing_prefix(
@@ -240,32 +232,29 @@ def test_express_lane_matches_engine_oracle(name, policy_name, seed):
     # reference answer on the final graph (lane+engine can't co-drift).
     engine = _make_engine(name, policy, seed)
     lane = ExpressLane(engine)
-    try:
-        for step in steps:
-            if step[0] == "express":
-                _, u, v, w, op = step
-                lane.apply(u, v, w, op)
-            else:
-                engine.apply_batch(step[1])
-        algorithm = engine.algorithm
-        states = engine.query_result()
-        expected = compute_reference(algorithm, engine.graph.snapshot())
-        bad = [
-            (i, float(states[i]), float(expected[i]))
-            for i in range(len(expected))
-            if not algorithm.values_close(float(states[i]), float(expected[i]))
-        ]
-        assert not bad, (
-            f"scenario {name}/{policy_name}/seed={seed}: final states differ "
-            f"from cold-start reference; first mismatches {bad[:5]}"
-        )
-        # The lane must actually be exercised: every scenario has express
-        # steps, and each lands either as a safe apply or a fallthrough.
-        stats = lane.stats
-        singles = sum(1 for s in steps if s[0] == "express")
-        assert stats["safe_applied"] + stats["engine_fallthroughs"] == singles
-    finally:
-        engine.close()
+    for step in steps:
+        if step[0] == "express":
+            _, u, v, w, op = step
+            lane.apply(u, v, w, op)
+        else:
+            engine.apply_batch(step[1])
+    algorithm = engine.algorithm
+    states = engine.query_result()
+    expected = compute_reference(algorithm, engine.graph.snapshot())
+    bad = [
+        (i, float(states[i]), float(expected[i]))
+        for i in range(len(expected))
+        if not algorithm.values_close(float(states[i]), float(expected[i]))
+    ]
+    assert not bad, (
+        f"scenario {name}/{policy_name}/seed={seed}: final states differ "
+        f"from cold-start reference; first mismatches {bad[:5]}"
+    )
+    # The lane must actually be exercised: every scenario has express
+    # steps, and each lands either as a safe apply or a fallthrough.
+    stats = lane.stats
+    singles = sum(1 for s in steps if s[0] == "express")
+    assert stats["safe_applied"] + stats["engine_fallthroughs"] == singles
 
 
 def test_scenario_count_meets_floor():

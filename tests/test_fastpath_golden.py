@@ -91,36 +91,33 @@ def run_trace(name: str) -> dict:
     algorithm = make_algorithm(name, source=0)
     graph = _build_graph(algorithm)
     engine = JetStreamEngine(graph, algorithm, policy=DeletePolicy.DAP)
-    try:
-        engine.initial_compute()
-        lane = ExpressLane(engine)
-        updates = []
-        for u, v, w, op in _trace_updates(name):
-            result = lane.apply(u, v, w, op)
-            updates.append(
-                {
-                    "op": op,
-                    "u": u,
-                    "v": v,
-                    "w": w,
-                    "safe": result.safe,
-                    "reason": result.reason,
-                    "edges_scanned": result.edges_scanned,
-                    "state_reads": result.state_reads,
-                    "new_state": (
-                        [result.new_state[0], result.new_state[1]]
-                        if result.new_state is not None
-                        else None
-                    ),
-                }
-            )
-        return {
-            "algorithm": name,
-            "updates": updates,
-            "lane": dict(lane.stats),
-        }
-    finally:
-        engine.close()
+    engine.initial_compute()
+    lane = ExpressLane(engine)
+    updates = []
+    for u, v, w, op in _trace_updates(name):
+        result = lane.apply(u, v, w, op)
+        updates.append(
+            {
+                "op": op,
+                "u": u,
+                "v": v,
+                "w": w,
+                "safe": result.safe,
+                "reason": result.reason,
+                "edges_scanned": result.edges_scanned,
+                "state_reads": result.state_reads,
+                "new_state": (
+                    [result.new_state[0], result.new_state[1]]
+                    if result.new_state is not None
+                    else None
+                ),
+            }
+        )
+    return {
+        "algorithm": name,
+        "updates": updates,
+        "lane": dict(lane.stats),
+    }
 
 
 def run_unclassified_probes() -> dict:
@@ -128,26 +125,23 @@ def run_unclassified_probes() -> dict:
     algorithm = make_algorithm("pagerank", source=0)
     graph = _build_graph(algorithm)
     engine = JetStreamEngine(graph, algorithm, policy=DeletePolicy.BASE)
-    try:
-        engine.initial_compute()
-        lane = ExpressLane(engine)
-        probes = []
-        for u, v, w, op in [(0, 47, 3.0, "insert"), (1, 46, 2.0, "insert")]:
-            verdict = lane.classify(u, v, w, op)
-            probes.append(
-                {
-                    "op": op,
-                    "u": u,
-                    "v": v,
-                    "safe": verdict.safe,
-                    "reason": verdict.reason,
-                    "edges_scanned": verdict.edges_scanned,
-                    "state_reads": verdict.state_reads,
-                }
-            )
-        return {"algorithm": "pagerank", "probes": probes}
-    finally:
-        engine.close()
+    engine.initial_compute()
+    lane = ExpressLane(engine)
+    probes = []
+    for u, v, w, op in [(0, 47, 3.0, "insert"), (1, 46, 2.0, "insert")]:
+        verdict = lane.classify(u, v, w, op)
+        probes.append(
+            {
+                "op": op,
+                "u": u,
+                "v": v,
+                "safe": verdict.safe,
+                "reason": verdict.reason,
+                "edges_scanned": verdict.edges_scanned,
+                "state_reads": verdict.state_reads,
+            }
+        )
+    return {"algorithm": "pagerank", "probes": probes}
 
 
 # ----------------------------------------------------------------------

@@ -107,54 +107,48 @@ def test_safe_updates_leave_state_a_fixed_point(name, seed):
     algorithm = make_algorithm(name, source=0)
     graph = _build_graph(algorithm, seed)
     engine = JetStreamEngine(graph, algorithm, policy=DeletePolicy.DAP)
-    try:
-        engine.initial_compute()
-        lane = ExpressLane(engine)
-        safe_seen = 0
-        for u, v, w, op in _singles(name, seed):
-            result = lane.apply(u, v, w, op)
-            if result.safe:
-                safe_seen += 1
-                assert_fixed_point(
-                    engine,
-                    f"{name}/seed={seed}: after safe {op} "
-                    f"({u}, {v}, {w}) [{result.reason}]",
-                )
-        # The property must not pass vacuously: the stream has to hit the
-        # fast path. Mixed 70/30 streams classify mostly safe in practice.
-        assert safe_seen >= NUM_SINGLES // 4, (
-            f"{name}/seed={seed}: only {safe_seen}/{NUM_SINGLES} updates "
-            "took the fast path; the fixed-point property was barely tested"
-        )
-
-        # Literal engine re-run on the final graph: nothing changes.
-        rerun_graph = DynamicGraph.from_edges(
-            sorted(engine.graph.edges()), engine.graph.num_vertices
-        ) if not algorithm.needs_symmetric else None
-        if rerun_graph is None:
-            rerun_graph = DynamicGraph(engine.graph.num_vertices, symmetric=True)
-            for u, v, w in sorted(engine.graph.edges()):
-                if u <= v:
-                    rerun_graph.add_edge(u, v, w, _count_version=False)
-        rerun = JetStreamEngine(
-            rerun_graph, make_algorithm(name, source=0), policy=DeletePolicy.DAP
-        )
-        try:
-            rerun.initial_compute()
-            fresh = rerun.query_result()
-            current = engine.query_result()
-            bad = [
-                (i, float(current[i]), float(fresh[i]))
-                for i in range(len(fresh))
-                if not algorithm.values_close(float(current[i]), float(fresh[i]))
-            ]
-            assert not bad, (
-                f"{name}/seed={seed}: engine re-run changed states {bad[:5]}"
+    engine.initial_compute()
+    lane = ExpressLane(engine)
+    safe_seen = 0
+    for u, v, w, op in _singles(name, seed):
+        result = lane.apply(u, v, w, op)
+        if result.safe:
+            safe_seen += 1
+            assert_fixed_point(
+                engine,
+                f"{name}/seed={seed}: after safe {op} "
+                f"({u}, {v}, {w}) [{result.reason}]",
             )
-        finally:
-            rerun.close()
-    finally:
-        engine.close()
+    # The property must not pass vacuously: the stream has to hit the
+    # fast path. Mixed 70/30 streams classify mostly safe in practice.
+    assert safe_seen >= NUM_SINGLES // 4, (
+        f"{name}/seed={seed}: only {safe_seen}/{NUM_SINGLES} updates "
+        "took the fast path; the fixed-point property was barely tested"
+    )
+
+    # Literal engine re-run on the final graph: nothing changes.
+    rerun_graph = DynamicGraph.from_edges(
+        sorted(engine.graph.edges()), engine.graph.num_vertices
+    ) if not algorithm.needs_symmetric else None
+    if rerun_graph is None:
+        rerun_graph = DynamicGraph(engine.graph.num_vertices, symmetric=True)
+        for u, v, w in sorted(engine.graph.edges()):
+            if u <= v:
+                rerun_graph.add_edge(u, v, w, _count_version=False)
+    rerun = JetStreamEngine(
+        rerun_graph, make_algorithm(name, source=0), policy=DeletePolicy.DAP
+    )
+    rerun.initial_compute()
+    fresh = rerun.query_result()
+    current = engine.query_result()
+    bad = [
+        (i, float(current[i]), float(fresh[i]))
+        for i in range(len(fresh))
+        if not algorithm.values_close(float(current[i]), float(fresh[i]))
+    ]
+    assert not bad, (
+        f"{name}/seed={seed}: engine re-run changed states {bad[:5]}"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -177,57 +171,48 @@ def _chain_engine() -> JetStreamEngine:
 def test_mislabeled_load_bearing_delete_is_caught():
     """Forging ``safe`` for a support-edge delete trips the harness."""
     engine = _chain_engine()
-    try:
-        lane = ExpressLane(engine)
-        # The real classifier refuses this delete: 0->1 is 1's only support.
-        verdict = lane.classify(0, 1, 2.0, "delete")
-        assert not verdict.safe
-        assert verdict.reason == "delete-unsupported"
+    lane = ExpressLane(engine)
+    # The real classifier refuses this delete: 0->1 is 1's only support.
+    verdict = lane.classify(0, 1, 2.0, "delete")
+    assert not verdict.safe
+    assert verdict.reason == "delete-unsupported"
 
-        forged = UpdateClassification(safe=True, reason="delete-non-support")
-        lane._apply_safe(0, 1, 2.0, "delete", forged)
-        with pytest.raises(AssertionError, match="not a fixed point"):
-            assert_fixed_point(engine, "forged delete (0, 1)")
-    finally:
-        engine.close()
+    forged = UpdateClassification(safe=True, reason="delete-non-support")
+    lane._apply_safe(0, 1, 2.0, "delete", forged)
+    with pytest.raises(AssertionError, match="not a fixed point"):
+        assert_fixed_point(engine, "forged delete (0, 1)")
 
 
 def test_mislabeled_cascading_insert_is_caught():
     """Forging ``safe`` for a cascading insert trips the harness."""
     engine = _chain_engine()
-    try:
-        lane = ExpressLane(engine)
-        # Insert 0->2 with weight 1: improves vertex 2 (5 -> 1) but the
-        # improvement must cascade to 3, so the classifier rejects it.
-        verdict = lane.classify(0, 2, 1.0, "insert")
-        assert not verdict.safe
-        assert verdict.reason == "insert-cascades"
+    lane = ExpressLane(engine)
+    # Insert 0->2 with weight 1: improves vertex 2 (5 -> 1) but the
+    # improvement must cascade to 3, so the classifier rejects it.
+    verdict = lane.classify(0, 2, 1.0, "insert")
+    assert not verdict.safe
+    assert verdict.reason == "insert-cascades"
 
-        forged = UpdateClassification(
-            safe=True,
-            reason="insert-local-improvement",
-            new_state=(2, 1.0),
-            dependency_updates=((2, 0),),
-        )
-        lane._apply_safe(0, 2, 1.0, "insert", forged)
-        with pytest.raises(AssertionError, match="not a fixed point"):
-            assert_fixed_point(engine, "forged insert (0, 2)")
-    finally:
-        engine.close()
+    forged = UpdateClassification(
+        safe=True,
+        reason="insert-local-improvement",
+        new_state=(2, 1.0),
+        dependency_updates=((2, 0),),
+    )
+    lane._apply_safe(0, 2, 1.0, "insert", forged)
+    with pytest.raises(AssertionError, match="not a fixed point"):
+        assert_fixed_point(engine, "forged insert (0, 2)")
 
 
 def test_classification_is_pure():
     """``classify`` mutates nothing: repeated calls give identical verdicts
     and the converged state stays untouched."""
     engine = _chain_engine()
-    try:
-        lane = ExpressLane(engine)
-        before = np.array(engine.query_result(), copy=True)
-        first = lane.classify(1, 3, 1.0, "insert")
-        second = lane.classify(1, 3, 1.0, "insert")
-        assert first == second
-        assert np.array_equal(before, engine.query_result())
-        assert lane.stats["safe_applied"] == 0
-        assert lane.stats["engine_fallthroughs"] == 0
-    finally:
-        engine.close()
+    lane = ExpressLane(engine)
+    before = np.array(engine.query_result(), copy=True)
+    first = lane.classify(1, 3, 1.0, "insert")
+    second = lane.classify(1, 3, 1.0, "insert")
+    assert first == second
+    assert np.array_equal(before, engine.query_result())
+    assert lane.stats["safe_applied"] == 0
+    assert lane.stats["engine_fallthroughs"] == 0

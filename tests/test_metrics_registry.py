@@ -349,7 +349,6 @@ def run_express(count: int = 24, seed: int = 9):
             e = batch.deletions[0]
             results.append(lane.apply(e.u, e.v, e.w, "delete"))
     stats = dict(lane.stats)
-    engine.close()
     return results, stats
 
 
@@ -429,7 +428,7 @@ class TestExpressLaneMetrics:
 
 
 # ----------------------------------------------------------------------
-# Sharded substrate: per-engine utilization + worker-pool lifecycle
+# Sharded substrate: per-engine utilization
 # ----------------------------------------------------------------------
 class TestShardedPoolMetrics:
     def test_per_engine_counters_match_utilization(self, registry):
@@ -471,35 +470,6 @@ class TestShardedPoolMetrics:
         ]
         combined = RunMetrics(phases=[p for m in metrics for p in m.phases])
         assert fractions == pytest.approx(combined.engine_utilization())
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_pool_spawn_and_reuse_counters(self, registry, backend):
-        from repro.core import parallel
-
-        # Drain warm pools parked by earlier tests so spawn counts are
-        # deterministic.
-        for pools in parallel._PROCESS_POOL_CACHE.values():
-            while pools:
-                pools.pop().close()
-        run_stream("sharded", num_engines=4, backend=backend)
-        run_stream("sharded", num_engines=4, backend=backend)
-        spawns = registry.value(
-            "repro_shard_pool_spawns_total", backend=backend
-        )
-        reuses = registry.value(
-            "repro_shard_pool_reuse_total", backend=backend
-        )
-        if backend == "thread":
-            # One persistent pool per engine instance; each later phase of
-            # a run rebinds it rather than building a new one.
-            assert spawns == 2
-        else:
-            # The warm cache revives the first engine's pool for the
-            # second — exactly one set of worker processes is ever built.
-            assert spawns == 1
-        assert (reuses or 0) >= 1
-        workers = registry.value("repro_shard_pool_workers", backend=backend)
-        assert workers is not None and workers >= 1
 
 
 # ----------------------------------------------------------------------

@@ -646,6 +646,26 @@ class TestHttpProtocol:
         status, payload = client.post("/sessions/s/update", {"u": 0})
         assert status == 400 and payload["error"] == "BAD_UPDATE"
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("num_engines", "many"),
+            ("source", [1]),
+            ("keep_versions", "x"),
+            ("num_vertices", {"n": 4}),
+            ("queue_bound", "big"),
+            ("log_bound", [8]),
+        ],
+    )
+    def test_malformed_session_field_is_a_400(self, client, field, value):
+        # These used to raise out of the handler: the client saw the
+        # connection drop with no status.
+        status, payload = create_http_session(client, **{field: value})
+        assert status == 400 and payload["error"] == "BAD_SESSION"
+        assert field in payload["message"]
+        status, healthz = client.get("/healthz")
+        assert status == 200 and healthz["sessions"] == []
+
     def test_bad_json_body(self, server, client):
         create_http_session(client)
         request = urllib.request.Request(

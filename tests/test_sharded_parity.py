@@ -1,34 +1,53 @@
 """Sharded multi-engine <-> vectorized engine parity (the tentpole invariant).
 
-The parallel sharded backend (``ShardedQueueGroup`` + the
-``run_regular_sharded``/``run_delete_sharded`` kernels in
-``repro.core.parallel``) must be a *bit-identical* drop-in for the
-single-engine vectorized path for any engine count and any worker count:
-same final states, same per-round ``RoundWork`` vectors (hence identical
-modelled cycles/energy), same phase extras, same queue lifetime
-statistics. These tests sweep every algorithm × delete policy ×
-{static, streaming insert+delete batches} × ``num_engines ∈ {1, 2, 8}``,
-mirroring the structure of ``tests/test_vector_parity.py``.
+``engine="sharded"`` is the vectorized path plus per-engine accounting
+(``repro.core.parallel``), so it must be a *bit-identical* drop-in for
+the single-engine vectorized path for any engine count: same final
+states, same per-round ``RoundWork`` vectors (hence identical modelled
+cycles/energy), same phase extras, same queue lifetime statistics. These
+tests sweep every algorithm × delete policy × {static, streaming
+insert+delete batches} × ``num_engines ∈ {1, 2, 8}``, mirroring the
+structure of ``tests/test_vector_parity.py``.
+
+Every parity case also takes a *census* while its engines are still
+alive: ``thread`` checks that the set of live threads is the one before
+the run, ``process`` that the live child processes and shared-memory
+segments are — no engine path may start a runtime of its own.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import multiprocessing
+import re
+import threading
+from pathlib import Path
+
 import pytest
 
 from repro.algorithms import make_algorithm
 from repro.core.config import AcceleratorConfig
 from repro.core.engine import GraphPulseEngine
 from repro.core.policies import DeletePolicy
+from repro.core.shm import leaked_system_segments
 from repro.core.streaming import JetStreamEngine
-from repro.streams import StreamGenerator
+from repro.streams import Edge, StreamGenerator, UpdateBatch
 
 from conftest import make_graph_for
 
 ALGORITHMS = ["sssp", "bfs", "cc", "sswp", "pagerank", "adsorption"]
 POLICIES = [DeletePolicy.BASE, DeletePolicy.VAP, DeletePolicy.DAP]
 ENGINE_COUNTS = [1, 2, 8]
-BACKENDS = ["thread", "process"]
+CENSUSES = ["thread", "process"]
+
+
+def take_census(kind: str):
+    """Live threads (``thread``), or child processes and shm segments."""
+    if kind == "thread":
+        return sorted(t.ident for t in threading.enumerate())
+    return (
+        sorted(p.pid for p in multiprocessing.active_children()),
+        leaked_system_segments(),
+    )
 
 
 def assert_run_parity(oracle, sharded, context: str = "") -> None:
@@ -56,24 +75,23 @@ def run_static_pair(
     n: int = 60,
     m: int = 240,
     seed: int = 7,
-    backend: str = "thread",
+    census_kind: str = "thread",
 ):
+    before = take_census(census_kind)
     algorithm = make_algorithm(name, source=0)
     graph = make_graph_for(algorithm, n=n, m=m, seed=seed)
-    oracle = GraphPulseEngine(
-        make_algorithm(name, source=0), config, engine="vectorized"
-    ).compute(graph.snapshot())
-    engine = GraphPulseEngine(
-        make_algorithm(name, source=0),
-        config,
-        engine="sharded",
-        num_engines=num_engines,
-        backend=backend,
-    )
-    try:
-        sharded = engine.compute(graph.snapshot())
-    finally:
-        engine.close()
+    engines = [
+        GraphPulseEngine(make_algorithm(name, source=0), config, engine="vectorized"),
+        GraphPulseEngine(
+            make_algorithm(name, source=0),
+            config,
+            engine="sharded",
+            num_engines=num_engines,
+        ),
+    ]
+    oracle, sharded = (engine.compute(graph.snapshot()) for engine in engines)
+    # Taken while both engines are alive: a runtime either owned would show.
+    assert take_census(census_kind) == before, f"the run changed the {census_kind} census"
     return oracle, sharded
 
 
@@ -87,65 +105,67 @@ def run_stream_pair(
     seed: int = 11,
     num_batches: int = 3,
     batch_size: int = 12,
-    backend: str = "thread",
+    census_kind: str = "thread",
     **engine_kwargs,
 ):
-    results = []
+    before = take_census(census_kind)
+    engines, results = [], []
     for engine_mode in ("vectorized", "sharded"):
         algorithm = make_algorithm(name, source=0)
         graph = make_graph_for(algorithm, n=n, m=m, seed=seed)
         kwargs = dict(engine_kwargs)
         if engine_mode == "sharded":
             kwargs["num_engines"] = num_engines
-            kwargs["backend"] = backend
         engine = JetStreamEngine(
             graph, algorithm, config, policy=policy, engine=engine_mode, **kwargs
         )
-        try:
-            stream = StreamGenerator(graph, seed=seed + 1)
-            runs = [engine.initial_compute()]
-            for _ in range(num_batches):
-                runs.append(engine.apply_batch(stream.next_batch(batch_size)))
-        finally:
-            engine.close()
+        engines.append(engine)
+        stream = StreamGenerator(graph, seed=seed + 1)
+        runs = [engine.initial_compute()]
+        for _ in range(num_batches):
+            runs.append(engine.apply_batch(stream.next_batch(batch_size)))
         results.append(runs)
+    assert take_census(census_kind) == before, f"the run changed the {census_kind} census"
     return results
 
 
+def grow_stream(engine_mode: str, **kwargs):
+    """Initial evaluation + three batches that each create two vertices.
+
+    Returns ``(engine, results)``.
+    """
+    graph = make_graph_for(make_algorithm("sssp", source=0), n=30, m=100, seed=71)
+    engine = JetStreamEngine(
+        graph, make_algorithm("sssp", source=0), engine=engine_mode, **kwargs
+    )
+    out = [engine.initial_compute()]
+    next_vertex = graph.num_vertices
+    for step in range(3):
+        insertions = [
+            Edge(step, next_vertex, 1.0),
+            Edge(next_vertex, next_vertex + 1, 2.0),
+        ]
+        next_vertex += 2
+        out.append(engine.apply_batch(UpdateBatch(insertions=insertions)))
+    return engine, out
+
+
 class TestStaticShardedParity:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("census", CENSUSES)
     @pytest.mark.parametrize("num_engines", ENGINE_COUNTS)
     @pytest.mark.parametrize("name", ALGORITHMS)
-    def test_static_compute(self, name, num_engines, backend):
-        oracle, sharded = run_static_pair(name, num_engines, backend=backend)
-        assert_run_parity(
-            oracle, sharded, f"static/{name}/e{num_engines}/{backend}"
-        )
+    def test_static_compute(self, name, num_engines, census):
+        oracle, sharded = run_static_pair(name, num_engines, census_kind=census)
+        assert_run_parity(oracle, sharded, f"static/{name}/e{num_engines}")
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("census", CENSUSES)
     @pytest.mark.parametrize("name", ["sssp", "pagerank"])
-    def test_static_partial_drain(self, name, backend):
-        # The scheduler's bounded row window must be computed over the
-        # union of every engine's pending rows.
+    def test_static_partial_drain(self, name, census):
+        # A bounded row window per round: the per-engine split must follow
+        # the oracle's partial drains.
         config = AcceleratorConfig(scheduler_rows_per_round=2)
-        oracle, sharded = run_static_pair(name, 8, config, seed=33, backend=backend)
-        assert_run_parity(oracle, sharded, f"static-partial/{name}/{backend}")
-
-    def test_serial_workers_identical(self):
-        # workers=1 (serial shard execution) is the same computation as the
-        # thread pool — determinism cannot depend on scheduling.
-        algorithm = make_algorithm("pagerank")
-        graph = make_graph_for(algorithm, n=60, m=240, seed=7)
-        pooled = GraphPulseEngine(
-            make_algorithm("pagerank"), engine="sharded", num_engines=8
-        ).compute(graph.snapshot())
-        serial = GraphPulseEngine(
-            make_algorithm("pagerank"),
-            engine="sharded",
-            num_engines=8,
-            shard_workers=1,
-        ).compute(graph.snapshot())
-        assert_run_parity(pooled, serial, "static/workers")
+        oracle, sharded = run_static_pair(name, 8, config, seed=33, census_kind=census)
+        assert_run_parity(oracle, sharded, f"static-partial/{name}")
 
     def test_sharded_rejects_forced_queue_slicing(self):
         # Each engine's queue must hold its whole slice resident (§4.7);
@@ -171,37 +191,32 @@ class TestStaticShardedParity:
 
 
 class TestStreamingShardedParity:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("census", CENSUSES)
     @pytest.mark.parametrize("num_engines", ENGINE_COUNTS)
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("name", ALGORITHMS)
-    def test_streaming(self, name, policy, num_engines, backend):
+    def test_streaming(self, name, policy, num_engines, census):
         oracle_runs, sharded_runs = run_stream_pair(
-            name, policy, num_engines, backend=backend
+            name, policy, num_engines, census_kind=census
         )
         for index, (oracle, sharded) in enumerate(zip(oracle_runs, sharded_runs)):
-            context = (
-                f"stream/{name}/{policy.name}/e{num_engines}/{backend}/"
-                f"batch{index}"
-            )
+            context = f"stream/{name}/{policy.name}/e{num_engines}/batch{index}"
             assert oracle.impacted == sharded.impacted, (
                 f"{context}: impacted diverge"
             )
             assert_run_parity(oracle, sharded, context)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("census", CENSUSES)
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_streaming_partial_drain(self, policy, backend):
+    def test_streaming_partial_drain(self, policy, census):
         config = AcceleratorConfig(scheduler_rows_per_round=2)
         oracle_runs, sharded_runs = run_stream_pair(
-            "sssp", policy, 8, config, seed=51, backend=backend
+            "sssp", policy, 8, config, seed=51, census_kind=census
         )
         for index, (oracle, sharded) in enumerate(zip(oracle_runs, sharded_runs)):
             assert oracle.impacted == sharded.impacted
             assert_run_parity(
-                oracle,
-                sharded,
-                f"stream-partial/{policy.name}/{backend}/batch{index}",
+                oracle, sharded, f"stream-partial/{policy.name}/batch{index}"
             )
 
     def test_streaming_two_phase_accumulative(self):
@@ -217,41 +232,17 @@ class TestStreamingShardedParity:
         for index, (oracle, sharded) in enumerate(zip(oracle_runs, sharded_runs)):
             assert_run_parity(oracle, sharded, f"two-phase/batch{index}")
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_streaming_grows_vertices(self, backend):
+    @pytest.mark.parametrize("census", CENSUSES)
+    def test_streaming_grows_vertices(self, census):
         # Streams that create brand-new vertices exercise the deterministic
-        # partition-growth rule on both the engine plan and the queue group
-        # (and, on the process backend, shm state-array reallocation).
-        algorithm = make_algorithm("sssp", source=0)
-        graph = make_graph_for(algorithm, n=30, m=100, seed=71)
-        runs = []
-        for engine_mode in ("vectorized", "sharded"):
-            g = make_graph_for(algorithm, n=30, m=100, seed=71)
-            kwargs = {"backend": backend} if engine_mode == "sharded" else {}
-            engine = JetStreamEngine(
-                g, make_algorithm("sssp", source=0), engine=engine_mode, **kwargs
-            )
-            try:
-                engine.initial_compute()
-                out = []
-                next_vertex = g.num_vertices
-                for step in range(3):
-                    from repro.streams import Edge, UpdateBatch
-
-                    insertions = [
-                        Edge(step, next_vertex, 1.0),
-                        Edge(next_vertex, next_vertex + 1, 2.0),
-                    ]
-                    next_vertex += 2
-                    out.append(
-                        engine.apply_batch(UpdateBatch(insertions=insertions))
-                    )
-            finally:
-                engine.close()
-            runs.append(out)
-        for index, (oracle, sharded) in enumerate(zip(*runs)):
+        # growth rule of the vertex->engine map.
+        before = take_census(census)
+        oracle_engine, oracle_runs = grow_stream("vectorized")
+        sharded_engine, sharded_runs = grow_stream("sharded", num_engines=8)
+        assert take_census(census) == before
+        for index, (oracle, sharded) in enumerate(zip(oracle_runs, sharded_runs)):
             assert oracle.impacted == sharded.impacted
-            assert_run_parity(oracle, sharded, f"grow/{backend}/batch{index}")
+            assert_run_parity(oracle, sharded, f"grow/batch{index}")
 
 
 class TestShardedMetrics:
@@ -302,3 +293,38 @@ class TestShardedMetrics:
         noc = result.metrics.noc_summary()
         assert noc["events_remote"] == 0
         assert noc["flits"] == 0
+
+
+class TestNoParallelRuntime:
+    """Sharding is accounting: no engine path starts a thread, a process
+    or a shared-memory segment."""
+
+    def test_eight_engine_runs_leave_every_census_unchanged(self):
+        threads = threading.active_count()
+        children = multiprocessing.active_children()
+        segments = leaked_system_segments()
+        algorithm = make_algorithm("pagerank")
+        graph = make_graph_for(algorithm, n=60, m=240, seed=7)
+        static = GraphPulseEngine(algorithm, engine="sharded", num_engines=8)
+        result = static.compute(graph.snapshot())
+        stream, grown = grow_stream("sharded", num_engines=8)
+        assert len(result.metrics.engine_utilization()) == 8
+        assert grown[-1].metrics.phases[-1].shard_rounds
+        # Both engines are still referenced, so anything they started
+        # would still be running.
+        assert threading.active_count() == threads
+        assert multiprocessing.active_children() == children
+        assert leaked_system_segments() == segments
+
+    def test_core_imports_no_parallel_runtime(self):
+        core = Path(__file__).resolve().parents[1] / "src" / "repro" / "core"
+        banned = re.compile(
+            r"^\s*(?:import|from)\s+(?:threading|concurrent\.futures|multiprocessing)\b"
+            r"|shared_memory",
+            re.MULTILINE,
+        )
+        offenders = [
+            path.name for path in sorted(core.glob("*.py"))
+            if banned.search(path.read_text())
+        ]
+        assert offenders == []

@@ -1,7 +1,7 @@
 """Property-based stream fuzzing for the sharded incremental engine.
 
-The invariant under test: **incremental evaluation on the sharded parallel
-backend equals a cold-start reference computation** on the final graph —
+The invariant under test: **incremental evaluation on the sharded
+engine equals a cold-start reference computation** on the final graph —
 ``incremental(sharded) == cold_start(reference.py)`` within each
 algorithm's tolerance — for seeded random RMAT graphs driven by random
 batched insert/delete streams. Every scenario is reproducible from its
@@ -68,13 +68,8 @@ def _mismatches(algorithm, states, csr) -> List[int]:
     ]
 
 
-def _replay(
-    name: str,
-    seed: int,
-    batches: List[UpdateBatch],
-    backend: str = "thread",
-) -> Optional[int]:
-    """Run the scenario prefix incrementally on the sharded backend.
+def _replay(name: str, seed: int, batches: List[UpdateBatch]) -> Optional[int]:
+    """Run the scenario prefix incrementally on the sharded engine.
 
     Returns the smallest prefix length after which the incremental states
     diverge from the cold-start reference (0 = the initial evaluation
@@ -83,22 +78,15 @@ def _replay(
     algorithm = make_algorithm(name, source=0)
     graph = _build_graph(algorithm, seed)
     engine = JetStreamEngine(
-        graph,
-        algorithm,
-        engine="sharded",
-        num_engines=NUM_ENGINES,
-        backend=backend,
+        graph, algorithm, engine="sharded", num_engines=NUM_ENGINES
     )
-    try:
-        engine.initial_compute()
+    engine.initial_compute()
+    if _mismatches(algorithm, engine.query_result(), graph.snapshot()):
+        return 0
+    for index, batch in enumerate(batches):
+        engine.apply_batch(batch)
         if _mismatches(algorithm, engine.query_result(), graph.snapshot()):
-            return 0
-        for index, batch in enumerate(batches):
-            engine.apply_batch(batch)
-            if _mismatches(algorithm, engine.query_result(), graph.snapshot()):
-                return index + 1
-    finally:
-        engine.close()
+            return index + 1
     return None
 
 
@@ -107,7 +95,6 @@ def _minimal_failing_prefix(
     seed: int,
     batches: List[UpdateBatch],
     failing_len: int,
-    backend: str = "thread",
 ) -> int:
     """Bisect the batch list down to the shortest prefix that still fails."""
     if failing_len == 0:
@@ -115,7 +102,7 @@ def _minimal_failing_prefix(
     lo, hi = 1, failing_len
     while lo < hi:
         mid = (lo + hi) // 2
-        if _replay(name, seed, batches[:mid], backend=backend) is not None:
+        if _replay(name, seed, batches[:mid]) is not None:
             hi = mid
         else:
             lo = mid + 1
@@ -145,31 +132,6 @@ def test_incremental_sharded_matches_cold_start(name, seed):
         f"{minimal} batch(es). Minimal failing stream prefix "
         f"(RMAT n={NUM_VERTICES} m={NUM_EDGES} seed={seed}, stream seed="
         f"{seed + 1000}):\n" + _format_prefix(batches[:minimal])
-    )
-
-
-#: Process-backend subset: the full matrix would re-pay worker spawns for
-#: little extra coverage — backends are bit-identical by the parity suite,
-#: so three seeds per algorithm exercise the shm transport end to end.
-PROCESS_SEEDS = list(range(3))
-
-
-@pytest.mark.parametrize("seed", PROCESS_SEEDS)
-@pytest.mark.parametrize("name", FUZZ_ALGORITHMS)
-def test_incremental_process_backend_matches_cold_start(name, seed):
-    batches = _make_batches(name, seed)
-    failing = _replay(name, seed, batches, backend="process")
-    if failing is None:
-        return
-    minimal = _minimal_failing_prefix(
-        name, seed, batches, failing, backend="process"
-    )
-    pytest.fail(
-        f"scenario {name}/seed={seed}: incremental(sharded, "
-        f"{NUM_ENGINES} engines, process backend) diverged from "
-        f"cold_start(reference) after {minimal} batch(es). Minimal failing "
-        f"stream prefix (RMAT n={NUM_VERTICES} m={NUM_EDGES} seed={seed}, "
-        f"stream seed={seed + 1000}):\n" + _format_prefix(batches[:minimal])
     )
 
 
@@ -217,23 +179,20 @@ def _replay_policy(
     if engine == "sharded":
         kwargs["num_engines"] = NUM_ENGINES
     stream_engine = JetStreamEngine(graph, algorithm, policy=policy, **kwargs)
-    try:
-        stream_engine.initial_compute()
-        if _mismatches(algorithm, stream_engine.query_result(), graph.snapshot()):
-            return 0
-        for index, batch in enumerate(batches):
-            result = stream_engine.apply_batch(batch)
-            if policy is DeletePolicy.COMMONGRAPH and batch.deletions:
-                assert result.vertices_reset == 0, (
-                    f"commongraph reset {result.vertices_reset} vertices "
-                    f"on batch {index} — the conversion must never reset"
-                )
-            if _mismatches(
-                algorithm, stream_engine.query_result(), graph.snapshot()
-            ):
-                return index + 1
-    finally:
-        stream_engine.close()
+    stream_engine.initial_compute()
+    if _mismatches(algorithm, stream_engine.query_result(), graph.snapshot()):
+        return 0
+    for index, batch in enumerate(batches):
+        result = stream_engine.apply_batch(batch)
+        if policy is DeletePolicy.COMMONGRAPH and batch.deletions:
+            assert result.vertices_reset == 0, (
+                f"commongraph reset {result.vertices_reset} vertices "
+                f"on batch {index} — the conversion must never reset"
+            )
+        if _mismatches(
+            algorithm, stream_engine.query_result(), graph.snapshot()
+        ):
+            return index + 1
     return None
 
 
@@ -266,14 +225,11 @@ def test_commongraph_falls_through_for_accumulative(seed):
     engine = JetStreamEngine(
         graph, algorithm, policy=DeletePolicy.COMMONGRAPH
     )
-    try:
-        assert engine.requested_policy is DeletePolicy.COMMONGRAPH
-        assert engine.policy is not DeletePolicy.COMMONGRAPH
-        engine.initial_compute()
-        for batch in batches:
-            engine.apply_batch(batch)
-        assert not _mismatches(
-            algorithm, engine.query_result(), graph.snapshot()
-        )
-    finally:
-        engine.close()
+    assert engine.requested_policy is DeletePolicy.COMMONGRAPH
+    assert engine.policy is not DeletePolicy.COMMONGRAPH
+    engine.initial_compute()
+    for batch in batches:
+        engine.apply_batch(batch)
+    assert not _mismatches(
+        algorithm, engine.query_result(), graph.snapshot()
+    )
