@@ -1,23 +1,24 @@
-"""CommonGraph deletion-to-addition conversion vs DAP recovery.
+"""CommonGraph multi-version evaluation vs independent cold runs.
 
-The headline number for the ``delete_policy=commongraph`` tentpole: on
-Fig. 10-style deletion-heavy batches the conversion must process at
-least :data:`RATIO_GATE` (2x) fewer events than JetStream's own
-dependency-aware (DAP) recovery, while producing bit-identical final
-states and resetting zero vertices.
+The ``commongraph`` suite measures the evaluator behind
+``Session.run_at_versions`` / ``repro query --at-versions``: the versions
+of a recorded stream share one common graph, the engine converges on it
+once, and every version is an addition-only pass from that base state
+(:func:`repro.core.streaming.evaluate_at_versions`). The comparator is what
+the evaluator replaces: one cold ``initial_compute()`` per version on the
+graph ``DeltaVersionStore.reconstruct(v)`` returns.
 
-Each grid point deletes a fixed fraction of the graph's edges in one
-batch and replays it twice from the same converged state:
+Each grid point applies :data:`NUM_BATCHES` seeded batches of
+:data:`BATCH_SIZE` records (insertion ratio :data:`INSERTION_RATIO`) to
+the WK stand-in with versioning on, then evaluates all
+``NUM_BATCHES + 1`` versions both ways. States must be identical per
+version, and the cold runs must process at least :data:`RATIO_GATE` times
+the evaluator's events. ``ratio_wall`` (cold / shared seconds) is printed
+but not gated.
 
-* **dap** — Algorithm 4 recovery: invalidation cascade along the
-  dependency tree, request events, reconvergence.
-* **commongraph** — converge the common graph (current edges minus the
-  delete set) once; with a deletion-only batch there are no insertions
-  to re-apply, so that single monotonic pass is the whole batch.
-
-The regression-gate ``events`` column is the engine's deterministic
-event counter, so policy drift fails the gate exactly; ``events_per_s``
-carries the machine-dependent throughput check.
+The regression-gate event column is the exact pair ``[total_events,
+cold_events]``; both are deterministic engine counters, so any drift in
+the evaluator or in cold evaluation fails the gate.
 
 Usable two ways:
 
@@ -25,14 +26,13 @@ Usable two ways:
   ``BENCH_commongraph.json`` at the repo root. ``REPRO_BENCH_QUICK=1``
   shrinks the grid for CI smoke runs.
 * ``repro bench check --suite commongraph`` — re-runs :func:`collect`
-  and gates events/s and exact event counts against the baseline.
+  and compares the exact event counts against the baseline.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import random
 import sys
 import time
 from pathlib import Path
@@ -42,23 +42,21 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from repro.algorithms import make_algorithm
-from repro.core.policies import DeletePolicy
-from repro.core.streaming import JetStreamEngine
+from repro.core.streaming import JetStreamEngine, evaluate_at_versions
 from repro.graph import datasets
-from repro.streams import Edge, UpdateBatch
+from repro.graph.dynamic import DeltaVersionStore, DynamicGraph
+from repro.streams import StreamGenerator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_commongraph.json"
 
 GRAPH = "WK"
-BATCH_SEED = 42
+STREAM_SEED = 42
+NUM_BATCHES = 8
+BATCH_SIZE = 200
+INSERTION_RATIO = 0.5
 
-#: Gated points delete 30% of the edges — the deletion-heavy end of the
-#: Fig. 10 sweep, where DAP's reset cascade is at its most expensive.
-#: The 10% point rides along informationally (full mode only).
-GATED_FRACTION = 0.3
-
-#: Minimum DAP/commongraph event ratio on the gated points.
+#: Minimum cold/shared event ratio on every point.
 RATIO_GATE = 2.0
 
 
@@ -67,102 +65,114 @@ def quick_mode() -> bool:
 
 
 def grid(quick: bool):
-    """(algorithms, delete_fractions) for the run mode."""
-    if quick:
-        return ["sssp", "cc"], [GATED_FRACTION]
-    return ["sssp", "cc", "sswp", "bfs"], [0.1, GATED_FRACTION]
+    """Algorithms for the run mode."""
+    return ["sssp", "cc"] if quick else ["sssp", "cc", "sswp", "bfs"]
 
 
-def deletion_batch(graph, fraction: float) -> UpdateBatch:
-    """A deletion-only batch removing ``fraction`` of the logical edges."""
-    edges = [(u, v, w) for u, v, w in graph.edges()]
-    if graph.symmetric:
-        edges = [(u, v, w) for u, v, w in edges if u <= v]
-    rng = random.Random(BATCH_SEED)
-    dels = rng.sample(edges, int(len(edges) * fraction))
-    return UpdateBatch(deletions=[Edge(u, v, w) for u, v, w in dels])
+def recorded_stream(algorithm):
+    """The WK stand-in after the seeded stream, with every version kept."""
+    graph = datasets.load(GRAPH, symmetric=algorithm.needs_symmetric, seed=0)
+    store = DeltaVersionStore(graph)
+    generator = StreamGenerator(
+        graph, seed=STREAM_SEED, insertion_ratio=INSERTION_RATIO
+    )
+    for _ in range(NUM_BATCHES):
+        batch = generator.next_batch(BATCH_SIZE)
+        graph.apply_batch(batch.ins, batch.dels)
+        store.record_batch(batch.ins, batch.dels)
+    return store
 
 
-def run_policy(algorithm: str, policy: DeletePolicy, fraction: float) -> dict:
-    algo = make_algorithm(algorithm, source=0)
-    graph = datasets.load(GRAPH, symmetric=algo.needs_symmetric, seed=0)
-    engine = JetStreamEngine(graph, algo, policy=policy)
-    engine.initial_compute()
-    batch = deletion_batch(graph, fraction)
+def cold_run(store, algorithm_name: str, version: int):
+    """One cold evaluation of ``version``: reconstruct, load, converge."""
+    algorithm = make_algorithm(algorithm_name, source=0)
+    csr = store.reconstruct(version)
+    u, v, w = csr.edge_arrays()
+    if algorithm.needs_symmetric:
+        # The loader re-mirrors; hand it each undirected edge once.
+        half = u <= v
+        u, v, w = u[half], v[half], w[half]
+    graph = DynamicGraph.from_arrays(
+        u, v, w, csr.num_vertices, symmetric=algorithm.needs_symmetric
+    )
+    return JetStreamEngine(graph, algorithm).initial_compute()
+
+
+def run_point(algorithm_name: str) -> dict:
+    store = recorded_stream(make_algorithm(algorithm_name, source=0))
+    versions = store.versions()
+
     started = time.perf_counter()
-    result = engine.apply_batch(batch)
-    elapsed = time.perf_counter() - started
-    events = int(result.metrics.events_processed)
+    shared = evaluate_at_versions(
+        store, make_algorithm(algorithm_name, source=0), versions
+    )
+    shared_s = time.perf_counter() - started
+
+    cold_events = 0
+    identical = True
+    started = time.perf_counter()
+    for version in versions:
+        cold = cold_run(store, algorithm_name, version)
+        cold_events += int(cold.metrics.events_processed)
+        identical &= bool(np.array_equal(cold.states, shared.states[version]))
+    cold_s = time.perf_counter() - started
+
     return {
-        "batch_edges": len(batch.deletions),
-        "wall_clock_s": elapsed,
-        "events_processed": events,
-        "events_per_s": events / elapsed if elapsed > 0 else float("inf"),
-        "vertices_reset": int(result.vertices_reset),
-        "states": result.states.copy(),
+        "graph": GRAPH,
+        "algorithm": algorithm_name,
+        "versions": len(versions),
+        "common_edges": int(shared.common_edges),
+        "common_events": int(shared.common_events),
+        "total_events": int(shared.total_events),
+        "cold_events": cold_events,
+        "ratio_events": cold_events / shared.total_events,
+        "shared_wall_s": shared_s,
+        "cold_wall_s": cold_s,
+        "ratio_wall": cold_s / shared_s,
+        "states_identical": identical,
     }
 
 
 def collect(quick: bool) -> dict:
-    algorithms, fractions = grid(quick)
     results = []
-    for algorithm in algorithms:
-        for fraction in fractions:
-            dap = run_policy(algorithm, DeletePolicy.DAP, fraction)
-            cg = run_policy(algorithm, DeletePolicy.COMMONGRAPH, fraction)
-            identical = bool(np.array_equal(dap.pop("states"), cg.pop("states")))
-            ratio = (
-                dap["events_processed"] / cg["events_processed"]
-                if cg["events_processed"]
-                else float("inf")
-            )
-            gated = fraction >= GATED_FRACTION
-            print(
-                f"{GRAPH}/{algorithm} del={fraction:.0%}: "
-                f"DAP {dap['events_processed']:>6} events "
-                f"({dap['vertices_reset']} resets)  "
-                f"CG {cg['events_processed']:>6} events "
-                f"({cg['vertices_reset']} resets)  "
-                f"ratio {ratio:5.2f}x  identical={identical}"
-            )
-            results.append(
-                {
-                    "graph": GRAPH,
-                    "algorithm": algorithm,
-                    "delete_fraction": fraction,
-                    "gated": gated,
-                    "dap": dap,
-                    "commongraph": cg,
-                    "ratio_events": ratio,
-                    "states_identical": identical,
-                }
-            )
-    gated_ratios = [r["ratio_events"] for r in results if r["gated"]]
+    for algorithm_name in grid(quick):
+        row = run_point(algorithm_name)
+        print(
+            f"{GRAPH}/{algorithm_name} x{row['versions']} versions: "
+            f"shared {row['total_events']:>7} events "
+            f"(common {row['common_events']})  "
+            f"cold {row['cold_events']:>7} events  "
+            f"ratio {row['ratio_events']:5.2f}x  "
+            f"wall {row['shared_wall_s']:.3f}s vs {row['cold_wall_s']:.3f}s "
+            f"(ratio_wall {row['ratio_wall']:.2f}x)  "
+            f"identical={row['states_identical']}"
+        )
+        results.append(row)
     return {
         "quick": quick,
         "graph": GRAPH,
+        "num_batches": NUM_BATCHES,
+        "batch_size": BATCH_SIZE,
+        "insertion_ratio": INSERTION_RATIO,
         "ratio_gate": RATIO_GATE,
-        "min_gated_ratio": min(gated_ratios) if gated_ratios else None,
+        "min_ratio_events": min(r["ratio_events"] for r in results),
         "results": results,
     }
 
 
 def main() -> int:
-    quick = quick_mode()
-    report = collect(quick)
+    report = collect(quick_mode())
     OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"[saved to {OUTPUT_PATH}]")
     failed = False
-    if any(not r["states_identical"] for r in report["results"]):
-        print("ERROR: commongraph states diverged from the DAP oracle",
+    if not all(r["states_identical"] for r in report["results"]):
+        print("ERROR: shared-prefix states diverged from the cold runs",
               file=sys.stderr)
         failed = True
-    if report["min_gated_ratio"] is not None and (
-        report["min_gated_ratio"] < RATIO_GATE
-    ):
+    if report["min_ratio_events"] < RATIO_GATE:
         print(
-            f"WARNING: min DAP/commongraph event ratio "
-            f"{report['min_gated_ratio']:.2f}x below the {RATIO_GATE:.0f}x gate",
+            f"ERROR: min cold/shared event ratio "
+            f"{report['min_ratio_events']:.2f}x below the {RATIO_GATE:.0f}x gate",
             file=sys.stderr,
         )
         failed = True
@@ -170,15 +180,13 @@ def main() -> int:
 
 
 def test_commongraph_event_ratio(benchmark):
-    """pytest-benchmark entry: quick grid, conversion must beat DAP 2x."""
-    os.environ.setdefault("REPRO_BENCH_QUICK", "1")
+    """pytest-benchmark entry: quick grid, sharing must halve the events."""
     report = benchmark.pedantic(lambda: collect(True), rounds=1, iterations=1)
     assert all(r["states_identical"] for r in report["results"])
-    assert report["min_gated_ratio"] >= RATIO_GATE, (
-        f"commongraph only {report['min_gated_ratio']:.2f}x fewer events "
-        f"than DAP on the gated deletion batches"
+    assert report["min_ratio_events"] >= RATIO_GATE, (
+        f"{report['min_ratio_events']:.2f}x fewer events than cold runs"
     )
-    benchmark.extra_info["min_gated_ratio"] = round(report["min_gated_ratio"], 2)
+    benchmark.extra_info["min_ratio_events"] = round(report["min_ratio_events"], 2)
 
 
 if __name__ == "__main__":

@@ -70,7 +70,7 @@ def run_grid(quick: bool) -> dict:
     algorithms = ["sssp", "pagerank"] if quick else ["pagerank"]
     rows = []
     for algo in algorithms:
-        oracle, oracle_s = run_once(algo, csr, "vectorized")
+        oracle, oracle_s = run_once(algo, csr, "auto")
         for engines in ENGINE_COUNTS:
             result, sharded_s = run_once(algo, csr, "sharded", num_engines=engines)
             cell = f"{graph_name}/{algo}/e{engines}"

@@ -90,7 +90,7 @@ def run_grid(quick: bool) -> dict:
     for graph_name, num_edges, graph in graphs:
         for algo in algorithms:
             scalar = run_once(algo, graph, "scalar")
-            vector = run_once(algo, graph, "vectorized")
+            vector = run_once(algo, graph, "auto")
             if scalar["events_processed"] != vector["events_processed"]:
                 raise AssertionError(
                     f"{graph_name}/{algo}: engines processed different event "

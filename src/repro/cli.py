@@ -118,9 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="policy",
         choices=[p.value for p in DeletePolicy],
         default=DeletePolicy.DAP.value,
-        help="deletion policy: base/vap/dap recovery, or commongraph "
-        "(deletion-to-addition conversion; selective algorithms only, "
-        "accumulative ones fall through to DAP)",
+        help="deletion recovery policy (§5): base, vap, or dap",
     )
     stream.add_argument("--updates", help="update-stream file (see repro.graph.io)")
     stream.add_argument("--seed", type=int, default=0)

@@ -50,9 +50,10 @@ _LINE = 64  # cache-line bytes (fixed by the DRAM interface)
 
 #: Engine substrate choices: ``auto`` picks the vectorized path whenever the
 #: algorithm provides the array hooks, falling back to scalar otherwise;
-#: ``sharded`` runs the vectorized path and additionally reports the work
-#: and crossbar traffic of ``num_engines`` graph slices (Table 1, §4.7).
-ENGINE_MODES = ("auto", "scalar", "vectorized", "sharded")
+#: ``sharded`` requires the hooks, runs the vectorized path and additionally
+#: reports the work and crossbar traffic of ``num_engines`` graph slices
+#: (Table 1, §4.7).
+ENGINE_MODES = ("auto", "scalar", "sharded")
 
 
 class EngineCore:
@@ -76,7 +77,7 @@ class EngineCore:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if engine not in ENGINE_MODES:
             raise ValueError(f"engine must be one of {ENGINE_MODES}, got {engine!r}")
-        if engine in ("vectorized", "sharded") and not algorithm.supports_vectorized:
+        if engine == "sharded" and not algorithm.supports_vectorized:
             raise ValueError(
                 f"{algorithm.name} provides no vectorized hooks; "
                 "use engine='scalar' or 'auto'"
@@ -151,33 +152,16 @@ class EngineCore:
                 self._shard_of, num_vertices, self.num_engines
             )
 
-    def reset_states(self, num_vertices: Optional[int] = None) -> None:
-        """Return every vertex to Identity without discarding the topology.
-
-        Unlike :meth:`allocate`, this keeps the installed slice assignment
-        and vertex→engine map intact — a common-graph pass binds a *smaller*
-        edge set over the same vertex range, and repartitioning there would
-        give the base and addition phases different vertex→engine maps.
-        """
-        target = self.states.shape[0] if num_vertices is None else num_vertices
-        if self.states.shape[0] == 0:
-            self.allocate(target)
-            return
-        self.states.fill(self.algorithm.identity)
-        self.dependency.fill(NO_SOURCE)
-        if target > self.states.shape[0]:
-            self.grow(target)
-
     def load_states(
         self, states: np.ndarray, dependency: Optional[np.ndarray] = None
     ) -> None:
         """Install a previously converged state vector as the base state.
 
-        The addition-only passes (COMMONGRAPH batches, multi-version
-        evaluation) start from a converged prefix instead of Identity:
-        ``states[:n]`` is copied in, any vertices beyond ``n`` (created by
-        later insertions) start at Identity. Slice assignment and
-        vertex→engine map survive, same as :meth:`reset_states`.
+        The addition-only passes of multi-version evaluation start from a
+        converged prefix instead of Identity: ``states[:n]`` is copied in,
+        any vertices beyond ``n`` (created by later insertions) start at
+        Identity. Unlike :meth:`allocate`, the slice assignment and
+        vertex→engine map survive, so every pass shares one partition.
         """
         n = states.shape[0]
         if self.states.shape[0] == 0:
@@ -740,9 +724,9 @@ class GraphPulseEngine:
         accounting (the static accelerator carries no flags/source).
     engine:
         Substrate selection: ``auto`` (vectorized when the algorithm
-        provides array hooks), ``vectorized``, ``sharded`` (vectorized,
-        plus per-engine work and NoC accounting over graph slices, Table
-        1), or ``scalar`` (the boxed reference oracle).
+        provides array hooks), ``sharded`` (vectorized, plus per-engine
+        work and NoC accounting over graph slices, Table 1), or ``scalar``
+        (the boxed reference oracle).
     num_engines:
         Engine count accounted for by ``engine="sharded"`` (default 8,
         Table 1).

@@ -16,18 +16,6 @@ test* deciding whether a receiver must reset:
   event resets the receiver only when its recorded dependency matches the
   event's source. Requires wider events (source id) and disables delete
   coalescing during recovery.
-
-A fourth policy sidesteps the recovery phase entirely:
-
-* **COMMONGRAPH** (deletion-to-addition conversion, after CommonGraph —
-  Afarin, Rahman, Abu-Ghazaleh) — never propagates deletes. A batch with
-  deletions instead converges once on the *common graph* (current edges
-  minus the delete set) and then applies the batch's insertions as a pure
-  addition pass. Valid only for monotonic selective algorithms, whose
-  fixed point on a subgraph is a safe under-approximation that additions
-  can only improve; accumulative algorithms fall through to DAP (which
-  their normalization further narrows to BASE). No dependency array, no
-  reset cascade, ordinary JetStream event width.
 """
 
 from __future__ import annotations
@@ -41,7 +29,6 @@ class DeletePolicy(enum.Enum):
     BASE = "base"
     VAP = "vap"
     DAP = "dap"
-    COMMONGRAPH = "commongraph"
 
     @property
     def tracks_dependency(self) -> bool:
@@ -56,23 +43,12 @@ class DeletePolicy(enum.Enum):
         VAP deletes coalesce through Reduce (only the most progressed
         payload can matter, §5.1). DAP deletes from different sources are
         not interchangeable, so coalescing is disabled and extra events go
-        through the overflow buffer (§5.2). COMMONGRAPH never queues
-        delete events at all, so the flag is moot (kept permissive).
+        through the overflow buffer (§5.2).
         """
         return self is not DeletePolicy.DAP
 
-    @property
-    def converts_deletions(self) -> bool:
-        """True when deletions run as common-graph + addition passes
-        instead of the Algorithm 4 recovery phase."""
-        return self is DeletePolicy.COMMONGRAPH
-
     def event_bytes(self, config) -> int:
-        """On-chip event size under this policy (§5.2 overheads).
-
-        COMMONGRAPH events are ordinary JetStream events — no dependency
-        source to carry, since nothing is ever reset.
-        """
+        """On-chip event size under this policy (§5.2 overheads)."""
         if self is DeletePolicy.DAP:
             return config.event_bytes_dap
         return config.event_bytes_jetstream

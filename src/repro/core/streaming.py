@@ -81,8 +81,8 @@ def _edge_payloads(core: EngineCore, work, csr, edges: EdgeArrays) -> np.ndarray
 def _insertion_seeds(core: EngineCore, work, csr, insertions: EdgeArrays) -> EventBatch:
     """``ProcessInserts``: one event per inserted edge, priced on ``csr``.
 
-    Shared by the selective flow, the CommonGraph addition pass and
-    :func:`evaluate_at_versions`; the caller inserts the batch.
+    Shared by the selective flow and :func:`evaluate_at_versions`; the
+    caller inserts the batch.
     """
     iu, iv, _iw = insertions
     work.events_generated += len(iu)
@@ -134,10 +134,9 @@ class JetStreamEngine:
         performer and the default.
     engine:
         Substrate selection: ``auto`` (default — vectorized whenever the
-        algorithm provides array hooks), ``vectorized``, ``sharded``
-        (vectorized, plus per-engine work and NoC accounting over graph
-        slices, Table 1 / §4.7), or ``scalar`` (the boxed-event reference
-        oracle).
+        algorithm provides array hooks), ``sharded`` (vectorized, plus
+        per-engine work and NoC accounting over graph slices, Table 1 /
+        §4.7), or ``scalar`` (the boxed-event reference oracle).
     num_engines:
         Engine count accounted for by ``engine="sharded"`` (default 8).
     """
@@ -158,17 +157,6 @@ class JetStreamEngine:
                 f"{algorithm.name} requires a symmetric graph "
                 "(DynamicGraph(symmetric=True))"
             )
-        #: Policy the caller asked for, before normalization. COMMONGRAPH
-        #: requires a monotonic selective fixed point (a subgraph result
-        #: must be a safe under-approximation that additions only improve);
-        #: accumulative algorithms fall through to DAP, which their own
-        #: normalization below narrows further to BASE.
-        self.requested_policy = policy
-        if (
-            policy is DeletePolicy.COMMONGRAPH
-            and algorithm.kind is AlgorithmKind.ACCUMULATIVE
-        ):
-            policy = DeletePolicy.DAP
         if algorithm.kind is AlgorithmKind.ACCUMULATIVE and policy is not DeletePolicy.BASE:
             # VAP/DAP only affect the selective recovery phase; accumulative
             # deletion uses negative events (§3.3). Normalize to BASE so the
@@ -292,13 +280,7 @@ class JetStreamEngine:
             stream_records=batch.size,
         ):
             if self.algorithm.kind is AlgorithmKind.SELECTIVE:
-                if self.policy.converts_deletions and len(batch.dels):
-                    # Deletion-to-addition conversion: no recovery phase at
-                    # all. Insertion-only batches take the ordinary selective
-                    # flow (its delete phase is a no-op on an empty set).
-                    result = self._apply_commongraph(checked)
-                else:
-                    result = self._apply_selective(checked)
+                result = self._apply_selective(checked)
             else:
                 result = self._apply_accumulative(checked)
         if METRICS.enabled:
@@ -367,78 +349,6 @@ class JetStreamEngine:
             metrics=metrics,
             graph_version=self.graph.version,
             impacted=impacted,
-            queue_stats=queue.lifetime_stats(),
-        )
-
-    # -- commongraph flow (deletion-to-addition conversion) ------------
-    def _apply_commongraph(self, checked: CheckedBatch) -> StreamingResult:
-        """CommonGraph policy: converge the common graph, add the rest.
-
-        Deletions never propagate. The engine returns to Identity and
-        converges once on the *common graph* — the current edge set minus
-        the directed delete set — then the batch's insertions run as a pure
-        addition pass on the mutated graph. A monotonic selective fixed
-        point is independent of the order edges arrive in, so the final
-        states are bit-identical to the VAP/DAP recovery path; what
-        disappears is the reset cascade, which on deletion-heavy batches
-        dominates the recovery cost (Fig. 10). The converged common state
-        is also the shareable prefix behind :func:`evaluate_at_versions`.
-
-        Slice assignment and vertex→engine map survive the pass (see
-        :meth:`EngineCore.reset_states`), so sharded runs keep the same
-        vertex→engine map across the common and addition phases.
-        """
-        core = self.core
-        metrics = RunMetrics()
-        old_n = self.graph.snapshot().num_vertices
-
-        du, dv, _dw = checked.deletions
-        insertions = checked.insertions
-        eu, ev, ew = self.graph.edge_arrays()
-        keep = ~self._edge_key_member(eu, ev, du, dv, old_n)
-        common_csr = CSRGraph.from_arrays(old_n, eu[keep], ev[keep], ew[keep])
-
-        # Phase 1: full convergence on the common graph from Identity.
-        tracer = core.tracer
-        common_phase = metrics.phase("common-convergence")
-        core.reset_states(old_n)
-        core.bind_graph(common_csr)
-        queue = core.new_queue()
-        with tracer.phase(common_phase):
-            work = common_phase.new_round()
-            with tracer.round(work, queue), METRICS.round_scope(work, queue):
-                core.seed_initial(queue, work)
-            core.run_regular(queue, common_phase)
-        if METRICS.enabled:
-            METRICS.record_phase(common_phase)
-
-        # Mutate; the batch's insertions are priced on the new structure.
-        self.graph.apply_batch(checked)
-        new_csr = self.graph.snapshot()
-        core.grow(new_csr.num_vertices)
-        core.bind_graph(new_csr)
-
-        # Phase 2: pure addition pass — the converged common state only
-        # ever improves from here (monotonicity), nothing resets.
-        addition_phase = metrics.phase("addition-pass")
-        with tracer.phase(addition_phase):
-            work = addition_phase.new_round()
-            with tracer.round(work, queue), METRICS.round_scope(work, queue):
-                queue.insert_batch(
-                    _insertion_seeds(core, work, new_csr, insertions), work
-                )
-                _seed_new_vertices(
-                    self.algorithm, queue, work, old_n, new_csr.num_vertices
-                )
-            core.run_regular(queue, addition_phase)
-        if METRICS.enabled:
-            METRICS.record_phase(addition_phase)
-
-        return StreamingResult(
-            states=core.states.copy(),
-            metrics=metrics,
-            graph_version=self.graph.version,
-            impacted=[],
             queue_stats=queue.lifetime_stats(),
         )
 
@@ -750,10 +660,10 @@ def evaluate_at_versions(
     prefix: the store's :meth:`~repro.graph.dynamic.DeltaVersionStore.
     common_slice` extracts the edge set common to every requested version,
     the engine converges on it exactly once, and each version is then an
-    addition-only pass from that base state (CommonGraph work sharing —
-    the same conversion :class:`DeletePolicy.COMMONGRAPH` applies to one
-    batch, amortized across snapshots). Accumulative algorithms fall back
-    to independent cold evaluations per version (``shared=False``).
+    addition-only pass from that base state (CommonGraph work sharing: one
+    common-graph convergence amortized across snapshots). Accumulative
+    algorithms fall back to independent cold evaluations per version
+    (``shared=False``).
 
     ``store`` is a :class:`~repro.graph.dynamic.DeltaVersionStore`;
     ``versions`` any iterable of recorded version numbers (deduplicated,
@@ -773,7 +683,7 @@ def evaluate_at_versions(
     core = EngineCore(
         algorithm,
         config or AcceleratorConfig(),
-        DeletePolicy.COMMONGRAPH,
+        DeletePolicy.BASE,
         engine=engine,
         num_engines=num_engines,
         tracer=tracer,

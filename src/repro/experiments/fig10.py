@@ -5,13 +5,6 @@ while recovering a recoverable approximation: JetStream's exact-source DAP
 resets fewer vertices than KickStarter's value/level trimming on almost
 every (algorithm, graph) point. The 30K batch is scaled to the stand-ins
 with the same edge-ratio rule as Table 3.
-
-A third column extends the figure with the CommonGraph policy
-(deletion-to-addition conversion): it resets *zero* vertices by
-construction — the batch converges on the common graph and re-applies
-insertions as pure additions — so the interesting head-to-head number is
-its event count against DAP's cascade, also reported here (and gated at
-deletion-heavy batch sizes in ``benchmarks/bench_commongraph.py``).
 """
 
 from __future__ import annotations
@@ -36,12 +29,6 @@ class ResetCount:
     graph: str
     jetstream_resets: int
     kickstarter_resets: int
-    #: Always 0 — the conversion has no recovery phase; kept as a column
-    #: so the figure shows the three policies head to head.
-    commongraph_resets: int = 0
-    #: Events processed by the DAP batch vs the commongraph batch.
-    dap_events: int = 0
-    commongraph_events: int = 0
 
 
 def run(
@@ -49,8 +36,7 @@ def run(
     algorithms: Optional[Sequence[str]] = None,
     seed: int = 0,
 ) -> List[ResetCount]:
-    """Deletion-only batches through JetStream (DAP), KickStarter, and
-    the CommonGraph conversion."""
+    """Deletion-only batches through JetStream (DAP) and KickStarter."""
     out: List[ResetCount] = []
     for algo in algorithms or ALGORITHMS:
         for graph in graphs or GRAPHS:
@@ -64,24 +50,12 @@ def run(
                 seed=seed,
                 systems=("jetstream", "software"),
             )
-            cg_cell = run_cell(
-                graph,
-                algo,
-                policy=DeletePolicy.COMMONGRAPH,
-                batch_size=batch,
-                insertion_ratio=0.0,
-                seed=seed,
-                systems=("jetstream",),
-            )
             out.append(
                 ResetCount(
                     algorithm=algo,
                     graph=graph,
                     jetstream_resets=cell.systems["jetstream"].vertices_reset,
                     kickstarter_resets=cell.systems["kickstarter"].vertices_reset,
-                    commongraph_resets=cg_cell.systems["jetstream"].vertices_reset,
-                    dap_events=cell.systems["jetstream"].events_processed,
-                    commongraph_events=cg_cell.systems["jetstream"].events_processed,
                 )
             )
     return out
@@ -95,9 +69,6 @@ def render(counts: List[ResetCount]) -> str:
             "Graph",
             "JetStream resets",
             "KickStarter resets",
-            "CommonGraph resets",
-            "DAP events",
-            "CG events",
         ],
         [
             [
@@ -105,9 +76,6 @@ def render(counts: List[ResetCount]) -> str:
                 c.graph,
                 c.jetstream_resets,
                 c.kickstarter_resets,
-                c.commongraph_resets,
-                c.dap_events,
-                c.commongraph_events,
             ]
             for c in counts
         ],

@@ -8,12 +8,7 @@ paper.
 """
 
 from repro.graph.csr import CSRGraph
-from repro.graph.dynamic import (
-    CommonSlice,
-    DeltaVersionStore,
-    DynamicGraph,
-    GraphVersionStore,
-)
+from repro.graph.dynamic import CommonSlice, DeltaVersionStore, DynamicGraph
 from repro.graph import analysis
 from repro.graph import generators
 from repro.graph import datasets
@@ -24,7 +19,6 @@ __all__ = [
     "CommonSlice",
     "DeltaVersionStore",
     "DynamicGraph",
-    "GraphVersionStore",
     "analysis",
     "generators",
     "datasets",

@@ -815,9 +815,8 @@ class DeltaVersionStore:
     """Delta-encoded graph version history (Version Traveler substitute).
 
     Stores one base edge list plus per-version deltas (insertions and
-    deletions), reconstructing any retained version on demand — the
-    memory-efficient end of the versioning spectrum, versus
-    :class:`GraphVersionStore`'s full snapshots. §4.7 allows either: the
+    deletions), reconstructing any retained version on demand instead of
+    keeping a full snapshot per version. §4.7 allows either: the
     accelerator only needs a CSR view of the requested version.
 
     Reconstruction rolls forward from the last reconstructed version when
@@ -994,44 +993,3 @@ class DeltaVersionStore:
             "base_edges": len(self._base_edges),
         }
 
-
-class GraphVersionStore:
-    """Retains CSR snapshots per version (Version Traveler substitute).
-
-    The accelerator model only ever needs the latest snapshot plus, during
-    accumulative deletion, the matching intermediate graph — but keeping the
-    history around supports the temporal-analysis example and lets tests
-    diff versions.
-    """
-
-    def __init__(self, graph: DynamicGraph, capacity: Optional[int] = None):
-        self.graph = graph
-        self.capacity = capacity
-        self._versions: List[Tuple[int, CSRGraph]] = []
-        self.record()
-
-    def record(self) -> CSRGraph:
-        """Snapshot the current graph version and remember it."""
-        snap = self.graph.snapshot()
-        self._versions.append((self.graph.version, snap))
-        if self.capacity is not None and len(self._versions) > self.capacity:
-            self._versions.pop(0)
-        return snap
-
-    def latest(self) -> CSRGraph:
-        """Most recently recorded snapshot."""
-        return self._versions[-1][1]
-
-    def get(self, version: int) -> CSRGraph:
-        """Snapshot recorded for ``version``; raises ``KeyError`` if evicted."""
-        for ver, snap in self._versions:
-            if ver == version:
-                return snap
-        raise KeyError(f"version {version} not retained")
-
-    def versions(self) -> List[int]:
-        """Versions currently retained, oldest first."""
-        return [ver for ver, _ in self._versions]
-
-    def __len__(self) -> int:
-        return len(self._versions)

@@ -114,10 +114,10 @@ class Session:
 
         ``engine`` selects the event substrate: ``auto`` (default) uses the
         vectorized SoA kernels when the algorithm supports them, ``scalar``
-        forces the boxed-event reference path, ``vectorized`` requires the
-        array hooks and raises otherwise, and ``sharded`` runs
-        ``vectorized`` and also reports the per-engine work and NoC traffic
-        of ``num_engines`` graph slices (Table 1, §4.7).
+        forces the boxed-event reference path, and ``sharded`` requires
+        the array hooks, runs the vectorized kernels and also reports the
+        per-engine work and NoC traffic of ``num_engines`` graph slices
+        (Table 1, §4.7).
 
         Reconfiguring an already-run session starts a fresh query: the next
         :meth:`run` is an initial evaluation on the current graph, and

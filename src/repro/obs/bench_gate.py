@@ -113,55 +113,19 @@ def collect_serve(quick: bool) -> dict:
 
 
 def collect_commongraph(quick: bool) -> dict:
-    """Run the CommonGraph-vs-DAP deletion-batch grid."""
+    """Run the multi-version evaluator vs cold-runs grid."""
     return _load_bench_module("bench_commongraph").collect(quick)
 
 
 def default_baseline_path(suite: str, quick: bool) -> Path:
-    """Where the committed baseline for ``suite`` lives."""
-    if suite == "engine":
-        return (
-            BASELINES_DIR / "BENCH_engine.quick.json"
-            if quick
-            else REPO_ROOT / "BENCH_engine.json"
-        )
-    if suite == "trace":
-        return (
-            BASELINES_DIR / "BENCH_trace.quick.json"
-            if quick
-            else REPO_ROOT / "BENCH_trace.json"
-        )
-    if suite == "stream":
-        return (
-            BASELINES_DIR / "BENCH_stream.quick.json"
-            if quick
-            else REPO_ROOT / "BENCH_stream.json"
-        )
-    if suite == "sharded":
-        return (
-            BASELINES_DIR / "BENCH_sharded.quick.json"
-            if quick
-            else REPO_ROOT / "BENCH_sharded.json"
-        )
-    if suite == "latency":
-        return (
-            BASELINES_DIR / "BENCH_latency.quick.json"
-            if quick
-            else REPO_ROOT / "BENCH_latency.json"
-        )
-    if suite == "serve":
-        return (
-            BASELINES_DIR / "BENCH_serve.quick.json"
-            if quick
-            else REPO_ROOT / "BENCH_serve.json"
-        )
-    if suite == "commongraph":
-        return (
-            BASELINES_DIR / "BENCH_commongraph.quick.json"
-            if quick
-            else REPO_ROOT / "BENCH_commongraph.json"
-        )
-    raise BenchGateError(f"unknown suite {suite!r} (choose from {SUITES})")
+    """Where the committed baseline for ``suite`` lives: the quick-mode
+    snapshot under ``benchmarks/baselines/``, or the full report at the
+    repo root."""
+    if suite not in SUITES:
+        raise BenchGateError(f"unknown suite {suite!r} (choose from {SUITES})")
+    if quick:
+        return BASELINES_DIR / f"BENCH_{suite}.quick.json"
+    return REPO_ROOT / f"BENCH_{suite}.json"
 
 
 # ----------------------------------------------------------------------
@@ -337,33 +301,23 @@ def flatten_serve(report: dict) -> List[dict]:
 
 
 def flatten_commongraph(report: dict) -> List[dict]:
-    """``BENCH_commongraph.json`` → one row per (point, policy).
+    """``BENCH_commongraph.json`` → one row per (graph, algorithm).
 
-    Throughput is events/s through the deletion batch. The event count
-    is the engine's deterministic work counter for that policy, so any
-    drift in the conversion (or in DAP's recovery it is gated against)
-    fails the comparison exactly. The DAP-vs-commongraph event *ratio*
-    itself is asserted by the benchmark's own gate, not here.
+    The event column is the exact ``[total_events, cold_events]`` pair:
+    the multi-version evaluator's events over every version, and the sum
+    of one cold run per version. Wall clock is printed by the benchmark,
+    not gated (``events_per_s`` is 0); the cold/shared event *ratio* is
+    asserted by the benchmark's own gate.
     """
-    rows = []
-    for entry in report.get("results", []):
-        pct = int(round(entry["delete_fraction"] * 100))
-        for policy in ("dap", "commongraph"):
-            sample = entry.get(policy)
-            if not sample:
-                continue
-            rows.append(
-                {
-                    "suite": "commongraph",
-                    "key": (
-                        f"{entry['graph']}/{entry['algorithm']}/"
-                        f"del{pct}/{policy}"
-                    ),
-                    "events_per_s": float(sample["events_per_s"]),
-                    "events": int(sample["events_processed"]),
-                }
-            )
-    return rows
+    return [
+        {
+            "suite": "commongraph",
+            "key": f"{entry['graph']}/{entry['algorithm']}/v{entry['versions']}",
+            "events_per_s": 0.0,
+            "events": [int(entry["total_events"]), int(entry["cold_events"])],
+        }
+        for entry in report.get("results", [])
+    ]
 
 
 _FLATTENERS: Dict[str, Callable[[dict], List[dict]]] = {

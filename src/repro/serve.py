@@ -596,45 +596,63 @@ class ServeApp:
         """Load a graph, run the initial evaluation, register the session.
 
         ``edges`` is an ``(n, 3)`` array or a list of ``[u, v, w]`` rows
-        (the JSON body).
+        (the JSON body). A refused create closes the session it loaded,
+        so neither registry keeps it.
         """
         if self._closed:
             raise ServeError(409, "CLOSING", "server is shutting down")
+        for field, value in (
+            ("algorithm", algorithm),
+            ("policy", policy),
+            ("engine", engine),
+        ):
+            if not isinstance(value, str):
+                raise ServeError(
+                    400, "BAD_SESSION", f"{field!r} must be a string, got {value!r}"
+                )
+        session = None
         try:
-            # An array, not the request's lists: the store's index then
-            # owns fresh ids and the lists are freed whole (an index that
-            # shared the JSON ints kept the daemon's peak RSS ~7% higher).
-            session = self.accelerator.load_graph(
-                insertion_rows(edges), num_vertices=num_vertices, symmetric=symmetric
-            )
-            session.configure(
-                algorithm,
-                source=source,
-                policy=DeletePolicy(policy),
-                engine=engine,
-                num_engines=num_engines,
-            )
-            session.run()  # initial evaluation: serve needs a converged state
-            # Record graph deltas with the same retention as the snapshot
-            # ring, so ?version= reads and delta reconstruction expire
-            # together.
-            session.enable_versioning(keep_versions=keep_versions)
-        except (HostApiError, ValueError, KeyError) as exc:
-            raise ServeError(400, "BAD_SESSION", str(exc))
-        with self._lock:
-            if name is None:
-                name = f"s{next(self._names)}"
-            if name in self.sessions:
+            try:
+                # An array, not the request's lists: the store's index then
+                # owns fresh ids and the lists are freed whole (an index that
+                # shared the JSON ints kept the daemon's peak RSS ~7% higher).
+                session = self.accelerator.load_graph(
+                    insertion_rows(edges),
+                    num_vertices=num_vertices,
+                    symmetric=symmetric,
+                )
+                session.configure(
+                    algorithm,
+                    source=source,
+                    policy=DeletePolicy(policy),
+                    engine=engine,
+                    num_engines=num_engines,
+                )
+                session.run()  # initial evaluation: serve needs a converged state
+                # Record graph deltas with the same retention as the snapshot
+                # ring, so ?version= reads and delta reconstruction expire
+                # together.
+                session.enable_versioning(keep_versions=keep_versions)
+            except (HostApiError, ValueError, KeyError) as exc:
+                raise ServeError(400, "BAD_SESSION", str(exc))
+            with self._lock:
+                if name is None:
+                    name = f"s{next(self._names)}"
+                if name in self.sessions:
+                    raise ServeError(409, "EXISTS", f"session {name!r} already open")
+                served = ServeSession(
+                    name,
+                    session,
+                    queue_bound if queue_bound is not None else self.queue_bound,
+                    log_bound=log_bound if log_bound is not None else self.log_bound,
+                    keep_versions=keep_versions,
+                )
+                self.sessions[name] = served
+        except BaseException:
+            # A refused create must not leave its graph registered.
+            if session is not None:
                 session.close()
-                raise ServeError(409, "EXISTS", f"session {name!r} already open")
-            served = ServeSession(
-                name,
-                session,
-                queue_bound if queue_bound is not None else self.queue_bound,
-                log_bound=log_bound if log_bound is not None else self.log_bound,
-                keep_versions=keep_versions,
-            )
-            self.sessions[name] = served
+            raise
         if METRICS.enabled:
             METRICS.record_serve_sessions(len(self.sessions))
         return served

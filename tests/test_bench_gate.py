@@ -106,15 +106,17 @@ COMMONGRAPH_REPORT = {
         {
             "graph": "WK",
             "algorithm": "sssp",
-            "delete_fraction": 0.3,
-            "gated": True,
-            "dap": {"events_per_s": 50000.0, "events_processed": 66000},
-            "commongraph": {"events_per_s": 90000.0, "events_processed": 16000},
-            "ratio_events": 4.1,
+            "versions": 9,
+            "total_events": 63000,
+            "cold_events": 241000,
+            "ratio_events": 3.8,
+            "shared_wall_s": 0.7,
+            "cold_wall_s": 0.8,
+            "ratio_wall": 1.1,
             "states_identical": True,
         }
     ],
-    "min_gated_ratio": 4.1,
+    "min_ratio_events": 3.8,
 }
 
 
@@ -134,10 +136,9 @@ def perturbed(report: dict, scale: float = 1.0, events_delta: int = 0) -> dict:
         if "engine_events_processed" in entry:
             entry["wall_clock_s"] /= scale
             entry["events_processed"] += events_delta
-        for mode in ("dap", "commongraph"):
-            if mode in entry:
-                entry[mode]["events_per_s"] *= scale
-                entry[mode]["events_processed"] += events_delta
+        if "cold_events" in entry:
+            entry["shared_wall_s"] /= scale
+            entry["total_events"] += events_delta
     for row in out.get("rows", []):
         row["events_per_s"] *= scale
         row["events"] += events_delta
@@ -234,14 +235,11 @@ class TestFlatten:
 
     def test_commongraph_rows(self):
         rows = bench_gate.flatten_commongraph(COMMONGRAPH_REPORT)
-        assert [r["key"] for r in rows] == [
-            "WK/sssp/del30/dap",
-            "WK/sssp/del30/commongraph",
-        ]
+        assert [r["key"] for r in rows] == ["WK/sssp/v9"]
         assert all(r["suite"] == "commongraph" for r in rows)
-        # Event counts are the determinism column for both policies.
-        assert [r["events"] for r in rows] == [66000, 16000]
-        assert rows[1]["events_per_s"] == 90000.0
+        # Exact counts only: the shared evaluator's events, then the cold sum.
+        assert rows[0]["events"] == [63000, 241000]
+        assert rows[0]["events_per_s"] == 0.0
 
 
 class TestCompareRows:

@@ -43,7 +43,7 @@ def split_events(payload):
 
 class TestChromeTrace:
     def test_payload_is_valid_trace_event_json(self, tmp_path):
-        trace = traced_trace_file(tmp_path, "vectorized")
+        trace = traced_trace_file(tmp_path, "auto")
         payload = chrome_trace(trace)
         # Must survive a JSON round trip (what the viewers consume).
         payload = json.loads(json.dumps(payload))
@@ -60,14 +60,14 @@ class TestChromeTrace:
         assert "X" in phases and "C" in phases
 
     def test_timestamps_sorted_monotonically(self, tmp_path):
-        trace = traced_trace_file(tmp_path, "vectorized")
+        trace = traced_trace_file(tmp_path, "auto")
         _, events = split_events(chrome_trace(trace))
         stamps = [e["ts"] for e in events]
         assert stamps == sorted(stamps)
         assert stamps[0] == 0.0  # normalized to the earliest span start
 
     def test_metadata_precedes_events(self, tmp_path):
-        trace = traced_trace_file(tmp_path, "vectorized")
+        trace = traced_trace_file(tmp_path, "auto")
         payload = chrome_trace(trace)
         kinds = [e["ph"] for e in payload["traceEvents"]]
         last_meta = max(i for i, ph in enumerate(kinds) if ph == "M")
@@ -100,7 +100,7 @@ class TestChromeTrace:
         assert orch and all(e["tid"] == 0 for e in orch)
 
     def test_round_spans_carry_work_args_and_names(self, tmp_path):
-        trace = traced_trace_file(tmp_path, "vectorized")
+        trace = traced_trace_file(tmp_path, "auto")
         _, events = split_events(chrome_trace(trace))
         rounds = [e for e in events if e["ph"] == "X" and e["cat"] == "round"]
         assert rounds
@@ -135,7 +135,7 @@ class TestChromeTrace:
         assert any(e["name"] == "transfer" for e in instants)
 
     def test_write_chrome_trace_file(self, tmp_path):
-        trace = traced_trace_file(tmp_path, "vectorized")
+        trace = traced_trace_file(tmp_path, "auto")
         out = tmp_path / "trace.chrome.json"
         count = write_chrome_trace(trace, out)
         payload = json.loads(out.read_text())

@@ -171,25 +171,10 @@ class TestStreamCommand:
         )
         assert code == 0
 
-    def test_delete_policy_commongraph_alias(self, edge_file, capsys):
-        code = main(
-            [
-                "stream",
-                "--edges",
-                edge_file,
-                "--batches",
-                "2",
-                "--batch-size",
-                "8",
-                "--insertion-ratio",
-                "0.3",
-                "--delete-policy",
-                "commongraph",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "resets 0" in out or "resets=0" in out or "batch" in out
+    def test_delete_policy_commongraph_rejected(self, edge_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["stream", "--edges", edge_file, "--delete-policy", "commongraph"])
+        assert exc.value.code == 2
 
 
 class TestTraceFlags:

@@ -1,56 +1,24 @@
-"""CommonGraph conversion goldens + multi-version evaluation tests.
+"""Multi-version evaluation tests (CommonGraph work sharing).
 
-Pins the observable behaviour of the ``delete_policy=commongraph``
-tentpole the same way ``tests/test_stream_golden.py`` pins the seed
-pipeline — in a separate golden file so the pre-existing pinned records
-stay untouched:
-
-1. **Golden equality** — each (selective algorithm × deletion-heavy
-   stream) scenario, replayed with the conversion, matches
-   ``tests/data/commongraph_goldens.json`` field for field: states hash,
-   per-phase round work vectors, queue counters. The conversion's
-   signature shape — a ``common-convergence`` phase followed by an
-   ``addition-pass`` phase, zero ``vertices_reset`` everywhere — is part
-   of the record.
-2. **Engine parity** — scalar, vectorized, and sharded substrates
-   produce bit-identical records.
-3. **Oracle parity** — final states equal the DAP recovery path and the
-   cold-start reference.
-4. **Multi-version evaluation** — ``Session.run_at_versions`` over a
-   recorded stream returns, for every retained version, exactly the
-   states a cold run on that version's reconstructed graph returns;
-   accumulative algorithms take the independent fallback.
-
-Regenerate (only on purpose, from a known-good tree):
-
-    PYTHONPATH=src python tests/test_commongraph_golden.py --update
+``Session.run_at_versions`` over a recorded stream converges the versions'
+common graph once and fans out one addition-only pass per version. For
+every retained version it must return exactly the states a cold run on
+that version's reconstructed graph returns, and spend fewer events than
+those cold runs together; accumulative algorithms take the independent
+fallback.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Dict, List, Tuple
-
-import numpy as np
 import pytest
 
 from repro.algorithms import make_algorithm
-from repro.core.policies import DeletePolicy
 from repro.core.streaming import JetStreamEngine
 from repro.graph import generators
 from repro.graph.dynamic import DynamicGraph
 from repro.host import Accelerator
 from repro.reference import compute_reference
-from repro.streams import StreamGenerator, UpdateBatch
-
-from test_stream_golden import _result_record
-
-GOLDEN_PATH = Path(__file__).parent / "data" / "commongraph_goldens.json"
-
-#: Selective algorithms only — the conversion is monotone-only by design.
-ALGORITHMS = ["sssp", "bfs", "cc", "sswp"]
-ENGINES = ["scalar", "vectorized", "sharded"]
+from repro.streams import StreamGenerator
 
 NUM_VERTICES = 50
 NUM_EDGES = 200
@@ -58,8 +26,7 @@ GRAPH_SEED = 13
 STREAM_SEED = 17
 NUM_BATCHES = 3
 BATCH_SIZE = 12
-#: Deletion-heavy: the conversion path, not the monotone addition path,
-#: carries every batch.
+#: Deletion-heavy, so the versions' common graph is well below each one.
 INSERTION_RATIO = 0.25
 
 
@@ -76,107 +43,6 @@ def _build_graph(algorithm) -> DynamicGraph:
             graph.add_edge(u, v, w, _count_version=False)
         return graph
     return DynamicGraph.from_edges(edges, NUM_VERTICES)
-
-
-def _stream_batches(algorithm) -> List[UpdateBatch]:
-    graph = _build_graph(algorithm)
-    generator = StreamGenerator(
-        graph, seed=STREAM_SEED, insertion_ratio=INSERTION_RATIO
-    )
-    return list(generator.stream(BATCH_SIZE, NUM_BATCHES))
-
-
-def run_scenario(
-    name: str, engine: str = "auto", policy: DeletePolicy = DeletePolicy.COMMONGRAPH
-) -> Tuple[dict, JetStreamEngine]:
-    algorithm = make_algorithm(name, source=0)
-    graph = _build_graph(algorithm)
-    kwargs = {"engine": engine}
-    if engine == "sharded":
-        kwargs["num_engines"] = 4
-    stream_engine = JetStreamEngine(graph, algorithm, policy=policy, **kwargs)
-    runs = [stream_engine.initial_compute()]
-    for batch in _stream_batches(algorithm):
-        runs.append(stream_engine.apply_batch(batch))
-    record = {
-        "scenario": name,
-        "runs": [_result_record(r) for r in runs],
-    }
-    return record, stream_engine
-
-
-def _assert_records_equal(actual: dict, expected: dict, context: str) -> None:
-    assert len(actual["runs"]) == len(expected["runs"]), context
-    for i, (a, e) in enumerate(zip(actual["runs"], expected["runs"])):
-        ctx = f"{context} run {i}"
-        assert a["version"] == e["version"], ctx
-        assert a["impacted"] == e["impacted"], ctx
-        assert a["queue"] == e["queue"], f"{ctx}: queue stats drifted"
-        assert len(a["phases"]) == len(e["phases"]), ctx
-        for ap, ep in zip(a["phases"], e["phases"]):
-            pctx = f"{ctx} phase {ep['name']}"
-            assert ap["name"] == ep["name"], pctx
-            assert ap["request_events"] == ep["request_events"], pctx
-            assert ap["vertices_reset"] == ep["vertices_reset"], pctx
-            assert ap["rounds"] == ep["rounds"], f"{pctx}: work drifted"
-        assert a["states_sha"] == e["states_sha"], f"{ctx}: states drifted"
-
-
-# ----------------------------------------------------------------------
-# Golden + parity tests
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def goldens() -> Dict[str, dict]:
-    if not GOLDEN_PATH.exists():
-        pytest.skip(f"golden file missing: {GOLDEN_PATH}")
-    data = json.loads(GOLDEN_PATH.read_text())
-    return {rec["scenario"]: rec for rec in data["scenarios"]}
-
-
-@pytest.mark.parametrize("name", ALGORITHMS)
-def test_matches_golden(goldens, name):
-    record, _ = run_scenario(name)
-    _assert_records_equal(record, goldens[name], name)
-
-
-@pytest.mark.parametrize("name", ALGORITHMS)
-def test_conversion_never_resets(name):
-    record, _ = run_scenario(name)
-    for i, run in enumerate(record["runs"][1:], start=1):
-        for phase in run["phases"]:
-            assert phase["vertices_reset"] == 0, (
-                f"{name} run {i} phase {phase['name']}: the conversion "
-                "must never reset a vertex"
-            )
-
-
-@pytest.mark.parametrize("engine", ["vectorized", "sharded"])
-@pytest.mark.parametrize("name", ALGORITHMS)
-def test_engine_substrates_bit_identical(name, engine):
-    scalar, _ = run_scenario(name, engine="scalar")
-    other, _ = run_scenario(name, engine=engine)
-    # Work vectors legitimately differ across substrates (batched rounds);
-    # versions, final states, and reset-freedom must not.
-    for i, (a, e) in enumerate(zip(other["runs"], scalar["runs"])):
-        assert a["version"] == e["version"], f"{name}/{engine} run {i}"
-        assert a["states_sha"] == e["states_sha"], (
-            f"{name}/{engine} run {i}: states diverged from scalar"
-        )
-
-
-@pytest.mark.parametrize("name", ALGORITHMS)
-def test_matches_dap_oracle_and_reference(name):
-    cg, cg_engine = run_scenario(name)
-    dap, dap_engine = run_scenario(name, policy=DeletePolicy.DAP)
-    assert np.array_equal(cg_engine.states, dap_engine.states), (
-        f"{name}: conversion states differ from the DAP recovery oracle"
-    )
-    csr = cg_engine.graph.snapshot()
-    expected = compute_reference(cg_engine.algorithm, csr)
-    for i in range(csr.num_vertices):
-        assert cg_engine.algorithm.values_close(
-            float(cg_engine.states[i]), float(expected[i])
-        ), f"{name}: vertex {i} diverges from cold-start reference"
 
 
 # ----------------------------------------------------------------------
@@ -283,26 +149,3 @@ def test_run_at_versions_respects_retention():
     finally:
         session.close()
         accel.close()
-
-
-# ----------------------------------------------------------------------
-# Regeneration entry point
-# ----------------------------------------------------------------------
-def _regenerate() -> None:
-    records = []
-    for name in ALGORITHMS:
-        record, _ = run_scenario(name)
-        records.append(record)
-        print(f"captured {name}: {len(record['runs'])} runs")
-    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN_PATH.write_text(json.dumps({"scenarios": records}, indent=1) + "\n")
-    print(f"wrote {GOLDEN_PATH}")
-
-
-if __name__ == "__main__":
-    import sys
-
-    if "--update" in sys.argv:
-        _regenerate()
-    else:
-        print(__doc__)

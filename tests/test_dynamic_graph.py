@@ -1,11 +1,10 @@
-"""Unit tests for the dynamic (host-side) graph and version store."""
+"""Unit tests for the dynamic (host-side) graph."""
 
 import pytest
 
 from repro.graph.dynamic import (
     DynamicGraph,
     GraphMutationError,
-    GraphVersionStore,
     build_symmetric_graph,
 )
 
@@ -119,41 +118,6 @@ class TestSnapshots:
         graph = DynamicGraph.from_edges([(0, 1, 1.5), (1, 0, 2.5)], 2)
         again = DynamicGraph.from_csr(graph.snapshot())
         assert sorted(again.edges()) == sorted(graph.edges())
-
-
-class TestVersionStore:
-    def test_records_versions(self):
-        graph = DynamicGraph.from_edges([(0, 1, 1.0)], 2)
-        store = GraphVersionStore(graph)
-        graph.apply_batch([(1, 0, 2.0)], [])
-        store.record()
-        assert len(store) == 2
-        assert store.latest().has_edge(1, 0)
-
-    def test_get_by_version(self):
-        graph = DynamicGraph.from_edges([(0, 1, 1.0)], 2)
-        store = GraphVersionStore(graph)
-        first_version = graph.version
-        graph.apply_batch([], [(0, 1)])
-        store.record()
-        assert store.get(first_version).has_edge(0, 1)
-        assert not store.latest().has_edge(0, 1)
-
-    def test_capacity_evicts_oldest(self):
-        graph = DynamicGraph.from_edges([(0, 1, 1.0)], 2)
-        store = GraphVersionStore(graph, capacity=2)
-        v0 = graph.version
-        for i in range(3):
-            graph.apply_batch([(1, 0, 1.0)] if i == 0 else [], [] if i == 0 else [(1, 0)] if i == 1 else [(0, 1)])
-            store.record()
-        assert len(store) == 2
-        with pytest.raises(KeyError):
-            store.get(v0)
-
-    def test_versions_listing(self):
-        graph = DynamicGraph.from_edges([(0, 1, 1.0)], 2)
-        store = GraphVersionStore(graph)
-        assert store.versions() == [graph.version]
 
 
 class TestBuildSymmetricGraph:

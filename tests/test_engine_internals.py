@@ -172,35 +172,6 @@ class TestStateManagement:
         with pytest.raises(ValueError):
             core.set_slice_assignment(np.zeros(2, dtype=np.int64))
 
-    def test_reset_states_clears_values_in_place(self):
-        core = make_core()
-        states_buf = core.states
-        core.states[:] = 1.0
-        core.dependency[:] = 2
-        core.reset_states()
-        assert core.states is states_buf, "reset must not reallocate"
-        assert np.all(np.isinf(core.states))
-        assert np.all(core.dependency == NO_SOURCE)
-
-    def test_reset_states_preserves_slice_assignment(self):
-        # The bugfix rider: shrinking to the common graph and rebinding
-        # must keep the partition plan, so shard ids stay deterministic
-        # across the common/addition phases.
-        core = make_core()
-        assignment = np.array([0, 1, 0, 1], dtype=np.int64)
-        core.set_slice_assignment(assignment)
-        core.reset_states()
-        assert core._custom_slice_of is not None
-        assert np.array_equal(core._custom_slice_of[:4], assignment)
-        smaller = CSRGraph(4, [(0, 1, 2.0)])
-        core.bind_graph(smaller)
-        assert np.array_equal(core._slice_of[:4], assignment)
-
-    def test_reset_states_grows_when_asked(self):
-        core = make_core()
-        core.reset_states(6)
-        assert core.states.shape[0] == 6
-
     def test_load_states_roundtrip(self):
         core = make_core()
         base = np.array([0.0, 2.0, 5.0, 9.0])

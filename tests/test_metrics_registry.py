@@ -42,9 +42,10 @@ from repro.streams import StreamGenerator
 from conftest import make_graph_for
 
 SUBSTRATES = [
-    ("scalar", {}),
-    ("vectorized", {}),
-    ("sharded", {"num_engines": 4}),
+    pytest.param("scalar", {}, id="scalar"),
+    # ``auto`` runs the vectorized substrate; the id names it.
+    pytest.param("auto", {}, id="vectorized"),
+    pytest.param("sharded", {"num_engines": 4}, id="sharded"),
 ]
 
 
@@ -241,9 +242,7 @@ class TestPrometheusExport:
 # Instrumentation parity: registry counters == RunMetrics totals
 # ----------------------------------------------------------------------
 class TestInstrumentationParity:
-    @pytest.mark.parametrize(
-        "mode,kwargs", SUBSTRATES, ids=[m for m, _ in SUBSTRATES]
-    )
+    @pytest.mark.parametrize("mode,kwargs", SUBSTRATES)
     def test_counters_match_run_metrics(self, registry, mode, kwargs):
         results = run_stream(mode, **kwargs)
         snapshot = registry.snapshot()
@@ -307,13 +306,13 @@ class TestInstrumentationParity:
 
     def test_disabled_registry_records_nothing(self):
         REGISTRY.disable().reset()
-        run_stream("vectorized")
+        run_stream("auto")
         assert REGISTRY.snapshot()["families"] == []
 
     def test_enabled_registry_does_not_perturb_results(self, registry):
-        enabled_results = run_stream("vectorized")
+        enabled_results = run_stream("auto")
         registry.disable()
-        disabled_results = run_stream("vectorized")
+        disabled_results = run_stream("auto")
         for a, b in zip(enabled_results, disabled_results):
             assert a.states.tobytes() == b.states.tobytes()
             assert a.metrics.to_rows() == b.metrics.to_rows()
@@ -490,7 +489,7 @@ class TestMetricsServer:
     def test_serves_strictly_increasing_counters_mid_run(self, registry):
         algorithm = make_algorithm("sssp", source=0)
         graph = make_graph_for(algorithm, n=40, m=160, seed=5)
-        engine = JetStreamEngine(graph, algorithm, engine="vectorized")
+        engine = JetStreamEngine(graph, algorithm, engine="auto")
         stream = StreamGenerator(engine.graph, seed=6)
         with MetricsServer(registry, port=0) as server:
             assert server.port != 0

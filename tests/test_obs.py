@@ -145,7 +145,8 @@ class TestTracer:
 # ----------------------------------------------------------------------
 SUBSTRATES = [
     ("scalar", {}),
-    ("vectorized", {}),
+    # ``auto`` runs the vectorized substrate; the id keeps that name.
+    pytest.param("auto", {}, id="vectorized-kwargs1"),
     ("sharded", {"num_engines": 4}),
 ]
 
@@ -199,7 +200,7 @@ class TestTraceMetricsParity:
 
     def test_two_phase_accumulative_stream(self):
         engine, tracer, memory = make_traced_engine(
-            "vectorized", "pagerank", two_phase_accumulative=True
+            "auto", "pagerank", two_phase_accumulative=True
         )
         results = run_traced_stream(engine)
         tracer.close()
@@ -505,7 +506,7 @@ class TestContextManagers:
         with pytest.raises(RuntimeError, match="injected"):
             with Tracer([JsonlSink(str(path))]) as tracer:
                 engine = JetStreamEngine(
-                    graph, algorithm, engine="vectorized", tracer=tracer
+                    graph, algorithm, engine="auto", tracer=tracer
                 )
                 engine.initial_compute()
         # Forced-closed spans may lack the aggregate attrs validate_trace

@@ -401,6 +401,46 @@ class TestAppRouting:
             make_session(app, algorithm="not-an-algorithm")
         assert exc.value.status == 400 and exc.value.code == "BAD_SESSION"
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"algorithm": "nope"}, None),
+            ({"policy": "bogus"}, None),
+            ({"policy": "commongraph"}, None),
+            ({"engine": "bogus"}, None),
+            ({"algorithm": 5}, "algorithm"),
+            ({"policy": 5}, "policy"),
+            ({"engine": ["auto"]}, "engine"),
+            ({"algorithm": "cc"}, None),  # needs a symmetric graph
+        ],
+        ids=[
+            "algorithm",
+            "policy",
+            "policy-commongraph",
+            "engine",
+            "algorithm-int",
+            "policy-int",
+            "engine-list",
+            "cc-directed",
+        ],
+    )
+    def test_refused_create_leaks_no_session(self, app, kwargs, field):
+        make_session(app, name="kept")
+        before = len(app.accelerator.sessions)
+        args = {"algorithm": "sssp", **kwargs}
+        with pytest.raises(ServeError) as exc:
+            app.create_session(EDGES, name="refused", **args)
+        assert exc.value.status == 400 and exc.value.code == "BAD_SESSION"
+        if field is not None:
+            assert repr(field) in exc.value.message
+        assert len(app.accelerator.sessions) == before
+        assert sorted(app.sessions) == ["kept"]
+
+    def test_refused_log_bound_leaks_no_session(self, app):
+        with pytest.raises(ValueError):
+            app.create_session(EDGES, "sssp", log_bound=0)
+        assert app.accelerator.sessions == [] and app.sessions == {}
+
     def test_update_validation(self, app):
         make_session(app)
         with pytest.raises(ServeError, match="missing field"):

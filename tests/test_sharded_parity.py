@@ -81,7 +81,7 @@ def run_static_pair(
     algorithm = make_algorithm(name, source=0)
     graph = make_graph_for(algorithm, n=n, m=m, seed=seed)
     engines = [
-        GraphPulseEngine(make_algorithm(name, source=0), config, engine="vectorized"),
+        GraphPulseEngine(make_algorithm(name, source=0), config, engine="auto"),
         GraphPulseEngine(
             make_algorithm(name, source=0),
             config,
@@ -110,7 +110,7 @@ def run_stream_pair(
 ):
     before = take_census(census_kind)
     engines, results = [], []
-    for engine_mode in ("vectorized", "sharded"):
+    for engine_mode in ("auto", "sharded"):
         algorithm = make_algorithm(name, source=0)
         graph = make_graph_for(algorithm, n=n, m=m, seed=seed)
         kwargs = dict(engine_kwargs)
@@ -237,7 +237,7 @@ class TestStreamingShardedParity:
         # Streams that create brand-new vertices exercise the deterministic
         # growth rule of the vertex->engine map.
         before = take_census(census)
-        oracle_engine, oracle_runs = grow_stream("vectorized")
+        oracle_engine, oracle_runs = grow_stream("auto")
         sharded_engine, sharded_runs = grow_stream("sharded", num_engines=8)
         assert take_census(census) == before
         for index, (oracle, sharded) in enumerate(zip(oracle_runs, sharded_runs)):

@@ -143,15 +143,15 @@ def test_scenario_count_meets_floor():
 # ----------------------------------------------------------------------
 # Deletion-heavy policy matrix
 # ----------------------------------------------------------------------
-# The deletion-policy invariant: every policy — VAP's coalesced resets,
-# DAP's dependency-aware trimming, and the CommonGraph
-# deletion-to-addition conversion — must land on the same cold-start
-# reference states, on every engine substrate. Streams here are
-# deletion-heavy (20% insertions) so the recovery machinery, not the
-# monotone addition path, carries each batch.
+# The deletion-policy invariant: VAP's coalesced resets and DAP's
+# dependency-aware trimming must land on the same cold-start reference
+# states, on every engine substrate. Streams here are deletion-heavy (20%
+# insertions) so the recovery machinery, not the monotone addition path,
+# carries each batch.
 
-DELETION_POLICIES = [DeletePolicy.VAP, DeletePolicy.DAP, DeletePolicy.COMMONGRAPH]
-DELETION_ENGINES = ["scalar", "vectorized", "sharded"]
+DELETION_POLICIES = [DeletePolicy.VAP, DeletePolicy.DAP]
+#: ``auto`` runs sssp/cc on the vectorized substrate; the id names it.
+DELETION_ENGINES = ["scalar", pytest.param("auto", id="vectorized"), "sharded"]
 DELETION_ALGORITHMS = ["sssp", "cc"]
 DELETION_SEEDS = list(range(3))
 DELETION_INSERTION_RATIO = 0.2
@@ -183,12 +183,7 @@ def _replay_policy(
     if _mismatches(algorithm, stream_engine.query_result(), graph.snapshot()):
         return 0
     for index, batch in enumerate(batches):
-        result = stream_engine.apply_batch(batch)
-        if policy is DeletePolicy.COMMONGRAPH and batch.deletions:
-            assert result.vertices_reset == 0, (
-                f"commongraph reset {result.vertices_reset} vertices "
-                f"on batch {index} — the conversion must never reset"
-            )
+        stream_engine.apply_batch(batch)
         if _mismatches(
             algorithm, stream_engine.query_result(), graph.snapshot()
         ):
@@ -211,25 +206,4 @@ def test_deletion_policies_match_cold_start(name, policy, engine, seed):
         f"batch(es) of a deletion-heavy stream "
         f"(insertion_ratio={DELETION_INSERTION_RATIO}):\n"
         + _format_prefix(batches[:failing])
-    )
-
-
-@pytest.mark.parametrize("seed", DELETION_SEEDS)
-def test_commongraph_falls_through_for_accumulative(seed):
-    """PageRank can't ride the conversion (non-monotonic): requesting
-    commongraph must fall through to a recovery policy and still match
-    the cold-start reference."""
-    batches = _make_deletion_batches("pagerank", seed)
-    algorithm = make_algorithm("pagerank", source=0)
-    graph = _build_graph(algorithm, seed)
-    engine = JetStreamEngine(
-        graph, algorithm, policy=DeletePolicy.COMMONGRAPH
-    )
-    assert engine.requested_policy is DeletePolicy.COMMONGRAPH
-    assert engine.policy is not DeletePolicy.COMMONGRAPH
-    engine.initial_compute()
-    for batch in batches:
-        engine.apply_batch(batch)
-    assert not _mismatches(
-        algorithm, engine.query_result(), graph.snapshot()
     )

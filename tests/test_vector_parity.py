@@ -50,7 +50,7 @@ def run_static_pair(name: str, config=None, n: int = 60, m: int = 240, seed: int
     algorithm = make_algorithm(name, source=0)
     graph = make_graph_for(algorithm, n=n, m=m, seed=seed)
     results = []
-    for engine_mode in ("scalar", "vectorized"):
+    for engine_mode in ("scalar", "auto"):
         engine = GraphPulseEngine(
             make_algorithm(name, source=0), config, engine=engine_mode
         )
@@ -69,7 +69,7 @@ def run_stream_pair(
     batch_size: int = 12,
 ):
     results = []
-    for engine_mode in ("scalar", "vectorized"):
+    for engine_mode in ("scalar", "auto"):
         algorithm = make_algorithm(name, source=0)
         graph = make_graph_for(algorithm, n=n, m=m, seed=seed)
         engine = JetStreamEngine(
@@ -114,7 +114,7 @@ class TestStaticParity:
         edges = [(u, v, 0.8 * w / row_sum[u]) for u, v, w in raw]
         graph = DynamicGraph.from_edges(edges, 40)
         results = []
-        for engine_mode in ("scalar", "vectorized"):
+        for engine_mode in ("scalar", "auto"):
             engine = GraphPulseEngine(
                 make_algorithm("linear"), engine=engine_mode
             )
@@ -159,7 +159,7 @@ class TestStreamingParity:
 
     def test_streaming_two_phase_accumulative(self):
         results = []
-        for engine_mode in ("scalar", "vectorized"):
+        for engine_mode in ("scalar", "auto"):
             algorithm = make_algorithm("pagerank")
             graph = make_graph_for(algorithm, n=50, m=200, seed=61)
             engine = JetStreamEngine(
@@ -198,11 +198,14 @@ class TestEngineSelection:
         class NoHooks(type(make_algorithm("sssp"))):
             reduce_ufunc = None
 
+        # auto falls back to the scalar oracle; sharded demands the hooks.
+        assert not EngineCore(NoHooks(source=0), engine="auto").uses_vectorized
         with pytest.raises(ValueError):
-            EngineCore(NoHooks(source=0), engine="vectorized")
+            EngineCore(NoHooks(source=0), engine="sharded")
 
     def test_unknown_engine_rejected(self):
         from repro.core.engine import EngineCore
 
-        with pytest.raises(ValueError):
-            EngineCore(make_algorithm("sssp"), engine="simd")
+        for engine in ("simd", "vectorized"):
+            with pytest.raises(ValueError):
+                EngineCore(make_algorithm("sssp"), engine=engine)
