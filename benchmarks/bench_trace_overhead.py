@@ -2,11 +2,12 @@
 
 Measures static-convergence throughput four ways on the same graph:
 
-* ``off``      — default engines (shared ``NULL_TRACER``, metrics
-  registry disabled): the shipping configuration, whose cost over an
-  uninstrumented build is one ``enabled`` check per scheduler round;
-* ``metrics``  — the process-wide :data:`repro.obs.metrics.REGISTRY`
-  enabled (counters/gauges/histograms folded once per round), no tracer;
+* ``off``      — default engines (shared ``NULL_TRACER``): the shipping
+  configuration, whose cost over an uninstrumented build is one
+  ``enabled`` check per scheduler round;
+* ``metrics``  — a tracer whose one sink is the process-wide
+  :data:`repro.obs.metrics.REGISTRY`, enabled (counters/gauges/histograms
+  folded from every finished round span);
 * ``memory``   — full tracing into a :class:`MemorySink`;
 * ``jsonl``    — full tracing streamed to a JSONL file.
 
@@ -74,7 +75,7 @@ def measure(csr, mode: str, repeats: int) -> dict:
         tracer = None
         cleanup = lambda: None  # noqa: E731
         if mode == "metrics":
-            REGISTRY.enable().reset()
+            tracer = Tracer([REGISTRY.enable().reset()])
             cleanup = lambda: REGISTRY.disable().reset()  # noqa: E731
         elif mode == "memory":
             tracer = Tracer([MemorySink()])

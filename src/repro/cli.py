@@ -186,9 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         metavar="PATH",
         help="write engine run spans to a JSONL trace with request_id "
-        "span links (joinable via `repro trace requests --trace`); "
-        "intended for single-session serving — the span stack is not "
-        "isolated between concurrently-writing sessions",
+        "span links (joinable via `repro trace requests --trace`)",
     )
     preload = serve.add_mutually_exclusive_group()
     preload.add_argument("--edges", help="preload session 'default' from an edge list")
@@ -394,14 +392,17 @@ def _add_trace_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _make_tracer(args):
-    """Build the tracer requested by --trace/--progress.
+    """Build the tracer requested by --trace/--progress/--metrics[-port].
 
-    Returns ``(tracer, memory_sink)`` — both ``None`` when tracing is off.
-    The memory sink mirrors the JSONL file so the post-run correlation
-    table can be rendered without re-reading the trace from disk.
+    Returns ``(tracer, memory_sink)`` — both ``None`` when no sink is
+    requested. The memory sink mirrors the JSONL file so the post-run
+    correlation table can be rendered without re-reading the trace from
+    disk; the metrics registry is a sink like the others.
     """
     sinks: List = []
     memory = None
+    if args.metrics or args.metrics_port is not None:
+        sinks.append(REGISTRY)
     if args.trace:
         sinks.append(JsonlSink(args.trace))
         memory = MemorySink()
@@ -728,8 +729,10 @@ def cmd_serve(args) -> int:
     from repro.host import Accelerator
     from repro.serve import ServeApp, ServeServer
 
+    sinks: List = []
     if not args.no_metrics:
         REGISTRY.enable().reset()
+        sinks.append(REGISTRY)
     # Request tracing is always armed for the daemon (it powers
     # /debug/requests); the JSONL access log only flows when requested.
     REQUEST_LOG.configure(
@@ -737,10 +740,10 @@ def cmd_serve(args) -> int:
         ring_size=args.request_ring,
         slow_threshold_s=args.slow_ms / 1e3,
     )
-    tracer = None
     if args.trace:
-        tracer = Tracer([JsonlSink(args.trace)])
+        sinks.append(JsonlSink(args.trace))
         print(f"[serve] engine trace at {args.trace}", file=sys.stderr)
+    tracer = Tracer(sinks) if sinks else None
     app = ServeApp(
         accelerator=Accelerator(tracer=tracer) if tracer is not None else None,
         queue_bound=args.queue_bound,

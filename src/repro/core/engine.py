@@ -38,7 +38,6 @@ from repro.core.metrics import (
 from repro.core.policies import DeletePolicy
 from repro.core.queue import CoalescingQueue, VectorQueue
 from repro.graph.csr import CSRGraph
-from repro.obs.metrics import REGISTRY as METRICS
 from repro.obs.tracer import NULL_TRACER, work_attrs
 from repro.graph.partition import extend_assignment, partition_graph
 
@@ -316,7 +315,6 @@ class EngineCore:
                 if tracer.enabled
                 else None
             )
-            m_t0 = METRICS.clock() if METRICS.enabled else 0.0
             if not queue.active_pending():
                 # Charge the activated slice's spill read-back to this round.
                 queue.activate_next_slice(work)
@@ -380,8 +378,6 @@ class EngineCore:
                 tracer.end(
                     round_span, **work_attrs(work), occupancy_end=queue.occupancy()
                 )
-            if METRICS.enabled:
-                METRICS.record_round(work, METRICS.clock() - m_t0, queue.occupancy())
 
     def run_delete(self, queue, phase: PhaseStats) -> List[int]:
         """Recovery phase: propagate delete tags, reset impacted vertices.
@@ -426,7 +422,6 @@ class EngineCore:
                 if tracer.enabled
                 else None
             )
-            m_t0 = METRICS.clock() if METRICS.enabled else 0.0
             if not queue.active_pending():
                 # Charge the activated slice's spill read-back to this round.
                 queue.activate_next_slice(work)
@@ -489,8 +484,6 @@ class EngineCore:
                 tracer.end(
                     round_span, **work_attrs(work), occupancy_end=queue.occupancy()
                 )
-            if METRICS.enabled:
-                METRICS.record_round(work, METRICS.clock() - m_t0, queue.occupancy())
         return impacted
 
     # ------------------------------------------------------------------
@@ -545,12 +538,10 @@ class EngineCore:
             if rounds > MAX_ROUNDS:
                 raise RuntimeError(f"{kind} phase exceeded MAX_ROUNDS; non-termination?")
             work = phase.new_round()
-            shard_works = None
             round_span = None
             if tracer.enabled:
                 round_span = tracer.start("round", occupancy_start=queue.occupancy())
                 noc_before = parallel.noc_snapshot(phase)
-            m_t0 = METRICS.clock() if METRICS.enabled else 0.0
             try:
                 if not queue.active_pending():
                     # Charge the activated slice's spill read-back to this round.
@@ -609,12 +600,6 @@ class EngineCore:
                             else {}
                         ),
                     )
-                if METRICS.enabled:
-                    METRICS.record_round(
-                        work, METRICS.clock() - m_t0, queue.occupancy()
-                    )
-                    if shard_works is not None:
-                        METRICS.record_engine_work(shard_works)
         return impacted
 
     def _emit_engine_spans(self, shard_works, t0: float, t1: float, round_span) -> None:
@@ -770,7 +755,6 @@ class GraphPulseEngine:
         """Evaluate the query on ``csr`` from scratch (cold start)."""
         core = self.core
         tracer = core.tracer
-        run_t0 = METRICS.clock() if METRICS.enabled else 0.0
         with tracer.span(
             "run",
             "static",
@@ -786,20 +770,9 @@ class GraphPulseEngine:
             queue = core.new_queue()
             with tracer.phase(phase):
                 seed_work = phase.new_round()
-                with tracer.round(seed_work, queue), METRICS.round_scope(
-                    seed_work, queue
-                ):
+                with tracer.round(seed_work, queue):
                     core.seed_initial(queue, seed_work)
                 core.run_regular(queue, phase)
-            if METRICS.enabled:
-                METRICS.record_phase(phase)
-        if METRICS.enabled:
-            METRICS.record_run(
-                "static",
-                METRICS.clock() - run_t0,
-                num_vertices=csr.num_vertices,
-                num_edges=csr.num_edges,
-            )
         return ComputeResult(
             states=core.states.copy(),
             metrics=metrics,

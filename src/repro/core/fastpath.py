@@ -37,7 +37,6 @@ from typing import Dict, Iterator, Optional, Set, Tuple
 from repro.algorithms.base import SELF_SUPPORT, UpdateClassification
 from repro.core.events import NO_SOURCE
 from repro.core.streaming import JetStreamEngine, StreamingResult
-from repro.obs.metrics import REGISTRY as METRICS
 from repro.streams import UpdateBatch, vertex_id
 
 
@@ -255,14 +254,20 @@ class ExpressLane:
                 state_reads=cls.state_reads,
                 engine_result=engine_result,
             )
-        if METRICS.enabled:
-            METRICS.record_express_update(
-                op,
-                "safe" if result.safe else "unsafe",
-                result.reason,
-                result.latency_s,
-                result.edges_scanned,
-                result.state_reads,
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            # Safe updates produce no run span; this event is every
+            # update's trace footprint (at root level it picks up any
+            # active span links, such as the serving request id).
+            tracer.event(
+                "express",
+                op=op,
+                safe=result.safe,
+                reason=result.reason,
+                latency_s=result.latency_s,
+                classify_s=classify_s,
+                edges_scanned=result.edges_scanned,
+                state_reads=result.state_reads,
             )
         return result
 

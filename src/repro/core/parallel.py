@@ -34,7 +34,7 @@ from repro.core.events import NO_SOURCE
 from repro.core.metrics import PhaseStats, RoundWork
 from repro.core.policies import DeletePolicy
 from repro.graph.csr import run_indices
-from repro.obs.metrics import REGISTRY as METRICS
+from repro.obs.tracer import NOC_FIELDS
 from repro.sim.noc import CrossbarModel
 
 from repro.algorithms.base import AlgorithmKind
@@ -42,21 +42,14 @@ from repro.algorithms.base import AlgorithmKind
 
 def noc_snapshot(phase: PhaseStats):
     """The phase's NoC counters now, for :func:`noc_delta_attrs` later."""
-    return (
-        phase.noc_events_local,
-        phase.noc_events_remote,
-        phase.noc_flits,
-        phase.noc_cycles,
-    )
+    return [getattr(phase, field) for field in NOC_FIELDS]
 
 
 def noc_delta_attrs(phase: PhaseStats, snapshot) -> dict:
     """One round's NoC traffic as span attributes (counters since ``snapshot``)."""
     return {
-        "noc_events_local": phase.noc_events_local - snapshot[0],
-        "noc_events_remote": phase.noc_events_remote - snapshot[1],
-        "noc_flits": phase.noc_flits - snapshot[2],
-        "noc_cycles": phase.noc_cycles - snapshot[3],
+        field: getattr(phase, field) - before
+        for field, before in zip(NOC_FIELDS, snapshot)
     }
 
 
@@ -89,8 +82,6 @@ class InterEngineChannel:
         phase.noc_events_remote += n_remote
         phase.noc_flits += flits
         phase.noc_cycles += cycles
-        if METRICS.enabled:
-            METRICS.record_noc(n_local, n_remote, flits)
 
 
 def engine_round_work(

@@ -35,7 +35,6 @@ from repro.algorithms.base import AlgorithmKind
 from repro.core.events import NO_SOURCE, Event, EventBatch
 from repro.core.metrics import RoundWork
 from repro.core.policies import DeletePolicy
-from repro.obs.metrics import REGISTRY as METRICS
 
 
 class QueueError(RuntimeError):
@@ -487,10 +486,6 @@ class VectorQueue(_SlicedQueue):
                 self._fold(batch, folds)
         if self._occupancy > self.peak_occupancy:
             self.peak_occupancy = self._occupancy
-        if METRICS.enabled:
-            # One sample per batch insert (per scheduler round), matching
-            # the engines' one-guard-per-round overhead contract.
-            METRICS.record_queue_occupancy(self._occupancy, self.peak_occupancy)
 
     def _grow(self, num_vertices: int) -> None:
         """Extend the cell arrays for vertices created mid-stream."""

@@ -36,7 +36,6 @@ from repro.core.metrics import RunMetrics
 from repro.core.policies import DeletePolicy
 from repro.graph.csr import CSRGraph, run_indices
 from repro.graph.dynamic import CheckedBatch, DynamicGraph, EdgeArrays
-from repro.obs.metrics import REGISTRY as METRICS
 from repro.streams import UpdateBatch
 
 def _source_ctx(algorithm, csr, sources: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -219,7 +218,6 @@ class JetStreamEngine:
         metrics = RunMetrics()
         phase = metrics.phase("initial")
         queue = core.new_queue()
-        run_t0 = METRICS.clock() if METRICS.enabled else 0.0
         with tracer.span(
             "run",
             "initial",
@@ -232,18 +230,9 @@ class JetStreamEngine:
         ):
             with tracer.phase(phase):
                 work = phase.new_round()
-                with tracer.round(work, queue), METRICS.round_scope(work, queue):
+                with tracer.round(work, queue):
                     core.seed_initial(queue, work)
                 core.run_regular(queue, phase)
-            if METRICS.enabled:
-                METRICS.record_phase(phase)
-        if METRICS.enabled:
-            METRICS.record_run(
-                "initial",
-                METRICS.clock() - run_t0,
-                num_vertices=csr.num_vertices,
-                num_edges=csr.num_edges,
-            )
         self._initialized = True
         return StreamingResult(
             states=core.states.copy(),
@@ -268,7 +257,6 @@ class JetStreamEngine:
         if not self._initialized:
             raise RuntimeError("call initial_compute() before apply_batch()")
         checked = self.graph.check_batch(batch)
-        run_t0 = METRICS.clock() if METRICS.enabled else 0.0
         with self.tracer.span(
             "run",
             "batch",
@@ -278,18 +266,13 @@ class JetStreamEngine:
             insertions=len(batch.ins),
             deletions=len(batch.dels),
             stream_records=batch.size,
-        ):
+        ) as run_span:
             if self.algorithm.kind is AlgorithmKind.SELECTIVE:
                 result = self._apply_selective(checked)
             else:
                 result = self._apply_accumulative(checked)
-        if METRICS.enabled:
-            METRICS.record_run(
-                "batch",
-                METRICS.clock() - run_t0,
-                stream_records=batch.size,
-                num_vertices=self.graph.num_vertices,
-            )
+            if run_span is not None:
+                run_span.attrs["num_vertices"] = self.graph.num_vertices
         self._batches_applied += 1
         return result
 
@@ -308,13 +291,9 @@ class JetStreamEngine:
         queue.set_delete_coalescing(self.policy.coalesces_deletes)
         with tracer.phase(delete_phase):
             seed_work = delete_phase.new_round()
-            with tracer.round(seed_work, queue), METRICS.round_scope(
-                seed_work, queue
-            ):
+            with tracer.round(seed_work, queue):
                 self._seed_deletes(queue, seed_work, old_csr, deletions)
             impacted = core.run_delete(queue, delete_phase)
-        if METRICS.enabled:
-            METRICS.record_phase(delete_phase)
         queue.set_delete_coalescing(True)
 
         # Mutate the graph; switch to the new structure.
@@ -327,7 +306,7 @@ class JetStreamEngine:
         compute_phase = metrics.phase("reevaluation")
         with tracer.phase(compute_phase):
             work = compute_phase.new_round()
-            with tracer.round(work, queue), METRICS.round_scope(work, queue):
+            with tracer.round(work, queue):
                 seeds = [
                     self._reapprox_seeds(work, compute_phase, new_csr, impacted),
                     _insertion_seeds(core, work, new_csr, insertions),
@@ -341,8 +320,6 @@ class JetStreamEngine:
                     new_csr.num_vertices,
                 )
             core.run_regular(queue, compute_phase)
-        if METRICS.enabled:
-            METRICS.record_phase(compute_phase)
 
         return StreamingResult(
             states=core.states.copy(),
@@ -407,7 +384,7 @@ class JetStreamEngine:
             # The queue does not exist yet (corrections are computed across
             # the graph mutation), so the seed round span carries no
             # occupancy samples — only the work vector.
-            with tracer.round(work), METRICS.round_scope(work):
+            with tracer.round(work):
                 stale_delta = -_edge_payloads(core, work, old_csr, stale)
 
                 # Mutate; replacements are priced against the new structure.
@@ -437,8 +414,6 @@ class JetStreamEngine:
                     algorithm, queue, work, old_n, new_csr.num_vertices
                 )
             core.run_regular(queue, phase)
-        if METRICS.enabled:
-            METRICS.record_phase(phase)
 
         return StreamingResult(
             states=core.states.copy(),
@@ -472,14 +447,12 @@ class JetStreamEngine:
         delete_phase = metrics.phase("delete-negation")
         with tracer.phase(delete_phase):
             seed_work = delete_phase.new_round()
-            with tracer.round(seed_work), METRICS.round_scope(seed_work):
+            with tracer.round(seed_work):
                 deltas = -_edge_payloads(core, seed_work, old_csr, stale)
                 core.bind_graph(intermediate_csr)
                 queue = core.new_queue()
                 self._seed_sendable(queue, seed_work, stale, deltas)
             core.run_regular(queue, delete_phase)
-        if METRICS.enabled:
-            METRICS.record_phase(delete_phase)
 
         # Mutate; switch to the new structure.
         self.graph.apply_batch(checked)
@@ -491,15 +464,13 @@ class JetStreamEngine:
         compute_phase = metrics.phase("reevaluation")
         with tracer.phase(compute_phase):
             work = compute_phase.new_round()
-            with tracer.round(work, queue), METRICS.round_scope(work, queue):
+            with tracer.round(work, queue):
                 deltas = _edge_payloads(core, work, new_csr, replacements)
                 self._seed_sendable(queue, work, replacements, deltas)
                 _seed_new_vertices(
                     algorithm, queue, work, old_n, new_csr.num_vertices
                 )
             core.run_regular(queue, compute_phase)
-        if METRICS.enabled:
-            METRICS.record_phase(compute_phase)
 
         return StreamingResult(
             states=core.states.copy(),
@@ -699,7 +670,7 @@ def evaluate_at_versions(
     queue = core.new_queue()
     with tracer_.phase(common_phase):
         work = common_phase.new_round()
-        with tracer_.round(work, queue), METRICS.round_scope(work, queue):
+        with tracer_.round(work, queue):
             core.seed_initial(queue, work)
         core.run_regular(queue, common_phase)
     base_states = core.states[: slice_.common_vertices].copy()
@@ -719,7 +690,7 @@ def evaluate_at_versions(
         queue = core.new_queue()
         with tracer_.phase(phase):
             work = phase.new_round()
-            with tracer_.round(work, queue), METRICS.round_scope(work, queue):
+            with tracer_.round(work, queue):
                 m = len(additions)
                 insertions = (
                     np.fromiter((e[0] for e in additions), np.int64, m),
@@ -768,9 +739,7 @@ def _evaluate_versions_independent(
         queue = core.new_queue()
         with core.tracer.phase(phase):
             work = phase.new_round()
-            with core.tracer.round(work, queue), METRICS.round_scope(
-                work, queue
-            ):
+            with core.tracer.round(work, queue):
                 core.seed_initial(queue, work)
             core.run_regular(queue, phase)
         states[ver] = core.states.copy()

@@ -44,7 +44,6 @@ from repro.core.streaming import (
 )
 from repro.graph.csr import EDGE_ENTRY_BYTES, VERTEX_STATE_BYTES
 from repro.graph.dynamic import DeltaVersionStore, DynamicGraph, build_symmetric_graph
-from repro.obs.metrics import REGISTRY as METRICS
 from repro.obs.tracer import NULL_TRACER
 from repro.streams import UpdateBatch
 
@@ -85,20 +84,18 @@ class Session:
         # Initial CSR upload: out + in structures plus vertex states.
         upload = 2 * graph.num_edges * EDGE_ENTRY_BYTES
         upload += graph.num_vertices * VERTEX_STATE_BYTES
-        self._record_transfer("graph_uploads", upload)
+        self._account_transfer("graph_uploads", upload)
 
     @property
     def tracer(self):
         """The accelerator's observability hook (NULL_TRACER when off)."""
         return self._accelerator.tracer
 
-    def _record_transfer(self, direction: str, nbytes: int) -> None:
+    def _account_transfer(self, direction: str, nbytes: int) -> None:
         setattr(self.transfers, direction, getattr(self.transfers, direction) + nbytes)
         tracer = self._accelerator.tracer
         if tracer.enabled:
             tracer.event("transfer", direction=direction, bytes=nbytes)
-        if METRICS.enabled:
-            METRICS.record_transfer(direction, nbytes)
 
     # ------------------------------------------------------------------
     def configure(
@@ -202,7 +199,7 @@ class Session:
         if self._pending is not None:
             raise HostApiError("a batch is already staged; run() it first")
         self._pending = UpdateBatch(insertions, deletions)
-        self._record_transfer(
+        self._account_transfer(
             "update_records",
             self._pending.size * self._accelerator.config.stream_record_bytes,
         )
@@ -220,7 +217,7 @@ class Session:
             batch, self._pending = self._pending, None
             self._last_result = self._engine.apply_batch(batch)
             # The host swaps a fresh CSR pointer after each batch (§4.7).
-            self._record_transfer("graph_uploads", 2 * batch.size * EDGE_ENTRY_BYTES)
+            self._account_transfer("graph_uploads", 2 * batch.size * EDGE_ENTRY_BYTES)
             if self._version_store is not None:
                 self._version_store.record_batch(batch.ins, batch.dels)
         return self._last_result
@@ -272,7 +269,7 @@ class Session:
             **self._engine_opts,
         )
         for ver in result.versions:
-            self._record_transfer(
+            self._account_transfer(
                 "results_read",
                 result.states[ver].shape[0] * VERTEX_STATE_BYTES,
             )
@@ -304,7 +301,7 @@ class Session:
             )
         if self._express is None:
             self._express = ExpressLane(self._engine)
-        self._record_transfer(
+        self._account_transfer(
             "update_records", self._accelerator.config.stream_record_bytes
         )
         result = self._express.apply(u, v, w, op)
@@ -316,26 +313,13 @@ class Session:
                 self._version_store.record_batch([(result.u, result.v, result.w)], ())
             else:
                 self._version_store.record_batch((), [(result.u, result.v)])
-        tracer = self._accelerator.tracer
-        if tracer.enabled:
-            # Safe updates produce no run span; this event is their trace
-            # footprint (and, at root level, it picks up any active span
-            # links such as the serving request id).
-            tracer.event(
-                "express",
-                op=result.op,
-                safe=result.safe,
-                reason=result.reason,
-                latency_s=result.latency_s,
-                classify_s=result.classify_s,
-            )
         if result.engine_result is not None:
             self._last_result = result.engine_result
             # The fallthrough ran as a one-edge batch on the engine, which
             # swaps a fresh CSR pointer exactly like run() does — mirror its
             # per-batch upload record so transfer accounting stays identical
             # between the two paths for the same update.
-            self._record_transfer("graph_uploads", 2 * EDGE_ENTRY_BYTES)
+            self._account_transfer("graph_uploads", 2 * EDGE_ENTRY_BYTES)
         return result
 
     def express_stats(self) -> dict:
@@ -349,7 +333,7 @@ class Session:
         if self._last_result is None:
             raise HostApiError("nothing computed yet; run() first")
         states = self._engine.query_result()
-        self._record_transfer("results_read", states.shape[0] * VERTEX_STATE_BYTES)
+        self._account_transfer("results_read", states.shape[0] * VERTEX_STATE_BYTES)
         return states
 
     def transfer_stats(self) -> TransferStats:

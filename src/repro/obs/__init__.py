@@ -5,8 +5,8 @@ Public surface:
 * :class:`Tracer` / :data:`NULL_TRACER` — span emission (run → phase →
   round → engine) with the one-attribute-check-when-off contract;
 * :data:`REGISTRY` / :class:`MetricsRegistry` — live process-wide
-  counters/gauges/histograms with Prometheus + JSON exporters, same
-  disabled-by-default contract;
+  counters/gauges/histograms with Prometheus + JSON exporters, folded as
+  a trace sink (``Tracer([REGISTRY])``) from the spans and events;
 * :class:`MetricsServer` — stdlib HTTP ``/metrics`` scrape endpoint;
 * :class:`MemorySink` / :class:`JsonlSink` / :class:`ProgressSink` —
   pluggable trace destinations;

@@ -4,24 +4,25 @@ Where the run trace (:mod:`repro.obs.tracer`) records *what happened* as a
 post-hoc span tree, this module keeps *live* aggregates that can be
 scraped mid-run — the software analogue of the hardware counters the
 paper's evaluation is built on (events, accesses, queue occupancy, NoC
-flits; Figs. 9–14). The engine substrates, queues, streaming orchestrator,
-and host transfer paths all publish into one shared
-:data:`REGISTRY`, exported as Prometheus text exposition
+flits; Figs. 9–14). :class:`MetricsRegistry` is a trace sink: attached to
+a tracer (``Tracer([REGISTRY, ...])``) it folds the finished ``run`` /
+``phase`` / ``round`` / ``engine`` spans and the ``transfer`` / ``express``
+events, so every engine, queue, express-lane and host number is emitted
+once, through the tracer, and the registry is derived from that one
+emission. Only the serve layer records directly (``record_serve_*``). The
+shared :data:`REGISTRY` is exported as Prometheus text exposition
 (:meth:`MetricsRegistry.to_prometheus`, served live by
 :class:`repro.obs.scrape.MetricsServer`) or a JSON snapshot
 (:meth:`MetricsRegistry.snapshot`, rendered by ``repro metrics dump``).
 
-**Overhead contract.** Metrics are off by default, mirroring the
-``NULL_TRACER`` pattern: every instrumentation site guards behind a single
-``REGISTRY.enabled`` attribute check per scheduler round (never per
-event), so the disabled hot paths stay within noise of an uninstrumented
-build (``benchmarks/bench_trace_overhead.py``, mode ``off`` vs
-``metrics``).
+**Overhead contract.** The engines never look at the registry: their hot
+loops check ``tracer.enabled`` once per scheduler round, so metrics cost
+nothing until a tracer carries the registry (``benchmarks/
+bench_trace_overhead.py``, mode ``off`` vs ``metrics``).
 
 Thread-safety: the serving daemon publishes from its handler and writer
-threads, so all mutation goes through a registry-wide lock. Instrumentation happens once
-per scheduler round / phase / transfer, so the lock is uncontended in
-practice.
+threads, so all mutation goes through a registry-wide lock, taken once per
+folded span, event or serve sample.
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ from __future__ import annotations
 import json
 import math
 import threading
-import time
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.obs.sinks import Sink
+from repro.obs.tracer import NOC_FIELDS, PHASE_EXTRAS, WORK_FIELDS
 
 __all__ = [
     "Counter",
@@ -176,23 +179,26 @@ SERVE_LATENCY_BUCKETS = log_buckets(1e-5, 32.0, factor=2.0)  # 10 µs .. 32 s
 SERVE_READS_BUCKETS = log_buckets(1.0, 65536.0, factor=4.0)  # 1 .. 64K reads
 
 
-class MetricsRegistry:
-    """Named metric families plus the engine-facing recording helpers.
+class MetricsRegistry(Sink):
+    """Named metric families, folded from trace spans and events.
 
     One registry is the process-wide default (:data:`REGISTRY`); tests may
-    construct private instances. ``enabled`` is the single attribute the
-    instrumented hot paths check — all the ``record_*`` helpers assume the
-    caller already performed that check (they re-check defensively, but
-    the contract is one guard per round at the call site).
+    construct private instances. As a sink it folds finished spans and
+    events (see the module docstring), and only while ``enabled``: a
+    disabled registry records nothing, attached or not. The serve layer
+    calls the ``record_serve_*`` helpers directly.
     """
 
-    def __init__(self, enabled: bool = False, clock=time.perf_counter):
+    def __init__(self, enabled: bool = False):
         self.enabled = enabled
-        self.clock = clock
         self._lock = threading.Lock()
-        self._metrics: Dict[Tuple[str, LabelPairs], object] = {}
+        #: Series by key: the family name when unlabelled (one string lookup
+        #: on the per-round fold), else ``(name, labels)``.
+        self._metrics: Dict[object, object] = {}
         self._help: Dict[str, str] = {}
         self._kind: Dict[str, str] = {}
+        #: Express updates folded, and how many of them were safe.
+        self._express_total = self._express_safe = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -211,26 +217,20 @@ class MetricsRegistry:
             self._metrics.clear()
             self._help.clear()
             self._kind.clear()
+            self._express_total = self._express_safe = 0
         return self
 
     # ------------------------------------------------------------------
     # Family accessors (get-or-create)
     # ------------------------------------------------------------------
     def _get(self, cls, name: str, help_text: str, labels: Dict[str, str], **kwargs):
-        key = (name, _label_key(labels))
         with self._lock:
-            metric = self._metrics.get(key)
-            if metric is None:
-                registered = self._kind.get(name)
-                if registered is not None and registered != cls.kind:
-                    raise ValueError(
-                        f"metric {name!r} already registered as {registered}"
-                    )
-                metric = cls(name, labels=key[1], **kwargs)
-                self._metrics[key] = metric
-                self._kind[name] = cls.kind
-                if help_text or name not in self._help:
-                    self._help[name] = help_text
+            registered = self._kind.get(name)
+            if registered is not None and registered != cls.kind:
+                raise ValueError(f"metric {name!r} already registered as {registered}")
+            metric = self._series(cls, name, _label_key(labels), **kwargs)
+            if help_text:
+                self._help[name] = help_text
             return metric
 
     def counter(self, name: str, help_text: str = "", **labels) -> Counter:
@@ -240,188 +240,159 @@ class MetricsRegistry:
         return self._get(Gauge, name, help_text, labels)
 
     def histogram(
-        self,
-        name: str,
-        buckets: Sequence[float],
-        help_text: str = "",
-        **labels,
+        self, name: str, buckets: Sequence[float], help_text: str = "", **labels
     ) -> Histogram:
         return self._get(Histogram, name, help_text, labels, buckets=buckets)
 
     def get(self, name: str, **labels):
         """Existing metric, or ``None`` (tests/exporters; never creates)."""
-        return self._metrics.get((name, _label_key(labels)))
+        label_pairs = _label_key(labels)
+        return self._metrics.get((name, label_pairs) if label_pairs else name)
 
     def value(self, name: str, **labels) -> Optional[float]:
         """Convenience: the current value of a counter/gauge series."""
         metric = self.get(name, **labels)
         return None if metric is None else metric.value
 
+    def _series(self, cls, name: str, labels: LabelPairs = (), **kwargs):
+        """Get-or-create one series; ``labels`` sorted (caller holds the lock)."""
+        key = (name, labels) if labels else name
+        metric = self._metrics.get(key)
+        if metric is None:
+            metric = self._metrics[key] = cls(name, labels=labels, **kwargs)
+            self._kind[name] = cls.kind
+            self._help.setdefault(name, _HELP.get(name, ""))
+        return metric
+
     # ------------------------------------------------------------------
-    # Engine-facing recording helpers
+    # Sink: the one way engine-side numbers arrive
     # ------------------------------------------------------------------
-    def record_round(self, work, dur_s: float, occupancy: Optional[int] = None) -> None:
-        """Fold one scheduler round's :class:`RoundWork` into the registry.
+    def on_span_end(self, span) -> None:
+        fold = _SPAN_FOLDS.get(span.kind)
+        if fold is not None and self.enabled:
+            with self._lock:
+                fold(self, span)
 
-        Called once per round by every engine substrate (and by the
-        orchestration seed rounds), so the work counters sum to exactly
-        the run's :class:`~repro.core.metrics.RunMetrics` totals.
-        """
-        if not self.enabled:
-            return
-        with self._lock:
-            self._counter_nolock("repro_rounds_total").inc()
-            for field, total_name in _WORK_COUNTERS:
-                amount = getattr(work, field)
-                if amount:
-                    self._counter_nolock(total_name).inc(amount)
-            self._histogram_nolock(
-                "repro_round_latency_seconds", ROUND_LATENCY_BUCKETS
-            ).observe(dur_s)
-            self._histogram_nolock(
-                "repro_round_batch_events", BATCH_EVENTS_BUCKETS
-            ).observe(work.events_processed)
-            if work.queue_inserts:
-                self._histogram_nolock(
-                    "repro_round_coalesce_ratio", RATIO_BUCKETS
-                ).observe(work.coalesce_ops / work.queue_inserts)
-            if work.spill_bytes:
-                self._histogram_nolock(
-                    "repro_round_spill_bytes", SPILL_BYTES_BUCKETS
-                ).observe(work.spill_bytes)
-            if occupancy is not None:
-                self._gauge_nolock("repro_queue_occupancy").set(occupancy)
+    def on_event(self, event) -> None:
+        fold = _EVENT_FOLDS.get(event.name)
+        if fold is not None and self.enabled:
+            with self._lock:
+                fold(self, event.attrs)
 
-    def record_phase(self, stats) -> None:
-        """Fold one finished :class:`PhaseStats`' extras (not its rounds)."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self._counter_nolock("repro_phases_total", phase=stats.name).inc()
-            for field, total_name in _PHASE_COUNTERS:
-                amount = getattr(stats, field)
-                if amount:
-                    self._counter_nolock(total_name).inc(amount)
-
-    def record_noc(self, events_local: int, events_remote: int, flits: int) -> None:
-        """Fold one round's inter-engine NoC deliveries (``engine="sharded"``)."""
-        if not self.enabled:
-            return
-        with self._lock:
-            if events_local:
-                self._counter_nolock("repro_noc_events_local_total").inc(events_local)
-            if events_remote:
-                self._counter_nolock("repro_noc_events_remote_total").inc(events_remote)
-            if flits:
-                self._counter_nolock("repro_noc_flits_total").inc(flits)
-            delivered = events_local + events_remote
+    def _fold_round(self, span) -> None:
+        """One scheduler round: work counters, round histograms, queue
+        occupancy and (sharded rounds) crossbar traffic."""
+        attrs = span.attrs
+        series = self._series
+        series(Counter, "repro_rounds_total").inc()
+        self._add_totals(attrs, _WORK_TOTALS)
+        series(
+            Histogram, "repro_round_latency_seconds", buckets=ROUND_LATENCY_BUCKETS
+        ).observe(span.dur_s)
+        series(
+            Histogram, "repro_round_batch_events", buckets=BATCH_EVENTS_BUCKETS
+        ).observe(attrs.get("events_processed", 0))
+        inserts = attrs.get("queue_inserts")
+        if inserts:
+            series(
+                Histogram, "repro_round_coalesce_ratio", buckets=RATIO_BUCKETS
+            ).observe(attrs["coalesce_ops"] / inserts)
+        spill = attrs.get("spill_bytes")
+        if spill:
+            series(
+                Histogram, "repro_round_spill_bytes", buckets=SPILL_BYTES_BUCKETS
+            ).observe(spill)
+        if "occupancy_end" in attrs:
+            end = attrs["occupancy_end"]
+            series(Gauge, "repro_queue_occupancy").set(end)
+            peak = series(Gauge, "repro_queue_peak_occupancy")
+            peak.set(max(peak.value, attrs.get("occupancy_start", 0), end))
+        if "noc_events_local" in attrs:
+            self._add_totals(attrs, _NOC_TOTALS)
+            remote = attrs["noc_events_remote"]
+            delivered = attrs["noc_events_local"] + remote
             if delivered:
-                self._histogram_nolock(
-                    "repro_noc_remote_fraction", RATIO_BUCKETS
-                ).observe(events_remote / delivered)
+                series(
+                    Histogram, "repro_noc_remote_fraction", buckets=RATIO_BUCKETS
+                ).observe(remote / delivered)
 
-    def record_queue_occupancy(self, occupancy: int, peak: int) -> None:
-        """Sample queue occupancy (called by the queues after inserts/drains)."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self._gauge_nolock("repro_queue_occupancy").set(occupancy)
-            self._gauge_nolock("repro_queue_peak_occupancy").set(peak)
+    def _fold_engine(self, span) -> None:
+        """One engine's share of a sharded round (utilization counters);
+        the labelled series partition the unlabelled work totals."""
+        labels = (("engine", str(span.attrs["engine"])),)
+        for field in ("events_processed", "events_generated"):
+            amount = span.attrs.get(field)
+            if amount:
+                self._series(Counter, f"repro_engine_{field}_total", labels).inc(amount)
 
-    def record_run(
-        self,
-        kind: str,
-        dur_s: float,
-        stream_records: int = 0,
-        num_vertices: Optional[int] = None,
-        num_edges: Optional[int] = None,
-    ) -> None:
-        """Fold one engine run (initial evaluation or one stream batch)."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self._counter_nolock("repro_runs_total", kind=kind).inc()
-            if stream_records:
-                self._counter_nolock("repro_stream_records_total").inc(stream_records)
-            self._histogram_nolock(
-                "repro_run_latency_seconds", RUN_LATENCY_BUCKETS, kind=kind
-            ).observe(dur_s)
-            if num_vertices is not None:
-                self._gauge_nolock("repro_graph_vertices").set(num_vertices)
-            if num_edges is not None:
-                self._gauge_nolock("repro_graph_edges").set(num_edges)
+    def _fold_phase(self, span) -> None:
+        """One finished phase: its count and extras (its rounds fold alone)."""
+        self._series(Counter, "repro_phases_total", (("phase", span.name),)).inc()
+        self._add_totals(span.attrs, _PHASE_TOTALS)
 
-    def record_engine_work(self, shard_works) -> None:
-        """Fold one sharded round's per-engine work (utilization counters).
+    def _add_totals(self, attrs, totals) -> None:
+        """Add each nonzero ``attrs[field]`` to its ``repro_<field>_total``."""
+        metrics = self._metrics
+        for field, total_name in totals:
+            amount = attrs.get(field)
+            if amount:
+                counter = metrics.get(total_name) or self._series(Counter, total_name)
+                counter.inc(amount)
 
-        ``shard_works`` is the sequence of per-shard :class:`RoundWork`
-        records indexed by engine id. The per-engine series mirror the
-        in-process ``RunMetrics.per_engine_totals`` breakdown, so
-        ``repro_engine_events_processed_total{engine=...}`` sums to the
-        unlabelled ``repro_events_processed_total`` family.
-        """
-        if not self.enabled:
-            return
-        with self._lock:
-            for engine_id, work in enumerate(shard_works):
-                if work.events_processed:
-                    self._counter_nolock(
-                        "repro_engine_events_processed_total",
-                        engine=str(engine_id),
-                    ).inc(work.events_processed)
-                if work.events_generated:
-                    self._counter_nolock(
-                        "repro_engine_events_generated_total",
-                        engine=str(engine_id),
-                    ).inc(work.events_generated)
+    def _fold_run(self, span) -> None:
+        """One engine run (initial evaluation, stream batch, static)."""
+        attrs = span.attrs
+        kind = (("kind", span.name),)
+        self._series(Counter, "repro_runs_total", kind).inc()
+        records = attrs.get("stream_records")
+        if records:
+            self._series(Counter, "repro_stream_records_total").inc(records)
+        self._series(
+            Histogram, "repro_run_latency_seconds", kind, buckets=RUN_LATENCY_BUCKETS
+        ).observe(span.dur_s)
+        if "num_vertices" in attrs:
+            self._series(Gauge, "repro_graph_vertices").set(attrs["num_vertices"])
+        if "num_edges" in attrs:
+            self._series(Gauge, "repro_graph_edges").set(attrs["num_edges"])
 
-    def record_express_update(
-        self,
-        op: str,
-        outcome: str,
-        reason: str,
-        dur_s: float,
-        edges_scanned: int,
-        state_reads: int,
-    ) -> None:
-        """Fold one express-lane update (:mod:`repro.core.fastpath`).
+    def _fold_transfer(self, attrs) -> None:
+        """One host<->accelerator DMA transfer (:mod:`repro.host`)."""
+        self._series(
+            Counter, "repro_transfer_bytes_total", (("direction", attrs["direction"]),)
+        ).inc(attrs["bytes"])
 
-        ``outcome`` is ``"safe"`` (absorbed on the express path) or
-        ``"unsafe"`` (fell through to the engine). The scan histogram
-        observes the classification work — adjacency entries plus state
-        reads — which is deterministic for a given update sequence, unlike
-        the wall-clock latency histogram.
-        """
-        if not self.enabled:
-            return
-        with self._lock:
-            self._counter_nolock(
-                "repro_express_updates_total", op=op, outcome=outcome
-            ).inc()
-            self._counter_nolock("repro_express_reasons_total", reason=reason).inc()
-            self._histogram_nolock(
-                "repro_express_latency_seconds", EXPRESS_LATENCY_BUCKETS,
-                outcome=outcome,
-            ).observe(dur_s)
-            self._histogram_nolock(
-                "repro_express_scan_entries", EXPRESS_SCAN_BUCKETS
-            ).observe(edges_scanned + state_reads)
-            total = safe = 0.0
-            for (name, labels), metric in self._metrics.items():
-                if name == "repro_express_updates_total":
-                    total += metric.value
-                    if ("outcome", "safe") in labels:
-                        safe += metric.value
-            self._gauge_nolock("repro_express_safe_ratio").set(
-                safe / total if total else 0.0
-            )
+    def _fold_express(self, attrs) -> None:
+        """One express-lane update (:mod:`repro.core.fastpath`). The scan
+        histogram observes classification work (adjacency entries + state
+        reads): deterministic per update sequence, unlike the latency."""
+        outcome = (("outcome", "safe" if attrs["safe"] else "unsafe"),)
+        self._series(
+            Counter, "repro_express_updates_total", (("op", attrs["op"]),) + outcome
+        ).inc()
+        self._series(
+            Counter, "repro_express_reasons_total", (("reason", attrs["reason"]),)
+        ).inc()
+        self._series(
+            Histogram,
+            "repro_express_latency_seconds",
+            outcome,
+            buckets=EXPRESS_LATENCY_BUCKETS,
+        ).observe(attrs["latency_s"])
+        self._series(
+            Histogram, "repro_express_scan_entries", buckets=EXPRESS_SCAN_BUCKETS
+        ).observe(attrs["edges_scanned"] + attrs["state_reads"])
+        self._express_total += 1
+        self._express_safe += bool(attrs["safe"])
+        self._series(Gauge, "repro_express_safe_ratio").set(
+            self._express_safe / self._express_total
+        )
 
+    # ------------------------------------------------------------------
+    # Serve-layer helpers: direct (not engine accounting); callers check
+    # ``enabled`` first, as the serve layer and the request log do.
+    # ------------------------------------------------------------------
     def record_serve_request(
-        self,
-        route: str,
-        status: int,
-        dur_s: float,
-        request_id: Optional[str] = None,
+        self, route: str, status: int, dur_s: float, request_id: Optional[str] = None
     ) -> None:
         """Fold one handled ``repro serve`` HTTP request (:mod:`repro.serve`).
 
@@ -431,55 +402,42 @@ class MetricsRegistry:
         ``request_id`` (when request tracing is on) becomes the latency
         bucket's exemplar, so a scrape points at a concrete slow request.
         """
-        if not self.enabled:
-            return
+        route_label = (("route", route),)
         with self._lock:
-            self._counter_nolock(
-                "repro_serve_requests_total", route=route, status=str(status)
+            self._series(
+                Counter,
+                "repro_serve_requests_total",
+                route_label + (("status", str(status)),),
             ).inc()
-            self._histogram_nolock(
+            self._series(
+                Histogram,
                 "repro_serve_request_latency_seconds",
-                SERVE_LATENCY_BUCKETS,
-                route=route,
+                route_label,
+                buckets=SERVE_LATENCY_BUCKETS,
             ).observe(dur_s, exemplar=request_id)
 
     def record_serve_stage(
-        self,
-        route: str,
-        stage: str,
-        dur_s: float,
-        request_id: Optional[str] = None,
+        self, route: str, stage: str, dur_s: float, request_id: Optional[str] = None
     ) -> None:
-        """Fold one request-stage latency (:mod:`repro.obs.reqtrace`).
-
-        One observation per named stage of each traced request (``parse``,
+        """Fold one request-stage latency (:mod:`repro.obs.reqtrace`): one
+        observation per named stage of each traced request (``parse``,
         ``queued``, ``apply``, ... plus the explicit ``unaccounted``
-        residual), labelled by route and stage.
-        """
-        if not self.enabled:
-            return
+        residual), labelled by route and stage."""
         with self._lock:
-            self._histogram_nolock(
+            self._series(
+                Histogram,
                 "repro_serve_stage_latency_seconds",
-                SERVE_LATENCY_BUCKETS,
-                route=route,
-                stage=stage,
+                (("route", route), ("stage", stage)),
+                buckets=SERVE_LATENCY_BUCKETS,
             ).observe(dur_s, exemplar=request_id)
 
     def record_serve_queue_depth(self, depth: int) -> None:
-        """Sample the ingest queue occupancy (at enqueue *and* dequeue).
-
-        Observed from both sides of the queue so the gauge reflects live
-        backpressure between scrapes instead of only post-drain values.
-        """
-        if not self.enabled:
-            return
+        """Sample the ingest queue occupancy (at enqueue *and* dequeue), so
+        the gauge shows live backpressure, not only post-drain values."""
         with self._lock:
-            self._gauge_nolock("repro_serve_queue_depth").set(depth)
+            self._series(Gauge, "repro_serve_queue_depth").set(depth)
 
-    def record_serve_ingest(
-        self, kind: str, dur_s: float, queue_depth: int
-    ) -> None:
+    def record_serve_ingest(self, kind: str, dur_s: float, queue_depth: int) -> None:
         """Fold one applied write op: queue wait + apply, and queue depth.
 
         ``kind`` is ``"batch"`` (an ingest batch through ``Session.run``)
@@ -487,38 +445,28 @@ class MetricsRegistry:
         the ingest queue occupancy right after the op was dequeued — the
         backpressure signal a dashboard alerts on.
         """
-        if not self.enabled:
-            return
+        labels = (("kind", kind),)
         with self._lock:
-            self._counter_nolock(
-                "repro_serve_writes_applied_total", kind=kind
-            ).inc()
-            self._histogram_nolock(
+            self._series(Counter, "repro_serve_writes_applied_total", labels).inc()
+            self._series(
+                Histogram,
                 "repro_serve_ingest_latency_seconds",
-                SERVE_LATENCY_BUCKETS,
-                kind=kind,
+                labels,
+                buckets=SERVE_LATENCY_BUCKETS,
             ).observe(dur_s)
-            self._gauge_nolock("repro_serve_queue_depth").set(queue_depth)
+            self._series(Gauge, "repro_serve_queue_depth").set(queue_depth)
 
     def record_serve_rejection(self, kind: str) -> None:
         """Fold one backpressure rejection (bounded ingest queue full)."""
-        if not self.enabled:
-            return
         with self._lock:
-            self._counter_nolock(
-                "repro_serve_rejected_total", kind=kind
-            ).inc()
+            self._series(Counter, "repro_serve_rejected_total", (("kind", kind),)).inc()
 
     def record_serve_read(self, kind: str = "latest") -> None:
-        """Fold one read served from a published immutable snapshot.
-
-        ``kind`` is ``"latest"`` (the live snapshot) or ``"historical"``
-        (a ``?version=`` time-travel read from the retained ring).
-        """
-        if not self.enabled:
-            return
+        """Fold one read served from a published immutable snapshot:
+        ``"latest"`` (the live snapshot) or ``"historical"`` (a
+        ``?version=`` time-travel read from the retained ring)."""
         with self._lock:
-            self._counter_nolock("repro_serve_reads_total", kind=kind).inc()
+            self._series(Counter, "repro_serve_reads_total", (("kind", kind),)).inc()
 
     def record_serve_snapshot(self, reads_served: int) -> None:
         """Fold one snapshot rotation (a write published a fresh one).
@@ -527,71 +475,19 @@ class MetricsRegistry:
         over its lifetime; the histogram shows read/write amortization —
         high values mean many queries rode one converged state.
         """
-        if not self.enabled:
-            return
         with self._lock:
-            self._counter_nolock("repro_serve_snapshots_total").inc()
+            self._series(Counter, "repro_serve_snapshots_total").inc()
             if reads_served:
-                self._histogram_nolock(
-                    "repro_serve_reads_per_snapshot", SERVE_READS_BUCKETS
+                self._series(
+                    Histogram,
+                    "repro_serve_reads_per_snapshot",
+                    buckets=SERVE_READS_BUCKETS,
                 ).observe(reads_served)
 
     def record_serve_sessions(self, count: int) -> None:
         """Sample the number of open serve sessions."""
-        if not self.enabled:
-            return
         with self._lock:
-            self._gauge_nolock("repro_serve_sessions").set(count)
-
-    def record_transfer(self, direction: str, nbytes: int) -> None:
-        """Fold one host<->accelerator DMA transfer (:mod:`repro.host`)."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self._counter_nolock(
-                "repro_transfer_bytes_total", direction=direction
-            ).inc(nbytes)
-
-    def round_scope(self, work, queue=None):
-        """Context manager timing an orchestration-level round.
-
-        The engine event loops do *not* use this helper (they call
-        :meth:`record_round` directly under their per-round guard); the
-        streaming orchestrator wraps its seed rounds with it so counters
-        stay equal to the in-process ``RunMetrics`` totals.
-        """
-        return _RoundScope(self, work, queue)
-
-    # -- lock-free internals (caller holds self._lock) ------------------
-    def _counter_nolock(self, name: str, **labels) -> Counter:
-        key = (name, _label_key(labels))
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = Counter(name, labels=key[1])
-            self._metrics[key] = metric
-            self._kind[name] = Counter.kind
-            self._help.setdefault(name, _HELP.get(name, ""))
-        return metric
-
-    def _gauge_nolock(self, name: str, **labels) -> Gauge:
-        key = (name, _label_key(labels))
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = Gauge(name, labels=key[1])
-            self._metrics[key] = metric
-            self._kind[name] = Gauge.kind
-            self._help.setdefault(name, _HELP.get(name, ""))
-        return metric
-
-    def _histogram_nolock(self, name: str, buckets, **labels) -> Histogram:
-        key = (name, _label_key(labels))
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = Histogram(name, buckets, labels=key[1])
-            self._metrics[key] = metric
-            self._kind[name] = Histogram.kind
-            self._help.setdefault(name, _HELP.get(name, ""))
-        return metric
+            self._series(Gauge, "repro_serve_sessions").set(count)
 
     # ------------------------------------------------------------------
     # Export
@@ -599,36 +495,33 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, object]:
         """JSON-serializable snapshot of every series (the dump format)."""
         with self._lock:
-            families: List[Dict[str, object]] = []
-            for name in sorted(self._kind):
-                series = []
-                for (metric_name, labels), metric in sorted(self._metrics.items()):
-                    if metric_name != name:
-                        continue
-                    entry: Dict[str, object] = {"labels": dict(labels)}
-                    if isinstance(metric, Histogram):
-                        entry["buckets"] = list(metric.buckets)
-                        entry["counts"] = list(metric.counts)
-                        entry["sum"] = metric.sum
-                        entry["count"] = metric.count
-                        if metric.exemplars:
-                            entry["exemplars"] = {
-                                str(index): dict(exemplar)
-                                for index, exemplar in sorted(
-                                    metric.exemplars.items()
-                                )
-                            }
-                    else:
-                        entry["value"] = metric.value
-                    series.append(entry)
-                families.append(
-                    {
-                        "name": name,
-                        "kind": self._kind[name],
-                        "help": self._help.get(name, ""),
-                        "series": series,
-                    }
-                )
+            grouped: Dict[str, List[Dict[str, object]]] = {}
+            for metric in sorted(
+                self._metrics.values(), key=lambda m: (m.name, m.labels)
+            ):
+                entry: Dict[str, object] = {"labels": dict(metric.labels)}
+                if isinstance(metric, Histogram):
+                    entry["buckets"] = list(metric.buckets)
+                    entry["counts"] = list(metric.counts)
+                    entry["sum"] = metric.sum
+                    entry["count"] = metric.count
+                    if metric.exemplars:
+                        entry["exemplars"] = {
+                            str(index): dict(exemplar)
+                            for index, exemplar in sorted(metric.exemplars.items())
+                        }
+                else:
+                    entry["value"] = metric.value
+                grouped.setdefault(metric.name, []).append(entry)
+            families = [
+                {
+                    "name": name,
+                    "kind": self._kind[name],
+                    "help": self._help.get(name, ""),
+                    "series": series,
+                }
+                for name, series in grouped.items()
+            ]
             return {"format": "repro-metrics", "version": 1, "families": families}
 
     def to_prometheus(self) -> str:
@@ -642,27 +535,21 @@ class MetricsRegistry:
             handle.write("\n")
 
 
-class _RoundScope:
-    __slots__ = ("registry", "work", "queue", "t0")
+_SPAN_FOLDS = {
+    "round": MetricsRegistry._fold_round,
+    "engine": MetricsRegistry._fold_engine,
+    "phase": MetricsRegistry._fold_phase,
+    "run": MetricsRegistry._fold_run,
+}
+_EVENT_FOLDS = {
+    "transfer": MetricsRegistry._fold_transfer,
+    "express": MetricsRegistry._fold_express,
+}
 
-    def __init__(self, registry: MetricsRegistry, work, queue):
-        self.registry = registry
-        self.work = work
-        self.queue = queue
-
-    def __enter__(self):
-        if self.registry.enabled:
-            self.t0 = self.registry.clock()
-        return self
-
-    def __exit__(self, *exc):
-        registry = self.registry
-        if registry.enabled:
-            occupancy = self.queue.occupancy() if self.queue is not None else None
-            registry.record_round(
-                self.work, registry.clock() - self.t0, occupancy
-            )
-        return False
+#: Span attribute -> counter family: ``repro_<attr>_total``.
+_WORK_TOTALS = tuple((field, f"repro_{field}_total") for field in WORK_FIELDS)
+_PHASE_TOTALS = tuple((field, f"repro_{field}_total") for field in PHASE_EXTRAS)
+_NOC_TOTALS = tuple((field, f"repro_{field}_total") for field in NOC_FIELDS[:3])
 
 
 def render_prometheus(snapshot: Dict[str, object]) -> str:
@@ -704,28 +591,6 @@ def render_prometheus(snapshot: Dict[str, object]) -> str:
                 )
     return "\n".join(lines) + "\n"
 
-
-#: RoundWork field -> counter family folded per scheduler round.
-_WORK_COUNTERS = (
-    ("events_processed", "repro_events_processed_total"),
-    ("events_generated", "repro_events_generated_total"),
-    ("queue_inserts", "repro_queue_inserts_total"),
-    ("coalesce_ops", "repro_coalesce_ops_total"),
-    ("vertex_reads", "repro_vertex_reads_total"),
-    ("vertex_writes", "repro_vertex_writes_total"),
-    ("edges_read", "repro_edges_read_total"),
-    ("vertex_lines", "repro_vertex_lines_total"),
-    ("edge_lines", "repro_edge_lines_total"),
-    ("dram_pages", "repro_dram_pages_total"),
-    ("spill_bytes", "repro_spill_bytes_total"),
-)
-
-#: PhaseStats extras folded once per finished phase.
-_PHASE_COUNTERS = (
-    ("vertices_reset", "repro_vertices_reset_total"),
-    ("deletes_discarded", "repro_deletes_discarded_total"),
-    ("request_events", "repro_request_events_total"),
-)
 
 _HELP = {
     "repro_rounds_total": "Scheduler rounds executed.",
@@ -780,6 +645,6 @@ _HELP = {
     "repro_serve_sessions": "Serve sessions currently open.",
 }
 
-#: The process-wide registry every substrate publishes into. Disabled by
-#: default: hot paths pay one attribute check (`REGISTRY.enabled`).
+#: The process-wide registry. Disabled by default; engine numbers reach it
+#: only through a tracer that carries it (``Tracer([REGISTRY])``).
 REGISTRY = MetricsRegistry(enabled=False)

@@ -14,17 +14,21 @@ scheduler round. With tracing off no span objects, clock reads, or
 occupancy samples happen — the benchmarked substrates stay within noise of
 the untraced build (``benchmarks/bench_trace_overhead.py``).
 
-The tracer keeps one span stack, so nesting is implicit: a round span
-started inside an open phase span becomes its child. The engine loops use
-the explicit :meth:`Tracer.start`/:meth:`Tracer.end` pair under their
-``enabled`` guard; orchestration code (one call per phase) uses the
-context-manager helpers :meth:`Tracer.span`, :meth:`Tracer.phase`, and
-:meth:`Tracer.round`.
+The tracer keeps one span stack per thread, so nesting is implicit: a
+round span started inside an open phase span of the same thread becomes
+its child, and sessions writing concurrently from their own threads
+build separate trees. The engine loops use the explicit
+:meth:`Tracer.start`/:meth:`Tracer.end` pair under their ``enabled``
+guard; orchestration code (one call per phase) uses the context-manager
+helpers :meth:`Tracer.span`, :meth:`Tracer.phase`, and
+:meth:`Tracer.round`. Sinks receive every finished span and event; the
+live metrics registry (:mod:`repro.obs.metrics`) is one of them.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 import time
 from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional
@@ -45,6 +49,13 @@ WORK_FIELDS = (
     "spill_bytes",
 )
 
+#: PhaseStats extras carried by phase spans beside the summed work vector.
+PHASE_EXTRAS = ("vertices_reset", "deletes_discarded", "request_events")
+
+#: Crossbar counters: per-round deltas on sharded round spans, phase totals
+#: on phase spans.
+NOC_FIELDS = ("noc_events_local", "noc_events_remote", "noc_flits", "noc_cycles")
+
 #: Span kinds a conforming trace may contain.
 SPAN_KINDS = ("run", "phase", "round", "engine")
 
@@ -63,13 +74,8 @@ def phase_attrs(stats) -> Dict[str, object]:
     """
     attrs: Dict[str, object] = {"rounds": stats.num_rounds}
     attrs.update(work_attrs(stats.total))
-    attrs["vertices_reset"] = stats.vertices_reset
-    attrs["deletes_discarded"] = stats.deletes_discarded
-    attrs["request_events"] = stats.request_events
-    attrs["noc_events_local"] = stats.noc_events_local
-    attrs["noc_events_remote"] = stats.noc_events_remote
-    attrs["noc_flits"] = stats.noc_flits
-    attrs["noc_cycles"] = stats.noc_cycles
+    for name in PHASE_EXTRAS + NOC_FIELDS:
+        attrs[name] = getattr(stats, name)
     return attrs
 
 
@@ -146,17 +152,24 @@ class TraceEvent:
         }
 
 
+class _ThreadState(threading.local):
+    """One thread's open-span stack and active :meth:`Tracer.linked` attrs."""
+
+    def __init__(self):
+        self.stack: List[Span] = []
+        self.links: List[Dict[str, object]] = []
+
+
 class Tracer:
-    """Span emitter with an implicit nesting stack and pluggable sinks."""
+    """Span emitter with per-thread nesting stacks and pluggable sinks."""
 
     enabled = True
 
     def __init__(self, sinks: Iterable = (), clock=time.perf_counter):
         self.sinks = list(sinks)
         self.clock = clock
-        self._stack: List[Span] = []
+        self._local = _ThreadState()
         self._ids = itertools.count(1)
-        self._links: List[Dict[str, object]] = []
         #: Wall-clock anchor: ``epoch_s`` (time.time) and the span clock
         #: read at the same instant. Offline tools use the pair to align
         #: perf_counter span timestamps with wall-clock sources (serve
@@ -170,8 +183,9 @@ class Tracer:
     # Core emission
     # ------------------------------------------------------------------
     def current(self) -> Optional[Span]:
-        """The innermost open span, or ``None``."""
-        return self._stack[-1] if self._stack else None
+        """The calling thread's innermost open span, or ``None``."""
+        stack = self._local.stack
+        return stack[-1] if stack else None
 
     def start(self, kind: str, name: str = "", **attrs) -> Span:
         """Open a span nested under the current one.
@@ -180,19 +194,22 @@ class Tracer:
         attributes, so e.g. an engine run span started while serving a
         request carries that request's id.
         """
-        parent = self._stack[-1].span_id if self._stack else None
-        if parent is None and self._links:
+        local = self._local
+        stack = local.stack
+        parent = stack[-1].span_id if stack else None
+        if parent is None and local.links:
             attrs = self._merge_links(attrs)
         span = Span(kind, name or kind, next(self._ids), parent, self.clock(), attrs)
-        self._stack.append(span)
+        stack.append(span)
         for sink in self.sinks:
             sink.on_span_start(span)
         return span
 
     def end(self, span: Span, **attrs) -> Span:
         """Close ``span`` (and any forgotten children), emit to sinks."""
-        while self._stack:
-            top = self._stack.pop()
+        stack = self._local.stack
+        while stack:
+            top = stack.pop()
             if top is span:
                 break
             top.t_end = self.clock()  # orphaned child: close it too
@@ -218,9 +235,9 @@ class Tracer:
         Used for the per-engine spans of a sharded round, which all span
         the round's one kernel call.
         """
-        parent_id = parent.span_id if parent is not None else (
-            self._stack[-1].span_id if self._stack else None
-        )
+        if parent is None:
+            parent = self.current()
+        parent_id = parent.span_id if parent is not None else None
         span = Span(kind, name, next(self._ids), parent_id, t_start, attrs)
         span.t_end = t_end
         for sink in self.sinks:
@@ -233,17 +250,19 @@ class Tracer:
         Root-level events (no open span) absorb :meth:`linked` attributes
         the same way root spans do.
         """
-        parent = self._stack[-1].span_id if self._stack else None
-        if parent is None and self._links:
+        parent = self.current()
+        if parent is None and self._local.links:
             attrs = self._merge_links(attrs)
-        event = TraceEvent(name, self.clock(), parent, attrs)
+        event = TraceEvent(
+            name, self.clock(), parent.span_id if parent is not None else None, attrs
+        )
         for sink in self.sinks:
             sink.on_event(event)
         return event
 
     def _merge_links(self, attrs: Dict[str, object]) -> Dict[str, object]:
         merged: Dict[str, object] = {}
-        for link in self._links:
+        for link in self._local.links:
             merged.update(link)
         merged.update(attrs)
         return merged
@@ -257,11 +276,12 @@ class Tracer:
         so the engine run spans it triggers carry the originating request
         id without threading a context through every engine layer.
         """
-        self._links.append(dict(attrs))
+        links = self._local.links
+        links.append(dict(attrs))
         try:
             yield
         finally:
-            self._links.pop()
+            links.pop()
 
     # ------------------------------------------------------------------
     # Context-manager helpers (orchestration-layer use)
@@ -312,9 +332,11 @@ class Tracer:
             sink.flush()
 
     def close(self) -> None:
-        """Close any open spans (innermost first), then the sinks."""
-        while self._stack:
-            self.end(self._stack[-1])
+        """Close the calling thread's open spans (innermost first), then
+        the sinks."""
+        stack = self._local.stack
+        while stack:
+            self.end(stack[-1])
         for sink in self.sinks:
             sink.close()
 

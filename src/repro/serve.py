@@ -374,7 +374,6 @@ class ServeSession:
             METRICS.record_serve_ingest(
                 op.kind, perf_counter() - op.enqueued_at, self._queue.qsize()
             )
-            METRICS.record_serve_queue_depth(self._queue.qsize())
         return applied
 
     def _apply_op(

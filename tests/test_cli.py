@@ -223,6 +223,38 @@ class TestTraceFlags:
         err = capsys.readouterr().err
         assert "[trace] run initial started" in err
 
+    def test_stream_express_trace_has_one_event_per_update(self, edge_file, tmp_path):
+        from repro.obs import read_trace, validate_trace
+
+        trace_path = tmp_path / "express.jsonl"
+        args = ["stream", "--edges", edge_file, "--express", "--batches", "2"]
+        args += ["--batch-size", "5", "--trace", str(trace_path)]
+        assert main(args) == 0
+        assert validate_trace(trace_path) == []
+        events = [e for e in read_trace(trace_path).events if e["name"] == "express"]
+        assert len(events) == 10
+        assert all("edges_scanned" in e["attrs"] for e in events)
+
+    def test_metrics_snapshot_is_folded_from_the_trace(self, edge_file, tmp_path):
+        import json
+
+        from repro.obs import read_trace
+
+        trace_path, metrics_path = tmp_path / "run.jsonl", tmp_path / "m.json"
+        args = ["stream", "--edges", edge_file, "--batches", "2", "--batch-size"]
+        args += ["8", "--trace", str(trace_path), "--metrics", str(metrics_path)]
+        assert main(args) == 0
+        families = {
+            family["name"]: family["series"]
+            for family in json.loads(metrics_path.read_text())["families"]
+        }
+        rounds = [s for s in read_trace(trace_path).spans if s["kind"] == "round"]
+        assert families["repro_events_processed_total"][0]["value"] == sum(
+            s["attrs"]["events_processed"] for s in rounds
+        )
+        runs = {e["labels"]["kind"]: e["value"] for e in families["repro_runs_total"]}
+        assert runs == {"initial": 1, "batch": 2}
+
     def test_untraced_run_unchanged(self, edge_file, capsys):
         assert main(["query", "--edges", edge_file]) == 0
         out = capsys.readouterr().out

@@ -1,10 +1,10 @@
 """Tests for the live metrics registry (repro.obs.metrics + scrape).
 
-The central contract mirrors the tracer's: with the process-wide
-``REGISTRY`` enabled, the counters it accumulates must equal the run's
-in-process :class:`RunMetrics` totals exactly — on every engine substrate
-— and with it disabled (the default) nothing is recorded and nothing is
-perturbed.
+The registry is a trace sink. The central contract: attached to a tracer
+(``Tracer([REGISTRY])``) and enabled, the counters it folds from the
+spans and events must equal the run's in-process :class:`RunMetrics`,
+``TransferStats`` and express-lane totals exactly — on every engine
+substrate — and disabled it records nothing and perturbs nothing.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.algorithms import make_algorithm
@@ -24,11 +25,14 @@ from repro.core.metrics import RoundWork, RunMetrics
 from repro.core.streaming import JetStreamEngine
 from repro.host import Accelerator
 from repro.obs import (
+    NULL_TRACER,
     MetricsServer,
+    Tracer,
     log_buckets,
     metrics_payload,
     render_prometheus,
     send_payload,
+    work_attrs,
 )
 from repro.obs.metrics import (
     REGISTRY,
@@ -51,16 +55,27 @@ SUBSTRATES = [
 
 @pytest.fixture
 def registry():
-    """The process-wide REGISTRY, enabled and clean; restored after."""
+    """The process-wide REGISTRY, enabled and clean; restored after.
+
+    Engine numbers reach it only through a tracer that carries it, so the
+    helpers below attach ``Tracer([REGISTRY])`` to their engines.
+    """
     REGISTRY.enable().reset()
     yield REGISTRY
     REGISTRY.disable().reset()
 
 
-def run_stream(engine_mode: str, batches: int = 2, **kwargs):
+def run_stream(engine_mode: str, batches: int = 2, tracer=None, **kwargs):
+    """A short SSSP stream; the engine's tracer defaults to the registry."""
     algorithm = make_algorithm("sssp", source=0)
     graph = make_graph_for(algorithm, n=40, m=160, seed=5)
-    engine = JetStreamEngine(graph, algorithm, engine=engine_mode, **kwargs)
+    engine = JetStreamEngine(
+        graph,
+        algorithm,
+        engine=engine_mode,
+        tracer=tracer or Tracer([REGISTRY]),
+        **kwargs,
+    )
     stream = StreamGenerator(engine.graph, seed=6)
     results = [engine.initial_compute()]
     for _ in range(batches):
@@ -152,8 +167,9 @@ class TestRegistry:
         assert reg.snapshot()["families"] == []
 
     def test_record_round_folds_work_vector(self):
-        clock = iter([0.0, 0.25]).__next__
-        reg = MetricsRegistry(enabled=True, clock=clock)
+        reg = MetricsRegistry(enabled=True)
+        # Clock reads: the tracer's origin, the span start, the span end.
+        tracer = Tracer([reg], clock=iter([0.0, 0.0, 0.25]).__next__)
         work = RoundWork(
             events_processed=8,
             events_generated=5,
@@ -161,7 +177,8 @@ class TestRegistry:
             coalesce_ops=5,
             spill_bytes=256,
         )
-        reg.record_round(work, dur_s=0.25, occupancy=3)
+        span = tracer.start("round", occupancy_start=1)
+        tracer.end(span, **work_attrs(work), occupancy_end=3)
         assert reg.value("repro_rounds_total") == 1
         assert reg.value("repro_events_processed_total") == 8
         assert reg.value("repro_queue_occupancy") == 3
@@ -171,22 +188,41 @@ class TestRegistry:
         assert ratio.count == 1 and ratio.sum == pytest.approx(0.5)
         spill = reg.get("repro_round_spill_bytes")
         assert spill.count == 1 and spill.sum == pytest.approx(256)
+        assert reg.value("repro_queue_peak_occupancy") == 3
 
     def test_round_scope_times_with_the_injected_clock(self):
-        clock = iter([1.0, 1.5]).__next__
-        reg = MetricsRegistry(enabled=True, clock=clock)
-        with reg.round_scope(RoundWork(events_processed=2)):
+        reg = MetricsRegistry(enabled=True)
+        tracer = Tracer([reg], clock=iter([0.0, 1.0, 1.5]).__next__)
+        with tracer.round(RoundWork(events_processed=2)):
             pass
         assert reg.value("repro_rounds_total") == 1
         assert reg.get("repro_round_latency_seconds").sum == pytest.approx(0.5)
 
     def test_disabled_record_helpers_are_inert(self):
         reg = MetricsRegistry(enabled=False)
-        reg.record_round(RoundWork(events_processed=1), 0.1, occupancy=2)
-        reg.record_noc(1, 2, 3)
-        reg.record_transfer("graph_uploads", 64)
-        reg.record_express_update("insert", "safe", "insert-no-improvement", 1e-6, 3, 4)
-        with reg.round_scope(RoundWork(events_processed=1)):
+        tracer = Tracer([reg])
+        span = tracer.start("round", occupancy_start=2)
+        tracer.end(
+            span,
+            **work_attrs(RoundWork(events_processed=1)),
+            occupancy_end=2,
+            noc_events_local=1,
+            noc_events_remote=2,
+            noc_flits=3,
+            noc_cycles=4.0,
+        )
+        tracer.event("transfer", direction="graph_uploads", bytes=64)
+        tracer.event(
+            "express",
+            op="insert",
+            safe=True,
+            reason="insert-no-improvement",
+            latency_s=1e-6,
+            classify_s=1e-6,
+            edges_scanned=3,
+            state_reads=4,
+        )
+        with tracer.round(RoundWork(events_processed=1)):
             pass
         assert reg.snapshot()["families"] == []
 
@@ -290,7 +326,7 @@ class TestInstrumentationParity:
             assert fraction is not None and fraction.count > 0
 
     def test_transfer_counters_match_transfer_stats(self, registry):
-        accel = Accelerator()
+        accel = Accelerator(tracer=Tracer([REGISTRY]))
         session = accel.load_graph(
             [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], num_vertices=4
         )
@@ -304,6 +340,52 @@ class TestInstrumentationParity:
             snapshot, "repro_transfer_bytes_total"
         ) == session.transfer_stats().total
 
+    def test_occupancy_gauges_agree_across_substrates(self, registry):
+        """Queue occupancy is read off the round spans, so the boxed and
+        the array queue end a stream with the same gauges."""
+        gauges = {}
+        for mode in ("scalar", "auto"):
+            registry.reset()
+            run_stream(mode)
+            gauges[mode] = (
+                registry.value("repro_queue_occupancy"),
+                registry.value("repro_queue_peak_occupancy"),
+            )
+        assert gauges["scalar"] == gauges["auto"]
+        assert gauges["auto"][1] > 0
+
+    def test_run_at_versions_phases_reach_registry(self, registry):
+        accel = Accelerator(tracer=Tracer([REGISTRY]))
+        algorithm = make_algorithm("sssp", source=0)
+        graph = make_graph_for(algorithm, n=40, m=160, seed=5)
+        session = accel.load_graph(
+            np.column_stack(graph.edge_arrays()), graph.num_vertices
+        )
+        session.configure("sssp", source=0)
+        session.enable_versioning()
+        session.run()
+        stream = StreamGenerator(session.graph, seed=6)
+        for _ in range(3):
+            batch = stream.next_batch(10)
+            session.push_updates(batch.ins, batch.dels)
+            session.run()
+        before = registry.value("repro_events_processed_total")
+        result = session.run_at_versions(0)
+        phases = {
+            entry["labels"]["phase"]: entry["value"]
+            for family in registry.snapshot()["families"]
+            if family["name"] == "repro_phases_total"
+            for entry in family["series"]
+        }
+        assert phases["common-convergence"] == 1
+        assert len(result.versions) == 4
+        for ver in result.versions:
+            assert phases[f"addition-pass@v{ver}"] == 1
+        assert (
+            registry.value("repro_events_processed_total") - before
+            == result.total_events
+        )
+
     def test_disabled_registry_records_nothing(self):
         REGISTRY.disable().reset()
         run_stream("auto")
@@ -311,8 +393,7 @@ class TestInstrumentationParity:
 
     def test_enabled_registry_does_not_perturb_results(self, registry):
         enabled_results = run_stream("auto")
-        registry.disable()
-        disabled_results = run_stream("auto")
+        disabled_results = run_stream("auto", tracer=NULL_TRACER)
         for a, b in zip(enabled_results, disabled_results):
             assert a.states.tobytes() == b.states.tobytes()
             assert a.metrics.to_rows() == b.metrics.to_rows()
@@ -323,14 +404,14 @@ class TestInstrumentationParity:
 # ----------------------------------------------------------------------
 def run_express(count: int = 24, seed: int = 9):
     """Drive ``count`` seeded single updates through the express lane."""
-    import numpy as np
-
     from repro.core.fastpath import ExpressLane
     from repro.core.policies import DeletePolicy
 
     algorithm = make_algorithm("sssp", source=0)
     graph = make_graph_for(algorithm, n=40, m=160, seed=5)
-    engine = JetStreamEngine(graph, algorithm, policy=DeletePolicy.DAP)
+    engine = JetStreamEngine(
+        graph, algorithm, policy=DeletePolicy.DAP, tracer=Tracer([REGISTRY])
+    )
     engine.initial_compute()
     lane = ExpressLane(engine)
     generator = StreamGenerator(engine.graph, seed=seed)
@@ -489,7 +570,9 @@ class TestMetricsServer:
     def test_serves_strictly_increasing_counters_mid_run(self, registry):
         algorithm = make_algorithm("sssp", source=0)
         graph = make_graph_for(algorithm, n=40, m=160, seed=5)
-        engine = JetStreamEngine(graph, algorithm, engine="auto")
+        engine = JetStreamEngine(
+            graph, algorithm, engine="auto", tracer=Tracer([REGISTRY])
+        )
         stream = StreamGenerator(engine.graph, seed=6)
         with MetricsServer(registry, port=0) as server:
             assert server.port != 0

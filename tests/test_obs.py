@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import io
 import json
+import sys
+import threading
 
+import numpy as np
 import pytest
 
 from repro.algorithms import make_algorithm
@@ -419,6 +422,52 @@ class TestHostTracing:
         assert total == session.transfer_stats().total
         directions = {e.attrs["direction"] for e in transfers}
         assert directions == {"graph_uploads", "update_records", "results_read"}
+
+    def test_concurrent_sessions_build_separate_span_trees(self):
+        """Serve hands every session's writer thread the one accelerator
+        tracer; each thread must nest spans on its own stack."""
+        memory = MemorySink()
+        accel = Accelerator(tracer=Tracer([memory]))
+        algorithm = make_algorithm("sssp", source=0)
+        sessions = []
+        for seed in (5, 7):
+            graph = make_graph_for(algorithm, n=40, m=160, seed=seed)
+            session = accel.load_graph(
+                np.column_stack(graph.edge_arrays()), graph.num_vertices
+            )
+            session.configure("sssp", source=0)
+            session.run()
+            sessions.append(session)
+        barrier = threading.Barrier(len(sessions))
+
+        def drive(session, seed):
+            stream = StreamGenerator(session.graph, seed=seed)
+            barrier.wait()
+            for _ in range(30):
+                batch = stream.next_batch(10)
+                session.push_updates(batch.ins, batch.dels)
+                session.run()
+
+        threads = [
+            threading.Thread(target=drive, args=(session, seed))
+            for seed, session in enumerate(sessions)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the writers often
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        ids = [span.span_id for span in memory.spans]
+        assert len(ids) == len(set(ids))
+        kinds = {span.span_id: span.kind for span in memory.spans}
+        rounds = memory.find("round")
+        assert len(rounds) > 60
+        assert all(kinds.get(span.parent_id) == "phase" for span in rounds)
 
     def test_progress_sink_output(self):
         stream = io.StringIO()
