@@ -8,8 +8,8 @@ updates are provably absorbable with an O(degree) check: an insert that
 improves nothing, or improves exactly one endpoint without cascading; a
 delete whose edge was not load bearing, or whose target keeps another
 strict witness. :class:`ExpressLane` applies those *safe* updates with one
-state write and a dict-level graph mutation, and falls through to the full
-engine path for everything else.
+state write and a pending single-edge store edit, and falls through to the
+full engine path for everything else.
 
 The classification itself lives next to the algorithms
 (:func:`repro.algorithms.base.classify_monotonic_update`); this module
@@ -199,7 +199,7 @@ class ExpressLane:
     def apply(self, u: int, v: int, w: float = 1.0, op: str = "insert") -> ExpressResult:
         """Classify-and-apply one edge update.
 
-        Safe updates mutate the store (dict-level, no CSR splice) and the
+        Safe updates mutate the store (a pending edit, no CSR splice) and the
         engine's state/dependency arrays in one pass; unsafe updates are
         wrapped in a single-edge :class:`UpdateBatch` and handed to
         :meth:`JetStreamEngine.apply_batch`. Either way the converged

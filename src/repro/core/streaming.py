@@ -650,7 +650,7 @@ def evaluate_at_versions(
         )
 
     slice_ = store.common_slice(versions)
-    common_csr = CSRGraph(slice_.common_vertices, slice_.common_edges)
+    common_csr = CSRGraph.from_arrays(slice_.common_vertices, *slice_.common_edges)
     core = EngineCore(
         algorithm,
         config or AcceleratorConfig(),
@@ -684,21 +684,17 @@ def evaluate_at_versions(
         additions = slice_.additions[ver]
         phase = metrics.phase(f"addition-pass@v{ver}")
         core.load_states(base_states)
-        csr_v = CSRGraph(n_v, list(slice_.common_edges) + list(additions))
+        csr_v = CSRGraph.from_arrays(
+            n_v, *map(np.concatenate, zip(slice_.common_edges, additions))
+        )
         core.grow(n_v)
         core.bind_graph(csr_v)
         queue = core.new_queue()
         with tracer_.phase(phase):
             work = phase.new_round()
             with tracer_.round(work, queue):
-                m = len(additions)
-                insertions = (
-                    np.fromiter((e[0] for e in additions), np.int64, m),
-                    np.fromiter((e[1] for e in additions), np.int64, m),
-                    np.fromiter((e[2] for e in additions), np.float64, m),
-                )
                 queue.insert_batch(
-                    _insertion_seeds(core, work, csr_v, insertions), work
+                    _insertion_seeds(core, work, csr_v, additions), work
                 )
                 _seed_new_vertices(
                     algorithm, queue, work, slice_.common_vertices, n_v
@@ -711,7 +707,7 @@ def evaluate_at_versions(
         states=states,
         per_version_events=per_version_events,
         common_events=common_events,
-        common_edges=len(slice_.common_edges),
+        common_edges=len(slice_.common_edges[0]),
         shared=True,
     )
 

@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Tuple
 
 from repro.graph import generators
 from repro.graph.csr import CSRGraph
-from repro.graph.dynamic import DynamicGraph
+from repro.graph.dynamic import DynamicGraph, build_symmetric_graph
 
 Edge = Tuple[int, int, float]
 
@@ -117,14 +117,8 @@ def load(key: str, seed: int = 0, symmetric: bool = False) -> DynamicGraph:
     spec = SPECS[key.upper()]
     edges = spec.build_edges(seed)
     if symmetric:
-        dedup = {}
-        for u, v, w in edges:
-            if (v, u) not in dedup:
-                dedup[(u, v)] = w
-        graph = DynamicGraph(spec.num_vertices, symmetric=True)
-        for (u, v), w in sorted(dedup.items()):
-            graph.add_edge(u, v, w, _count_version=False)
-        return graph
+        # Generators weight (u, v) and (v, u) independently: keep the first.
+        return build_symmetric_graph(edges, spec.num_vertices, on_conflict="silent")
     return DynamicGraph.from_edges(edges, spec.num_vertices)
 
 

@@ -8,11 +8,12 @@ the host hand the accelerator a fresh CSR pointer after every batch.
 emits immutable :class:`~repro.graph.csr.CSRGraph` snapshots.
 
 Storage is a structure of arrays in the GraphOne style: each direction
-keeps one globally sorted int64 *composite key* array (``src << shift |
-dst`` for the out-direction, ``dst << shift | src`` for the in-direction),
-a parallel weight array, and per-vertex offsets — i.e. the CSR arrays
-themselves, maintained incrementally. A Python dict keyed by ``(u, v)``
-mirrors the live edge set for O(1) single-edge membership/weight queries.
+keeps one globally sorted int64 *composite key* array (``src << 31 |
+dst`` for the out-direction, ``dst << 31 | src`` for the in-direction;
+vertex ids are below ``2**31``), a parallel weight array, and per-vertex
+offsets — i.e. the CSR arrays themselves, maintained incrementally. These
+arrays are the one representation of the edge set: membership and weight
+lookups are a ``searchsorted`` over the out-direction keys.
 
 Two mutation paths share one splice. A *batch* is checked whole, as
 arrays, against the flushed store (:meth:`DynamicGraph.check_batch`: one
@@ -20,10 +21,11 @@ arrays, against the flushed store (:meth:`DynamicGraph.check_batch`: one
 nothing mutates unless the whole batch passes), then spliced into both
 directions at once (:meth:`DynamicGraph.apply_batch`). *Single* edges
 (:meth:`~DynamicGraph.add_edge` / :meth:`~DynamicGraph.remove_edge`, the
-express lane's path) only touch the dict and are folded into the arrays
-lazily when a snapshot, adjacency query or batch check needs them. Either
-way a splice costs one vectorized compress/insert memcpy per direction,
-and Python-level work scales with the batch, not with E.
+express lane's path) are recorded in a pending-edit dict, whose size is
+bounded by the next flush, and folded into the arrays lazily when a
+snapshot, adjacency query or batch check needs them. Either way a splice
+costs one vectorized compress/insert memcpy per direction, and
+Python-level work scales with the batch, not with E.
 
 Because the key arrays are kept in exactly the order
 :func:`repro.graph.csr._build_csr` produces (sorted by source then target,
@@ -45,14 +47,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
-from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph, _build_csr
-from repro.streams import UpdateBatch, insertion_rows, vertex_ids
+from repro.graph.csr import CSRGraph
+from repro.streams import VERTEX_ID_LIMIT, UpdateBatch, insertion_rows, vertex_ids
 
 Edge = Tuple[int, int, float]
 
@@ -64,9 +64,23 @@ class GraphMutationError(ValueError):
     """Raised for invalid mutations (missing edge delete, duplicate insert)."""
 
 
-def _index_of(src: np.ndarray, dst: np.ndarray, wgt: np.ndarray) -> Dict:
-    """The live-edge dict of directed ``(src, dst, wgt)`` columns."""
-    return dict(zip(zip(src.tolist(), dst.tolist()), wgt.tolist()))
+#: Composite-key stride: ids are below ``VERTEX_ID_LIMIT == 2**31``, so
+#: ``major << 31 | minor`` fits an int64 and sorts by (major, minor).
+_SHIFT = 31
+_MASK = VERTEX_ID_LIMIT - 1
+
+
+def _splice_sorted(keys, weights, del_keys, ins_keys, ins_weights):
+    """Fresh ``(keys, weights)``: ``del_keys`` (all present) removed and
+    the sorted ``ins_keys`` (all absent once those are gone) merged in."""
+    if len(del_keys):
+        pos = np.searchsorted(keys, del_keys)
+        keys, weights = np.delete(keys, pos), np.delete(weights, pos)
+    if len(ins_keys):
+        pos = np.searchsorted(keys, ins_keys)
+        keys = np.insert(keys, pos, ins_keys)
+        weights = np.insert(weights, pos, ins_weights)
+    return keys, weights
 
 
 def _mirrored(rows: np.ndarray) -> np.ndarray:
@@ -107,7 +121,7 @@ def build_symmetric_graph(
         edges = list(edges)
     rows = insertion_rows(edges)
     u, v, w = rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64), rows[:, 2]
-    undirected = (np.minimum(u, v) << 31) | np.maximum(u, v)
+    undirected = (np.minimum(u, v) << _SHIFT) | np.maximum(u, v)
     _, first, inverse = np.unique(undirected, return_index=True, return_inverse=True)
     if on_conflict != "silent":
         kept_at = first[inverse]
@@ -151,7 +165,7 @@ class CheckedBatch:
 class _DirectedCSR:
     """One direction of the incremental dual-CSR store.
 
-    ``keys`` is a globally sorted int64 array of ``major << shift | minor``
+    ``keys`` is a globally sorted int64 array of ``major << 31 | minor``
     composite keys (major = the CSR grouping vertex), ``weights`` the
     parallel edge weights, ``offsets`` the per-major CSR offsets. All
     updates are copy-on-write: a splice allocates fresh arrays, so CSR
@@ -167,14 +181,13 @@ class _DirectedCSR:
 
     def rebuild(
         self,
-        shift: int,
         majors: np.ndarray,
         minors: np.ndarray,
         weights: np.ndarray,
         num_vertices: int,
     ) -> None:
         """Bulk (re)build from unsorted parallel arrays."""
-        keys = (majors.astype(np.int64) << shift) | minors.astype(np.int64)
+        keys = (majors.astype(np.int64) << _SHIFT) | minors.astype(np.int64)
         order = np.argsort(keys, kind="stable")
         self.keys = keys[order]
         self.weights = np.asarray(weights, dtype=np.float64)[order]
@@ -190,21 +203,8 @@ class _DirectedCSR:
             tail = np.full(missing, self.offsets[-1], dtype=np.int64)
             self.offsets = np.concatenate([self.offsets, tail])
 
-    def rekey(self, old_shift: int, new_shift: int) -> None:
-        """Widen the composite-key stride (vertex-capacity growth).
-
-        Keys stay sorted: the mapping is monotone in (major, minor).
-        """
-        majors = self.keys >> old_shift
-        minors = self.keys - (majors << old_shift)
-        self.keys = (majors << new_shift) | minors
-
     def splice(
-        self,
-        shift: int,
-        del_keys: np.ndarray,
-        ins_keys: np.ndarray,
-        ins_weights: np.ndarray,
+        self, del_keys: np.ndarray, ins_keys: np.ndarray, ins_weights: np.ndarray
     ) -> None:
         """Remove ``del_keys`` and merge ``ins_keys`` (both sorted).
 
@@ -214,21 +214,14 @@ class _DirectedCSR:
         deltas, so the Python-level cost is O(batch) and the array cost
         one memcpy of each direction.
         """
-        keys, weights = self.keys, self.weights
-        if len(del_keys):
-            pos = np.searchsorted(keys, del_keys)
-            keys, weights = np.delete(keys, pos), np.delete(weights, pos)
-        if len(ins_keys):
-            pos = np.searchsorted(keys, ins_keys)
-            keys = np.insert(keys, pos, ins_keys)
-            weights = np.insert(weights, pos, ins_weights)
-        self.keys, self.weights = keys, weights
-
+        self.keys, self.weights = _splice_sorted(
+            self.keys, self.weights, del_keys, ins_keys, ins_weights
+        )
         delta = np.zeros(len(self.offsets), dtype=np.int64)
         if len(ins_keys):
-            np.add.at(delta, (ins_keys >> shift) + 1, 1)
+            np.add.at(delta, (ins_keys >> _SHIFT) + 1, 1)
         if len(del_keys):
-            np.subtract.at(delta, (del_keys >> shift) + 1, 1)
+            np.subtract.at(delta, (del_keys >> _SHIFT) + 1, 1)
         self.offsets = self.offsets + np.cumsum(delta)
 
 
@@ -251,14 +244,12 @@ class DynamicGraph:
         self.num_vertices = int(num_vertices)
         self.symmetric = bool(symmetric)
         self.version = 0
-        #: Live directed edge set: ``(u, v) -> weight``. The arrays lag
-        #: behind it only by the pending single-edge mutations.
-        self._index: Dict[Tuple[int, int], float] = {}
-        self._shift = self._shift_for(self.num_vertices)
         self._out = _DirectedCSR(self.num_vertices)  # major=src, minor=dst
         self._in = _DirectedCSR(self.num_vertices)  # major=dst, minor=src
-        #: Directed edges mutated since the last flush.
-        self._touched: Set[Tuple[int, int]] = set()
+        #: Single-edge edits not yet spliced into the arrays: ``(u, v) ->
+        #: weight``, ``None`` for a deletion. Emptied by every flush.
+        self._pending: Dict[Tuple[int, int], Optional[float]] = {}
+        self._num_edges = 0
         #: Monotone mutation stamp (version alone misses
         #: ``_count_version=False`` edits); keys the snapshot cache.
         self._mutations = 0
@@ -274,15 +265,6 @@ class DynamicGraph:
             "full_rebuilds": 0,
         }
 
-    @staticmethod
-    def _shift_for(num_vertices: int) -> int:
-        """Composite-key stride: smallest power of two >= num_vertices."""
-        return max(1, int(num_vertices - 1).bit_length()) if num_vertices > 1 else 1
-
-    @property
-    def _capacity(self) -> int:
-        return 1 << self._shift
-
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
@@ -294,25 +276,14 @@ class DynamicGraph:
 
         ``edges`` is an ``(n, 3)`` array or an iterable of ``(u, v, w)``
         tuples, converted to rows once and bulk-loaded like
-        :meth:`from_arrays`. Given tuples, the live-edge index reuses the
-        caller's id objects rather than allocating two fresh ints per edge
-        (≈8 MB at 138k edges).
+        :meth:`from_arrays`.
         """
         if not isinstance(edges, (list, tuple, np.ndarray)):
             edges = list(edges)
         rows = insertion_rows(edges)
-        graph, columns = cls._bulk(
+        return cls.from_arrays(
             rows[:, 0], rows[:, 1], rows[:, 2], num_vertices, symmetric
         )
-        if isinstance(edges, np.ndarray):
-            graph._index = _index_of(*columns)
-            return graph
-        weights = map(float, map(itemgetter(2), edges))
-        graph._index = dict(zip(map(itemgetter(0, 1), edges), weights))
-        if symmetric:
-            weights = map(float, map(itemgetter(2), edges))
-            graph._index.update(zip(map(itemgetter(1, 0), edges), weights))
-        return graph
 
     @classmethod
     def from_arrays(
@@ -329,16 +300,6 @@ class DynamicGraph:
         :class:`GraphMutationError`, invalid vertex ids ``ValueError``;
         the vertex count grows to cover the largest referenced id.
         """
-        graph, columns = cls._bulk(src, dst, wgt, num_vertices, symmetric)
-        graph._index = _index_of(*columns)
-        return graph
-
-    @classmethod
-    def _bulk(
-        cls, src, dst, wgt, num_vertices: int, symmetric: bool
-    ) -> Tuple["DynamicGraph", EdgeArrays]:
-        """Both CSR directions from parallel columns; the caller fills the
-        index. Returns the graph and its directed columns."""
         src = vertex_ids(np.asarray(src))
         dst = vertex_ids(np.asarray(dst))
         wgt = np.asarray(wgt, dtype=np.float64)
@@ -353,16 +314,16 @@ class DynamicGraph:
             )
             wgt = np.concatenate([wgt, wgt[mirror]])
         graph = cls(n, symmetric=symmetric)
-        shift = graph._shift
-        keys = (src << shift) | dst
-        if len(np.unique(keys)) != len(keys):
+        graph._out.rebuild(src, dst, wgt, n)
+        keys = graph._out.keys
+        if (keys[1:] == keys[:-1]).any():
             raise GraphMutationError(
                 "duplicate edge in bulk load; model weight change as "
                 "delete followed by insert (per paper §2.1)"
             )
-        graph._out.rebuild(shift, src, dst, wgt, n)
-        graph._in.rebuild(shift, dst, src, wgt, n)
-        return graph, (src, dst, wgt)
+        graph._in.rebuild(dst, src, wgt, n)
+        graph._num_edges = len(keys)
+        return graph
 
     @classmethod
     def from_csr(cls, csr: CSRGraph, symmetric: bool = False) -> "DynamicGraph":
@@ -377,8 +338,8 @@ class DynamicGraph:
     # ------------------------------------------------------------------
     def add_edge(self, u: int, v: int, w: float = 1.0, _count_version: bool = True) -> None:
         """Insert directed edge ``u -> v`` (and mirror when symmetric)."""
-        if u < 0 or v < 0:
-            raise GraphMutationError("vertex ids must be non-negative")
+        if not (0 <= u < VERTEX_ID_LIMIT and 0 <= v < VERTEX_ID_LIMIT):
+            raise GraphMutationError("vertex ids must be non-negative and below 2**31")
         self._grow(max(u, v) + 1)
         self._insert_one(u, v, w)
         if self.symmetric and u != v:
@@ -396,24 +357,37 @@ class DynamicGraph:
         return w
 
     def _insert_one(self, u: int, v: int, w: float) -> None:
-        key = (u, v)
-        if key in self._index:
+        if self._weight(u, v) is not None:
             raise GraphMutationError(
                 f"edge {u}->{v} already exists; model weight change as "
                 "delete followed by insert (per paper §2.1)"
             )
-        self._index[key] = float(w)
-        self._touched.add(key)
+        self._pending[(u, v)] = float(w)
+        self._num_edges += 1
         self._mutations += 1
 
     def _remove_one(self, u: int, v: int) -> float:
-        try:
-            w = self._index.pop((u, v))
-        except KeyError:
-            raise GraphMutationError(f"cannot delete missing edge {u}->{v}") from None
-        self._touched.add((u, v))
+        w = self._weight(u, v)
+        if w is None:
+            raise GraphMutationError(f"cannot delete missing edge {u}->{v}")
+        self._pending[(u, v)] = None
+        self._num_edges -= 1
         self._mutations += 1
         return w
+
+    def _weight(self, u: int, v: int) -> Optional[float]:
+        """Live weight of ``u -> v``, ``None`` if absent: the pending edit
+        if there is one, else one binary search over the out-keys."""
+        edit = self._pending.get((u, v), False)
+        if edit is not False:
+            return edit
+        if not (0 <= u < VERTEX_ID_LIMIT and 0 <= v < VERTEX_ID_LIMIT):
+            return None
+        keys, key = self._out.keys, (u << _SHIFT) | v
+        i = int(keys.searchsorted(key))
+        if i < len(keys) and keys[i] == key:
+            return float(self._out.weights[i])
+        return None
 
     def _grow(self, n: int) -> None:
         if n > self.num_vertices:
@@ -450,7 +424,7 @@ class DynamicGraph:
             i = int(np.argmin(live[:m]))
             raise GraphMutationError(f"batch deletes missing edge {du[i]}->{dv[i]}")
         self._refuse_repeats(pos[:m], du, dv, "deletes")
-        self._refuse_repeats((iu << 31) | iv, iu, iv, "inserts")  # ids < 2**31
+        self._refuse_repeats((iu << _SHIFT) | iv, iu, iv, "inserts")
 
         keep_ins, keep_dels = np.ones(len(iu), dtype=bool), np.ones(m, dtype=bool)
         ins_live, ins_pos = live[m:], pos[m:]
@@ -512,13 +486,11 @@ class DynamicGraph:
             checked = self.check_batch(UpdateBatch(insertions, deletions))
         iu, iv, iw = checked.insertions
         du, dv, _ = checked.deletions
-        index = self._index
-        list(map(index.__delitem__, zip(du.tolist(), dv.tolist())))
-        index.update(zip(zip(iu.tolist(), iv.tolist()), iw.tolist()))
         if len(iu) or len(du) or checked.num_vertices > self.num_vertices:
             self._mutations += 1
+        self._num_edges += len(iu) - len(du)
         self.num_vertices = checked.num_vertices
-        self._sync_capacity()
+        self._grow_offsets()
         keep_i, keep_d = checked.keep_ins, checked.keep_dels
         self._splice(du[keep_d], dv[keep_d], iu[keep_i], iv[keep_i], iw[keep_i])
         self.version += 1
@@ -527,29 +499,22 @@ class DynamicGraph:
     # ------------------------------------------------------------------
     # Splice: fold mutations into the CSR arrays
     # ------------------------------------------------------------------
-    def _sync_capacity(self) -> None:
-        if self.num_vertices > self._capacity:
-            new_shift = self._shift_for(self.num_vertices)
-            self._out.rekey(self._shift, new_shift)
-            self._in.rekey(self._shift, new_shift)
-            self._shift = new_shift
+    def _grow_offsets(self) -> None:
         self._out.grow(self.num_vertices)
         self._in.grow(self.num_vertices)
 
     def _lookup(self, u: np.ndarray, v: np.ndarray) -> EdgeArrays:
         """``(live, position, stored weight)`` of each directed edge
-        ``u[i] -> v[i]`` in the out-direction arrays (flushed, capacity
-        synced). An absent edge's position is its insertion point and its
-        weight is meaningless."""
+        ``u[i] -> v[i]`` in the flushed out-direction arrays. An absent
+        edge's position is its insertion point and its weight is
+        meaningless."""
         keys = self._out.keys
-        probe = (u << self._shift) | v
+        probe = (u << _SHIFT) | v
         pos = np.searchsorted(keys, probe)
         if not len(keys):
             return np.zeros(len(u), dtype=bool), pos, np.zeros(len(u))
         hit = np.minimum(pos, len(keys) - 1)
-        n = self.num_vertices
-        live = (keys[hit] == probe) & (u < n) & (v < n)
-        return live, pos, self._out.weights[hit]
+        return keys[hit] == probe, pos, self._out.weights[hit]
 
     def _splice(self, del_u, del_v, ins_u, ins_v, ins_w) -> None:
         """Delete and insert directed edges in both CSR directions.
@@ -559,58 +524,56 @@ class DynamicGraph:
         """
         if not (len(del_u) or len(ins_u)):
             return
-        shift = self._shift
         for csr, del_major, del_minor, ins_major, ins_minor in (
             (self._out, del_u, del_v, ins_u, ins_v),
             (self._in, del_v, del_u, ins_v, ins_u),
         ):
-            ins_keys = (ins_major << shift) | ins_minor
+            ins_keys = (ins_major << _SHIFT) | ins_minor
             order = np.argsort(ins_keys)
             csr.splice(
-                shift,
-                np.sort((del_major << shift) | del_minor),
+                np.sort((del_major << _SHIFT) | del_minor),
                 ins_keys[order],
                 ins_w[order],
             )
         self._stats["edges_spliced"] += len(del_u) + len(ins_u)
 
     def _flush(self) -> None:
-        """Splice the pending single-edge mutations into both directions.
+        """Splice the pending single-edge edits into both directions.
 
         Pending edits are net-resolved against the arrays: an edge deleted
         and re-added with its old weight is a no-op, a weight change is one
-        delete plus one insert. Python cost is O(touched); array cost is
+        delete plus one insert. Python cost is O(pending); array cost is
         one compress/merge memcpy per direction.
         """
-        self._sync_capacity()
-        if not self._touched:
+        self._grow_offsets()
+        if not self._pending:
             return
-        touched = list(self._touched)
-        t = len(touched)
-        t_u, t_v = np.array(touched, dtype=np.int64).reshape(t, 2).T
-        index = self._index
-        cur_has = np.fromiter(map(index.__contains__, touched), dtype=bool, count=t)
-        cur_w = np.fromiter(
-            map(index.get, touched, repeat(0.0, t)), dtype=np.float64, count=t
-        )
+        t = len(self._pending)
+        t_u, t_v = np.array(list(self._pending), dtype=np.int64).reshape(t, 2).T
+        edits = list(self._pending.values())
+        cur_has = np.array([w is not None for w in edits], dtype=bool)
+        cur_w = np.array([0.0 if w is None else w for w in edits], dtype=np.float64)
         in_base, _, base_w = self._lookup(t_u, t_v)
         changed = cur_w != base_w
         dels = in_base & (~cur_has | changed)
         ins = cur_has & (~in_base | changed)
         self._splice(t_u[dels], t_v[dels], t_u[ins], t_v[ins], cur_w[ins])
         self._stats["flushes"] += 1
-        self._touched.clear()
+        self._pending.clear()
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def has_edge(self, u: int, v: int) -> bool:
         """True if edge ``u -> v`` is present."""
-        return (u, v) in self._index
+        return self._weight(u, v) is not None
 
     def edge_weight(self, u: int, v: int) -> float:
         """Weight of ``u -> v``; raises ``KeyError`` if absent."""
-        return self._index[(u, v)]
+        w = self._weight(u, v)
+        if w is None:
+            raise KeyError((u, v))
+        return w
 
     def out_degree(self, u: int) -> int:
         """Current out-degree of ``u``."""
@@ -629,9 +592,8 @@ class DynamicGraph:
         """
         self._flush()
         start, stop = self._out.offsets[u], self._out.offsets[u + 1]
-        mask = self._capacity - 1
         for i in range(start, stop):
-            yield int(self._out.keys[i] & mask), float(self._out.weights[i])
+            yield int(self._out.keys[i] & _MASK), float(self._out.weights[i])
 
     def in_edges(self, v: int) -> Iterator[Tuple[int, float]]:
         """Yield ``(source, weight)`` pairs for ``v``'s in-edges.
@@ -640,9 +602,8 @@ class DynamicGraph:
         """
         self._flush()
         start, stop = self._in.offsets[v], self._in.offsets[v + 1]
-        mask = self._capacity - 1
         for i in range(start, stop):
-            yield int(self._in.keys[i] & mask), float(self._in.weights[i])
+            yield int(self._in.keys[i] & _MASK), float(self._in.weights[i])
 
     @property
     def mutation_stamp(self) -> int:
@@ -657,16 +618,15 @@ class DynamicGraph:
     @property
     def num_edges(self) -> int:
         """Number of directed edges currently stored."""
-        return len(self._index)
+        return self._num_edges
 
     def edges(self) -> Iterator[Edge]:
         """Yield every directed edge ``(u, v, w)`` in CSR order."""
         self._flush()
         keys, weights = self._out.keys, self._out.weights
-        shift, mask = self._shift, self._capacity - 1
         for i in range(len(keys)):
             key = int(keys[i])
-            yield key >> shift, key & mask, float(weights[i])
+            yield key >> _SHIFT, key & _MASK, float(weights[i])
 
     def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The live edge set as parallel ``(src, dst, wgt)`` arrays.
@@ -675,9 +635,18 @@ class DynamicGraph:
         (safe to mutate).
         """
         self._flush()
-        src = self._out.keys >> self._shift
-        dst = self._out.keys & (self._capacity - 1)
-        return src, dst, self._out.weights.copy()
+        keys = self._out.keys
+        return keys >> _SHIFT, keys & _MASK, self._out.weights.copy()
+
+    def key_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The live edge set as sorted ``u << 31 | v`` keys and weights.
+
+        These are the store's own arrays, not copies. Every splice
+        replaces them rather than writing into them, so they stay valid
+        as a snapshot of this moment; treat them as read-only.
+        """
+        self._flush()
+        return self._out.keys, self._out.weights
 
     def store_stats(self) -> Dict[str, int]:
         """Incremental-store instrumentation counters (copy)."""
@@ -701,15 +670,14 @@ class DynamicGraph:
             self._stats["snapshot_cache_hits"] += 1
             return self._snapshot_cache[1]
         self._flush()
-        mask = self._capacity - 1
         csr = CSRGraph._from_parts(
             self.num_vertices,
-            len(self._index),
+            len(self._out.keys),
             self._out.offsets,
-            self._out.keys & mask,
+            self._out.keys & _MASK,
             self._out.weights,
             self._in.offsets,
-            self._in.keys & mask,
+            self._in.keys & _MASK,
             self._in.weights,
         )
         self._stats["snapshot_builds"] += 1
@@ -737,7 +705,7 @@ class DynamicGraph:
         """
         self._flush()
         n = self.num_vertices
-        shift, mask = self._shift, self._capacity - 1
+        shift, mask = _SHIFT, _MASK
         is_sink = np.zeros(n, dtype=bool)
         sinks = [v for v in sink_vertices if 0 <= v < n]
         if sinks:
@@ -780,44 +748,80 @@ class CommonSlice:
     ``common_edges + additions[v]`` is exactly version ``v``'s edge set,
     so any monotonic selective query can converge on the common graph once
     and extend per version by pure insertions (CommonGraph work sharing).
+    Edge sets are ``(src, dst, wgt)`` columns in sorted ``(u, v)`` order.
     """
 
     #: Requested versions, ascending.
     versions: List[int]
-    #: Directed edges shared by every version (sorted ``(u, v)`` order).
-    common_edges: List[Edge]
+    #: Directed edges shared by every version.
+    common_edges: EdgeArrays
     #: Vertex count of the common graph (minimum over the versions).
     common_vertices: int
     #: version -> edges of that version not in ``common_edges``.
-    additions: Dict[int, List[Edge]]
+    additions: Dict[int, EdgeArrays]
     #: version -> that version's vertex count.
     vertices: Dict[int, int]
 
 
-def _replay(
-    edges: Dict[Tuple[int, int], float],
-    num_vertices: int,
-    rows: np.ndarray,
-    keys: np.ndarray,
-) -> int:
-    """Apply one recorded delta to an edge dict (deletions first);
-    returns the vertex count it grows ``num_vertices`` to."""
-    for u, v in keys.tolist():
-        edges.pop((u, v), None)
-    for u, v, w in rows.tolist():
-        u, v = int(u), int(v)
-        edges[(u, v)] = w
-        num_vertices = max(num_vertices, u + 1, v + 1)
-    return num_vertices
+#: An edge set as sorted ``u << 31 | v`` keys, their weights, and a
+#: vertex count.
+_EdgeSet = Tuple[np.ndarray, np.ndarray, int]
+
+
+def _columns(keys: np.ndarray, weights: np.ndarray) -> EdgeArrays:
+    return keys >> _SHIFT, keys & _MASK, weights
+
+
+def _contains(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Which of ``probe`` are in the sorted ``keys``."""
+    if not len(keys):
+        return np.zeros(len(probe), dtype=bool)
+    return keys[np.minimum(np.searchsorted(keys, probe), len(keys) - 1)] == probe
+
+
+def _roll(state: _EdgeSet, deltas) -> _EdgeSet:
+    """Apply recorded ``(version, rows, keys)`` deltas, oldest first.
+
+    A key's last operation decides it (each delta deletes before it
+    inserts), so the whole run resolves in one pass: drop every touched
+    key, then merge back those whose last operation is an insertion.
+    Returns fresh arrays; the inputs are never written.
+    """
+    if not deltas:
+        return state
+    keys, weights, num_vertices = state
+    op_keys, op_weights, op_insert = [], [], []
+    for _, rows, dels in deltas:
+        ins = rows[:, :2].astype(np.int64)
+        op_keys += [(dels[:, 0] << _SHIFT) | dels[:, 1], (ins[:, 0] << _SHIFT) | ins[:, 1]]
+        op_weights += [np.zeros(len(dels)), rows[:, 2]]
+        op_insert += [np.zeros(len(dels), dtype=bool), np.ones(len(ins), dtype=bool)]
+        if len(ins):
+            num_vertices = max(num_vertices, int(ins.max()) + 1)
+    # np.unique's first index into the reversed log is each key's last op.
+    touched, last = np.unique(np.concatenate(op_keys)[::-1], return_index=True)
+    insert = np.concatenate(op_insert)[::-1][last]
+    keys, weights = _splice_sorted(
+        keys,
+        weights,
+        touched[_contains(keys, touched)],
+        touched[insert],
+        np.concatenate(op_weights)[::-1][last][insert],
+    )
+    return keys, weights, num_vertices
 
 
 class DeltaVersionStore:
     """Delta-encoded graph version history (Version Traveler substitute).
 
-    Stores one base edge list plus per-version deltas (insertions and
+    Stores one base edge set plus per-version deltas (insertions and
     deletions), reconstructing any retained version on demand instead of
     keeping a full snapshot per version. §4.7 allows either: the
-    accelerator only needs a CSR view of the requested version.
+    accelerator only needs a CSR view of the requested version. Every edge
+    set is the store's own representation — sorted ``u << 31 | v`` keys
+    and weights — so the base starts as the graph's arrays themselves
+    (shared, never written) and versions meet by sorted-array
+    intersection.
 
     Reconstruction rolls forward from the last reconstructed version when
     the requested one is newer, instead of replaying the full delta log
@@ -825,9 +829,12 @@ class DeltaVersionStore:
 
     ``keep_versions`` bounds retention for long-running services: when
     more than that many versions are reconstructible, the oldest deltas
-    fold into the base edge list and their versions become unreachable
-    (``KeyError`` — surfaced as ``VERSION_EVICTED`` over HTTP). ``None``
-    (default) retains everything.
+    fold into the base and their versions become unreachable (``KeyError``
+    — surfaced as ``VERSION_EVICTED`` over HTTP). ``None`` (default)
+    retains everything. A served session evicts one delta per write once
+    the bound is reached, so folded deltas are rolled into the base
+    arrays in bulk — when the base is read, or once they hold 1/64 of its
+    edge count — keeping the fold O(1) amortised per record.
     """
 
     def __init__(self, graph: DynamicGraph, keep_versions: Optional[int] = None):
@@ -836,21 +843,15 @@ class DeltaVersionStore:
         self.graph = graph
         self.keep_versions = keep_versions
         self._base_version = graph.version
-        #: Base edge set as a dict so retention folds are O(delta), not
-        #: O(E log E) — a long-running serve session evicts one delta per
-        #: write once the bound is reached, so the fold is on the hot path.
-        #: A copy of the graph's own index shares its key tuples and
-        #: weights instead of allocating a second set per edge; dict order
-        #: carries no meaning (every reader sorts the items).
-        self._base_edges: Dict[Tuple[int, int], float] = dict(graph._index)
-        self._base_vertices = graph.num_vertices
+        self._base: _EdgeSet = graph.key_arrays() + (graph.num_vertices,)
         #: ``(version, insertion rows, deletion keys)``, oldest first; the
         #: directed ``(n, 3)`` / ``(m, 2)`` arrays that produced ``version``.
         self._deltas: List[Tuple[int, np.ndarray, np.ndarray]] = []
-        #: Last reconstructed state: (version, edge dict, num_vertices).
-        self._cursor: Optional[
-            Tuple[int, Dict[Tuple[int, int], float], int]
-        ] = None
+        #: Evicted deltas not yet rolled into ``_base``, and their records.
+        self._folded: List[Tuple[int, np.ndarray, np.ndarray]] = []
+        self._folded_records = 0
+        #: Last reconstructed version and its edge set.
+        self._cursor: Optional[Tuple[int, _EdgeSet]] = None
         self._evicted_versions = 0
 
     def record_batch(self, insertions, deletions) -> None:
@@ -873,44 +874,39 @@ class DeltaVersionStore:
         """All reconstructible versions, oldest first."""
         return [self._base_version] + [v for v, _, _ in self._deltas]
 
-    def _edges_at(
-        self, version: int
-    ) -> Tuple[Dict[Tuple[int, int], float], int]:
-        """Edge dict + vertex count of ``version`` (cursor-accelerated)."""
+    def _base_edges(self) -> _EdgeSet:
+        """The base edge set, with any folded deltas rolled in."""
+        if self._folded:
+            self._base = _roll(self._base, self._folded)
+            self._folded, self._folded_records = [], 0
+        return self._base
+
+    def _edges_at(self, version: int) -> _EdgeSet:
+        """Edge set of ``version`` (cursor-accelerated; read-only)."""
         if version == self._base_version:
-            return dict(self._base_edges), self._base_vertices
+            return self._base_edges()
         if version not in (v for v, _, _ in self._deltas):
             raise KeyError(f"version {version} not recorded")
         if self._cursor is not None and self._cursor[0] <= version:
-            start_version, edges, num_vertices = self._cursor
-            edges = dict(edges)
+            start_version, state = self._cursor
         else:
-            start_version = self._base_version
-            edges = dict(self._base_edges)
-            num_vertices = self._base_vertices
-        for delta_version, rows, keys in self._deltas:
-            if delta_version <= start_version:
-                continue
-            if delta_version > version:
-                break
-            num_vertices = _replay(edges, num_vertices, rows, keys)
-        self._cursor = (version, edges, num_vertices)
-        return dict(edges), num_vertices
+            start_version, state = self._base_version, self._base_edges()
+        state = _roll(
+            state, [d for d in self._deltas if start_version < d[0] <= version]
+        )
+        self._cursor = (version, state)
+        return state
 
     def reconstruct(self, version: int) -> CSRGraph:
         """Rebuild the CSR snapshot of ``version`` from base + deltas.
 
-        Monotone access patterns (the common replay loop) are O(delta) per
-        call: the store keeps the edge dict of the last reconstructed
-        version and rolls forward from it when the requested version is
-        newer, falling back to a from-base replay otherwise. Raises
-        ``KeyError`` for versions never recorded or already evicted by the
-        retention bound.
+        Monotone access patterns (the common replay loop) roll forward
+        from the edge set of the last reconstructed version; anything else
+        replays from the base. Raises ``KeyError`` for versions never
+        recorded or already evicted by the retention bound.
         """
-        edges, num_vertices = self._edges_at(version)
-        return CSRGraph(
-            num_vertices, [(u, v, w) for (u, v), w in sorted(edges.items())]
-        )
+        keys, weights, num_vertices = self._edges_at(version)
+        return CSRGraph.from_arrays(num_vertices, *_columns(keys, weights))
 
     def common_slice(self, versions: Iterable[int]) -> CommonSlice:
         """Decompose ``versions`` into a common graph + per-version adds.
@@ -923,32 +919,25 @@ class DeltaVersionStore:
         vers = sorted({int(v) for v in versions})
         if not vers:
             raise ValueError("versions must be non-empty")
-        per_version: Dict[int, Tuple[Dict[Tuple[int, int], float], int]] = {}
-        for ver in vers:
-            per_version[ver] = self._edges_at(ver)
-        first_edges, _ = per_version[vers[0]]
-        common: Dict[Tuple[int, int], float] = dict(first_edges)
+        per_version = {ver: self._edges_at(ver) for ver in vers}
+        keys, weights, _ = per_version[vers[0]]
         for ver in vers[1:]:
-            edges, _ = per_version[ver]
-            common = {
-                key: w
-                for key, w in common.items()
-                if edges.get(key) == w
-            }
-        additions = {
-            ver: [
-                (u, v, w)
-                for (u, v), w in sorted(per_version[ver][0].items())
-                if common.get((u, v)) != w
-            ]
-            for ver in vers
-        }
+            other_keys, other_weights, _ = per_version[ver]
+            _, mine, theirs = np.intersect1d(
+                keys, other_keys, assume_unique=True, return_indices=True
+            )
+            same = mine[weights[mine] == other_weights[theirs]]
+            keys, weights = keys[same], weights[same]
+        additions = {}
+        for ver, (ver_keys, ver_weights, _) in per_version.items():
+            extra = ~_contains(keys, ver_keys)
+            additions[ver] = _columns(ver_keys[extra], ver_weights[extra])
         return CommonSlice(
             versions=vers,
-            common_edges=[(u, v, w) for (u, v), w in sorted(common.items())],
-            common_vertices=min(n for _, n in per_version.values()),
+            common_edges=_columns(keys, weights),
+            common_vertices=min(n for _, _, n in per_version.values()),
             additions=additions,
-            vertices={ver: per_version[ver][1] for ver in vers},
+            vertices={ver: per_version[ver][2] for ver in vers},
         )
 
     def _enforce_retention(self) -> None:
@@ -956,16 +945,17 @@ class DeltaVersionStore:
         if self.keep_versions is None:
             return
         while len(self._deltas) + 1 > self.keep_versions:
-            version, rows, keys = self._deltas.pop(0)
-            self._base_vertices = _replay(
-                self._base_edges, self._base_vertices, rows, keys
-            )
-            self._base_version = version
+            delta = self._deltas.pop(0)
+            self._folded.append(delta)
+            self._folded_records += len(delta[1]) + len(delta[2])
+            self._base_version = delta[0]
             self._evicted_versions += 1
             # A cursor parked on a folded version would alias the new base;
             # drop it rather than reason about partial replays.
-            if self._cursor is not None and self._cursor[0] <= version:
+            if self._cursor is not None and self._cursor[0] <= delta[0]:
                 self._cursor = None
+        if self._folded_records > len(self._base[0]) // 64:
+            self._base_edges()
 
     def delta_bytes(self) -> int:
         """Approximate storage of the delta log (16 B per record)."""
@@ -990,6 +980,5 @@ class DeltaVersionStore:
             "delta_bytes": self.delta_bytes(),
             "evicted_versions": self._evicted_versions,
             "keep_versions": self.keep_versions,
-            "base_edges": len(self._base_edges),
+            "base_edges": len(self._base_edges()[0]),
         }
-

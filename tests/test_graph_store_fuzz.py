@@ -2,9 +2,8 @@
 
 The :class:`DynamicGraph` store maintains both CSR directions by splicing
 only the touched adjacency runs. These tests drive randomized batch
-sequences — inserts, deletes, weight changes, vertex growth (including
-growth across the composite-key capacity boundary, which forces a rekey),
-symmetric mirroring — and assert the spliced arrays are *identical* (every
+sequences — inserts, deletes, weight changes, vertex growth, symmetric
+mirroring — and assert the spliced arrays are *identical* (every
 offset, target, source, and weight) to a from-scratch :class:`CSRGraph`
 build over an independently tracked edge dict. Batches arrive as tuple
 lists and as ``(n, 3)`` / ``(m, 2)`` arrays; poisoned batches (a missing
@@ -146,8 +145,7 @@ def test_incremental_store_matches_from_scratch_rebuild(seed, symmetric, grow):
         assert_csr_identical(graph.rebuild_snapshot(), oracle)
 
     if grow:
-        # Growth mode must have crossed the power-of-two capacity boundary
-        # at least once, exercising the key-stride rekey.
+        # Growth mode must have grown the vertex range well past its start.
         assert graph.num_vertices > 32
 
 
@@ -159,7 +157,7 @@ def _store_state(graph: DynamicGraph):
         for a in (csr.keys, csr.weights, csr.offsets)
     ]
     return (
-        dict(graph._index),
+        (graph.num_edges, dict(graph._pending)),
         arrays,
         graph.version,
         graph.mutation_stamp,
@@ -228,8 +226,8 @@ REJECTS = [
 def test_array_batches_match_model_and_refusals_leave_no_trace(seed, symmetric, grow):
     """``apply_batch`` on ``(n, 3)`` / ``(m, 2)`` arrays, against the model.
 
-    Before every valid batch a poisoned copy of it is refused whole: index,
-    both CSR directions, version, mutation stamp and store counters stay
+    Before every valid batch a poisoned copy of it is refused whole: edge
+    count, pending edits, both CSR directions, version, mutation stamp and store counters stay
     exactly as they were. Single-edge mutations (the lazy path) interleave
     so batch checks meet pending edits. ``edges_spliced`` counts the net
     splice: a re-insert at the stored weight cancels its deletion.
@@ -393,3 +391,110 @@ class TestDeltaVersionStore:
         store, saved = self._build()
         with pytest.raises(KeyError):
             store.reconstruct(saved[-1][0] + 1000)
+
+    @pytest.mark.parametrize("keep", [None, 3], ids=["keep-all", "keep-3"])
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["directed", "symmetric"])
+    def test_batches_and_singles_match_model(self, keep, symmetric):
+        """Every retained version and every common slice equal a dict
+        model. Single-edge deltas (the served express path, vertex growth
+        included) sit between batches, so retention folds many one-record
+        deltas as well as whole batches."""
+        rng = np.random.default_rng((keep or 0, symmetric, 31))
+        graph = DynamicGraph(INITIAL_VERTICES, symmetric=symmetric)
+        model = _Model(symmetric)
+        for _ in range(INITIAL_EDGES):
+            u, v = (int(x) for x in rng.integers(0, INITIAL_VERTICES, size=2))
+            if not model.contains(u, v):
+                w = float(rng.integers(1, 12))
+                graph.add_edge(u, v, w, _count_version=False)
+                model.insert(u, v, w)
+        store = DeltaVersionStore(graph, keep_versions=keep)
+        saved = {graph.version: (dict(model.edges), graph.num_vertices)}
+        for step in range(30):
+            if step % 4 == 0:
+                insertions, deletions = _random_batch(rng, model, graph.num_vertices, True)
+                graph.apply_batch(insertions, deletions)
+                store.record_batch(insertions, deletions)
+                _apply_to_model(model, insertions, deletions)
+            elif step % 3 and model.edges:
+                live = sorted(model.edges)
+                u, v = live[int(rng.integers(0, len(live)))]
+                graph.remove_edge(u, v)
+                store.record_batch((), [(u, v)])
+                model.delete(u, v)
+            else:
+                u, v = _fresh_pair(rng, model, graph.num_vertices + 2, set())
+                graph.add_edge(u, v, 3.0)
+                store.record_batch([(u, v, 3.0)], ())
+                model.insert(u, v, 3.0)
+            saved[graph.version] = (dict(model.edges), graph.num_vertices)
+            if step % 5 == 4:
+                held = store.versions()
+                for version in held:
+                    self._check(store, version, *saved[version])
+                self._check_slice(store.common_slice(held), saved)
+        evicted = 0 if keep is None else len(saved) - keep
+        assert store.stats()["evicted_versions"] == evicted
+
+    @staticmethod
+    def _check_slice(slice_, saved) -> None:
+        """``common_slice`` against the dict definition of a common edge."""
+        edge_sets = [saved[v][0] for v in slice_.versions]
+        common = {
+            key: w
+            for key, w in edge_sets[0].items()
+            if all(edges.get(key) == w for edges in edge_sets)
+        }
+        assert _edge_tuples(slice_.common_edges) == [
+            (u, v, w) for (u, v), w in sorted(common.items())
+        ]
+        for version, edges in zip(slice_.versions, edge_sets):
+            assert _edge_tuples(slice_.additions[version]) == [
+                (u, v, w) for (u, v), w in sorted(edges.items()) if (u, v) not in common
+            ]
+            assert slice_.vertices[version] == saved[version][1]
+        assert slice_.common_vertices == min(saved[v][1] for v in slice_.versions)
+
+    def test_retention_folds_in_bulk_and_stays_bounded(self):
+        """Evicted deltas are rolled into the base in bulk, once they hold
+        1/64 of its edges, and every retained version stays exact."""
+        i = np.arange(640)
+        graph = DynamicGraph.from_arrays(i // 16, 100 + i % 16, 1.0 + i % 5)
+        store = DeltaVersionStore(graph, keep_versions=2)
+        lazily_folded = 0
+        for k in range(50):
+            graph.add_edge(k, 200 + k, 2.0)
+            store.record_batch([(k, 200 + k, 2.0)], ())
+            assert store._folded_records <= 640 // 64
+            lazily_folded = max(lazily_folded, len(store._folded))
+        assert lazily_folded > 1
+        live = graph.snapshot()
+        assert_csr_identical(store.reconstruct(graph.version), live)
+        assert store.stats()["base_edges"] == live.num_edges - 1
+        assert store._folded == []
+
+
+def _edge_tuples(columns):
+    """``(u, v, w)`` tuples of a ``(src, dst, wgt)`` column triple."""
+    return list(zip(*(c.tolist() for c in columns)))
+
+
+def test_single_edits_are_pending_until_a_flush():
+    graph = DynamicGraph.from_edges([(0, 1, 1.0), (1, 2, 2.0)])
+    graph.add_edge(2, 0, 3.0)
+    graph.remove_edge(0, 1)
+    graph.add_edge(0, 1, 4.0)  # a weight change made of two singles
+    assert graph._pending == {(2, 0): 3.0, (0, 1): 4.0}
+    assert graph.edge_weight(0, 1) == 4.0
+    assert graph.edge_weight(1, 2) == 2.0  # answered by the arrays
+    assert graph.num_edges == 3
+    with pytest.raises(KeyError):
+        graph.edge_weight(2, 1)
+    # An id past the 31-bit key stride must not alias another edge's key.
+    assert not graph.has_edge(0, (1 << 31) + 2)  # same key bits as (1, 2)
+    with pytest.raises(GraphMutationError):
+        graph.add_edge(0, 1 << 31)
+    graph.snapshot()
+    assert graph._pending == {}
+    assert sorted(graph.edges()) == [(0, 1, 4.0), (1, 2, 2.0), (2, 0, 3.0)]
+    assert graph.store_stats()["flushes"] == 1

@@ -63,8 +63,9 @@ class TestDeltaVersionStore:
 
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_base_is_an_independent_copy_of_the_live_edge_set(self, symmetric):
-        # The base is built from the graph's own index (shared key tuples,
-        # no per-edge rebuild): same content as edges(), detached from it.
+        # The base is the graph's own key/weight arrays (shared, no
+        # per-edge rebuild): same content as edges(), and a later splice
+        # replaces the graph's arrays instead of writing into the base.
         graph = DynamicGraph.from_edges(
             [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0), (3, 3, 4.0)],
             symmetric=symmetric,
@@ -73,12 +74,8 @@ class TestDeltaVersionStore:
         graph.add_edge(2, 4, 7.0)
         graph.remove_edge(0, 1)
         store = DeltaVersionStore(graph)
-        expected = {(u, v): w for u, v, w in graph.edges()}
-        assert store._base_edges == expected
-        assert all(
-            type(u) is int and type(v) is int and type(w) is float
-            for (u, v), w in store._base_edges.items()
-        )
+        expected = sorted(graph.edges())
+        base_keys = store._base[0].copy()
         base_version = graph.version
         want, got = graph.snapshot(), store.reconstruct(base_version)
         assert got.num_vertices == want.num_vertices
@@ -87,10 +84,10 @@ class TestDeltaVersionStore:
 
         graph.apply_batch([(1, 3, 8.0)], [(2, 3)])
         store.record_batch([(1, 3, 8.0)], [(2, 3)])
-        assert store._base_edges == expected
-        assert sorted(store.reconstruct(base_version).edges()) == sorted(
-            (u, v, w) for (u, v), w in expected.items()
-        )
+        graph.add_edge(3, 0, 9.0)
+        graph.snapshot()
+        np.testing.assert_array_equal(store._base[0], base_keys)
+        assert sorted(store.reconstruct(base_version).edges()) == expected
 
     def test_unknown_version_rejected(self):
         graph = random_digraph(seed=4)
@@ -179,6 +176,11 @@ class TestBoundedRetention:
             DeltaVersionStore(graph, keep_versions=0)
 
 
+def _edge_list(columns):
+    """``(u, v, w)`` tuples of a ``CommonSlice`` edge-column triple."""
+    return list(zip(*(c.tolist() for c in columns)))
+
+
 class TestCommonSlice:
     def test_common_plus_additions_reconstructs_each_version(self):
         graph = random_digraph(seed=30)
@@ -196,15 +198,13 @@ class TestCommonSlice:
             )
         versions = store.versions()
         slice_ = store.common_slice(versions)
-        common = set(slice_.common_edges)
+        common = set(_edge_list(slice_.common_edges))
         for version in versions:
+            additions = _edge_list(slice_.additions[version])
             expected = sorted(store.reconstruct(version).edges())
-            rebuilt = sorted(
-                list(slice_.common_edges) + list(slice_.additions[version])
-            )
-            assert rebuilt == expected, f"version {version}"
+            assert sorted(list(common) + additions) == expected, f"version {version}"
             # Additions are genuinely outside the shared prefix.
-            assert not common.intersection(slice_.additions[version])
+            assert not common.intersection(additions)
 
     def test_common_vertices_is_min(self):
         graph = DynamicGraph.from_edges([(0, 1, 1.0)], 2)
@@ -222,11 +222,12 @@ class TestCommonSlice:
         graph.apply_batch([(0, 1, 7.0)], [(0, 1)])
         store.record_batch([(0, 1, 7.0)], [(0, 1)])
         slice_ = store.common_slice(store.versions())
-        assert (1, 2, 3.0) in slice_.common_edges
-        assert all((u, v) != (0, 1) for u, v, _ in slice_.common_edges)
+        common = _edge_list(slice_.common_edges)
+        assert (1, 2, 3.0) in common
+        assert all((u, v) != (0, 1) for u, v, _ in common)
         v0, v1 = store.versions()
-        assert (0, 1, 1.0) in slice_.additions[v0]
-        assert (0, 1, 7.0) in slice_.additions[v1]
+        assert (0, 1, 1.0) in _edge_list(slice_.additions[v0])
+        assert (0, 1, 7.0) in _edge_list(slice_.additions[v1])
 
 
 class TestPartialDrainScheduler:
