@@ -24,11 +24,12 @@ service interleaves, and records the sustained rates the ROADMAP's
   mixed phase gains one keep-alive reader whose median round trip is
   ``read_keepalive_p50_us``.
 * **serve/mixed_traced** — the mixed phase again with request tracing
-  armed (access log + stage marks on every request): the gated row is
-  the traced ingest rate, so a tracing-overhead regression trips the
-  gate like any other slowdown. The phase also feeds its access log
-  through the ``repro trace requests`` analyzer and records the
-  slow-decile stage-attribution share and the server-side read p99.
+  armed (a request span with stage marks per request, written to a JSONL
+  trace): the gated row is the traced ingest rate, so a tracing-overhead
+  regression trips the gate like any other slowdown. The phase also
+  feeds its trace through the ``repro trace requests`` analyzer and
+  records the slow-decile stage-attribution share and the server-side
+  read p99.
 
 The regression-gate ``events`` column uses exact request counts (update
 records applied, express updates, reads served) — all fixed by the
@@ -291,18 +292,23 @@ def run_express_phase(client, updates) -> dict:
 def run_traced_phase(server, cfg: dict, base_edges, untraced: dict) -> dict:
     """The mixed workload again with request tracing armed.
 
-    Runs on its own session (fresh edge pools) with the process-wide
-    :data:`REQUEST_LOG` writing a real access log, then feeds that log
-    through the ``repro trace requests`` analyzer. Reports the tracing
-    overhead vs the untraced mixed phase and how closely the analyzer's
-    server-side read p99 reproduces the client-observed one — the two
-    acceptance numbers of the request-tracing layer.
+    Runs on its own session (fresh edge pools) with a tracer on the
+    server that writes every request span to a real JSONL trace, then
+    feeds that trace through the ``repro trace requests`` analyzer.
+    The session was created untraced, so, as in the untraced phase, its
+    engine runs emit no spans: the phase prices request tracing alone.
+    Reports the tracing overhead vs the untraced mixed phase and how
+    closely the analyzer's server-side read p99 reproduces the
+    client-observed one — the two acceptance numbers of the
+    request-tracing layer.
     """
-    from repro.obs.correlate import analyze_requests
-    from repro.obs.reqtrace import REQUEST_LOG
+    from repro.obs import JsonlSink, SlowRequestSink, Tracer, analyze_requests
 
-    access_path = REPO_ROOT / "BENCH_serve.access.jsonl.tmp"
-    REQUEST_LOG.configure(path=str(access_path), slow_threshold_s=0.050)
+    trace_path = REPO_ROOT / "BENCH_serve.trace.jsonl.tmp"
+    ring = SlowRequestSink(slow_threshold_s=0.050)
+    tracer = Tracer([JsonlSink(str(trace_path)), ring])
+    accelerator = server.app.accelerator
+    untraced_tracer, accelerator.tracer = accelerator.tracer, tracer
     try:
         batches_by_client = [
             fresh_edge_batches(
@@ -313,22 +319,20 @@ def run_traced_phase(server, cfg: dict, base_edges, untraced: dict) -> dict:
         traced = run_mixed_phase(
             server.url, cfg, batches_by_client, session="bench-traced"
         )
-        # finish() runs after the response bytes go out: wait for every
-        # client-acknowledged request to land in the log before closing.
+        # A request span ends after its response bytes go out: wait for
+        # every client-acknowledged request to end before closing.
         expected = (
             cfg["ingest_clients"] * cfg["batches_per_client"]
             + (cfg["read_clients"] + 1) * cfg["reads_per_client"]
         )
         deadline = time.monotonic() + 5.0
-        while (
-            REQUEST_LOG.debug_payload()["requests_total"] < expected
-            and time.monotonic() < deadline
-        ):
+        while ring.requests < expected and time.monotonic() < deadline:
             time.sleep(0.005)
     finally:
-        REQUEST_LOG.reset()  # closes (and flushes) the access log
-    analysis = analyze_requests(str(access_path))
-    access_path.unlink()
+        accelerator.tracer = untraced_tracer
+        tracer.close()  # flushes and closes the trace
+    analysis = analyze_requests(str(trace_path))
+    trace_path.unlink()
 
     def route_p99_us(route: str) -> float:
         rows = [r for r in analysis["routes"] if r["route"] == route]

@@ -46,11 +46,11 @@ from repro.graph import datasets, io
 from repro.graph.dynamic import DynamicGraph, build_symmetric_graph
 from repro.obs import (
     REGISTRY,
-    REQUEST_LOG,
     JsonlSink,
     MemorySink,
     MetricsServer,
     ProgressSink,
+    SlowRequestSink,
     TraceData,
     Tracer,
     analyze_requests,
@@ -156,12 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="leave the metrics registry disabled (scrape routes stay mounted)",
     )
     serve.add_argument(
-        "--access-log",
-        metavar="PATH",
-        help="write one JSONL record per request with the full stage "
-        "breakdown (see `repro trace requests`)",
-    )
-    serve.add_argument(
         "--slow-ms",
         type=float,
         default=50.0,
@@ -185,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--trace",
         metavar="PATH",
-        help="write engine run spans to a JSONL trace with request_id "
-        "span links (joinable via `repro trace requests --trace`)",
+        help="write the span tree (each request and the engine work it "
+        "caused) to a JSONL trace (see `repro trace requests`)",
     )
     preload = serve.add_mutually_exclusive_group()
     preload.add_argument("--edges", help="preload session 'default' from an edge list")
@@ -241,15 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_req = trace_sub.add_parser(
         "requests",
-        help="tail-latency attribution from a serve access log "
-        "(repro serve --access-log)",
+        help="tail-latency attribution from the request spans of a serve "
+        "trace (repro serve --trace)",
     )
-    trace_req.add_argument("path", help="JSONL access log written by serve")
-    trace_req.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="engine trace JSONL to join request_id span links against",
-    )
+    trace_req.add_argument("path", help="JSONL trace written by repro serve")
     trace_req.add_argument(
         "--json",
         action="store_true",
@@ -729,23 +718,19 @@ def cmd_serve(args) -> int:
     from repro.host import Accelerator
     from repro.serve import ServeApp, ServeServer
 
-    sinks: List = []
+    # The daemon always traces its requests: the slow-request ring
+    # powers /debug/requests; metrics and the JSONL trace are more sinks.
+    ring = SlowRequestSink(args.request_ring, slow_threshold_s=args.slow_ms / 1e3)
+    sinks: List = [ring]
     if not args.no_metrics:
         REGISTRY.enable().reset()
         sinks.append(REGISTRY)
-    # Request tracing is always armed for the daemon (it powers
-    # /debug/requests); the JSONL access log only flows when requested.
-    REQUEST_LOG.configure(
-        path=args.access_log,
-        ring_size=args.request_ring,
-        slow_threshold_s=args.slow_ms / 1e3,
-    )
     if args.trace:
         sinks.append(JsonlSink(args.trace))
-        print(f"[serve] engine trace at {args.trace}", file=sys.stderr)
-    tracer = Tracer(sinks) if sinks else None
+        print(f"[serve] trace at {args.trace}", file=sys.stderr)
+    tracer = Tracer(sinks)
     app = ServeApp(
-        accelerator=Accelerator(tracer=tracer) if tracer is not None else None,
+        accelerator=Accelerator(tracer=tracer),
         queue_bound=args.queue_bound,
         log_bound=args.log_bound,
     )
@@ -782,9 +767,7 @@ def cmd_serve(args) -> int:
     print(f"[serve] metrics at {server.url}/metrics", file=sys.stderr)
     server.serve_until_shutdown()
     print("[serve] drained and stopped", file=sys.stderr)
-    REQUEST_LOG.reset()
-    if tracer is not None:
-        tracer.close()
+    tracer.close()
     if not args.no_metrics:
         REGISTRY.disable().reset()
     return 0
@@ -810,7 +793,7 @@ def cmd_trace(args) -> int:
     if args.action == "requests":
         import json
 
-        analysis = analyze_requests(args.path, trace_path=args.trace)
+        analysis = analyze_requests(args.path)
         if args.json:
             print(json.dumps(analysis, indent=2))
         else:

@@ -257,8 +257,8 @@ class ExpressLane:
         tracer = self.engine.tracer
         if tracer.enabled:
             # Safe updates produce no run span; this event is every
-            # update's trace footprint (at root level it picks up any
-            # active span links, such as the serving request id).
+            # update's trace footprint (served, it nests under the
+            # request span the writer applies the update within).
             tracer.event(
                 "express",
                 op=op,

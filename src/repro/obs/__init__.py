@@ -2,8 +2,8 @@
 
 Public surface:
 
-* :class:`Tracer` / :data:`NULL_TRACER` — span emission (run → phase →
-  round → engine) with the one-attribute-check-when-off contract;
+* :class:`Tracer` / :data:`NULL_TRACER` — span emission (request → run →
+  phase → round → engine) with the one-attribute-check-when-off contract;
 * :data:`REGISTRY` / :class:`MetricsRegistry` — live process-wide
   counters/gauges/histograms with Prometheus + JSON exporters, folded as
   a trace sink (``Tracer([REGISTRY])``) from the spans and events;
@@ -15,8 +15,9 @@ Public surface:
   trace-event export;
 * :func:`correlate` / :func:`summarize` — join trace wall-clock against
   :class:`~repro.sim.timing.AcceleratorTimingModel` cycles;
-* :data:`REQUEST_LOG` / :class:`RequestContext` — request-scoped tracing
-  for ``repro serve`` (access log, slow-request ring, stage histograms);
+* :func:`mark` / :func:`end_request` / :class:`SlowRequestSink` — served
+  requests as ``request`` spans with stage marks, and the slow-request
+  ring behind ``GET /debug/requests``;
 * :func:`analyze_requests` / :func:`render_request_table` — the
   ``repro trace requests`` tail-latency attribution analyzer.
 
@@ -30,18 +31,10 @@ from repro.obs.correlate import (
     analyze_requests,
     correlate,
     correlate_run,
-    read_access_log,
     rebuild_run_metrics,
     render_correlation,
     render_request_table,
     summarize,
-)
-from repro.obs.reqtrace import (
-    ACCESS_LOG_FORMAT,
-    ACCESS_LOG_VERSION,
-    REQUEST_LOG,
-    RequestContext,
-    RequestLog,
 )
 from repro.obs.metrics import (
     REGISTRY,
@@ -52,6 +45,7 @@ from repro.obs.metrics import (
     log_buckets,
     render_prometheus,
 )
+from repro.obs.requests import SlowRequestSink, debug_requests, end_request, mark
 from repro.obs.scrape import MetricsServer, metrics_payload, send_payload
 from repro.obs.sinks import (
     TRACE_FORMAT,
@@ -117,12 +111,10 @@ __all__ = [
     "rebuild_run_metrics",
     "render_correlation",
     "summarize",
-    "ACCESS_LOG_FORMAT",
-    "ACCESS_LOG_VERSION",
-    "REQUEST_LOG",
-    "RequestContext",
-    "RequestLog",
+    "SlowRequestSink",
+    "debug_requests",
+    "end_request",
+    "mark",
     "analyze_requests",
-    "read_access_log",
     "render_request_table",
 ]

@@ -10,25 +10,23 @@ accelerator cycles one second of this Python simulation stands for, per
 phase. ``repro trace summarize`` renders the result as a table.
 
 The second half of this module is the serve-side analyzer behind
-``repro trace requests``: it reads a JSONL access log written by
-:data:`repro.obs.reqtrace.REQUEST_LOG`, validates every record's schema
-and stage monotonicity, computes p50/p95/p99 latency per route and per
-stage, and (when given an engine trace) joins request ids against the
-``request_id`` span links to attribute engine wall time back to the
-requests that caused it.
+``repro trace requests``: it reads the ``request`` spans of a daemon's
+JSONL trace (:mod:`repro.obs.requests`), checks that their stages
+partition their wall time, computes p50/p95/p99 latency per route and
+per stage, and attributes engine wall time to the requests it sits
+under in the span tree.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import AcceleratorConfig
 from repro.core.metrics import RunMetrics
-from repro.obs.reqtrace import ACCESS_LOG_FORMAT, ACCESS_LOG_VERSION
 from repro.obs.trace_file import PathLike, TraceData, TraceFormatError, read_trace
+from repro.obs.trace_file import _is_num
 from repro.obs.tracer import WORK_FIELDS
 from repro.sim.timing import AcceleratorTimingModel
 
@@ -181,87 +179,31 @@ def summarize(path: PathLike, config: Optional[AcceleratorConfig] = None) -> str
 
 
 # ----------------------------------------------------------------------
-# Serve access-log analysis (`repro trace requests`)
+# Served-request analysis (`repro trace requests`)
 # ----------------------------------------------------------------------
-def _is_num(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _stage_error(span: dict) -> Optional[str]:
+    """Why a request span's stage partition is wrong, or ``None``.
 
-
-def read_access_log(path: PathLike) -> Tuple[dict, List[dict], List[str]]:
-    """Parse a serve access log: ``(header, records, errors)``.
-
-    Validation is the schema/monotonicity gate CI relies on: the header
-    line, required request fields, non-negative stage durations (a
-    negative one means a stage mark ran backwards), and the invariant
-    that named stages plus the explicit ``unaccounted`` residual add up
-    to the request's wall time.
+    Stage durations must be non-negative (a negative one means a mark ran
+    backwards) and, with the ``unaccounted`` residual, add up to the
+    span's wall time.
     """
-    header: dict = {}
-    records: List[dict] = []
-    errors: List[str] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"line {lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                errors.append(f"{where}: not valid JSON ({exc.msg})")
-                continue
-            if lineno == 1:
-                if record.get("type") != "header" or (
-                    record.get("format") != ACCESS_LOG_FORMAT
-                    or record.get("version") != ACCESS_LOG_VERSION
-                ):
-                    errors.append(
-                        f"line 1: expected {ACCESS_LOG_FORMAT!r} v"
-                        f"{ACCESS_LOG_VERSION} header, got {record.get('type')!r}"
-                    )
-                header = record
-                continue
-            if record.get("type") != "request":
-                errors.append(
-                    f"{where}: unknown record type {record.get('type')!r}"
-                )
-                continue
-            for key, check in (
-                ("id", lambda v: isinstance(v, str)),
-                ("route", lambda v: isinstance(v, str)),
-                ("status", lambda v: isinstance(v, int)),
-                ("dur_s", _is_num),
-                ("unaccounted", _is_num),
-                ("stages", lambda v: isinstance(v, dict)),
-            ):
-                if not check(record.get(key)):
-                    errors.append(f"{where}: bad or missing field {key!r}")
-                    break
-            else:
-                stage_sum = 0.0
-                for stage, dur in record["stages"].items():
-                    if not _is_num(dur) or dur < 0:
-                        errors.append(
-                            f"{where}: stage {stage!r} duration is negative "
-                            "or non-numeric (stage marks not monotonic)"
-                        )
-                        break
-                    stage_sum += dur
-                else:
-                    total = stage_sum + record["unaccounted"]
-                    dur_s = record["dur_s"]
-                    if dur_s < 0 or record["unaccounted"] < 0:
-                        errors.append(f"{where}: negative duration")
-                    elif abs(total - dur_s) > 1e-6 + 0.01 * dur_s:
-                        errors.append(
-                            f"{where}: stages + unaccounted = {total:.6f}s "
-                            f"but dur_s = {dur_s:.6f}s"
-                        )
-                    else:
-                        records.append(record)
-    if not header:
-        errors.insert(0, "access log has no header line")
-    return header, records, errors
+    where = f"request span {span['id']}"
+    total = 0.0
+    for stage, dur in span["attrs"]["stages"].items():
+        if not _is_num(dur) or dur < 0:
+            return (
+                f"{where}: stage {stage!r} duration is negative or "
+                "non-numeric (stage marks not monotonic)"
+            )
+        total += dur
+    unaccounted, dur_s = span["attrs"]["unaccounted"], span["dur_s"]
+    if dur_s < 0 or unaccounted < 0:
+        return f"{where}: negative duration"
+    total += unaccounted
+    if abs(total - dur_s) > 1e-6 + 0.01 * dur_s:
+        return f"{where}: stages + unaccounted = {total:.6f}s but dur_s = {dur_s:.6f}s"
+    return None
 
 
 def _percentile(sorted_values: List[float], q: float) -> float:
@@ -284,54 +226,62 @@ def _latency_row(values: List[float]) -> dict:
     }
 
 
-def analyze_requests(
-    path: PathLike, trace_path: Optional[PathLike] = None
-) -> dict:
-    """Tail-latency attribution of a serve access log (+ optional trace).
+def analyze_requests(path: PathLike) -> dict:
+    """Tail-latency attribution of the request spans in a serve trace.
 
     Returns a JSON-friendly analysis: per-route and per-stage latency
     percentiles, the stage-attribution quality of the slowest decile, and
-    — when ``trace_path`` is given — the join of request ids against the
-    engine trace's ``request_id`` span links.
+    the engine work under each successful write. ``errors`` lists schema
+    problems (then nothing else is read) and request spans whose stages
+    do not partition their wall time (those are left out of the tables).
     """
-    header, records, errors = read_access_log(path)
+    try:
+        trace = read_trace(path)
+    except TraceFormatError as exc:
+        trace, errors = TraceData({}), [str(exc)]
+    else:
+        errors = []
+    records: List[dict] = []
+    for span in trace.spans:
+        if span["kind"] == "request":
+            problem = _stage_error(span)
+            if problem is None:
+                records.append(span)
+            else:
+                errors.append(problem)
     by_route: Dict[str, List[float]] = {}
     by_stage: Dict[Tuple[str, str], List[float]] = {}
     for record in records:
-        by_route.setdefault(record["route"], []).append(record["dur_s"])
-        for stage, dur in record["stages"].items():
-            by_stage.setdefault((record["route"], stage), []).append(dur)
-        if record["unaccounted"] > 0.0:
-            by_stage.setdefault((record["route"], "unaccounted"), []).append(
-                record["unaccounted"]
+        route, attrs = record["name"], record["attrs"]
+        by_route.setdefault(route, []).append(record["dur_s"])
+        for stage, dur in attrs["stages"].items():
+            by_stage.setdefault((route, stage), []).append(dur)
+        if attrs["unaccounted"] > 0.0:
+            by_stage.setdefault((route, "unaccounted"), []).append(
+                attrs["unaccounted"]
             )
     route_total = {route: sum(vals) for route, vals in by_route.items()}
-    routes = [
-        {"route": route, **_latency_row(vals)}
-        for route, vals in sorted(by_route.items())
-    ]
-    stages = [
-        {
-            "route": route,
-            "stage": stage,
-            **_latency_row(vals),
-            "share": (
-                sum(vals) / route_total[route] if route_total[route] > 0 else 0.0
-            ),
-        }
-        for (route, stage), vals in sorted(by_stage.items())
-    ]
-    analysis: dict = {
-        "header": header,
+    return {
         "requests": len(records),
         "errors": errors,
-        "routes": routes,
-        "stages": stages,
+        "routes": [
+            {"route": route, **_latency_row(vals)}
+            for route, vals in sorted(by_route.items())
+        ],
+        "stages": [
+            {
+                "route": route,
+                "stage": stage,
+                **_latency_row(vals),
+                "share": (
+                    sum(vals) / route_total[route] if route_total[route] > 0 else 0.0
+                ),
+            }
+            for (route, stage), vals in sorted(by_stage.items())
+        ],
         "attribution": _attribution(records),
+        "engine": _engine_work(trace, records),
     }
-    if trace_path is not None:
-        analysis["engine"] = _join_trace(records, header, trace_path)
-    return analysis
 
 
 def _attribution(records: List[dict]) -> dict:
@@ -346,7 +296,7 @@ def _attribution(records: List[dict]) -> dict:
     ranked = sorted(records, key=lambda r: r["dur_s"], reverse=True)
     slow = ranked[: max(1, len(ranked) // 10)]
     shares = [
-        (r["dur_s"] - r["unaccounted"]) / r["dur_s"] if r["dur_s"] > 0 else 1.0
+        (r["dur_s"] - r["attrs"]["unaccounted"]) / r["dur_s"] if r["dur_s"] > 0 else 1.0
         for r in slow
     ]
     return {
@@ -356,50 +306,54 @@ def _attribution(records: List[dict]) -> dict:
     }
 
 
-def _join_trace(
-    records: List[dict], header: dict, trace_path: PathLike
-) -> dict:
-    """Join access-log request ids against trace ``request_id`` links."""
-    trace = read_trace(trace_path)
-    run_wall: Dict[str, float] = {}
+def _engine_work(trace: TraceData, records: List[dict]) -> dict:
+    """Engine work under each successful write request, by span ancestry.
+
+    A write is covered when a run span (a batch, or an express refusal's
+    engine run) or an ``express`` event sits under its request span.
+    """
+    by_id = trace.by_id()
+
+    def request_of(parent: Optional[int]) -> Optional[int]:
+        while parent is not None:
+            span = by_id.get(parent)
+            if span is None:
+                return None
+            if span["kind"] == "request":
+                return span["id"]
+            parent = span["parent"]
+        return None
+
+    run_wall: Dict[int, float] = {}
     for span in trace.spans:
-        request_id = span.get("attrs", {}).get("request_id")
-        if span.get("kind") == "run" and isinstance(request_id, str):
-            run_wall[request_id] = run_wall.get(request_id, 0.0) + float(
-                span["dur_s"]
-            )
-    express_ids = {
-        event["attrs"]["request_id"]
-        for event in trace.events
-        if event.get("name") == "express"
-        and isinstance(event.get("attrs", {}).get("request_id"), str)
-    }
-    writes = [r for r in records if r["route"] in ("ingest", "update")]
-    matched = [r for r in writes if r["id"] in run_wall or r["id"] in express_ids]
-    engine_s = sorted(run_wall[r["id"]] for r in writes if r["id"] in run_wall)
-    join: dict = {
+        if span["kind"] == "run":
+            owner = request_of(span["parent"])
+            if owner is not None:
+                run_wall[owner] = run_wall.get(owner, 0.0) + float(span["dur_s"])
+    express = {
+        request_of(e["parent"]) for e in trace.events if e["name"] == "express"
+    } - {None}
+    writes = [
+        r["id"]
+        for r in records
+        if r["name"] in ("ingest", "update") and r["attrs"]["status"] == 200
+    ]
+    matched = [w for w in writes if w in run_wall or w in express]
+    return {
         "writes": len(writes),
         "matched": len(matched),
         "coverage": len(matched) / len(writes) if writes else 1.0,
-        "run_spans_linked": len(run_wall),
-        "express_events_linked": len(express_ids),
-        "engine": _latency_row(engine_s),
+        "run_spans": len(run_wall),
+        "express_events": len(express),
+        "engine": _latency_row([run_wall[w] for w in writes if w in run_wall]),
     }
-    # Wall-clock anchors on both files let the two perf_counter timelines
-    # be aligned; report the offset so downstream tools can overlay them.
-    anchor = trace.anchor
-    if anchor and _is_num(header.get("epoch_s")) and _is_num(header.get("perf_counter")):
-        join["clock_offset_s"] = (header["epoch_s"] - anchor["epoch_s"]) - (
-            header["perf_counter"] - anchor["perf_counter"]
-        )
-    return join
 
 
 def render_request_table(analysis: dict) -> str:
     """Human-readable tables for ``repro trace requests``."""
     lines: List[str] = []
     lines.append(
-        f"access log: {analysis['requests']} requests, "
+        f"trace: {analysis['requests']} requests, "
         f"{len(analysis['errors'])} schema violation(s)"
     )
     for problem in analysis["errors"]:
@@ -434,17 +388,12 @@ def render_request_table(analysis: dict) -> str:
         f"named stages explain {attribution['min_share']:.1%} (min) / "
         f"{attribution['mean_share']:.1%} (mean) of wall time"
     )
-    engine = analysis.get("engine")
-    if engine is not None:
-        lines.append(
-            f"engine join: {engine['matched']}/{engine['writes']} write "
-            f"requests matched ({engine['coverage']:.1%}) — "
-            f"{engine['run_spans_linked']} linked run span(s), "
-            f"{engine['express_events_linked']} express event(s); "
-            f"engine p99 {engine['engine']['p99_ms']:.2f} ms"
-        )
-        if "clock_offset_s" in engine:
-            lines.append(
-                f"clock anchors aligned (offset {engine['clock_offset_s'] * 1e3:+.3f} ms)"
-            )
+    engine = analysis["engine"]
+    lines.append(
+        f"engine work: {engine['matched']}/{engine['writes']} writes have it "
+        f"under their request span ({engine['coverage']:.1%}) — "
+        f"{engine['run_spans']} with run spans, "
+        f"{engine['express_events']} with express events; "
+        f"engine p99 {engine['engine']['p99_ms']:.2f} ms"
+    )
     return "\n".join(lines)

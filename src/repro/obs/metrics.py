@@ -6,10 +6,10 @@ scraped mid-run — the software analogue of the hardware counters the
 paper's evaluation is built on (events, accesses, queue occupancy, NoC
 flits; Figs. 9–14). :class:`MetricsRegistry` is a trace sink: attached to
 a tracer (``Tracer([REGISTRY, ...])``) it folds the finished ``run`` /
-``phase`` / ``round`` / ``engine`` spans and the ``transfer`` / ``express``
-events, so every engine, queue, express-lane and host number is emitted
-once, through the tracer, and the registry is derived from that one
-emission. Only the serve layer records directly (``record_serve_*``). The
+``phase`` / ``round`` / ``engine`` / ``request`` spans and the
+``transfer`` / ``express`` / ``serve.*`` events, so every engine, queue,
+express-lane, host and serve number is emitted once, through the tracer,
+and the registry is derived from that one emission. The
 shared :data:`REGISTRY` is exported as Prometheus text exposition
 (:meth:`MetricsRegistry.to_prometheus`, served live by
 :class:`repro.obs.scrape.MetricsServer`) or a JSON snapshot
@@ -20,9 +20,9 @@ loops check ``tracer.enabled`` once per scheduler round, so metrics cost
 nothing until a tracer carries the registry (``benchmarks/
 bench_trace_overhead.py``, mode ``off`` vs ``metrics``).
 
-Thread-safety: the serving daemon publishes from its handler and writer
+Thread-safety: the serving daemon emits from its handler and writer
 threads, so all mutation goes through a registry-wide lock, taken once per
-folded span, event or serve sample.
+folded span or event.
 """
 
 from __future__ import annotations
@@ -128,9 +128,9 @@ class Histogram:
 
     Buckets can carry an *exemplar* — the id of one observation that
     landed in them (last write wins), in the spirit of OpenMetrics
-    exemplars. The serve layer attaches request ids, so a latency bucket
-    in a scrape points at a concrete request to look up in the access
-    log. Exemplars appear in the JSON snapshot only; the 0.0.4 Prometheus
+    exemplars. Request spans attach their span id, so a latency bucket
+    in a scrape points at a concrete request to look up in the trace.
+    Exemplars appear in the JSON snapshot only; the 0.0.4 Prometheus
     text format has no syntax for them.
     """
 
@@ -185,8 +185,7 @@ class MetricsRegistry(Sink):
     One registry is the process-wide default (:data:`REGISTRY`); tests may
     construct private instances. As a sink it folds finished spans and
     events (see the module docstring), and only while ``enabled``: a
-    disabled registry records nothing, attached or not. The serve layer
-    calls the ``record_serve_*`` helpers directly.
+    disabled registry records nothing, attached or not.
     """
 
     def __init__(self, enabled: bool = False):
@@ -387,107 +386,71 @@ class MetricsRegistry(Sink):
             self._express_safe / self._express_total
         )
 
-    # ------------------------------------------------------------------
-    # Serve-layer helpers: direct (not engine accounting); callers check
-    # ``enabled`` first, as the serve layer and the request log do.
-    # ------------------------------------------------------------------
-    def record_serve_request(
-        self, route: str, status: int, dur_s: float, request_id: Optional[str] = None
-    ) -> None:
-        """Fold one handled ``repro serve`` HTTP request (:mod:`repro.serve`).
+    def _fold_request(self, span) -> None:
+        """One served HTTP request (:mod:`repro.obs.requests`): count by
+        route and status, latency and per-stage histograms by route. The
+        span id is each bucket's exemplar, so a scrape points at a
+        request to look up in the trace."""
+        attrs = span.attrs
+        route = (("route", span.name),)
+        exemplar = str(span.span_id)
+        series = self._series
+        status = (("status", str(attrs["status"])),)
+        series(Counter, "repro_serve_requests_total", route + status).inc()
+        series(
+            Histogram,
+            "repro_serve_request_latency_seconds",
+            route,
+            buckets=SERVE_LATENCY_BUCKETS,
+        ).observe(span.dur_s, exemplar=exemplar)
 
-        ``route`` is the logical route name (``ingest``, ``update``,
-        ``read``, ``session``, ...), not the raw path — label cardinality
-        must stay bounded no matter how many sessions a host opens.
-        ``request_id`` (when request tracing is on) becomes the latency
-        bucket's exemplar, so a scrape points at a concrete slow request.
-        """
-        route_label = (("route", route),)
-        with self._lock:
-            self._series(
-                Counter,
-                "repro_serve_requests_total",
-                route_label + (("status", str(status)),),
-            ).inc()
-            self._series(
-                Histogram,
-                "repro_serve_request_latency_seconds",
-                route_label,
-                buckets=SERVE_LATENCY_BUCKETS,
-            ).observe(dur_s, exemplar=request_id)
-
-    def record_serve_stage(
-        self, route: str, stage: str, dur_s: float, request_id: Optional[str] = None
-    ) -> None:
-        """Fold one request-stage latency (:mod:`repro.obs.reqtrace`): one
-        observation per named stage of each traced request (``parse``,
-        ``queued``, ``apply``, ... plus the explicit ``unaccounted``
-        residual), labelled by route and stage."""
-        with self._lock:
-            self._series(
+        def stage_latency(stage: str) -> Histogram:
+            return series(
                 Histogram,
                 "repro_serve_stage_latency_seconds",
-                (("route", route), ("stage", stage)),
+                route + (("stage", stage),),
                 buckets=SERVE_LATENCY_BUCKETS,
-            ).observe(dur_s, exemplar=request_id)
+            )
 
-    def record_serve_queue_depth(self, depth: int) -> None:
-        """Sample the ingest queue occupancy (at enqueue *and* dequeue), so
-        the gauge shows live backpressure, not only post-drain values."""
-        with self._lock:
-            self._series(Gauge, "repro_serve_queue_depth").set(depth)
+        for stage, stage_s in attrs["stages"].items():
+            stage_latency(stage).observe(stage_s, exemplar=exemplar)
+        if attrs["unaccounted"] > 0.0:
+            stage_latency("unaccounted").observe(attrs["unaccounted"])
 
-    def record_serve_ingest(self, kind: str, dur_s: float, queue_depth: int) -> None:
-        """Fold one applied write op: queue wait + apply, and queue depth.
+    def _fold_serve_read(self, attrs) -> None:
+        """One read served from a published snapshot, ``latest`` or
+        ``historical`` (a ``?version=`` read from the retained ring)."""
+        kind = (("kind", attrs["kind"]),)
+        self._series(Counter, "repro_serve_reads_total", kind).inc()
 
-        ``kind`` is ``"batch"`` (an ingest batch through ``Session.run``)
-        or ``"update"`` (a single-edge express update). ``queue_depth`` is
-        the ingest queue occupancy right after the op was dequeued — the
-        backpressure signal a dashboard alerts on.
-        """
-        labels = (("kind", kind),)
-        with self._lock:
-            self._series(Counter, "repro_serve_writes_applied_total", labels).inc()
-            self._series(
-                Histogram,
-                "repro_serve_ingest_latency_seconds",
-                labels,
-                buckets=SERVE_LATENCY_BUCKETS,
-            ).observe(dur_s)
-            self._series(Gauge, "repro_serve_queue_depth").set(queue_depth)
+    def _fold_serve_reject(self, attrs) -> None:
+        """One write refused by backpressure (bounded ingest queue full)."""
+        kind = (("kind", attrs["kind"]),)
+        self._series(Counter, "repro_serve_rejected_total", kind).inc()
 
-    def record_serve_rejection(self, kind: str) -> None:
-        """Fold one backpressure rejection (bounded ingest queue full)."""
-        with self._lock:
-            self._series(Counter, "repro_serve_rejected_total", (("kind", kind),)).inc()
+    def _fold_serve_publish(self, attrs) -> None:
+        """One applied write op and the snapshot it published: queue wait
+        + apply latency, the queue depth left behind, and how many reads
+        the retired snapshot served (read/write amortization)."""
+        kind = (("kind", attrs["kind"]),)
+        series = self._series
+        series(Counter, "repro_serve_writes_applied_total", kind).inc()
+        series(
+            Histogram,
+            "repro_serve_ingest_latency_seconds",
+            kind,
+            buckets=SERVE_LATENCY_BUCKETS,
+        ).observe(attrs["latency_s"])
+        series(Gauge, "repro_serve_queue_depth").set(attrs["queue_depth"])
+        series(Counter, "repro_serve_snapshots_total").inc()
+        if attrs["reads"]:
+            series(
+                Histogram, "repro_serve_reads_per_snapshot", buckets=SERVE_READS_BUCKETS
+            ).observe(attrs["reads"])
 
-    def record_serve_read(self, kind: str = "latest") -> None:
-        """Fold one read served from a published immutable snapshot:
-        ``"latest"`` (the live snapshot) or ``"historical"`` (a
-        ``?version=`` time-travel read from the retained ring)."""
-        with self._lock:
-            self._series(Counter, "repro_serve_reads_total", (("kind", kind),)).inc()
-
-    def record_serve_snapshot(self, reads_served: int) -> None:
-        """Fold one snapshot rotation (a write published a fresh one).
-
-        ``reads_served`` is how many reads the *retired* snapshot served
-        over its lifetime; the histogram shows read/write amortization —
-        high values mean many queries rode one converged state.
-        """
-        with self._lock:
-            self._series(Counter, "repro_serve_snapshots_total").inc()
-            if reads_served:
-                self._series(
-                    Histogram,
-                    "repro_serve_reads_per_snapshot",
-                    buckets=SERVE_READS_BUCKETS,
-                ).observe(reads_served)
-
-    def record_serve_sessions(self, count: int) -> None:
-        """Sample the number of open serve sessions."""
-        with self._lock:
-            self._series(Gauge, "repro_serve_sessions").set(count)
+    def _fold_serve_sessions(self, attrs) -> None:
+        """The number of open serve sessions, sampled on open and close."""
+        self._series(Gauge, "repro_serve_sessions").set(attrs["count"])
 
     # ------------------------------------------------------------------
     # Export
@@ -540,10 +503,15 @@ _SPAN_FOLDS = {
     "engine": MetricsRegistry._fold_engine,
     "phase": MetricsRegistry._fold_phase,
     "run": MetricsRegistry._fold_run,
+    "request": MetricsRegistry._fold_request,
 }
 _EVENT_FOLDS = {
     "transfer": MetricsRegistry._fold_transfer,
     "express": MetricsRegistry._fold_express,
+    "serve.read": MetricsRegistry._fold_serve_read,
+    "serve.reject": MetricsRegistry._fold_serve_reject,
+    "serve.publish": MetricsRegistry._fold_serve_publish,
+    "serve.sessions": MetricsRegistry._fold_serve_sessions,
 }
 
 #: Span attribute -> counter family: ``repro_<attr>_total``.
@@ -634,10 +602,10 @@ _HELP = {
     "repro_engine_events_generated_total": "Events generated, by engine shard.",
     "repro_serve_requests_total": "Serve HTTP requests handled, by route and status.",
     "repro_serve_request_latency_seconds": "Serve HTTP request latency, by route.",
-    "repro_serve_stage_latency_seconds": "Traced request stage latency, by route and stage.",
+    "repro_serve_stage_latency_seconds": "Serve HTTP request stage latency, by route and stage.",
     "repro_serve_writes_applied_total": "Serve write ops applied, by kind (batch | update).",
     "repro_serve_ingest_latency_seconds": "Queue wait + apply latency of serve write ops, by kind.",
-    "repro_serve_queue_depth": "Ingest queue occupancy, observed at enqueue and dequeue.",
+    "repro_serve_queue_depth": "Ingest queue occupancy left behind by the last applied write.",
     "repro_serve_rejected_total": "Write ops rejected by ingest backpressure, by kind.",
     "repro_serve_reads_total": "Reads served from published immutable snapshots, by kind (latest | historical).",
     "repro_serve_snapshots_total": "Converged snapshots published by serve write ops.",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import sys
+import threading
 from typing import IO, List, Optional, Union
 
 from repro.obs.tracer import Span, TraceEvent
@@ -72,7 +73,10 @@ class JsonlSink(Sink):
 
     Children therefore precede their parents in the file — readers must
     reassemble the tree from the ``parent`` pointers, which
-    :func:`repro.obs.trace_file.read_trace` does.
+    :func:`repro.obs.trace_file.read_trace` does. A serving daemon ends
+    spans on many threads, so each line is written under a lock, and a
+    span that ends after :meth:`close` (a request still answering as the
+    daemon stops) is dropped.
     """
 
     def __init__(self, path_or_handle: Union[str, IO[str]]):
@@ -82,12 +86,16 @@ class JsonlSink(Sink):
         else:
             self._handle = open(path_or_handle, "w", encoding="utf-8")
             self._owns = True
+        self._lock = threading.Lock()
         self._write(
             {"type": "header", "format": TRACE_FORMAT, "version": TRACE_VERSION}
         )
 
     def _write(self, record: dict) -> None:
-        self._handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+        line = json.dumps(record, separators=(",", ":")) + "\n"
+        with self._lock:
+            if not self._handle.closed:
+                self._handle.write(line)
 
     def on_anchor(self, epoch_s: float, clock_origin: float) -> None:
         # Written right after the header line: the wall-clock anchor that
@@ -103,15 +111,17 @@ class JsonlSink(Sink):
         self._write(event.to_record())
 
     def flush(self) -> None:
-        if not getattr(self._handle, "closed", False):
-            self._handle.flush()
+        with self._lock:
+            if not self._handle.closed:
+                self._handle.flush()
 
     def close(self) -> None:
-        if getattr(self._handle, "closed", False):
-            return
-        self._handle.flush()
-        if self._owns:
-            self._handle.close()
+        with self._lock:
+            if self._handle.closed:
+                return
+            self._handle.flush()
+            if self._owns:
+                self._handle.close()
 
     def __enter__(self) -> "JsonlSink":
         return self

@@ -8,12 +8,14 @@ Every subsequent line is a ``span`` or ``event`` record (see
 ``docs/architecture.md`` § Observability for the full field table):
 
 ``span``
-    ``kind`` ∈ {run, phase, round, engine}, ``name``, integer ``id``,
-    ``parent`` (integer id or null), ``t_start``/``t_end``/``dur_s``
+    ``kind`` ∈ {run, phase, round, engine, request}, ``name``, integer
+    ``id``, ``parent`` (integer id or null), ``t_start``/``t_end``/``dur_s``
     wall-clock seconds (monotonic origin), ``attrs`` object. Round spans
     carry the complete :class:`~repro.core.metrics.RoundWork` vector;
     phase spans carry the phase aggregates (``rounds`` plus the summed
-    work vector and the phase extras).
+    work vector and the phase extras); request spans (one served HTTP
+    request, named after its route) carry ``status``, ``stages`` and
+    ``unaccounted`` (:mod:`repro.obs.requests`).
 
 ``event``
     ``name``, ``t``, ``parent``, ``attrs``.
@@ -21,9 +23,8 @@ Every subsequent line is a ``span`` or ``event`` record (see
 ``anchor``
     ``epoch_s`` (``time.time`` at tracer construction) and
     ``perf_counter`` (the span clock read at the same instant) — the
-    wall-clock anchor that lets offline tools join span timestamps with
-    wall-clock sources such as serve access logs. Written immediately
-    after the header by the JSONL sink.
+    wall-clock anchor that places span timestamps on the wall clock.
+    Written immediately after the header by the JSONL sink.
 
 Spans are written when they *end*, so children precede parents on disk;
 :func:`read_trace` reassembles the tree from the ``parent`` pointers.
@@ -150,6 +151,13 @@ def _validate_span(record: dict, where: str) -> List[str]:
         for name in WORK_FIELDS:
             if not isinstance(attrs.get(name), int):
                 errors.append(f"{where}: phase span missing integer attr {name!r}")
+    if record.get("kind") == "request":
+        if not isinstance(attrs.get("status"), int):
+            errors.append(f"{where}: request span missing integer attr 'status'")
+        if not isinstance(attrs.get("stages"), dict):
+            errors.append(f"{where}: request span missing object attr 'stages'")
+        if not _is_num(attrs.get("unaccounted")):
+            errors.append(f"{where}: request span missing number attr 'unaccounted'")
     return errors
 
 

@@ -17,7 +17,10 @@ the untraced build (``benchmarks/bench_trace_overhead.py``).
 The tracer keeps one span stack per thread, so nesting is implicit: a
 round span started inside an open phase span of the same thread becomes
 its child, and sessions writing concurrently from their own threads
-build separate trees. The engine loops use the explicit
+build separate trees. :meth:`Tracer.within` lends a span across threads:
+the serve writer applies a request's op under the ``request`` span its
+handler thread opened, so the engine work nests under the request that
+caused it. The engine loops use the explicit
 :meth:`Tracer.start`/:meth:`Tracer.end` pair under their ``enabled``
 guard; orchestration code (one call per phase) uses the context-manager
 helpers :meth:`Tracer.span`, :meth:`Tracer.phase`, and
@@ -56,8 +59,9 @@ PHASE_EXTRAS = ("vertices_reset", "deletes_discarded", "request_events")
 #: on phase spans.
 NOC_FIELDS = ("noc_events_local", "noc_events_remote", "noc_flits", "noc_cycles")
 
-#: Span kinds a conforming trace may contain.
-SPAN_KINDS = ("run", "phase", "round", "engine")
+#: Span kinds a conforming trace may contain (``request``: one served
+#: HTTP request, see :mod:`repro.obs.requests`).
+SPAN_KINDS = ("run", "phase", "round", "engine", "request")
 
 
 def work_attrs(work) -> Dict[str, int]:
@@ -153,11 +157,10 @@ class TraceEvent:
 
 
 class _ThreadState(threading.local):
-    """One thread's open-span stack and active :meth:`Tracer.linked` attrs."""
+    """One thread's open-span stack."""
 
     def __init__(self):
         self.stack: List[Span] = []
-        self.links: List[Dict[str, object]] = []
 
 
 class Tracer:
@@ -171,9 +174,8 @@ class Tracer:
         self._local = _ThreadState()
         self._ids = itertools.count(1)
         #: Wall-clock anchor: ``epoch_s`` (time.time) and the span clock
-        #: read at the same instant. Offline tools use the pair to align
-        #: perf_counter span timestamps with wall-clock sources (serve
-        #: access logs).
+        #: read at the same instant. Offline tools use the pair to place
+        #: perf_counter span timestamps on the wall clock.
         self.epoch_s = time.time()
         self.clock_origin = self.clock()
         for sink in self.sinks:
@@ -188,34 +190,23 @@ class Tracer:
         return stack[-1] if stack else None
 
     def start(self, kind: str, name: str = "", **attrs) -> Span:
-        """Open a span nested under the current one.
-
-        Root spans (no open parent) absorb any active :meth:`linked`
-        attributes, so e.g. an engine run span started while serving a
-        request carries that request's id.
-        """
-        local = self._local
-        stack = local.stack
+        """Open a span nested under the current one."""
+        stack = self._local.stack
         parent = stack[-1].span_id if stack else None
-        if parent is None and local.links:
-            attrs = self._merge_links(attrs)
         span = Span(kind, name or kind, next(self._ids), parent, self.clock(), attrs)
         stack.append(span)
         for sink in self.sinks:
             sink.on_span_start(span)
         return span
 
-    def end(self, span: Span, **attrs) -> Span:
-        """Close ``span`` (and any forgotten children), emit to sinks."""
-        stack = self._local.stack
-        while stack:
-            top = stack.pop()
-            if top is span:
-                break
-            top.t_end = self.clock()  # orphaned child: close it too
-            for sink in self.sinks:
-                sink.on_span_end(top)
-        span.t_end = self.clock()
+    def end(self, span: Span, t_end: Optional[float] = None, **attrs) -> Span:
+        """Close ``span`` (and any forgotten children), emit to sinks.
+
+        ``t_end`` pins the end time to a clock value the caller already
+        read (a request span's stage partition is computed against it).
+        """
+        self._unwind(span)
+        span.t_end = self.clock() if t_end is None else t_end
         span.attrs.update(attrs)
         for sink in self.sinks:
             sink.on_span_end(span)
@@ -245,14 +236,8 @@ class Tracer:
         return span
 
     def event(self, name: str, **attrs) -> TraceEvent:
-        """Emit a point event under the current span.
-
-        Root-level events (no open span) absorb :meth:`linked` attributes
-        the same way root spans do.
-        """
+        """Emit a point event under the current span."""
         parent = self.current()
-        if parent is None and self._local.links:
-            attrs = self._merge_links(attrs)
         event = TraceEvent(
             name, self.clock(), parent.span_id if parent is not None else None, attrs
         )
@@ -260,28 +245,35 @@ class Tracer:
             sink.on_event(event)
         return event
 
-    def _merge_links(self, attrs: Dict[str, object]) -> Dict[str, object]:
-        merged: Dict[str, object] = {}
-        for link in self._local.links:
-            merged.update(link)
-        merged.update(attrs)
-        return merged
+    def _unwind(self, span: Span) -> None:
+        """Pop the calling thread's stack down to and including ``span``,
+        ending any forgotten child above it on the way."""
+        stack = self._local.stack
+        while stack:
+            top = stack.pop()
+            if top is span:
+                break
+            top.t_end = self.clock()  # orphaned child: close it too
+            for sink in self.sinks:
+                sink.on_span_end(top)
 
     @contextmanager
-    def linked(self, **attrs):
-        """Attach ``attrs`` to every *root* span/event started inside.
+    def within(self, span: Optional[Span]):
+        """Nest this thread's spans and events under ``span`` for the body.
 
-        This is the span-link mechanism request tracing uses: the serve
-        writer wraps each applied op in ``tracer.linked(request_id=...)``
-        so the engine run spans it triggers carry the originating request
-        id without threading a context through every engine layer.
+        ``span`` stays open: another thread started it and ends it. The
+        serve writer applies each op inside ``within(<its request span>)``,
+        so the run spans and ``express`` events the op causes land under
+        the request that caused them. ``None`` leaves nesting unchanged.
         """
-        links = self._local.links
-        links.append(dict(attrs))
+        if span is None:
+            yield
+            return
+        self._local.stack.append(span)
         try:
             yield
         finally:
-            links.pop()
+            self._unwind(span)
 
     # ------------------------------------------------------------------
     # Context-manager helpers (orchestration-layer use)
@@ -399,7 +391,7 @@ class NullTracer:
     def round(self, *args, **kwargs):
         return _NULL_CTX
 
-    def linked(self, *args, **kwargs):
+    def within(self, *args, **kwargs):
         return _NULL_CTX
 
     def flush(self) -> None:

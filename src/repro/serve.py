@@ -36,7 +36,8 @@ same retention bound the host session's :class:`DeltaVersionStore` uses
 for graph deltas). ``GET /sessions/<s>/read?version=<v>`` serves from
 the retained snapshot for graph version ``v`` — still lock-free, still
 immutable — and answers 404 ``VERSION_EVICTED`` once retention has
-dropped it. Historical reads are counted separately from latest reads
+dropped it; a negative version is a 400 ``BAD_VERSION``. Historical
+reads are counted separately from latest reads
 (``repro_serve_reads_total{kind="historical"}``).
 
 Shutdown drains: the server stops accepting new work, each writer thread
@@ -64,10 +65,17 @@ lists per 25+25 batch). The rebuilt payload is normalized: ids are
 ints, weights floats, and an update's defaulted ``w``/``op`` are
 spelled out.
 
-The ``/metrics`` and ``/metrics.json`` scrape routes of
-:mod:`repro.obs.scrape` are mounted on the same server, alongside the
-serve-specific families (queue depth, ingest latency, reads per
-snapshot) in :class:`~repro.obs.metrics.MetricsRegistry`.
+Tracing
+-------
+Every HTTP request is a ``request`` span on the accelerator's tracer,
+with end-of-stage marks (:mod:`repro.obs.requests`). The writer applies
+each op inside :meth:`~repro.obs.tracer.Tracer.within` the span of the
+request that submitted it, so the engine spans the op causes are that
+request's descendants. Samples that are not one request's —
+reads, rejections, publishes, the session count — are ``serve.*``
+events. A metrics registry on the tracer folds both into the
+``repro_serve_*`` families; the ``/metrics`` and ``/metrics.json``
+scrape routes of :mod:`repro.obs.scrape` are mounted on the same server.
 """
 
 from __future__ import annotations
@@ -77,6 +85,7 @@ import itertools
 import json
 import queue
 import threading
+import traceback
 from collections import OrderedDict, deque
 from functools import cached_property
 from dataclasses import dataclass, field
@@ -89,7 +98,7 @@ import numpy as np
 from repro.core.policies import DeletePolicy
 from repro.host import Accelerator, HostApiError, Session
 from repro.obs.metrics import REGISTRY as METRICS
-from repro.obs.reqtrace import REQUEST_LOG, RequestContext
+from repro.obs.requests import debug_requests, end_request, mark
 from repro.obs.scrape import PayloadHandler, metrics_payload, send_payload
 from repro.streams import deletion_rows, insertion_rows, vertex_id
 
@@ -153,12 +162,13 @@ class _WriteOp:
     kind: str  # "batch" | "update"
     payload: dict
     enqueued_at: float
+    #: The submitter's open span (its request span when served over
+    #: HTTP): the writer nests the op's engine work under it and marks
+    #: the queued/apply/publish stages on it.
+    span: object = None
     done: threading.Event = field(default_factory=threading.Event)
     result: Optional[dict] = None
     error: Optional[ServeError] = None
-    #: Originating request context when request tracing is enabled; the
-    #: writer thread marks the queued/apply/publish stages on it.
-    ctx: Optional[RequestContext] = None
 
 
 class ServeSession:
@@ -232,14 +242,6 @@ class ServeSession:
             states=states,
         )
 
-    def _publish(self) -> None:
-        retired_reads = self._reads_on_snapshot
-        self._reads_on_snapshot = 0
-        self._snapshot = self._build_snapshot()
-        self._remember(self._snapshot)
-        if METRICS.enabled:
-            METRICS.record_serve_snapshot(retired_reads)
-
     def _remember(self, snapshot: ReadSnapshot) -> None:
         """Retain ``snapshot`` in the version ring; evict past the bound.
 
@@ -259,17 +261,22 @@ class ServeSession:
         """The latest published converged snapshot (lock-free)."""
         snapshot = self._snapshot  # single atomic attribute load
         self._reads_on_snapshot += 1  # stats-only; benign race
-        if METRICS.enabled:
-            METRICS.record_serve_read(kind="latest")
+        tracer = self.session.tracer
+        if tracer.enabled:
+            tracer.event("serve.read", kind="latest")
         return snapshot
 
     def read_version(self, version: int) -> ReadSnapshot:
         """A retained historical snapshot for graph ``version``.
 
-        Raises 404 ``NO_VERSION`` for a version newer than anything
-        published, 404 ``VERSION_EVICTED`` for one the retention bound
-        has already dropped.
+        Raises 400 ``BAD_VERSION`` for a negative version, 404
+        ``NO_VERSION`` for one newer than anything published, and 404
+        ``VERSION_EVICTED`` for one the retention bound has dropped.
         """
+        if version < 0:
+            raise ServeError(
+                400, "BAD_VERSION", f"version must be >= 0, got {version}"
+            )
         latest = self._snapshot
         with self._history_lock:
             snapshot = self._history.get(version)
@@ -289,38 +296,34 @@ class ServeSession:
                 f"(keep_versions={self.keep_versions}, oldest retained "
                 f"{oldest})",
             )
-        if METRICS.enabled:
-            METRICS.record_serve_read(kind="historical")
+        tracer = self.session.tracer
+        if tracer.enabled:
+            tracer.event("serve.read", kind="historical")
         return snapshot
 
     # -- write path ----------------------------------------------------
-    def submit(
-        self, kind: str, payload: dict, ctx: Optional[RequestContext] = None
-    ) -> dict:
+    def submit(self, kind: str, payload: dict) -> dict:
         """Enqueue one write op and wait for the writer to apply it.
 
-        Raises :class:`ServeError` 429 immediately when the bounded queue
-        is full (backpressure) and 409 when the session is draining.
+        The op is applied under the caller's open span (see
+        :class:`_WriteOp`). Raises :class:`ServeError` 429 immediately
+        when the bounded queue is full (backpressure) and 409 when the
+        session is draining.
         """
         if self._closing:
             raise ServeError(409, "CLOSING", "session is shutting down")
-        op = _WriteOp(
-            kind=kind, payload=payload, enqueued_at=perf_counter(), ctx=ctx
-        )
+        tracer = self.session.tracer
+        op = _WriteOp(kind, payload, perf_counter(), tracer.current())
         try:
             self._queue.put_nowait(op)
         except queue.Full:
-            if METRICS.enabled:
-                METRICS.record_serve_rejection(kind)
+            if tracer.enabled:
+                tracer.event("serve.reject", kind=kind)
             raise ServeError(
                 429,
                 "QUEUE_FULL",
                 f"ingest queue at bound ({self.queue_bound}); retry later",
             )
-        if METRICS.enabled:
-            # Enqueue-side sample: the dequeue side re-samples after each
-            # drain, so the gauge tracks live backpressure both ways.
-            METRICS.record_serve_queue_depth(self._queue.qsize())
         op.done.wait()
         if op.error is not None:
             raise op.error
@@ -345,58 +348,51 @@ class ServeSession:
                 op.done.set()
 
     def _apply(self, op: _WriteOp) -> dict:
-        ctx = op.ctx
-        if ctx is not None:
-            # End of the queued stage: the op waited for the writer (and
-            # any gate pause) from its parse mark until now.
-            ctx.mark("queued")
+        # End of the queued stage: the op waited for the writer (and any
+        # gate pause) from its parse mark until now.
+        mark(op.span, "queued")
         tracer = self.session.tracer
-        if ctx is not None and tracer.enabled:
-            # Span link: every root span/event the engine emits while this
-            # op applies carries the originating request id.
-            with tracer.linked(request_id=ctx.request_id):
-                applied, packed = self._apply_op(op, ctx)
-        else:
-            applied, packed = self._apply_op(op, ctx)
-        self._applied_seq += 1
-        self._publish()
-        snapshot = self._snapshot
-        applied.update(seq=snapshot.seq, stamp=snapshot.stamp)
-        with self._log_lock:
-            self._log.append((snapshot.seq, op.kind, packed))
-            if self.log_bound is not None:
-                while len(self._log) > self.log_bound:
-                    self._log.popleft()
-                    self._log_dropped += 1
-        if ctx is not None:
-            ctx.mark("publish")
-        if METRICS.enabled:
-            METRICS.record_serve_ingest(
-                op.kind, perf_counter() - op.enqueued_at, self._queue.qsize()
-            )
+        with tracer.within(op.span):
+            applied, packed = self._apply_op(op)
+            self._applied_seq += 1
+            retired_reads, self._reads_on_snapshot = self._reads_on_snapshot, 0
+            self._snapshot = snapshot = self._build_snapshot()
+            self._remember(snapshot)
+            applied.update(seq=snapshot.seq, stamp=snapshot.stamp)
+            with self._log_lock:
+                self._log.append((snapshot.seq, op.kind, packed))
+                if self.log_bound is not None:
+                    while len(self._log) > self.log_bound:
+                        self._log.popleft()
+                        self._log_dropped += 1
+            if tracer.enabled:
+                tracer.event(
+                    "serve.publish",
+                    kind=op.kind,
+                    latency_s=perf_counter() - op.enqueued_at,
+                    queue_depth=self._queue.qsize(),
+                    reads=retired_reads,
+                )
+        mark(op.span, "publish")
         return applied
 
-    def _apply_op(
-        self, op: _WriteOp, ctx: Optional[RequestContext]
-    ) -> Tuple[dict, tuple]:
+    def _apply_op(self, op: _WriteOp) -> Tuple[dict, tuple]:
         """Apply one op; returns the reply and its packed log payload."""
         session = self.session
+        span = op.span
         if op.kind == "batch":
             # handle_ingest already converted the JSON lists; the same
             # arrays are staged, applied and logged.
             insertions, deletions = _batch_arrays(op.payload)
             session.push_updates(insertions=insertions, deletions=deletions)
             result = session.run()
-            if ctx is not None:
-                ctx.mark("apply")
-                ctx.attrs["events_processed"] = int(
-                    result.metrics.events_processed
-                )
+            events = int(result.metrics.events_processed)
+            mark(span, "apply", events_processed=events)
             applied: dict = {
                 "kind": "batch",
                 "insertions": len(insertions),
                 "deletions": len(deletions),
-                "events_processed": int(result.metrics.events_processed),
+                "events_processed": events,
             }
             packed: tuple = (insertions, deletions)
         elif op.kind == "update":
@@ -408,14 +404,11 @@ class ServeSession:
             )
             t_apply = perf_counter()
             express = session.apply_update(u, v, w, op=edge_op)
-            if ctx is not None:
-                # Carve the classify stage out of the apply window using
-                # the express lane's own split; the rest of the window is
-                # the safe apply or the engine fallthrough.
-                ctx.mark("classify", t=t_apply + express.classify_s)
-                ctx.mark("apply")
-                ctx.attrs["safe"] = express.safe
-                ctx.attrs["reason"] = express.reason
+            # Carve the classify stage out of the apply window using the
+            # express lane's own split; the rest of the window is the safe
+            # apply or the engine fallthrough.
+            mark(span, "classify", t_apply + express.classify_s)
+            mark(span, "apply", safe=express.safe, reason=express.reason)
             applied = {
                 "kind": "update",
                 "op": express.op,
@@ -652,8 +645,7 @@ class ServeApp:
             if session is not None:
                 session.close()
             raise
-        if METRICS.enabled:
-            METRICS.record_serve_sessions(len(self.sessions))
+        self._count_sessions()
         return served
 
     def get_session(self, name: str) -> ServeSession:
@@ -668,8 +660,12 @@ class ServeApp:
         if served is None:
             raise ServeError(404, "NO_SESSION", f"no session {name!r}")
         served.close(drain=drain)
-        if METRICS.enabled:
-            METRICS.record_serve_sessions(len(self.sessions))
+        self._count_sessions()
+
+    def _count_sessions(self) -> None:
+        tracer = self.accelerator.tracer
+        if tracer.enabled:
+            tracer.event("serve.sessions", count=len(self.sessions))
 
     def close(self, drain: bool = True) -> None:
         """Drain and close every session, then the accelerator."""
@@ -723,18 +719,14 @@ class ServeApp:
             reply["values"] = values
         return reply
 
-    def handle_ingest(
-        self, name: str, payload: dict, ctx: Optional[RequestContext] = None
-    ) -> dict:
+    def handle_ingest(self, name: str, payload: dict) -> dict:
         served = self.get_session(name)
         insertions, deletions = _batch_arrays(payload)  # 400 before queueing
         return served.submit(
-            "batch", {"insertions": insertions, "deletions": deletions}, ctx=ctx
+            "batch", {"insertions": insertions, "deletions": deletions}
         )
 
-    def handle_update(
-        self, name: str, payload: dict, ctx: Optional[RequestContext] = None
-    ) -> dict:
+    def handle_update(self, name: str, payload: dict) -> dict:
         for key in ("u", "v"):
             if key not in payload:
                 raise ServeError(400, "BAD_UPDATE", f"missing field {key!r}")
@@ -744,7 +736,7 @@ class ServeApp:
                 raise ServeError(400, "BAD_UPDATE", str(exc)) from None
         if payload.get("op", "insert") not in ("insert", "delete"):
             raise ServeError(400, "BAD_UPDATE", "op must be insert|delete")
-        return self.get_session(name).submit("update", payload, ctx=ctx)
+        return self.get_session(name).submit("update", payload)
 
     def healthz(self) -> dict:
         return {
@@ -807,86 +799,55 @@ class _ServeHandler(PayloadHandler):
         return payload
 
     def _route(self, method: str, head_only: bool = False) -> None:
-        t0 = perf_counter()
-        ctx = (
-            REQUEST_LOG.open_request(method, self.path)
-            if REQUEST_LOG.enabled
-            else None
-        )
+        tracer = self.app.accelerator.tracer
+        span = tracer.start("request", method=method, path=self.path)
         path, _, query = self.path.partition("?")
-        if method == "GET" and path in ("/metrics", "/metrics.json"):
-            # Shared scrape routes, mounted on the serving port.
-            ctype, body = metrics_payload(METRICS, path)
-            send_payload(self, 200, ctype, body, head_only)
-            if ctx is not None:
-                ctx.mark("respond")
-                REQUEST_LOG.finish(ctx, "metrics", 200, registry=METRICS)
-            if METRICS.enabled:
-                METRICS.record_serve_request(
-                    "metrics",
-                    200,
-                    perf_counter() - t0,
-                    request_id=ctx.request_id if ctx is not None else None,
-                )
-            return
-        parts = [p for p in path.split("/") if p]
-        route = "unknown"
-        status = 200
+        route, status = "unknown", 200
         try:
-            route, status, payload = self._dispatch(
-                method, path, parts, query, ctx
-            )
-            self._reply(status, payload, head_only)
-            if ctx is not None:
-                ctx.mark("respond")
+            if method == "GET" and path in ("/metrics", "/metrics.json"):
+                # Shared scrape routes, mounted on the serving port.
+                route = "metrics"
+                ctype, body = metrics_payload(METRICS, path)
+                send_payload(self, 200, ctype, body, head_only)
+            else:
+                parts = [p for p in path.split("/") if p]
+                route, status, payload = self._dispatch(
+                    method, path, parts, query, span
+                )
+                self._reply(status, payload, head_only)
         except ServeError as exc:
             status = exc.status
-            self._reply(
-                exc.status,
-                {"error": exc.code, "message": exc.message},
-                head_only,
-            )
-            if ctx is not None:
-                ctx.mark("respond")
+            self._reply(status, {"error": exc.code, "message": exc.message}, head_only)
         except (BrokenPipeError, ConnectionResetError):
             status = 499  # client went away mid-request
             self.close_connection = True
+        except Exception as exc:  # a handler bug: log it, answer it, keep serving
+            traceback.print_exc()
+            status = 500
+            self._reply(status, {"error": "INTERNAL", "message": repr(exc)}, head_only)
         finally:
-            if ctx is not None:
-                REQUEST_LOG.finish(ctx, route, status, registry=METRICS)
-            if METRICS.enabled:
-                METRICS.record_serve_request(
-                    route,
-                    status,
-                    perf_counter() - t0,
-                    request_id=ctx.request_id if ctx is not None else None,
-                )
+            if span is not None:
+                if status != 499:
+                    mark(span, "respond")
+                end_request(tracer, span, route, status)
 
     def _dispatch(
-        self,
-        method: str,
-        path: str,
-        parts: List[str],
-        query: str,
-        ctx: Optional[RequestContext] = None,
+        self, method: str, path: str, parts: List[str], query: str, span
     ) -> Tuple[str, int, dict]:
         app = self.app
         if method == "GET":
             if path in ("/healthz", "/"):
                 return "healthz", 200, app.healthz()
             if path == "/debug/requests":
-                return "debug", 200, REQUEST_LOG.debug_payload(METRICS)
+                return "debug", 200, debug_requests(app.accelerator.tracer)
             if len(parts) == 3 and parts[0] == "sessions":
                 name, action = parts[1], parts[2]
                 if action == "read":
                     vertices = _parse_vertices(query)
                     version = _parse_version(query)
-                    if ctx is not None:
-                        ctx.attrs["session"] = name
-                        ctx.mark("parse")
+                    mark(span, "parse", session=name)
                     reply = app.handle_read(name, vertices, version=version)
-                    if ctx is not None:
-                        ctx.mark("snapshot")
+                    mark(span, "snapshot")
                     return "read", 200, reply
                 if action == "stats":
                     return "stats", 200, app.get_session(name).stats()
@@ -898,8 +859,7 @@ class _ServeHandler(PayloadHandler):
         elif method == "POST":
             if path == "/sessions":
                 body = self._read_json()
-                if ctx is not None:
-                    ctx.mark("parse")
+                mark(span, "parse")
                 if "edges" not in body or "algorithm" not in body:
                     raise ServeError(
                         400, "BAD_SESSION", "need 'edges' and 'algorithm'"
@@ -910,6 +870,11 @@ class _ServeHandler(PayloadHandler):
                     if "keep_versions" in body
                     else DEFAULT_KEEP_VERSIONS
                 )
+                log_bound = _int_field(body, "log_bound", None)
+                if log_bound is not None and log_bound < 1:
+                    raise ServeError(
+                        400, "BAD_SESSION", f"'log_bound' must be >= 1, got {log_bound}"
+                    )
                 served = app.create_session(
                     body["edges"],
                     body["algorithm"],
@@ -921,12 +886,10 @@ class _ServeHandler(PayloadHandler):
                     symmetric=bool(body.get("symmetric", False)),
                     num_vertices=_int_field(body, "num_vertices", 0),
                     queue_bound=_int_field(body, "queue_bound", None),
-                    log_bound=_int_field(body, "log_bound", None),
+                    log_bound=log_bound,
                     keep_versions=keep_versions or None,
                 )
-                if ctx is not None:
-                    ctx.attrs["session"] = served.name
-                    ctx.mark("apply")
+                mark(span, "apply", session=served.name)
                 stats = served.stats()
                 return "session", 201, {
                     "session": served.name,
@@ -941,16 +904,12 @@ class _ServeHandler(PayloadHandler):
                 name, action = parts[1], parts[2]
                 if action == "ingest":
                     body = self._read_json()
-                    if ctx is not None:
-                        ctx.attrs["session"] = name
-                        ctx.mark("parse")
-                    return "ingest", 200, app.handle_ingest(name, body, ctx)
+                    mark(span, "parse", session=name)
+                    return "ingest", 200, app.handle_ingest(name, body)
                 if action == "update":
                     body = self._read_json()
-                    if ctx is not None:
-                        ctx.attrs["session"] = name
-                        ctx.mark("parse")
-                    return "update", 200, app.handle_update(name, body, ctx)
+                    mark(span, "parse", session=name)
+                    return "update", 200, app.handle_update(name, body)
                 if action == "close":
                     app.close_session(name)
                     return "session", 200, {"session": name, "closed": True}

@@ -1,25 +1,26 @@
-"""Tests for request-scoped tracing (:mod:`repro.obs.reqtrace`).
+"""Tests for served requests as spans (:mod:`repro.obs.requests`).
 
 Covers the tail-latency attribution pipeline end to end:
 
-* stage marks partition a request's wall time (monotonic, clamped,
+* stage marks partition a request span's wall time (monotonic, clamped,
   explicit-timestamp carve-outs like the express lane's classify split);
 * the queue-wait stage grows deterministically under a writer-gate pause;
-* the slow-request ring evicts oldest-first at its bound;
-* the JSONL access log round-trips through :func:`read_access_log` /
-  :func:`analyze_requests`, including the schema/monotonicity gate;
-* span links (``Tracer.linked``) land on root spans/events only, and the
-  wall-clock anchor reaches every sink and the trace file;
-* the serve HTTP surface: ``GET /debug/requests`` and the full
-  access-log + engine-trace join with 100% write coverage.
+* the slow-request sink's ring evicts oldest-first at its bound, and
+  the registry folds request spans into stage histograms with exemplars;
+* request spans in a JSONL trace round-trip through
+  :func:`analyze_requests`, including its monotonicity gate;
+* the wall-clock anchor reaches every sink and the trace file;
+* the serve HTTP surface: ``GET /debug/requests``, and every engine run
+  span and ``express`` event under the request that caused it, also
+  with two sessions writing at once.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
-from time import perf_counter
 
 import pytest
 
@@ -28,21 +29,17 @@ from repro.obs import (
     REGISTRY,
     JsonlSink,
     MemorySink,
+    SlowRequestSink,
     Tracer,
     analyze_requests,
-    read_access_log,
+    end_request,
+    mark,
     read_trace,
     render_request_table,
     validate_trace,
 )
 from repro.obs.metrics import Histogram
-from repro.obs.reqtrace import (
-    ACCESS_LOG_FORMAT,
-    ACCESS_LOG_VERSION,
-    REQUEST_LOG,
-    RequestContext,
-    RequestLog,
-)
+from repro.obs.sinks import TRACE_FORMAT, TRACE_VERSION
 from repro.serve import ServeApp, ServeServer
 
 from tests.test_serve import EDGES, HttpClient, wait_until
@@ -50,10 +47,26 @@ from tests.test_serve import EDGES, HttpClient, wait_until
 A = pytest.approx
 
 
+class FakeClock:
+    """A span clock the test moves by hand."""
+
+    def __init__(self, now: float = 100.0):
+        self.now = now
+
+    def __call__(self) -> float:
+        return self.now
+
+
+def request(tracer, path="/x", method="POST"):
+    return tracer.start("request", method=method, path=path)
+
+
 @pytest.fixture
-def app():
-    app = ServeApp()
-    yield app
+def traced():
+    """A ``ServeApp`` whose accelerator traces into a memory sink."""
+    sink = MemorySink()
+    app = ServeApp(accelerator=Accelerator(tracer=Tracer([sink])))
+    yield app, sink
     app.close()
 
 
@@ -62,104 +75,147 @@ def make_session(app, name="s", **kwargs):
 
 
 class TestRequestContext:
+    """Stage marks on a request span partition its wall time."""
+
     def test_explicit_marks_partition_deterministically(self):
-        ctx = RequestContext("r000001", "POST", "/sessions/s/update")
-        t0 = ctx.t_recv
-        ctx.mark("parse", t=t0 + 0.010)
-        ctx.mark("queued", t=t0 + 0.030)
-        ctx.mark("classify", t=t0 + 0.031)
-        ctx.mark("apply", t=t0 + 0.050)
-        stages, unaccounted = ctx.stages(t_end=t0 + 0.060)
-        assert stages == {
+        clock = FakeClock()
+        tracer = Tracer([], clock=clock)
+        span = request(tracer, "/sessions/s/update")
+        t0 = span.t_start
+        mark(span, "parse", t=t0 + 0.010)
+        mark(span, "queued", t=t0 + 0.030)
+        mark(span, "classify", t=t0 + 0.031)
+        mark(span, "apply", t=t0 + 0.050)
+        clock.now = t0 + 0.060
+        end_request(tracer, span, "update", 200)
+        assert span.attrs["stages"] == {
             "parse": A(0.010),
             "queued": A(0.020),
             "classify": A(0.001),
             "apply": A(0.019),
         }
-        assert unaccounted == A(0.010)
+        assert span.attrs["unaccounted"] == A(0.010)
+        assert "marks" not in span.attrs
         # The partition is exact by construction.
-        assert sum(stages.values()) + unaccounted == A(0.060)
+        assert sum(span.attrs["stages"].values()) + span.attrs["unaccounted"] == A(
+            span.dur_s
+        )
+        assert span.dur_s == A(0.060)
 
     def test_out_of_order_mark_clamps_to_zero_not_negative(self):
-        ctx = RequestContext("r000001", "GET", "/x")
-        t0 = ctx.t_recv
-        ctx.mark("parse", t=t0 + 0.020)
-        ctx.mark("rewind", t=t0 + 0.005)  # clock ran "backwards"
-        ctx.mark("respond", t=t0 + 0.030)
-        stages, unaccounted = ctx.stages(t_end=t0 + 0.030)
+        clock = FakeClock()
+        tracer = Tracer([], clock=clock)
+        span = request(tracer, method="GET")
+        t0 = span.t_start
+        mark(span, "parse", t=t0 + 0.020)
+        mark(span, "rewind", t=t0 + 0.005)  # clock ran "backwards"
+        mark(span, "respond", t=t0 + 0.030)
+        clock.now = t0 + 0.030
+        end_request(tracer, span, "read", 200)
+        stages = span.attrs["stages"]
         assert stages["rewind"] == 0.0
         # The respond stage is measured from the furthest mark seen, so
         # the partition still sums to the wall time.
         assert stages["respond"] == A(0.010)
-        assert sum(stages.values()) + unaccounted == A(0.030)
+        assert sum(stages.values()) + span.attrs["unaccounted"] == A(0.030)
 
     def test_live_marks_are_monotonic_and_sum_to_wall_time(self):
-        ctx = RequestContext("r000001", "POST", "/x")
-        ctx.mark("parse")
+        tracer = Tracer([])
+        span = request(tracer)
+        mark(span, "parse")
         time.sleep(0.002)
-        ctx.mark("apply")
-        t_end = perf_counter()
-        stages, unaccounted = ctx.stages(t_end)
+        mark(span, "apply")
+        end_request(tracer, span, "ingest", 200)
+        stages, unaccounted = span.attrs["stages"], span.attrs["unaccounted"]
         assert all(v >= 0.0 for v in stages.values())
         assert unaccounted >= 0.0
-        assert sum(stages.values()) + unaccounted == A(t_end - ctx.t_recv)
+        assert sum(stages.values()) + unaccounted == A(span.dur_s)
 
     def test_repeated_stage_accumulates(self):
-        ctx = RequestContext("r000001", "GET", "/x")
-        t0 = ctx.t_recv
-        ctx.mark("chunk", t=t0 + 0.010)
-        ctx.mark("other", t=t0 + 0.015)
-        ctx.mark("chunk", t=t0 + 0.025)
-        stages, _ = ctx.stages(t_end=t0 + 0.025)
-        assert stages["chunk"] == A(0.020)
+        clock = FakeClock()
+        tracer = Tracer([], clock=clock)
+        span = request(tracer, method="GET")
+        t0 = span.t_start
+        mark(span, "chunk", t=t0 + 0.010)
+        mark(span, "other", t=t0 + 0.015)
+        mark(span, "chunk", t=t0 + 0.025)
+        clock.now = t0 + 0.025
+        end_request(tracer, span, "read", 200)
+        assert span.attrs["stages"]["chunk"] == A(0.020)
 
 
 class TestRequestLog:
+    """The slow-request sink, the registry fold, and the analyzer."""
+
+    def finish(self, tracer, route="update", status=200):
+        span = request(tracer)
+        mark(span, "respond")
+        end_request(tracer, span, route, status)
+        return span
+
     def test_ring_evicts_oldest_first(self):
-        log = RequestLog()
-        log.configure(ring_size=2, slow_threshold_s=0.0)
-        try:
-            for _ in range(3):
-                ctx = log.open_request("POST", "/x")
-                ctx.mark("respond")
-                log.finish(ctx, "update", 200)
-            payload = log.debug_payload()
-            assert payload["requests_total"] == 3
-            assert payload["slow_total"] == 3
-            assert [r["id"] for r in payload["ring"]] == ["r000002", "r000003"]
-        finally:
-            log.reset()
+        sink = SlowRequestSink(ring_size=2, slow_threshold_s=0.0)
+        tracer = Tracer([sink])
+        spans = [self.finish(tracer) for _ in range(3)]
+        payload = sink.debug_payload()
+        assert payload["requests_total"] == 3
+        assert payload["slow_total"] == 3
+        assert [r["id"] for r in payload["ring"]] == [s.span_id for s in spans[1:]]
 
     def test_threshold_keeps_fast_requests_out_of_the_ring(self):
-        log = RequestLog()
-        log.configure(slow_threshold_s=10.0)
+        sink = SlowRequestSink(slow_threshold_s=10.0)
+        tracer = Tracer([sink])
+        self.finish(tracer, route="read")
+        with tracer.span("run", "batch"):  # not a request: not counted
+            pass
+        payload = sink.debug_payload()
+        assert payload["requests_total"] == 1
+        assert payload["slow_total"] == 0
+        assert payload["ring"] == []
+
+    def test_concurrent_request_spans_are_all_counted_and_written(self, tmp_path):
+        # Handler threads end request spans at once: no count and no
+        # JSONL line may be lost or torn.
+        path = str(tmp_path / "trace.jsonl")
+        ring = SlowRequestSink(ring_size=8, slow_threshold_s=0.0)
+        tracer = Tracer([ring, JsonlSink(path)])
+        threads, per_thread = 6, 200
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            ctx = log.open_request("GET", "/x")
-            ctx.mark("respond")
-            log.finish(ctx, "read", 200)
-            payload = log.debug_payload()
-            assert payload["requests_total"] == 1
-            assert payload["slow_total"] == 0
-            assert payload["ring"] == []
+            workers = [
+                threading.Thread(
+                    target=lambda: [self.finish(tracer) for _ in range(per_thread)]
+                )
+                for _ in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+            assert not any(worker.is_alive() for worker in workers)
         finally:
-            log.reset()
+            sys.setswitchinterval(interval)
+        tracer.close()
+        total = threads * per_thread
+        assert ring.requests == ring.slow == total
+        assert len(ring.debug_payload()["ring"]) == 8
+        assert validate_trace(path) == []
+        assert analyze_requests(path)["requests"] == total
 
     def test_ring_size_must_be_positive(self):
         with pytest.raises(ValueError):
-            RequestLog().configure(ring_size=0)
+            SlowRequestSink(ring_size=0)
 
     def test_finish_folds_stage_histograms_with_exemplars(self):
-        log = RequestLog()
-        log.configure(slow_threshold_s=0.0)
         REGISTRY.enable().reset()
         try:
-            ctx = log.open_request("POST", "/sessions/s/update")
-            ctx.mark("parse")
-            ctx.mark("apply")
-            log.finish(ctx, "update", 200, registry=REGISTRY)
-            families = {
-                f["name"]: f for f in REGISTRY.snapshot()["families"]
-            }
+            tracer = Tracer([REGISTRY])
+            span = request(tracer, "/sessions/s/update")
+            mark(span, "parse")
+            mark(span, "apply")
+            end_request(tracer, span, "update", 200)
+            families = {f["name"]: f for f in REGISTRY.snapshot()["families"]}
             family = families["repro_serve_stage_latency_seconds"]
             labels = {tuple(sorted(s["labels"].items())) for s in family["series"]}
             assert (("route", "update"), ("stage", "parse")) in labels
@@ -169,45 +225,40 @@ class TestRequestLog:
                 for s in family["series"]
                 for ex in s.get("exemplars", {}).values()
             }
-            assert ctx.request_id in exemplar_ids
+            assert str(span.span_id) in exemplar_ids
+            assert (
+                REGISTRY.value("repro_serve_requests_total", route="update", status="200")
+                == 1
+            )
         finally:
             REGISTRY.disable().reset()
-            log.reset()
 
     def test_access_log_roundtrips_through_the_analyzer(self, tmp_path):
-        path = str(tmp_path / "access.jsonl")
-        log = RequestLog()
-        log.configure(path=path, slow_threshold_s=0.0)
-        try:
-            for route, marks in (
-                ("ingest", ("parse", "queued", "apply", "publish", "respond")),
-                ("read", ("parse", "snapshot", "respond")),
-            ):
-                ctx = log.open_request("POST", f"/sessions/s/{route}")
-                for stage in marks:
-                    time.sleep(0.001)
-                    ctx.mark(stage)
-                log.finish(ctx, route, 200)
-        finally:
-            log.reset()  # closes (and flushes) the file
+        path = str(tmp_path / "trace.jsonl")
+        tracer = Tracer([JsonlSink(path)])
+        for route, marks in (
+            ("ingest", ("parse", "queued", "apply", "publish", "respond")),
+            ("read", ("parse", "snapshot", "respond")),
+        ):
+            span = request(tracer, f"/sessions/s/{route}")
+            for stage in marks:
+                time.sleep(0.001)
+                mark(span, stage)
+            end_request(tracer, span, route, 200)
+        tracer.close()
 
-        header, records, errors = read_access_log(path)
-        assert errors == []
-        assert header["format"] == ACCESS_LOG_FORMAT
-        assert header["version"] == ACCESS_LOG_VERSION
-        assert [r["route"] for r in records] == ["ingest", "read"]
-
+        assert validate_trace(path) == []
         analysis = analyze_requests(path)
         assert analysis["requests"] == 2
         assert analysis["errors"] == []
-        assert {row["route"] for row in analysis["routes"]} == {"ingest", "read"}
+        assert [r["route"] for r in analysis["routes"]] == ["ingest", "read"]
         stage_names = {
             row["stage"] for row in analysis["stages"] if row["route"] == "ingest"
         }
         assert {"parse", "queued", "apply", "publish", "respond"} <= stage_names
         attribution = analysis["attribution"]
         assert attribution["slow_requests"] >= 1
-        # Stages were marked right up to finish(): residual is tiny.
+        # Stages were marked right up to the end: the residual is tiny.
         assert attribution["min_share"] > 0.90
         # The rendered table carries the acceptance-facing numbers.
         table = render_request_table(analysis)
@@ -215,137 +266,159 @@ class TestRequestLog:
         assert "ingest" in table
 
     def test_analyzer_flags_schema_and_monotonicity_violations(self, tmp_path):
-        path = str(tmp_path / "bad.jsonl")
         good = {
-            "type": "request",
-            "id": "r000001",
-            "route": "read",
-            "method": "GET",
-            "path": "/x",
-            "status": 200,
-            "wall_recv": 0.0,
-            "t_recv": 0.0,
+            "type": "span",
+            "kind": "request",
+            "name": "read",
+            "id": 1,
+            "parent": None,
+            "t_start": 0.0,
+            "t_end": 0.010,
             "dur_s": 0.010,
-            "stages": {"parse": 0.004, "snapshot": 0.005},
-            "unaccounted": 0.001,
+            "attrs": {
+                "status": 200,
+                "stages": {"parse": 0.004, "snapshot": 0.005},
+                "unaccounted": 0.001,
+            },
         }
-        negative = dict(good, id="r000002", stages={"parse": -0.002})
+        negative = dict(good, id=2, attrs=dict(good["attrs"], stages={"parse": -0.002}))
         unbalanced = dict(
-            good, id="r000003", stages={"parse": 0.001}, unaccounted=0.0
+            good,
+            id=3,
+            attrs=dict(good["attrs"], stages={"parse": 0.001}, unaccounted=0.0),
         )
-        with open(path, "w", encoding="utf-8") as handle:
-            header = {
-                "type": "header",
-                "format": ACCESS_LOG_FORMAT,
-                "version": ACCESS_LOG_VERSION,
-                "epoch_s": 0.0,
-                "perf_counter": 0.0,
-            }
-            for record in (header, good, negative, unbalanced):
-                handle.write(json.dumps(record) + "\n")
-        header_out, records, errors = read_access_log(path)
-        assert len(records) == 1 and records[0]["id"] == "r000001"
-        assert len(errors) == 2
-        assert any("monotonic" in e for e in errors)
+        header = {"type": "header", "format": TRACE_FORMAT, "version": TRACE_VERSION}
+
+        def write(path, *records):
+            with open(path, "w", encoding="utf-8") as handle:
+                for record in (header,) + records:
+                    handle.write(json.dumps(record) + "\n")
+            return path
+
+        path = write(str(tmp_path / "bad.jsonl"), good, negative, unbalanced)
+        analysis = analyze_requests(path)
+        assert analysis["requests"] == 1
+        assert [r["count"] for r in analysis["routes"]] == [1]
+        assert len(analysis["errors"]) == 2
+        assert any("monotonic" in e for e in analysis["errors"])
+
+        # A request span without its status fails the trace schema.
+        statusless = dict(good, attrs={k: v for k, v in good["attrs"].items() if k != "status"})
+        path = write(str(tmp_path / "schema.jsonl"), statusless)
+        assert any("status" in e for e in validate_trace(path))
+        analysis = analyze_requests(path)
+        assert analysis["requests"] == 0 and analysis["errors"]
 
     def test_analyzer_requires_the_header_line(self, tmp_path):
         path = str(tmp_path / "headerless.jsonl")
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps({"type": "request"}) + "\n")
-        _, _, errors = read_access_log(path)
-        assert errors
+            handle.write(json.dumps({"type": "span"}) + "\n")
+        assert analyze_requests(path)["errors"]
 
 
 class TestServeSessionTracing:
-    def test_queue_wait_is_attributed_under_writer_pause(self, app):
+    def test_queue_wait_is_attributed_under_writer_pause(self, traced):
+        app, sink = traced
         served = make_session(app)
-        log = RequestLog()
-        log.configure(slow_threshold_s=0.0)
-        try:
-            served.pause_writer()
-            ctx = log.open_request("POST", "/sessions/s/update")
-            ctx.mark("parse")
-            done = threading.Event()
-            reply = {}
+        tracer = app.accelerator.tracer
+        served.pause_writer()
+        done = threading.Event()
+        reply = {}
 
-            def submit():
-                reply["result"] = served.submit(
-                    "update", {"u": 1, "v": 3, "w": 0.5}, ctx=ctx
-                )
-                done.set()
+        def submit():
+            # The submitting thread's open span is the op's request span.
+            span = request(tracer, "/sessions/s/update")
+            mark(span, "parse")
+            reply["result"] = served.submit("update", {"u": 1, "v": 3, "w": 0.5})
+            end_request(tracer, span, "update", 200)
+            reply["span"] = span
+            done.set()
 
-            threading.Thread(target=submit, daemon=True).start()
-            # The writer has dequeued the op and parked at the gate.
-            wait_until(
-                lambda: served._queue.unfinished_tasks == 1
-                and served._queue.qsize() == 0
-            )
-            time.sleep(0.05)
-            served.resume_writer()
-            assert done.wait(5.0)
-            record = log.finish(ctx, "update", 200)
-        finally:
-            log.reset()
+        threading.Thread(target=submit, daemon=True).start()
+        # The writer has dequeued the op and parked at the gate.
+        wait_until(
+            lambda: served._queue.unfinished_tasks == 1 and served._queue.qsize() == 0
+        )
+        time.sleep(0.05)
+        served.resume_writer()
+        assert done.wait(5.0)
         assert reply["result"]["safe"] is True
-        stages = record["stages"]
+        span = reply["span"]
+        stages = span.attrs["stages"]
         # The pause is the queue wait; the gate held the op >= 50 ms.
         assert stages["queued"] >= 0.045
         assert {"parse", "queued", "classify", "apply", "publish"} <= set(stages)
-        assert record["attrs"]["safe"] is True
-        assert sum(stages.values()) + record["unaccounted"] == A(record["dur_s"])
+        assert span.attrs["safe"] is True
+        assert sum(stages.values()) + span.attrs["unaccounted"] == A(span.dur_s)
 
-    def test_update_carves_classify_out_of_apply(self, app):
+    def test_update_carves_classify_out_of_apply(self, traced):
+        app, sink = traced
         served = make_session(app)
-        log = RequestLog()
-        log.configure(slow_threshold_s=0.0)
-        try:
-            ctx = log.open_request("POST", "/sessions/s/update")
-            ctx.mark("parse")
-            served.submit("update", {"u": 1, "v": 3, "w": 0.5}, ctx=ctx)
-            record = log.finish(ctx, "update", 200)
-        finally:
-            log.reset()
-        stages = record["stages"]
+        tracer = app.accelerator.tracer
+        span = request(tracer, "/sessions/s/update")
+        mark(span, "parse")
+        served.submit("update", {"u": 1, "v": 3, "w": 0.5})
+        end_request(tracer, span, "update", 200)
+        stages = span.attrs["stages"]
         assert stages["classify"] >= 0.0
         assert stages["apply"] >= 0.0
+        # The lane's express event nests under the request it served.
+        (express,) = [e for e in sink.events if e.name == "express"]
+        assert express.parent_id == span.span_id
 
-    def test_applied_log_bound_drops_oldest_and_counts(self, app):
-        served = make_session(app, log_bound=2)
-        new_edges = [(1, 3, 0.5), (0, 3, 2.5), (3, 1, 1.0)]
-        for u, v, w in new_edges:
-            served.submit("batch", {"insertions": [[u, v, w]]})
-        log = served.applied_log()
-        assert log["dropped"] == 1
-        assert [e["seq"] for e in log["log"]] == [2, 3]
-        stats = served.stats()
-        assert stats["log_bound"] == 2
-        assert stats["log_dropped"] == 1
+    def test_applied_log_bound_drops_oldest_and_counts(self):
+        app = ServeApp()
+        try:
+            served = make_session(app, log_bound=2)
+            new_edges = [(1, 3, 0.5), (0, 3, 2.5), (3, 1, 1.0)]
+            for u, v, w in new_edges:
+                served.submit("batch", {"insertions": [[u, v, w]]})
+            log = served.applied_log()
+            assert log["dropped"] == 1
+            assert [e["seq"] for e in log["log"]] == [2, 3]
+            stats = served.stats()
+            assert stats["log_bound"] == 2
+            assert stats["log_dropped"] == 1
+        finally:
+            app.close()
 
-    def test_log_bound_must_be_positive(self, app):
-        with pytest.raises(ValueError):
-            make_session(app, log_bound=0)
+    def test_log_bound_must_be_positive(self):
+        app = ServeApp()
+        try:
+            with pytest.raises(ValueError):
+                make_session(app, log_bound=0)
+        finally:
+            app.close()
 
 
 class TestSpanLinksAndAnchor:
-    def test_linked_attrs_land_on_root_spans_and_events_only(self):
+    def test_within_lends_a_span_to_another_thread(self):
         sink = MemorySink()
         tracer = Tracer([sink])
-        with tracer.linked(request_id="r000042"):
-            root = tracer.start("run", "incremental")
-            child = tracer.start("phase", "inner")
-            tracer.event("tick")  # under an open span: no link
-            tracer.end(child)
-            tracer.end(root)
-            tracer.event("express", safe=True)  # root level: linked
-        tracer.event("late")  # outside linked(): no link
-        by_name = {s.name: s for s in sink.spans}
-        assert by_name["incremental"].attrs["request_id"] == "r000042"
-        assert "request_id" not in by_name["inner"].attrs
+        lent = request(tracer)
+
+        def worker():
+            with tracer.within(lent):
+                with tracer.span("run", "batch"):
+                    tracer.event("tick")
+                tracer.event("express")
+                tracer.start("phase", "forgotten")  # ended on exit
+            tracer.event("after")  # back at the root of this thread
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join()
+        end_request(tracer, lent, "update", 200)
+        spans = {s.name: s for s in sink.spans}
         events = {e.name: e for e in sink.events}
-        assert "request_id" not in events["tick"].attrs
-        assert events["express"].attrs["request_id"] == "r000042"
-        assert events["express"].attrs["safe"] is True
-        assert "request_id" not in events["late"].attrs
+        assert spans["batch"].parent_id == lent.span_id
+        assert events["tick"].parent_id == spans["batch"].span_id
+        assert events["express"].parent_id == lent.span_id
+        assert spans["forgotten"].parent_id == lent.span_id
+        assert spans["forgotten"].t_end is not None
+        assert events["after"].parent_id is None
+        # The lender's own stack never saw the worker's spans.
+        assert tracer.current() is None
 
     def test_anchor_reaches_memory_sink(self):
         sink = MemorySink()
@@ -372,25 +445,34 @@ class TestSpanLinksAndAnchor:
         assert trace.anchor["perf_counter"] == A(tracer.clock_origin)
 
 
+def request_of(by_id, parent_id):
+    """The nearest ``request`` span above ``parent_id``, or ``None``."""
+    while parent_id is not None:
+        span = by_id[parent_id]
+        if span.kind == "request":
+            return span
+        parent_id = span.parent_id
+    return None
+
+
 class TestHttpRequestTracing:
     @pytest.fixture
     def traced_server(self, tmp_path):
-        access = str(tmp_path / "access.jsonl")
         trace = str(tmp_path / "trace.jsonl")
-        REQUEST_LOG.configure(path=access, slow_threshold_s=0.0)
         REGISTRY.enable().reset()
-        tracer = Tracer([JsonlSink(trace)])
+        ring = SlowRequestSink(slow_threshold_s=0.0)
+        memory = MemorySink()
+        tracer = Tracer([ring, REGISTRY, memory, JsonlSink(trace)])
         app = ServeApp(accelerator=Accelerator(tracer=tracer))
         server = ServeServer(app, port=0).start()
         try:
-            yield HttpClient(server.url), access, trace, tracer
+            yield HttpClient(server.url), trace, tracer, ring, memory
         finally:
             server.stop()
             tracer.close()
-            REQUEST_LOG.reset()
             REGISTRY.disable().reset()
 
-    def drive(self, client):
+    def drive(self, client, ring):
         status, _ = client.post(
             "/sessions",
             {"edges": [list(e) for e in EDGES], "algorithm": "sssp", "name": "s"},
@@ -402,15 +484,13 @@ class TestHttpRequestTracing:
         assert status == 200
         status, _ = client.get("/sessions/s/read?vertices=3")
         assert status == 200
-        # finish() runs after the response bytes go out: wait for the
-        # last record to land before scraping or analyzing.
-        wait_until(
-            lambda: REQUEST_LOG.debug_payload()["requests_total"] >= 4
-        )
+        # A request span ends after its response bytes go out: wait for
+        # the last one before scraping or analyzing.
+        wait_until(lambda: ring.requests >= 4)
 
     def test_debug_requests_payload(self, traced_server):
-        client, _, _, _ = traced_server
-        self.drive(client)
+        client, _, _, ring, _ = traced_server
+        self.drive(client, ring)
         status, payload = client.get("/debug/requests")
         assert status == 200
         assert payload["enabled"] is True
@@ -418,35 +498,94 @@ class TestHttpRequestTracing:
         # only after its payload is built).
         assert payload["requests_total"] >= 4
         assert payload["slow_total"] >= 4  # threshold 0: everything slow
-        ring_routes = {r["route"] for r in payload["ring"]}
+        ring_routes = {r["name"] for r in payload["ring"]}
         assert {"session", "ingest", "update", "read"} <= ring_routes
         for record in payload["ring"]:
-            assert record["stages"]
-            assert record["unaccounted"] >= 0.0
+            assert record["kind"] == "request"
+            assert record["attrs"]["stages"]
+            assert record["attrs"]["unaccounted"] >= 0.0
         histograms = {f["name"] for f in payload["histograms"]}
         assert "repro_serve_stage_latency_seconds" in histograms
         assert "repro_serve_request_latency_seconds" in histograms
 
     def test_access_log_joins_engine_trace_end_to_end(self, traced_server):
-        client, access, trace, tracer = traced_server
-        self.drive(client)
-        REQUEST_LOG.flush()
+        client, trace, tracer, ring, _ = traced_server
+        self.drive(client, ring)
         tracer.flush()
-        analysis = analyze_requests(access, trace_path=trace)
+        analysis = analyze_requests(trace)
         assert analysis["errors"] == []
         assert analysis["requests"] >= 4
         engine = analysis["engine"]
-        # Both writes matched: the ingest batch via its run span's
-        # request_id link, the safe update via its express event.
+        # Both writes covered: the ingest batch by the run span under its
+        # request span, the safe update by the express event under its.
         assert engine["writes"] == 2
         assert engine["matched"] == 2
         assert engine["coverage"] == 1.0
-        assert engine["run_spans_linked"] >= 1
-        assert engine["express_events_linked"] >= 1
-        # Both files carry wall-clock anchors taken moments apart.
-        assert abs(engine["clock_offset_s"]) < 5.0
+        assert engine["run_spans"] >= 1
+        assert engine["express_events"] >= 1
         table = render_request_table(analysis)
-        assert "engine join" in table
+        assert "engine work" in table
+
+    def test_concurrent_sessions_nest_engine_work_under_their_own_requests(
+        self, traced_server
+    ):
+        client, _, _, ring, memory = traced_server
+        chain = [[i, i + 1, 1.0] for i in range(20)]
+        for name in ("a", "b"):
+            status, _ = client.post(
+                "/sessions", {"edges": chain, "algorithm": "sssp", "name": name}
+            )
+            assert status == 201
+        writes = 5
+
+        def session_a():
+            # One-edge batches and heavy (safe) express inserts.
+            for i in range(writes):
+                client.post("/sessions/a/ingest", {"insertions": [[i, i + 5, 1e9]]})
+                client.post("/sessions/a/update", {"u": i, "v": i + 7, "w": 1e9})
+
+        def session_b():
+            # Two-edge batches and express deletes of tree edges.
+            for i in range(writes):
+                client.post(
+                    "/sessions/b/ingest",
+                    {"insertions": [[i, i + 9, 1e9], [i, i + 11, 1e9]]},
+                )
+                client.post(
+                    "/sessions/b/update", {"u": 19 - i, "v": 20 - i, "op": "delete"}
+                )
+
+        threads = [threading.Thread(target=f) for f in (session_a, session_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        wait_until(lambda: ring.requests >= 2 + 4 * writes)
+
+        by_id = {s.span_id: s for s in memory.spans}
+        requests = [s for s in memory.spans if s.kind == "request"]
+        assert all(r.attrs["status"] in (200, 201) for r in requests)
+        batch_shapes = {"a": {(1, 0)}, "b": {(2, 0), (0, 1)}}
+        ops = {"a": "insert", "b": "delete"}
+        runs_under = {r.span_id: 0 for r in requests}
+        for run in (s for s in memory.spans if s.kind == "run"):
+            owner = request_of(by_id, run.parent_id)
+            assert owner is not None, run
+            runs_under[owner.span_id] += 1
+            if run.name == "initial":
+                assert owner.name == "session"
+            else:
+                shape = (run.attrs["insertions"], run.attrs["deletions"])
+                assert shape in batch_shapes[owner.attrs["session"]]
+        express = [e for e in memory.events if e.name == "express"]
+        assert len(express) == 2 * writes
+        for event in express:
+            owner = request_of(by_id, event.parent_id)
+            assert owner is not None and owner.name == "update"
+            assert event.attrs["op"] == ops[owner.attrs["session"]]
+        ingests = [r for r in requests if r.name == "ingest"]
+        assert len(ingests) == 2 * writes
+        assert all(runs_under[r.span_id] == 1 for r in ingests)
 
 
 class TestHistogramExemplars:

@@ -32,7 +32,7 @@ import pytest
 
 from repro.graph import generators
 from repro.host import Accelerator
-from repro.obs.metrics import REGISTRY
+from repro.obs import REGISTRY, MemorySink, Tracer
 from repro.serve import (
     DEFAULT_QUEUE_BOUND,
     ReadSnapshot,
@@ -547,8 +547,17 @@ class TestTimeTravelReads:
         assert store["keep_versions"] == 2
         assert store["versions_held"] == 2
 
-    def test_historical_reads_counted_separately(self, app):
+    def test_negative_version_is_400_bad_version(self, app):
+        # Not "evicted by retention": no ring ever holds version -1.
+        app.create_session(EDGES, "sssp", name="tt", source=0, keep_versions=None)
+        with pytest.raises(ServeError) as exc:
+            app.handle_read("tt", version=-1)
+        assert exc.value.status == 400
+        assert exc.value.code == "BAD_VERSION"
+
+    def test_historical_reads_counted_separately(self):
         REGISTRY.enable()
+        app = ServeApp(accelerator=Accelerator(tracer=Tracer([REGISTRY])))
         try:
             self._session_with_writes(app, writes=1)
             app.handle_read("tt")
@@ -561,6 +570,7 @@ class TestTimeTravelReads:
             assert historical == 2
             assert latest == 1
         finally:
+            app.close()
             REGISTRY.disable()
 
 
@@ -602,7 +612,10 @@ class HttpClient:
 
 @pytest.fixture
 def server():
-    server = ServeServer(ServeApp(), port=0).start()
+    # The registry folds the daemon's request spans and serve events only
+    # through the tracer that carries it (it records while enabled).
+    app = ServeApp(accelerator=Accelerator(tracer=Tracer([REGISTRY])))
+    server = ServeServer(app, port=0).start()
     yield server
     server.stop()
 
@@ -705,6 +718,43 @@ class TestHttpProtocol:
         assert field in payload["message"]
         status, healthz = client.get("/healthz")
         assert status == 200 and healthz["sessions"] == []
+
+    @pytest.mark.parametrize("log_bound", [0, -3])
+    def test_non_positive_log_bound_is_a_400(self, client, log_bound):
+        # This used to raise out of ServeSession.__init__: the client saw
+        # the connection drop with no response.
+        status, payload = create_http_session(client, log_bound=log_bound)
+        assert status == 400 and payload["error"] == "BAD_SESSION"
+        assert "log_bound" in payload["message"]
+        status, healthz = client.get("/healthz")
+        assert status == 200 and healthz["sessions"] == []
+
+    def test_negative_version_over_http_is_400(self, client):
+        create_http_session(client, keep_versions=None)
+        status, payload = client.get("/sessions/s/read?version=-1")
+        assert status == 400 and payload["error"] == "BAD_VERSION"
+
+    def test_unexpected_error_is_a_500_on_the_request_span(self):
+        sink = MemorySink()
+        app = ServeApp(accelerator=Accelerator(tracer=Tracer([sink])))
+
+        def broken():
+            raise RuntimeError("boom")
+
+        app.healthz = broken
+        server = ServeServer(app, port=0).start()
+        try:
+            client = HttpClient(server.url)
+            status, payload = client.get("/healthz")
+            assert status == 500 and payload["error"] == "INTERNAL"
+            assert "boom" in payload["message"]
+            wait_until(lambda: sink.find("request"))
+            assert sink.find("request")[0].attrs["status"] == 500
+            # The handler thread survived: the next request is answered.
+            del app.healthz
+            assert client.get("/healthz")[0] == 200
+        finally:
+            server.stop()
 
     def test_bad_json_body(self, server, client):
         create_http_session(client)
