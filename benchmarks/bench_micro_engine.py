@@ -17,11 +17,12 @@ from repro.core.engine import GraphPulseEngine
 from repro.core.events import Event, EventBatch
 from repro.core.metrics import RoundWork
 from repro.core.policies import DeletePolicy
-from repro.core.queue import CoalescingQueue, VectorQueue
+from repro.core.queue import VectorQueue
 from repro.core.streaming import JetStreamEngine
 from repro.graph import generators
 from repro.graph.dynamic import DynamicGraph
 from repro.host import Accelerator
+from repro.oracle import CoalescingQueue
 from repro.streams import StreamGenerator
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))

@@ -1,10 +1,10 @@
 """Sharded accounting determinism grid.
 
-``engine="sharded"`` executes the vectorized array round and splits its
-work by owning engine (``repro.core.parallel``). For each (graph,
+``num_engines=n`` executes the one array round and splits its work by
+owning engine (``repro.core.parallel``). For each (graph,
 algorithm, ``num_engines`` ∈ {1, 2, 8}) on a generated RMAT power-law
 graph this checks that states and per-round work vectors equal the
-vectorized oracle's, then records the exact counts the gate compares —
+single-engine oracle's, then records the exact counts the gate compares —
 ``events_processed``, the per-engine ``events_processed`` vector and the
 NoC flits — in ``BENCH_sharded.json`` at the repo root. The oracle's and
 the sharded run's wall clock are recorded and printed, not gated.
@@ -54,10 +54,8 @@ def build_graph(quick: bool):
     return name, len(edges), DynamicGraph.from_edges(edges, n)
 
 
-def run_once(name: str, csr, engine_mode: str, **engine_kwargs):
-    engine = GraphPulseEngine(
-        make_algorithm(name, source=0), engine=engine_mode, **engine_kwargs
-    )
+def run_once(name: str, csr, num_engines=None):
+    engine = GraphPulseEngine(make_algorithm(name, source=0), num_engines=num_engines)
     started = time.perf_counter()
     result = engine.compute(csr)
     return result, time.perf_counter() - started
@@ -70,12 +68,12 @@ def run_grid(quick: bool) -> dict:
     algorithms = ["sssp", "pagerank"] if quick else ["pagerank"]
     rows = []
     for algo in algorithms:
-        oracle, oracle_s = run_once(algo, csr, "auto")
+        oracle, oracle_s = run_once(algo, csr)
         for engines in ENGINE_COUNTS:
-            result, sharded_s = run_once(algo, csr, "sharded", num_engines=engines)
+            result, sharded_s = run_once(algo, csr, num_engines=engines)
             cell = f"{graph_name}/{algo}/e{engines}"
             if result.states.tobytes() != oracle.states.tobytes():
-                raise AssertionError(f"{cell}: states diverge from the vectorized oracle")
+                raise AssertionError(f"{cell}: states diverge from the single-engine oracle")
             if result.metrics.to_rows() != oracle.metrics.to_rows():
                 raise AssertionError(f"{cell}: per-round work vectors diverge")
             per_engine = [w.events_processed for w in result.metrics.per_engine_totals()]

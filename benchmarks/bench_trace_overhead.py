@@ -59,9 +59,7 @@ def build_csr(quick: bool):
 
 
 def run_once(csr, tracer=None) -> tuple:
-    engine = GraphPulseEngine(
-        make_algorithm("sssp", source=0), engine="auto", tracer=tracer
-    )
+    engine = GraphPulseEngine(make_algorithm("sssp", source=0), tracer=tracer)
     started = time.perf_counter()
     result = engine.compute(csr)
     elapsed = time.perf_counter() - started

@@ -1,6 +1,7 @@
-"""Scalar vs vectorized engine wall-clock comparison.
+"""Scalar oracle vs array engine wall-clock comparison.
 
-Runs static convergence with both event substrates on generated RMAT
+Runs static convergence on the array engine and on the per-event scalar
+oracle (:mod:`repro.oracle`) on generated RMAT
 (power-law) and uniform (Erdős–Rényi) graphs across all six algorithms,
 and records wall-clock plus events/s in a machine-readable
 ``BENCH_engine.json`` at the repo root so the perf trajectory is tracked
@@ -30,6 +31,7 @@ from repro.algorithms import make_algorithm
 from repro.core.engine import GraphPulseEngine
 from repro.graph import generators
 from repro.graph.dynamic import DynamicGraph, build_symmetric_graph
+from repro.oracle import on_oracle
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_engine.json"
@@ -64,14 +66,16 @@ def make_benchmark_algorithm(name: str):
     return make_algorithm(name, source=0)
 
 
-def run_once(name: str, graph: DynamicGraph, engine_mode: str):
+def run_once(name: str, graph: DynamicGraph, oracle: bool):
     algorithm = make_benchmark_algorithm(name)
     if algorithm.needs_symmetric:
         graph = build_symmetric_graph(
             graph.snapshot().edges(), graph.num_vertices, on_conflict="silent"
         )
     csr = graph.snapshot()
-    engine = GraphPulseEngine(algorithm, engine=engine_mode)
+    engine = GraphPulseEngine(algorithm)
+    if oracle:
+        on_oracle(engine)
     started = time.perf_counter()
     result = engine.compute(csr)
     elapsed = time.perf_counter() - started
@@ -89,8 +93,8 @@ def run_grid(quick: bool) -> dict:
     rows = []
     for graph_name, num_edges, graph in graphs:
         for algo in algorithms:
-            scalar = run_once(algo, graph, "scalar")
-            vector = run_once(algo, graph, "auto")
+            scalar = run_once(algo, graph, oracle=True)
+            vector = run_once(algo, graph, oracle=False)
             if scalar["events_processed"] != vector["events_processed"]:
                 raise AssertionError(
                     f"{graph_name}/{algo}: engines processed different event "

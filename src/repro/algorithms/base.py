@@ -380,7 +380,8 @@ class Algorithm(ABC):
     # ------------------------------------------------------------------
     #: NumPy ufunc implementing ``reduce`` element-wise (``np.minimum``,
     #: ``np.maximum``, ``np.add``). ``None`` means the algorithm has no
-    #: vectorized form and must run on the scalar engine.
+    #: vectorized form, and the engine refuses it
+    #: (:meth:`require_array_hooks`).
     reduce_ufunc: Optional[np.ufunc] = None
 
     def propagate_arrays(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -399,19 +400,20 @@ class Algorithm(ABC):
         """Element-wise :meth:`more_progressed` (selective algorithms)."""
         raise NotImplementedError(f"{self.name} has no vectorized progression order")
 
-    @property
-    def supports_vectorized(self) -> bool:
-        """Whether the vectorized engine can run this algorithm."""
-        if self.reduce_ufunc is None:
-            return False
+    def require_array_hooks(self) -> None:
+        """Raise ``ValueError`` naming the array hooks the engine needs and
+        this algorithm lacks: :attr:`reduce_ufunc`, and for selective
+        algorithms :meth:`propagate_arrays` and :meth:`more_progressed_arrays`
+        (accumulative ones use the linear fast path instead)."""
+        names = ["reduce_ufunc"]
         if self.kind is AlgorithmKind.SELECTIVE:
-            cls = type(self)
-            return (
-                cls.propagate_arrays is not Algorithm.propagate_arrays
-                and cls.more_progressed_arrays is not Algorithm.more_progressed_arrays
+            names += ["propagate_arrays", "more_progressed_arrays"]
+        missing = [n for n in names if getattr(type(self), n) is getattr(Algorithm, n)]
+        if missing:
+            raise ValueError(
+                f"{self.name} lacks the array hooks the engine runs on: "
+                + ", ".join(missing)
             )
-        # Accumulative algorithms vectorize through the linear fast path.
-        return True
 
     def initial_events_arrays(self, graph) -> Tuple[np.ndarray, np.ndarray]:
         """InitialEvents() as ``(targets, payloads)`` arrays.

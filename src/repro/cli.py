@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.algorithms import make_algorithm
 from repro.algorithms.base import AlgorithmKind
-from repro.core.engine import ENGINE_MODES
 from repro.core.policies import DeletePolicy
 from repro.core.streaming import JetStreamEngine
 from repro.graph import datasets, io
@@ -67,6 +66,10 @@ from repro.sim.timing import AcceleratorTimingModel
 from repro.streams import StreamGenerator
 
 ALGORITHM_CHOICES = ["sssp", "sswp", "bfs", "cc", "pagerank", "adsorption"]
+NUM_ENGINES_HELP = (
+    "also report per-engine work and NoC traffic over N graph slices "
+    "(Table 1 has 8); omit for one engine"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -196,8 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[p.value for p in DeletePolicy],
         default=DeletePolicy.DAP.value,
     )
-    serve.add_argument("--engine", choices=ENGINE_MODES, default="auto")
-    serve.add_argument("--num-engines", type=int, default=8)
+    serve.add_argument("--num-engines", type=int, default=None, help=NUM_ENGINES_HELP)
 
     data = sub.add_parser("datasets", help="describe the dataset stand-ins")
     data.add_argument("--seed", type=int, default=0)
@@ -338,19 +340,7 @@ def _add_graph_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--source", type=int, default=0, help="query root")
     parser.add_argument(
-        "--engine",
-        choices=ENGINE_MODES,
-        default="auto",
-        help="event substrate: auto picks the vectorized SoA kernels when "
-        "the algorithm supports them; scalar forces the boxed-event "
-        "reference path; sharded runs vectorized and also reports per-engine "
-        "work and NoC traffic for num-engines graph slices",
-    )
-    parser.add_argument(
-        "--num-engines",
-        type=int,
-        default=8,
-        help="engine count accounted for by --engine sharded (Table 1 default: 8)",
+        "--num-engines", type=int, default=None, help=NUM_ENGINES_HELP
     )
 
 
@@ -474,7 +464,6 @@ def _run_query_at_versions(args, graph, algorithm) -> int:
         session.configure(
             args.algorithm,
             source=args.source,
-            engine=args.engine,
             num_engines=args.num_engines,
         )
         session.enable_versioning()
@@ -525,7 +514,6 @@ def cmd_query(args) -> int:
     engine = JetStreamEngine(
         graph,
         algorithm,
-        engine=args.engine,
         num_engines=args.num_engines,
         tracer=tracer,
     )
@@ -574,7 +562,6 @@ def cmd_stream(args) -> int:
         graph,
         algorithm,
         policy=policy,
-        engine=args.engine,
         num_engines=args.num_engines,
         tracer=tracer,
     )
@@ -751,7 +738,6 @@ def cmd_serve(args) -> int:
             name="default",
             source=args.source,
             policy=args.policy,
-            engine=args.engine,
             num_engines=args.num_engines,
             symmetric=make_algorithm(
                 args.algorithm, source=args.source

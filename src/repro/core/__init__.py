@@ -15,7 +15,7 @@
 
 from repro.core.config import AcceleratorConfig, SoftwareConfig
 from repro.core.events import Event, EventFlags
-from repro.core.queue import CoalescingQueue
+from repro.core.queue import VectorQueue
 from repro.core.engine import GraphPulseEngine, ComputeResult
 from repro.core.parallel import InterEngineChannel
 from repro.core.policies import DeletePolicy
@@ -28,7 +28,7 @@ __all__ = [
     "SoftwareConfig",
     "Event",
     "EventFlags",
-    "CoalescingQueue",
+    "VectorQueue",
     "GraphPulseEngine",
     "ComputeResult",
     "DeletePolicy",

@@ -27,7 +27,7 @@ import numpy as np
 from repro.algorithms.base import NULL_CONTEXT, AlgorithmKind, SourceContext
 from repro.core import parallel
 from repro.core.config import AcceleratorConfig
-from repro.core.events import NO_SOURCE, Event, EventBatch
+from repro.core.events import NO_SOURCE, EventBatch
 from repro.core.metrics import (
     PhaseStats,
     RoundWork,
@@ -36,10 +36,10 @@ from repro.core.metrics import (
     segmented_interval_union,
 )
 from repro.core.policies import DeletePolicy
-from repro.core.queue import CoalescingQueue, VectorQueue
+from repro.core.queue import VectorQueue
 from repro.graph.csr import CSRGraph
-from repro.obs.tracer import NULL_TRACER, work_attrs
 from repro.graph.partition import extend_assignment, partition_graph
+from repro.obs.tracer import NULL_TRACER, work_attrs
 
 #: Hard cap on scheduler rounds — generous (real runs take tens to a few
 #: thousand rounds); exceeding it indicates non-termination.
@@ -47,16 +47,13 @@ MAX_ROUNDS = 1_000_000
 
 _LINE = 64  # cache-line bytes (fixed by the DRAM interface)
 
-#: Engine substrate choices: ``auto`` picks the vectorized path whenever the
-#: algorithm provides the array hooks, falling back to scalar otherwise;
-#: ``sharded`` requires the hooks, runs the vectorized path and additionally
-#: reports the work and crossbar traffic of ``num_engines`` graph slices
-#: (Table 1, §4.7).
-ENGINE_MODES = ("auto", "scalar", "sharded")
-
 
 class EngineCore:
-    """Shared datapath state and event loops for all engine variants."""
+    """Shared datapath state and the array event loop for every engine.
+
+    ``num_engines=n`` also reports the work and crossbar traffic of ``n``
+    graph slices (Table 1, §4.7); ``None`` runs one engine without it.
+    """
 
     def __init__(
         self,
@@ -64,8 +61,7 @@ class EngineCore:
         config: Optional[AcceleratorConfig] = None,
         policy: DeletePolicy = DeletePolicy.DAP,
         queue_event_bytes: Optional[int] = None,
-        engine: str = "auto",
-        num_engines: int = 8,
+        num_engines: Optional[int] = None,
         tracer=None,
     ):
         self.algorithm = algorithm
@@ -74,16 +70,9 @@ class EngineCore:
         #: Observability hook (repro.obs). The default NULL_TRACER keeps
         #: the event loops' per-round cost at one attribute check.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        if engine not in ENGINE_MODES:
-            raise ValueError(f"engine must be one of {ENGINE_MODES}, got {engine!r}")
-        if engine == "sharded" and not algorithm.supports_vectorized:
-            raise ValueError(
-                f"{algorithm.name} provides no vectorized hooks; "
-                "use engine='scalar' or 'auto'"
-            )
-        if num_engines < 1:
+        algorithm.require_array_hooks()
+        if num_engines is not None and num_engines < 1:
             raise ValueError("num_engines must be >= 1")
-        self.engine_mode = engine
         self.num_engines = num_engines
         self.event_bytes = (
             queue_event_bytes
@@ -98,10 +87,10 @@ class EngineCore:
         self._slice_of: Optional[np.ndarray] = None
         self._custom_slice_of: Optional[np.ndarray] = None
         self._prop_factor: Optional[np.ndarray] = None
-        #: Vertex -> engine map of engine="sharded" (None otherwise).
+        #: Vertex -> engine map when ``num_engines`` is set (None otherwise).
         self._shard_of: Optional[np.ndarray] = None
         self._channel: Optional[parallel.InterEngineChannel] = None
-        if engine == "sharded":
+        if num_engines is not None:
             self._channel = parallel.InterEngineChannel(
                 self.config, policy.event_bytes(self.config)
             )
@@ -126,8 +115,8 @@ class EngineCore:
         :func:`repro.graph.partition.extend_assignment`), not discarded: the
         old behaviour of rebuilding the contiguous-range slicing silently
         dropped an edge-cut partition the moment a streamed insert created a
-        vertex. The vertex->engine map of ``engine="sharded"`` grows by the
-        same rule.
+        vertex. The vertex->engine map of ``num_engines`` grows by the same
+        rule.
         """
         current = self.states.shape[0]
         if num_vertices <= current:
@@ -195,7 +184,7 @@ class EngineCore:
     def bind_graph(self, csr: CSRGraph) -> None:
         """Point the datapath at a graph snapshot (host CSR swap, §4.7)."""
         self.csr = csr
-        if self.engine_mode == "sharded" and self._shard_of is None:
+        if self._channel is not None and self._shard_of is None:
             # Edge-cut the first bound snapshot across the engines; growth
             # extends this map (see grow), so mid-stream snapshots keep a
             # consistent vertex→engine map until an explicit re-partition.
@@ -210,9 +199,7 @@ class EngineCore:
                 sums = cumulative[offsets[1:]] - cumulative[offsets[:-1]]
             self._out_weight_sum = sums
             # Hoisted per-source propagation factor (linear fast path),
-            # built in one vectorized pass per bind — the scalar per-vertex
-            # loop was an O(V) Python cost on every CSR swap (twice per
-            # streaming batch).
+            # built in one vectorized pass per bind.
             self._prop_factor = self.algorithm.propagation_factor_arrays(
                 self._out_degree, sums
             )
@@ -230,30 +217,15 @@ class EngineCore:
             out_weight_sum=float(self._out_weight_sum[v]),
         )
 
-    @property
-    def uses_vectorized(self) -> bool:
-        """Whether this core runs on the structure-of-arrays substrate."""
-        if self.engine_mode == "scalar":
-            return False
-        return self.algorithm.supports_vectorized
-
-    def new_queue(self):
-        """A coalescing queue sized/partitioned for the current state.
-
-        Returns a :class:`VectorQueue` on the vectorized and sharded
-        substrates and the boxed-event :class:`CoalescingQueue` otherwise;
-        both expose the same insertion/slicing interface, and the event
-        loops dispatch on the type.
-        """
-        if self.engine_mode == "sharded" and self._slice_of is not None:
+    def new_queue(self) -> VectorQueue:
+        """A coalescing queue sized/partitioned for the current state."""
+        if self._channel is not None and self._slice_of is not None:
             raise ValueError(
-                "engine='sharded' keeps each engine's slice resident in "
-                "its own queue (§4.7) and does not compose with "
-                "capacity-forced queue slicing; raise queue_bytes or "
-                "shrink the graph"
+                "num_engines keeps each engine's slice resident in its own "
+                "queue (§4.7) and does not compose with capacity-forced "
+                "queue slicing; raise queue_bytes or shrink the graph"
             )
-        queue_cls = VectorQueue if self.uses_vectorized else CoalescingQueue
-        return queue_cls(
+        return VectorQueue(
             self.algorithm,
             self.config,
             self.policy,
@@ -263,12 +235,19 @@ class EngineCore:
 
     def seed_initial(self, queue, work: RoundWork) -> None:
         """Feed InitialEvents() into ``queue`` (the Initializer, §4.6)."""
-        if isinstance(queue, CoalescingQueue):
-            for vertex, payload in self.algorithm.initial_events(self.csr):
-                queue.insert(Event(vertex, payload, 0, NO_SOURCE), work)
-        else:
-            targets, payloads = self.algorithm.initial_events_arrays(self.csr)
-            queue.insert_batch(EventBatch.from_arrays(targets, payloads), work)
+        targets, payloads = self.algorithm.initial_events_arrays(self.csr)
+        queue.insert_batch(EventBatch.from_arrays(targets, payloads), work)
+
+    def converge_initial(self, phase: PhaseStats):
+        """Seed InitialEvents() into a fresh queue and run the computation
+        phase to convergence as ``phase``; returns the drained queue."""
+        queue = self.new_queue()
+        with self.tracer.phase(phase):
+            work = phase.new_round()
+            with self.tracer.round(work, queue):
+                self.seed_initial(queue, work)
+            self.run_regular(queue, phase)
+        return queue
 
     # ------------------------------------------------------------------
     # Event loops
@@ -278,106 +257,9 @@ class EngineCore:
 
         Implements Algorithm 1 plus request-flag semantics: a vertex
         receiving a request event propagates its state along all out-edges
-        even when the state did not change (§3.4). A :class:`VectorQueue`
-        runs on the array driver
-        (:meth:`_run_array_rounds`); the boxed :class:`CoalescingQueue`
-        runs the scalar oracle loop below.
+        even when the state did not change (§3.4).
         """
-        if not isinstance(queue, CoalescingQueue):
-            self._run_array_rounds(queue, phase, delete=False)
-            return
-        algorithm = self.algorithm
-        csr = self.csr
-        states = self.states
-        dependency = self.dependency
-        track_dep = self.policy.tracks_dependency
-        accumulative = algorithm.kind is AlgorithmKind.ACCUMULATIVE
-        reduce_ = algorithm.reduce
-        propagate = algorithm.propagate
-        threshold = algorithm.propagation_threshold
-        weight_scaled = algorithm.weight_scaled_propagation
-        prop_factor = self._prop_factor
-        offsets = csr.out_offsets
-        targets = csr.out_targets
-        weights = csr.out_weights
-        page_bytes = self.config.dram_page_bytes
-        tracer = self.tracer
-
-        max_rows = self.config.scheduler_rows_per_round
-        rounds = 0
-        while queue.pending():
-            rounds += 1
-            if rounds > MAX_ROUNDS:
-                raise RuntimeError("engine exceeded MAX_ROUNDS; non-termination?")
-            work = phase.new_round()
-            round_span = (
-                tracer.start("round", occupancy_start=queue.occupancy())
-                if tracer.enabled
-                else None
-            )
-            if not queue.active_pending():
-                # Charge the activated slice's spill read-back to this round.
-                queue.activate_next_slice(work)
-            for batch in queue.drain_round(work, max_rows):
-                self._account_vertex_batch(batch, work, page_bytes)
-                edge_lines = set()
-                edge_pages = set()
-                for event in batch:
-                    v = event.target
-                    work.events_processed += 1
-                    work.vertex_reads += 1
-                    state = states[v]
-                    new_state = reduce_(state, event.payload)
-                    changed = new_state != state
-                    if changed:
-                        states[v] = new_state
-                        work.vertex_writes += 1
-                        if track_dep:
-                            dependency[v] = event.source
-                    if not (changed or event.flags & 2):
-                        continue
-                    start = offsets[v]
-                    stop = offsets[v + 1]
-                    if stop == start:
-                        continue
-                    work.edges_read += int(stop - start)
-                    edge_lines.update(
-                        range(int(start * 8) // _LINE, int(stop * 8 - 1) // _LINE + 1)
-                    )
-                    edge_pages.update(
-                        range(
-                            int(start * 8) // page_bytes,
-                            int(stop * 8 - 1) // page_bytes + 1,
-                        )
-                    )
-                    if accumulative:
-                        # Linear fast path: forwarded delta is the incoming
-                        # delta scaled by the hoisted per-source factor.
-                        base_value = (new_state - state) * prop_factor[v]
-                        if weight_scaled:
-                            for i in range(start, stop):
-                                value = base_value * weights[i]
-                                if value > threshold or value < -threshold:
-                                    work.events_generated += 1
-                                    queue.insert(Event(int(targets[i]), value, 0, v), work)
-                        elif base_value > threshold or base_value < -threshold:
-                            for i in range(start, stop):
-                                work.events_generated += 1
-                                queue.insert(
-                                    Event(int(targets[i]), base_value, 0, v), work
-                                )
-                    else:
-                        basis = states[v]
-                        for i in range(start, stop):
-                            value = propagate(basis, weights[i], NULL_CONTEXT)
-                            work.events_generated += 1
-                            queue.insert(Event(int(targets[i]), value, 0, v), work)
-                work.edge_lines += len(edge_lines)
-                work.dram_pages += len(edge_pages)
-            if round_span is not None:
-                tracer.end(
-                    round_span, **work_attrs(work), occupancy_end=queue.occupancy()
-                )
+        self._run_array_rounds(queue, phase, delete=False)
 
     def run_delete(self, queue, phase: PhaseStats) -> List[int]:
         """Recovery phase: propagate delete tags, reset impacted vertices.
@@ -386,109 +268,10 @@ class EngineCore:
         tests of §5. The queue must contain the initial delete events
         (``ProcessDeletesSelective``); the bound graph must be the
         *previous* version (§3.5). Returns the impacted-vertex list (the
-        Impact Buffer contents, §4.5). Dispatches like
-        :meth:`run_regular`: array driver for the array queues, scalar
-        oracle loop for the boxed queue.
+        Impact Buffer contents, §4.5).
         """
-        if not isinstance(queue, CoalescingQueue):
-            return self._run_array_rounds(queue, phase, delete=True)
-        algorithm = self.algorithm
-        csr = self.csr
-        states = self.states
-        dependency = self.dependency
-        policy = self.policy
-        identity = algorithm.identity
-        propagate = algorithm.propagate
-        more_progressed = algorithm.more_progressed
-        offsets = csr.out_offsets
-        targets = csr.out_targets
-        weights = csr.out_weights
-        page_bytes = self.config.dram_page_bytes
-        base_policy = policy is DeletePolicy.BASE
-        vap = policy is DeletePolicy.VAP
-        dap = policy is DeletePolicy.DAP
+        return self._run_array_rounds(queue, phase, delete=True)
 
-        max_rows = self.config.scheduler_rows_per_round
-        tracer = self.tracer
-        impacted: List[int] = []
-        rounds = 0
-        while queue.pending():
-            rounds += 1
-            if rounds > MAX_ROUNDS:
-                raise RuntimeError("delete phase exceeded MAX_ROUNDS")
-            work = phase.new_round()
-            round_span = (
-                tracer.start("round", occupancy_start=queue.occupancy())
-                if tracer.enabled
-                else None
-            )
-            if not queue.active_pending():
-                # Charge the activated slice's spill read-back to this round.
-                queue.activate_next_slice(work)
-            for batch in queue.drain_round(work, max_rows):
-                self._account_vertex_batch(batch, work, page_bytes)
-                edge_lines = set()
-                edge_pages = set()
-                for event in batch:
-                    v = event.target
-                    work.events_processed += 1
-                    work.vertex_reads += 1
-                    state = states[v]
-                    if state == identity:
-                        phase.deletes_discarded += 1
-                        continue
-                    if dap and dependency[v] != event.source:
-                        phase.deletes_discarded += 1
-                        continue
-                    if vap and more_progressed(state, event.payload):
-                        phase.deletes_discarded += 1
-                        continue
-                    # Reset (tag) the vertex — Algorithm 4, line 11.
-                    states[v] = identity
-                    work.vertex_writes += 1
-                    if dap:
-                        dependency[v] = NO_SOURCE
-                    impacted.append(v)
-                    phase.vertices_reset += 1
-                    start = offsets[v]
-                    stop = offsets[v + 1]
-                    if stop == start:
-                        continue
-                    work.edges_read += int(stop - start)
-                    edge_lines.update(
-                        range(int(start * 8) // _LINE, int(stop * 8 - 1) // _LINE + 1)
-                    )
-                    edge_pages.update(
-                        range(
-                            int(start * 8) // page_bytes,
-                            int(stop * 8 - 1) // page_bytes + 1,
-                        )
-                    )
-                    for i in range(start, stop):
-                        # BASE carries no value (Algorithm 4 queues <v, 0>);
-                        # VAP/DAP carry the contribution computed from the
-                        # pre-reset state (§5.1, §5.2).
-                        payload = (
-                            0.0
-                            if base_policy
-                            else propagate(state, weights[i], NULL_CONTEXT)
-                        )
-                        work.events_generated += 1
-                        queue.insert(
-                            Event(int(targets[i]), payload, 1, v),
-                            work,
-                        )
-                work.edge_lines += len(edge_lines)
-                work.dram_pages += len(edge_pages)
-            if round_span is not None:
-                tracer.end(
-                    round_span, **work_attrs(work), occupancy_end=queue.occupancy()
-                )
-        return impacted
-
-    # ------------------------------------------------------------------
-    # Array substrate: one round driver over the shared kernels
-    # ------------------------------------------------------------------
     def _kernel_context(self) -> dict:
         """Kernel context over the core's arrays (see repro.core.parallel)."""
         return {
@@ -503,19 +286,19 @@ class EngineCore:
         }
 
     def _run_array_rounds(self, queue, phase: PhaseStats, delete: bool) -> List[int]:
-        """The array round loop — regular and delete, every array substrate.
+        """The array round loop — regular and delete.
 
         One round: drain the queue as a vertex-sorted :class:`EventBatch`,
         run the round kernel (:func:`~repro.core.parallel.
         regular_shard_kernel` or :func:`~repro.core.parallel.
         delete_shard_kernel`) over the whole drain, account the touched
         vertex/edge lines per row batch, and insert the generated events as
-        one batch. The per-round vectors equal the scalar loops'
-        (docs/architecture.md, "Vectorized substrate"). On
-        ``engine="sharded"`` the round's work is also split by owning
-        engine into ``phase.shard_rounds`` and the generated events crossing
-        engines are charged to the crossbar (``phase.noc_*``); execution is
-        the same. Returns the impacted vertices (delete rounds; ascending
+        one batch. The per-round vectors equal the scalar oracle's
+        (:mod:`repro.oracle`; docs/architecture.md, "Vectorized
+        substrate"). With ``num_engines`` set the round's work is also split
+        by owning engine into ``phase.shard_rounds`` and the generated
+        events crossing engines are charged to the crossbar
+        (``phase.noc_*``); execution is the same. Returns the impacted vertices (delete rounds; ascending
         vertex id per round).
         """
         kind = "delete" if delete else "regular"
@@ -619,24 +402,11 @@ class EngineCore:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _account_vertex_batch(
-        batch: List[Event], work: RoundWork, page_bytes: int
-    ) -> None:
-        """Prefetcher accounting: unique state lines/pages per batch (§4.4)."""
-        lines = set()
-        pages = set()
-        for event in batch:
-            addr = event.target * 8
-            lines.add(addr // _LINE)
-            pages.add(addr // page_bytes)
-        work.vertex_lines += len(lines)
-        work.dram_pages += len(pages)
-
-    @staticmethod
     def _account_vertex_batch_arrays(
         targets: np.ndarray, seg_start: np.ndarray, work: RoundWork, page_bytes: int
     ) -> None:
-        """Array form of :meth:`_account_vertex_batch` over a whole round.
+        """Prefetcher accounting: unique state lines/pages per row batch
+        (§4.4), over a whole round.
 
         ``targets`` is the drained round sorted by vertex id; ``seg_start``
         marks the first event of each row batch. Distinct lines/pages per
@@ -683,7 +453,7 @@ class ComputeResult:
     states: np.ndarray
     metrics: RunMetrics
     #: Lifetime queue counters (inserts/coalesces/peak/switches) — identical
-    #: across engine substrates; kept for the parity oracle.
+    #: on the scalar oracle; kept for the parity suites.
     queue_stats: Optional[dict] = None
 
     @property
@@ -707,14 +477,10 @@ class GraphPulseEngine:
     graphpulse_event_size:
         Use the narrower GraphPulse event encoding for queue capacity
         accounting (the static accelerator carries no flags/source).
-    engine:
-        Substrate selection: ``auto`` (vectorized when the algorithm
-        provides array hooks), ``sharded`` (vectorized, plus per-engine
-        work and NoC accounting over graph slices, Table 1), or ``scalar``
-        (the boxed reference oracle).
     num_engines:
-        Engine count accounted for by ``engine="sharded"`` (default 8,
-        Table 1).
+        ``None`` (default): one engine, no per-engine accounting. ``n``:
+        also report per-engine work and NoC traffic over ``n`` graph
+        slices (Table 1 has 8).
     tracer:
         A :class:`repro.obs.Tracer` for run observability (default: the
         no-op :data:`~repro.obs.NULL_TRACER`).
@@ -725,8 +491,7 @@ class GraphPulseEngine:
         algorithm,
         config: Optional[AcceleratorConfig] = None,
         graphpulse_event_size: bool = True,
-        engine: str = "auto",
-        num_engines: int = 8,
+        num_engines: Optional[int] = None,
         tracer=None,
     ):
         config = config or AcceleratorConfig()
@@ -736,7 +501,6 @@ class GraphPulseEngine:
             config,
             policy=DeletePolicy.BASE,
             queue_event_bytes=event_bytes,
-            engine=engine,
             num_engines=num_engines,
             tracer=tracer,
         )
@@ -759,20 +523,14 @@ class GraphPulseEngine:
             "run",
             "static",
             algorithm=self.algorithm.name,
-            engine_mode=core.engine_mode,
+            num_engines=core.num_engines,
             num_vertices=csr.num_vertices,
             num_edges=csr.num_edges,
         ):
             core.allocate(csr.num_vertices)
             core.bind_graph(csr)
             metrics = RunMetrics()
-            phase = metrics.phase("initial")
-            queue = core.new_queue()
-            with tracer.phase(phase):
-                seed_work = phase.new_round()
-                with tracer.round(seed_work, queue):
-                    core.seed_initial(queue, seed_work)
-                core.run_regular(queue, phase)
+            queue = core.converge_initial(metrics.phase("initial"))
         return ComputeResult(
             states=core.states.copy(),
             metrics=metrics,

@@ -44,7 +44,7 @@ def segmented_interval_union(
 
     Both bounds must be non-decreasing within each segment (true for edge
     line/page intervals of vertices processed in ascending id order, since
-    CSR offsets are monotone). Replaces the scalar engine's per-batch
+    CSR offsets are monotone). Replaces the scalar oracle's per-batch
     ``set.update(range(lo, hi + 1))`` with closed-form overlap arithmetic:
     each interval contributes the part of ``[lo, hi]`` that lies beyond the
     previous interval's end.
@@ -131,13 +131,13 @@ class PhaseStats:
     request_events: int = 0
     touched_vertices: Set[int] = field(default_factory=set)
     #: Per-engine work vectors of each *kernel* round when this phase runs
-    #: on ``engine="sharded"`` (one ``List[RoundWork]`` per drained round,
+    #: with ``num_engines`` set (one ``List[RoundWork]`` per drained round,
     #: indexed by engine id). Orchestration/seed rounds add no entry. The
     #: per-round vectors in :attr:`rounds` are the single-engine ones; this
     #: is their per-engine decomposition, which the Fig. 11-style
     #: utilization analysis derives engine load from.
     shard_rounds: List[List[RoundWork]] = field(default_factory=list)
-    #: Inter-engine NoC traffic of ``engine="sharded"`` (§4.4/§4.7):
+    #: Inter-engine NoC traffic when ``num_engines`` is set (§4.4/§4.7):
     #: generated events delivered to the producer's own engine vs. routed
     #: across the crossbar, with flit and contended-cycle estimates from
     #: :class:`repro.sim.noc.CrossbarModel`. Zero on single-engine runs.
@@ -168,7 +168,7 @@ class PhaseStats:
     def per_engine_totals(self) -> List[RoundWork]:
         """Per-engine work summed over this phase's sharded rounds.
 
-        Empty when the phase did not run on ``engine="sharded"``.
+        Empty when the phase ran without ``num_engines``.
         """
         if not self.shard_rounds:
             return []

@@ -5,8 +5,8 @@ sliced (PuLP edge-cut — here :func:`repro.graph.partition.
 partition_graph`), each engine owns one slice's vertices, and events
 crossing slices travel through the 16×16 crossbar NoC (§4.4). What the
 reproduction needs from those engines is *accounting* — per-engine work,
-load balance and crossbar traffic (Table 1) — so ``engine="sharded"``
-executes the same single array round as the vectorized path and
+load balance and crossbar traffic (Table 1) — so ``num_engines=n``
+executes the same single array round as a one-engine run and
 attributes its work to the engine owning each vertex:
 
 * :func:`regular_shard_kernel` / :func:`delete_shard_kernel` — the array
@@ -20,7 +20,7 @@ attributes its work to the engine owning each vertex:
   producer and target live on different engines.
 
 Because nothing is split or merged, states, per-round work vectors, phase
-extras and queue statistics of a sharded run are those of the vectorized
+extras and queue statistics of a sharded run are those of the one-engine
 run by construction (``tests/test_sharded_parity.py``).
 """
 

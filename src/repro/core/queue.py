@@ -27,7 +27,7 @@ makes order irrelevant — and gives the timing model clean units.)
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -92,228 +92,15 @@ class _SlicedQueue:
         }
 
 
-class CoalescingQueue(_SlicedQueue):
-    """Event queue with in-place coalescing, slicing, and work accounting.
-
-    Parameters
-    ----------
-    algorithm:
-        Supplies ``reduce`` and the progression order for coalescing.
-    config:
-        :class:`~repro.core.config.AcceleratorConfig` (row width, event
-        sizes, bin count).
-    policy:
-        Deletion policy; controls delete coalescing and event width.
-    num_vertices:
-        Total vertex count (for slice assignment checks).
-    slice_of:
-        Optional array mapping vertex -> slice id. ``None`` = single slice.
-    """
-
-    def __init__(
-        self,
-        algorithm,
-        config,
-        policy: DeletePolicy = DeletePolicy.DAP,
-        num_vertices: int = 0,
-        slice_of: Optional[np.ndarray] = None,
-    ):
-        super().__init__(algorithm, config, policy, num_vertices, slice_of)
-        self._cells: List[Dict[int, Event]] = [dict() for _ in range(self.num_slices)]
-        self._overflow: List[Dict[int, List[Event]]] = [
-            dict() for _ in range(self.num_slices)
-        ]
-        #: Cross-slice events written off-chip and not yet read back, per
-        #: slice; charged as read-back traffic when the slice activates.
-        self._spilled_pending = [0] * self.num_slices
-
-    # ------------------------------------------------------------------
-    # Insertion / coalescing
-    # ------------------------------------------------------------------
-    def insert(self, event: Event, work: RoundWork) -> None:
-        """Insert ``event``, coalescing with any queued event for the target.
-
-        ``work`` receives the insert/coalesce/spill accounting.
-        """
-        self.total_inserts += 1
-        work.queue_inserts += 1
-        sid = self.slice_id(event.target) if self._slice_of is not None else 0
-        if sid != self.active_slice:
-            # Cross-slice event: written to off-chip memory now (§4.7); the
-            # matching read-back is charged when the slice activates.
-            work.spill_bytes += self.event_bytes
-            self._spilled_pending[sid] += 1
-        cells = self._cells[sid]
-        existing = cells.get(event.target)
-        if existing is None:
-            cells[event.target] = event
-            self._occupancy += 1
-            if self._occupancy > self.peak_occupancy:
-                self.peak_occupancy = self._occupancy
-            return
-        if (existing.flags & 1) != (event.flags & 1):
-            raise QueueError(
-                "delete and non-delete events may not coexist for a vertex; "
-                "the scheduler separates the phases (§4.3)"
-            )
-        if (event.flags & 1) and self._delete_coalescing_off:
-            # DAP recovery: queue extra events through the overflow buffer,
-            # which spills to off-chip memory in blocks (§5.2).
-            self._overflow[sid].setdefault(event.target, []).append(event)
-            self._occupancy += 1
-            if self._occupancy > self.peak_occupancy:
-                self.peak_occupancy = self._occupancy
-            work.spill_bytes += 2 * self.event_bytes
-            return
-        self._coalesce(existing, event)
-        self.total_coalesces += 1
-        work.coalesce_ops += 1
-
-    def _coalesce(self, existing: Event, incoming: Event) -> None:
-        """Coalesce ``incoming`` into ``existing`` in place (§4.2)."""
-        algorithm = self.algorithm
-        flags = existing.flags | incoming.flags
-        if existing.flags & 1:
-            if self.policy is DeletePolicy.VAP:
-                # Keep the most progressed contribution — the only one that
-                # can still force a reset (§5.1).
-                reduced = algorithm.reduce(existing.payload, incoming.payload)
-                if reduced != existing.payload:
-                    existing.source = incoming.source
-                existing.payload = reduced
-            # BASE: tagging once suffices; payloads carry no information.
-            existing.flags = flags
-            return
-        reduced = algorithm.reduce(existing.payload, incoming.payload)
-        # Retain the source of the dominant contribution (§5.2); for
-        # accumulative algorithms reduce is a sum and source is unused.
-        if reduced != existing.payload:
-            existing.source = incoming.source
-        existing.payload = reduced
-        existing.flags = flags
-
-    # ------------------------------------------------------------------
-    # Draining
-    # ------------------------------------------------------------------
-    def pending(self) -> bool:
-        """True when any slice holds events."""
-        return any(
-            cells or overflow
-            for cells, overflow in zip(self._cells, self._overflow)
-        )
-
-    def active_pending(self) -> bool:
-        """True when the active slice holds events."""
-        return bool(
-            self._cells[self.active_slice] or self._overflow[self.active_slice]
-        )
-
-    def activate_next_slice(self, work: Optional[RoundWork] = None) -> bool:
-        """Swap to the next slice with pending events (§4.7).
-
-        Counts the read-back of that slice's spilled events into ``work``:
-        every event written off-chip while the slice was inactive must be
-        fetched back before the slice can drain. Returns False when every
-        slice is empty.
-        """
-        for step in range(1, self.num_slices + 1):
-            candidate = (self.active_slice + step) % self.num_slices
-            if self._cells[candidate] or self._overflow[candidate]:
-                if candidate != self.active_slice:
-                    self.slice_switches += 1
-                if work is not None and self._spilled_pending[candidate]:
-                    work.spill_bytes += (
-                        self._spilled_pending[candidate] * self.event_bytes
-                    )
-                    self._spilled_pending[candidate] = 0
-                self.active_slice = candidate
-                return True
-        return False
-
-    def drain_round(
-        self, work: RoundWork, max_rows: Optional[int] = None
-    ) -> List[List[Event]]:
-        """Emit queued events of the active slice as row batches.
-
-        Events are sorted by destination vertex id and grouped by queue row
-        (``config.queue_row_vertices`` consecutive vertices per row), which
-        is exactly the spatial-locality grouping the scheduler exploits
-        when assigning batches to processors (§4.3).
-
-        ``max_rows`` limits how many rows one round emits — the
-        finer-grained hardware drain (one row per bin per step). Events
-        left behind stay queued and keep coalescing with new arrivals,
-        which is the mechanism that makes partial drains *cheaper* in total
-        events even though they take more rounds.
-        """
-        cells = self._cells[self.active_slice]
-        overflow = self._overflow[self.active_slice]
-        if not cells and not overflow:
-            return []
-        row_width = self.config.queue_row_vertices
-        targets = sorted(set(cells) | set(overflow))
-        if max_rows is not None:
-            allowed_rows = []
-            for target in targets:
-                row = target // row_width
-                if not allowed_rows or allowed_rows[-1] != row:
-                    if len(allowed_rows) == max_rows:
-                        break
-                    allowed_rows.append(row)
-            limit = set(allowed_rows)
-            targets = [t for t in targets if t // row_width in limit]
-
-        events: List[Event] = []
-        for target in targets:
-            cell = cells.pop(target, None)
-            if cell is not None:
-                events.append(cell)
-            extra = overflow.pop(target, None)
-            if extra:
-                events.extend(extra)
-        self._occupancy -= len(events)
-
-        batches: List[List[Event]] = []
-        current_row = None
-        for event in events:
-            row = event.target // row_width
-            if row != current_row:
-                batches.append([])
-                current_row = row
-            batches[-1].append(event)
-        return batches
-
-    # ------------------------------------------------------------------
-    def occupancy(self) -> int:
-        """Number of queued events across all slices."""
-        return sum(len(c) for c in self._cells) + sum(
-            len(v) for o in self._overflow for v in o.values()
-        )
-
-    def insert_batch(self, batch: EventBatch, work: RoundWork) -> None:
-        """Insert a whole :class:`EventBatch` in array order.
-
-        The scalar queue simply loops; :class:`VectorQueue` overrides this
-        with a scatter-reduce. Both produce identical queue state and
-        identical work accounting for the same batch.
-        """
-        for event in batch.to_events():
-            self.insert(event, work)
-
-    def seed(self, events: Iterable[Event], work: RoundWork) -> None:
-        """Bulk-insert initial events (the Initializer module, §4.6)."""
-        for event in events:
-            self.insert(event, work)
-
-
 class VectorQueue(_SlicedQueue):
     """Structure-of-arrays coalescing queue with batched scatter-reduce.
 
-    Drop-in functional twin of :class:`CoalescingQueue` for the vectorized
-    engine: one direct-mapped cell per vertex held in parallel NumPy arrays
-    (payload / flags / source / occupancy mask), so inserting a whole
-    :class:`EventBatch` is a fixed number of O(k) gathers and scatters over
-    the batch as it arrives — like the hardware queue, nothing is sorted:
+    The functional twin of the scalar oracle's boxed-event queue
+    (:mod:`repro.oracle`): one direct-mapped cell per vertex held in
+    parallel NumPy arrays (payload / flags / source / occupancy mask), so
+    inserting a whole :class:`EventBatch` is a fixed number of O(k) gathers
+    and scatters over the batch as it arrives — like the hardware queue,
+    nothing is sorted:
 
     * the **first event of each empty target** is found with
       ``np.minimum.at`` over batch positions (:meth:`_first_position`; the
@@ -338,8 +125,7 @@ class VectorQueue(_SlicedQueue):
       work vectors stay identical.
 
     Drains return an :class:`EventBatch` (sorted by target) plus row-batch
-    boundaries rather than ``List[List[Event]]``; :class:`EngineCore`
-    dispatches on the queue type.
+    boundaries rather than the oracle's ``List[List[Event]]``.
     """
 
     def __init__(
@@ -352,8 +138,7 @@ class VectorQueue(_SlicedQueue):
     ):
         if getattr(algorithm, "reduce_ufunc", None) is None:
             raise QueueError(
-                f"{algorithm!r} provides no reduce_ufunc; use CoalescingQueue "
-                "(scalar engine) for algorithms without vectorized hooks"
+                f"{algorithm!r} provides no reduce_ufunc to coalesce with"
             )
         super().__init__(algorithm, config, policy, num_vertices, slice_of)
         slice_of = self._slice_of
@@ -379,10 +164,6 @@ class VectorQueue(_SlicedQueue):
     def insert(self, event: Event, work: RoundWork) -> None:
         """Insert one boxed event (seeding/tests; hot paths use batches)."""
         self.insert_batch(EventBatch.from_events([event]), work)
-
-    def seed(self, events: Iterable[Event], work: RoundWork) -> None:
-        """Bulk-insert initial events (the Initializer module, §4.6)."""
-        self.insert_batch(EventBatch.from_events(events), work)
 
     def insert_batch(self, batch: EventBatch, work: RoundWork) -> None:
         """Insert ``batch`` in array order with scatter-reduce coalescing.
@@ -589,8 +370,10 @@ class VectorQueue(_SlicedQueue):
     def activate_next_slice(self, work: Optional[RoundWork] = None) -> bool:
         """Swap to the next slice with pending events (§4.7).
 
-        Counts the read-back of that slice's spilled events into ``work``,
-        exactly like :meth:`CoalescingQueue.activate_next_slice`.
+        Counts the read-back of that slice's spilled events into ``work``:
+        every event written off-chip while the slice was inactive must be
+        fetched back before the slice can drain. Returns False when every
+        slice is empty.
         """
         for step in range(1, self.num_slices + 1):
             candidate = (self.active_slice + step) % self.num_slices

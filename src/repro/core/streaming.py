@@ -106,8 +106,8 @@ class StreamingResult:
     graph_version: int
     #: Vertices reset during the recovery phase (selective only).
     impacted: List[int] = field(default_factory=list)
-    #: Lifetime queue counters — identical across engine substrates; kept
-    #: for the parity oracle.
+    #: Lifetime queue counters — identical on the scalar oracle; kept for
+    #: the parity suites.
     queue_stats: Optional[dict] = None
 
     @property
@@ -131,13 +131,10 @@ class JetStreamEngine:
     policy:
         Deletion-propagation policy (§5). DAP is the paper's best
         performer and the default.
-    engine:
-        Substrate selection: ``auto`` (default — vectorized whenever the
-        algorithm provides array hooks), ``sharded`` (vectorized, plus
-        per-engine work and NoC accounting over graph slices, Table 1 /
-        §4.7), or ``scalar`` (the boxed-event reference oracle).
     num_engines:
-        Engine count accounted for by ``engine="sharded"`` (default 8).
+        ``None`` (default): one engine, no per-engine accounting. ``n``:
+        also report per-engine work and NoC traffic over ``n`` graph
+        slices (Table 1 / §4.7 has 8).
     """
 
     def __init__(
@@ -147,8 +144,7 @@ class JetStreamEngine:
         config: Optional[AcceleratorConfig] = None,
         policy: DeletePolicy = DeletePolicy.DAP,
         two_phase_accumulative: bool = False,
-        engine: str = "auto",
-        num_engines: int = 8,
+        num_engines: Optional[int] = None,
         tracer=None,
     ):
         if algorithm.needs_symmetric and not graph.symmetric:
@@ -178,7 +174,6 @@ class JetStreamEngine:
             algorithm,
             config or AcceleratorConfig(),
             policy,
-            engine=engine,
             num_engines=num_engines,
             tracer=tracer,
         )
@@ -216,23 +211,17 @@ class JetStreamEngine:
         core.allocate(csr.num_vertices)
         core.bind_graph(csr)
         metrics = RunMetrics()
-        phase = metrics.phase("initial")
-        queue = core.new_queue()
         with tracer.span(
             "run",
             "initial",
             algorithm=self.algorithm.name,
-            engine_mode=core.engine_mode,
+            num_engines=core.num_engines,
             num_vertices=csr.num_vertices,
             num_edges=csr.num_edges,
             graph_version=self.graph.version,
             stream_records=0,
         ):
-            with tracer.phase(phase):
-                work = phase.new_round()
-                with tracer.round(work, queue):
-                    core.seed_initial(queue, work)
-                core.run_regular(queue, phase)
+            queue = core.converge_initial(metrics.phase("initial"))
         self._initialized = True
         return StreamingResult(
             states=core.states.copy(),
@@ -261,7 +250,7 @@ class JetStreamEngine:
             "run",
             "batch",
             algorithm=self.algorithm.name,
-            engine_mode=self.core.engine_mode,
+            num_engines=self.core.num_engines,
             batch_index=self._batches_applied,
             insertions=len(batch.ins),
             deletions=len(batch.dels),
@@ -621,8 +610,7 @@ def evaluate_at_versions(
     algorithm,
     versions,
     config: Optional[AcceleratorConfig] = None,
-    engine: str = "auto",
-    num_engines: int = 8,
+    num_engines: Optional[int] = None,
     tracer=None,
 ) -> MultiVersionResult:
     """Evaluate ``algorithm`` at several recorded graph versions at once.
@@ -644,21 +632,18 @@ def evaluate_at_versions(
     versions = sorted({int(v) for v in versions})
     if not versions:
         raise ValueError("versions must be non-empty")
-    if algorithm.kind is not AlgorithmKind.SELECTIVE:
-        return _evaluate_versions_independent(
-            store, algorithm, versions, config, engine, num_engines, tracer
-        )
-
-    slice_ = store.common_slice(versions)
-    common_csr = CSRGraph.from_arrays(slice_.common_vertices, *slice_.common_edges)
     core = EngineCore(
         algorithm,
         config or AcceleratorConfig(),
         DeletePolicy.BASE,
-        engine=engine,
         num_engines=num_engines,
         tracer=tracer,
     )
+    if algorithm.kind is not AlgorithmKind.SELECTIVE:
+        return _evaluate_versions_independent(store, core, versions)
+
+    slice_ = store.common_slice(versions)
+    common_csr = CSRGraph.from_arrays(slice_.common_vertices, *slice_.common_edges)
     metrics = RunMetrics()
     states: Dict[int, np.ndarray] = {}
     per_version_events: Dict[int, int] = {}
@@ -667,12 +652,7 @@ def evaluate_at_versions(
     common_phase = metrics.phase("common-convergence")
     core.allocate(slice_.common_vertices)
     core.bind_graph(common_csr)
-    queue = core.new_queue()
-    with tracer_.phase(common_phase):
-        work = common_phase.new_round()
-        with tracer_.round(work, queue):
-            core.seed_initial(queue, work)
-        core.run_regular(queue, common_phase)
+    core.converge_initial(common_phase)
     base_states = core.states[: slice_.common_vertices].copy()
     common_events = common_phase.events_processed
 
@@ -712,18 +692,8 @@ def evaluate_at_versions(
     )
 
 
-def _evaluate_versions_independent(
-    store, algorithm, versions, config, engine, num_engines, tracer
-) -> MultiVersionResult:
+def _evaluate_versions_independent(store, core, versions) -> MultiVersionResult:
     """Per-version cold evaluation — no shareable prefix (accumulative)."""
-    core = EngineCore(
-        algorithm,
-        config or AcceleratorConfig(),
-        DeletePolicy.BASE,
-        engine=engine,
-        num_engines=num_engines,
-        tracer=tracer,
-    )
     metrics = RunMetrics()
     states: Dict[int, np.ndarray] = {}
     per_version_events: Dict[int, int] = {}
@@ -732,12 +702,7 @@ def _evaluate_versions_independent(
         phase = metrics.phase(f"cold@v{ver}")
         core.allocate(csr.num_vertices)
         core.bind_graph(csr)
-        queue = core.new_queue()
-        with core.tracer.phase(phase):
-            work = phase.new_round()
-            with core.tracer.round(work, queue):
-                core.seed_initial(queue, work)
-            core.run_regular(queue, phase)
+        core.converge_initial(phase)
         states[ver] = core.states.copy()
         per_version_events[ver] = phase.events_processed
     return MultiVersionResult(

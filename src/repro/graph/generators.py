@@ -223,7 +223,7 @@ def ensure_reachable_core(
     reachable_list = sorted(reachable)
     for v in range(num_vertices):
         if v not in reachable:
-            u = int(rng.choice(reachable_list))
+            u = reachable_list[int(rng.integers(0, len(reachable_list)))]
             if (u, v) not in existing:
                 edges.append((u, v, float(rng.integers(1, 64))))
                 existing.add((u, v))

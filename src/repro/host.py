@@ -78,7 +78,6 @@ class Session:
         self._last_result: Optional[StreamingResult] = None
         self._express: Optional[ExpressLane] = None
         self._version_store: Optional[DeltaVersionStore] = None
-        self._engine_opts = {"engine": "auto", "num_engines": 8}
         self._closed = False
         self.transfers = TransferStats()
         # Initial CSR upload: out + in structures plus vertex states.
@@ -103,18 +102,16 @@ class Session:
         algorithm: str,
         source: int = 0,
         policy: DeletePolicy = DeletePolicy.DAP,
-        engine: str = "auto",
-        num_engines: int = 8,
+        num_engines: Optional[int] = None,
         **algorithm_kwargs,
     ) -> "Session":
         """Bind the application (Reduce/Propagate pair) to the session.
 
-        ``engine`` selects the event substrate: ``auto`` (default) uses the
-        vectorized SoA kernels when the algorithm supports them, ``scalar``
-        forces the boxed-event reference path, and ``sharded`` requires
-        the array hooks, runs the vectorized kernels and also reports the
-        per-engine work and NoC traffic of ``num_engines`` graph slices
-        (Table 1, §4.7).
+        ``num_engines=None`` (default) runs one engine; ``num_engines=n``
+        also reports the per-engine work and NoC traffic of ``n`` graph
+        slices (Table 1, §4.7). ``n`` may not exceed the vertex count:
+        partitioning and every round cost O(n), so the count is capped
+        (``ValueError``) before it can stall the host.
 
         Reconfiguring an already-run session starts a fresh query: the next
         :meth:`run` is an initial evaluation on the current graph, and
@@ -130,6 +127,11 @@ class Session:
                 "cannot reconfigure with a staged update batch; run() it "
                 "first (the batch would otherwise be silently dropped)"
             )
+        if num_engines is not None and num_engines > max(1, self._graph.num_vertices):
+            raise ValueError(
+                f"num_engines={num_engines} exceeds the graph's "
+                f"{self._graph.num_vertices} vertices"
+            )
         algo = make_algorithm(algorithm, source=source, **algorithm_kwargs)
         if algo.needs_symmetric and not self._graph.symmetric:
             raise HostApiError(
@@ -141,11 +143,9 @@ class Session:
             algo,
             config=self._accelerator.config,
             policy=policy,
-            engine=engine,
             num_engines=num_engines,
             tracer=self._accelerator.tracer,
         )
-        self._engine_opts = {"engine": engine, "num_engines": num_engines}
         # A new engine has no results: drop the previous query's state so
         # run() performs the initial evaluation instead of demanding a
         # batch for an engine that never ran initial_compute().
@@ -265,8 +265,8 @@ class Session:
             self._engine.algorithm,
             versions,
             config=self._accelerator.config,
+            num_engines=self._engine.core.num_engines,
             tracer=self._accelerator.tracer,
-            **self._engine_opts,
         )
         for ver in result.versions:
             self._account_transfer(

@@ -6,7 +6,7 @@ https://ui.perfetto.dev (JSON object form, ``traceEvents`` array):
 
 * one *thread* track per engine — tid 0 carries the orchestration spans
   (run → phase → round), tid ``engine_id + 1`` carries that engine's
-  per-round work spans from ``engine="sharded"``;
+  per-round work spans when ``num_engines`` is set;
 * complete (``"ph": "X"``) events with microsecond ``ts``/``dur``
   normalized to the trace's earliest span start;
 * counter (``"ph": "C"``) tracks for queue occupancy (sampled at round

@@ -1,7 +1,7 @@
 """Structured run tracing: hierarchical spans over the engine substrates.
 
 A :class:`Tracer` emits a tree of spans — ``run`` → ``phase`` → ``round``
-(→ ``engine`` under ``engine="sharded"``) — carrying the exact per-round work
+(→ ``engine`` when ``num_engines`` is set) — carrying the exact per-round work
 vectors the engines already record (:class:`~repro.core.metrics.RoundWork`)
 plus wall-clock timings and queue/NoC occupancy snapshots. Spans and point
 events are delivered to pluggable sinks (:mod:`repro.obs.sinks`); the

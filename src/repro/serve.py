@@ -577,8 +577,7 @@ class ServeApp:
         name: Optional[str] = None,
         source: int = 0,
         policy: str = DeletePolicy.DAP.value,
-        engine: str = "auto",
-        num_engines: int = 8,
+        num_engines: Optional[int] = None,
         symmetric: bool = False,
         num_vertices: int = 0,
         queue_bound: Optional[int] = None,
@@ -593,11 +592,7 @@ class ServeApp:
         """
         if self._closed:
             raise ServeError(409, "CLOSING", "server is shutting down")
-        for field, value in (
-            ("algorithm", algorithm),
-            ("policy", policy),
-            ("engine", engine),
-        ):
+        for field, value in (("algorithm", algorithm), ("policy", policy)):
             if not isinstance(value, str):
                 raise ServeError(
                     400, "BAD_SESSION", f"{field!r} must be a string, got {value!r}"
@@ -617,7 +612,6 @@ class ServeApp:
                     algorithm,
                     source=source,
                     policy=DeletePolicy(policy),
-                    engine=engine,
                     num_engines=num_engines,
                 )
                 session.run()  # initial evaluation: serve needs a converged state
@@ -864,6 +858,15 @@ class _ServeHandler(PayloadHandler):
                     raise ServeError(
                         400, "BAD_SESSION", "need 'edges' and 'algorithm'"
                     )
+                if "engine" in body:
+                    # A silently ignored "sharded" would drop the client's
+                    # per-engine accounting, so the old field is refused.
+                    raise ServeError(
+                        400,
+                        "BAD_SESSION",
+                        "'engine' is no longer a session field; send "
+                        "'num_engines' for per-engine accounting, or omit it",
+                    )
                 # keep_versions: absent -> default ring, 0/null -> unbounded.
                 keep_versions = (
                     _int_field(body, "keep_versions", None)
@@ -881,8 +884,7 @@ class _ServeHandler(PayloadHandler):
                     name=body.get("name"),
                     source=_int_field(body, "source", 0),
                     policy=body.get("policy", DeletePolicy.DAP.value),
-                    engine=body.get("engine", "auto"),
-                    num_engines=_int_field(body, "num_engines", 8),
+                    num_engines=_int_field(body, "num_engines", None),
                     symmetric=bool(body.get("symmetric", False)),
                     num_vertices=_int_field(body, "num_vertices", 0),
                     queue_bound=_int_field(body, "queue_bound", None),
@@ -944,12 +946,18 @@ def _int_field(body: dict, field: str, default: Optional[int]) -> Optional[int]:
     """``body[field]`` as an int, ``default`` when absent or null.
 
     A value ``int()`` refuses (``"many"``, ``[1]``) is a 400 that names
-    the field, not an exception out of the handler.
+    the field, not an exception out of the handler. So are the values it
+    would silently change: ``true`` (1) and a non-integral float (``2.7``
+    would become 2).
     """
     value = body.get(field)
     if value is None:
         return default
     try:
+        if isinstance(value, bool) or (
+            isinstance(value, float) and not value.is_integer()
+        ):
+            raise ValueError(value)
         return int(value)
     except (TypeError, ValueError):
         raise ServeError(

@@ -19,14 +19,12 @@ from repro.streams import StreamGenerator
 from conftest import make_graph_for
 
 
-def traced_trace_file(tmp_path, engine_mode: str, **kwargs):
+def traced_trace_file(tmp_path, **kwargs):
     path = tmp_path / "run.jsonl"
     tracer = Tracer([JsonlSink(str(path))])
     algorithm = make_algorithm("sssp", source=0)
     graph = make_graph_for(algorithm, n=40, m=160, seed=5)
-    engine = JetStreamEngine(
-        graph, algorithm, engine=engine_mode, tracer=tracer, **kwargs
-    )
+    engine = JetStreamEngine(graph, algorithm, tracer=tracer, **kwargs)
     stream = StreamGenerator(engine.graph, seed=6)
     engine.initial_compute()
     for _ in range(2):
@@ -43,7 +41,7 @@ def split_events(payload):
 
 class TestChromeTrace:
     def test_payload_is_valid_trace_event_json(self, tmp_path):
-        trace = traced_trace_file(tmp_path, "auto")
+        trace = traced_trace_file(tmp_path)
         payload = chrome_trace(trace)
         # Must survive a JSON round trip (what the viewers consume).
         payload = json.loads(json.dumps(payload))
@@ -60,14 +58,14 @@ class TestChromeTrace:
         assert "X" in phases and "C" in phases
 
     def test_timestamps_sorted_monotonically(self, tmp_path):
-        trace = traced_trace_file(tmp_path, "auto")
+        trace = traced_trace_file(tmp_path)
         _, events = split_events(chrome_trace(trace))
         stamps = [e["ts"] for e in events]
         assert stamps == sorted(stamps)
         assert stamps[0] == 0.0  # normalized to the earliest span start
 
     def test_metadata_precedes_events(self, tmp_path):
-        trace = traced_trace_file(tmp_path, "auto")
+        trace = traced_trace_file(tmp_path)
         payload = chrome_trace(trace)
         kinds = [e["ph"] for e in payload["traceEvents"]]
         last_meta = max(i for i, ph in enumerate(kinds) if ph == "M")
@@ -81,7 +79,7 @@ class TestChromeTrace:
 
     def test_sharded_trace_gets_one_track_per_engine(self, tmp_path):
         num_engines = 4
-        trace = traced_trace_file(tmp_path, "sharded", num_engines=num_engines)
+        trace = traced_trace_file(tmp_path, num_engines=num_engines)
         payload = chrome_trace(trace)
         meta, events = split_events(payload)
         thread_names = {
@@ -100,7 +98,7 @@ class TestChromeTrace:
         assert orch and all(e["tid"] == 0 for e in orch)
 
     def test_round_spans_carry_work_args_and_names(self, tmp_path):
-        trace = traced_trace_file(tmp_path, "auto")
+        trace = traced_trace_file(tmp_path)
         _, events = split_events(chrome_trace(trace))
         rounds = [e for e in events if e["ph"] == "X" and e["cat"] == "round"]
         assert rounds
@@ -109,7 +107,7 @@ class TestChromeTrace:
         assert all("events_processed" in e["args"] for e in rounds)
 
     def test_counter_tracks_for_occupancy_and_flits(self, tmp_path):
-        trace = traced_trace_file(tmp_path, "sharded", num_engines=4)
+        trace = traced_trace_file(tmp_path, num_engines=4)
         _, events = split_events(chrome_trace(trace))
         counters = {e["name"] for e in events if e["ph"] == "C"}
         assert "queue occupancy" in counters
@@ -135,7 +133,7 @@ class TestChromeTrace:
         assert any(e["name"] == "transfer" for e in instants)
 
     def test_write_chrome_trace_file(self, tmp_path):
-        trace = traced_trace_file(tmp_path, "auto")
+        trace = traced_trace_file(tmp_path)
         out = tmp_path / "trace.chrome.json"
         count = write_chrome_trace(trace, out)
         payload = json.loads(out.read_text())

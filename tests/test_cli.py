@@ -51,6 +51,16 @@ class TestParser:
                 ["query", "--edges", "x.txt", "--algorithm", "mis"]
             )
 
+    @pytest.mark.parametrize("command", ["query", "stream", "serve"])
+    def test_engine_count_is_the_only_engine_option(self, command):
+        graph = [] if command == "serve" else ["--edges", "x.txt"]
+        args = build_parser().parse_args([command, *graph])
+        assert args.num_engines is None
+        args = build_parser().parse_args([command, *graph, "--num-engines", "8"])
+        assert args.num_engines == 8
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, *graph, "--engine", "sharded"])
+
 
 class TestQueryCommand:
     def test_selective_query(self, edge_file, capsys):

@@ -8,7 +8,8 @@ from repro.core.config import AcceleratorConfig
 from repro.core.events import NO_SOURCE, Event, EventBatch, EventFlags
 from repro.core.metrics import RoundWork
 from repro.core.policies import DeletePolicy
-from repro.core.queue import CoalescingQueue, QueueError, VectorQueue
+from repro.core.queue import QueueError, VectorQueue
+from repro.oracle import CoalescingQueue
 
 
 def make_queue(policy=DeletePolicy.DAP, algorithm=None, num_vertices=64, slice_of=None):

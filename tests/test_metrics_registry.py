@@ -41,6 +41,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
+from repro.oracle import on_oracle
 from repro.streams import StreamGenerator
 
 from conftest import make_graph_for
@@ -70,12 +71,10 @@ def run_stream(engine_mode: str, batches: int = 2, tracer=None, **kwargs):
     algorithm = make_algorithm("sssp", source=0)
     graph = make_graph_for(algorithm, n=40, m=160, seed=5)
     engine = JetStreamEngine(
-        graph,
-        algorithm,
-        engine=engine_mode,
-        tracer=tracer or Tracer([REGISTRY]),
-        **kwargs,
+        graph, algorithm, tracer=tracer or Tracer([REGISTRY]), **kwargs
     )
+    if engine_mode == "scalar":
+        on_oracle(engine)
     stream = StreamGenerator(engine.graph, seed=6)
     results = [engine.initial_compute()]
     for _ in range(batches):
@@ -570,9 +569,7 @@ class TestMetricsServer:
     def test_serves_strictly_increasing_counters_mid_run(self, registry):
         algorithm = make_algorithm("sssp", source=0)
         graph = make_graph_for(algorithm, n=40, m=160, seed=5)
-        engine = JetStreamEngine(
-            graph, algorithm, engine="auto", tracer=Tracer([REGISTRY])
-        )
+        engine = JetStreamEngine(graph, algorithm, tracer=Tracer([REGISTRY]))
         stream = StreamGenerator(engine.graph, seed=6)
         with MetricsServer(registry, port=0) as server:
             assert server.port != 0

@@ -37,6 +37,7 @@ from repro.obs import (
     work_attrs,
 )
 from repro.obs.tracer import NULL_TRACER
+from repro.oracle import on_oracle
 from repro.streams import StreamGenerator
 
 from conftest import make_graph_for
@@ -47,9 +48,9 @@ def make_traced_engine(engine_mode: str, algorithm_name: str = "sssp", **kwargs)
     tracer = Tracer([memory])
     algorithm = make_algorithm(algorithm_name, source=0)
     graph = make_graph_for(algorithm, n=40, m=160, seed=5)
-    engine = JetStreamEngine(
-        graph, algorithm, engine=engine_mode, tracer=tracer, **kwargs
-    )
+    engine = JetStreamEngine(graph, algorithm, tracer=tracer, **kwargs)
+    if engine_mode == "scalar":
+        on_oracle(engine)
     return engine, tracer, memory
 
 
@@ -554,9 +555,7 @@ class TestContextManagers:
         algorithm.propagate_arrays = flaky
         with pytest.raises(RuntimeError, match="injected"):
             with Tracer([JsonlSink(str(path))]) as tracer:
-                engine = JetStreamEngine(
-                    graph, algorithm, engine="auto", tracer=tracer
-                )
+                engine = JetStreamEngine(graph, algorithm, tracer=tracer)
                 engine.initial_compute()
         # Forced-closed spans may lack the aggregate attrs validate_trace
         # demands, so assert raw parseability, not full validity.
@@ -610,9 +609,7 @@ class TestShardedJsonlRoundTrip:
         tracer = Tracer([JsonlSink(str(path))])
         algorithm = make_algorithm("sssp", source=0)
         graph = make_graph_for(algorithm, n=40, m=160, seed=5)
-        engine = JetStreamEngine(
-            graph, algorithm, engine="sharded", num_engines=4, tracer=tracer
-        )
+        engine = JetStreamEngine(graph, algorithm, num_engines=4, tracer=tracer)
         results = run_traced_stream(engine)
         tracer.close()
         return path, results

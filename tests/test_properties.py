@@ -23,10 +23,10 @@ from repro.core.engine import EngineCore
 from repro.core.events import Event
 from repro.core.metrics import PhaseStats, RoundWork
 from repro.core.policies import DeletePolicy
-from repro.core.queue import CoalescingQueue
 from repro.core.streaming import JetStreamEngine
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import DynamicGraph
+from repro.oracle import CoalescingQueue
 from repro.streams import Edge, UpdateBatch
 
 SETTINGS = settings(

@@ -14,9 +14,9 @@ from repro.core.config import AcceleratorConfig
 from repro.core.events import Event
 from repro.core.metrics import RoundWork
 from repro.core.policies import DeletePolicy
-from repro.core.queue import CoalescingQueue
 from repro.core.streaming import JetStreamEngine
 from repro.graph.dynamic import DynamicGraph
+from repro.oracle import CoalescingQueue
 from repro.streams import Edge, UpdateBatch
 
 from test_properties import graph_and_batch, build_graph

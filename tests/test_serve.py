@@ -407,20 +407,20 @@ class TestAppRouting:
             ({"algorithm": "nope"}, None),
             ({"policy": "bogus"}, None),
             ({"policy": "commongraph"}, None),
-            ({"engine": "bogus"}, None),
+            ({"num_engines": 0}, None),
             ({"algorithm": 5}, "algorithm"),
             ({"policy": 5}, "policy"),
-            ({"engine": ["auto"]}, "engine"),
+            ({"num_engines": 5}, None),  # more engines than the 4 vertices
             ({"algorithm": "cc"}, None),  # needs a symmetric graph
         ],
         ids=[
             "algorithm",
             "policy",
             "policy-commongraph",
-            "engine",
+            "num-engines-zero",
             "algorithm-int",
             "policy-int",
-            "engine-list",
+            "num-engines-over-vertices",
             "cc-directed",
         ],
     )
@@ -708,6 +708,11 @@ class TestHttpProtocol:
             ("num_vertices", {"n": 4}),
             ("queue_bound", "big"),
             ("log_bound", [8]),
+            ("num_engines", 2.5),
+            ("num_engines", True),
+            # The removed substrate field: a silently dropped "sharded"
+            # would lose the client's per-engine accounting.
+            ("engine", "sharded"),
         ],
     )
     def test_malformed_session_field_is_a_400(self, client, field, value):
@@ -716,6 +721,17 @@ class TestHttpProtocol:
         status, payload = create_http_session(client, **{field: value})
         assert status == 400 and payload["error"] == "BAD_SESSION"
         assert field in payload["message"]
+        status, healthz = client.get("/healthz")
+        assert status == 200 and healthz["sessions"] == []
+
+    def test_oversized_num_engines_is_a_fast_400(self, client):
+        # Partitioning and every round cost O(num_engines): an uncapped
+        # count from a client would stall the daemon or exhaust its memory.
+        started = time.perf_counter()
+        status, payload = create_http_session(client, num_engines=10**9)
+        assert time.perf_counter() - started < 1.0
+        assert status == 400 and payload["error"] == "BAD_SESSION"
+        assert "num_engines" in payload["message"]
         status, healthz = client.get("/healthz")
         assert status == 200 and healthz["sessions"] == []
 

@@ -1,6 +1,6 @@
 """Sharded accounting goldens: per-engine work and NoC traffic are pinned.
 
-``engine="sharded"`` reports what the paper's 8 engines (Table 1,
+``num_engines`` reports what the paper's 8 engines (Table 1,
 §4.4/§4.7) would each have done: per-engine ``RoundWork`` per kernel
 round (``PhaseStats.shard_rounds``), the load split
 (``RunMetrics.engine_utilization``), the crossbar traffic
@@ -107,7 +107,7 @@ def _run_record(result, round_spans) -> dict:
 
 
 def run_scenario(scenario: dict) -> dict:
-    """Replay one scenario on ``engine="sharded"``; a JSON-ready record."""
+    """Replay one scenario with ``num_engines`` set; a JSON-ready record."""
     algorithm = make_algorithm(scenario["algorithm"], source=0)
     graph = make_graph_for(algorithm, n=NUM_VERTICES, m=NUM_EDGES, seed=GRAPH_SEED)
     memory = MemorySink()
@@ -115,7 +115,6 @@ def run_scenario(scenario: dict) -> dict:
         graph,
         algorithm,
         policy=POLICIES[scenario["policy"]],
-        engine="sharded",
         num_engines=scenario["engines"],
         tracer=Tracer([memory]),
     )

@@ -1,8 +1,8 @@
-"""Sharded multi-engine <-> vectorized engine parity (the tentpole invariant).
+"""Sharded multi-engine <-> single-engine parity (the tentpole invariant).
 
-``engine="sharded"`` is the vectorized path plus per-engine accounting
+``num_engines=n`` is the array path plus per-engine accounting
 (``repro.core.parallel``), so it must be a *bit-identical* drop-in for
-the single-engine vectorized path for any engine count: same final
+the single-engine run (``num_engines=None``) for any engine count: same final
 states, same per-round ``RoundWork`` vectors (hence identical modelled
 cycles/energy), same phase extras, same queue lifetime statistics. These
 tests sweep every algorithm × delete policy × {static, streaming
@@ -81,12 +81,9 @@ def run_static_pair(
     algorithm = make_algorithm(name, source=0)
     graph = make_graph_for(algorithm, n=n, m=m, seed=seed)
     engines = [
-        GraphPulseEngine(make_algorithm(name, source=0), config, engine="auto"),
+        GraphPulseEngine(make_algorithm(name, source=0), config),
         GraphPulseEngine(
-            make_algorithm(name, source=0),
-            config,
-            engine="sharded",
-            num_engines=num_engines,
+            make_algorithm(name, source=0), config, num_engines=num_engines
         ),
     ]
     oracle, sharded = (engine.compute(graph.snapshot()) for engine in engines)
@@ -110,14 +107,16 @@ def run_stream_pair(
 ):
     before = take_census(census_kind)
     engines, results = [], []
-    for engine_mode in ("auto", "sharded"):
+    for engines_option in (None, num_engines):
         algorithm = make_algorithm(name, source=0)
         graph = make_graph_for(algorithm, n=n, m=m, seed=seed)
-        kwargs = dict(engine_kwargs)
-        if engine_mode == "sharded":
-            kwargs["num_engines"] = num_engines
         engine = JetStreamEngine(
-            graph, algorithm, config, policy=policy, engine=engine_mode, **kwargs
+            graph,
+            algorithm,
+            config,
+            policy=policy,
+            num_engines=engines_option,
+            **engine_kwargs,
         )
         engines.append(engine)
         stream = StreamGenerator(graph, seed=seed + 1)
@@ -129,15 +128,13 @@ def run_stream_pair(
     return results
 
 
-def grow_stream(engine_mode: str, **kwargs):
+def grow_stream(**kwargs):
     """Initial evaluation + three batches that each create two vertices.
 
     Returns ``(engine, results)``.
     """
     graph = make_graph_for(make_algorithm("sssp", source=0), n=30, m=100, seed=71)
-    engine = JetStreamEngine(
-        graph, make_algorithm("sssp", source=0), engine=engine_mode, **kwargs
-    )
+    engine = JetStreamEngine(graph, make_algorithm("sssp", source=0), **kwargs)
     out = [engine.initial_compute()]
     next_vertex = graph.num_vertices
     for step in range(3):
@@ -181,13 +178,13 @@ class TestStaticShardedParity:
             reduce_ufunc = None
 
         with pytest.raises(ValueError):
-            EngineCore(NoHooks(source=0), engine="sharded")
+            EngineCore(NoHooks(source=0), num_engines=8)
 
     def test_bad_engine_count_rejected(self):
         from repro.core.engine import EngineCore
 
         with pytest.raises(ValueError):
-            EngineCore(make_algorithm("sssp"), engine="sharded", num_engines=0)
+            EngineCore(make_algorithm("sssp"), num_engines=0)
 
 
 class TestStreamingShardedParity:
@@ -237,8 +234,8 @@ class TestStreamingShardedParity:
         # Streams that create brand-new vertices exercise the deterministic
         # growth rule of the vertex->engine map.
         before = take_census(census)
-        oracle_engine, oracle_runs = grow_stream("auto")
-        sharded_engine, sharded_runs = grow_stream("sharded", num_engines=8)
+        oracle_engine, oracle_runs = grow_stream()
+        sharded_engine, sharded_runs = grow_stream(num_engines=8)
         assert take_census(census) == before
         for index, (oracle, sharded) in enumerate(zip(oracle_runs, sharded_runs)):
             assert oracle.impacted == sharded.impacted
@@ -250,7 +247,7 @@ class TestShardedMetrics:
         algorithm = make_algorithm("sssp", source=0)
         graph = make_graph_for(algorithm, n=60, m=240, seed=7)
         engine = GraphPulseEngine(
-            make_algorithm("sssp", source=0), engine="sharded", num_engines=4
+            make_algorithm("sssp", source=0), num_engines=4
         )
         result = engine.compute(graph.snapshot())
         phase = result.metrics.phases[0]
@@ -266,7 +263,7 @@ class TestShardedMetrics:
         algorithm = make_algorithm("pagerank")
         graph = make_graph_for(algorithm, n=80, m=400, seed=13)
         engine = GraphPulseEngine(
-            make_algorithm("pagerank"), engine="sharded", num_engines=8
+            make_algorithm("pagerank"), num_engines=8
         )
         result = engine.compute(graph.snapshot())
         util = result.metrics.engine_utilization()
@@ -287,7 +284,7 @@ class TestShardedMetrics:
         algorithm = make_algorithm("sssp", source=0)
         graph = make_graph_for(algorithm, n=40, m=160, seed=3)
         engine = GraphPulseEngine(
-            make_algorithm("sssp", source=0), engine="sharded", num_engines=1
+            make_algorithm("sssp", source=0), num_engines=1
         )
         result = engine.compute(graph.snapshot())
         noc = result.metrics.noc_summary()
@@ -305,9 +302,9 @@ class TestNoParallelRuntime:
         segments = leaked_system_segments()
         algorithm = make_algorithm("pagerank")
         graph = make_graph_for(algorithm, n=60, m=240, seed=7)
-        static = GraphPulseEngine(algorithm, engine="sharded", num_engines=8)
+        static = GraphPulseEngine(algorithm, num_engines=8)
         result = static.compute(graph.snapshot())
-        stream, grown = grow_stream("sharded", num_engines=8)
+        stream, grown = grow_stream(num_engines=8)
         assert len(result.metrics.engine_utilization()) == 8
         assert grown[-1].metrics.phases[-1].shard_rounds
         # Both engines are still referenced, so anything they started
@@ -317,14 +314,31 @@ class TestNoParallelRuntime:
         assert leaked_system_segments() == segments
 
     def test_core_imports_no_parallel_runtime(self):
-        core = Path(__file__).resolve().parents[1] / "src" / "repro" / "core"
+        package = Path(__file__).resolve().parents[1] / "src" / "repro"
+        core = sorted((package / "core").glob("*.py"))
         banned = re.compile(
             r"^\s*(?:import|from)\s+(?:threading|concurrent\.futures|multiprocessing)\b"
             r"|shared_memory",
             re.MULTILINE,
         )
-        offenders = [
-            path.name for path in sorted(core.glob("*.py"))
-            if banned.search(path.read_text())
-        ]
+        offenders = [path.name for path in core if banned.search(path.read_text())]
         assert offenders == []
+        # Nor does the scalar oracle come back into production: nothing
+        # that serves a query imports it, core/ never names its queue,
+        # and core/ does not dispatch on the queue's type.
+        imports_oracle = re.compile(
+            r"^\s*(?:from\s+repro\s+import\s+.*\boracle\b|(?:import|from)\s+repro\.oracle\b)",
+            re.MULTILINE,
+        )
+        production = core + [package / name for name in ("host.py", "serve.py", "cli.py")]
+        assert [
+            path.name for path in production if imports_oracle.search(path.read_text())
+        ] == []
+        assert [
+            path.name for path in core if "CoalescingQueue" in path.read_text()
+        ] == []
+        assert [
+            path.name
+            for path in core
+            if re.search(r"isinstance\([^)]*queue", path.read_text(), re.IGNORECASE)
+        ] == []

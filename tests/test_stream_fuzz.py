@@ -21,6 +21,7 @@ from repro.core.policies import DeletePolicy
 from repro.core.streaming import JetStreamEngine
 from repro.graph import generators
 from repro.graph.dynamic import DynamicGraph
+from repro.oracle import on_oracle
 from repro.reference import compute_reference
 from repro.streams import StreamGenerator, UpdateBatch
 
@@ -77,9 +78,7 @@ def _replay(name: str, seed: int, batches: List[UpdateBatch]) -> Optional[int]:
     """
     algorithm = make_algorithm(name, source=0)
     graph = _build_graph(algorithm, seed)
-    engine = JetStreamEngine(
-        graph, algorithm, engine="sharded", num_engines=NUM_ENGINES
-    )
+    engine = JetStreamEngine(graph, algorithm, num_engines=NUM_ENGINES)
     engine.initial_compute()
     if _mismatches(algorithm, engine.query_result(), graph.snapshot()):
         return 0
@@ -175,10 +174,12 @@ def _replay_policy(
 ) -> Optional[int]:
     algorithm = make_algorithm(name, source=0)
     graph = _build_graph(algorithm, seed)
-    kwargs = {"engine": engine}
-    if engine == "sharded":
-        kwargs["num_engines"] = NUM_ENGINES
-    stream_engine = JetStreamEngine(graph, algorithm, policy=policy, **kwargs)
+    num_engines = NUM_ENGINES if engine == "sharded" else None
+    stream_engine = JetStreamEngine(
+        graph, algorithm, policy=policy, num_engines=num_engines
+    )
+    if engine == "scalar":
+        on_oracle(stream_engine)
     stream_engine.initial_compute()
     if _mismatches(algorithm, stream_engine.query_result(), graph.snapshot()):
         return 0

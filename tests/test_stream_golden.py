@@ -13,7 +13,8 @@ the pre-refactor scalar implementation. Three invariants are enforced:
 1. **Golden equality** — every scenario, replayed on the current code with
    its default configuration, matches the pinned record field for field.
 2. **Hook-default parity** — an algorithm shipping no array hooks rides
-   the same pipeline through the ``Algorithm`` defaults, same record.
+   the same pipeline through the ``Algorithm`` defaults on the scalar
+   oracle (:mod:`repro.oracle`; the array engine refuses it), same record.
 3. **Reference states** — final converged states equal a cold-start
    ``reference.py`` computation on the final graph (per-algorithm
    tolerance), across algorithms × policies.
@@ -38,6 +39,7 @@ from repro.core.policies import DeletePolicy
 from repro.core.streaming import JetStreamEngine
 from repro.graph import generators
 from repro.graph.dynamic import DynamicGraph
+from repro.oracle import on_oracle
 from repro.reference import compute_reference
 from repro.streams import Edge, StreamGenerator, UpdateBatch
 
@@ -177,9 +179,13 @@ def _result_record(result) -> dict:
     }
 
 
-def run_scenario(scenario: dict, make=make_algorithm) -> Tuple[dict, JetStreamEngine]:
-    """Replay one scenario; returns (serializable record, engine)."""
-    algorithm = make(scenario["algorithm"], source=0)
+def run_scenario(scenario: dict, prepare=None) -> Tuple[dict, JetStreamEngine]:
+    """Replay one scenario; returns (serializable record, engine).
+
+    ``prepare`` may adjust the built engine before it runs (see
+    :func:`_scalar_only_twin`).
+    """
+    algorithm = make_algorithm(scenario["algorithm"], source=0)
     graph = _build_graph(algorithm)
     stream_engine = JetStreamEngine(
         graph,
@@ -187,6 +193,8 @@ def run_scenario(scenario: dict, make=make_algorithm) -> Tuple[dict, JetStreamEn
         policy=POLICIES[scenario["policy"]],
         two_phase_accumulative=scenario["flavor"] == "two_phase",
     )
+    if prepare is not None:
+        prepare(stream_engine)
     if scenario["flavor"] == "growth":
         batches = _growth_batches(graph.num_vertices)
     else:
@@ -233,14 +241,16 @@ def goldens() -> Dict[str, dict]:
     return {rec["scenario"]: rec for rec in data["scenarios"]}
 
 
-def _scalar_only_twin(name: str, source: int):
-    """``make_algorithm`` with every array hook back at its default."""
-    twin = make_algorithm(name, source=source)
+def _scalar_only_twin(engine: JetStreamEngine) -> None:
+    """Put ``engine`` on the scalar oracle and its algorithm's every array
+    hook back at its default (the array engine would refuse such a twin at
+    construction, so the hooks go after it is built)."""
+    on_oracle(engine)
+    twin = engine.algorithm
     hooks = ("propagate_arrays", "propagate_ctx_arrays", "propagation_factor_arrays",
              "self_events_arrays", "seed_events_for_new_vertices")
     defaults = {hook: getattr(Algorithm, hook) for hook in hooks}
     twin.__class__ = type("ScalarOnly", (type(twin),), {"reduce_ufunc": None, **defaults})
-    return twin
 
 
 SCALAR_ONLY_KEYS = ["sssp/dap", "sssp/growth", "pagerank/base", "pagerank/growth"]
@@ -250,10 +260,11 @@ SCALAR_ONLY_KEYS = ["sssp/dap", "sssp/growth", "pagerank/base", "pagerank/growth
 def test_matches_pre_refactor_golden(goldens, key):
     """The pipeline reproduces the pinned pre-refactor observables — with
     the shipped array hooks and (``@scalar-only``) through the element-wise
-    ``Algorithm`` hook defaults of a twin that ships none."""
+    ``Algorithm`` hook defaults of a twin that ships none, on the scalar
+    oracle."""
     key, _, scalar_only = key.partition("@")
     scenario = next(s for s in SCENARIOS if s["key"] == key)
-    record, _ = run_scenario(scenario, _scalar_only_twin if scalar_only else make_algorithm)
+    record, _ = run_scenario(scenario, _scalar_only_twin if scalar_only else None)
     _assert_records_equal(record, goldens[key], key)
 
 

@@ -1,8 +1,8 @@
-"""Scalar <-> vectorized engine parity (the tentpole invariant).
+"""Scalar oracle <-> array engine parity (the tentpole invariant).
 
-The structure-of-arrays substrate (``VectorQueue`` + the vectorized
-``run_regular``/``run_delete`` kernels) must be a *bit-identical* drop-in
-for the boxed-event reference engine: same final states, same per-round
+The structure-of-arrays engine (``VectorQueue`` + the array
+``run_regular``/``run_delete`` rounds) must be a *bit-identical* drop-in
+for the boxed-event reference engine of :mod:`repro.oracle`: same final states, same per-round
 ``RoundWork`` vectors (hence identical modelled cycles/energy), same phase
 extras, same queue lifetime statistics. These property-style tests sweep
 every algorithm × delete policy over seeded random graphs and streams,
@@ -20,12 +20,18 @@ from repro.core.engine import GraphPulseEngine
 from repro.core.policies import DeletePolicy
 from repro.core.streaming import JetStreamEngine
 from repro.graph.dynamic import DynamicGraph
+from repro.oracle import on_oracle
 from repro.streams import StreamGenerator
 
 from conftest import make_graph_for
 
 ALGORITHMS = ["sssp", "bfs", "cc", "sswp", "pagerank", "adsorption"]
 POLICIES = [DeletePolicy.BASE, DeletePolicy.VAP, DeletePolicy.DAP]
+
+
+def on_substrate(engine, engine_mode: str):
+    """``engine`` on the scalar oracle (``"scalar"``) or as built."""
+    return on_oracle(engine) if engine_mode == "scalar" else engine
 
 
 def assert_run_parity(scalar, vector, context: str = "") -> None:
@@ -51,8 +57,8 @@ def run_static_pair(name: str, config=None, n: int = 60, m: int = 240, seed: int
     graph = make_graph_for(algorithm, n=n, m=m, seed=seed)
     results = []
     for engine_mode in ("scalar", "auto"):
-        engine = GraphPulseEngine(
-            make_algorithm(name, source=0), config, engine=engine_mode
+        engine = on_substrate(
+            GraphPulseEngine(make_algorithm(name, source=0), config), engine_mode
         )
         results.append(engine.compute(graph.snapshot()))
     return results
@@ -72,8 +78,8 @@ def run_stream_pair(
     for engine_mode in ("scalar", "auto"):
         algorithm = make_algorithm(name, source=0)
         graph = make_graph_for(algorithm, n=n, m=m, seed=seed)
-        engine = JetStreamEngine(
-            graph, algorithm, config, policy=policy, engine=engine_mode
+        engine = on_substrate(
+            JetStreamEngine(graph, algorithm, config, policy=policy), engine_mode
         )
         stream = StreamGenerator(graph, seed=seed + 1)
         runs = [engine.initial_compute()]
@@ -115,8 +121,8 @@ class TestStaticParity:
         graph = DynamicGraph.from_edges(edges, 40)
         results = []
         for engine_mode in ("scalar", "auto"):
-            engine = GraphPulseEngine(
-                make_algorithm("linear"), engine=engine_mode
+            engine = on_substrate(
+                GraphPulseEngine(make_algorithm("linear")), engine_mode
             )
             results.append(engine.compute(graph.snapshot()))
         assert_run_parity(*results, "static/linear")
@@ -162,11 +168,9 @@ class TestStreamingParity:
         for engine_mode in ("scalar", "auto"):
             algorithm = make_algorithm("pagerank")
             graph = make_graph_for(algorithm, n=50, m=200, seed=61)
-            engine = JetStreamEngine(
-                graph,
-                algorithm,
-                two_phase_accumulative=True,
-                engine=engine_mode,
+            engine = on_substrate(
+                JetStreamEngine(graph, algorithm, two_phase_accumulative=True),
+                engine_mode,
             )
             stream = StreamGenerator(graph, seed=62)
             runs = [engine.initial_compute()]
@@ -179,11 +183,12 @@ class TestStreamingParity:
 
 class TestEngineSelection:
     def test_scalar_flag_forces_boxed_queue(self):
-        from repro.core.queue import CoalescingQueue, VectorQueue
+        from repro.core.queue import VectorQueue
+        from repro.oracle import CoalescingQueue
 
         algorithm = make_algorithm("sssp", source=0)
         graph = make_graph_for(algorithm, n=10, m=30, seed=1)
-        engine = JetStreamEngine(graph, algorithm, engine="scalar")
+        engine = on_oracle(JetStreamEngine(graph, algorithm))
         engine.initial_compute()
         assert isinstance(engine.core.new_queue(), CoalescingQueue)
         vec = JetStreamEngine(
@@ -193,19 +198,35 @@ class TestEngineSelection:
         assert isinstance(vec.core.new_queue(), VectorQueue)
 
     def test_vectorized_requires_hooks(self):
+        from repro.algorithms.base import Algorithm
         from repro.core.engine import EngineCore
 
         class NoHooks(type(make_algorithm("sssp"))):
             reduce_ufunc = None
 
-        # auto falls back to the scalar oracle; sharded demands the hooks.
-        assert not EngineCore(NoHooks(source=0), engine="auto").uses_vectorized
-        with pytest.raises(ValueError):
-            EngineCore(NoHooks(source=0), engine="sharded")
+        class NoKernels(type(make_algorithm("sssp"))):
+            propagate_arrays = Algorithm.propagate_arrays
+            more_progressed_arrays = Algorithm.more_progressed_arrays
+
+        # A core without the array hooks raises at construction, naming them.
+        for num_engines in (None, 4):
+            with pytest.raises(ValueError, match="reduce_ufunc"):
+                EngineCore(NoHooks(source=0), num_engines=num_engines)
+        with pytest.raises(
+            ValueError, match="propagate_arrays, more_progressed_arrays"
+        ):
+            JetStreamEngine(
+                make_graph_for(NoKernels(source=0), n=10, m=30, seed=1),
+                NoKernels(source=0),
+            )
 
     def test_unknown_engine_rejected(self):
         from repro.core.engine import EngineCore
 
-        for engine in ("simd", "vectorized"):
+        # num_engines is the only engine option: at least one engine, and
+        # the substrate keyword is gone.
+        for num_engines in (0, -1):
             with pytest.raises(ValueError):
-                EngineCore(make_algorithm("sssp"), engine=engine)
+                EngineCore(make_algorithm("sssp"), num_engines=num_engines)
+        with pytest.raises(TypeError):
+            EngineCore(make_algorithm("sssp"), engine="sharded")
