@@ -4,24 +4,21 @@
 owning engine (``repro.core.parallel``). For each (graph,
 algorithm, ``num_engines`` ∈ {1, 2, 8}) on a generated RMAT power-law
 graph this checks that states and per-round work vectors equal the
-single-engine oracle's, then records the exact counts the gate compares —
-``events_processed``, the per-engine ``events_processed`` vector and the
-NoC flits — in ``BENCH_sharded.json`` at the repo root. The oracle's and
-the sharded run's wall clock are recorded and printed, not gated.
+single-engine oracle's, then emits one ``exact`` row per cell:
+``[events_processed, noc_flits, per-engine events_processed...]``. The
+oracle's and the sharded run's wall clock are ``info`` rows.
 
-Usable two ways:
+Usable three ways:
 
-* ``python benchmarks/bench_sharded_engine.py`` — standalone, writes the
-  report file and prints a table. ``REPRO_BENCH_QUICK=1`` shrinks the
-  graph for CI smoke runs.
-* ``pytest benchmarks/bench_sharded_engine.py`` — the same grid as a
-  pytest-benchmark test (quick grid unless overridden).
+* ``python benchmarks/bench_sharded_engine.py`` — standalone: prints and
+  gates the rows, and records a passing full run in ``BENCH_sharded.json``.
+  ``REPRO_BENCH_QUICK=1`` shrinks the graph.
+* ``repro bench check --suite sharded`` — the same gate.
+* ``pytest benchmarks/bench_sharded_engine.py`` — the quick grid's gate.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -32,15 +29,9 @@ from repro.algorithms import make_algorithm
 from repro.core.engine import GraphPulseEngine
 from repro.graph import generators
 from repro.graph.dynamic import DynamicGraph
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-SHARDED_OUTPUT_PATH = REPO_ROOT / "BENCH_sharded.json"
+from repro.obs.bench_gate import gate, row, script_main
 
 ENGINE_COUNTS = [1, 2, 8]
-
-
-def quick_mode() -> bool:
-    return os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
 
 def build_graph(quick: bool):
@@ -51,7 +42,7 @@ def build_graph(quick: bool):
     edges = generators.ensure_reachable_core(
         generators.rmat(n, m, seed=17), n, seed=18
     )
-    return name, len(edges), DynamicGraph.from_edges(edges, n)
+    return name, DynamicGraph.from_edges(edges, n)
 
 
 def run_once(name: str, csr, num_engines=None):
@@ -61,14 +52,15 @@ def run_once(name: str, csr, num_engines=None):
     return result, time.perf_counter() - started
 
 
-def run_grid(quick: bool) -> dict:
+def collect(quick: bool) -> dict:
     """One row per (graph, algorithm, num_engines), checked against the oracle."""
-    graph_name, num_edges, graph = build_graph(quick)
+    graph_name, graph = build_graph(quick)
     csr = graph.snapshot()
     algorithms = ["sssp", "pagerank"] if quick else ["pagerank"]
     rows = []
     for algo in algorithms:
         oracle, oracle_s = run_once(algo, csr)
+        rows.append(row(f"{graph_name}/{algo}/oracle_wall_clock_s", "info", oracle_s))
         for engines in ENGINE_COUNTS:
             result, sharded_s = run_once(algo, csr, num_engines=engines)
             cell = f"{graph_name}/{algo}/e{engines}"
@@ -76,44 +68,24 @@ def run_grid(quick: bool) -> dict:
                 raise AssertionError(f"{cell}: states diverge from the single-engine oracle")
             if result.metrics.to_rows() != oracle.metrics.to_rows():
                 raise AssertionError(f"{cell}: per-round work vectors diverge")
-            per_engine = [w.events_processed for w in result.metrics.per_engine_totals()]
-            rows.append({
-                "graph": graph_name,
-                "num_edges": num_edges,
-                "algorithm": algo,
-                "num_engines": engines,
-                "events_processed": result.metrics.events_processed,
-                "engine_events_processed": per_engine,
-                "noc_flits": result.metrics.noc_summary()["flits"],
-                "oracle_wall_clock_s": oracle_s,
-                "wall_clock_s": sharded_s,
-            })
-            print(
-                f"{graph_name:>12} {algo:>10} e{engines}: "
-                f"oracle {oracle_s:8.3f}s  sharded {sharded_s:8.3f}s  "
-                f"per-engine events {per_engine}"
-            )
-    return {"quick": quick, "results": rows}
-
-
-def main() -> int:
-    report = run_grid(quick_mode())
-    SHARDED_OUTPUT_PATH.write_text(
-        json.dumps(report, indent=2) + "\n", encoding="utf-8"
-    )
-    print(f"[wrote {SHARDED_OUTPUT_PATH}]")
-    return 0
+            metrics = result.metrics
+            counts = [
+                metrics.events_processed,
+                metrics.noc_summary()["flits"],
+                *(w.events_processed for w in metrics.per_engine_totals()),
+            ]
+            rows += [
+                row(cell, "exact", counts),
+                row(f"{cell}/wall_clock_s", "info", sharded_s),
+            ]
+    return {"suite": "sharded", "quick": quick, "rows": rows}
 
 
 def test_sharded_engine_parity(benchmark):
-    """pytest-benchmark entry: quick grid; parity is asserted inside."""
-    os.environ.setdefault("REPRO_BENCH_QUICK", "1")
-    report = benchmark.pedantic(lambda: run_grid(True), rounds=1, iterations=1)
-    benchmark.extra_info["rows"] = {
-        f"{r['graph']}/{r['algorithm']}/e{r['num_engines']}": r["engine_events_processed"]
-        for r in report["results"]
-    }
+    """pytest-benchmark entry: the quick grid's gate; parity is asserted inside."""
+    report = benchmark.pedantic(lambda: collect(True), rounds=1, iterations=1)
+    assert not gate(report)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(script_main(collect))

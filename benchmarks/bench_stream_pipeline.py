@@ -12,24 +12,24 @@ several batch sizes and compares the two host graph-store strategies:
 
 Both modes process identical batches and converge to bit-identical states
 (the parity suites enforce this); the difference is pure host-side
-per-batch overhead. The headline gate — small (≤100-edge) batches on the
-≥100k-edge RMAT graph must run ≥5× faster incrementally — captures the
-point of the store: per-batch cost must scale with the batch, not with E.
+per-batch overhead. Each batch size emits both modes' summed events
+processed (``exact``), their batches/s (``info``) and the full-rebuild /
+incremental median per-batch speedup as a ``ratio`` row: at least 1× on the
+quick grid, and at least :data:`SMALL_BATCH_SPEEDUP` for the full grid's
+≤100-edge batches on the ≥100k-edge RMAT graph — per-batch cost must
+scale with the batch, not with E.
 
-Usable two ways:
+Usable three ways:
 
-* ``python benchmarks/bench_stream_pipeline.py`` — standalone, writes
-  ``BENCH_stream.json`` at the repo root. ``REPRO_BENCH_QUICK=1`` shrinks
-  the graph and batch counts for CI smoke runs.
-* ``repro bench check`` — the ``stream`` suite re-runs :func:`collect`
-  and gates batches/s and exact event counts against the committed
-  baseline.
+* ``python benchmarks/bench_stream_pipeline.py`` — standalone: prints and
+  gates the rows, and records a passing full run in ``BENCH_stream.json``.
+  ``REPRO_BENCH_QUICK=1`` shrinks the graph and batch counts.
+* ``repro bench check --suite stream`` — the same gate.
+* ``pytest benchmarks/bench_stream_pipeline.py`` — the quick grid's gate.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import statistics
 import sys
 import time
@@ -42,28 +42,21 @@ from repro.core.policies import DeletePolicy
 from repro.core.streaming import JetStreamEngine
 from repro.graph import generators
 from repro.graph.dynamic import DynamicGraph
+from repro.obs.bench_gate import gate, row, script_main
 from repro.streams import StreamGenerator
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-OUTPUT_PATH = REPO_ROOT / "BENCH_stream.json"
 
 ALGORITHM = "sssp"
 STREAM_SEED = 23
-
-
-def quick_mode() -> bool:
-    return os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
+#: Minimum full-grid speedup of batches of at most 100 edges.
+SMALL_BATCH_SPEEDUP = 5.0
 
 
 def build_graph(quick: bool):
-    if quick:
-        name, n, m = "rmat-2k", 2_048, 12_288
-    else:
-        name, n, m = "rmat-131k", 16_384, 131_072
+    n, m = (2_048, 12_288) if quick else (16_384, 131_072)
     edges = generators.ensure_reachable_core(
         generators.rmat(n, m, seed=17), n, seed=18
     )
-    return name, n, edges
+    return n, edges
 
 
 def batch_plan(quick: bool):
@@ -99,19 +92,21 @@ def run_mode(edges, num_vertices: int, batches, incremental: bool) -> dict:
         events += result.metrics.events_processed
     elapsed = time.perf_counter() - started
     return {
-        "wall_clock_s": elapsed,
-        "batches_per_s": len(batches) / elapsed if elapsed > 0 else float("inf"),
-        "per_batch_ms": {
-            "median": statistics.median(latencies) * 1e3,
-            "max": max(latencies) * 1e3,
-        },
+        "batches_per_s": len(batches) / elapsed,
+        "median_batch_s": statistics.median(latencies),
         "events_processed": int(events),
-        "store": graph.store_stats(),
     }
 
 
+def speedup_bound(quick: bool, batch_size: int) -> dict:
+    """The ``min`` a batch size's speedup must reach; ``{}`` leaves it ``info``."""
+    if quick:
+        return {"min": 1.0}
+    return {"min": SMALL_BATCH_SPEEDUP} if batch_size <= 100 else {}
+
+
 def collect(quick: bool) -> dict:
-    graph_name, num_vertices, edges = build_graph(quick)
+    num_vertices, edges = build_graph(quick)
     rows = []
     for batch_size, num_batches in batch_plan(quick):
         batches = pregenerate_batches(edges, num_vertices, batch_size, num_batches)
@@ -123,73 +118,24 @@ def collect(quick: bool) -> dict:
                 f"event counts ({incremental['events_processed']} vs "
                 f"{full['events_processed']}) — pipeline parity broken"
             )
-        speedup = (
-            full["per_batch_ms"]["median"] / incremental["per_batch_ms"]["median"]
-            if incremental["per_batch_ms"]["median"] > 0
-            else float("inf")
-        )
-        rows.append(
-            {
-                "batch_size": batch_size,
-                "num_batches": num_batches,
-                "incremental": incremental,
-                "full_rebuild": full,
-                "speedup": speedup,
-            }
-        )
-        print(
-            f"batch {batch_size:>6}: incremental "
-            f"{incremental['per_batch_ms']['median']:9.2f} ms/batch  "
-            f"full-rebuild {full['per_batch_ms']['median']:9.2f} ms/batch  "
-            f"speedup {speedup:6.2f}x"
-        )
-    return {
-        "quick": quick,
-        "graph": {
-            "name": graph_name,
-            "num_vertices": num_vertices,
-            "num_edges": len(edges),
-        },
-        "algorithm": ALGORITHM,
-        "results": rows,
-    }
-
-
-def main() -> int:
-    quick = quick_mode()
-    report = collect(quick)
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    print(f"[saved to {OUTPUT_PATH}]")
-    if not quick:
-        failed = [
-            r
-            for r in report["results"]
-            if r["batch_size"] <= 100 and r["speedup"] < 5.0
-        ]
-        for row in failed:
-            print(
-                f"WARNING: batch {row['batch_size']} incremental speedup "
-                f"{row['speedup']:.2f}x below the 5x gate",
-                file=sys.stderr,
-            )
-        if failed:
-            return 1
-    return 0
+        cell = f"batch{batch_size}"
+        for mode, sample in (("incremental", incremental), ("full_rebuild", full)):
+            rows += [
+                row(f"{cell}/{mode}", "exact", sample["events_processed"]),
+                row(f"{cell}/{mode}/batches_per_s", "info", sample["batches_per_s"]),
+            ]
+        speedup = full["median_batch_s"] / incremental["median_batch_s"]
+        bound = speedup_bound(quick, batch_size)
+        kind = "ratio" if bound else "info"
+        rows.append(row(f"{cell}/speedup", kind, speedup, **bound))
+    return {"suite": "stream", "quick": quick, "rows": rows}
 
 
 def test_stream_pipeline_speedup(benchmark):
-    """pytest-benchmark entry: quick grid, incremental must not be slower."""
-    os.environ.setdefault("REPRO_BENCH_QUICK", "1")
+    """pytest-benchmark entry: the quick grid's gate."""
     report = benchmark.pedantic(lambda: collect(True), rounds=1, iterations=1)
-    for row in report["results"]:
-        assert row["speedup"] > 1.0, (
-            f"batch {row['batch_size']}: incremental store slower than "
-            "full rebuild"
-        )
-    benchmark.extra_info["speedups"] = {
-        str(r["batch_size"]): round(r["speedup"], 2) for r in report["results"]
-    }
+    assert not gate(report)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(script_main(collect))

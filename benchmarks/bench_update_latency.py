@@ -6,33 +6,33 @@ RMAT graph, SSSP/DAP:
 
 * **express/safe_insert** — fresh high-weight edges that always classify
   safe (``insert-no-improvement``): the pure fast-path cost of classify +
-  dict-level store mutation. The headline gate: its median must be ≥ 50×
-  faster than the engine path at batch size 1.
+  store mutation.
 * **express/mixed** — a generated 70/30 insert/delete single-update
   stream replayed through :meth:`ExpressLane.apply`, so unsafe updates
-  fall through to the engine. Reports the safe ratio and per-outcome
-  latency percentiles — the realistic blended cost.
+  fall through to the engine. Reports the safe ratio — the realistic
+  blended cost.
 * **engine/batch1** — the same single-update stream shape run as
   one-edge :class:`UpdateBatch` es through ``apply_batch``, i.e. what
   every update would cost without the lane.
 
-The regression-gate ``events`` column uses deterministic work counters
-(classification scan entries + engine events processed), never wall
-clock, so event drift always means a behaviour change.
+Each workload's ``exact`` row is its deterministic work counter
+(classification scan entries, plus fallthrough engine events for the
+mixed stream; engine events for batch 1), so drift always means a
+behaviour change. Rates and percentiles are ``info``. The ``ratio`` row
+is the engine/express p50 speedup: at least :data:`QUICK_SPEEDUP` on the
+quick grid and :data:`FULL_SPEEDUP` on the full one.
 
-Usable two ways:
+Usable three ways:
 
-* ``python benchmarks/bench_update_latency.py`` — standalone, writes
-  ``BENCH_latency.json`` at the repo root. ``REPRO_BENCH_QUICK=1``
-  shrinks the graph and update counts for CI smoke runs.
-* ``repro bench check --suite latency`` — re-runs :func:`collect` and
-  gates updates/s and exact work counts against the committed baseline.
+* ``python benchmarks/bench_update_latency.py`` — standalone: prints and
+  gates the rows, and records a passing full run in ``BENCH_latency.json``.
+  ``REPRO_BENCH_QUICK=1`` shrinks the graph and update counts.
+* ``repro bench check --suite latency`` — the same gate.
+* ``pytest benchmarks/bench_update_latency.py`` — the quick grid's gate.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import statistics
 import sys
 import time
@@ -48,10 +48,8 @@ from repro.core.policies import DeletePolicy
 from repro.core.streaming import JetStreamEngine
 from repro.graph import generators
 from repro.graph.dynamic import DynamicGraph
+from repro.obs.bench_gate import gate, row, script_main
 from repro.streams import StreamGenerator
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-OUTPUT_PATH = REPO_ROOT / "BENCH_latency.json"
 
 ALGORITHM = "sssp"
 STREAM_SEED = 23
@@ -59,23 +57,17 @@ STREAM_SEED = 23
 #: the safe-insert workload classifies ``insert-no-improvement`` always.
 HEAVY_WEIGHT = 1.0e9
 
-#: The headline acceptance gate (full mode only).
-SPEEDUP_GATE = 50.0
-
-
-def quick_mode() -> bool:
-    return os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
+#: Minimum engine-batch-1 / express-safe-insert p50 speedup per grid.
+QUICK_SPEEDUP = 5.0
+FULL_SPEEDUP = 50.0
 
 
 def build_graph(quick: bool):
-    if quick:
-        name, n, m = "rmat-2k", 2_048, 12_288
-    else:
-        name, n, m = "rmat-131k", 16_384, 131_072
+    n, m = (2_048, 12_288) if quick else (16_384, 131_072)
     edges = generators.ensure_reachable_core(
         generators.rmat(n, m, seed=17), n, seed=18
     )
-    return name, n, edges
+    return n, edges
 
 
 def update_plan(quick: bool):
@@ -151,9 +143,7 @@ def run_safe_inserts(edges, num_vertices: int, count: int) -> dict:
         assert result.safe, f"heavy insert {u}->{v} classified {result.reason}"
     elapsed = time.perf_counter() - started
     return {
-        "updates": count,
-        "wall_clock_s": elapsed,
-        "updates_per_s": count / elapsed if elapsed > 0 else float("inf"),
+        "updates_per_s": count / elapsed,
         "latency": percentiles(latencies),
         "work_entries": int(work),
     }
@@ -163,32 +153,20 @@ def run_mixed(edges, num_vertices: int, count: int) -> dict:
     updates = pregenerate_single_updates(edges, num_vertices, count)
     engine = make_engine(edges, num_vertices)
     lane = ExpressLane(engine)
-    safe_lat, unsafe_lat = [], []
-    work = 0
+    safe, work = 0, 0
     started = time.perf_counter()
     for u, v, w, op in updates:
         result = lane.apply(u, v, w, op)
-        (safe_lat if result.safe else unsafe_lat).append(result.latency_s)
+        safe += result.safe
         work += result.edges_scanned + result.state_reads
         if result.engine_result is not None:
             work += result.engine_result.metrics.events_processed
     elapsed = time.perf_counter() - started
-    stats = dict(lane.stats)
-    report = {
-        "updates": len(updates),
-        "wall_clock_s": elapsed,
-        "updates_per_s": len(updates) / elapsed if elapsed > 0 else float("inf"),
-        "safe": len(safe_lat),
-        "unsafe": len(unsafe_lat),
-        "safe_ratio": len(safe_lat) / len(updates) if updates else 0.0,
+    return {
+        "updates_per_s": len(updates) / elapsed,
+        "safe_ratio": safe / len(updates),
         "work_entries": int(work),
-        "lane": stats,
     }
-    if safe_lat:
-        report["safe_latency"] = percentiles(safe_lat)
-    if unsafe_lat:
-        report["unsafe_latency"] = percentiles(unsafe_lat)
-    return report
 
 
 def run_engine_batch1(edges, num_vertices: int, count: int) -> dict:
@@ -209,82 +187,44 @@ def run_engine_batch1(edges, num_vertices: int, count: int) -> dict:
         events += result.metrics.events_processed
     elapsed = time.perf_counter() - started
     return {
-        "updates": len(updates),
-        "wall_clock_s": elapsed,
-        "updates_per_s": len(updates) / elapsed if elapsed > 0 else float("inf"),
+        "updates_per_s": len(updates) / elapsed,
         "latency": percentiles(latencies),
         "events_processed": int(events),
     }
 
 
 def collect(quick: bool) -> dict:
-    graph_name, num_vertices, edges = build_graph(quick)
+    num_vertices, edges = build_graph(quick)
     n_safe, n_mixed, n_engine = update_plan(quick)
 
     safe = run_safe_inserts(edges, num_vertices, n_safe)
     mixed = run_mixed(edges, num_vertices, n_mixed)
     engine = run_engine_batch1(edges, num_vertices, n_engine)
-
-    speedup = (
-        engine["latency"]["p50_us"] / safe["latency"]["p50_us"]
-        if safe["latency"]["p50_us"] > 0
-        else float("inf")
-    )
-    print(
-        f"safe insert p50 {safe['latency']['p50_us']:8.1f} us  "
-        f"p99 {safe['latency']['p99_us']:8.1f} us"
-    )
-    print(
-        f"engine batch1 p50 {engine['latency']['p50_us']:8.1f} us  "
-        f"p99 {engine['latency']['p99_us']:8.1f} us  "
-        f"express speedup {speedup:7.1f}x"
-    )
-    print(
-        f"mixed stream: {mixed['safe']}/{mixed['updates']} safe "
-        f"({mixed['safe_ratio']:.0%})"
-    )
-    return {
-        "quick": quick,
-        "graph": {
-            "name": graph_name,
-            "num_vertices": num_vertices,
-            "num_edges": len(edges),
-        },
-        "algorithm": ALGORITHM,
-        "speedup_p50": speedup,
-        "results": {
-            "safe_insert": safe,
-            "mixed": mixed,
-            "engine_batch1": engine,
-        },
-    }
-
-
-def main() -> int:
-    quick = quick_mode()
-    report = collect(quick)
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    print(f"[saved to {OUTPUT_PATH}]")
-    if not quick and report["speedup_p50"] < SPEEDUP_GATE:
-        print(
-            f"WARNING: express speedup {report['speedup_p50']:.1f}x below "
-            f"the {SPEEDUP_GATE:.0f}x gate",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    speedup = engine["latency"]["p50_us"] / safe["latency"]["p50_us"]
+    bound = QUICK_SPEEDUP if quick else FULL_SPEEDUP
+    rows = [
+        row("express/safe_insert", "exact", safe["work_entries"]),
+        row("express/mixed", "exact", mixed["work_entries"]),
+        row("engine/batch1", "exact", engine["events_processed"]),
+        row("speedup_p50", "ratio", speedup, min=bound),
+        row("express/mixed/safe_ratio", "info", mixed["safe_ratio"]),
+    ]
+    for key, sample in (
+        ("express/safe_insert", safe),
+        ("express/mixed", mixed),
+        ("engine/batch1", engine),
+    ):
+        rows.append(row(f"{key}/updates_per_s", "info", sample["updates_per_s"]))
+        for name, value in sample.get("latency", {}).items():
+            rows.append(row(f"{key}/{name}", "info", value))
+    return {"suite": "latency", "quick": quick, "rows": rows}
 
 
 def test_update_latency_speedup(benchmark):
-    """pytest-benchmark entry: quick grid, express must beat the engine."""
-    os.environ.setdefault("REPRO_BENCH_QUICK", "1")
+    """pytest-benchmark entry: the quick grid's gate."""
     report = benchmark.pedantic(lambda: collect(True), rounds=1, iterations=1)
-    assert report["speedup_p50"] > 5.0, (
-        f"express safe insert only {report['speedup_p50']:.1f}x faster "
-        "than the engine path at batch 1"
-    )
-    benchmark.extra_info["speedup_p50"] = round(report["speedup_p50"], 1)
+    assert not gate(report)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(script_main(collect))

@@ -2,25 +2,23 @@
 
 Runs static convergence on the array engine and on the per-event scalar
 oracle (:mod:`repro.oracle`) on generated RMAT
-(power-law) and uniform (Erdős–Rényi) graphs across all six algorithms,
-and records wall-clock plus events/s in a machine-readable
-``BENCH_engine.json`` at the repo root so the perf trajectory is tracked
-across PRs. The headline row — PageRank on a ≥100k-edge RMAT graph — is
-the ISSUE acceptance gate (≥5× speedup).
+(power-law) and uniform (Erdős–Rényi) graphs across all six algorithms.
+Each cell emits the events both substrates processed (``exact``), their
+events/s (``info``) and the oracle/array wall-clock speedup. The speedup
+is a ``ratio`` row: at least 1× on every quick cell, and at least
+:data:`HEADLINE_SPEEDUP` on the full grid's ≥100k-edge RMAT PageRank.
 
-Usable two ways:
+Usable three ways:
 
-* ``python benchmarks/bench_vector_engine.py`` — standalone, writes
-  ``BENCH_engine.json`` and prints a table. ``REPRO_BENCH_QUICK=1``
-  shrinks the grid (small graphs, two algorithms) for CI smoke runs.
-* ``pytest benchmarks/bench_vector_engine.py`` — the same comparison as
-  a pytest-benchmark test (quick grid unless overridden).
+* ``python benchmarks/bench_vector_engine.py`` — standalone: prints and
+  gates the rows, and records a passing full run in ``BENCH_engine.json``.
+  ``REPRO_BENCH_QUICK=1`` shrinks the grid (small graphs, two algorithms).
+* ``repro bench check --suite engine`` — the same gate.
+* ``pytest benchmarks/bench_vector_engine.py`` — the quick grid's gate.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -31,16 +29,12 @@ from repro.algorithms import make_algorithm
 from repro.core.engine import GraphPulseEngine
 from repro.graph import generators
 from repro.graph.dynamic import DynamicGraph, build_symmetric_graph
+from repro.obs.bench_gate import gate, row, script_main
 from repro.oracle import on_oracle
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-OUTPUT_PATH = REPO_ROOT / "BENCH_engine.json"
-
 ALGORITHMS = ["sssp", "bfs", "cc", "sswp", "pagerank", "adsorption"]
-
-
-def quick_mode() -> bool:
-    return os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
+#: Minimum speedup of the full grid's ≥100k-edge RMAT PageRank cell.
+HEADLINE_SPEEDUP = 5.0
 
 
 def build_graphs(quick: bool):
@@ -87,7 +81,16 @@ def run_once(name: str, graph: DynamicGraph, oracle: bool):
     }
 
 
-def run_grid(quick: bool) -> dict:
+def speedup_bound(quick: bool, graph_name: str, num_edges: int, algo: str) -> dict:
+    """The ``min`` a cell's speedup must reach; ``{}`` leaves it ``info``."""
+    if quick:
+        return {"min": 1.0}
+    if algo == "pagerank" and graph_name.startswith("rmat") and num_edges >= 100_000:
+        return {"min": HEADLINE_SPEEDUP}
+    return {}
+
+
+def collect(quick: bool) -> dict:
     graphs = build_graphs(quick)
     algorithms = ["sssp", "pagerank"] if quick else ALGORITHMS
     rows = []
@@ -101,58 +104,24 @@ def run_grid(quick: bool) -> dict:
                     f"counts ({scalar['events_processed']} vs "
                     f"{vector['events_processed']}) — parity broken"
                 )
-            rows.append({
-                "graph": graph_name,
-                "num_edges": num_edges,
-                "algorithm": algo,
-                "scalar": scalar,
-                "vectorized": vector,
-                "speedup": scalar["wall_clock_s"] / vector["wall_clock_s"],
-            })
-            print(
-                f"{graph_name:>12} {algo:>10}: "
-                f"scalar {scalar['wall_clock_s']:8.3f}s  "
-                f"vectorized {vector['wall_clock_s']:8.3f}s  "
-                f"speedup {rows[-1]['speedup']:6.2f}x  "
-                f"({vector['events_per_s']:,.0f} ev/s)"
-            )
-    return {"quick": quick, "results": rows}
-
-
-def main() -> int:
-    quick = quick_mode()
-    report = run_grid(quick)
-    OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    print(f"[saved to {OUTPUT_PATH}]")
-    if not quick:
-        headline = [
-            r for r in report["results"]
-            if r["algorithm"] == "pagerank" and r["graph"].startswith("rmat")
-            and r["num_edges"] >= 100_000
-        ]
-        if headline and headline[0]["speedup"] < 5.0:
-            print(
-                f"WARNING: headline RMAT PageRank speedup "
-                f"{headline[0]['speedup']:.2f}x below the 5x gate",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
+            cell = f"{graph_name}/{algo}"
+            for mode, sample in (("scalar", scalar), ("vectorized", vector)):
+                rows += [
+                    row(f"{cell}/{mode}", "exact", sample["events_processed"]),
+                    row(f"{cell}/{mode}/events_per_s", "info", sample["events_per_s"]),
+                ]
+            bound = speedup_bound(quick, graph_name, num_edges, algo)
+            speedup = scalar["wall_clock_s"] / vector["wall_clock_s"]
+            kind = "ratio" if bound else "info"
+            rows.append(row(f"{cell}/speedup", kind, speedup, **bound))
+    return {"suite": "engine", "quick": quick, "rows": rows}
 
 
 def test_vector_engine_speedup(benchmark):
-    """pytest-benchmark entry: quick-grid comparison, asserts speedup > 1."""
-    os.environ.setdefault("REPRO_BENCH_QUICK", "1")
-    report = benchmark.pedantic(lambda: run_grid(True), rounds=1, iterations=1)
-    for row in report["results"]:
-        assert row["speedup"] > 1.0, (
-            f"{row['graph']}/{row['algorithm']}: vectorized slower than scalar"
-        )
-    benchmark.extra_info["speedups"] = {
-        f"{r['graph']}/{r['algorithm']}": round(r["speedup"], 2)
-        for r in report["results"]
-    }
+    """pytest-benchmark entry: the quick grid's gate."""
+    report = benchmark.pedantic(lambda: collect(True), rounds=1, iterations=1)
+    assert not gate(report)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(script_main(collect))

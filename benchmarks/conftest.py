@@ -12,17 +12,16 @@ algorithms) for a fast smoke run.
 
 from __future__ import annotations
 
-import os
+import sys
 from pathlib import Path
 
 import pytest
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from repro.obs.bench_gate import quick_mode  # noqa: E402
+
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
-
-
-def quick_mode() -> bool:
-    """Whether the reduced benchmark grids were requested."""
-    return os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
 
 def bench_graphs():

@@ -24,8 +24,8 @@ Commands
     saved JSON snapshot as Prometheus text or JSON.
 ``bench``
     Performance trajectory tooling: ``check`` re-runs the benchmark
-    suites and gates them against the committed ``BENCH_*.json``
-    baselines.
+    suites and gates their exact counts and ratios against the committed
+    ``BENCH_*.json`` baselines.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from repro.core.policies import DeletePolicy
 from repro.core.streaming import JetStreamEngine
 from repro.graph import datasets, io
 from repro.graph.dynamic import DynamicGraph, build_symmetric_graph
+from repro.obs import bench_gate
 from repro.obs import (
     REGISTRY,
     JsonlSink,
@@ -273,58 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_check.add_argument(
         "--suite",
-        choices=[
-            "engine",
-            "trace",
-            "stream",
-            "sharded",
-            "latency",
-            "serve",
-            "commongraph",
-            "all",
-        ],
+        choices=[*bench_gate.SUITES, "all"],
         default="all",
         help="which benchmark suite(s) to run",
-    )
-    bench_check.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="allowed relative events/s drop before a row regresses "
-        "(default 0.30; event-count drift always fails)",
-    )
-    bench_check.add_argument(
-        "--baseline-engine", help="override the engine-suite baseline path"
-    )
-    bench_check.add_argument(
-        "--baseline-trace", help="override the trace-suite baseline path"
-    )
-    bench_check.add_argument(
-        "--baseline-stream", help="override the stream-suite baseline path"
-    )
-    bench_check.add_argument(
-        "--baseline-sharded", help="override the sharded-suite baseline path"
-    )
-    bench_check.add_argument(
-        "--baseline-latency", help="override the latency-suite baseline path"
-    )
-    bench_check.add_argument(
-        "--baseline-serve", help="override the serve-suite baseline path"
-    )
-    bench_check.add_argument(
-        "--baseline-commongraph",
-        help="override the commongraph-suite baseline path",
     )
     bench_check.add_argument(
         "--update-baselines",
         action="store_true",
         help="write this run's reports as the new baselines and exit",
-    )
-    bench_check.add_argument(
-        "--no-fail",
-        action="store_true",
-        help="forgive throughput regressions (CI on shared runners); "
-        "event-count drift still exits 1",
     )
     return parser
 
@@ -820,55 +777,20 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from repro.obs import bench_gate
-
     suites = list(bench_gate.SUITES) if args.suite == "all" else [args.suite]
-    baseline_paths = {}
-    if args.baseline_engine:
-        baseline_paths["engine"] = args.baseline_engine
-    if args.baseline_trace:
-        baseline_paths["trace"] = args.baseline_trace
-    if args.baseline_stream:
-        baseline_paths["stream"] = args.baseline_stream
-    if args.baseline_sharded:
-        baseline_paths["sharded"] = args.baseline_sharded
-    if args.baseline_latency:
-        baseline_paths["latency"] = args.baseline_latency
-    if args.baseline_serve:
-        baseline_paths["serve"] = args.baseline_serve
-    if args.baseline_commongraph:
-        baseline_paths["commongraph"] = args.baseline_commongraph
-    tolerance = (
-        args.tolerance if args.tolerance is not None else bench_gate.DEFAULT_TOLERANCE
-    )
     try:
-        result = bench_gate.run_gate(
-            suites=suites,
-            quick=args.quick,
-            tolerance=tolerance,
-            baseline_paths=baseline_paths,
-            update_baselines=args.update_baselines,
-        )
+        result = bench_gate.run_gate(suites, args.quick, args.update_baselines)
     except bench_gate.BenchGateError as exc:
         print(f"bench check: {exc}", file=sys.stderr)
         return 2
     if args.update_baselines:
-        for suite in suites:
-            path = baseline_paths.get(suite) or bench_gate.default_baseline_path(
-                suite, args.quick
-            )
-            print(f"baseline updated: {path}")
         return 0
-    print(bench_gate.render_table(result["comparisons"]))
-    if result["regressions"]:
-        print(
-            f"\nbench check: {result['regressions']} regression(s) "
-            f"(tolerance {tolerance:.0%}), {result['drifts']} of them "
-            "event-count drift",
-            file=sys.stderr,
-        )
-        return 1 if result["drifts"] or not args.no_fail else 0
-    print("\nbench check: all rows within tolerance")
+    for failure in result["failures"]:
+        print(f"FAIL {failure}", file=sys.stderr)
+    if result["failures"]:
+        print(f"\nbench check: {len(result['failures'])} failure(s)", file=sys.stderr)
+        return 1
+    print("\nbench check: every exact count matches and every ratio is in bounds")
     return 0
 
 

@@ -1,577 +1,423 @@
 """Tests for the benchmark regression gate (repro.obs.bench_gate).
 
-The gate has two teeth: relative throughput drops beyond the tolerance,
-and *any* drift in the deterministic event counts. Canned collector
-reports stand in for the real benchmark runs so the tests are fast and
-machine-independent.
+A suite report is a list of rows tagged ``exact`` (must equal the
+committed baseline), ``ratio`` (carries its own bound) or ``info``
+(printed, never gated). The comparer and CLI tests use canned reports;
+``TestFlatten`` runs each suite script's real ``collect`` on a tiny graph
+to pin which measurement becomes which kind of row.
 """
 
 from __future__ import annotations
 
+import copy
 import json
-from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from repro.graph import generators
+from repro.graph.dynamic import DynamicGraph
 from repro.obs import bench_gate
 from repro.obs.bench_gate import (
     BenchGateError,
-    compare_rows,
-    default_baseline_path,
-    flatten_engine,
-    flatten_trace,
-    render_table,
+    baseline_path,
+    check,
+    render,
+    row,
     run_gate,
 )
 
-ENGINE_REPORT = {
-    "results": [
-        {
-            "graph": "rmat-2k",
-            "algorithm": "sssp",
-            "scalar": {"events_per_s": 1000.0, "events_processed": 500},
-            "vectorized": {"events_per_s": 4000.0, "events_processed": 500},
-        }
-    ]
-}
 
-TRACE_REPORT = {
-    "rows": [
-        {"mode": "off", "events_per_s": 9000.0, "events": 700},
-        {"mode": "metrics", "events_per_s": 8800.0, "events": 700},
-    ]
-}
-
-STREAM_REPORT = {
-    "results": [
-        {
-            "batch_size": 1,
-            "incremental": {"batches_per_s": 600.0, "events_processed": 900},
-            "full_rebuild": {"batches_per_s": 5.0, "events_processed": 900},
-        }
-    ]
-}
-
-SHARDED_REPORT = {
-    "results": [
-        {
-            "graph": "rmat-2k",
-            "algorithm": "sssp",
-            "num_engines": 1,
-            "events_processed": 500,
-            "engine_events_processed": [500],
-            "noc_flits": 0,
-            "wall_clock_s": 0.02,
-        },
-        {
-            "graph": "rmat-2k",
-            "algorithm": "sssp",
-            "num_engines": 2,
-            "events_processed": 500,
-            "engine_events_processed": [260, 240],
-            "noc_flits": 90,
-            "wall_clock_s": 0.03,
-        },
-    ]
-}
+def report(suite: str, rows: list, quick: bool = True) -> dict:
+    return {"suite": suite, "quick": quick, "rows": rows}
 
 
-LATENCY_REPORT = {
-    "results": {
-        "safe_insert": {"updates_per_s": 200000.0, "work_entries": 1200},
-        "mixed": {"updates_per_s": 40000.0, "work_entries": 2600},
-        "engine_batch1": {"updates_per_s": 700.0, "events_processed": 300},
-    }
-}
-
-
-SERVE_REPORT = {
-    "results": {
-        "mixed": {
-            "batches_per_s": 90.0,
-            "records_applied": 5000,
-            "reads_per_s": 1000.0,
-            "reads_total": 1200,
-            "reads_keepalive": 300,
-            "read_keepalive_p50_us": 500.0,
-        },
-        "express": {"updates_per_s": 1200.0, "updates": 1000},
-        "express_keepalive": {"updates_per_s": 2400.0, "updates": 1000},
-    }
-}
-
-
-COMMONGRAPH_REPORT = {
-    "results": [
-        {
-            "graph": "WK",
-            "algorithm": "sssp",
-            "versions": 9,
-            "total_events": 63000,
-            "cold_events": 241000,
-            "ratio_events": 3.8,
-            "shared_wall_s": 0.7,
-            "cold_wall_s": 0.8,
-            "ratio_wall": 1.1,
-            "states_identical": True,
-        }
+ENGINE = report(
+    "engine",
+    [
+        row("rmat-2k/sssp/scalar", "exact", 500),
+        row("rmat-2k/sssp/vectorized", "exact", 500),
+        row("rmat-2k/sssp/vectorized/events_per_s", "info", 4000.0),
+        row("rmat-2k/sssp/speedup", "ratio", 4.0, min=1.0),
     ],
-    "min_ratio_events": 3.8,
+)
+
+SHARDED = report(
+    "sharded",
+    [
+        row("rmat-2k/sssp/e1", "exact", [500, 0, 500]),
+        row("rmat-2k/sssp/e1/wall_clock_s", "info", 0.02),
+        row("rmat-2k/sssp/e2", "exact", [500, 90, 260, 240]),
+        row("rmat-2k/sssp/e2/wall_clock_s", "info", 0.03),
+    ],
+)
+
+LATENCY = report(
+    "latency",
+    [
+        row("express/safe_insert", "exact", 1200),
+        row("engine/batch1", "exact", 300),
+        row("speedup_p50", "ratio", 40.0, min=5.0),
+    ],
+)
+
+#: One canned quick report per suite.
+CANNED = {
+    **{
+        suite: report(
+            suite, [row("work", "exact", 100), row("work/rate", "info", 9e3)]
+        )
+        for suite in bench_gate.SUITES
+    },
+    "engine": ENGINE,
+    "sharded": SHARDED,
+    "latency": LATENCY,
 }
 
 
-def perturbed(report: dict, scale: float = 1.0, events_delta: int = 0) -> dict:
-    """Copy a canned report with scaled throughput / shifted event counts."""
-    out = json.loads(json.dumps(report))
-    for entry in out.get("results", []):
-        for mode in ("scalar", "vectorized"):
-            if mode in entry:
-                entry[mode]["events_per_s"] *= scale
-                entry[mode]["events_processed"] += events_delta
-        for mode in ("incremental", "full_rebuild"):
-            if mode in entry:
-                entry[mode]["batches_per_s"] *= scale
-                entry[mode]["events_processed"] += events_delta
-    for entry in out.get("results", []):
-        if "engine_events_processed" in entry:
-            entry["wall_clock_s"] /= scale
-            entry["events_processed"] += events_delta
-        if "cold_events" in entry:
-            entry["shared_wall_s"] /= scale
-            entry["total_events"] += events_delta
-    for row in out.get("rows", []):
-        row["events_per_s"] *= scale
-        row["events"] += events_delta
-    if isinstance(out.get("results"), dict):  # latency / serve report shapes
-        for sample in out["results"].values():
-            for rate in ("updates_per_s", "batches_per_s", "reads_per_s"):
-                if rate in sample:
-                    sample[rate] *= scale
-            for field in (
-                "work_entries",
-                "events_processed",
-                "records_applied",
-                "reads_total",
-                "updates",
-            ):
-                if field in sample:
-                    sample[field] += events_delta
+def changed(rep: dict, key: str, value) -> dict:
+    """A copy of ``rep`` whose row ``key`` holds ``value``."""
+    out = copy.deepcopy(rep)
+    for r in out["rows"]:
+        if r["key"] == key:
+            r["value"] = value
     return out
 
 
+def by_key(rep: dict) -> dict:
+    return {r["key"]: r for r in rep["rows"]}
+
+
+@pytest.fixture
+def baselines(monkeypatch, tmp_path):
+    """Point both baseline locations at ``tmp_path``; commit the canned ones."""
+    monkeypatch.setattr(bench_gate, "BASELINES_DIR", tmp_path / "baselines")
+    monkeypatch.setattr(bench_gate, "REPO_ROOT", tmp_path)
+    for suite, rep in CANNED.items():
+        path = baseline_path(suite, quick=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(rep))
+    return tmp_path
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """Replace every suite script with one that returns ``runs[suite]``."""
+    reports = copy.deepcopy(CANNED)
+    monkeypatch.setattr(
+        bench_gate,
+        "load_script",
+        lambda suite: SimpleNamespace(collect=lambda quick: reports[suite]),
+    )
+    return reports
+
+
 # ----------------------------------------------------------------------
-# Flattening + comparison units
+# Each suite script's rows, from a real run on a tiny graph
 # ----------------------------------------------------------------------
+TINY_N = 64
+TINY_EDGES = generators.ensure_reachable_core(
+    generators.rmat(TINY_N, 256, seed=17), TINY_N, seed=18
+)
+
+
+def tiny_graph() -> DynamicGraph:
+    return DynamicGraph.from_edges(TINY_EDGES, TINY_N)
+
+
 class TestFlatten:
     def test_engine_rows(self):
-        rows = flatten_engine(ENGINE_REPORT)
-        assert {r["key"] for r in rows} == {
-            "rmat-2k/sssp/scalar",
-            "rmat-2k/sssp/vectorized",
+        script = bench_gate.load_script("engine")
+        script.build_graphs = lambda quick: [
+            ("rmat-tiny", len(TINY_EDGES), tiny_graph())
+        ]
+        rows = by_key(script.collect(True))
+        for cell in ("rmat-tiny/sssp", "rmat-tiny/pagerank"):
+            scalar, vector = rows[f"{cell}/scalar"], rows[f"{cell}/vectorized"]
+            assert scalar["kind"] == vector["kind"] == "exact"
+            assert scalar["value"] == vector["value"] > 0
+            assert rows[f"{cell}/vectorized/events_per_s"]["kind"] == "info"
+            assert rows[f"{cell}/speedup"]["kind"] == "ratio"
+            assert rows[f"{cell}/speedup"]["min"] == 1.0
+        # Full grid: only the >=100k-edge RMAT PageRank speedup is bounded.
+        assert script.speedup_bound(False, "rmat-131k", 138_000, "pagerank") == {
+            "min": 5.0
         }
-        assert all(r["suite"] == "engine" for r in rows)
-        assert rows[0]["events"] == 500
+        assert script.speedup_bound(False, "rmat-131k", 138_000, "sssp") == {}
+        assert script.speedup_bound(False, "uniform-131k", 138_000, "pagerank") == {}
 
     def test_trace_rows(self):
-        rows = flatten_trace(TRACE_REPORT)
-        assert [r["key"] for r in rows] == ["off", "metrics"]
-        assert all(r["suite"] == "trace" for r in rows)
+        script = bench_gate.load_script("trace")
+        script.build_csr = lambda quick: tiny_graph().snapshot()
+        rows = by_key(script.collect(True))
+        # Tracing must not change the work: one exact count, four modes.
+        events = {rows[mode]["value"] for mode in script.MODES}
+        assert len(events) == 1 and events.pop() > 0
+        assert all(rows[mode]["kind"] == "exact" for mode in script.MODES)
+        assert rows["off/relative_throughput"]["value"] == 1.0
+        assert all(
+            r["kind"] == "info" for key, r in rows.items() if "/" in key
+        )
 
     def test_stream_rows(self):
-        rows = bench_gate.flatten_stream(STREAM_REPORT)
-        assert [r["key"] for r in rows] == [
-            "batch1/incremental",
-            "batch1/full_rebuild",
-        ]
-        assert all(r["suite"] == "stream" for r in rows)
-        assert rows[0]["events_per_s"] == 600.0
-        assert rows[0]["events"] == 900
+        script = bench_gate.load_script("stream")
+        script.build_graph = lambda quick: (TINY_N, TINY_EDGES)
+        script.batch_plan = lambda quick: [(1, 2), (4, 2)]
+        rows = by_key(script.collect(True))
+        for cell in ("batch1", "batch4"):
+            incremental = rows[f"{cell}/incremental"]
+            assert incremental["kind"] == rows[f"{cell}/full_rebuild"]["kind"]
+            assert incremental["value"] == rows[f"{cell}/full_rebuild"]["value"]
+            assert rows[f"{cell}/incremental/batches_per_s"]["kind"] == "info"
+            assert rows[f"{cell}/speedup"]["min"] == 1.0
+        assert script.speedup_bound(False, 100) == {"min": 5.0}
+        assert script.speedup_bound(False, 10_000) == {}
 
     def test_sharded_rows(self):
-        rows = bench_gate.flatten_sharded(SHARDED_REPORT)
-        assert [r["key"] for r in rows] == ["rmat-2k/sssp/e1", "rmat-2k/sssp/e2"]
-        assert all(r["suite"] == "sharded" for r in rows)
-        # Exact counts only: processed events, NoC flits, per-engine split.
-        assert rows[1]["events"] == [500, 90, 260, 240]
-        assert all(r["events_per_s"] == 0.0 for r in rows)
+        script = bench_gate.load_script("sharded")
+        script.build_graph = lambda quick: ("rmat-tiny", tiny_graph())
+        rows = by_key(script.collect(True))
+        for algo in ("sssp", "pagerank"):
+            for engines in script.ENGINE_COUNTS:
+                cell = rows[f"rmat-tiny/{algo}/e{engines}"]
+                # [events_processed, noc_flits, per-engine events...]
+                events, flits, *per_engine = cell["value"]
+                assert cell["kind"] == "exact"
+                assert len(per_engine) == engines and sum(per_engine) == events
+                assert (flits == 0) == (engines == 1)
+                wall = rows[f"rmat-tiny/{algo}/e{engines}/wall_clock_s"]
+                assert wall["kind"] == "info"
 
     def test_sharded_wall_clock_is_not_gated(self):
-        slow = perturbed(SHARDED_REPORT, scale=0.1)
-        out = compare_rows(
-            bench_gate.flatten_sharded(slow),
-            bench_gate.flatten_sharded(SHARDED_REPORT),
-            tolerance=0.10,
-        )
-        assert [c["status"] for c in out] == ["ok", "ok"]
+        slow = changed(SHARDED, "rmat-2k/sssp/e2/wall_clock_s", 3.0)
+        assert check(slow["rows"], SHARDED["rows"]) == []
 
     def test_sharded_per_engine_drift_regresses(self):
-        drifted = json.loads(json.dumps(SHARDED_REPORT))
-        drifted["results"][1]["engine_events_processed"] = [250, 250]
-        out = compare_rows(
-            bench_gate.flatten_sharded(drifted),
-            bench_gate.flatten_sharded(SHARDED_REPORT),
-            tolerance=0.10,
-        )
-        assert [c["status"] for c in out] == ["ok", "regression"]
-        assert out[1]["drift"]
+        drifted = changed(SHARDED, "rmat-2k/sssp/e2", [500, 90, 250, 250])
+        failures = check(drifted["rows"], SHARDED["rows"])
+        assert len(failures) == 1 and "rmat-2k/sssp/e2" in failures[0]
+        assert "drifted" in failures[0]
 
     def test_serve_rows(self):
-        rows = bench_gate.flatten_serve(SERVE_REPORT)
-        assert [r["key"] for r in rows] == [
-            "mixed_ingest",
-            "mixed_read",
-            "read_keepalive",
-            "express",
-            "express_keepalive",
-        ]
-        assert all(r["suite"] == "serve" for r in rows)
-        # Events are the exact request totals (determinism column).
-        assert [r["events"] for r in rows] == [5000, 1200, 300, 1000, 1000]
-        assert rows[0]["events_per_s"] == 90.0
-        assert rows[1]["events_per_s"] == 1000.0
-        # A 500 us median round trip gates as 2000 sequential reads/s.
-        assert rows[2]["events_per_s"] == 2000.0
-        assert rows[4]["events_per_s"] == 2400.0
+        script = bench_gate.load_script("serve")
+        script.config = lambda quick: {
+            "graph": "rmat-tiny",
+            "num_vertices": 128,
+            "num_edges": 512,
+            "ingest_clients": 2,
+            "batches_per_client": 2,
+            "batch_size": 3,
+            "read_clients": 2,
+            "reads_per_client": 4,
+            "express_updates": 5,
+        }
+        rep = script.collect(True)
+        exact = {r["key"]: r["value"] for r in rep["rows"] if r["kind"] == "exact"}
+        # Exact request counts, fixed by the configuration, never by timing.
+        assert exact == {
+            "mixed_ingest": 12,
+            "mixed_read": 8,
+            "read_keepalive": 4,
+            "express": 5,
+            "express_keepalive": 5,
+            "mixed_ingest_traced": 12,
+        }
+        assert {r["kind"] for r in rep["rows"]} == {"exact", "info"}
 
     def test_commongraph_rows(self):
-        rows = bench_gate.flatten_commongraph(COMMONGRAPH_REPORT)
-        assert [r["key"] for r in rows] == ["WK/sssp/v9"]
-        assert all(r["suite"] == "commongraph" for r in rows)
-        # Exact counts only: the shared evaluator's events, then the cold sum.
-        assert rows[0]["events"] == [63000, 241000]
-        assert rows[0]["events_per_s"] == 0.0
+        script = bench_gate.load_script("commongraph")
+        script.grid = lambda quick: ["sssp"]
+        script.NUM_BATCHES, script.BATCH_SIZE = 2, 20
+        rows = by_key(script.collect(True))
+        shared, cold = rows["WK/sssp/v3"]["value"]
+        assert rows["WK/sssp/v3"]["kind"] == "exact" and 0 < shared < cold
+        assert rows["WK/sssp/v3/ratio_events"]["min"] == script.RATIO_GATE
+        assert rows["WK/sssp/v3/ratio_wall"]["min"] == 1.0
+        assert rows["WK/sssp/v3/cold_wall_s"]["kind"] == "info"
 
 
+# ----------------------------------------------------------------------
+# The comparer
+# ----------------------------------------------------------------------
 class TestCompareRows:
-    def rows(self, events_per_s: float, events: int = 100):
-        return [
-            {
-                "suite": "trace",
-                "key": "off",
-                "events_per_s": events_per_s,
-                "events": events,
-            }
-        ]
-
     def test_within_tolerance_is_ok(self):
-        out = compare_rows(self.rows(95.0), self.rows(100.0), tolerance=0.10)
-        assert out[0]["status"] == "ok"
-        assert out[0]["delta"] == pytest.approx(-0.05)
+        """A ratio inside its own bound passes, and info rows may move any
+        amount: absolute throughput is never compared with the baseline."""
+        current = changed(ENGINE, "rmat-2k/sssp/speedup", 1.01)
+        current = changed(current, "rmat-2k/sssp/vectorized/events_per_s", 1.0)
+        assert check(current["rows"], ENGINE["rows"]) == []
 
     def test_drop_beyond_tolerance_regresses(self):
-        out = compare_rows(self.rows(80.0), self.rows(100.0), tolerance=0.10)
-        assert out[0]["status"] == "regression" and not out[0]["drift"]
-        assert "throughput" in out[0]["note"]
-
-    def test_speedup_beyond_tolerance_is_improved(self):
-        out = compare_rows(self.rows(150.0), self.rows(100.0), tolerance=0.10)
-        assert out[0]["status"] == "improved"
+        """A ratio below its ``min`` (or above its ``max``, or NaN) fails."""
+        for value in (0.9, float("nan")):
+            current = changed(ENGINE, "rmat-2k/sssp/speedup", value)
+            failures = check(current["rows"], ENGINE["rows"])
+            assert len(failures) == 1 and "rmat-2k/sssp/speedup" in failures[0]
+        capped = [row("overhead", "ratio", 0.3, max=0.1)]
+        assert check(capped, []) == ["overhead: 0.3 is outside max 0.1"]
 
     def test_event_count_drift_regresses_regardless_of_speed(self):
-        out = compare_rows(
-            self.rows(500.0, events=101), self.rows(100.0, events=100), 0.10
-        )
-        assert out[0]["status"] == "regression" and out[0]["drift"]
-        assert "determinism" in out[0]["note"]
+        current = changed(ENGINE, "rmat-2k/sssp/vectorized", 501)
+        current = changed(current, "rmat-2k/sssp/speedup", 50.0)
+        assert check(current["rows"], ENGINE["rows"]) == [
+            "rmat-2k/sssp/vectorized: 501 drifted from baseline 500"
+        ]
 
     def test_new_and_removed_rows(self):
-        current = self.rows(100.0)
-        baseline = [
-            {
-                "suite": "trace",
-                "key": "jsonl",
-                "events_per_s": 50.0,
-                "events": 100,
-            }
-        ]
-        out = compare_rows(current, baseline, tolerance=0.10)
-        statuses = {c["key"]: c["status"] for c in out}
-        assert statuses == {"off": "new", "jsonl": "removed"}
+        current = [row("new", "exact", 7), row("kept", "exact", 1)]
+        baseline = [row("kept", "exact", 1), row("gone", "exact", 3)]
+        assert check(current, baseline) == ["gone: missing (baseline 3)"]
 
     def test_render_table_mentions_rows_and_notes(self):
-        out = compare_rows(self.rows(80.0), self.rows(100.0), tolerance=0.10)
-        table = render_table(out)
-        assert "off" in table
-        assert "regression" in table
-        assert "tolerance" in table
+        table = render(ENGINE)
+        assert "rmat-2k/sssp/scalar" in table and "exact" in table
+        assert "ratio" in table and "min 1" in table
+        assert "4,000" in table
 
 
 # ----------------------------------------------------------------------
-# run_gate with canned collectors
+# run_gate against baselines in a temporary directory
 # ----------------------------------------------------------------------
 class TestRunGate:
-    def collectors(
-        self,
-        engine=None,
-        trace=None,
-        stream=None,
-        sharded=None,
-        latency=None,
-        serve=None,
-        commongraph=None,
-    ):
-        return {
-            "engine": lambda quick: engine or ENGINE_REPORT,
-            "trace": lambda quick: trace or TRACE_REPORT,
-            "stream": lambda quick: stream or STREAM_REPORT,
-            "sharded": lambda quick: sharded or SHARDED_REPORT,
-            "latency": lambda quick: latency or LATENCY_REPORT,
-            "serve": lambda quick: serve or SERVE_REPORT,
-            "commongraph": lambda quick: commongraph or COMMONGRAPH_REPORT,
-        }
+    def test_matching_baseline_has_zero_regressions(self, baselines, runs):
+        result = run_gate(list(bench_gate.SUITES), quick=True)
+        assert result["failures"] == []
+        assert set(result["reports"]) == set(bench_gate.SUITES)
 
-    def baselines(
-        self,
-        tmp_path: Path,
-        engine=None,
-        trace=None,
-        stream=None,
-        sharded=None,
-        latency=None,
-        serve=None,
-        commongraph=None,
-    ):
-        paths = {}
-        for suite, report in (
-            ("engine", engine or ENGINE_REPORT),
-            ("trace", trace or TRACE_REPORT),
-            ("stream", stream or STREAM_REPORT),
-            ("sharded", sharded or SHARDED_REPORT),
-            ("latency", latency or LATENCY_REPORT),
-            ("serve", serve or SERVE_REPORT),
-            ("commongraph", commongraph or COMMONGRAPH_REPORT),
-        ):
-            path = tmp_path / f"baseline_{suite}.json"
-            path.write_text(json.dumps(report))
-            paths[suite] = path
-        return paths
+    def test_injected_throughput_regression_is_caught(self, baselines, runs):
+        """Only relative throughput is gated: halving events/s passes, a
+        vectorized engine slower than the scalar oracle fails."""
+        runs["engine"] = changed(ENGINE, "rmat-2k/sssp/vectorized/events_per_s", 2e3)
+        assert run_gate(["engine"], quick=True)["failures"] == []
+        runs["engine"] = changed(ENGINE, "rmat-2k/sssp/speedup", 0.5)
+        assert run_gate(["engine"], quick=True)["failures"] == [
+            "engine rmat-2k/sssp/speedup: 0.5 is outside min 1"
+        ]
 
-    def test_matching_baseline_has_zero_regressions(self, tmp_path):
-        result = run_gate(
-            baseline_paths=self.baselines(tmp_path),
-            collectors=self.collectors(),
-        )
-        assert result["regressions"] == 0
-        assert all(c["status"] == "ok" for c in result["comparisons"])
-        assert set(result["reports"]) == {
-            "engine",
-            "trace",
-            "stream",
-            "sharded",
-            "latency",
-            "serve",
-            "commongraph",
-        }
+    def test_injected_event_drift_is_caught(self, baselines, runs):
+        runs["trace"] = changed(CANNED["trace"], "work", 103)
+        failures = run_gate(["trace"], quick=True)["failures"]
+        assert failures == ["trace work: 103 drifted from baseline 100"]
 
-    def test_injected_throughput_regression_is_caught(self, tmp_path):
-        slow = perturbed(ENGINE_REPORT, scale=0.5)
-        result = run_gate(
-            suites=["engine"],
-            tolerance=0.30,
-            baseline_paths=self.baselines(tmp_path),
-            collectors=self.collectors(engine=slow),
-        )
-        assert result["regressions"] == 2  # scalar + vectorized rows
-        assert result["drifts"] == 0
+    def test_missing_exact_row_fails(self, baselines, runs):
+        """A suite whose rows vanish must not pass: each exact baseline row
+        the run no longer emits is a failure."""
+        runs["latency"] = report("latency", [row("speedup_p50", "ratio", 40.0, min=5.0)])
+        assert run_gate(["latency"], quick=True)["failures"] == [
+            "latency express/safe_insert: missing (baseline 1200)",
+            "latency engine/batch1: missing (baseline 300)",
+        ]
 
-    def test_injected_event_drift_is_caught(self, tmp_path):
-        drifted = perturbed(TRACE_REPORT, events_delta=3)
-        result = run_gate(
-            suites=["trace"],
-            baseline_paths=self.baselines(tmp_path),
-            collectors=self.collectors(trace=drifted),
-        )
-        assert result["regressions"] == result["drifts"] == 2
-        assert all("determinism" in c["note"] for c in result["comparisons"])
+    def test_report_without_rows_raises(self, baselines, runs):
+        runs["latency"] = report("latency", [])
+        with pytest.raises(BenchGateError, match="no rows"):
+            run_gate(["latency"], quick=True)
 
-    def test_missing_baseline_raises(self, tmp_path):
-        with pytest.raises(BenchGateError, match="no committed baseline"):
-            run_gate(
-                suites=["engine"],
-                baseline_paths={"engine": tmp_path / "missing.json"},
-                collectors=self.collectors(),
-            )
+    def test_missing_baseline_raises(self, baselines, runs):
+        baseline_path("engine", quick=True).unlink()
+        with pytest.raises(BenchGateError, match="no quick=True row baseline"):
+            run_gate(["engine"], quick=True)
 
-    def test_unknown_suite_raises(self, tmp_path):
+    def test_baseline_from_the_other_mode_is_refused(self, baselines, runs):
+        """A quick report written over the full baseline cannot pass a full
+        gate (it would only see new and vanished rows)."""
+        baseline_path("engine", quick=False).write_text(json.dumps(ENGINE))
+        runs["engine"] = dict(ENGINE, quick=False)
+        with pytest.raises(BenchGateError, match="no quick=False row baseline"):
+            run_gate(["engine"], quick=False)
+
+    def test_quick_script_run_keeps_the_full_baseline(self, baselines, monkeypatch):
+        full = baseline_path("engine", quick=False)
+        full.write_text(json.dumps(dict(ENGINE, quick=False)))
+        monkeypatch.setenv("REPRO_BENCH_QUICK", "1")
+        quick_run = changed(ENGINE, "rmat-2k/sssp/speedup", 9.0)
+        assert bench_gate.script_main(lambda quick: quick_run) == 0
+        assert json.loads(full.read_text()) == dict(ENGINE, quick=False)
+        # A passing full run is recorded there.
+        monkeypatch.setenv("REPRO_BENCH_QUICK", "0")
+        full_run = dict(quick_run, quick=False)
+        assert bench_gate.script_main(lambda quick: full_run) == 0
+        assert json.loads(full.read_text()) == full_run
+
+    def test_unknown_suite_raises(self):
         with pytest.raises(BenchGateError, match="unknown suite"):
-            run_gate(suites=["nope"], collectors=self.collectors())
+            run_gate(["nope"], quick=True)
 
-    def test_update_baselines_writes_reports(self, tmp_path):
-        # Every suite needs an explicit path: a missing entry falls back
-        # to default_baseline_path, i.e. the real committed baseline —
-        # an earlier version of this test silently overwrote
-        # BENCH_latency.json with the canned report that way.
-        paths = {
-            suite: tmp_path / "sub" / f"{suite}.json"
-            for suite in bench_gate.SUITES
-        }
-        result = run_gate(
-            baseline_paths=paths,
-            collectors=self.collectors(),
-            update_baselines=True,
-        )
-        assert result["comparisons"] == []
-        assert json.loads(paths["engine"].read_text()) == ENGINE_REPORT
-        assert json.loads(paths["trace"].read_text()) == TRACE_REPORT
-        assert json.loads(paths["stream"].read_text()) == STREAM_REPORT
-        assert json.loads(paths["sharded"].read_text()) == SHARDED_REPORT
-        assert json.loads(paths["serve"].read_text()) == SERVE_REPORT
-        assert (
-            json.loads(paths["commongraph"].read_text()) == COMMONGRAPH_REPORT
-        )
+    def test_update_baselines_writes_reports(self, baselines, runs):
+        for path in (baselines / "baselines").iterdir():
+            path.unlink()
+        result = run_gate(list(bench_gate.SUITES), quick=True, update_baselines=True)
+        assert result["failures"] == []
+        for suite, rep in CANNED.items():
+            assert json.loads(baseline_path(suite, quick=True).read_text()) == rep
 
     def test_default_baseline_paths(self):
-        assert default_baseline_path("engine", quick=False).name == (
-            "BENCH_engine.json"
-        )
-        assert default_baseline_path("trace", quick=True).parent.name == (
-            "baselines"
-        )
-        assert default_baseline_path("stream", quick=False).name == (
-            "BENCH_stream.json"
-        )
-        assert default_baseline_path("stream", quick=True).parent.name == (
-            "baselines"
-        )
-        assert default_baseline_path("sharded", quick=False).name == (
-            "BENCH_sharded.json"
-        )
-        assert default_baseline_path("sharded", quick=True).parent.name == (
-            "baselines"
-        )
-        assert default_baseline_path("serve", quick=False).name == (
-            "BENCH_serve.json"
-        )
-        assert default_baseline_path("serve", quick=True).name == (
-            "BENCH_serve.quick.json"
-        )
-        assert default_baseline_path("commongraph", quick=False).name == (
-            "BENCH_commongraph.json"
-        )
-        assert default_baseline_path("commongraph", quick=True).name == (
-            "BENCH_commongraph.quick.json"
-        )
+        for suite in bench_gate.SUITES:
+            assert baseline_path(suite, quick=False).name == f"BENCH_{suite}.json"
+            quick = baseline_path(suite, quick=True)
+            assert quick.name == f"BENCH_{suite}.quick.json"
+            assert quick.parent.name == "baselines"
         with pytest.raises(BenchGateError):
-            default_baseline_path("nope", quick=False)
+            baseline_path("nope", quick=False)
 
 
 # ----------------------------------------------------------------------
 # CLI wiring: repro bench check
 # ----------------------------------------------------------------------
 class TestBenchCheckCli:
-    @pytest.fixture
-    def canned(self, monkeypatch, tmp_path):
-        """Patch the real collectors with canned reports; return baselines."""
-        reports = {
-            "engine": json.loads(json.dumps(ENGINE_REPORT)),
-            "trace": json.loads(json.dumps(TRACE_REPORT)),
-            "stream": json.loads(json.dumps(STREAM_REPORT)),
-            "sharded": json.loads(json.dumps(SHARDED_REPORT)),
-            "latency": json.loads(json.dumps(LATENCY_REPORT)),
-            "serve": json.loads(json.dumps(SERVE_REPORT)),
-            "commongraph": json.loads(json.dumps(COMMONGRAPH_REPORT)),
-        }
-        for suite in reports:
-            monkeypatch.setitem(
-                bench_gate._COLLECTORS,
-                suite,
-                lambda quick, s=suite: reports[s],
-            )
-        bases = {}
-        for suite, report in (
-            ("engine", ENGINE_REPORT),
-            ("trace", TRACE_REPORT),
-            ("stream", STREAM_REPORT),
-            ("sharded", SHARDED_REPORT),
-            ("latency", LATENCY_REPORT),
-            ("serve", SERVE_REPORT),
-            ("commongraph", COMMONGRAPH_REPORT),
-        ):
-            bases[suite] = tmp_path / f"{suite}.json"
-            bases[suite].write_text(json.dumps(report))
-        return reports, bases
-
-    def base_args(self, bases):
-        args = ["bench", "check"]
-        for suite, path in bases.items():
-            args += [f"--baseline-{suite}", str(path)]
-        return args
-
-    def test_exits_zero_on_matching_baselines(self, canned, capsys):
+    def test_exits_zero_on_matching_baselines(self, baselines, runs, capsys):
         from repro.cli import main
 
-        _, bases = canned
-        assert main(self.base_args(bases)) == 0
+        assert main(["bench", "check", "--quick"]) == 0
         out = capsys.readouterr().out
-        assert "ok" in out and "within tolerance" in out
+        assert "rmat-2k/sssp/speedup" in out and "every exact count matches" in out
 
-    def test_exits_nonzero_on_injected_regression(self, canned, capsys):
+    def test_exits_nonzero_on_injected_regression(self, baselines, runs, capsys):
         from repro.cli import main
 
-        reports, bases = canned
-        reports["engine"] = perturbed(ENGINE_REPORT, scale=0.4)
-        assert main(self.base_args(bases)) == 1
-        assert "regression" in capsys.readouterr().out
+        for suite, rep in (
+            ("trace", changed(CANNED["trace"], "work", 99)),  # count drift
+            ("engine", changed(ENGINE, "rmat-2k/sssp/speedup", 0.8)),  # ratio
+            ("latency", report("latency", LATENCY["rows"][1:])),  # missing row
+        ):
+            runs[suite] = rep
+            assert main(["bench", "check", "--quick", "--suite", suite]) == 1
+            runs[suite] = CANNED[suite]
+        err = capsys.readouterr().err
+        assert "drifted" in err and "outside min 1" in err and "missing" in err
 
-    def test_no_fail_reports_but_exits_zero(self, canned, capsys):
+    def test_single_suite_selection(self, baselines, runs):
         from repro.cli import main
 
-        reports, bases = canned
-        reports["engine"] = perturbed(ENGINE_REPORT, scale=0.4)
-        args = self.base_args(bases)
-        args += ["--no-fail"]
-        assert main(args) == 0
-        assert "regression" in capsys.readouterr().out
+        # Broken other suites must not fire when only engine is selected.
+        for suite in bench_gate.SUITES:
+            if suite != "engine":
+                runs[suite] = report(suite, [row("work", "exact", 1)])
+        assert main(["bench", "check", "--quick", "--suite", "engine"]) == 0
+        assert main(["bench", "check", "--quick"]) == 1
 
-    def test_no_fail_still_fails_on_event_count_drift(self, canned, capsys):
+    def test_update_baselines_roundtrip(self, baselines, runs):
         from repro.cli import main
 
-        reports, bases = canned
-        reports["trace"] = perturbed(TRACE_REPORT, events_delta=1)
-        args = self.base_args(bases)
-        args += ["--no-fail"]
-        assert main(args) == 1
-        captured = capsys.readouterr()
-        assert "events_processed drifted" in captured.out
-        assert "event-count drift" in captured.err
+        for path in (baselines / "baselines").iterdir():
+            path.unlink()
+        assert main(["bench", "check", "--quick", "--update-baselines"]) == 0
+        assert main(["bench", "check", "--quick"]) == 0
 
-    def test_single_suite_selection(self, canned, capsys):
+    def test_missing_baseline_exits_two(self, baselines, runs, capsys):
         from repro.cli import main
 
-        reports, bases = canned
-        # Break the *other* suites: a trace, stream, or sharded regression
-        # must not fire when only the engine suite is selected.
-        reports["trace"] = perturbed(TRACE_REPORT, scale=0.1)
-        reports["stream"] = perturbed(STREAM_REPORT, events_delta=5)
-        reports["sharded"] = perturbed(SHARDED_REPORT, events_delta=3)
-        reports["serve"] = perturbed(SERVE_REPORT, scale=0.1)
-        reports["commongraph"] = perturbed(COMMONGRAPH_REPORT, events_delta=7)
-        args = self.base_args(bases)
-        args += ["--suite", "engine"]
-        assert main(args) == 0
-
-    def test_update_baselines_roundtrip(self, canned, tmp_path, capsys):
-        from repro.cli import main
-
-        _, _ = canned
-        new_bases = {
-            suite: tmp_path / "new" / f"{suite}.json"
-            for suite in bench_gate.SUITES
-        }
-        args = self.base_args(new_bases) + ["--update-baselines"]
-        assert main(args) == 0
-        assert main(self.base_args(new_bases)) == 0
-
-    def test_missing_baseline_exits_two(self, canned, tmp_path, capsys):
-        from repro.cli import main
-
-        args = [
-            "bench",
-            "check",
-            "--baseline-engine",
-            str(tmp_path / "absent.json"),
-            "--suite",
-            "engine",
-        ]
-        assert main(args) == 2
+        baseline_path("engine", quick=True).unlink()
+        assert main(["bench", "check", "--quick", "--suite", "engine"]) == 2
         assert "baseline" in capsys.readouterr().err
+        runs["serve"] = report("serve", [])
+        assert main(["bench", "check", "--quick", "--suite", "serve"]) == 2
+
+    def test_help_lists_three_options(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit):
+            main(["bench", "check", "--help"])
+        out = capsys.readouterr().out
+        options = {word for word in out.split() if word.startswith("--")}
+        assert options == {"--help", "--quick", "--suite", "--update-baselines"}
