@@ -22,12 +22,12 @@ def build_social_graph(n: int = 2000, m: int = 12000, seed: int = 7):
     """RMAT follower graph (directed) and its symmetric friendship view."""
     edges = generators.rmat(n, m, seed=seed)
     directed = DynamicGraph.from_edges(edges, n)
-    symmetric = DynamicGraph(n, symmetric=True)
-    seen = set()
+    seen, friendships = set(), []
     for u, v, w in edges:
         if (u, v) not in seen and (v, u) not in seen:
             seen.add((u, v))
-            symmetric.add_edge(u, v, w, _count_version=False)
+            friendships.append((u, v, w))
+    symmetric = DynamicGraph.from_edges(friendships, n, symmetric=True)
     return directed, symmetric
 
 

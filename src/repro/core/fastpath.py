@@ -13,36 +13,32 @@ full engine path for everything else.
 
 The classification itself lives next to the algorithms
 (:func:`repro.algorithms.base.classify_monotonic_update`); this module
-supplies the converged *view* the classifier reads — base CSR snapshot plus
-an adjacency overlay of the lane's own mutations — and the apply kernel
+supplies the converged *view* the classifier reads — the engine's states
+and dependency tree over the store's live edge set — and the apply kernel
 that keeps the :class:`~repro.graph.dynamic.DynamicGraph` store, the engine
-state arrays, and the DAP dependency tree coherent.
-
-Why an overlay: every :class:`DynamicGraph` adjacency query folds pending
-mutations into the CSR arrays first (``_flush``, an O(E) splice), which
-would put the engine's full-batch cost back on the express path. The lane
-instead snapshots once, tracks its own directed inserts/deletes in
-per-vertex dicts, and re-synchronizes only when the store's mutation stamp
-shows someone else (the engine fallthrough, or external code) touched the
-graph. After an engine batch the resync snapshot is a cache hit — the
-engine just built it.
+state arrays, and the DAP dependency tree coherent. The store answers
+adjacency queries from its arrays plus its pending single-edge edits
+without flushing, so the lane keeps no copy of the graph: whatever
+mutated the store last (a safe apply, an engine batch, external code),
+the next classification reads it as it is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.algorithms.base import SELF_SUPPORT, UpdateClassification
 from repro.core.events import NO_SOURCE
 from repro.core.streaming import JetStreamEngine, StreamingResult
-from repro.streams import UpdateBatch, vertex_id
+from repro.streams import UpdateBatch, finite_weight, vertex_id
 
 
 #: Counter keys of :attr:`ExpressLane.stats`. :meth:`Session.express_stats`
 #: derives its lane-less zero shape from this tuple, so the two can never
-#: drift apart when a counter is added.
+#: drift apart when a counter is added. ``resyncs`` stays 0: the lane has no
+#: private graph copy to re-synchronize, but readers of the key remain.
 EXPRESS_STAT_KEYS = ("safe_applied", "engine_fallthroughs", "resyncs")
 
 
@@ -80,8 +76,7 @@ class _ConvergedView:
 
     States and dependencies read through ``engine.core`` on every call —
     the core replaces its arrays on allocate/grow, so caching a
-    reference would go stale.
-    Adjacency reads the lane's base CSR filtered/extended by the overlay.
+    reference would go stale. Adjacency is the store's own query.
     """
 
     __slots__ = ("_lane",)
@@ -107,40 +102,10 @@ class _ConvergedView:
         return int(lane.engine.core.dependency[x])
 
     def out_edges(self, x: int) -> Iterator[Tuple[int, float]]:
-        lane = self._lane
-        csr = lane._csr
-        start, stop = int(csr.out_offsets[x]), int(csr.out_offsets[x + 1])
-        ov = lane._ov_out.get(x)
-        if ov is None:
-            for i in range(start, stop):
-                yield int(csr.out_targets[i]), float(csr.out_weights[i])
-            return
-        for i in range(start, stop):
-            t = int(csr.out_targets[i])
-            if t in ov:
-                continue  # deleted or weight-changed by the lane
-            yield t, float(csr.out_weights[i])
-        for t, w in ov.items():
-            if w is not None:
-                yield t, w
+        return self._lane.engine.graph.out_edges(x)
 
     def in_edges(self, x: int) -> Iterator[Tuple[int, float]]:
-        lane = self._lane
-        csr = lane._csr
-        start, stop = int(csr.in_offsets[x]), int(csr.in_offsets[x + 1])
-        ov = lane._ov_in.get(x)
-        if ov is None:
-            for i in range(start, stop):
-                yield int(csr.in_sources[i]), float(csr.in_weights[i])
-            return
-        for i in range(start, stop):
-            s = int(csr.in_sources[i])
-            if s in ov:
-                continue
-            yield s, float(csr.in_weights[i])
-        for s, w in ov.items():
-            if w is not None:
-                yield s, w
+        return self._lane.engine.graph.in_edges(x)
 
 
 class ExpressLane:
@@ -160,40 +125,11 @@ class ExpressLane:
         self.engine = engine
         self.tracks_dependency = engine.policy.tracks_dependency
         self._view = _ConvergedView(self)
-        #: Per-vertex overlay deltas relative to ``_csr``: target/source ->
-        #: weight for a lane-inserted edge, ``None`` for a lane-deleted one.
-        self._ov_out: Dict[int, Dict[int, Optional[float]]] = {}
-        self._ov_in: Dict[int, Dict[int, Optional[float]]] = {}
         self.stats = {key: 0 for key in EXPRESS_STAT_KEYS}
-        self._resync()
-
-    # ------------------------------------------------------------------
-    def _resync(self) -> None:
-        """Rebase the view on a fresh snapshot of the store.
-
-        Called at construction, after every engine fallthrough, and
-        whenever the store's mutation stamp shows a mutation the lane did
-        not perform itself. The post-fallthrough snapshot is a cache hit
-        (the engine snapshots the same mutation state at the end of its
-        batch), so resync is only O(E) when third-party code mutated the
-        graph behind the lane's back.
-        """
-        graph = self.engine.graph
-        self._csr = graph.snapshot()
-        self._stamp = graph.mutation_stamp
-        self._ov_out.clear()
-        self._ov_in.clear()
-        self.stats["resyncs"] += 1
-
-    def _overlay_set(self, a: int, b: int, w: Optional[float]) -> None:
-        self._ov_out.setdefault(a, {})[b] = w
-        self._ov_in.setdefault(b, {})[a] = w
 
     # ------------------------------------------------------------------
     def classify(self, u: int, v: int, w: float, op: str) -> UpdateClassification:
         """Classify one update against the converged view (no mutation)."""
-        if self.engine.graph.mutation_stamp != self._stamp:
-            self._resync()
         return self.engine.algorithm.classify_update(self._view, u, v, w, op)
 
     def apply(self, u: int, v: int, w: float = 1.0, op: str = "insert") -> ExpressResult:
@@ -216,7 +152,7 @@ class ExpressLane:
                     f"edge {u}->{v} already exists; model a weight change "
                     "as delete followed by insert"
                 )
-            w = float(w)
+            w = finite_weight(w)
         else:
             if not graph.has_edge(u, v):
                 raise ValueError(f"cannot delete missing edge {u}->{v}")
@@ -285,15 +221,8 @@ class ExpressLane:
                 core.dependency[vtx] = NO_SOURCE if src == SELF_SUPPORT else src
         if op == "insert":
             graph.add_edge(u, v, w)
-            self._overlay_set(u, v, w)
-            if graph.symmetric and u != v:
-                self._overlay_set(v, u, w)
         else:
             graph.remove_edge(u, v)
-            self._overlay_set(u, v, None)
-            if graph.symmetric and u != v:
-                self._overlay_set(v, u, None)
-        self._stamp = graph.mutation_stamp
         self.stats["safe_applied"] += 1
 
     def _apply_engine(self, u: int, v: int, w: float, op: str) -> StreamingResult:
@@ -303,5 +232,4 @@ class ExpressLane:
             batch = UpdateBatch(deletions=[(u, v)])
         result = self.engine.apply_batch(batch)
         self.stats["engine_fallthroughs"] += 1
-        self._resync()
         return result

@@ -21,10 +21,12 @@ arrays, against the flushed store (:meth:`DynamicGraph.check_batch`: one
 nothing mutates unless the whole batch passes), then spliced into both
 directions at once (:meth:`DynamicGraph.apply_batch`). *Single* edges
 (:meth:`~DynamicGraph.add_edge` / :meth:`~DynamicGraph.remove_edge`, the
-express lane's path) are recorded in a pending-edit dict, whose size is
-bounded by the next flush, and folded into the arrays lazily when a
-snapshot, adjacency query or batch check needs them. Either way a splice
-costs one vectorized compress/insert memcpy per direction, and
+express lane's path) are recorded as pending edits, indexed by source and
+by target and bounded by the next flush, and folded into the arrays
+lazily when a snapshot or batch check needs them. Adjacency queries do
+not flush: they read a vertex's stored run and its pending edits, so
+the express lane classifies against the store itself. Either way a
+splice costs one vectorized compress/insert memcpy per direction, and
 Python-level work scales with the batch, not with E.
 
 Because the key arrays are kept in exactly the order
@@ -52,7 +54,13 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.streams import VERTEX_ID_LIMIT, UpdateBatch, insertion_rows, vertex_ids
+from repro.streams import (
+    VERTEX_ID_LIMIT,
+    UpdateBatch,
+    finite_weight,
+    insertion_rows,
+    vertex_ids,
+)
 
 Edge = Tuple[int, int, float]
 
@@ -224,6 +232,29 @@ class _DirectedCSR:
             np.subtract.at(delta, (del_keys >> _SHIFT) + 1, 1)
         self.offsets = self.offsets + np.cumsum(delta)
 
+    def adjacent(
+        self, major: int, edits: Optional[Dict[int, Optional[float]]]
+    ) -> Iterator[Tuple[int, float]]:
+        """Live ``(minor, weight)`` pairs of ``major``: the stored run in
+        key order, skipping minors with a pending edit, then the pending
+        inserts in edit order."""
+        run = iter(())
+        if major + 1 < len(self.offsets):  # offsets grow only at a flush
+            start, stop = self.offsets[major], self.offsets[major + 1]
+            run = zip(
+                (self.keys[start:stop] & _MASK).tolist(),
+                self.weights[start:stop].tolist(),
+            )
+        if not edits:
+            yield from run
+            return
+        for minor, w in run:
+            if minor not in edits:
+                yield minor, w
+        for minor, w in edits.items():
+            if w is not None:
+                yield minor, w
+
 
 class DynamicGraph:
     """Array-native graph supporting batched edge insertion and deletion.
@@ -246,12 +277,14 @@ class DynamicGraph:
         self.version = 0
         self._out = _DirectedCSR(self.num_vertices)  # major=src, minor=dst
         self._in = _DirectedCSR(self.num_vertices)  # major=dst, minor=src
-        #: Single-edge edits not yet spliced into the arrays: ``(u, v) ->
-        #: weight``, ``None`` for a deletion. Emptied by every flush.
-        self._pending: Dict[Tuple[int, int], Optional[float]] = {}
+        #: Single-edge edits not yet spliced into the arrays, indexed both
+        #: ways: ``_pending_out[u][v]`` and ``_pending_in[v][u]`` hold the
+        #: weight, ``None`` for a deletion. Emptied by every flush.
+        self._pending_out: Dict[int, Dict[int, Optional[float]]] = {}
+        self._pending_in: Dict[int, Dict[int, Optional[float]]] = {}
         self._num_edges = 0
-        #: Monotone mutation stamp (version alone misses
-        #: ``_count_version=False`` edits); keys the snapshot cache.
+        #: Monotone mutation stamp, moved only by a change to the edge set
+        #: or vertex count; keys the snapshot cache.
         self._mutations = 0
         self._snapshot_cache: Optional[Tuple[int, CSRGraph]] = None
         #: Host-side store instrumentation (exposed via
@@ -336,24 +369,23 @@ class DynamicGraph:
     # ------------------------------------------------------------------
     # Single-edge mutation
     # ------------------------------------------------------------------
-    def add_edge(self, u: int, v: int, w: float = 1.0, _count_version: bool = True) -> None:
+    def add_edge(self, u: int, v: int, w: float = 1.0) -> None:
         """Insert directed edge ``u -> v`` (and mirror when symmetric)."""
         if not (0 <= u < VERTEX_ID_LIMIT and 0 <= v < VERTEX_ID_LIMIT):
             raise GraphMutationError("vertex ids must be non-negative and below 2**31")
+        w = finite_weight(w)
         self._grow(max(u, v) + 1)
         self._insert_one(u, v, w)
         if self.symmetric and u != v:
             self._insert_one(v, u, w)
-        if _count_version:
-            self.version += 1
+        self.version += 1
 
-    def remove_edge(self, u: int, v: int, _count_version: bool = True) -> float:
+    def remove_edge(self, u: int, v: int) -> float:
         """Delete directed edge ``u -> v``; returns its weight."""
         w = self._remove_one(u, v)
         if self.symmetric and u != v:
             self._remove_one(v, u)
-        if _count_version:
-            self.version += 1
+        self.version += 1
         return w
 
     def _insert_one(self, u: int, v: int, w: float) -> None:
@@ -362,25 +394,29 @@ class DynamicGraph:
                 f"edge {u}->{v} already exists; model weight change as "
                 "delete followed by insert (per paper §2.1)"
             )
-        self._pending[(u, v)] = float(w)
+        self._edit(u, v, w)
         self._num_edges += 1
-        self._mutations += 1
 
     def _remove_one(self, u: int, v: int) -> float:
         w = self._weight(u, v)
         if w is None:
             raise GraphMutationError(f"cannot delete missing edge {u}->{v}")
-        self._pending[(u, v)] = None
+        self._edit(u, v, None)
         self._num_edges -= 1
-        self._mutations += 1
         return w
+
+    def _edit(self, u: int, v: int, w: Optional[float]) -> None:
+        """Record a pending edit of ``u -> v`` in both indexes."""
+        self._pending_out.setdefault(u, {})[v] = w
+        self._pending_in.setdefault(v, {})[u] = w
+        self._mutations += 1
 
     def _weight(self, u: int, v: int) -> Optional[float]:
         """Live weight of ``u -> v``, ``None`` if absent: the pending edit
         if there is one, else one binary search over the out-keys."""
-        edit = self._pending.get((u, v), False)
-        if edit is not False:
-            return edit
+        edits = self._pending_out.get(u)
+        if edits is not None and v in edits:
+            return edits[v]
         if not (0 <= u < VERTEX_ID_LIMIT and 0 <= v < VERTEX_ID_LIMIT):
             return None
         keys, key = self._out.keys, (u << _SHIFT) | v
@@ -546,11 +582,12 @@ class DynamicGraph:
         one compress/merge memcpy per direction.
         """
         self._grow_offsets()
-        if not self._pending:
+        if not self._pending_out:
             return
-        t = len(self._pending)
-        t_u, t_v = np.array(list(self._pending), dtype=np.int64).reshape(t, 2).T
-        edits = list(self._pending.values())
+        pending = self._pending_out.items()
+        pairs = [(u, v) for u, edits in pending for v in edits]
+        t_u, t_v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        edits = [w for _, row in pending for w in row.values()]
         cur_has = np.array([w is not None for w in edits], dtype=bool)
         cur_w = np.array([0.0 if w is None else w for w in edits], dtype=np.float64)
         in_base, _, base_w = self._lookup(t_u, t_v)
@@ -559,7 +596,8 @@ class DynamicGraph:
         ins = cur_has & (~in_base | changed)
         self._splice(t_u[dels], t_v[dels], t_u[ins], t_v[ins], cur_w[ins])
         self._stats["flushes"] += 1
-        self._pending.clear()
+        self._pending_out.clear()
+        self._pending_in.clear()
 
     # ------------------------------------------------------------------
     # Queries
@@ -576,42 +614,34 @@ class DynamicGraph:
         return w
 
     def out_degree(self, u: int) -> int:
-        """Current out-degree of ``u``."""
-        self._flush()
-        return int(self._out.offsets[u + 1] - self._out.offsets[u])
+        """Current out-degree of ``u`` (counted like :meth:`out_edges`)."""
+        return sum(1 for _ in self.out_edges(u))
 
     def in_degree(self, v: int) -> int:
-        """Current in-degree of ``v``."""
-        self._flush()
-        return int(self._in.offsets[v + 1] - self._in.offsets[v])
+        """Current in-degree of ``v`` (counted like :meth:`in_edges`)."""
+        return sum(1 for _ in self.in_edges(v))
 
     def out_edges(self, u: int) -> Iterator[Tuple[int, float]]:
         """Yield ``(target, weight)`` pairs for ``u``'s out-edges.
 
-        Pairs arrive in CSR order (sorted by target id).
+        No flush: the stored run arrives in CSR order (sorted by target
+        id) less the targets with a pending edit, then ``u``'s pending
+        inserts in edit order. O(degree + ``u``'s pending edits).
         """
-        self._flush()
-        start, stop = self._out.offsets[u], self._out.offsets[u + 1]
-        for i in range(start, stop):
-            yield int(self._out.keys[i] & _MASK), float(self._out.weights[i])
+        return self._out.adjacent(u, self._pending_out.get(u))
 
     def in_edges(self, v: int) -> Iterator[Tuple[int, float]]:
-        """Yield ``(source, weight)`` pairs for ``v``'s in-edges.
-
-        Pairs arrive in CSR order (sorted by source id).
-        """
-        self._flush()
-        start, stop = self._in.offsets[v], self._in.offsets[v + 1]
-        for i in range(start, stop):
-            yield int(self._in.keys[i] & _MASK), float(self._in.weights[i])
+        """Yield ``(source, weight)`` pairs for ``v``'s in-edges, ordered
+        like :meth:`out_edges` (stored run by source id, then pending)."""
+        return self._in.adjacent(v, self._pending_in.get(v))
 
     @property
     def mutation_stamp(self) -> int:
         """Monotone counter bumped by every mutation (incl. vertex growth).
 
-        Unlike :attr:`version` it also moves for ``_count_version=False``
-        edits, so external caches (snapshots, the express lane's adjacency
-        overlay) can key staleness on it exactly.
+        Unlike :attr:`version` it does not move for an empty batch, so
+        caches of the edge set (snapshots, served read snapshots) can key
+        staleness on it exactly.
         """
         return self._mutations
 

@@ -323,7 +323,11 @@ class Session:
         return result
 
     def express_stats(self) -> dict:
-        """Express-lane counters: safe applies, fallthroughs, resyncs."""
+        """Express-lane counters: safe applies and engine fallthroughs.
+
+        ``resyncs`` is always 0 (the lane reads the store directly and
+        keeps no copy to re-synchronize); the key stays for its readers.
+        """
         if self._express is None:
             return {key: 0 for key in EXPRESS_STAT_KEYS}
         return dict(self._express.stats)

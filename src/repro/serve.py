@@ -20,25 +20,23 @@ When the queue is full the request is rejected immediately with HTTP 429
 
 After each applied write the writer publishes a :class:`ReadSnapshot`:
 an immutable (write-protected) copy of the converged vertex states keyed
-by the store's ``mutation_stamp`` — the same stamp the express lane
-rebases its overlay on. Reads grab the current snapshot reference with a
-single atomic attribute load and serve from it **lock-free**: a query
-never waits on an in-flight batch, and can never observe a torn,
-mid-convergence state. A client that completed a write is guaranteed to
-see a snapshot at least as new as its own write on a subsequent read
-(writes respond only after publishing).
+by the store's ``mutation_stamp``. Reads grab the current snapshot
+reference with a single atomic attribute load and serve from it
+**lock-free**: a query never waits on an in-flight batch, and can never
+observe a torn, mid-convergence state. A client that completed a write
+is guaranteed to see a snapshot at least as new as its own write on a
+subsequent read (writes respond only after publishing).
 
 Time travel
 -----------
 Each published snapshot carries the graph version that produced it, and
-the session retains the last ``keep_versions`` of them in a ring (the
-same retention bound the host session's :class:`DeltaVersionStore` uses
-for graph deltas). ``GET /sessions/<s>/read?version=<v>`` serves from
-the retained snapshot for graph version ``v`` — still lock-free, still
-immutable — and answers 404 ``VERSION_EVICTED`` once retention has
-dropped it; a negative version is a 400 ``BAD_VERSION``. Historical
-reads are counted separately from latest reads
-(``repro_serve_reads_total{kind="historical"}``).
+the session retains the last ``keep_versions`` of them in a ring; the
+ring is the whole of served history (no graph deltas are recorded).
+``GET /sessions/<s>/read?version=<v>`` serves from the retained snapshot
+for graph version ``v`` — still lock-free, still immutable — and answers
+404 ``VERSION_EVICTED`` once retention has dropped it; a negative version
+is a 400 ``BAD_VERSION``. Historical reads are counted separately from
+latest reads (``repro_serve_reads_total{kind="historical"}``).
 
 Shutdown drains: the server stops accepting new work, each writer thread
 finishes every op already queued (their clients get real responses), and
@@ -100,7 +98,7 @@ from repro.host import Accelerator, HostApiError, Session
 from repro.obs.metrics import REGISTRY as METRICS
 from repro.obs.requests import debug_requests, end_request, mark
 from repro.obs.scrape import PayloadHandler, metrics_payload, send_payload
-from repro.streams import deletion_rows, insertion_rows, vertex_id
+from repro.streams import deletion_rows, finite_weight, insertion_rows, vertex_id
 
 __all__ = [
     "DEFAULT_KEEP_VERSIONS",
@@ -399,7 +397,7 @@ class ServeSession:
             u, v, w, edge_op = packed = (
                 vertex_id(op.payload["u"]),
                 vertex_id(op.payload["v"]),
-                float(op.payload.get("w", 1.0)),
+                finite_weight(op.payload.get("w", 1.0)),
                 op.payload.get("op", "insert"),
             )
             t_apply = perf_counter()
@@ -597,6 +595,8 @@ class ServeApp:
                 raise ServeError(
                     400, "BAD_SESSION", f"{field!r} must be a string, got {value!r}"
                 )
+        if keep_versions is not None and keep_versions < 1:
+            raise ServeError(400, "BAD_SESSION", "keep_versions must be >= 1")
         session = None
         try:
             try:
@@ -615,10 +615,6 @@ class ServeApp:
                     num_engines=num_engines,
                 )
                 session.run()  # initial evaluation: serve needs a converged state
-                # Record graph deltas with the same retention as the snapshot
-                # ring, so ?version= reads and delta reconstruction expire
-                # together.
-                session.enable_versioning(keep_versions=keep_versions)
             except (HostApiError, ValueError, KeyError) as exc:
                 raise ServeError(400, "BAD_SESSION", str(exc))
             with self._lock:
@@ -724,10 +720,11 @@ class ServeApp:
         for key in ("u", "v"):
             if key not in payload:
                 raise ServeError(400, "BAD_UPDATE", f"missing field {key!r}")
-            try:
-                vertex_id(payload[key])
-            except ValueError as exc:
-                raise ServeError(400, "BAD_UPDATE", str(exc)) from None
+        try:
+            vertex_id(payload["u"]), vertex_id(payload["v"])
+            finite_weight(payload.get("w", 1.0))
+        except ValueError as exc:
+            raise ServeError(400, "BAD_UPDATE", str(exc)) from None
         if payload.get("op", "insert") not in ("insert", "delete"):
             raise ServeError(400, "BAD_UPDATE", "op must be insert|delete")
         return self.get_session(name).submit("update", payload)

@@ -9,7 +9,8 @@ A batch is one pair of arrays from the host API to the graph store's CSR
 splice: ``(n, 3)`` float64 insertion rows ``(u, v, w)`` and ``(m, 2)``
 int64 deletion keys ``(u, v)``. :func:`insertion_rows` and
 :func:`deletion_rows` convert a tuple sequence once and validate vertex
-ids; :class:`Edge` lists are views derived on demand for the software
+ids and insertion weights (:func:`finite_weight` checks one weight);
+:class:`Edge` lists are views derived on demand for the software
 baselines, :mod:`repro.graph.io` and tests.
 
 :class:`StreamGenerator` produces consistent batches against a
@@ -20,7 +21,9 @@ one batch.
 
 from __future__ import annotations
 
+import math
 from itertools import repeat
+from numbers import Real
 from typing import Iterator, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
@@ -78,12 +81,29 @@ def vertex_id(x) -> int:
     return i
 
 
+def finite_weight(w) -> float:
+    """One edge weight as a float: a finite real number, not a boolean.
+
+    A NaN or infinite weight would poison every state it reaches (a NaN
+    distance never compares better, so no later insert repairs it).
+    """
+    if isinstance(w, (bool, np.bool_)) or not isinstance(w, Real):
+        raise ValueError(f"edge weight {w!r} is not a number")
+    try:
+        if math.isfinite(w):
+            return float(w)
+    except OverflowError:  # an int past the float range
+        pass
+    raise ValueError(f"edge weight {w!r} is not finite")
+
+
 def insertion_rows(insertions) -> np.ndarray:
     """Insertions as an ``(n, 3)`` float64 array of ``(u, v, w)`` rows.
 
     Takes such an array as is, or converts a sequence of ``(u, v, w)``
     tuples / :class:`Edge` objects once. Raises ``ValueError`` for another
-    shape and for vertex ids that are not non-negative integers.
+    shape, for vertex ids that are not non-negative integers and for
+    weights that are not finite.
     """
     rows = np.asarray(insertions)
     if rows.size == 0:
@@ -91,7 +111,12 @@ def insertion_rows(insertions) -> np.ndarray:
     if rows.ndim != 2 or rows.shape[1] != 3:
         raise ValueError("insertions must be (u, v, w) rows")
     _check_ids(rows[:, :2])
-    return rows.astype(np.float64, copy=False)
+    rows = rows.astype(np.float64, copy=False)
+    finite = np.isfinite(rows[:, 2])
+    if not finite.all():
+        bad = rows[:, 2][~finite][0].item()
+        raise ValueError(f"edge weight {bad!r} is not finite")
+    return rows
 
 
 def deletion_rows(deletions) -> Tuple[np.ndarray, Optional[np.ndarray]]:

@@ -25,10 +25,9 @@ def random_symmetric_graph(n: int = 40, m: int = 160, seed: int = 0) -> DynamicG
     for u, v, w in edges:
         if (v, u) not in dedup:
             dedup[(u, v)] = w
-    graph = DynamicGraph(n, symmetric=True)
-    for (u, v), w in sorted(dedup.items()):
-        graph.add_edge(u, v, w, _count_version=False)
-    return graph
+    return DynamicGraph.from_edges(
+        [(u, v, w) for (u, v), w in sorted(dedup.items())], n, symmetric=True
+    )
 
 
 def make_graph_for(algorithm, n: int = 40, m: int = 160, seed: int = 0) -> DynamicGraph:

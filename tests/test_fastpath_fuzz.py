@@ -5,8 +5,8 @@ The invariant under test: **a stream driven through the express lane
 exact same update sequence purely through the engine** — safe updates
 absorbed with an O(degree) touch, unsafe ones falling through as one-edge
 batches, full batches hitting ``apply_batch`` directly in between (which
-deliberately goes *around* the lane, so the mutation-stamp resync path is
-exercised every round).
+deliberately goes *around* the lane, so every round the lane must
+classify against a store it did not mutate itself).
 
 Every scenario is reproducible from its ``(algorithm, policy, seed)``
 triple over seeded RMAT graphs and seeded mixed insert/delete streams.
@@ -65,15 +65,13 @@ def _build_graph(algorithm, seed: int) -> DynamicGraph:
     """Deterministic RMAT graph honouring the algorithm's symmetry need."""
     edges = generators.rmat(NUM_VERTICES, NUM_EDGES, seed=seed, weighted=True)
     if algorithm.needs_symmetric:
-        graph = DynamicGraph(NUM_VERTICES, symmetric=True)
-        seen = set()
+        seen, kept = set(), []
         for u, v, w in edges:
             key = (min(u, v), max(u, v))
-            if key in seen:
-                continue
-            seen.add(key)
-            graph.add_edge(u, v, w, _count_version=False)
-        return graph
+            if key not in seen:
+                seen.add(key)
+                kept.append((u, v, w))
+        return DynamicGraph.from_edges(kept, NUM_VERTICES, symmetric=True)
     return DynamicGraph.from_edges(edges, NUM_VERTICES)
 
 

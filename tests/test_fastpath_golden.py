@@ -51,15 +51,13 @@ DELETE_PROB = 0.35
 def _build_graph(algorithm) -> DynamicGraph:
     edges = generators.rmat(NUM_VERTICES, NUM_EDGES, seed=GRAPH_SEED, weighted=True)
     if algorithm.needs_symmetric:
-        graph = DynamicGraph(NUM_VERTICES, symmetric=True)
-        seen = set()
+        seen, kept = set(), []
         for u, v, w in edges:
             key = (min(u, v), max(u, v))
-            if key in seen:
-                continue
-            seen.add(key)
-            graph.add_edge(u, v, w, _count_version=False)
-        return graph
+            if key not in seen:
+                seen.add(key)
+                kept.append((u, v, w))
+        return DynamicGraph.from_edges(kept, NUM_VERTICES, symmetric=True)
     return DynamicGraph.from_edges(edges, NUM_VERTICES)
 
 

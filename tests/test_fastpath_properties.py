@@ -46,15 +46,13 @@ DELETE_PROB = 0.3
 def _build_graph(algorithm, seed: int) -> DynamicGraph:
     edges = generators.rmat(NUM_VERTICES, NUM_EDGES, seed=seed, weighted=True)
     if algorithm.needs_symmetric:
-        graph = DynamicGraph(NUM_VERTICES, symmetric=True)
-        seen = set()
+        seen, kept = set(), []
         for u, v, w in edges:
             key = (min(u, v), max(u, v))
-            if key in seen:
-                continue
-            seen.add(key)
-            graph.add_edge(u, v, w, _count_version=False)
-        return graph
+            if key not in seen:
+                seen.add(key)
+                kept.append((u, v, w))
+        return DynamicGraph.from_edges(kept, NUM_VERTICES, symmetric=True)
     return DynamicGraph.from_edges(edges, NUM_VERTICES)
 
 
@@ -127,14 +125,13 @@ def test_safe_updates_leave_state_a_fixed_point(name, seed):
     )
 
     # Literal engine re-run on the final graph: nothing changes.
+    symmetric = algorithm.needs_symmetric
+    live = sorted(engine.graph.edges())
     rerun_graph = DynamicGraph.from_edges(
-        sorted(engine.graph.edges()), engine.graph.num_vertices
-    ) if not algorithm.needs_symmetric else None
-    if rerun_graph is None:
-        rerun_graph = DynamicGraph(engine.graph.num_vertices, symmetric=True)
-        for u, v, w in sorted(engine.graph.edges()):
-            if u <= v:
-                rerun_graph.add_edge(u, v, w, _count_version=False)
+        [(u, v, w) for u, v, w in live if u <= v or not symmetric],
+        engine.graph.num_vertices,
+        symmetric=symmetric,
+    )
     rerun = JetStreamEngine(
         rerun_graph, make_algorithm(name, source=0), policy=DeletePolicy.DAP
     )

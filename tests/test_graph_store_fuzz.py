@@ -157,7 +157,7 @@ def _store_state(graph: DynamicGraph):
         for a in (csr.keys, csr.weights, csr.offsets)
     ]
     return (
-        (graph.num_edges, dict(graph._pending)),
+        graph.num_edges,
         arrays,
         graph.version,
         graph.mutation_stamp,
@@ -167,8 +167,8 @@ def _store_state(graph: DynamicGraph):
 
 
 def _assert_same_state(after, before) -> None:
-    index, arrays, *scalars = after
-    assert index == before[0]
+    num_edges, arrays, *scalars = after
+    assert num_edges == before[0]
     for got, want in zip(arrays, before[1]):
         np.testing.assert_array_equal(got, want)
     assert scalars == list(before[2:])
@@ -344,16 +344,16 @@ def test_rebuild_snapshot_always_rebuilds():
 class TestDeltaVersionStore:
     def _build(self, seed=5, num_batches=6):
         rng = np.random.default_rng(seed)
-        graph = DynamicGraph(10)
         model = _Model(symmetric=False)
         for _ in range(25):
             u = int(rng.integers(0, 10))
             v = int(rng.integers(0, 10))
             if model.contains(u, v):
                 continue
-            w = float(rng.integers(1, 9))
-            graph.add_edge(u, v, w, _count_version=False)
-            model.insert(u, v, w)
+            model.insert(u, v, float(rng.integers(1, 9)))
+        graph = DynamicGraph.from_edges(
+            [(u, v, w) for (u, v), w in model.edges.items()], 10
+        )
         store = DeltaVersionStore(graph)
         saved = [(graph.version, dict(model.edges), graph.num_vertices)]
         for _ in range(num_batches):
@@ -400,14 +400,14 @@ class TestDeltaVersionStore:
         included) sit between batches, so retention folds many one-record
         deltas as well as whole batches."""
         rng = np.random.default_rng((keep or 0, symmetric, 31))
-        graph = DynamicGraph(INITIAL_VERTICES, symmetric=symmetric)
-        model = _Model(symmetric)
+        model, initial = _Model(symmetric), []
         for _ in range(INITIAL_EDGES):
             u, v = (int(x) for x in rng.integers(0, INITIAL_VERTICES, size=2))
             if not model.contains(u, v):
                 w = float(rng.integers(1, 12))
-                graph.add_edge(u, v, w, _count_version=False)
+                initial.append((u, v, w))
                 model.insert(u, v, w)
+        graph = DynamicGraph.from_edges(initial, INITIAL_VERTICES, symmetric=symmetric)
         store = DeltaVersionStore(graph, keep_versions=keep)
         saved = {graph.version: (dict(model.edges), graph.num_vertices)}
         for step in range(30):
@@ -484,7 +484,6 @@ def test_single_edits_are_pending_until_a_flush():
     graph.add_edge(2, 0, 3.0)
     graph.remove_edge(0, 1)
     graph.add_edge(0, 1, 4.0)  # a weight change made of two singles
-    assert graph._pending == {(2, 0): 3.0, (0, 1): 4.0}
     assert graph.edge_weight(0, 1) == 4.0
     assert graph.edge_weight(1, 2) == 2.0  # answered by the arrays
     assert graph.num_edges == 3
@@ -494,7 +493,39 @@ def test_single_edits_are_pending_until_a_flush():
     assert not graph.has_edge(0, (1 << 31) + 2)  # same key bits as (1, 2)
     with pytest.raises(GraphMutationError):
         graph.add_edge(0, 1 << 31)
+    assert graph.store_stats()["flushes"] == 0
     graph.snapshot()
-    assert graph._pending == {}
-    assert sorted(graph.edges()) == [(0, 1, 4.0), (1, 2, 2.0), (2, 0, 3.0)]
     assert graph.store_stats()["flushes"] == 1
+    assert graph.store_stats()["edges_spliced"] == 3  # 2->0, and 0->1 out and in
+    assert sorted(graph.edges()) == [(0, 1, 4.0), (1, 2, 2.0), (2, 0, 3.0)]
+    graph.snapshot()
+    assert graph.store_stats()["flushes"] == 1  # nothing left pending
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["directed", "symmetric"])
+def test_adjacency_queries_read_pending_edits_without_a_flush(symmetric):
+    """Adjacency answers from the arrays plus the pending edits: the stored
+    run in key order less the edited keys, then the pending inserts in
+    edit order. Nothing is spliced to answer it."""
+    graph = DynamicGraph.from_edges(
+        [(0, 1, 1.0), (0, 2, 2.0), (0, 3, 3.0), (4, 2, 5.0)], symmetric=symmetric
+    )
+    graph.add_edge(0, 6, 6.0)  # grows the vertex range past the offsets
+    graph.remove_edge(0, 2)
+    graph.add_edge(0, 5, 7.0)
+    graph.remove_edge(0, 1)
+    graph.add_edge(0, 1, 8.0)  # weight change: moves 0->1 behind the run
+    graph.add_edge(3, 2, 9.0)
+    assert list(graph.out_edges(0)) == [(3, 3.0), (6, 6.0), (5, 7.0), (1, 8.0)]
+    assert graph.out_degree(0) == 4
+    assert list(graph.in_edges(2)) == [(4, 5.0), (3, 9.0)]
+    assert graph.in_degree(2) == 2
+    assert list(graph.out_edges(6)) == ([(0, 6.0)] if symmetric else [])
+    assert graph.in_degree(6) == 1 and graph.out_degree(6) == int(symmetric)
+    assert list(graph.in_edges(1)) == [(0, 8.0)]
+    assert graph.store_stats()["flushes"] == 0
+    assert graph.store_stats()["edges_spliced"] == 0
+    # The same answers once the edits are spliced, now in key order.
+    graph.snapshot()
+    assert list(graph.out_edges(0)) == [(1, 8.0), (3, 3.0), (5, 7.0), (6, 6.0)]
+    assert graph.out_degree(0) == 4 and graph.in_degree(2) == 2

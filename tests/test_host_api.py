@@ -1,5 +1,7 @@
 """Tests for the host-side co-processor API (§4.1) and the NoC model."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,29 @@ class TestArrayBatches:
         session = self._session()
         with pytest.raises(ValueError, match="vertex id"):
             session.apply_update(u, 3, 0.5)
+
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weights_refused(self, w):
+        """Regression: an express insert at NaN left ``states[3] = nan``,
+        and no later insert repaired it (NaN never compares better)."""
+        session = self._session()
+        with pytest.raises(ValueError, match="not finite"):
+            session.apply_update(0, 3, w)
+        with pytest.raises(ValueError, match="not finite"):
+            session.push_updates(insertions=[(0, 3, w)])
+        with pytest.raises(ValueError, match="not finite"):
+            session.graph.add_edge(0, 3, w)
+        assert not session.graph.has_edge(0, 3)
+        assert list(session.read_results()) == [0.0, 2.0, 5.0, 6.0]
+        assert session.apply_update(1, 3, 0.5).safe
+        assert list(session.read_results()) == [0.0, 2.0, 5.0, 2.5]
+
+    @pytest.mark.parametrize("w", ["abc", [1], True, None])
+    def test_non_numeric_express_weights_refused(self, w):
+        session = self._session()
+        with pytest.raises(ValueError, match="not a number"):
+            session.apply_update(0, 3, w)
+        assert not session.graph.has_edge(0, 3)
 
 
 class TestExpressLaneProtocol:

@@ -83,10 +83,7 @@ def graph_and_batch(draw, symmetric=False, max_n=14):
 
 
 def build_graph(n, edges, symmetric):
-    graph = DynamicGraph(n, symmetric=symmetric)
-    for u, v, w in edges:
-        graph.add_edge(u, v, w, _count_version=False)
-    return graph
+    return DynamicGraph.from_edges(edges, n, symmetric=symmetric)
 
 
 class TestStreamingEqualsStatic:

@@ -40,15 +40,13 @@ def _build_graph(algorithm, seed: int) -> DynamicGraph:
     """Deterministic RMAT graph honouring the algorithm's symmetry need."""
     edges = generators.rmat(NUM_VERTICES, NUM_EDGES, seed=seed, weighted=True)
     if algorithm.needs_symmetric:
-        graph = DynamicGraph(NUM_VERTICES, symmetric=True)
-        seen = set()
+        seen, kept = set(), []
         for u, v, w in edges:
             key = (min(u, v), max(u, v))
-            if key in seen:
-                continue
-            seen.add(key)
-            graph.add_edge(u, v, w, _count_version=False)
-        return graph
+            if key not in seen:
+                seen.add(key)
+                kept.append((u, v, w))
+        return DynamicGraph.from_edges(kept, NUM_VERTICES, symmetric=True)
     return DynamicGraph.from_edges(edges, NUM_VERTICES)
 
 

@@ -83,15 +83,13 @@ def _build_graph(algorithm, n: int = NUM_VERTICES, m: int = NUM_EDGES,
                  seed: int = GRAPH_SEED) -> DynamicGraph:
     edges = generators.erdos_renyi(n, m, seed=seed)
     if algorithm.needs_symmetric:
-        graph = DynamicGraph(n, symmetric=True)
-        seen = set()
+        seen, kept = set(), []
         for u, v, w in edges:
             key = (min(u, v), max(u, v))
-            if key in seen:
-                continue
-            seen.add(key)
-            graph.add_edge(u, v, w, _count_version=False)
-        return graph
+            if key not in seen:
+                seen.add(key)
+                kept.append((u, v, w))
+        return DynamicGraph.from_edges(kept, n, symmetric=True)
     return DynamicGraph.from_edges(edges, n)
 
 

@@ -76,9 +76,9 @@ class TestDeletionScenarios:
     def test_cc_component_split(self, policy):
         """Deleting the bridge splits a component; the split-off side must
         rediscover its own minimum label."""
-        graph = DynamicGraph(6, symmetric=True)
-        for u, v in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]:
-            graph.add_edge(u, v, 1.0, _count_version=False)
+        graph = DynamicGraph.from_edges(
+            [(u, u + 1, 1.0) for u in range(5)], 6, symmetric=True
+        )
         engine = JetStreamEngine(graph, make_algorithm("cc"), policy=policy)
         engine.initial_compute()
         assert set(engine.states) == {0.0}

@@ -1,8 +1,12 @@
 """Unit tests for update batches and the stream generator."""
 
+import math
+
+import numpy as np
 import pytest
 
-from repro.streams import Edge, StreamGenerator, UpdateBatch
+from repro.graph.dynamic import DynamicGraph
+from repro.streams import Edge, StreamGenerator, UpdateBatch, finite_weight
 
 from conftest import random_digraph, random_symmetric_graph
 
@@ -33,6 +37,34 @@ class TestUpdateBatch:
 
     def test_edge_key_ignores_weight(self):
         assert Edge(1, 2, 5.0).key() == Edge(1, 2, 9.0).key()
+
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+    def test_non_finite_insertion_weight_rejected(self, w):
+        with pytest.raises(ValueError, match="not finite"):
+            UpdateBatch(insertions=[Edge(0, 1, 1.0), Edge(1, 2, w)])
+        with pytest.raises(ValueError, match="not finite"):
+            DynamicGraph.from_edges(np.array([[0, 1, w]]))
+
+
+class TestFiniteWeight:
+    @pytest.mark.parametrize("w", [0, 3, -2.5, np.float32(1.5), np.int64(4)])
+    def test_finite_numbers_are_weights(self, w):
+        assert finite_weight(w) == float(w)
+        assert type(finite_weight(w)) is float
+
+    @pytest.mark.parametrize(
+        "w",
+        [math.nan, math.inf, -math.inf, 10**400],
+        ids=["nan", "inf", "-inf", "huge"],
+    )
+    def test_non_finite_rejected(self, w):
+        with pytest.raises(ValueError, match="not finite"):
+            finite_weight(w)
+
+    @pytest.mark.parametrize("w", ["1.5", [1], None, True, np.bool_(False)])
+    def test_non_numbers_rejected(self, w):
+        with pytest.raises(ValueError, match="not a number"):
+            finite_weight(w)
 
 
 class TestStreamGenerator:
