@@ -55,7 +55,6 @@ class GraphBolt:
         self.algorithm = algorithm
         self.bsp = BSPEngine(algorithm)
         self.states: Optional[np.ndarray] = None
-        self.history: List[GraphBoltResult] = []
 
     # ------------------------------------------------------------------
     def initial_compute(self) -> GraphBoltResult:
@@ -75,7 +74,6 @@ class GraphBolt:
             bookkeeping_bytes_per_vertex=_HISTORY_BYTES_PER_VERTEX,
         )
         result = GraphBoltResult(states=self.states.copy(), work=work)
-        self.history.append(result)
         return result
 
     # ------------------------------------------------------------------
@@ -168,7 +166,6 @@ class GraphBolt:
             bookkeeping_bytes_per_vertex=_HISTORY_BYTES_PER_VERTEX,
         )
         result = GraphBoltResult(states=self.states.copy(), work=work)
-        self.history.append(result)
         return result
 
     # ------------------------------------------------------------------

@@ -11,7 +11,7 @@ algorithmic reuse differs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class GraphPulseColdStart:
         self.graph = graph
         self.algorithm = algorithm
         self.engine = GraphPulseEngine(algorithm, config)
-        self.history: List[ColdStartResult] = []
 
     def initial_compute(self) -> ColdStartResult:
         """Static evaluation of the current graph."""
@@ -58,10 +57,8 @@ class GraphPulseColdStart:
 
     def _recompute(self) -> ColdStartResult:
         compute = self.engine.compute(self.graph.snapshot())
-        result = ColdStartResult(
+        return ColdStartResult(
             states=compute.states,
             metrics=compute.metrics,
             graph_version=self.graph.version,
         )
-        self.history.append(result)
-        return result

@@ -60,7 +60,6 @@ class KickStarter:
         self.states: Optional[np.ndarray] = None
         self.dependency: Optional[np.ndarray] = None
         self.level: Optional[np.ndarray] = None
-        self.history: List[KickStarterResult] = []
 
     # ------------------------------------------------------------------
     def initial_compute(self) -> KickStarterResult:
@@ -81,7 +80,6 @@ class KickStarter:
             csr, self.states, frontier, work, self.dependency, self.level
         )
         result = KickStarterResult(states=self.states.copy(), work=work)
-        self.history.append(result)
         return result
 
     # ------------------------------------------------------------------
@@ -197,7 +195,6 @@ class KickStarter:
         result = KickStarterResult(
             states=self.states.copy(), work=work, trimmed=trimmed
         )
-        self.history.append(result)
         return result
 
     # ------------------------------------------------------------------

@@ -474,9 +474,6 @@ class GraphPulseEngine:
         A :class:`~repro.algorithms.base.Algorithm`.
     config:
         Accelerator configuration (defaults to Table 1).
-    graphpulse_event_size:
-        Use the narrower GraphPulse event encoding for queue capacity
-        accounting (the static accelerator carries no flags/source).
     num_engines:
         ``None`` (default): one engine, no per-engine accounting. ``n``:
         also report per-engine work and NoC traffic over ``n`` graph
@@ -490,17 +487,17 @@ class GraphPulseEngine:
         self,
         algorithm,
         config: Optional[AcceleratorConfig] = None,
-        graphpulse_event_size: bool = True,
         num_engines: Optional[int] = None,
         tracer=None,
     ):
         config = config or AcceleratorConfig()
-        event_bytes = config.event_bytes_graphpulse if graphpulse_event_size else None
+        # Queue capacity is accounted at the narrower GraphPulse event
+        # encoding: the static accelerator carries no flags/source.
         self.core = EngineCore(
             algorithm,
             config,
             policy=DeletePolicy.BASE,
-            queue_event_bytes=event_bytes,
+            queue_event_bytes=config.event_bytes_graphpulse,
             num_engines=num_engines,
             tracer=tracer,
         )

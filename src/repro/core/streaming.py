@@ -13,9 +13,12 @@ adds the streaming orchestration:
   switch to the new graph, and re-run the computation phase.
 * **Accumulative algorithms** (Algorithm 6, Fig. 5): expand the mutation
   to all out-edges of every modified source (degree-dependent
-  propagation), send the expansion as negative events, converge on the
-  *intermediate* sink graph, then re-add the surviving/new edges as
-  insertion events on the new graph and converge again.
+  propagation), negate each stale contribution and add its replacement
+  at the new degrees, fold the pair into one *net* correction event per
+  target vertex, and converge once on the new graph. The paper's
+  two-wave flow (drain negatives on an intermediate graph whose mutated
+  sources are sinks, then re-add) reaches the same fixed point; the net
+  flow skips its two near-canceling full-magnitude waves (DESIGN.md §4).
 
 The per-phase work metrics feed the architectural timing model
 (:mod:`repro.sim.timing`); no timing is computed here.
@@ -143,7 +146,6 @@ class JetStreamEngine:
         algorithm,
         config: Optional[AcceleratorConfig] = None,
         policy: DeletePolicy = DeletePolicy.DAP,
-        two_phase_accumulative: bool = False,
         num_engines: Optional[int] = None,
         tracer=None,
     ):
@@ -160,16 +162,6 @@ class JetStreamEngine:
         self.graph = graph
         self.algorithm = algorithm
         self.policy = policy
-        #: Accumulative deletion flow selector. ``True`` runs the paper's
-        #: literal two-phase Algorithm 6 (negate on the intermediate sink
-        #: graph, converge, re-add, converge). ``False`` (default) coalesces
-        #: each negative/positive seed pair into one *net* correction event
-        #: and converges once on the new graph — the same fixed point (the
-        #: correction is a linear-operator series either way), but without
-        #: launching two near-canceling full-magnitude waves, which at
-        #: stand-in graph scale would swamp the incremental advantage the
-        #: paper measures at 45M–1.46B-edge scale. See DESIGN.md §4.
-        self.two_phase_accumulative = two_phase_accumulative
         self.core = EngineCore(
             algorithm,
             config or AcceleratorConfig(),
@@ -319,11 +311,6 @@ class JetStreamEngine:
         )
 
     # -- accumulative flow (Algorithm 6 / Fig. 5) ----------------------
-    def _apply_accumulative(self, checked: CheckedBatch) -> StreamingResult:
-        if self.two_phase_accumulative:
-            return self._apply_accumulative_two_phase(checked)
-        return self._apply_accumulative_net(checked)
-
     def _stale_and_replacements(self, old_csr, checked: CheckedBatch):
         """Edges whose contribution a batch retracts, and those it (re)adds.
 
@@ -331,13 +318,11 @@ class JetStreamEngine:
         changes, so ALL its previous out-edge contributions are stale
         (Fig. 5) and every surviving one is re-added beside the batch's
         insertions; otherwise only the deleted/inserted edges themselves.
-        Returns ``(stale, replacements, modified_sources)`` — the last is
-        ``None`` when no expansion happened.
         """
         du, dv, dw = checked.deletions
         iu, iv, iw = checked.insertions
         if not self.algorithm.degree_dependent:
-            return (du, dv, dw), (iu, iv, iw), None
+            return (du, dv, dw), (iu, iv, iw)
         old_n = old_csr.num_vertices
         modified = np.unique(np.concatenate([du, iu[iu < old_n]]))
         su, sv, sw = self._expand_out_edges(old_csr, modified)
@@ -347,15 +332,19 @@ class JetStreamEngine:
             np.concatenate([sv[keep], iv]),
             np.concatenate([sw[keep], iw]),
         )
-        return (su, sv, sw), replacements, modified
+        return (su, sv, sw), replacements
 
-    def _apply_accumulative_net(self, checked: CheckedBatch) -> StreamingResult:
-        """Single-phase net-correction flow (default; see __init__ note).
+    def _apply_accumulative(self, checked: CheckedBatch) -> StreamingResult:
+        """Net-correction flow: Algorithm 6's fixed point in one wave.
 
         Every stale contribution of a mutated source is negated and its
         replacement added *as one coalesced seed per target vertex*; the
         net corrections then converge in a single computation phase on the
-        new graph. Equivalent fixed point to Algorithm 6. The per-target
+        new graph. The correction is a linear-operator series either way,
+        so this is the fixed point of the paper's two-wave flow, without
+        launching two near-canceling full-magnitude waves, which at
+        stand-in graph scale would swamp the incremental advantage the
+        paper measures at 45M–1.46B-edge scale (DESIGN.md §4). The per-target
         fold is ``np.add.at``, which applies updates sequentially in index
         order — stale edges first, then replacements, each in edge order.
         """
@@ -364,7 +353,7 @@ class JetStreamEngine:
         metrics = RunMetrics()
         old_csr = self.graph.snapshot()
         old_n = old_csr.num_vertices
-        stale, replacements, _ = self._stale_and_replacements(old_csr, checked)
+        stale, replacements = self._stale_and_replacements(old_csr, checked)
 
         tracer = core.tracer
         phase = metrics.phase("reevaluation")
@@ -411,63 +400,6 @@ class JetStreamEngine:
             queue_stats=queue.lifetime_stats(),
         )
 
-    def _apply_accumulative_two_phase(self, checked: CheckedBatch) -> StreamingResult:
-        """The paper's literal two-phase Algorithm 6 flow."""
-        core = self.core
-        algorithm = self.algorithm
-        metrics = RunMetrics()
-        old_csr = self.graph.snapshot()
-        old_n = old_csr.num_vertices
-        stale, replacements, modified = self._stale_and_replacements(old_csr, checked)
-
-        if modified is not None:
-            # Sink every mutated source (Fig. 5).
-            intermediate_csr = self.graph.snapshot_with_sinks(modified)
-        else:
-            eu, ev, ew = self.graph.edge_arrays()
-            survives = ~self._edge_key_member(eu, ev, stale[0], stale[1], old_n)
-            intermediate_csr = CSRGraph.from_arrays(
-                old_n, eu[survives], ev[survives], ew[survives]
-            )
-
-        # Phase 1: negative events drain stale contributions (Algorithm 3)
-        # while the intermediate graph blocks cyclic re-propagation.
-        tracer = core.tracer
-        delete_phase = metrics.phase("delete-negation")
-        with tracer.phase(delete_phase):
-            seed_work = delete_phase.new_round()
-            with tracer.round(seed_work):
-                deltas = -_edge_payloads(core, seed_work, old_csr, stale)
-                core.bind_graph(intermediate_csr)
-                queue = core.new_queue()
-                self._seed_sendable(queue, seed_work, stale, deltas)
-            core.run_regular(queue, delete_phase)
-
-        # Mutate; switch to the new structure.
-        self.graph.apply_batch(checked)
-        new_csr = self.graph.snapshot()
-        core.grow(new_csr.num_vertices)
-        core.bind_graph(new_csr)
-
-        # Phase 2: re-add surviving + new edges at the new degrees.
-        compute_phase = metrics.phase("reevaluation")
-        with tracer.phase(compute_phase):
-            work = compute_phase.new_round()
-            with tracer.round(work, queue):
-                deltas = _edge_payloads(core, work, new_csr, replacements)
-                self._seed_sendable(queue, work, replacements, deltas)
-                _seed_new_vertices(
-                    algorithm, queue, work, old_n, new_csr.num_vertices
-                )
-            core.run_regular(queue, compute_phase)
-
-        return StreamingResult(
-            states=core.states.copy(),
-            metrics=metrics,
-            graph_version=self.graph.version,
-            queue_stats=queue.lifetime_stats(),
-        )
-
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
@@ -475,8 +407,8 @@ class JetStreamEngine:
     def _expand_out_edges(csr, sources: np.ndarray) -> EdgeArrays:
         """All out-edges of ``sources`` (ascending ids), in CSR edge order.
 
-        The degree-dependent delete flows expand each mutated source to its
-        full stale out-edge set; this gathers those runs in one shot.
+        The degree-dependent accumulative flow expands each mutated source
+        to its full stale out-edge set; this gathers those runs in one shot.
         """
         offsets = csr.out_offsets
         lengths = offsets[sources + 1] - offsets[sources]
@@ -516,16 +448,6 @@ class JetStreamEngine:
             (algorithm.should_propagate(float(d)) for d in deltas),
             dtype=bool,
             count=len(deltas),
-        )
-
-    def _seed_sendable(self, queue, work, edges: EdgeArrays, deltas) -> None:
-        """Queue one event per edge whose delta clears the threshold."""
-        u, v, _w = edges
-        sendable = self._should_propagate_mask(deltas)
-        work.events_generated += int(sendable.sum())
-        queue.insert_batch(
-            EventBatch.from_arrays(v[sendable], deltas[sendable], 0, u[sendable]),
-            work,
         )
 
     def _seed_deletes(self, queue, work, old_csr, deletions: EdgeArrays) -> None:

@@ -37,19 +37,13 @@ target/source columns are recovered with one mask each. Snapshots are
 copy-on-write safe — every flush allocates fresh arrays — and cached per
 mutation state, so back-to-back ``snapshot()`` calls (the streaming
 orchestrator takes one before and one after each batch) cost nothing.
-
-Two snapshot flavours exist because accumulative deletion (§3.5, Fig. 5)
-needs an *intermediate* graph in which every mutated source vertex is
-turned into a sink (all its out-edges dropped) to break cyclic
-re-propagation; :meth:`snapshot_with_sinks` builds it with boolean edge
-masks instead of a full Python-filtered rebuild.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -723,49 +717,6 @@ class DynamicGraph:
         """
         self._stats["full_rebuilds"] += 1
         return CSRGraph(self.num_vertices, self.edges())
-
-    def snapshot_with_sinks(self, sink_vertices: Set[int]) -> CSRGraph:
-        """CSR snapshot with all out-edges of ``sink_vertices`` removed.
-
-        This is the *intermediate graph* of Fig. 5: mutated sources become
-        complete sinks so their stale contributions can be drained without
-        cyclic re-propagation. The paper notes this is cheap in hardware
-        (edge-pointer adjustment); here it is two boolean edge masks over
-        the maintained arrays — no Python per-edge filtering.
-        """
-        self._flush()
-        n = self.num_vertices
-        shift, mask = _SHIFT, _MASK
-        is_sink = np.zeros(n, dtype=bool)
-        sinks = [v for v in sink_vertices if 0 <= v < n]
-        if sinks:
-            is_sink[np.fromiter(sinks, dtype=np.int64, count=len(sinks))] = True
-
-        out_keep = ~is_sink[self._out.keys >> shift]
-        out_keys = self._out.keys[out_keep]
-        out_weights = self._out.weights[out_keep]
-        counts = np.diff(self._out.offsets).copy()
-        counts[is_sink] = 0
-        out_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=out_offsets[1:])
-
-        in_keep = ~is_sink[self._in.keys & mask]
-        in_keys = self._in.keys[in_keep]
-        in_weights = self._in.weights[in_keep]
-        in_counts = np.bincount(in_keys >> shift, minlength=n)
-        in_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(in_counts, out=in_offsets[1:])
-
-        return CSRGraph._from_parts(
-            n,
-            len(out_keys),
-            out_offsets,
-            out_keys & mask,
-            out_weights,
-            in_offsets,
-            in_keys & mask,
-            in_weights,
-        )
 
 
 @dataclass

@@ -80,8 +80,7 @@ class TimingReport:
         """Flat diagnostic dictionary.
 
         Phase keys carry the phase's position (``phase_2_reevaluation``) so
-        runs whose schedule visits the same phase name twice — e.g. the
-        two-phase accumulative flow's repeated ``reevaluation`` — keep one
+        runs whose schedule visits the same phase name twice keep one
         entry per phase instead of silently collapsing onto one key.
         """
         out: Dict[str, float] = {

@@ -1,5 +1,8 @@
 """Tests for the software baselines (KickStarter, GraphBolt, cold start)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -168,15 +171,28 @@ class TestGraphPulseColdStart:
         )
         assert 0.5 < ratio < 2.0
 
-    def test_history(self):
-        algorithm = make_algorithm("sssp", source=0)
+
+class TestResultsNotRetained:
+    @pytest.mark.parametrize(
+        "baseline, name",
+        [(GraphPulseColdStart, "sssp"), (GraphBolt, "pagerank"), (KickStarter, "sssp")],
+        ids=["GraphPulseColdStart", "GraphBolt", "KickStarter"],
+    )
+    def test_results_are_not_retained(self, baseline, name):
+        """A long-lived baseline must not pin a state copy per batch."""
+        algorithm = make_algorithm(name, source=0)
         graph = make_graph_for(algorithm, seed=9)
-        engine = GraphPulseColdStart(graph, algorithm)
-        engine.initial_compute()
+        engine = baseline(graph, algorithm)
         stream = StreamGenerator(graph, seed=10)
-        engine.apply_batch(stream.next_batch(5))
-        assert len(engine.history) == 2
-        assert engine.history[-1].graph_version == graph.version
+        for run in (
+            engine.initial_compute,
+            lambda: engine.apply_batch(stream.next_batch(5)),
+        ):
+            result = run()
+            states_ref = weakref.ref(result.states)
+            del result
+            gc.collect()
+            assert states_ref() is None
 
 
 class TestCrossSystemAgreement:

@@ -105,15 +105,6 @@ class TestSnapshots:
         graph.remove_edge(0, 1)
         assert snap.has_edge(0, 1)
 
-    def test_snapshot_with_sinks_drops_out_edges(self):
-        graph = DynamicGraph.from_edges(
-            [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (2, 0, 1.0)], 3
-        )
-        snap = graph.snapshot_with_sinks({0})
-        assert snap.out_degree(0) == 0
-        assert snap.has_edge(1, 2) and snap.has_edge(2, 0)
-        assert snap.num_edges == 2
-
     def test_from_csr_round_trip(self):
         graph = DynamicGraph.from_edges([(0, 1, 1.5), (1, 0, 2.5)], 2)
         again = DynamicGraph.from_csr(graph.snapshot())

@@ -206,7 +206,7 @@ class TestStateManagement:
 
 
 class TestPhaseScheduling:
-    def test_selective_two_phases(self):
+    def test_selective_delete_then_reevaluation(self):
         graph = DynamicGraph.from_edges([(0, 1, 1.0), (1, 2, 1.0)], 3)
         engine = JetStreamEngine(graph, make_algorithm("sssp", source=0))
         engine.initial_compute()

@@ -284,36 +284,6 @@ def _net_splice(model: _Model, insertions, deletions) -> int:
     return len(dels) + len(ins) - 2 * same
 
 
-@pytest.mark.parametrize("seed", [0, 7])
-def test_snapshot_with_sinks_matches_filtered_rebuild(seed):
-    rng = np.random.default_rng((seed, 17))
-    graph = DynamicGraph(INITIAL_VERTICES)
-    model = _Model(symmetric=False)
-    for _ in range(INITIAL_EDGES):
-        u = int(rng.integers(0, INITIAL_VERTICES))
-        v = int(rng.integers(0, INITIAL_VERTICES))
-        if model.contains(u, v):
-            continue
-        w = float(rng.integers(1, 12))
-        graph.add_edge(u, v, w)
-        model.insert(u, v, w)
-
-    for _ in range(6):
-        insertions, deletions = _random_batch(rng, model, graph.num_vertices, False)
-        graph.apply_batch(insertions, deletions)
-        _apply_to_model(model, insertions, deletions)
-        sinks = set(
-            int(s) for s in rng.choice(graph.num_vertices, size=5, replace=False)
-        )
-        filtered = {
-            (u, v): w for (u, v), w in model.edges.items() if u not in sinks
-        }
-        assert_csr_identical(
-            graph.snapshot_with_sinks(sinks),
-            oracle_csr(filtered, graph.num_vertices),
-        )
-
-
 def test_snapshot_cache_and_copy_on_write_isolation():
     graph = DynamicGraph.from_edges([(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)])
     first = graph.snapshot()

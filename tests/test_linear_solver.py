@@ -91,13 +91,12 @@ class TestStaticSolve:
 
 
 class TestStreamingSolve:
-    @pytest.mark.parametrize("two_phase", [False, True])
-    def test_streaming_matches_dense(self, two_phase):
+    def test_streaming_matches_dense(self):
         """The non-degree-dependent accumulative deletion path: negative
         events only for the deleted edges, no sink expansion."""
         graph = contractive_graph(seed=5)
         alg = LinearSystemSolver(constants={0: 1.0}, tolerance=1e-11)
-        engine = JetStreamEngine(graph, alg, two_phase_accumulative=two_phase)
+        engine = JetStreamEngine(graph, alg)
         engine.initial_compute()
         rng = np.random.default_rng(6)
         for _ in range(3):

@@ -202,15 +202,6 @@ class TestTraceMetricsParity:
         trace = TraceData.from_spans(memory.spans, memory.events)
         assert_trace_matches_metrics(trace, results)
 
-    def test_two_phase_accumulative_stream(self):
-        engine, tracer, memory = make_traced_engine(
-            "auto", "pagerank", two_phase_accumulative=True
-        )
-        results = run_traced_stream(engine)
-        tracer.close()
-        trace = TraceData.from_spans(memory.spans, memory.events)
-        assert_trace_matches_metrics(trace, results)
-
     def test_static_compute_traced(self):
         memory = MemorySink()
         tracer = Tracer([memory])

@@ -127,20 +127,12 @@ class TestFig4:
 
 
 class TestFig5:
-    """Accumulative deletion via the intermediate sink graph (Fig. 5)."""
+    """Accumulative deletion on the Fig. 5 graph."""
 
-    def test_sink_construction_matches_figure(self):
-        """Fig. 5(b): deleting B->C turns B into a sink — all of B's
-        out-edges join the delete batch; Fig. 5(c): the others re-add."""
-        # A->B, B->C, B->D, B->E (A=0, B=1, C=2, D=3, E=4).
-        graph = DynamicGraph.from_edges(
-            [(0, 1, 1.0), (1, 2, 1.0), (1, 3, 1.0), (1, 4, 1.0)], 5
-        )
-        intermediate = graph.snapshot_with_sinks({1})
-        assert intermediate.out_degree(1) == 0
-        assert intermediate.has_edge(0, 1)
-
-    def test_two_phase_pagerank_on_figure_graph(self):
+    def test_pagerank_on_figure_graph(self):
+        """Fig. 5: deleting B->C retracts all of B's out-edge contributions
+        and re-adds the survivors; a C->B back-edge closes a cycle through
+        the mutated source."""
         from repro import reference
         from conftest import assert_states_match
 
@@ -148,7 +140,7 @@ class TestFig5:
             [(0, 1, 1.0), (1, 2, 1.0), (1, 3, 1.0), (1, 4, 1.0), (2, 1, 1.0)], 5
         )
         alg = make_algorithm("pagerank")
-        engine = JetStreamEngine(graph, alg, two_phase_accumulative=True)
+        engine = JetStreamEngine(graph, alg)
         engine.initial_compute()
         engine.apply_batch(UpdateBatch(deletions=[Edge(1, 2)]))
         expected = reference.pagerank(graph.snapshot())

@@ -112,12 +112,12 @@ class TestStreamingEqualsStatic:
         assert np.array_equal(result.states, expected)
 
     @SETTINGS
-    @given(data=graph_and_batch(), two_phase=st.booleans())
-    def test_accumulative_pagerank(self, data, two_phase):
+    @given(data=graph_and_batch())
+    def test_accumulative_pagerank(self, data):
         n, edges, batch = data
         graph = build_graph(n, edges, symmetric=False)
         algorithm = make_algorithm("pagerank")
-        engine = JetStreamEngine(graph, algorithm, two_phase_accumulative=two_phase)
+        engine = JetStreamEngine(graph, algorithm)
         engine.initial_compute()
         result = engine.apply_batch(batch)
         expected = reference.pagerank(graph.snapshot())

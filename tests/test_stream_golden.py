@@ -126,15 +126,6 @@ def _scenarios() -> List[dict]:
                     "flavor": "stream",
                 }
             )
-    for name in ("pagerank", "adsorption"):
-        out.append(
-            {
-                "key": f"{name}/two-phase",
-                "algorithm": name,
-                "policy": "base",
-                "flavor": "two_phase",
-            }
-        )
     for name in ("sssp", "cc", "pagerank"):
         out.append(
             {
@@ -189,7 +180,6 @@ def run_scenario(scenario: dict, prepare=None) -> Tuple[dict, JetStreamEngine]:
         graph,
         algorithm,
         policy=POLICIES[scenario["policy"]],
-        two_phase_accumulative=scenario["flavor"] == "two_phase",
     )
     if prepare is not None:
         prepare(stream_engine)

@@ -12,7 +12,6 @@ from repro.streams import Edge, StreamGenerator, UpdateBatch
 from conftest import assert_states_match, random_digraph
 
 ACCUMULATIVE = ["pagerank", "adsorption"]
-MODES = [False, True]  # net-correction (default) and paper two-phase
 
 
 def check(engine, context=""):
@@ -21,45 +20,24 @@ def check(engine, context=""):
 
 
 class TestRandomStreams:
-    @pytest.mark.parametrize("two_phase", MODES)
     @pytest.mark.parametrize("name", ACCUMULATIVE)
-    def test_streaming_matches_reference(self, name, two_phase):
+    def test_streaming_matches_reference(self, name):
         graph = random_digraph(n=50, m=200, seed=41)
-        engine = JetStreamEngine(
-            graph, make_algorithm(name), two_phase_accumulative=two_phase
-        )
+        engine = JetStreamEngine(graph, make_algorithm(name))
         engine.initial_compute()
         stream = StreamGenerator(graph, seed=42, insertion_ratio=0.6)
         for i in range(4):
             engine.apply_batch(stream.next_batch(12))
-            check(engine, f"{name}/two_phase={two_phase}/batch{i}")
+            check(engine, f"{name}/batch{i}")
 
-    @pytest.mark.parametrize("two_phase", MODES)
     @pytest.mark.parametrize("ratio", [0.0, 1.0])
-    def test_pure_compositions(self, two_phase, ratio):
+    def test_pure_compositions(self, ratio):
         graph = random_digraph(n=50, m=200, seed=43)
-        engine = JetStreamEngine(
-            graph, make_algorithm("pagerank"), two_phase_accumulative=two_phase
-        )
+        engine = JetStreamEngine(graph, make_algorithm("pagerank"))
         engine.initial_compute()
         stream = StreamGenerator(graph, seed=44)
         engine.apply_batch(stream.next_batch(10, insertion_ratio=ratio))
         check(engine)
-
-    def test_modes_agree(self):
-        """Net-correction and two-phase flows converge to the same result."""
-        results = []
-        for two_phase in MODES:
-            graph = random_digraph(n=40, m=160, seed=45)
-            engine = JetStreamEngine(
-                graph, make_algorithm("pagerank"), two_phase_accumulative=two_phase
-            )
-            engine.initial_compute()
-            stream = StreamGenerator(graph, seed=46)
-            engine.apply_batch(stream.next_batch(10))
-            results.append(engine.query_result())
-        algorithm = make_algorithm("pagerank")
-        assert_states_match(algorithm, results[0], results[1], "mode agreement")
 
 
 class TestDegreeDependence:
@@ -94,27 +72,22 @@ class TestDegreeDependence:
         engine.apply_batch(UpdateBatch(deletions=[Edge(1, 2)]))
         check(engine)
 
-    def test_two_phase_uses_intermediate_sink(self):
-        """The two-phase flow must produce correct results on a cycle
-        through the mutated source (what the sink graph exists for)."""
+    def test_cycle_through_mutated_source(self):
+        """A cycle through the mutated source: its stale contribution
+        returns to it, and the net flow must still reach the reference."""
         graph = DynamicGraph.from_edges(
             [(0, 1, 1.0), (1, 0, 1.0), (0, 2, 1.0)], 3
         )
-        engine = JetStreamEngine(
-            graph, make_algorithm("pagerank"), two_phase_accumulative=True
-        )
+        engine = JetStreamEngine(graph, make_algorithm("pagerank"))
         engine.initial_compute()
         engine.apply_batch(UpdateBatch(deletions=[Edge(0, 2)]))
         check(engine)
 
 
 class TestVertexGrowth:
-    @pytest.mark.parametrize("two_phase", MODES)
-    def test_new_vertex_gets_teleport_mass(self, two_phase):
+    def test_new_vertex_gets_teleport_mass(self):
         graph = DynamicGraph.from_edges([(0, 1, 1.0)], 2)
-        engine = JetStreamEngine(
-            graph, make_algorithm("pagerank"), two_phase_accumulative=two_phase
-        )
+        engine = JetStreamEngine(graph, make_algorithm("pagerank"))
         engine.initial_compute()
         engine.apply_batch(UpdateBatch(insertions=[Edge(1, 4, 1.0)]))
         assert len(engine.states) == 5
@@ -160,19 +133,6 @@ class TestMetricsShape:
         stream = StreamGenerator(graph, seed=50)
         result = engine.apply_batch(stream.next_batch(8))
         assert [p.name for p in result.metrics.phases] == ["reevaluation"]
-
-    def test_two_phase_mode_phases(self):
-        graph = random_digraph(n=30, m=120, seed=49)
-        engine = JetStreamEngine(
-            graph, make_algorithm("pagerank"), two_phase_accumulative=True
-        )
-        engine.initial_compute()
-        stream = StreamGenerator(graph, seed=50)
-        result = engine.apply_batch(stream.next_batch(8))
-        assert [p.name for p in result.metrics.phases] == [
-            "delete-negation",
-            "reevaluation",
-        ]
 
     def test_incremental_cheaper_than_initial(self):
         """The headline property: a small batch costs far fewer events

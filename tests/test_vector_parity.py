@@ -163,23 +163,6 @@ class TestStreamingParity:
                 scalar, vector, f"stream-partial/{policy.name}/batch{index}"
             )
 
-    def test_streaming_two_phase_accumulative(self):
-        results = []
-        for engine_mode in ("scalar", "auto"):
-            algorithm = make_algorithm("pagerank")
-            graph = make_graph_for(algorithm, n=50, m=200, seed=61)
-            engine = on_substrate(
-                JetStreamEngine(graph, algorithm, two_phase_accumulative=True),
-                engine_mode,
-            )
-            stream = StreamGenerator(graph, seed=62)
-            runs = [engine.initial_compute()]
-            for _ in range(3):
-                runs.append(engine.apply_batch(stream.next_batch(10)))
-            results.append(runs)
-        for index, (scalar, vector) in enumerate(zip(*results)):
-            assert_run_parity(scalar, vector, f"two-phase/batch{index}")
-
 
 class TestEngineSelection:
     def test_scalar_flag_forces_boxed_queue(self):
