@@ -15,7 +15,9 @@ JetStream extensions modelled here:
   that spills to off-chip memory);
 * slice-partitioned operation for graphs whose vertex count exceeds the
   queue capacity (§4.7): events for inactive slices spill off-chip and are
-  read back when their slice activates.
+  read back when their slice activates;
+* a source id per event only under DAP (§5.2): BASE and VAP queues drain
+  ``NO_SOURCE``.
 
 Functionally the queue drains in deterministic *rounds*: a round emits all
 currently queued events of the active slice, sorted by destination vertex
@@ -102,24 +104,27 @@ class VectorQueue(_SlicedQueue):
     and scatters over the batch as it arrives — like the hardware queue,
     nothing is sorted:
 
-    * the **first event of each empty target** is found with
+    * a regular batch into an **empty** queue — what a full drain leaves
+      every round — skips the incumbent checks (:meth:`_insert_into_empty`);
+    * otherwise the **first event of each empty target** is found with
       ``np.minimum.at`` over batch positions (:meth:`_first_position`; the
       scratch is the source field of the cells about to be written) and
       stored directly. A minimum is the same in whatever order duplicates
-      are visited, so this never depends on NumPy's unspecified order for
-      duplicate-index assignment; every plain ``array[index] = values``
-      here has distinct indices or one value;
+      are visited, so no result depends on NumPy's unspecified order for
+      duplicate-index assignment;
     * **every other event coalesces** through ``reduce_ufunc.at``, which
       applies duplicate indices one after another in array order — each
       cell folds the event sequence the scalar queue folds, so an
       accumulative sum (``np.add.at``) is the scalar left fold bit for bit;
     * **selective coalescing** first drops the events that cannot beat
       their incumbent (ties keep the incumbent, as in the scalar Reduce),
-      then gives the cell the source *and payload* of the first event
-      attaining the folded optimum (again by position minimum) — the event
-      at which the scalar fold last strictly improved. Copying the payload
-      makes the sign of a zero that of the scalar fold's, whichever of
+      then gives the cell the payload of the first event attaining the
+      folded optimum (again by position minimum) — the event at which the
+      scalar fold last strictly improved. Copying the payload makes the
+      sign of a zero that of the scalar fold's, whichever of
       ``-0.0``/``+0.0`` ``np.minimum`` returns for the pair;
+    * **sources** are kept only under DAP (§5.2): the selective winner's,
+      or an accumulative target's last event's; BASE/VAP drain ``NO_SOURCE``;
     * the DAP overflow buffer and slice spill accounting mirror the scalar
       queue operation for operation, so lifetime statistics and per-round
       work vectors stay identical.
@@ -181,6 +186,10 @@ class VectorQueue(_SlicedQueue):
         t, p, f, s = batch.targets, batch.payloads, batch.flags, batch.sources
         size = self._occupied.shape[0]
         grow_to = int(t.max()) + 1
+        empty = self._occupancy == 0 and self._slice_of is None
+        if empty and grow_to <= size and not (f & 1).any():
+            self._insert_into_empty(batch, work)
+            return
         if grow_to > size:
             # Vertices created mid-stream (single-slice queues only — the
             # boxed queue likewise cannot map a new vertex to a slice).
@@ -233,7 +242,8 @@ class VectorQueue(_SlicedQueue):
             ts = t[store]  # distinct, so plain assignment is well defined
             self._payloads[ts] = p[store]
             self._flags[ts] = f[store]
-            self._sources[ts] = s[store]
+            if self.policy.tracks_dependency:
+                self._sources[ts] = s[store]
             self._occupied[ts] = True
             if self._slice_of is not None:
                 np.add.at(self._cell_counts, self._slice_of[ts], 1)
@@ -268,6 +278,39 @@ class VectorQueue(_SlicedQueue):
         if self._occupancy > self.peak_occupancy:
             self.peak_occupancy = self._occupancy
 
+    def _insert_into_empty(self, batch: EventBatch, work: RoundWork) -> None:
+        """:meth:`insert_batch` of a regular batch into an empty, unsliced
+        queue that needs no growth: no incumbent, no §4.3 clash.
+
+        An accumulative cell folds from ``-0.0``, the exact IEEE additive
+        identity, so it is the scalar left fold from the first event. A
+        selective cell folds from any of its own payloads, then takes the
+        payload bits of the first event attaining the optimum.
+        """
+        t, p, f = batch.targets, batch.payloads, batch.flags
+        k = t.shape[0]
+        self.total_inserts += k
+        work.queue_inserts += k
+        selective = self.algorithm.kind is AlgorithmKind.SELECTIVE
+        self._payloads[t] = p if selective else -0.0
+        self.algorithm.reduce_ufunc.at(self._payloads, t, p)
+        self._flags[t] = 0
+        if f.any():
+            np.bitwise_or.at(self._flags, t, f)
+        self._occupied[t] = True
+        created = int(np.count_nonzero(self._occupied))
+        self._cell_counts[0] += created
+        self._occupancy = created
+        self.peak_occupancy = max(self.peak_occupancy, created)
+        self.total_coalesces += k - created
+        work.coalesce_ops += k - created
+        if selective:
+            attain = np.flatnonzero(p == self._payloads[t])
+            self._stamp_winners(batch, attain, attain)
+        elif self.policy.tracks_dependency:
+            position = np.arange(k)
+            self._stamp_winners(batch, position, -position)
+
     def _grow(self, num_vertices: int) -> None:
         """Extend the cell arrays for vertices created mid-stream."""
         extra = num_vertices - self._payloads.shape[0]
@@ -290,7 +333,7 @@ class VectorQueue(_SlicedQueue):
         A minimum is the same in whatever order duplicates are visited, so
         this needs no sort. ``scratch`` (one ``int64`` per vertex) needs no
         preparation and is left holding the result at ``targets``: callers
-        pass source fields that they overwrite next.
+        pass source fields that they overwrite next or never read.
         """
         scratch[targets] = _NO_POSITION
         np.minimum.at(scratch, targets, position)
@@ -302,6 +345,8 @@ class VectorQueue(_SlicedQueue):
         n_overflow = len(chunk)
         if not n_overflow:
             return
+        if not self.policy.tracks_dependency:
+            chunk.sources = np.full(n_overflow, NO_SOURCE, dtype=np.int64)
         work.spill_bytes += 2 * self.event_bytes * n_overflow
         self._occupancy += n_overflow
         if self._slice_of is not None:
@@ -326,34 +371,39 @@ class VectorQueue(_SlicedQueue):
         reduce_ufunc = self.algorithm.reduce_ufunc
         if self.algorithm.kind is AlgorithmKind.ACCUMULATIVE:
             reduce_ufunc.at(self._payloads, tv, p[folds])
-            # Source: the target's last event wins. (The scalar fold
-            # re-stamps on every sum-changing coalesce, which is the same
-            # unless an event leaves the sum unchanged; accumulative
-            # algorithms never consume sources — the recovery path
-            # normalizes their policy to BASE.)
-            order = -folds
-        else:
-            # An event that cannot beat the incumbent changes nothing, now
-            # or later in the fold (ties keep the incumbent, like the scalar
-            # Reduce). Of the others the cell becomes the first to attain
-            # their optimum — the event at which the scalar fold last
-            # strictly improved — and takes that event's payload bits too,
-            # since a min/max over -0.0 and +0.0 may return either.
-            pv = p[folds]
-            existing = self._payloads[tv]
-            keep = np.flatnonzero(reduce_ufunc(existing, pv) != existing)
-            folds, tv, pv = folds[keep], tv[keep], pv[keep]
-            reduce_ufunc.at(self._payloads, tv, pv)
-            keep = np.flatnonzero(pv == self._payloads[tv])
-            folds, tv = folds[keep], tv[keep]
-            order = folds
-        # Every target left in ``tv`` takes its winner's source, so the
-        # source fields can hold the race for the winning position first.
-        winners = folds[self._first_position(self._sources, tv, order) == order]
-        tw = t[winners]
-        self._sources[tw] = batch.sources[winners]
+            if self.policy.tracks_dependency:
+                # Source: the target's last event wins. (The scalar fold
+                # re-stamps on every sum-changing coalesce, which is the
+                # same unless an event leaves the sum unchanged.)
+                self._stamp_winners(batch, folds, -folds)
+            return
+        # An event that cannot beat the incumbent changes nothing, now or
+        # later in the fold (ties keep the incumbent, like the scalar
+        # Reduce). Of the others the cell becomes the first to attain their
+        # optimum — the event at which the scalar fold last strictly
+        # improved — and takes that event's payload bits too, since a
+        # min/max over -0.0 and +0.0 may return either.
+        pv = p[folds]
+        existing = self._payloads[tv]
+        keep = np.flatnonzero(reduce_ufunc(existing, pv) != existing)
+        folds, tv, pv = folds[keep], tv[keep], pv[keep]
+        reduce_ufunc.at(self._payloads, tv, pv)
+        folds = folds[pv == self._payloads[tv]]
+        self._stamp_winners(batch, folds, folds)
+
+    def _stamp_winners(self, batch: EventBatch, events, order) -> None:
+        """Give each target of the events at positions ``events`` the source
+        (DAP only) and, if selective, the payload of its smallest-``order``
+        event. Every such target is stamped, so its source field is scratch.
+        """
+        winners = events[
+            self._first_position(self._sources, batch.targets[events], order) == order
+        ]
+        tw = batch.targets[winners]
+        if self.policy.tracks_dependency:
+            self._sources[tw] = batch.sources[winners]
         if self.algorithm.kind is AlgorithmKind.SELECTIVE:
-            self._payloads[tw] = p[winners]
+            self._payloads[tw] = batch.payloads[winners]
 
     # ------------------------------------------------------------------
     # Draining
@@ -421,11 +471,12 @@ class VectorQueue(_SlicedQueue):
         else:
             of_mask = np.ones(len(of), dtype=bool)
 
+        if self.policy.tracks_dependency:
+            sources = self._sources[cell_t]
+        else:  # sources only under DAP (§5.2); otherwise the fields are scratch
+            sources = np.full(cell_t.shape[0], NO_SOURCE, dtype=np.int64)
         cell_batch = EventBatch(
-            cell_t,
-            self._payloads[cell_t],
-            self._flags[cell_t],
-            self._sources[cell_t],
+            cell_t, self._payloads[cell_t], self._flags[cell_t], sources
         )
         of_drained = of.take(of_mask)
         n_of = len(of_drained)

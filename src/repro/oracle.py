@@ -62,8 +62,12 @@ class CoalescingQueue(_SlicedQueue):
     def insert(self, event: Event, work: RoundWork) -> None:
         """Insert ``event``, coalescing with any queued event for the target.
 
-        ``work`` receives the insert/coalesce/spill accounting.
+        ``work`` receives the insert/coalesce/spill accounting. Only DAP
+        events carry a source (§5.2): under BASE and VAP the queue stores
+        and drains ``NO_SOURCE``.
         """
+        if event.source != NO_SOURCE and not self.policy.tracks_dependency:
+            event = Event(event.target, event.payload, event.flags)
         self.total_inserts += 1
         work.queue_inserts += 1
         sid = self.slice_id(event.target) if self._slice_of is not None else 0

@@ -487,6 +487,91 @@ def _batch_bytes(batch):
     )
 
 
+QUEUES = [
+    pytest.param(make_queue, id="oracle"),
+    pytest.param(make_vector_queue, id="vector"),
+]
+
+
+def _drained_sources(queue, work):
+    drained = queue.drain_round(work)
+    if isinstance(drained, tuple):  # VectorQueue: (batch, row_starts)
+        return drained[0].sources.tolist()
+    return [event.source for row in drained for event in row]
+
+
+class TestSourceRule:
+    """Events carry a source only under DAP (§5.2)."""
+
+    @pytest.mark.parametrize("make", QUEUES)
+    @pytest.mark.parametrize("occupied", [False, True], ids=["empty", "occupied"])
+    @pytest.mark.parametrize("algorithm", [SSSP, PageRank], ids=lambda a: a.name)
+    @pytest.mark.parametrize(
+        "policy", [DeletePolicy.BASE, DeletePolicy.VAP], ids=lambda p: p.name
+    )
+    def test_base_and_vap_drain_no_source(self, make, occupied, algorithm, policy):
+        queue = make(policy, algorithm())
+        work = RoundWork()
+        if occupied:
+            queue.insert(Event(5, 9.0, 0, 9), work)
+        queue.insert_batch(
+            EventBatch.from_arrays(
+                np.array([5, 5, 7, 5, 8]),
+                np.array([7.0, 3.0, 2.0, 3.0, 1.0]),
+                sources=np.array([1, 2, 3, 4, 5]),
+            ),
+            work,
+        )
+        assert _drained_sources(queue, work) == [NO_SOURCE] * 3
+
+    @pytest.mark.parametrize("make", QUEUES)
+    def test_base_overflow_drains_no_source(self, make):
+        queue = make(DeletePolicy.BASE)
+        queue.set_delete_coalescing(False)
+        work = RoundWork()
+        queue.insert_batch(
+            EventBatch.from_arrays(
+                np.array([5, 5]), np.array([9.0, 4.0]), 1, np.array([1, 2])
+            ),
+            work,
+        )
+        assert _drained_sources(queue, work) == [NO_SOURCE] * 2
+
+    @pytest.mark.parametrize("make", QUEUES)
+    @pytest.mark.parametrize("occupied", [False, True], ids=["empty", "occupied"])
+    def test_dap_selective_keeps_first_to_reach_optimum(self, make, occupied):
+        queue = make(DeletePolicy.DAP, SSSP())
+        work = RoundWork()
+        if occupied:
+            queue.insert(Event(5, 9.0, 0, 9), work)
+        queue.insert_batch(
+            EventBatch.from_arrays(
+                np.array([5, 5, 5, 5, 7]),
+                np.array([7.0, 3.0, 4.0, 3.0, 1.0]),
+                sources=np.array([1, 2, 3, 4, 5]),
+            ),
+            work,
+        )
+        assert _drained_sources(queue, work) == [2, 5]
+
+    @pytest.mark.parametrize("make", QUEUES)
+    @pytest.mark.parametrize("occupied", [False, True], ids=["empty", "occupied"])
+    def test_dap_accumulative_keeps_last_event(self, make, occupied):
+        queue = make(DeletePolicy.DAP, PageRank())
+        work = RoundWork()
+        if occupied:
+            queue.insert(Event(2, 0.5, 0, 9), work)
+        queue.insert_batch(
+            EventBatch.from_arrays(
+                np.array([2, 2, 3, 2]),
+                np.array([0.5, 0.25, 1.0, 0.125]),
+                sources=np.array([1, 2, 3, 4]),
+            ),
+            work,
+        )
+        assert _drained_sources(queue, work) == [4, 3]
+
+
 class TestVectorQueueDifferential:
     """Seeded fuzz: VectorQueue against CoalescingQueue, insert by insert.
 
@@ -592,3 +677,68 @@ class TestVectorQueueDifferential:
                 drain_all(compare_sources=False)
         assert works[0] == works[1]
         assert scalar.lifetime_stats() == vector.lifetime_stats()
+
+    @pytest.mark.parametrize("sliced", [False, True], ids=["grow", "sliced"])
+    @pytest.mark.parametrize(
+        "policy",
+        [DeletePolicy.BASE, DeletePolicy.VAP, DeletePolicy.DAP],
+        ids=lambda p: p.name,
+    )
+    @pytest.mark.parametrize("algorithm", [SSSP, PageRank], ids=lambda a: a.name)
+    def test_empty_queue_matches_scalar_queue(self, algorithm, policy, sliced):
+        """Regular batches with duplicates, ties and request flags, each
+        inserted right after a full drain (the empty-queue path when the
+        queue is unsliced and needs no growth)."""
+        selective = algorithm is SSSP
+        rng = np.random.default_rng([selective, ord(policy.name[0]), sliced, 7])
+        pool = self.SELECTIVE_POOL if selective else self.ACCUMULATIVE_POOL
+        slice_of = rng.integers(0, 3, self.V) if sliced else None
+        scalar = make_queue(policy, algorithm(), self.V, slice_of)
+        vector = make_vector_queue(policy, algorithm(), self.V, slice_of)
+        works = (RoundWork(), RoundWork())
+        limit = self.V if sliced else self.V + 40
+        empty_inserts = []
+        insert_into_empty = vector._insert_into_empty
+
+        def spy(batch, work):
+            empty_inserts.append(len(batch))
+            insert_into_empty(batch, work)
+
+        vector._insert_into_empty = spy
+        # A sum that an event leaves unchanged keeps the scalar queue's
+        # older source but not the array queue's (see VectorQueue._fold).
+        compare_sources = selective or policy is not DeletePolicy.DAP
+
+        def insert_after_drain(targets, ties=False, requests=True):
+            while scalar.pending():
+                self._drain_both(scalar, vector, works, None, compare_sources)
+            assert not vector.pending()
+            batch = self._batch(rng, pool, targets, np.zeros_like)
+            if ties:
+                third = batch.payloads[::3]
+                third[:] = rng.choice(self.SELECTIVE_POOL[:3], third.shape[0])
+            if not requests:
+                batch.flags[:] = 0
+            scalar.insert_batch(batch, works[0])
+            vector.insert_batch(batch, works[1])
+            assert works[0] == works[1]
+            assert scalar.lifetime_stats() == vector.lifetime_stats()
+            assert scalar.occupancy() == vector.occupancy()
+
+        for _ in range(6):
+            hot = int(rng.integers(0, limit))
+            # ≥1000 duplicates of one target, between other targets' events
+            run = np.full(1200, hot)
+            run[rng.integers(0, 1200, 100)] = rng.integers(0, limit, 100)
+            insert_after_drain(run)
+            insert_after_drain(run, ties=True)
+            insert_after_drain(rng.integers(0, limit, 200), ties=True)
+            insert_after_drain(rng.integers(0, 8, 60), requests=False)
+        while scalar.pending():
+            self._drain_both(scalar, vector, works, None, compare_sources)
+        assert works[0] == works[1]
+        assert scalar.lifetime_stats() == vector.lifetime_stats()
+        if sliced:
+            assert not empty_inserts
+        else:
+            assert len(empty_inserts) >= 20
