@@ -18,22 +18,13 @@ cold/shared event ratio as a ``ratio`` row of at least
 :data:`RATIO_GATE`, and the cold/shared wall-clock ratio ``ratio_wall``
 as a ``ratio`` row of at least :data:`WALL_RATIO_GATE`.
 
-Usable three ways:
-
-* ``python benchmarks/bench_commongraph.py`` — standalone: prints and
-  gates the rows, and records a passing full run in
-  ``BENCH_commongraph.json``. ``REPRO_BENCH_QUICK=1`` shrinks the grid.
-* ``repro bench check --suite commongraph`` — the same gate.
-* ``pytest benchmarks/bench_commongraph.py`` — the quick grid's gate.
+Run and gated only by ``repro bench check --suite commongraph``
+(``--quick`` for the small grid).
 """
 
 from __future__ import annotations
 
-import sys
 import time
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
@@ -41,7 +32,7 @@ from repro.algorithms import make_algorithm
 from repro.core.streaming import JetStreamEngine, evaluate_at_versions
 from repro.graph import datasets
 from repro.graph.dynamic import DeltaVersionStore, DynamicGraph
-from repro.obs.bench_gate import gate, row, script_main
+from repro.obs.bench_gate import row
 from repro.streams import StreamGenerator
 
 GRAPH = "WK"
@@ -127,13 +118,3 @@ def run_point(algorithm_name: str) -> list:
 def collect(quick: bool) -> dict:
     rows = [r for algorithm_name in grid(quick) for r in run_point(algorithm_name)]
     return {"suite": "commongraph", "quick": quick, "rows": rows}
-
-
-def test_commongraph_event_ratio(benchmark):
-    """pytest-benchmark entry: the quick grid's gate."""
-    report = benchmark.pedantic(lambda: collect(True), rounds=1, iterations=1)
-    assert not gate(report)
-
-
-if __name__ == "__main__":
-    sys.exit(script_main(collect))

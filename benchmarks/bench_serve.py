@@ -36,24 +36,17 @@ varies run to run. Every rate and latency is an ``info`` row: the mixed
 phase's rates are bimodal from run to run on a 2-core host, and none of
 them is gated.
 
-Usable two ways:
-
-* ``python benchmarks/bench_serve.py`` — standalone: prints and gates the
-  rows, and records a passing full run in ``BENCH_serve.json``.
-  ``REPRO_BENCH_QUICK=1`` shrinks the graph and request counts.
-* ``repro bench check --suite serve`` — the same gate.
+Run and gated only by ``repro bench check --suite serve``
+(``--quick`` for the small grid).
 """
 
 from __future__ import annotations
 
 import json
 import statistics
-import sys
 import threading
 import time
 from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import http.client
 import urllib.parse
@@ -62,7 +55,7 @@ import urllib.request
 import numpy as np
 
 from repro.graph import generators
-from repro.obs.bench_gate import row, script_main
+from repro.obs.bench_gate import row
 from repro.serve import ServeApp, ServeServer
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -401,7 +394,3 @@ def collect(quick: bool) -> dict:
         )
     ]
     return {"suite": "serve", "quick": quick, "rows": rows}
-
-
-if __name__ == "__main__":
-    sys.exit(script_main(collect))

@@ -8,28 +8,19 @@ single-engine oracle's, then emits one ``exact`` row per cell:
 ``[events_processed, noc_flits, per-engine events_processed...]``. The
 oracle's and the sharded run's wall clock are ``info`` rows.
 
-Usable three ways:
-
-* ``python benchmarks/bench_sharded_engine.py`` — standalone: prints and
-  gates the rows, and records a passing full run in ``BENCH_sharded.json``.
-  ``REPRO_BENCH_QUICK=1`` shrinks the graph.
-* ``repro bench check --suite sharded`` — the same gate.
-* ``pytest benchmarks/bench_sharded_engine.py`` — the quick grid's gate.
+Run and gated only by ``repro bench check --suite sharded``
+(``--quick`` for the small grid).
 """
 
 from __future__ import annotations
 
-import sys
 import time
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.algorithms import make_algorithm
 from repro.core.engine import GraphPulseEngine
 from repro.graph import generators
 from repro.graph.dynamic import DynamicGraph
-from repro.obs.bench_gate import gate, row, script_main
+from repro.obs.bench_gate import row
 
 ENGINE_COUNTS = [1, 2, 8]
 
@@ -79,13 +70,3 @@ def collect(quick: bool) -> dict:
                 row(f"{cell}/wall_clock_s", "info", sharded_s),
             ]
     return {"suite": "sharded", "quick": quick, "rows": rows}
-
-
-def test_sharded_engine_parity(benchmark):
-    """pytest-benchmark entry: the quick grid's gate; parity is asserted inside."""
-    report = benchmark.pedantic(lambda: collect(True), rounds=1, iterations=1)
-    assert not gate(report)
-
-
-if __name__ == "__main__":
-    sys.exit(script_main(collect))

@@ -19,30 +19,21 @@ quick grid, and at least :data:`SMALL_BATCH_SPEEDUP` for the full grid's
 ≤100-edge batches on the ≥100k-edge RMAT graph — per-batch cost must
 scale with the batch, not with E.
 
-Usable three ways:
-
-* ``python benchmarks/bench_stream_pipeline.py`` — standalone: prints and
-  gates the rows, and records a passing full run in ``BENCH_stream.json``.
-  ``REPRO_BENCH_QUICK=1`` shrinks the graph and batch counts.
-* ``repro bench check --suite stream`` — the same gate.
-* ``pytest benchmarks/bench_stream_pipeline.py`` — the quick grid's gate.
+Run and gated only by ``repro bench check --suite stream``
+(``--quick`` for the small grid).
 """
 
 from __future__ import annotations
 
 import statistics
-import sys
 import time
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.algorithms import make_algorithm
 from repro.core.policies import DeletePolicy
 from repro.core.streaming import JetStreamEngine
 from repro.graph import generators
 from repro.graph.dynamic import DynamicGraph
-from repro.obs.bench_gate import gate, row, script_main
+from repro.obs.bench_gate import row
 from repro.streams import StreamGenerator
 
 ALGORITHM = "sssp"
@@ -129,13 +120,3 @@ def collect(quick: bool) -> dict:
         kind = "ratio" if bound else "info"
         rows.append(row(f"{cell}/speedup", kind, speedup, **bound))
     return {"suite": "stream", "quick": quick, "rows": rows}
-
-
-def test_stream_pipeline_speedup(benchmark):
-    """pytest-benchmark entry: the quick grid's gate."""
-    report = benchmark.pedantic(lambda: collect(True), rounds=1, iterations=1)
-    assert not gate(report)
-
-
-if __name__ == "__main__":
-    sys.exit(script_main(collect))

@@ -16,28 +16,22 @@ the work), its median events/s and its throughput relative to ``off``.
 The last two are ``info`` rows: on a shared 2-core host ``metrics``/``off``
 has measured from about 70% to 98% run to run, so no bound is set.
 
-Run: ``python benchmarks/bench_trace_overhead.py`` (prints and gates the
-rows, and records a passing full run in ``BENCH_trace.json``), or
-``repro bench check --suite trace``. ``REPRO_BENCH_QUICK=1`` shrinks the
-grid.
+Run and gated only by ``repro bench check --suite trace``
+(``--quick`` for the small grid).
 """
 
 from __future__ import annotations
 
 import os
 import statistics
-import sys
 import tempfile
 import time
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.algorithms import make_algorithm
 from repro.core.engine import GraphPulseEngine
 from repro.graph import generators
 from repro.obs import JsonlSink, MemorySink, Tracer
-from repro.obs.bench_gate import row, script_main
+from repro.obs.bench_gate import row
 from repro.obs.metrics import REGISTRY
 
 MODES = ("off", "metrics", "memory", "jsonl")
@@ -110,7 +104,3 @@ def collect(quick: bool) -> dict:
             row(f"{mode}/relative_throughput", "info", sample["events_per_s"] / off),
         ]
     return {"suite": "trace", "quick": quick, "rows": rows}
-
-
-if __name__ == "__main__":
-    sys.exit(script_main(collect))

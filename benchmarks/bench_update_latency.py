@@ -22,23 +22,14 @@ behaviour change. Rates and percentiles are ``info``. The ``ratio`` row
 is the engine/express p50 speedup: at least :data:`QUICK_SPEEDUP` on the
 quick grid and :data:`FULL_SPEEDUP` on the full one.
 
-Usable three ways:
-
-* ``python benchmarks/bench_update_latency.py`` — standalone: prints and
-  gates the rows, and records a passing full run in ``BENCH_latency.json``.
-  ``REPRO_BENCH_QUICK=1`` shrinks the graph and update counts.
-* ``repro bench check --suite latency`` — the same gate.
-* ``pytest benchmarks/bench_update_latency.py`` — the quick grid's gate.
+Run and gated only by ``repro bench check --suite latency``
+(``--quick`` for the small grid).
 """
 
 from __future__ import annotations
 
 import statistics
-import sys
 import time
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
@@ -48,7 +39,7 @@ from repro.core.policies import DeletePolicy
 from repro.core.streaming import JetStreamEngine
 from repro.graph import generators
 from repro.graph.dynamic import DynamicGraph
-from repro.obs.bench_gate import gate, row, script_main
+from repro.obs.bench_gate import row
 from repro.streams import StreamGenerator
 
 ALGORITHM = "sssp"
@@ -218,13 +209,3 @@ def collect(quick: bool) -> dict:
         for name, value in sample.get("latency", {}).items():
             rows.append(row(f"{key}/{name}", "info", value))
     return {"suite": "latency", "quick": quick, "rows": rows}
-
-
-def test_update_latency_speedup(benchmark):
-    """pytest-benchmark entry: the quick grid's gate."""
-    report = benchmark.pedantic(lambda: collect(True), rounds=1, iterations=1)
-    assert not gate(report)
-
-
-if __name__ == "__main__":
-    sys.exit(script_main(collect))

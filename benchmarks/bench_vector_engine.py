@@ -8,28 +8,19 @@ events/s (``info``) and the oracle/array wall-clock speedup. The speedup
 is a ``ratio`` row: at least 1× on every quick cell, and at least
 :data:`HEADLINE_SPEEDUP` on the full grid's ≥100k-edge RMAT PageRank.
 
-Usable three ways:
-
-* ``python benchmarks/bench_vector_engine.py`` — standalone: prints and
-  gates the rows, and records a passing full run in ``BENCH_engine.json``.
-  ``REPRO_BENCH_QUICK=1`` shrinks the grid (small graphs, two algorithms).
-* ``repro bench check --suite engine`` — the same gate.
-* ``pytest benchmarks/bench_vector_engine.py`` — the quick grid's gate.
+Run and gated only by ``repro bench check --suite engine``
+(``--quick`` for the small grid).
 """
 
 from __future__ import annotations
 
-import sys
 import time
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.algorithms import make_algorithm
 from repro.core.engine import GraphPulseEngine
 from repro.graph import generators
 from repro.graph.dynamic import DynamicGraph, build_symmetric_graph
-from repro.obs.bench_gate import gate, row, script_main
+from repro.obs.bench_gate import row
 from repro.oracle import on_oracle
 
 ALGORITHMS = ["sssp", "bfs", "cc", "sswp", "pagerank", "adsorption"]
@@ -115,13 +106,3 @@ def collect(quick: bool) -> dict:
             kind = "ratio" if bound else "info"
             rows.append(row(f"{cell}/speedup", kind, speedup, **bound))
     return {"suite": "engine", "quick": quick, "rows": rows}
-
-
-def test_vector_engine_speedup(benchmark):
-    """pytest-benchmark entry: the quick grid's gate."""
-    report = benchmark.pedantic(lambda: collect(True), rounds=1, iterations=1)
-    assert not gate(report)
-
-
-if __name__ == "__main__":
-    sys.exit(script_main(collect))

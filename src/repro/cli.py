@@ -281,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_check.add_argument(
         "--update-baselines",
         action="store_true",
-        help="write this run's reports as the new baselines and exit",
+        help="write this run's reports as the new baselines (a report "
+        "with a ratio out of its bounds is not written)",
     )
     return parser
 
@@ -783,13 +784,17 @@ def cmd_bench(args) -> int:
     except bench_gate.BenchGateError as exc:
         print(f"bench check: {exc}", file=sys.stderr)
         return 2
-    if args.update_baselines:
-        return 0
     for failure in result["failures"]:
         print(f"FAIL {failure}", file=sys.stderr)
     if result["failures"]:
-        print(f"\nbench check: {len(result['failures'])} failure(s)", file=sys.stderr)
+        unsaved = "; those suites were not recorded" if args.update_baselines else ""
+        print(
+            f"\nbench check: {len(result['failures'])} failure(s){unsaved}",
+            file=sys.stderr,
+        )
         return 1
+    if args.update_baselines:
+        return 0
     print("\nbench check: every exact count matches and every ratio is in bounds")
     return 0
 

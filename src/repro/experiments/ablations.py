@@ -1,15 +1,13 @@
-"""Ablations of the design choices DESIGN.md calls out.
+"""Design studies behind two of the paper's claims.
 
-Not a paper table, but the design-space questions the paper's architecture
-answers implicitly:
+Not a paper table, but questions the paper's argument rests on:
 
 * **Coalescing effectiveness** — what fraction of queue inserts are merged
   by the in-place Reduce (the feature that removes atomics, §4.2)?
-* **Queue row width** — the row grouping drives prefetch locality; sweep
-  ``queue_row_vertices`` and watch memory utilization / cycles.
-* **DRAM channels** — when does the engine stop being memory-bound?
 * **Software per-batch overhead** — the Fig. 13 crossover driver: where
   does JetStream's advantage come from as the floor varies?
+
+The ``paper`` suite of ``repro bench check`` runs and gates both.
 """
 
 from __future__ import annotations
@@ -18,9 +16,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.algorithms import make_algorithm
-from repro.core.config import AcceleratorConfig, SoftwareConfig
+from repro.core.config import SoftwareConfig
 from repro.core.streaming import JetStreamEngine
-from repro.experiments.report import render_table
 from repro.graph import datasets
 from repro.sim.cost_models import SoftwareCostModel
 from repro.sim.timing import AcceleratorTimingModel
@@ -67,62 +64,6 @@ def coalescing_effectiveness(
                 )
             )
     return out
-
-
-@dataclass
-class SweepPoint:
-    """One configuration point of a hardware sweep."""
-
-    parameter: str
-    value: float
-    time_us: float
-    memory_utilization: float
-
-
-def _one_batch_metrics(config: AcceleratorConfig, seed: int = 0):
-    graph = datasets.load("LJ", seed=seed)
-    engine = JetStreamEngine(graph, make_algorithm("sssp", source=0), config=config)
-    engine.initial_compute()
-    stream = StreamGenerator(graph, seed=seed + 1)
-    batch = stream.next_batch(datasets.scaled_batch_size("LJ"))
-    result = engine.apply_batch(batch)
-    return result.metrics, batch.size
-
-
-def queue_row_sweep(widths: Sequence[int] = (1, 4, 8, 16, 32), seed: int = 0) -> List[SweepPoint]:
-    """Sweep the queue row width (vertices per drained row)."""
-    points = []
-    for width in widths:
-        config = AcceleratorConfig(queue_row_vertices=width)
-        metrics, records = _one_batch_metrics(config, seed)
-        report = AcceleratorTimingModel(config).run_time(metrics, stream_records=records)
-        points.append(
-            SweepPoint(
-                parameter="queue_row_vertices",
-                value=width,
-                time_us=report.time_us,
-                memory_utilization=metrics.memory_utilization(),
-            )
-        )
-    return points
-
-
-def dram_channel_sweep(channels: Sequence[int] = (1, 2, 4, 8), seed: int = 0) -> List[SweepPoint]:
-    """Sweep DRAM channel count on a fixed workload."""
-    metrics, records = _one_batch_metrics(AcceleratorConfig(), seed)
-    points = []
-    for count in channels:
-        config = AcceleratorConfig(dram_channels=count)
-        report = AcceleratorTimingModel(config).run_time(metrics, stream_records=records)
-        points.append(
-            SweepPoint(
-                parameter="dram_channels",
-                value=count,
-                time_us=report.time_us,
-                memory_utilization=metrics.memory_utilization(),
-            )
-        )
-    return points
 
 
 @dataclass
@@ -178,55 +119,3 @@ def software_overhead_sensitivity(
                 )
             )
     return points
-
-
-def scheduler_drain_sweep(
-    rows: Sequence[Optional[int]] = (None, 32, 8, 2), seed: int = 0
-) -> List[SweepPoint]:
-    """Sweep the scheduler drain width (rows emitted per round, §4.3).
-
-    Narrow drains shorten the coalescing window during bursty phases and
-    multiply scheduler rounds; the full-drain model is the paper-faithful
-    upper bound on coalescing opportunity.
-    """
-    points = []
-    for width in rows:
-        config = AcceleratorConfig(scheduler_rows_per_round=width)
-        metrics, records = _one_batch_metrics(config, seed)
-        report = AcceleratorTimingModel(config).run_time(metrics, stream_records=records)
-        points.append(
-            SweepPoint(
-                parameter="scheduler_rows_per_round",
-                value=-1 if width is None else width,
-                time_us=report.time_us,
-                memory_utilization=metrics.memory_utilization(),
-            )
-        )
-    return points
-
-
-def render_coalescing(stats: List[CoalescingStat]) -> str:
-    return render_table(
-        ["Algorithm", "Graph", "Queue inserts", "Coalesced", "Rate"],
-        [[s.algorithm.upper(), s.graph, s.inserts, s.coalesced, s.rate] for s in stats],
-        title="Ablation: coalescing effectiveness during initial evaluation",
-    )
-
-
-def render_sweep(points: List[SweepPoint], title: str) -> str:
-    return render_table(
-        ["Parameter", "Value", "Time (us)", "Memory util"],
-        [[p.parameter, p.value, p.time_us, p.memory_utilization] for p in points],
-        title=title,
-    )
-
-
-def render_overheads(points: List[OverheadPoint]) -> str:
-    return render_table(
-        ["Batch", "SW overhead (us)", "Jet ms", "SW ms", "Advantage"],
-        [
-            [p.batch_size, p.overhead_us, p.jetstream_ms, p.software_ms, p.advantage]
-            for p in points
-        ],
-        title="Ablation: software per-batch floor vs JetStream advantage",
-    )

@@ -6,7 +6,7 @@ expensive direction for selective algorithms (recovery phase + reevaluation
 of the impacted set); an insertion-only batch converges several times
 faster than a deletion-only one. Accumulative algorithms handle both kinds
 through the same negative/positive events and are largely insensitive —
-checked by the optional PageRank row.
+checked on a PageRank curve (``run(algorithms=["pagerank"])``).
 """
 
 from __future__ import annotations
@@ -36,13 +36,10 @@ class CompositionCurve:
 def run(
     algorithms: Optional[Sequence[str]] = None,
     compositions: Optional[Sequence[float]] = None,
-    include_accumulative_check: bool = False,
     seed: int = 0,
 ) -> List[CompositionCurve]:
     """Sweep compositions for JetStream and the software comparator."""
     algorithms = list(algorithms or ALGORITHMS)
-    if include_accumulative_check and "pagerank" not in algorithms:
-        algorithms.append("pagerank")
     compositions = list(compositions or COMPOSITIONS)
     curves: List[CompositionCurve] = []
     for algo in algorithms:

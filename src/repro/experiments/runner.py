@@ -56,7 +56,7 @@ def run_all(quick: bool = False, seed: int = 0) -> dict:
     out["fig11"] = (f11, fig11.render(f11))
     f12 = fig12.run(
         graphs=["LJ"] if quick else None,
-        algorithms=["sssp"] if quick else None,
+        algorithms=["sssp", "bfs"] if quick else None,
         seed=seed,
     )
     out["fig12"] = (f12, fig12.render(f12))
@@ -90,21 +90,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     start = time.time()
     results = run_all(quick=args.quick, seed=args.seed)
-    for name in [
-        "table1",
-        "table2",
-        "table3",
-        "fig9",
-        "fig10",
-        "fig11",
-        "fig12",
-        "fig13",
-        "fig14",
-        "table4",
-        "energy",
-    ]:
+    for _, rendering in results.values():
         print()
-        print(results[name][1])
+        print(rendering)
     if args.write_doc:
         from repro.experiments.experiments_doc import write_doc
         from repro.experiments.export import export_all

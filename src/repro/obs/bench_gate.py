@@ -3,10 +3,12 @@
 Each suite script in ``benchmarks/`` has ``collect(quick)``, returning
 ``{"suite", "quick", "rows"}`` of ``{"key", "kind", "value"}`` rows.
 ``exact`` rows are deterministic work counts that must equal the baseline
-row with the same key (a baseline row the run lost fails as ``missing``).
-``ratio`` rows carry their own ``min`` or ``max`` and need no baseline.
-``info`` rows are host-dependent wall-clock numbers, never gated. Quick
-baselines live in ``benchmarks/baselines/``, full ones at the repo root.
+row with the same key. ``ratio`` rows carry their own ``min`` or ``max``.
+An exact or ratio row of the baseline that the run lost fails as
+``missing``. ``info`` rows (wall-clock numbers, magnitudes beside the
+paper's) are never gated. Any row may carry the paper's number as
+``paper``. Quick baselines live in ``benchmarks/baselines/``, full ones at
+the repo root. ``repro bench check`` is the only entry point.
 """
 
 from __future__ import annotations
@@ -14,10 +16,8 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
-import os
-import sys
 from pathlib import Path
-from typing import Callable, List
+from typing import List
 
 REPO_ROOT = Path(__file__).resolve().parents[3]
 BENCHMARKS_DIR = REPO_ROOT / "benchmarks"
@@ -32,6 +32,7 @@ SUITES = {
     "latency": "bench_update_latency",
     "serve": "bench_serve",
     "commongraph": "bench_commongraph",
+    "paper": "bench_paper",
 }
 
 
@@ -39,14 +40,10 @@ class BenchGateError(RuntimeError):
     """Raised when the gate cannot run (unknown suite, no rows, bad baseline)."""
 
 
-def quick_mode() -> bool:
-    """Whether ``REPRO_BENCH_QUICK`` asks for the reduced grids."""
-    return os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
-
-
-def row(key: str, kind: str, value, **bound) -> dict:
-    """One report row; ``bound`` is the ``min=``/``max=`` of a ratio row."""
-    return {"key": key, "kind": kind, "value": value, **bound}
+def row(key: str, kind: str, value, **notes) -> dict:
+    """One report row; ``notes`` are a ratio row's ``min=``/``max=`` and
+    the paper's number as ``paper=``."""
+    return {"key": key, "kind": kind, "value": value, **notes}
 
 
 def baseline_path(suite: str, quick: bool) -> Path:
@@ -59,25 +56,31 @@ def baseline_path(suite: str, quick: bool) -> Path:
 
 
 def _bound(r: dict) -> str:
-    return " ".join(f"{k} {r[k]:g}" for k in ("min", "max") if k in r)
+    # A strict bound sits one float past the paper's number: show it in full.
+    return " ".join(
+        f"{k} {r[k]:g}" if float(f"{r[k]:g}") == r[k] else f"{k} {r[k]!r}"
+        for k in ("min", "max")
+        if k in r
+    )
 
 
 def check(rows: List[dict], baseline_rows: List[dict]) -> List[str]:
     """The failures of ``rows`` against ``baseline_rows``; empty means pass."""
     if not rows:
         raise BenchGateError("the report has no rows to gate")
-    expected = {r["key"]: r["value"] for r in baseline_rows if r["kind"] == "exact"}
+    expected = {r["key"]: r for r in baseline_rows if r["kind"] != "info"}
     failures = []
     for r in rows:
         key, value = r["key"], r["value"]
         lo, hi = r.get("min", -math.inf), r.get("max", math.inf)
-        if r["kind"] == "exact" and key in expected:
-            want = expected.pop(key)
-            if value != want:
-                failures.append(f"{key}: {value} drifted from baseline {want}")
+        want = expected.pop(key, {"kind": None})
+        if r["kind"] == want["kind"] == "exact" and value != want["value"]:
+            failures.append(f"{key}: {value} drifted from baseline {want['value']}")
         elif r["kind"] == "ratio" and not lo <= value <= hi:  # NaN fails too
-            failures.append(f"{key}: {value:.3g} is outside {_bound(r)}")
-    return failures + [f"{k}: missing (baseline {v})" for k, v in expected.items()]
+            failures.append(f"{key}: {float(value)!r} is outside {_bound(r)}")
+    return failures + [
+        f"{k}: missing (baseline {r['value']})" for k, r in expected.items()
+    ]
 
 
 def gate(report: dict) -> List[str]:
@@ -110,9 +113,10 @@ def render(report: dict) -> str:
         value = r["value"]
         if isinstance(value, float):
             value = f"{value:,.0f}" if abs(value) >= 1000 else f"{value:.3g}"
+        paper = f" paper {r['paper']}" if "paper" in r else ""
         lines.append(
             f"{report['suite']:>11} {r['kind']:<5} {r['key']:<38} "
-            f"{value!s:>14}  {_bound(r)}".rstrip()
+            f"{value!s:>14}  {_bound(r)}{paper}".rstrip()
         )
     return "\n".join(lines)
 
@@ -124,27 +128,20 @@ def _save(report: dict, path: Path) -> None:
 
 
 def run_gate(suites: List[str], quick: bool, update_baselines: bool = False) -> dict:
-    """Gate each suite's report, or record it as the new baseline."""
+    """Gate each suite's report, or record it as the new baseline.
+
+    A report is recorded only when its ratio rows are inside their own
+    bounds: a failing run never becomes the committed baseline.
+    """
     reports, failures = {}, []
     for suite in suites:
         report = reports[suite] = load_script(suite).collect(quick)
         print(render(report), flush=True)
         if update_baselines:
-            _save(report, baseline_path(suite, quick))
+            suite_failures = check(report["rows"], [])
+            if not suite_failures:
+                _save(report, baseline_path(suite, quick))
         else:
-            failures += [f"{suite} {failure}" for failure in gate(report)]
+            suite_failures = gate(report)
+        failures += [f"{suite} {failure}" for failure in suite_failures]
     return {"reports": reports, "failures": failures}
-
-
-def script_main(collect_suite: Callable[[bool], dict]) -> int:
-    """A suite script's ``main()``: run, print and gate; a passing full
-    run (never a quick one) is recorded as the repo-root baseline."""
-    quick = quick_mode()
-    report = collect_suite(quick)
-    print(render(report))
-    failures = gate(report)
-    for failure in failures:
-        print(f"FAIL {report['suite']} {failure}", file=sys.stderr)
-    if not quick and not failures:
-        _save(report, baseline_path(report["suite"], quick))
-    return 1 if failures else 0

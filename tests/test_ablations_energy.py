@@ -15,30 +15,9 @@ class TestCoalescing:
         assert 0.0 <= stats[0].rate < 1.0
         assert stats[0].inserts > 0
 
-    def test_render(self):
-        stats = ablations.coalescing_effectiveness(graphs=["WK"], algorithms=["sssp"])
-        text = ablations.render_coalescing(stats)
-        assert "SSSP" in text and "Rate" in text
-
     def test_zero_inserts_rate(self):
         stat = ablations.CoalescingStat("x", "y", inserts=0, coalesced=0)
         assert stat.rate == 0.0
-
-
-class TestSweeps:
-    def test_queue_row_sweep_shape(self):
-        points = ablations.queue_row_sweep(widths=(4, 16))
-        assert [p.value for p in points] == [4, 16]
-        assert all(p.time_us > 0 for p in points)
-
-    def test_dram_channel_sweep_monotone(self):
-        points = ablations.dram_channel_sweep(channels=(1, 8))
-        assert points[0].time_us >= points[-1].time_us
-
-    def test_render_sweep(self):
-        points = ablations.dram_channel_sweep(channels=(1, 2))
-        text = ablations.render_sweep(points, "T")
-        assert text.startswith("T")
 
 
 class TestOverheadSensitivity:
@@ -47,12 +26,6 @@ class TestOverheadSensitivity:
             overheads_us=(0.0, 200.0), batch_sizes=(8,)
         )
         assert points[0].advantage < points[1].advantage
-
-    def test_render(self):
-        points = ablations.software_overhead_sensitivity(
-            overheads_us=(0.0,), batch_sizes=(8,)
-        )
-        assert "Advantage" in ablations.render_overheads(points)
 
 
 class TestEnergy:

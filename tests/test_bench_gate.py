@@ -224,6 +224,12 @@ class TestFlatten:
         }
         assert {r["kind"] for r in rep["rows"]} == {"exact", "info"}
 
+    def test_paper_script_exposes_collect(self):
+        """The paper suite's run is the whole evaluation; its row builder is
+        tested on canned results in ``test_bench_paper.py``."""
+        script = bench_gate.load_script("paper")
+        assert callable(script.collect) and callable(script.paper_rows)
+
     def test_commongraph_rows(self):
         script = bench_gate.load_script("commongraph")
         script.grid = lambda quick: ["sssp"]
@@ -308,6 +314,14 @@ class TestRunGate:
             "latency engine/batch1: missing (baseline 300)",
         ]
 
+    def test_missing_ratio_row_fails(self, baselines, runs):
+        """A suite that stops emitting a bounded row (say, a grid that lost
+        a point) fails too: the baseline's ratio keys must all reappear."""
+        runs["latency"] = report("latency", LATENCY["rows"][:2])
+        assert run_gate(["latency"], quick=True)["failures"] == [
+            "latency speedup_p50: missing (baseline 40.0)"
+        ]
+
     def test_report_without_rows_raises(self, baselines, runs):
         runs["latency"] = report("latency", [])
         with pytest.raises(BenchGateError, match="no rows"):
@@ -326,19 +340,6 @@ class TestRunGate:
         with pytest.raises(BenchGateError, match="no quick=False row baseline"):
             run_gate(["engine"], quick=False)
 
-    def test_quick_script_run_keeps_the_full_baseline(self, baselines, monkeypatch):
-        full = baseline_path("engine", quick=False)
-        full.write_text(json.dumps(dict(ENGINE, quick=False)))
-        monkeypatch.setenv("REPRO_BENCH_QUICK", "1")
-        quick_run = changed(ENGINE, "rmat-2k/sssp/speedup", 9.0)
-        assert bench_gate.script_main(lambda quick: quick_run) == 0
-        assert json.loads(full.read_text()) == dict(ENGINE, quick=False)
-        # A passing full run is recorded there.
-        monkeypatch.setenv("REPRO_BENCH_QUICK", "0")
-        full_run = dict(quick_run, quick=False)
-        assert bench_gate.script_main(lambda quick: full_run) == 0
-        assert json.loads(full.read_text()) == full_run
-
     def test_unknown_suite_raises(self):
         with pytest.raises(BenchGateError, match="unknown suite"):
             run_gate(["nope"], quick=True)
@@ -350,6 +351,21 @@ class TestRunGate:
         assert result["failures"] == []
         for suite, rep in CANNED.items():
             assert json.loads(baseline_path(suite, quick=True).read_text()) == rep
+
+    def test_update_baselines_refuses_a_run_out_of_bounds(self, baselines, runs):
+        """A run whose ratio breaks its own bound is reported and not
+        recorded: the committed baseline stays as it was."""
+        path = baseline_path("engine", quick=True)
+        before = path.read_text()
+        runs["engine"] = changed(ENGINE, "rmat-2k/sssp/speedup", 0.5)
+        runs["trace"] = changed(CANNED["trace"], "work", 103)
+        result = run_gate(["engine", "trace"], quick=True, update_baselines=True)
+        assert result["failures"] == [
+            "engine rmat-2k/sssp/speedup: 0.5 is outside min 1"
+        ]
+        assert path.read_text() == before
+        # An exact count may move on purpose: that is what recording is for.
+        assert json.loads(baseline_path("trace", quick=True).read_text()) == runs["trace"]
 
     def test_default_baseline_paths(self):
         for suite in bench_gate.SUITES:
@@ -403,6 +419,15 @@ class TestBenchCheckCli:
             path.unlink()
         assert main(["bench", "check", "--quick", "--update-baselines"]) == 0
         assert main(["bench", "check", "--quick"]) == 0
+
+    def test_update_baselines_out_of_bounds_exits_one(self, baselines, runs, capsys):
+        from repro.cli import main
+
+        runs["engine"] = changed(ENGINE, "rmat-2k/sssp/speedup", 0.8)
+        args = ["bench", "check", "--quick", "--suite", "engine", "--update-baselines"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "outside min 1" in err and "not recorded" in err
 
     def test_missing_baseline_exits_two(self, baselines, runs, capsys):
         from repro.cli import main

@@ -1,8 +1,9 @@
 """Smoke tests for the per-figure experiment modules on minimal grids.
 
-Full grids run in ``pytest benchmarks/``; here each module is exercised on
-the smallest stand-in with the smallest algorithm set to validate plumbing
-and the headline shape.
+Full grids run, and their shapes are gated, in ``repro bench check
+--suite paper``; here each module is exercised on the smallest stand-in
+with the smallest algorithm set to validate plumbing and the headline
+shape.
 """
 
 import pytest
