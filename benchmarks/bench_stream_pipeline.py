@@ -3,8 +3,10 @@
 Drives :class:`JetStreamEngine` over a pre-generated update stream at
 several batch sizes and compares the two host graph-store strategies:
 
-* **incremental** — the array-native :class:`DynamicGraph` store splices
-  only the touched adjacency runs per snapshot (the shipped behaviour);
+* **incremental** — the :class:`DynamicGraph` edge arena rewrites only
+  the touched vertices' adjacency runs, copy-on-write at the arena tail,
+  and snapshots it without building an O(E) array (the shipped
+  behaviour);
 * **full_rebuild** — the bench points its own graph instance's
   ``snapshot`` at :meth:`DynamicGraph.rebuild_snapshot`, so every snapshot
   is a from-scratch iterate-and-sort CSR build, i.e. the pre-incremental
@@ -13,7 +15,10 @@ several batch sizes and compares the two host graph-store strategies:
 Both modes process identical batches and converge to bit-identical states
 (the parity suites enforce this); the difference is pure host-side
 per-batch overhead. Each batch size emits both modes' summed events
-processed (``exact``), their batches/s (``info``) and the full-rebuild /
+processed (``exact``), the incremental store's arena slots written per
+batch (``exact``: run slots plus compacted slots, so "store work scales
+with the touched runs" is gated by a count), their batches/s (``info``)
+and the full-rebuild /
 incremental median per-batch speedup as a ``ratio`` row: at least 1× on the
 quick grid, and at least :data:`SMALL_BATCH_SPEEDUP` for the full grid's
 ≤100-edge batches on the ≥100k-edge RMAT graph — per-batch cost must
@@ -75,6 +80,7 @@ def run_mode(edges, num_vertices: int, batches, incremental: bool) -> dict:
 
     latencies = []
     events = 0
+    slots = graph.store_stats()["slots_written"]
     started = time.perf_counter()
     for batch in batches:
         t0 = time.perf_counter()
@@ -82,7 +88,9 @@ def run_mode(edges, num_vertices: int, batches, incremental: bool) -> dict:
         latencies.append(time.perf_counter() - t0)
         events += result.metrics.events_processed
     elapsed = time.perf_counter() - started
+    slots = graph.store_stats()["slots_written"] - slots
     return {
+        "slots_written_per_batch": slots / len(batches),
         "batches_per_s": len(batches) / elapsed,
         "median_batch_s": statistics.median(latencies),
         "events_processed": int(events),
@@ -115,6 +123,8 @@ def collect(quick: bool) -> dict:
                 row(f"{cell}/{mode}", "exact", sample["events_processed"]),
                 row(f"{cell}/{mode}/batches_per_s", "info", sample["batches_per_s"]),
             ]
+        slots = incremental["slots_written_per_batch"]
+        rows.append(row(f"{cell}/incremental/slots_written_per_batch", "exact", slots))
         speedup = full["median_batch_s"] / incremental["median_batch_s"]
         bound = speedup_bound(quick, batch_size)
         kind = "ratio" if bound else "info"

@@ -55,7 +55,8 @@ class BSPEngine:
             next_frontier: Set[int] = set()
             for u in sorted(frontier):
                 value = states[u]
-                start, stop = csr.out_offsets[u], csr.out_offsets[u + 1]
+                start = int(csr.out_starts[u])
+                stop = start + int(csr.out_degrees[u])
                 work.edges_traversed += int(stop - start)
                 for i in range(start, stop):
                     v = int(csr.out_targets[i])
@@ -97,11 +98,8 @@ class BSPEngine:
         propagate = algorithm.propagate
         from repro.algorithms.base import SourceContext
 
-        degrees = np.diff(csr.out_offsets)
-        weight_sums = np.zeros(csr.num_vertices)
-        if csr.num_edges:
-            cumulative = np.concatenate(([0.0], np.cumsum(csr.out_weights)))
-            weight_sums = cumulative[csr.out_offsets[1:]] - cumulative[csr.out_offsets[:-1]]
+        degrees = csr.out_degrees
+        weight_sums = csr.out_weight_sums()
 
         live = {int(v) for v in np.flatnonzero(np.abs(deltas) > threshold)}
         while live:
@@ -112,7 +110,8 @@ class BSPEngine:
                 delta = deltas[u]
                 states[u] += delta
                 work.vertex_writes += 1
-                start, stop = csr.out_offsets[u], csr.out_offsets[u + 1]
+                start = int(csr.out_starts[u])
+                stop = start + int(degrees[u])
                 work.edges_traversed += int(stop - start)
                 ctx = SourceContext(int(degrees[u]), float(weight_sums[u]))
                 for i in range(start, stop):
@@ -151,11 +150,8 @@ def run_pull_refinement(
     from repro.algorithms.base import SourceContext
 
     threshold = algorithm.propagation_threshold
-    degrees = np.diff(csr.out_offsets)
-    weight_sums = np.zeros(csr.num_vertices)
-    if csr.num_edges:
-        cumulative = np.concatenate(([0.0], np.cumsum(csr.out_weights)))
-        weight_sums = cumulative[csr.out_offsets[1:]] - cumulative[csr.out_offsets[:-1]]
+    degrees = csr.out_degrees
+    weight_sums = csr.out_weight_sums()
 
     changed: Set[int] = {int(v) for v in seeds}
     iteration = 0
@@ -168,7 +164,8 @@ def run_pull_refinement(
         updates = []
         for v in sorted(changed):
             total = base[v]
-            start, stop = csr.in_offsets[v], csr.in_offsets[v + 1]
+            start = int(csr.in_starts[v])
+            stop = start + int(csr.in_degrees[v])
             work.edges_traversed += int(stop - start)
             for i in range(start, stop):
                 u = int(csr.in_sources[i])
@@ -183,9 +180,7 @@ def run_pull_refinement(
                 states[v] = total
                 work.vertex_writes += 1
                 work.atomics += 1
-                start, stop = csr.out_offsets[v], csr.out_offsets[v + 1]
-                for i in range(start, stop):
-                    next_changed.add(int(csr.out_targets[i]))
+                next_changed.update(csr.out_neighbors(v).tolist())
         if bookkeeping_bytes_per_vertex:
             work.bookkeeping_bytes += bookkeeping_bytes_per_vertex * len(changed)
         changed = next_changed
@@ -201,7 +196,8 @@ def neighbors_pull(
     random access pattern", §3.4).
     """
     sources: List[Tuple[int, float]] = []
-    start, stop = csr.in_offsets[v], csr.in_offsets[v + 1]
+    start = int(csr.in_starts[v])
+    stop = start + int(csr.in_degrees[v])
     work.edges_traversed += int(stop - start)
     for i in range(start, stop):
         work.vertex_reads_random += 1

@@ -143,7 +143,8 @@ class KickStarter:
                 # Approximation recovered the same value — children safe.
                 continue
             # Tag children that may have depended on the old value.
-            start, stop = old_csr.out_offsets[v], old_csr.out_offsets[v + 1]
+            start = int(old_csr.out_starts[v])
+            stop = start + int(old_csr.out_degrees[v])
             work.edges_traversed += int(stop - start)
             for i in range(start, stop):
                 child = int(old_csr.out_targets[i])

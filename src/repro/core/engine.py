@@ -24,7 +24,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.algorithms.base import NULL_CONTEXT, AlgorithmKind, SourceContext
+from repro.algorithms.base import AlgorithmKind
 from repro.core import parallel
 from repro.core.config import AcceleratorConfig
 from repro.core.events import NO_SOURCE, EventBatch
@@ -82,8 +82,6 @@ class EngineCore:
         self.states: np.ndarray = np.empty(0, dtype=np.float64)
         self.dependency: np.ndarray = np.empty(0, dtype=np.int64)
         self.csr: Optional[CSRGraph] = None
-        self._out_degree: Optional[np.ndarray] = None
-        self._out_weight_sum: Optional[np.ndarray] = None
         self._slice_of: Optional[np.ndarray] = None
         self._custom_slice_of: Optional[np.ndarray] = None
         self._prop_factor: Optional[np.ndarray] = None
@@ -189,33 +187,18 @@ class EngineCore:
             # extends this map (see grow), so mid-stream snapshots keep a
             # consistent vertex→engine map until an explicit re-partition.
             self._shard_of = partition_graph(csr, self.num_engines).assignment
+        self._prop_factor = None
         if self.algorithm.kind is AlgorithmKind.ACCUMULATIVE:
-            offsets = csr.out_offsets
-            self._out_degree = np.diff(offsets)
-            # Sum of out-edge weights per vertex (Adsorption normalizer).
-            sums = np.zeros(csr.num_vertices, dtype=np.float64)
-            if csr.num_edges:
-                cumulative = np.concatenate(([0.0], np.cumsum(csr.out_weights)))
-                sums = cumulative[offsets[1:]] - cumulative[offsets[:-1]]
-            self._out_weight_sum = sums
             # Hoisted per-source propagation factor (linear fast path),
-            # built in one vectorized pass per bind.
+            # built in one vectorized pass per bind. Only Adsorption's
+            # normaliser reads the O(E) out-weight sums.
+            if self.algorithm.ctx_needs_weight_sums:
+                sums = csr.out_weight_sums()
+            else:
+                sums = np.zeros(csr.num_vertices, dtype=np.float64)
             self._prop_factor = self.algorithm.propagation_factor_arrays(
-                self._out_degree, sums
+                csr.out_degrees, sums
             )
-        else:
-            self._out_degree = None
-            self._out_weight_sum = None
-            self._prop_factor = None
-
-    def source_context(self, v: int) -> SourceContext:
-        """Out-edge context of ``v`` in the bound graph."""
-        if self._out_degree is None:
-            return NULL_CONTEXT
-        return SourceContext(
-            out_degree=int(self._out_degree[v]),
-            out_weight_sum=float(self._out_weight_sum[v]),
-        )
 
     def new_queue(self) -> VectorQueue:
         """A coalescing queue sized/partitioned for the current state."""
@@ -280,7 +263,8 @@ class EngineCore:
             "states": self.states,
             "dependency": self.dependency,
             "prop_factor": self._prop_factor,
-            "offsets": self.csr.out_offsets,
+            "starts": self.csr.out_starts,
+            "degrees": self.csr.out_degrees,
             "out_targets": self.csr.out_targets,
             "out_weights": self.csr.out_weights,
         }
@@ -309,7 +293,10 @@ class EngineCore:
             owner = self._shard_of = extend_assignment(
                 self._shard_of, self.states.shape[0], self.num_engines
             )
+        # Edge addresses are the compact CSR's (logical offsets), so the
+        # accounting does not depend on the store's arena layout.
         offsets = self.csr.out_offsets
+        degrees = self.csr.out_degrees
         page_bytes = self.config.dram_page_bytes
         max_rows = self.config.scheduler_rows_per_round
         tracer = self.tracer
@@ -345,7 +332,7 @@ class EngineCore:
                 t1 = tracer.clock() if round_span is not None else 0.0
                 v = t[producers]
                 start = offsets[v]
-                deg = offsets[v + 1] - start
+                deg = degrees[v]
                 if owner is not None:
                     shard_works = parallel.engine_round_work(
                         owner, self.num_engines, t, written, v, deg, gen_s

@@ -133,9 +133,10 @@ def regular_shard_kernel(
     """Computation-phase work over one round's drained rows.
 
     ``ctx`` carries the algorithm/policy plus the state, dependency,
-    propagation-factor, and CSR out-arrays. The rows are the round's drain
-    in ascending-vertex order with unique targets (the queue coalesced all
-    regular events per vertex).
+    propagation-factor arrays and the CSR out-runs (``starts``,
+    ``degrees``, ``out_targets``, ``out_weights``). The rows are the
+    round's drain in ascending-vertex order with unique targets (the queue
+    coalesced all regular events per vertex).
 
     Gathers states, reduces element-wise, scatters the changed values
     back, and expands the frontier (changed or request-flagged vertices
@@ -146,7 +147,8 @@ def regular_shard_kernel(
     """
     algorithm = ctx["algorithm"]
     states = ctx["states"]
-    offsets = ctx["offsets"]
+    starts = ctx["starts"]
+    degrees = ctx["degrees"]
     out_targets = ctx["out_targets"]
     out_weights = ctx["out_weights"]
     old = states[targets]
@@ -157,11 +159,10 @@ def regular_shard_kernel(
     if ctx["policy"].tracks_dependency:
         ctx["dependency"][tc] = sources[changed]
     prop = changed | ((flags & 2) != 0)
-    start_all = offsets[targets]
-    deg_all = offsets[targets + 1] - start_all
+    deg_all = degrees[targets]
     idx = np.flatnonzero(prop & (deg_all > 0))
     v = targets[idx]
-    start = start_all[idx]
+    start = starts[v]
     deg = deg_all[idx]
     if algorithm.kind is AlgorithmKind.ACCUMULATIVE:
         # Linear fast path: forwarded delta is the incoming delta scaled
@@ -227,7 +228,6 @@ def delete_shard_kernel(
     algorithm = ctx["algorithm"]
     policy = ctx["policy"]
     states = ctx["states"]
-    offsets = ctx["offsets"]
     identity = algorithm.identity
     dap = policy is DeletePolicy.DAP
     st = states[targets]
@@ -248,12 +248,11 @@ def delete_shard_kernel(
     states[v] = identity
     if dap:
         ctx["dependency"][v] = NO_SOURCE
-    start_all = offsets[v]
-    deg_all = offsets[v + 1] - start_all
+    deg_all = ctx["degrees"][v]
     sub = np.flatnonzero(deg_all > 0)
     deg = deg_all[sub]
     total = int(deg.sum())
-    eidx = run_indices(start_all[sub], deg)
+    eidx = run_indices(ctx["starts"][v[sub]], deg)
     if policy is DeletePolicy.BASE:
         # BASE carries no value (Algorithm 4 queues <v, 0>).
         gen_p = np.zeros(total, dtype=np.float64)

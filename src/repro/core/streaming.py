@@ -44,7 +44,7 @@ from repro.streams import UpdateBatch
 def _source_ctx(algorithm, csr, sources: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Per-element ``(out_degree, out_weight_sum)`` context in ``csr``.
 
-    Degrees come from offset arithmetic. When the algorithm's context hook
+    Degrees are a gather of ``out_degrees``. When the algorithm's context hook
     reads the weight sums, they are reproduced **bit for bit** with
     :meth:`SourceContext.of` — a per-source left fold over the CSR-ordered
     out-edges. A prefix-sum difference or pairwise ``reduceat`` would round
@@ -52,8 +52,7 @@ def _source_ctx(algorithm, csr, sources: np.ndarray) -> Tuple[np.ndarray, np.nda
     touched sources. Selective algorithms with a vectorized propagate
     ignore the context entirely, so the fold is skipped for them.
     """
-    offsets = csr.out_offsets
-    degrees = offsets[sources + 1] - offsets[sources]
+    degrees = csr.out_degrees[sources]
     selective_fast = (
         algorithm.kind is AlgorithmKind.SELECTIVE
         and type(algorithm).propagate_arrays is not Algorithm.propagate_arrays
@@ -65,7 +64,8 @@ def _source_ctx(algorithm, csr, sources: np.ndarray) -> Tuple[np.ndarray, np.nda
     sums = np.empty(len(uniq), dtype=np.float64)
     for i, u in enumerate(uniq):
         total = 0.0
-        for j in range(int(offsets[u]), int(offsets[u + 1])):
+        start = int(csr.out_starts[u])
+        for j in range(start, start + int(csr.out_degrees[u])):
             total += float(weights[j])
         sums[i] = total
     return degrees, sums[inverse]
@@ -410,9 +410,8 @@ class JetStreamEngine:
         The degree-dependent accumulative flow expands each mutated source
         to its full stale out-edge set; this gathers those runs in one shot.
         """
-        offsets = csr.out_offsets
-        lengths = offsets[sources + 1] - offsets[sources]
-        edge_idx = run_indices(offsets[sources], lengths)
+        lengths = csr.out_degrees[sources]
+        edge_idx = run_indices(csr.out_starts[sources], lengths)
         return (
             np.repeat(sources, lengths),
             csr.out_targets[edge_idx].astype(np.int64, copy=False),
@@ -476,8 +475,7 @@ class JetStreamEngine:
         algorithm = self.algorithm
         imp = np.asarray(impacted, dtype=np.int64)
         self_mask, self_payloads = algorithm.self_events_arrays(imp)
-        in_offsets = new_csr.in_offsets
-        requests_per = in_offsets[imp + 1] - in_offsets[imp]
+        requests_per = new_csr.in_degrees[imp]
         lengths = self_mask.astype(np.int64) + requests_per
         total = int(lengths.sum())
         starts = np.cumsum(lengths) - lengths
@@ -491,7 +489,7 @@ class JetStreamEngine:
         flags[self_pos] = 0
         request_pos = np.ones(total, dtype=bool)
         request_pos[self_pos] = False
-        edge_idx = run_indices(in_offsets[imp], requests_per)
+        edge_idx = run_indices(new_csr.in_starts[imp], requests_per)
         targets[request_pos] = new_csr.in_sources[edge_idx]
 
         n_requests = int(requests_per.sum())

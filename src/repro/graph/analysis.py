@@ -42,7 +42,7 @@ class GraphProfile:
 
 def degree_distribution(csr: CSRGraph) -> np.ndarray:
     """Out-degree of every vertex."""
-    return np.diff(csr.out_offsets)
+    return csr.out_degrees.copy()
 
 
 def degree_skew(csr: CSRGraph) -> float:

@@ -31,6 +31,23 @@ EDGE_ENTRY_BYTES = 8
 class CSRGraph:
     """Immutable directed graph in dual (out + in) CSR form.
 
+    Each direction is a set of per-vertex *runs* in one slot array:
+    vertex ``u``'s out-edges are ``out_targets[s : s + d]`` (weights
+    ``out_weights[s : s + d]``) with ``s = out_starts[u]`` and
+    ``d = out_degrees[u]``, sorted by target id; likewise ``in_starts`` /
+    ``in_degrees`` / ``in_sources`` / ``in_weights`` for in-edges. A graph
+    built here (or by :meth:`from_arrays`) is *compact*: its runs lie back
+    to back in vertex order, so ``starts`` are its CSR offsets. A
+    :class:`~repro.graph.dynamic.DynamicGraph` snapshot shares the store's
+    edge arena instead, whose runs lie in any order with dead and spare
+    slots between them; :meth:`compact` gathers one back to back.
+
+    ``out_offsets`` / ``in_offsets`` are the *logical* offsets — those of
+    the compact CSR the paper's host hands the accelerator, a cumsum of the
+    degrees. The architectural model reads them for edge addresses, so the
+    accounting does not depend on the store's layout. They index the slot
+    arrays of a compact graph only.
+
     Parameters
     ----------
     num_vertices:
@@ -43,34 +60,29 @@ class CSRGraph:
     __slots__ = (
         "num_vertices",
         "num_edges",
-        "out_offsets",
+        "out_starts",
+        "out_degrees",
         "out_targets",
         "out_weights",
-        "in_offsets",
+        "in_starts",
+        "in_degrees",
         "in_sources",
         "in_weights",
+        "_out_offsets",
+        "_in_offsets",
+        "_compact",
     )
 
     def __init__(self, num_vertices: int, edges: Iterable[Edge]):
         edge_list = list(edges)
-        if num_vertices < 0:
-            raise ValueError("num_vertices must be non-negative")
-        self.num_vertices = int(num_vertices)
-        self.num_edges = len(edge_list)
-
-        src = np.fromiter((e[0] for e in edge_list), dtype=np.int64, count=len(edge_list))
-        dst = np.fromiter((e[1] for e in edge_list), dtype=np.int64, count=len(edge_list))
-        wgt = np.fromiter((e[2] for e in edge_list), dtype=np.float64, count=len(edge_list))
-        if len(edge_list) and (src.min() < 0 or dst.min() < 0):
-            raise ValueError("vertex ids must be non-negative")
-        if len(edge_list) and (src.max() >= num_vertices or dst.max() >= num_vertices):
-            raise ValueError("edge endpoint out of range")
-
-        self.out_offsets, self.out_targets, self.out_weights = _build_csr(
-            num_vertices, src, dst, wgt
-        )
-        self.in_offsets, self.in_sources, self.in_weights = _build_csr(
-            num_vertices, dst, src, wgt
+        count = len(edge_list)
+        self._assign(
+            *_compact_parts(
+                num_vertices,
+                np.fromiter((e[0] for e in edge_list), dtype=np.int64, count=count),
+                np.fromiter((e[1] for e in edge_list), dtype=np.int64, count=count),
+                np.fromiter((e[2] for e in edge_list), dtype=np.float64, count=count),
+            )
         )
 
     # ------------------------------------------------------------------
@@ -90,146 +102,168 @@ class CSRGraph:
     def from_arrays(
         cls, num_vertices: int, src: np.ndarray, dst: np.ndarray, wgt: np.ndarray
     ) -> "CSRGraph":
-        """Build a graph from parallel ``(src, dst, weight)`` arrays.
+        """Build a compact graph from parallel ``(src, dst, weight)`` arrays.
 
         The array-native equivalent of ``CSRGraph(num_vertices, edges)``:
         same validation and the same deterministic ``(src, dst)`` ordering,
         without materialising Python tuples.
         """
-        if num_vertices < 0:
-            raise ValueError("num_vertices must be non-negative")
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        wgt = np.asarray(wgt, dtype=np.float64)
-        if src.shape != dst.shape or src.shape != wgt.shape:
-            raise ValueError("src/dst/wgt arrays must have equal length")
-        if len(src) and (src.min() < 0 or dst.min() < 0):
-            raise ValueError("vertex ids must be non-negative")
-        if len(src) and (src.max() >= num_vertices or dst.max() >= num_vertices):
-            raise ValueError("edge endpoint out of range")
         return cls._from_parts(
-            int(num_vertices),
-            len(src),
-            *_build_csr(num_vertices, src, dst, wgt),
-            *_build_csr(num_vertices, dst, src, wgt),
+            *_compact_parts(
+                num_vertices,
+                np.asarray(src, dtype=np.int64),
+                np.asarray(dst, dtype=np.int64),
+                np.asarray(wgt, dtype=np.float64),
+            )
         )
 
     @classmethod
     def _from_parts(
-        cls,
-        num_vertices: int,
-        num_edges: int,
-        out_offsets: np.ndarray,
-        out_targets: np.ndarray,
-        out_weights: np.ndarray,
-        in_offsets: np.ndarray,
-        in_sources: np.ndarray,
-        in_weights: np.ndarray,
+        cls, num_vertices: int, num_edges: int, out, in_, offsets=None
     ) -> "CSRGraph":
-        """Trusted constructor from prebuilt CSR arrays (no validation).
+        """Trusted constructor from ``(starts, degrees, minors, weights)``
+        per direction (no validation).
 
-        Used by the incremental :class:`~repro.graph.dynamic.DynamicGraph`
-        store, whose spliced arrays are maintained in exactly the
-        ``_build_csr`` order, and by :meth:`reversed`. Callers own the
-        invariants: offsets monotone, targets sorted per source, both
-        directions describing the same edge multiset.
+        ``offsets`` — the ``(out, in)`` CSR offsets — marks a compact
+        graph; the :class:`~repro.graph.dynamic.DynamicGraph` store passes
+        none for its arena snapshots. Callers own the invariants: each run
+        sorted by minor id, both directions describing the same edges.
         """
         graph = object.__new__(cls)
-        graph.num_vertices = int(num_vertices)
-        graph.num_edges = int(num_edges)
-        graph.out_offsets = out_offsets
-        graph.out_targets = out_targets
-        graph.out_weights = out_weights
-        graph.in_offsets = in_offsets
-        graph.in_sources = in_sources
-        graph.in_weights = in_weights
+        graph._assign(num_vertices, num_edges, out, in_, offsets)
         return graph
+
+    def _assign(self, num_vertices: int, num_edges: int, out, in_, offsets) -> None:
+        self.num_vertices = int(num_vertices)
+        self.num_edges = int(num_edges)
+        self.out_starts, self.out_degrees, self.out_targets, self.out_weights = out
+        self.in_starts, self.in_degrees, self.in_sources, self.in_weights = in_
+        self._out_offsets, self._in_offsets = offsets or (None, None)
+        self._compact = offsets is not None
+
+    def compact(self) -> "CSRGraph":
+        """This graph with each direction's runs back to back in vertex
+        order — the compact CSR, whose ``out_offsets`` index its arrays
+        (``self`` when already compact)."""
+        if self._compact:
+            return self
+        return CSRGraph.from_arrays(self.num_vertices, *self.edge_arrays())
+
+    @property
+    def out_offsets(self) -> np.ndarray:
+        """Logical out-offsets (see the class docstring), cached."""
+        if self._out_offsets is None:
+            self._out_offsets = _offsets(self.out_degrees)
+        return self._out_offsets
+
+    @property
+    def in_offsets(self) -> np.ndarray:
+        """Logical in-offsets (see the class docstring), cached."""
+        if self._in_offsets is None:
+            self._in_offsets = _offsets(self.in_degrees)
+        return self._in_offsets
 
     # ------------------------------------------------------------------
     # Topology accessors
     # ------------------------------------------------------------------
     def out_degree(self, u: int) -> int:
         """Number of outgoing edges of ``u``."""
-        return int(self.out_offsets[u + 1] - self.out_offsets[u])
+        return int(self.out_degrees[u])
 
     def in_degree(self, v: int) -> int:
         """Number of incoming edges of ``v``."""
-        return int(self.in_offsets[v + 1] - self.in_offsets[v])
+        return int(self.in_degrees[v])
 
     def out_edges(self, u: int) -> Iterator[Tuple[int, float]]:
         """Yield ``(target, weight)`` for each outgoing edge of ``u``."""
-        start, stop = self.out_offsets[u], self.out_offsets[u + 1]
-        for i in range(start, stop):
+        start = int(self.out_starts[u])
+        for i in range(start, start + int(self.out_degrees[u])):
             yield int(self.out_targets[i]), float(self.out_weights[i])
 
     def in_edges(self, v: int) -> Iterator[Tuple[int, float]]:
         """Yield ``(source, weight)`` for each incoming edge of ``v``."""
-        start, stop = self.in_offsets[v], self.in_offsets[v + 1]
-        for i in range(start, stop):
+        start = int(self.in_starts[v])
+        for i in range(start, start + int(self.in_degrees[v])):
             yield int(self.in_sources[i]), float(self.in_weights[i])
 
     def out_neighbors(self, u: int) -> np.ndarray:
         """Targets of the outgoing edges of ``u`` as an array view."""
-        return self.out_targets[self.out_offsets[u] : self.out_offsets[u + 1]]
+        start = self.out_starts[u]
+        return self.out_targets[start : start + self.out_degrees[u]]
 
     def in_neighbors(self, v: int) -> np.ndarray:
         """Sources of the incoming edges of ``v`` as an array view."""
-        return self.in_sources[self.in_offsets[v] : self.in_offsets[v + 1]]
+        start = self.in_starts[v]
+        return self.in_sources[start : start + self.in_degrees[v]]
+
+    def _find(self, u: int, v: int) -> int:
+        """Slot of edge ``u -> v`` (the first, for parallel edges), or -1."""
+        start = int(self.out_starts[u])
+        stop = start + int(self.out_degrees[u])
+        i = start + int(np.searchsorted(self.out_targets[start:stop], v))
+        return i if i < stop and self.out_targets[i] == v else -1
 
     def has_edge(self, u: int, v: int) -> bool:
         """True if a directed edge ``u -> v`` exists (binary search)."""
-        start, stop = self.out_offsets[u], self.out_offsets[u + 1]
-        i = start + np.searchsorted(self.out_targets[start:stop], v)
-        return bool(i < stop and self.out_targets[i] == v)
+        return self._find(u, v) >= 0
 
     def edge_weight(self, u: int, v: int) -> float:
         """Weight of edge ``u -> v`` (first match); raises if absent.
 
-        Targets are sorted per source by ``_build_csr``, so the leftmost
-        binary-search hit is the same "first match" the old linear scan
-        returned (parallel edges keep their lexsort order).
+        Targets are sorted per source, so the leftmost binary-search hit
+        is the same "first match" a linear scan returns (parallel edges
+        keep their lexsort order).
         """
-        start, stop = self.out_offsets[u], self.out_offsets[u + 1]
-        i = start + np.searchsorted(self.out_targets[start:stop], v)
-        if i < stop and self.out_targets[i] == v:
-            return float(self.out_weights[i])
-        raise KeyError(f"no edge {u} -> {v}")
+        i = self._find(u, v)
+        if i < 0:
+            raise KeyError(f"no edge {u} -> {v}")
+        return float(self.out_weights[i])
+
+    def out_weight_sums(self) -> np.ndarray:
+        """Per-vertex sum of out-edge weights (Adsorption's normaliser).
+
+        Differences of one prefix sum over the weights in logical (compact
+        CSR) order, so every reader rounds the sums identically whatever
+        the slot layout.
+        """
+        if not self.num_edges:
+            return np.zeros(self.num_vertices, dtype=np.float64)
+        weights = self.out_weights[run_indices(self.out_starts, self.out_degrees)]
+        cumulative = np.concatenate(([0.0], np.cumsum(weights)))
+        offsets = self.out_offsets
+        return cumulative[offsets[1:]] - cumulative[offsets[:-1]]
 
     def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The edge set as parallel ``(src, dst, weight)`` arrays.
 
         Array-native replacement for :meth:`edges` on hot paths; rows are
-        in CSR order (sorted by source, then target). ``dst``/``weight``
-        are views of the CSR arrays — treat all three as read-only.
+        in CSR order (sorted by source, then target). On a compact graph
+        ``dst``/``weight`` are views of its arrays — treat all three as
+        read-only.
         """
-        src = np.repeat(
-            np.arange(self.num_vertices, dtype=np.int64),
-            np.diff(self.out_offsets),
-        )
-        return src, self.out_targets, self.out_weights
+        src = np.repeat(np.arange(self.num_vertices, dtype=np.int64), self.out_degrees)
+        if self._compact:
+            return src, self.out_targets, self.out_weights
+        idx = run_indices(self.out_starts, self.out_degrees)
+        return src, self.out_targets[idx], self.out_weights[idx]
 
     def edges(self) -> Iterator[Edge]:
         """Yield every edge as ``(src, dst, weight)`` in CSR order."""
-        for u in range(self.num_vertices):
-            start, stop = self.out_offsets[u], self.out_offsets[u + 1]
-            for i in range(start, stop):
-                yield u, int(self.out_targets[i]), float(self.out_weights[i])
+        src, dst, wgt = self.edge_arrays()
+        return zip(src.tolist(), dst.tolist(), wgt.tolist())
 
     def reversed(self) -> "CSRGraph":
         """Graph with every edge direction flipped.
 
-        The reversed out-CSR *is* this graph's in-CSR (both are built by
-        the same ``_build_csr`` sort), so this is an O(1) view swap.
+        The reversed out-CSR *is* this graph's in-CSR (both are sorted the
+        same way), so this is an O(1) view swap.
         """
         return CSRGraph._from_parts(
             self.num_vertices,
             self.num_edges,
-            self.in_offsets,
-            self.in_sources,
-            self.in_weights,
-            self.out_offsets,
-            self.out_targets,
-            self.out_weights,
+            (self.in_starts, self.in_degrees, self.in_sources, self.in_weights),
+            (self.out_starts, self.out_degrees, self.out_targets, self.out_weights),
+            (self._in_offsets, self._out_offsets) if self._compact else None,
         )
 
     def symmetrized(self) -> "CSRGraph":
@@ -291,6 +325,33 @@ class CSRGraph:
         raise TypeError("CSRGraph is not hashable")
 
 
+def _compact_parts(num_vertices: int, src: np.ndarray, dst: np.ndarray, wgt: np.ndarray):
+    """Validated :meth:`CSRGraph._from_parts` arguments of a compact graph."""
+    if num_vertices < 0:
+        raise ValueError("num_vertices must be non-negative")
+    if src.shape != dst.shape or src.shape != wgt.shape:
+        raise ValueError("src/dst/wgt arrays must have equal length")
+    if len(src) and (src.min() < 0 or dst.min() < 0):
+        raise ValueError("vertex ids must be non-negative")
+    if len(src) and (src.max() >= num_vertices or dst.max() >= num_vertices):
+        raise ValueError("edge endpoint out of range")
+    out = _build_csr(num_vertices, src, dst, wgt)
+    in_ = _build_csr(num_vertices, dst, src, wgt)
+    return int(num_vertices), len(src), _runs(*out), _runs(*in_), (out[0], in_[0])
+
+
+def _offsets(degrees: np.ndarray) -> np.ndarray:
+    """CSR offsets of runs of ``degrees`` laid back to back."""
+    offsets = np.zeros(len(degrees) + 1, dtype=np.int64)
+    np.cumsum(degrees, out=offsets[1:])
+    return offsets
+
+
+def _runs(offsets: np.ndarray, minors: np.ndarray, weights: np.ndarray):
+    """``(starts, degrees, minors, weights)`` of a direction stored back to back."""
+    return offsets[:-1], np.diff(offsets), minors, weights
+
+
 def _build_csr(
     num_vertices: int, src: np.ndarray, dst: np.ndarray, wgt: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -303,9 +364,7 @@ def _build_csr(
         )
     order = np.lexsort((dst, src))
     src, dst, wgt = src[order], dst[order], wgt[order]
-    counts = np.bincount(src, minlength=num_vertices)
-    offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
+    offsets = _offsets(np.bincount(src, minlength=num_vertices))
     return offsets, dst.astype(np.int64), wgt.astype(np.float64)
 
 
@@ -321,7 +380,9 @@ def run_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     if total == 0:
         return np.empty(0, dtype=np.int64)
     exclusive = np.cumsum(lengths) - lengths
-    return np.arange(total, dtype=np.int64) + np.repeat(starts - exclusive, lengths)
+    indices = np.repeat(starts - exclusive, lengths)
+    indices += np.arange(total, dtype=np.int64)
+    return indices
 
 
 def edges_from_arrays(

@@ -7,36 +7,38 @@ the host hand the accelerator a fresh CSR pointer after every batch.
 :class:`repro.streams.UpdateBatch` mutations, bumps a version counter, and
 emits immutable :class:`~repro.graph.csr.CSRGraph` snapshots.
 
-Storage is a structure of arrays in the GraphOne style: each direction
-keeps one globally sorted int64 *composite key* array (``src << 31 |
-dst`` for the out-direction, ``dst << 31 | src`` for the in-direction;
-vertex ids are below ``2**31``), a parallel weight array, and per-vertex
-offsets — i.e. the CSR arrays themselves, maintained incrementally. These
-arrays are the one representation of the edge set: membership and weight
-lookups are a ``searchsorted`` over the out-direction keys.
+Storage is one *edge arena* per direction (RisGraph-style indexed
+adjacency with slack, in array form): parallel minor-id and weight slot
+arrays, per-vertex ``start`` / ``degree`` arrays, a tail index and a
+dead-slot count. Vertex ``u``'s out-edges are one *run* of slots sorted
+by target id (its in-edges one run of the in-arena, sorted by source id).
+Membership and weight lookups are a binary search inside one out-run,
+vectorised over a batch.
 
 Two mutation paths share one splice. A *batch* is checked whole, as
-arrays, against the flushed store (:meth:`DynamicGraph.check_batch`: one
-``searchsorted`` answers every membership and weight question, and
+arrays, against the flushed store (:meth:`DynamicGraph.check_batch`:
 nothing mutates unless the whole batch passes), then spliced into both
 directions at once (:meth:`DynamicGraph.apply_batch`). *Single* edges
 (:meth:`~DynamicGraph.add_edge` / :meth:`~DynamicGraph.remove_edge`, the
 express lane's path) are recorded as pending edits, indexed by source and
-by target and bounded by the next flush, and folded into the arrays
-lazily when a snapshot or batch check needs them. Adjacency queries do
-not flush: they read a vertex's stored run and its pending edits, so
-the express lane classifies against the store itself. Either way a
-splice costs one vectorized compress/insert memcpy per direction, and
-Python-level work scales with the batch, not with E.
+by target and bounded by the next flush, and folded into the arenas
+lazily when a snapshot or batch check needs them. Adjacency and degree
+queries do not flush: they read a vertex's stored run (or degree) and its
+pending edits, so the express lane classifies against the store itself.
+Either way a splice gathers only the touched vertices' runs, merges the
+deletions out and the insertions in, and writes each new run afresh at
+the arena tail — copy-on-write per run — so its cost scales with the
+touched runs, not with E. A direction whose new runs do not fit, or whose
+dead slots would outnumber its live ones, compacts into fresh arrays.
 
-Because the key arrays are kept in exactly the order
-:func:`repro.graph.csr._build_csr` produces (sorted by source then target,
-resp. target then source), a snapshot is a zero-sort view: the offsets and
-weights are handed to :meth:`CSRGraph._from_parts` directly and the
-target/source columns are recovered with one mask each. Snapshots are
-copy-on-write safe — every flush allocates fresh arrays — and cached per
-mutation state, so back-to-back ``snapshot()`` calls (the streaming
-orchestrator takes one before and one after each batch) cost nothing.
+A snapshot is the arenas themselves plus O(V) copies of ``start`` /
+``degree``: no O(E) array is built. Later splices write only past every
+existing snapshot's runs, and compaction only into fresh arrays, so every
+snapshot stays valid. Snapshots are cached per mutation state, so
+back-to-back ``snapshot()`` calls (the streaming orchestrator takes one
+before and one after each batch) cost nothing. Their logical offsets —
+those of the compact CSR the paper's host would hand over — are a cumsum
+of the degrees (:attr:`CSRGraph.out_offsets`).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, run_indices
 from repro.streams import (
     VERTEX_ID_LIMIT,
     UpdateBatch,
@@ -70,6 +72,12 @@ class GraphMutationError(ValueError):
 #: ``major << 31 | minor`` fits an int64 and sorts by (major, minor).
 _SHIFT = 31
 _MASK = VERTEX_ID_LIMIT - 1
+
+#: Arena slots per live edge after a bulk load or a compaction. A direction
+#: compacts when a splice's new runs would not fit, or when its dead slots
+#: would outnumber ``_SLACK - 1`` times its live ones, so it holds about
+#: this many slots per live edge at most.
+_SLACK = 2
 
 
 def _splice_sorted(keys, weights, del_keys, ins_keys, ins_weights):
@@ -165,21 +173,30 @@ class CheckedBatch:
 
 
 class _DirectedCSR:
-    """One direction of the incremental dual-CSR store.
+    """One direction of the dual-CSR store: an edge arena.
 
-    ``keys`` is a globally sorted int64 array of ``major << 31 | minor``
-    composite keys (major = the CSR grouping vertex), ``weights`` the
-    parallel edge weights, ``offsets`` the per-major CSR offsets. All
-    updates are copy-on-write: a splice allocates fresh arrays, so CSR
-    snapshots holding the previous arrays stay valid.
+    ``minors`` / ``weights`` are parallel slot arrays; vertex ``major``'s
+    edges are the *run* ``minors[s : s + d]`` (weights ``weights[s : s +
+    d]``) with ``s = start[major]`` and ``d = degree[major]``, sorted by
+    minor id. Runs lie anywhere below ``tail``; the other slots below it
+    are ``dead`` (old copies of rewritten runs). A splice writes each
+    touched vertex's new run afresh at the tail, so no slot a snapshot's
+    run covers is ever written again: snapshots share ``minors`` /
+    ``weights`` and copy ``start`` / ``degree``. When the new runs do not
+    fit, or the dead slots would outnumber the live ones, the live runs
+    move to fresh arrays with :data:`_SLACK` slots per live edge — never
+    into an array a snapshot holds.
     """
 
-    __slots__ = ("keys", "weights", "offsets")
+    __slots__ = ("minors", "weights", "start", "degree", "tail", "dead")
 
     def __init__(self, num_vertices: int):
-        self.keys = np.empty(0, dtype=np.int64)
+        self.minors = np.empty(0, dtype=np.int64)
         self.weights = np.empty(0, dtype=np.float64)
-        self.offsets = np.zeros(num_vertices + 1, dtype=np.int64)
+        self.start = np.zeros(num_vertices, dtype=np.int64)
+        self.degree = np.zeros(num_vertices, dtype=np.int64)
+        self.tail = 0
+        self.dead = 0
 
     def rebuild(
         self,
@@ -187,58 +204,162 @@ class _DirectedCSR:
         minors: np.ndarray,
         weights: np.ndarray,
         num_vertices: int,
-    ) -> None:
-        """Bulk (re)build from unsorted parallel arrays."""
+    ) -> np.ndarray:
+        """Bulk (re)build from unsorted parallel arrays, runs back to back
+        in vertex order with :data:`_SLACK` slots per edge; returns the
+        sorted composite keys."""
         keys = (majors.astype(np.int64) << _SHIFT) | minors.astype(np.int64)
         order = np.argsort(keys, kind="stable")
-        self.keys = keys[order]
-        self.weights = np.asarray(weights, dtype=np.float64)[order]
-        counts = np.bincount(majors, minlength=num_vertices)
-        offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        self.offsets = offsets
+        keys = keys[order]
+        live = len(keys)
+        self.minors = np.empty(_SLACK * live, dtype=np.int64)
+        self.weights = np.empty(_SLACK * live, dtype=np.float64)
+        np.bitwise_and(keys, _MASK, out=self.minors[:live])
+        self.weights[:live] = np.asarray(weights, dtype=np.float64)[order]
+        self.degree = np.bincount(majors, minlength=num_vertices).astype(np.int64)
+        self.start = np.cumsum(self.degree) - self.degree
+        self.tail, self.dead = live, 0
+        return keys
 
     def grow(self, num_vertices: int) -> None:
-        """Extend the offsets to cover newly created (isolated) vertices."""
-        missing = num_vertices + 1 - len(self.offsets)
+        """Extend ``start`` / ``degree`` to newly created (isolated) vertices."""
+        missing = num_vertices - len(self.degree)
         if missing > 0:
-            tail = np.full(missing, self.offsets[-1], dtype=np.int64)
-            self.offsets = np.concatenate([self.offsets, tail])
+            self.start = np.concatenate([self.start, np.zeros(missing, dtype=np.int64)])
+            self.degree = np.concatenate([self.degree, np.zeros(missing, dtype=np.int64)])
+
+    def parts(self):
+        """This state as :meth:`CSRGraph._from_parts` direction arguments."""
+        return self.start.copy(), self.degree.copy(), self.minors, self.weights
+
+    def ordered(self) -> EdgeArrays:
+        """Fresh ``(major, minor, weight)`` columns in key order."""
+        idx = run_indices(self.start, self.degree)
+        majors = np.repeat(np.arange(len(self.degree), dtype=np.int64), self.degree)
+        return majors, self.minors[idx], self.weights[idx]
 
     def splice(
-        self, del_keys: np.ndarray, ins_keys: np.ndarray, ins_weights: np.ndarray
-    ) -> None:
-        """Remove ``del_keys`` and merge ``ins_keys`` (both sorted).
+        self,
+        touched: np.ndarray,
+        del_keys: np.ndarray,
+        ins_keys: np.ndarray,
+        ins_weights: np.ndarray,
+    ) -> Tuple[int, bool]:
+        """Rewrite the runs of the sorted ``touched`` majors: remove
+        ``del_keys`` and merge ``ins_keys`` (both sorted composite keys).
 
         Every deleted key must be present and every inserted key absent
-        (the caller has checked both). One vectorized compress-plus-merge
-        pass; the offsets are updated from the touched majors' degree
-        deltas, so the Python-level cost is O(batch) and the array cost
-        one memcpy of each direction.
+        (the caller has checked both). Gathers only the touched runs and
+        writes them at the tail; the new degrees are the old ones less
+        the batch's per-major deletions plus its insertions. Returns the
+        slots written (compaction included) and whether it compacted.
         """
-        self.keys, self.weights = _splice_sorted(
-            self.keys, self.weights, del_keys, ins_keys, ins_weights
+        old_degree = self.degree[touched]
+        idx = run_indices(self.start[touched], old_degree)
+        minors, weights = self.minors[idx], self.weights[idx]
+        keys = np.repeat(touched, old_degree)
+        keys <<= _SHIFT
+        keys |= minors
+        # Positions in the gathered runs: each deletion's own, each
+        # insertion's in the merged runs (past the kept keys below it).
+        del_pos = keys.searchsorted(del_keys)
+        ins_pos = keys.searchsorted(ins_keys)
+        ins_pos += np.arange(len(ins_keys)) - del_pos.searchsorted(ins_pos)
+        keep = np.ones(len(idx), dtype=bool)
+        keep[del_pos] = False
+        degree = (
+            old_degree
+            - np.bincount(touched.searchsorted(del_keys >> _SHIFT), minlength=len(touched))
+            + np.bincount(touched.searchsorted(ins_keys >> _SHIFT), minlength=len(touched))
         )
-        delta = np.zeros(len(self.offsets), dtype=np.int64)
-        if len(ins_keys):
-            np.add.at(delta, (ins_keys >> _SHIFT) + 1, 1)
-        if len(del_keys):
-            np.subtract.at(delta, (del_keys >> _SHIFT) + 1, 1)
-        self.offsets = self.offsets + np.cumsum(delta)
+        need = len(idx) - len(del_keys) + len(ins_keys)
+        self.degree[touched] = 0
+        self.dead += len(idx)
+        written, compacted = need, False
+        live = self.tail - self.dead
+        if self.tail + need > len(self.minors) or self.dead > (_SLACK - 1) * (live + need):
+            written += self._compact(live + need)
+            compacted = True
+        tail = self.tail
+        kept = np.ones(need, dtype=bool)
+        kept[ins_pos] = False
+        run_minors = self.minors[tail : tail + need]
+        run_weights = self.weights[tail : tail + need]
+        run_minors[kept] = minors[keep]
+        run_weights[kept] = weights[keep]
+        run_minors[ins_pos] = ins_keys & _MASK
+        run_weights[ins_pos] = ins_weights
+        self.start[touched] = tail + np.cumsum(degree) - degree
+        self.degree[touched] = degree
+        self.tail = tail + need
+        return written, compacted
+
+    def _compact(self, live_after: int) -> int:
+        """Move the live runs back to back, in vertex order, into fresh
+        arrays sized :data:`_SLACK` slots per edge of ``live_after``;
+        returns the slots moved."""
+        live = self.tail - self.dead
+        minors = np.empty(_SLACK * live_after, dtype=np.int64)
+        weights = np.empty(_SLACK * live_after, dtype=np.float64)
+        idx = run_indices(self.start, self.degree)
+        np.take(self.minors, idx, out=minors[:live])
+        np.take(self.weights, idx, out=weights[:live])
+        self.start = np.cumsum(self.degree) - self.degree
+        self.minors, self.weights, self.tail, self.dead = minors, weights, live, 0
+        return live
+
+    def find(self, major: int, minor: int) -> int:
+        """Slot of edge ``major -> minor``, -1 if it is not stored."""
+        if major >= len(self.degree):
+            return -1
+        start = self.start.item(major)
+        stop = start + self.degree.item(major)
+        minors = self.minors
+        i = start + int(minors[start:stop].searchsorted(minor))
+        return i if i < stop and minors.item(i) == minor else -1
+
+    def lookup(self, majors: np.ndarray, minors: np.ndarray) -> EdgeArrays:
+        """``(live, slot, weight)`` of each edge ``majors[i] -> minors[i]``:
+        one binary search inside each run, vectorised over the probes. An
+        absent edge's slot is its insertion point in the run and its weight
+        is meaningless."""
+        n, table = len(self.degree), self.minors
+        inside = majors < n
+        if not len(table) or not inside.any():
+            zeros = np.zeros(len(majors), dtype=np.int64)
+            return np.zeros(len(majors), dtype=bool), zeros, np.zeros(len(majors))
+        clipped = np.minimum(majors, n - 1)
+        base = self.start[clipped]
+        count = self.degree[clipped] * inside
+        stop = base + count
+        # Branchless lower bound: halve every run's window in lockstep.
+        for _ in range(int(count.max() - 1).bit_length()):
+            half = count >> 1
+            base += half * (table.take(base + half, mode="clip") < minors)
+            count -= half
+        base += (count > 0) & (table.take(base, mode="clip") < minors)
+        live = (base < stop) & (table.take(base, mode="clip") == minors)
+        return live, base, self.weights.take(base, mode="clip")
+
+    def degree_of(self, major: int, edits: Optional[Dict[int, Optional[float]]]) -> int:
+        """Live degree of ``major``: the stored one, corrected by each
+        pending edit that adds or removes a stored minor."""
+        degree = self.degree.item(major) if major < len(self.degree) else 0
+        for minor, w in (edits or {}).items():
+            degree += (w is not None) - (self.find(major, minor) >= 0)
+        return degree
 
     def adjacent(
         self, major: int, edits: Optional[Dict[int, Optional[float]]]
     ) -> Iterator[Tuple[int, float]]:
         """Live ``(minor, weight)`` pairs of ``major``: the stored run in
-        key order, skipping minors with a pending edit, then the pending
+        minor order, skipping minors with a pending edit, then the pending
         inserts in edit order."""
         run = iter(())
-        if major + 1 < len(self.offsets):  # offsets grow only at a flush
-            start, stop = self.offsets[major], self.offsets[major + 1]
-            run = zip(
-                (self.keys[start:stop] & _MASK).tolist(),
-                self.weights[start:stop].tolist(),
-            )
+        if major < len(self.degree):  # start/degree grow only at a flush
+            start = self.start.item(major)
+            stop = start + self.degree.item(major)
+            run = zip(self.minors[start:stop].tolist(), self.weights[start:stop].tolist())
         if not edits:
             yield from run
             return
@@ -290,6 +411,8 @@ class DynamicGraph:
             "snapshot_builds": 0,
             "snapshot_cache_hits": 0,
             "full_rebuilds": 0,
+            "compactions": 0,
+            "slots_written": 0,
         }
 
     # ------------------------------------------------------------------
@@ -341,8 +464,7 @@ class DynamicGraph:
             )
             wgt = np.concatenate([wgt, wgt[mirror]])
         graph = cls(n, symmetric=symmetric)
-        graph._out.rebuild(src, dst, wgt, n)
-        keys = graph._out.keys
+        keys = graph._out.rebuild(src, dst, wgt, n)
         if (keys[1:] == keys[:-1]).any():
             raise GraphMutationError(
                 "duplicate edge in bulk load; model weight change as "
@@ -407,17 +529,14 @@ class DynamicGraph:
 
     def _weight(self, u: int, v: int) -> Optional[float]:
         """Live weight of ``u -> v``, ``None`` if absent: the pending edit
-        if there is one, else one binary search over the out-keys."""
+        if there is one, else one binary search inside ``u``'s out-run."""
         edits = self._pending_out.get(u)
         if edits is not None and v in edits:
             return edits[v]
         if not (0 <= u < VERTEX_ID_LIMIT and 0 <= v < VERTEX_ID_LIMIT):
             return None
-        keys, key = self._out.keys, (u << _SHIFT) | v
-        i = int(keys.searchsorted(key))
-        if i < len(keys) and keys[i] == key:
-            return float(self._out.weights[i])
-        return None
+        i = self._out.find(u, v)
+        return self._out.weights.item(i) if i >= 0 else None
 
     def _grow(self, n: int) -> None:
         if n > self.num_vertices:
@@ -435,9 +554,9 @@ class DynamicGraph:
         halfway through the mutation. Raises :class:`GraphMutationError`
         for a deletion of an edge that is not live, an insertion of a live
         edge the batch does not also delete (a weight change is delete +
-        insert, §2.1), or a directed edge named twice on one side. One
-        ``searchsorted`` over the flushed out-direction keys answers every
-        membership and weight question.
+        insert, §2.1), or a directed edge named twice on one side.
+        :meth:`_DirectedCSR.lookup` answers every membership and weight
+        question: a binary search inside each probed out-run.
         """
         rows, keys = batch.ins, batch.dels
         if self.symmetric:
@@ -447,7 +566,7 @@ class DynamicGraph:
         du, dv = keys[:, 0].copy(), keys[:, 1].copy()
         self._flush()
         m = len(du)
-        live, pos, weights = self._lookup(
+        live, pos, weights = self._out.lookup(
             np.concatenate([du, iu]), np.concatenate([dv, iv])
         )
         if not live[:m].all():
@@ -533,19 +652,6 @@ class DynamicGraph:
         self._out.grow(self.num_vertices)
         self._in.grow(self.num_vertices)
 
-    def _lookup(self, u: np.ndarray, v: np.ndarray) -> EdgeArrays:
-        """``(live, position, stored weight)`` of each directed edge
-        ``u[i] -> v[i]`` in the flushed out-direction arrays. An absent
-        edge's position is its insertion point and its weight is
-        meaningless."""
-        keys = self._out.keys
-        probe = (u << _SHIFT) | v
-        pos = np.searchsorted(keys, probe)
-        if not len(keys):
-            return np.zeros(len(u), dtype=bool), pos, np.zeros(len(u))
-        hit = np.minimum(pos, len(keys) - 1)
-        return keys[hit] == probe, pos, self._out.weights[hit]
-
     def _splice(self, del_u, del_v, ins_u, ins_v, ins_w) -> None:
         """Delete and insert directed edges in both CSR directions.
 
@@ -560,11 +666,14 @@ class DynamicGraph:
         ):
             ins_keys = (ins_major << _SHIFT) | ins_minor
             order = np.argsort(ins_keys)
-            csr.splice(
+            written, compacted = csr.splice(
+                np.union1d(del_major, ins_major),
                 np.sort((del_major << _SHIFT) | del_minor),
                 ins_keys[order],
                 ins_w[order],
             )
+            self._stats["slots_written"] += written
+            self._stats["compactions"] += compacted
         self._stats["edges_spliced"] += len(del_u) + len(ins_u)
 
     def _flush(self) -> None:
@@ -573,7 +682,7 @@ class DynamicGraph:
         Pending edits are net-resolved against the arrays: an edge deleted
         and re-added with its old weight is a no-op, a weight change is one
         delete plus one insert. Python cost is O(pending); array cost is
-        one compress/merge memcpy per direction.
+        the edited vertices' runs, rewritten at each direction's tail.
         """
         self._grow_offsets()
         if not self._pending_out:
@@ -584,7 +693,7 @@ class DynamicGraph:
         edits = [w for _, row in pending for w in row.values()]
         cur_has = np.array([w is not None for w in edits], dtype=bool)
         cur_w = np.array([0.0 if w is None else w for w in edits], dtype=np.float64)
-        in_base, _, base_w = self._lookup(t_u, t_v)
+        in_base, _, base_w = self._out.lookup(t_u, t_v)
         changed = cur_w != base_w
         dels = in_base & (~cur_has | changed)
         ins = cur_has & (~in_base | changed)
@@ -608,12 +717,13 @@ class DynamicGraph:
         return w
 
     def out_degree(self, u: int) -> int:
-        """Current out-degree of ``u`` (counted like :meth:`out_edges`)."""
-        return sum(1 for _ in self.out_edges(u))
+        """Current out-degree of ``u``: the stored degree plus ``u``'s
+        pending edits, without a flush."""
+        return self._out.degree_of(u, self._pending_out.get(u))
 
     def in_degree(self, v: int) -> int:
-        """Current in-degree of ``v`` (counted like :meth:`in_edges`)."""
-        return sum(1 for _ in self.in_edges(v))
+        """Current in-degree of ``v``, like :meth:`out_degree`."""
+        return self._in.degree_of(v, self._pending_in.get(v))
 
     def out_edges(self, u: int) -> Iterator[Tuple[int, float]]:
         """Yield ``(target, weight)`` pairs for ``u``'s out-edges.
@@ -646,31 +756,23 @@ class DynamicGraph:
 
     def edges(self) -> Iterator[Edge]:
         """Yield every directed edge ``(u, v, w)`` in CSR order."""
-        self._flush()
-        keys, weights = self._out.keys, self._out.weights
-        for i in range(len(keys)):
-            key = int(keys[i])
-            yield key >> _SHIFT, key & _MASK, float(weights[i])
+        src, dst, wgt = self.edge_arrays()
+        return zip(src.tolist(), dst.tolist(), wgt.tolist())
 
     def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The live edge set as parallel ``(src, dst, wgt)`` arrays.
 
         Rows are in CSR (src, dst) order; the returned arrays are fresh
-        (safe to mutate).
+        (safe to mutate): one gather of the out-runs.
         """
         self._flush()
-        keys = self._out.keys
-        return keys >> _SHIFT, keys & _MASK, self._out.weights.copy()
+        return self._out.ordered()
 
     def key_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The live edge set as sorted ``u << 31 | v`` keys and weights.
-
-        These are the store's own arrays, not copies. Every splice
-        replaces them rather than writing into them, so they stay valid
-        as a snapshot of this moment; treat them as read-only.
-        """
-        self._flush()
-        return self._out.keys, self._out.weights
+        """The live edge set as fresh sorted ``u << 31 | v`` keys and
+        weights (one gather of the out-runs)."""
+        src, dst, wgt = self.edge_arrays()
+        return (src << _SHIFT) | dst, wgt
 
     def store_stats(self) -> Dict[str, int]:
         """Incremental-store instrumentation counters (copy)."""
@@ -682,10 +784,11 @@ class DynamicGraph:
     def snapshot(self) -> CSRGraph:
         """Immutable CSR snapshot of the current version.
 
-        Splices the pending mutations into the persistent key arrays and
-        hands the offsets/weights to the snapshot directly (every flush is
-        copy-on-write, so older snapshots stay isolated); repeated calls
-        without intervening mutations hit a cache.
+        Splices the pending mutations into the arenas and hands them to
+        the snapshot with copies of the per-vertex ``start`` / ``degree``
+        arrays — O(V), no O(E) array. Later splices write only past every
+        snapshot's runs or into fresh arrays, so older snapshots stay
+        isolated; repeated calls without intervening mutations hit a cache.
         """
         if (
             self._snapshot_cache is not None
@@ -695,14 +798,7 @@ class DynamicGraph:
             return self._snapshot_cache[1]
         self._flush()
         csr = CSRGraph._from_parts(
-            self.num_vertices,
-            len(self._out.keys),
-            self._out.offsets,
-            self._out.keys & _MASK,
-            self._out.weights,
-            self._in.offsets,
-            self._in.keys & _MASK,
-            self._in.weights,
+            self.num_vertices, self._num_edges, self._out.parts(), self._in.parts()
         )
         self._stats["snapshot_builds"] += 1
         self._snapshot_cache = (self._mutations, csr)
@@ -799,9 +895,9 @@ class DeltaVersionStore:
     deletions), reconstructing any retained version on demand instead of
     keeping a full snapshot per version. §4.7 allows either: the
     accelerator only needs a CSR view of the requested version. Every edge
-    set is the store's own representation — sorted ``u << 31 | v`` keys
-    and weights — so the base starts as the graph's arrays themselves
-    (shared, never written) and versions meet by sorted-array
+    set is sorted ``u << 31 | v`` keys and weights: the base starts as
+    one compacting gather of the graph's out-runs
+    (:meth:`DynamicGraph.key_arrays`) and versions meet by sorted-array
     intersection.
 
     Reconstruction rolls forward from the last reconstructed version when

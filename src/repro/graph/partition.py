@@ -58,7 +58,7 @@ def partition_graph(
 
     capacity = int(np.ceil(n / num_slices) * (1 + balance_slack))
     assignment = np.full(n, -1, dtype=np.int64)
-    degrees = np.diff(graph.out_offsets) + np.diff(graph.in_offsets)
+    degrees = graph.out_degrees + graph.in_degrees
     seed_order = np.argsort(-degrees, kind="stable")
     seed_cursor = 0
 

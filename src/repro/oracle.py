@@ -277,6 +277,7 @@ class ScalarCore(EngineCore):
         threshold = algorithm.propagation_threshold
         weight_scaled = algorithm.weight_scaled_propagation
         prop_factor = self._prop_factor
+        csr = csr.compact()
         offsets = csr.out_offsets
         targets = csr.out_targets
         weights = csr.out_weights
@@ -376,6 +377,7 @@ class ScalarCore(EngineCore):
         identity = algorithm.identity
         propagate = algorithm.propagate
         more_progressed = algorithm.more_progressed
+        csr = csr.compact()
         offsets = csr.out_offsets
         targets = csr.out_targets
         weights = csr.out_weights

@@ -104,9 +104,10 @@ def pagerank(
 
     (dangling mass is absorbed, no normalization).
     """
+    csr = csr.compact()
     n = csr.num_vertices
     ranks = np.full(n, 1.0 - alpha)
-    degrees = np.diff(csr.out_offsets).astype(np.float64)
+    degrees = csr.out_degrees.astype(np.float64)
     for _ in range(max_iter):
         incoming = np.zeros(n)
         for u in range(n):
@@ -134,6 +135,7 @@ def adsorption(
 
         s(v) = p_inject*inj(v) + p_continue * sum_{u->v} (w/W_out(u)) * s(u)
     """
+    csr = csr.compact()
     n = csr.num_vertices
     base = np.zeros(n)
     for v, mass in injections.items():

@@ -189,20 +189,33 @@ class TestStateManagement:
         assert np.array_equal(core.states[:4], base)
         assert np.all(np.isinf(core.states[4:]))
 
-    def test_source_context_accumulative(self):
-        algorithm = make_algorithm("pagerank")
-        core = EngineCore(algorithm, AcceleratorConfig(), DeletePolicy.BASE)
-        csr = CSRGraph(3, [(0, 1, 2.0), (0, 2, 4.0)])
-        core.allocate(3)
-        core.bind_graph(csr)
-        ctx = core.source_context(0)
-        assert ctx.out_degree == 2
-        assert ctx.out_weight_sum == 6.0
-
-    def test_source_context_selective_is_null(self):
-        core = make_core()
-        ctx = core.source_context(0)
-        assert ctx.out_degree == 0
+    def test_adsorption_prop_factor_on_arena_snapshot_matches_compact(self):
+        """Adsorption's per-source factor divides by out-weight sums; on
+        an arena snapshot (runs rewritten out of vertex order, dead slots
+        between them) they are summed in logical CSR order, so the factor
+        is bit-identical to the compact graph's."""
+        rng = np.random.default_rng(7)
+        src, dst = rng.integers(0, 40, size=(2, 300))
+        keep = np.unique(src * 40 + dst, return_index=True)[1]
+        graph = DynamicGraph.from_arrays(src[keep], dst[keep], rng.random(len(keep)), 40)
+        graph.apply_batch([(u, 39, 0.3) for u in range(0, 38, 3) if not graph.has_edge(u, 39)])
+        graph.apply_batch(
+            [(0, v, 0.7) for v in range(1, 39, 5) if not graph.has_edge(0, v)]
+        )
+        arena = graph.snapshot()
+        compact = CSRGraph.from_arrays(40, *arena.edge_arrays())
+        assert not np.array_equal(arena.out_starts, compact.out_starts)
+        factors = []
+        for csr in (arena, compact):
+            core = EngineCore(
+                make_algorithm("adsorption", injections={0: 1.0}),
+                AcceleratorConfig(),
+                DeletePolicy.BASE,
+            )
+            core.allocate(40)
+            core.bind_graph(csr)
+            factors.append(core._prop_factor)
+        assert factors[0].tobytes() == factors[1].tobytes()
 
 
 class TestPhaseScheduling:

@@ -1,11 +1,13 @@
 """Seeded property tests for the incremental array-native graph store.
 
-The :class:`DynamicGraph` store maintains both CSR directions by splicing
-only the touched adjacency runs. These tests drive randomized batch
-sequences — inserts, deletes, weight changes, vertex growth, symmetric
-mirroring — and assert the spliced arrays are *identical* (every
-offset, target, source, and weight) to a from-scratch :class:`CSRGraph`
-build over an independently tracked edge dict. Batches arrive as tuple
+The :class:`DynamicGraph` store keeps each CSR direction as an edge arena
+and rewrites only the touched vertices' runs, copy-on-write at the arena
+tail. These tests drive randomized batch sequences — inserts, deletes,
+weight changes, vertex growth, symmetric mirroring — and assert every
+snapshot reads *identically* (edge arrays, logical offsets, adjacency,
+lookups, edge pages) to a from-scratch :class:`CSRGraph` over an
+independently tracked edge dict — the latest one and every earlier one
+still held, across arena growth and compaction. Batches arrive as tuple
 lists and as ``(n, 3)`` / ``(m, 2)`` arrays; poisoned batches (a missing
 delete, a duplicate insert, a re-insert without its delete, a mirrored
 pair) must be refused whole, leaving no trace in the store.
@@ -26,21 +28,48 @@ BATCH_SIZE = 14
 
 
 def assert_csr_identical(actual: CSRGraph, expected: CSRGraph) -> None:
+    """``actual`` reads exactly like ``expected`` through every public
+    reader, whatever its slot layout (arena runs or compact)."""
     assert actual.num_vertices == expected.num_vertices
     assert actual.num_edges == expected.num_edges
+    for got, want in zip(actual.edge_arrays(), expected.edge_arrays()):
+        np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(actual.out_offsets, expected.out_offsets)
-    np.testing.assert_array_equal(actual.out_targets, expected.out_targets)
-    np.testing.assert_array_equal(actual.out_weights, expected.out_weights)
     np.testing.assert_array_equal(actual.in_offsets, expected.in_offsets)
-    np.testing.assert_array_equal(actual.in_sources, expected.in_sources)
-    np.testing.assert_array_equal(actual.in_weights, expected.in_weights)
+    compact = actual.compact()
+    for name in ("out_targets", "out_weights", "in_sources", "in_weights"):
+        np.testing.assert_array_equal(getattr(compact, name), getattr(expected, name))
+    for u in range(expected.num_vertices):
+        assert list(actual.out_edges(u)) == list(expected.out_edges(u))
+        assert list(actual.in_edges(u)) == list(expected.in_edges(u))
+        assert actual.edge_pages(u, PAGE_BYTES) == expected.edge_pages(u, PAGE_BYTES)
+        for v, w in expected.out_edges(u):
+            assert actual.has_edge(u, v) and actual.edge_weight(u, v) == w
+        absent = expected.num_vertices - 1 - u
+        assert actual.has_edge(u, absent) == expected.has_edge(u, absent)
+
+
+#: A small DRAM page, so edge runs straddle several pages.
+PAGE_BYTES = 64
 
 
 def oracle_csr(expected: dict, num_vertices: int) -> CSRGraph:
     """From-scratch CSR over the independently tracked edge dict."""
-    return CSRGraph(
-        num_vertices, [(u, v, w) for (u, v), w in expected.items()]
-    )
+    keys = np.array(list(expected), dtype=np.int64).reshape(-1, 2)
+    weights = np.array(list(expected.values()), dtype=np.float64)
+    return CSRGraph.from_arrays(num_vertices, keys[:, 0], keys[:, 1], weights)
+
+
+def assert_degrees(graph: DynamicGraph, model: "_Model") -> None:
+    """Every vertex's out- and in-degree equal the model's, with or
+    without pending edits."""
+    out = np.zeros(graph.num_vertices, dtype=np.int64)
+    into = np.zeros(graph.num_vertices, dtype=np.int64)
+    for u, v in model.edges:
+        out[u] += 1
+        into[v] += 1
+    assert [graph.out_degree(u) for u in range(graph.num_vertices)] == out.tolist()
+    assert [graph.in_degree(v) for v in range(graph.num_vertices)] == into.tolist()
 
 
 class _Model:
@@ -112,6 +141,10 @@ def _apply_to_model(model: _Model, insertions, deletions) -> None:
 @pytest.mark.parametrize("symmetric", [False, True], ids=["directed", "symmetric"])
 @pytest.mark.parametrize("grow", [False, True], ids=["fixed", "growing"])
 def test_incremental_store_matches_from_scratch_rebuild(seed, symmetric, grow):
+    """Every snapshot still held stays identical to its version's oracle
+    while later batches rewrite runs at the arena tail, grow the arena and
+    compact it; degrees match the model after every single edit and every
+    batch."""
     rng = np.random.default_rng((seed, symmetric, grow, 99))
     graph = DynamicGraph(INITIAL_VERTICES, symmetric=symmetric)
     model = _Model(symmetric)
@@ -123,27 +156,29 @@ def test_incremental_store_matches_from_scratch_rebuild(seed, symmetric, grow):
         w = float(rng.integers(1, 12))
         graph.add_edge(u, v, w)
         model.insert(u, v, w)
-    assert_csr_identical(graph.snapshot(), oracle_csr(model.edges, graph.num_vertices))
+        assert_degrees(graph, model)
+    held = [(graph.snapshot(), oracle_csr(model.edges, graph.num_vertices))]
+    capacities = [len(graph._out.minors)]
+    dead_held = False
 
-    for batch_i in range(NUM_BATCHES):
+    for _ in range(NUM_BATCHES):
         insertions, deletions = _random_batch(rng, model, graph.num_vertices, grow)
         graph.apply_batch(insertions, deletions)
         _apply_to_model(model, insertions, deletions)
+        assert_degrees(graph, model)
+        dead_held |= graph._out.dead > 0
 
-        # Occasionally interleave adjacency queries so the lazy flush is
-        # exercised at random points, not only from snapshot().
-        if batch_i % 3 == 1 and graph.num_vertices:
-            u = int(rng.integers(0, graph.num_vertices))
-            assert graph.out_degree(u) == sum(
-                1 for (a, _b) in model.edges if a == u
-            )
-
-        snap = graph.snapshot()
-        oracle = oracle_csr(model.edges, graph.num_vertices)
-        assert_csr_identical(snap, oracle)
+        held.append((graph.snapshot(), oracle_csr(model.edges, graph.num_vertices)))
+        capacities.append(len(graph._out.minors))
+        for snap, oracle in held:
+            assert_csr_identical(snap, oracle)
         # The in-tree comparator path must agree with the true oracle too.
-        assert_csr_identical(graph.rebuild_snapshot(), oracle)
+        assert_csr_identical(graph.rebuild_snapshot(), held[-1][1])
 
+    # Each program outgrows the arena's first size and compacts dead runs
+    # away more than once, while snapshots over dead slots were held.
+    assert max(capacities) > capacities[0]
+    assert graph.store_stats()["compactions"] >= 2 and dead_held
     if grow:
         # Growth mode must have grown the vertex range well past its start.
         assert graph.num_vertices > 32
@@ -154,7 +189,13 @@ def _store_state(graph: DynamicGraph):
     arrays = [
         a.copy()
         for csr in (graph._out, graph._in)
-        for a in (csr.keys, csr.weights, csr.offsets)
+        for a in (
+            csr.minors[: csr.tail],
+            csr.weights[: csr.tail],
+            csr.start,
+            csr.degree,
+            np.array([csr.tail, csr.dead, len(csr.minors)]),
+        )
     ]
     return (
         graph.num_edges,
@@ -248,6 +289,7 @@ def test_array_batches_match_model_and_refusals_leave_no_trace(seed, symmetric, 
             u, v = _fresh_pair(rng, model, graph.num_vertices, set())
             graph.add_edge(u, v, 5.0)
             model.insert(u, v, 5.0)
+            assert_degrees(graph, model)
         insertions, deletions = _random_batch(rng, model, graph.num_vertices, grow)
         ins = np.array(insertions, dtype=np.float64).reshape(-1, 3)
         dels = np.array(deletions, dtype=np.int64).reshape(-1, 2)
@@ -267,6 +309,7 @@ def test_array_batches_match_model_and_refusals_leave_no_trace(seed, symmetric, 
         _apply_to_model(model, insertions, deletions)
         assert graph.store_stats()["edges_spliced"] - spliced == expected_splice
         assert graph.num_edges == len(model.edges)
+        assert_degrees(graph, model)
         oracle = oracle_csr(model.edges, graph.num_vertices)
         assert_csr_identical(graph.snapshot(), oracle)
 
@@ -292,15 +335,22 @@ def test_snapshot_cache_and_copy_on_write_isolation():
     assert stats["snapshot_cache_hits"] == 1
     assert stats["snapshot_builds"] == 1
 
-    before = (first.out_targets.copy(), first.out_weights.copy(), first.out_offsets.copy())
-    graph.apply_batch([(0, 2, 9.0)], [(1, 2)])
+    before = first.compact()
+    graph.apply_batch([(0, 2, 9.0)], [(1, 2)])  # new runs fit past the load's tail
     second = graph.snapshot()
     assert second is not first
-    # The old snapshot must be untouched by the splice (copy-on-write).
-    np.testing.assert_array_equal(first.out_targets, before[0])
-    np.testing.assert_array_equal(first.out_weights, before[1])
-    np.testing.assert_array_equal(first.out_offsets, before[2])
+    assert second.out_targets is first.out_targets  # one arena, written past first's runs
+    assert graph.store_stats()["compactions"] == 0
+    middle = second.compact()
+    graph.apply_batch([(1, 0, 4.0)], [(0, 1)])  # the out-runs no longer fit
+    third = graph.snapshot()
+    assert third.out_targets is not second.out_targets
+    assert graph.store_stats()["compactions"] == 1  # the in-runs still fit
+    # The old snapshots must be untouched by the splices (copy-on-write).
+    assert_csr_identical(first, before)
+    assert_csr_identical(second, middle)
     assert second.has_edge(0, 2) and not second.has_edge(1, 2)
+    assert third.has_edge(1, 0) and not third.has_edge(0, 1)
 
 
 def test_rebuild_snapshot_always_rebuilds():
@@ -439,7 +489,7 @@ class TestDeltaVersionStore:
             lazily_folded = max(lazily_folded, len(store._folded))
         assert lazily_folded > 1
         live = graph.snapshot()
-        assert_csr_identical(store.reconstruct(graph.version), live)
+        assert_csr_identical(live, store.reconstruct(graph.version))
         assert store.stats()["base_edges"] == live.num_edges - 1
         assert store._folded == []
 

@@ -561,6 +561,11 @@ class TestTimeTravelReads:
         }
         # The ring is served history; no graph deltas are recorded.
         assert "version_store" not in stats["store"]
+        # The arena counters surface too: vertex 0's growing out-run is
+        # rewritten at the tail by every write and compacts twice.
+        store = served.session.graph.store_stats()
+        assert stats["store"]["compactions"] == store["compactions"] == 2
+        assert stats["store"]["slots_written"] == store["slots_written"] == 26
 
     def test_negative_version_is_400_bad_version(self, app):
         # Not "evicted by retention": no ring ever holds version -1.
