@@ -267,6 +267,7 @@ class EngineCore:
             "degrees": self.csr.out_degrees,
             "out_targets": self.csr.out_targets,
             "out_weights": self.csr.out_weights,
+            "gen_sources": self.policy.tracks_dependency or self._channel is not None,
         }
 
     def _run_array_rounds(self, queue, phase: PhaseStats, delete: bool) -> List[int]:
@@ -296,7 +297,7 @@ class EngineCore:
         # Edge addresses are the compact CSR's (logical offsets), so the
         # accounting does not depend on the store's arena layout.
         offsets = self.csr.out_offsets
-        degrees = self.csr.out_degrees
+        row_width = self.config.queue_row_vertices
         page_bytes = self.config.dram_page_bytes
         max_rows = self.config.scheduler_rows_per_round
         tracer = self.tracer
@@ -326,13 +327,11 @@ class EngineCore:
                 self._account_vertex_batch_arrays(t, seg_start, work, page_bytes)
 
                 t0 = tracer.clock() if round_span is not None else 0.0
-                producers, written, gen_t, gen_p, gen_s = kernel(
+                v, deg, written, gen_t, gen_p, gen_s = kernel(
                     ctx, t, batch.payloads, batch.flags, batch.sources, work
                 )
                 t1 = tracer.clock() if round_span is not None else 0.0
-                v = t[producers]
                 start = offsets[v]
-                deg = degrees[v]
                 if owner is not None:
                     shard_works = parallel.engine_round_work(
                         owner, self.num_engines, t, written, v, deg, gen_s
@@ -348,11 +347,14 @@ class EngineCore:
                     phase.vertices_reset += n_reset
                     impacted.extend(v.tolist())
                     has_edges = deg > 0
-                    producers = producers[has_edges]
+                    v = v[has_edges]
                     start = start[has_edges]
                     deg = deg[has_edges]
-                row_ids = np.searchsorted(starts, producers, side="right")
-                self._account_edge_batches(start, start + deg, row_ids, work, page_bytes)
+                # A producer's row batch is its queue row: the drain is
+                # vertex-sorted, so rows and row batches change together.
+                self._account_edge_batches(
+                    start, start + deg, v // row_width, work, page_bytes
+                )
 
                 if owner is not None and gen_t.shape[0]:
                     self._channel.record(owner[gen_s], owner[gen_t], phase)
@@ -418,7 +420,7 @@ class EngineCore:
 
         ``start``/``stop`` are CSR edge ranges of propagating vertices in
         ascending id order (so the byte intervals are monotone) and
-        ``row_ids`` assigns each vertex to its row batch.
+        ``row_ids`` assigns each vertex to its queue row (row batch).
         """
         if start.shape[0] == 0:
             return

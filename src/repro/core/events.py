@@ -98,6 +98,12 @@ class EventBatch:
     use and the shape NumPy's scatter/gather kernels want. Positions are
     significant — index ``i`` of every array describes the same event, and
     array order is insertion/drain order.
+
+    A field that is the same for every event (a scalar given to
+    :meth:`from_arrays`) is a read-only stride-0 view, not an array: a
+    generated regular batch carries only targets and payloads, plus
+    sources under DAP (§5.2) or per-engine accounting. :attr:`plain` tells
+    the queue that no event carries a flag bit without a pass over them.
     """
 
     targets: np.ndarray  # int64 destination vertex ids
@@ -107,6 +113,13 @@ class EventBatch:
 
     def __len__(self) -> int:
         return int(self.targets.shape[0])
+
+    @property
+    def plain(self) -> bool:
+        """True when no event carries a flag bit, known without reading the
+        flags: they are one stride-0 zero (see :meth:`from_arrays`)."""
+        f = self.flags
+        return f.strides == (0,) and not (f.shape[0] and f[0])
 
     # ------------------------------------------------------------------
     # Construction
@@ -129,21 +142,12 @@ class EventBatch:
         flags=None,
         sources=None,
     ) -> "EventBatch":
-        """Build a batch from array-likes, filling defaults for flags/sources."""
+        """Build a batch from array-likes; ``flags``/``sources`` default to
+        0/``NO_SOURCE``, and a scalar one becomes a stride-0 view."""
         t = np.ascontiguousarray(targets, dtype=np.int64)
         p = np.ascontiguousarray(payloads, dtype=np.float64)
-        if flags is None:
-            f = np.zeros(t.shape[0], dtype=np.int64)
-        elif np.isscalar(flags):
-            f = np.full(t.shape[0], int(flags), dtype=np.int64)
-        else:
-            f = np.ascontiguousarray(flags, dtype=np.int64)
-        if sources is None:
-            s = np.full(t.shape[0], NO_SOURCE, dtype=np.int64)
-        elif np.isscalar(sources):
-            s = np.full(t.shape[0], int(sources), dtype=np.int64)
-        else:
-            s = np.ascontiguousarray(sources, dtype=np.int64)
+        f = int64_column(0 if flags is None else flags, t.shape[0])
+        s = int64_column(NO_SOURCE if sources is None else sources, t.shape[0])
         if not (t.shape == p.shape == f.shape == s.shape):
             raise ValueError("EventBatch arrays must have matching lengths")
         return cls(t, p, f, s)
@@ -192,3 +196,12 @@ class EventBatch:
             Event(int(t), float(p), int(f), int(s))
             for t, p, f, s in zip(self.targets, self.payloads, self.flags, self.sources)
         ]
+
+
+def int64_column(values, k: int) -> np.ndarray:
+    """An ``int64`` event field of length ``k``: a scalar is one read-only
+    8-byte value seen through stride 0 (what ``np.broadcast_to`` makes, at
+    a third of its cost, which shows on small rounds)."""
+    if np.isscalar(values):
+        return np.ndarray((k,), np.int64, np.int64(values).tobytes(), 0, (0,))
+    return np.ascontiguousarray(values, dtype=np.int64)

@@ -134,16 +134,20 @@ def regular_shard_kernel(
 
     ``ctx`` carries the algorithm/policy plus the state, dependency,
     propagation-factor arrays and the CSR out-runs (``starts``,
-    ``degrees``, ``out_targets``, ``out_weights``). The rows are the
-    round's drain in ascending-vertex order with unique targets (the queue
-    coalesced all regular events per vertex).
+    ``degrees``, ``out_targets``, ``out_weights``), and ``gen_sources``:
+    whether anything reads the generated events' producers (the DAP queue,
+    §5.2, or per-engine accounting). The rows are the round's drain in
+    ascending-vertex order with unique targets (the queue coalesced all
+    regular events per vertex).
 
     Gathers states, reduces element-wise, scatters the changed values
     back, and expands the frontier (changed or request-flagged vertices
     with out-edges). Adds its counters to ``work`` and returns
-    ``(producers, written, gen_t, gen_p, gen_s)``: the row positions of the
-    propagating vertices, the vertices whose state changed, and the
-    generated events in generation order.
+    ``(producers, degrees, written, gen_t, gen_p, gen_s)``: the propagating
+    vertices (ascending) and their out-degrees, the vertices whose state
+    changed, and the generated events in generation order. A generated
+    event carries no flag; ``gen_s`` is its producer, or ``None`` when
+    ``gen_sources`` is off.
     """
     algorithm = ctx["algorithm"]
     states = ctx["states"]
@@ -151,6 +155,8 @@ def regular_shard_kernel(
     degrees = ctx["degrees"]
     out_targets = ctx["out_targets"]
     out_weights = ctx["out_weights"]
+    gen_sources = ctx["gen_sources"]
+    gen_s = None
     old = states[targets]
     new = algorithm.reduce_ufunc(old, payloads)
     changed = new != old
@@ -175,27 +181,30 @@ def regular_shard_kernel(
             keep = (values > threshold) | (values < -threshold)
             gen_t = out_targets[eidx][keep]
             gen_p = values[keep]
-            gen_s = np.repeat(v, deg)[keep]
+            if gen_sources:
+                gen_s = np.repeat(v, deg)[keep]
         else:
             keepv = (base > threshold) | (base < -threshold)
             dg = deg[keepv]
             eidx = run_indices(start[keepv], dg)
             gen_t = out_targets[eidx]
             gen_p = np.repeat(base[keepv], dg)
-            gen_s = np.repeat(v[keepv], dg)
+            if gen_sources:
+                gen_s = np.repeat(v[keepv], dg)
     else:
         # Selective: propagation basis is the post-write state.
         eidx = run_indices(start, deg)
         gen_t = out_targets[eidx]
         gen_p = algorithm.propagate_arrays(np.repeat(new[idx], deg), out_weights[eidx])
-        gen_s = np.repeat(v, deg)
+        if gen_sources:
+            gen_s = np.repeat(v, deg)
     k = int(targets.shape[0])
     work.events_processed += k
     work.vertex_reads += k
     work.vertex_writes += int(tc.shape[0])
     work.edges_read += int(deg.sum())
     work.events_generated += int(gen_t.shape[0])
-    return idx, tc, gen_t, gen_p, gen_s
+    return v, deg, tc, gen_t, gen_p, gen_s
 
 
 _EMPTY_I = np.empty(0, dtype=np.int64)
@@ -218,13 +227,13 @@ def delete_shard_kernel(
     scalar loop resets on, since every later duplicate then fails the
     identity check. Resets the impacted vertices and expands delete
     propagation along their out-edges. Same conventions as
-    :func:`regular_shard_kernel`; the returned producers are the winning
-    rows, *including* those without out-edges, and the written vertices
-    are the reset ones.
+    :func:`regular_shard_kernel`; the returned producers are the reset
+    vertices, *including* those without out-edges, and so are the written
+    ones.
     """
     k = int(targets.shape[0])
     if k == 0:
-        return _EMPTY_I, _EMPTY_I, _EMPTY_I, _EMPTY_F, _EMPTY_I
+        return _EMPTY_I, _EMPTY_I, _EMPTY_I, _EMPTY_I, _EMPTY_F, None
     algorithm = ctx["algorithm"]
     policy = ctx["policy"]
     states = ctx["states"]
@@ -267,4 +276,5 @@ def delete_shard_kernel(
     work.vertex_writes += int(win.shape[0])
     work.edges_read += total
     work.events_generated += total
-    return win, v, ctx["out_targets"][eidx], gen_p, np.repeat(v[sub], deg)
+    gen_s = np.repeat(v[sub], deg) if ctx["gen_sources"] else None
+    return v, deg_all, v, ctx["out_targets"][eidx], gen_p, gen_s

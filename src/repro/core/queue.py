@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.algorithms.base import AlgorithmKind
-from repro.core.events import NO_SOURCE, Event, EventBatch
+from repro.core.events import NO_SOURCE, Event, EventBatch, int64_column
 from repro.core.metrics import RoundWork
 from repro.core.policies import DeletePolicy
 
@@ -104,6 +104,10 @@ class VectorQueue(_SlicedQueue):
     and scatters over the batch as it arrives — like the hardware queue,
     nothing is sorted:
 
+    * an **empty cell** holds no flags and, accumulative, the fold
+      identity ``-0.0`` (:meth:`drain_round` restores the cells it drains),
+      so a :attr:`~repro.core.events.EventBatch.plain` batch skips every
+      flag pass;
     * a regular batch into an **empty** queue — what a full drain leaves
       every round — skips the incumbent checks (:meth:`_insert_into_empty`);
     * otherwise the **first event of each empty target** is found with
@@ -148,7 +152,7 @@ class VectorQueue(_SlicedQueue):
         super().__init__(algorithm, config, policy, num_vertices, slice_of)
         slice_of = self._slice_of
         n = int(num_vertices)
-        self._payloads = np.full(n, 0.0, dtype=np.float64)
+        self._payloads = np.full(n, -0.0, dtype=np.float64)
         self._flags = np.full(n, 0, dtype=np.int64)
         self._sources = np.full(n, NO_SOURCE, dtype=np.int64)
         self._occupied = np.full(n, False, dtype=bool)
@@ -184,10 +188,11 @@ class VectorQueue(_SlicedQueue):
         if k == 0:
             return
         t, p, f, s = batch.targets, batch.payloads, batch.flags, batch.sources
+        plain = batch.plain
         size = self._occupied.shape[0]
         grow_to = int(t.max()) + 1
         empty = self._occupancy == 0 and self._slice_of is None
-        if empty and grow_to <= size and not (f & 1).any():
+        if empty and grow_to <= size and (plain or not (f & 1).any()):
             self._insert_into_empty(batch, work)
             return
         if grow_to > size:
@@ -216,9 +221,10 @@ class VectorQueue(_SlicedQueue):
         store = new = np.flatnonzero(~occupied)
         if new.shape[0]:
             first = self._first_position(scratch, t[new], new)
-            cell_flags[new] = f[first]
+            if not plain:  # an empty cell already reads no flags
+                cell_flags[new] = f[first]
             store = new[first == new]
-        delete = f & 1
+        delete = np.int64(0) if plain else f & 1
         if (delete != (cell_flags & 1)).any():
             raise QueueError(
                 "delete and non-delete events may not coexist for a vertex; "
@@ -241,7 +247,8 @@ class VectorQueue(_SlicedQueue):
         if created:
             ts = t[store]  # distinct, so plain assignment is well defined
             self._payloads[ts] = p[store]
-            self._flags[ts] = f[store]
+            if not plain:  # an empty cell holds no flags
+                self._flags[ts] = f[store]
             if self.policy.tracks_dependency:
                 self._sources[ts] = s[store]
             self._occupied[ts] = True
@@ -270,7 +277,7 @@ class VectorQueue(_SlicedQueue):
             n_coalesce = int(coalesce.shape[0])
             self.total_coalesces += n_coalesce
             work.coalesce_ops += n_coalesce
-            if n_coalesce and f.any() and f[coalesce].any():
+            if n_coalesce and not plain and f[coalesce].any():
                 # Request/delete flag bits always merge.
                 np.bitwise_or.at(self._flags, t[coalesce], f[coalesce])
             if folds.shape[0]:
@@ -282,20 +289,21 @@ class VectorQueue(_SlicedQueue):
         """:meth:`insert_batch` of a regular batch into an empty, unsliced
         queue that needs no growth: no incumbent, no §4.3 clash.
 
-        An accumulative cell folds from ``-0.0``, the exact IEEE additive
-        identity, so it is the scalar left fold from the first event. A
-        selective cell folds from any of its own payloads, then takes the
-        payload bits of the first event attaining the optimum.
+        Empty cells hold no flags and, accumulative, the exact IEEE additive
+        identity ``-0.0`` (see :meth:`drain_round`), so an accumulative
+        cell is the scalar left fold from the first event. A selective cell
+        folds from any of its own payloads, then takes the payload bits of
+        the first event attaining the optimum.
         """
         t, p, f = batch.targets, batch.payloads, batch.flags
         k = t.shape[0]
         self.total_inserts += k
         work.queue_inserts += k
         selective = self.algorithm.kind is AlgorithmKind.SELECTIVE
-        self._payloads[t] = p if selective else -0.0
+        if selective:
+            self._payloads[t] = p
         self.algorithm.reduce_ufunc.at(self._payloads, t, p)
-        self._flags[t] = 0
-        if f.any():
+        if not batch.plain and f.any():
             np.bitwise_or.at(self._flags, t, f)
         self._occupied[t] = True
         created = int(np.count_nonzero(self._occupied))
@@ -315,7 +323,7 @@ class VectorQueue(_SlicedQueue):
         """Extend the cell arrays for vertices created mid-stream."""
         extra = num_vertices - self._payloads.shape[0]
         self._payloads = np.concatenate(
-            [self._payloads, np.zeros(extra, dtype=np.float64)]
+            [self._payloads, np.full(extra, -0.0, dtype=np.float64)]
         )
         self._flags = np.concatenate([self._flags, np.zeros(extra, dtype=np.int64)])
         self._sources = np.concatenate(
@@ -346,7 +354,7 @@ class VectorQueue(_SlicedQueue):
         if not n_overflow:
             return
         if not self.policy.tracks_dependency:
-            chunk.sources = np.full(n_overflow, NO_SOURCE, dtype=np.int64)
+            chunk.sources = int64_column(NO_SOURCE, n_overflow)
         work.spill_bytes += 2 * self.event_bytes * n_overflow
         self._occupancy += n_overflow
         if self._slice_of is not None:
@@ -474,7 +482,7 @@ class VectorQueue(_SlicedQueue):
         if self.policy.tracks_dependency:
             sources = self._sources[cell_t]
         else:  # sources only under DAP (§5.2); otherwise the fields are scratch
-            sources = np.full(cell_t.shape[0], NO_SOURCE, dtype=np.int64)
+            sources = int64_column(NO_SOURCE, cell_t.shape[0])
         cell_batch = EventBatch(
             cell_t, self._payloads[cell_t], self._flags[cell_t], sources
         )
@@ -497,8 +505,12 @@ class VectorQueue(_SlicedQueue):
         else:
             out = cell_batch  # flatnonzero order: already target-sorted
 
-        # Clear drained state.
+        # Clear drained state: an empty cell holds no flags and, for an
+        # accumulative fold, the identity -0.0 (see _insert_into_empty).
         self._occupied[cell_t] = False
+        self._flags[cell_t] = 0
+        if self.algorithm.kind is AlgorithmKind.ACCUMULATIVE:
+            self._payloads[cell_t] = -0.0
         self._cell_counts[sid] -= cell_t.shape[0]
         retained = of.take(~of_mask)
         self._overflow_chunks[sid] = [retained] if len(retained) else []

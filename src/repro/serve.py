@@ -148,9 +148,11 @@ class ReadSnapshot:
         """Content hash of the states array (torn-read verification).
 
         Computed once per snapshot, not per read — every reader of this
-        (immutable) snapshot shares the cached value.
+        (immutable) snapshot shares the cached value. Hashes the array's
+        own (contiguous) buffer: the digest of ``states.tobytes()``
+        without copying it.
         """
-        return hashlib.sha1(self.states.tobytes()).hexdigest()
+        return hashlib.sha1(self.states.data).hexdigest()
 
 
 @dataclass

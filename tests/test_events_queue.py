@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import PageRank, SSSP
+from repro.algorithms.base import AlgorithmKind
 from repro.core.config import AcceleratorConfig
 from repro.core.events import NO_SOURCE, Event, EventBatch, EventFlags
 from repro.core.metrics import RoundWork
@@ -609,6 +610,16 @@ class TestVectorQueueDifferential:
         assert np.diff(np.append(row_starts, len(got))).tolist() == [
             len(row) for row in rows
         ]
+        self._assert_empty_cells_reset(vector)
+
+    @staticmethod
+    def _assert_empty_cells_reset(vector):
+        """An empty cell holds no flags and, accumulative, exactly -0.0."""
+        empty = ~vector._occupied
+        assert not vector._flags[empty].any()
+        if vector.algorithm.kind is AlgorithmKind.ACCUMULATIVE:
+            payloads = vector._payloads[empty]
+            assert payloads.tobytes() == np.full_like(payloads, -0.0).tobytes()
 
     @pytest.mark.parametrize("sliced", [False, True], ids=["grow", "sliced"])
     @pytest.mark.parametrize("coalescing", [True, False], ids=["coalesce", "overflow"])
@@ -742,3 +753,87 @@ class TestVectorQueueDifferential:
             assert not empty_inserts
         else:
             assert len(empty_inserts) >= 20
+
+    @pytest.mark.parametrize(
+        "policy",
+        [DeletePolicy.BASE, DeletePolicy.VAP, DeletePolicy.DAP],
+        ids=lambda p: p.name,
+    )
+    @pytest.mark.parametrize("algorithm", [SSSP, PageRank], ids=lambda a: a.name)
+    def test_engine_batches_match_scalar_queue(self, algorithm, policy):
+        """Regular batches in the form the engine generates — flags one
+        stride-0 zero, sources only under DAP — into empty queues, queues
+        left holding rows by partial drains, and queues holding
+        request-flagged cells, with ±0.0 payloads and growth."""
+        selective = algorithm is SSSP
+        dap = policy is DeletePolicy.DAP
+        rng = np.random.default_rng([selective, ord(policy.name[0]), 11])
+        pool = np.concatenate(
+            [
+                [0.0, -0.0, -0.0],
+                self.SELECTIVE_POOL if selective else self.ACCUMULATIVE_POOL,
+            ]
+        )
+        scalar = make_queue(policy, algorithm(), self.V)
+        vector = make_vector_queue(policy, algorithm(), self.V)
+        works = (RoundWork(), RoundWork())
+        # A sum that an event leaves unchanged keeps the scalar queue's
+        # older source but not the array queue's (see VectorQueue._fold).
+        compare_sources = selective or not dap
+        limit = self.V + 16  # past V: the first such batch grows the queue
+
+        def insert(batch):
+            scalar.insert_batch(batch, works[0])
+            vector.insert_batch(batch, works[1])
+            assert works[0] == works[1]
+            assert scalar.lifetime_stats() == vector.lifetime_stats()
+            assert scalar.occupancy() == vector.occupancy()
+
+        def engine_batch(targets):
+            k = targets.shape[0]
+            sources = rng.integers(0, 10_000, k) if dap else None
+            batch = EventBatch.from_arrays(
+                targets, pool[rng.integers(0, pool.shape[0], k)], 0, sources
+            )
+            assert batch.plain and batch.flags.strides == (0,)
+            assert dap or batch.sources.strides == (0,)
+            return batch
+
+        def drain(max_rows=None):
+            self._drain_both(scalar, vector, works, max_rows, compare_sources)
+
+        def cells():
+            cells = (vector._flags, vector._payloads, vector._occupied)
+            return [cell.tobytes() for cell in cells]
+
+        for step in range(60):
+            if rng.random() < 0.3:  # request-flagged cells to coalesce into
+                flagged = rng.integers(0, self.V, 20)
+                insert(self._batch(rng, pool, flagged, np.zeros_like))
+            hot = rng.integers(0, limit, 3)
+            k = int(rng.integers(1, 300))
+            cold = rng.integers(0, limit if step > 20 else self.V, k)
+            targets = np.where(rng.random(k) < 0.5, rng.choice(hot, k), cold)
+            insert(engine_batch(targets))
+            if rng.random() < 0.5:
+                drain(max_rows=int(rng.integers(1, 4)))
+            else:
+                while scalar.pending():
+                    drain()
+            if step % 10 == 9:
+                # A plain batch meeting a delete cell is refused whole (§4.3).
+                while scalar.pending():
+                    drain()
+                delete = self._batch(rng, pool, np.arange(0, 8), np.ones_like)
+                insert(delete)
+                before = cells()
+                work = RoundWork()
+                with pytest.raises(QueueError):
+                    vector.insert_batch(engine_batch(np.arange(4, 20)), work)
+                assert work == RoundWork()
+                assert cells() == before
+                while scalar.pending():
+                    drain()
+        assert vector._occupied.shape[0] == limit
+        assert works[0] == works[1]
+        assert scalar.lifetime_stats() == vector.lifetime_stats()

@@ -79,6 +79,15 @@ class TestServeSessionCore:
         assert list(snapshot.states) == [0.0, 2.0, 5.0, 6.0]
         assert snapshot.digest == state_digest(snapshot.states)
 
+    def test_digest_is_sha1_of_the_states_bytes(self):
+        # Clients recompute the digest as SHA-1 over the float64 states'
+        # bytes, so the hex string itself is the contract.
+        states = np.array([0.0, -0.0, 2.5, np.inf, 1e-300, 6.0])
+        states.setflags(write=False)
+        snapshot = ReadSnapshot(seq=1, stamp=2, graph_version=3, states=states)
+        assert snapshot.digest == hashlib.sha1(states.tobytes()).hexdigest()
+        assert snapshot.digest == "b8ae782e23faab89ae3db56683bf6fba07f7828b"
+
     def test_snapshot_states_are_write_protected(self, app):
         snapshot = make_session(app).read_snapshot()
         with pytest.raises(ValueError):

@@ -164,6 +164,42 @@ class TestStreamingParity:
             )
 
 
+class TestQueueGeometryParity:
+    """Row-batch accounting under non-default queue geometry.
+
+    The array round assigns each producer to the row batch
+    ``vertex // queue_row_vertices``; the oracle builds one line/page set
+    per drained row. Every round's ``vertex_lines``/``edge_lines``/
+    ``dram_pages`` must agree whatever the row width, page size and
+    partial-drain depth.
+    """
+
+    @pytest.mark.parametrize("rows_per_round", [None, 2], ids=["full", "rows2"])
+    @pytest.mark.parametrize("row_vertices", [4, 16])
+    @pytest.mark.parametrize("name", ["sssp", "pagerank"])
+    def test_line_and_page_counts(self, name, row_vertices, rows_per_round):
+        config = AcceleratorConfig(
+            queue_row_vertices=row_vertices,
+            dram_page_bytes=512,
+            scheduler_rows_per_round=rows_per_round,
+        )
+        scalar_runs, vector_runs = run_stream_pair(
+            name, DeletePolicy.DAP, config, n=120, m=600, seed=61
+        )
+        fields = ("vertex_lines", "edge_lines", "dram_pages")
+        totals = dict.fromkeys(fields, 0)
+        for index, (scalar, vector) in enumerate(zip(scalar_runs, vector_runs)):
+            context = f"geometry/{name}/{row_vertices}/{rows_per_round}/batch{index}"
+            want = [[row[f] for f in fields] for row in scalar.metrics.to_rows()]
+            got = [[row[f] for f in fields] for row in vector.metrics.to_rows()]
+            assert got == want, context
+            assert_run_parity(scalar, vector, context)
+            for row in want:
+                for field, value in zip(fields, row):
+                    totals[field] += value
+        assert all(totals.values()), totals
+
+
 class TestEngineSelection:
     def test_scalar_flag_forces_boxed_queue(self):
         from repro.core.queue import VectorQueue
