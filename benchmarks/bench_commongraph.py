@@ -6,7 +6,10 @@ of a recorded stream share one common graph, the engine converges on it
 once, and every version is an addition-only pass from that base state
 (:func:`repro.core.streaming.evaluate_at_versions`). The comparator is what
 the evaluator replaces: one cold ``initial_compute()`` per version on the
-graph ``DeltaVersionStore.reconstruct(v)`` returns.
+graph ``DeltaVersionStore.reconstruct(v)`` returns. The store records each
+version's changed run pointers (``record()`` after every batch), and both
+sides take a version's CSR from ``reconstruct`` (an arena view, no sort);
+the shared side builds one sorted CSR, the common graph's.
 
 Each grid point applies :data:`NUM_BATCHES` seeded batches of
 :data:`BATCH_SIZE` records (insertion ratio :data:`INSERTION_RATIO`) to
@@ -62,7 +65,7 @@ def recorded_stream(algorithm):
     for _ in range(NUM_BATCHES):
         batch = generator.next_batch(BATCH_SIZE)
         graph.apply_batch(batch.ins, batch.dels)
-        store.record_batch(batch.ins, batch.dels)
+        store.record()
     return store
 
 

@@ -584,9 +584,7 @@ def evaluate_at_versions(
         additions = slice_.additions[ver]
         phase = metrics.phase(f"addition-pass@v{ver}")
         core.load_states(base_states)
-        csr_v = CSRGraph.from_arrays(
-            n_v, *map(np.concatenate, zip(slice_.common_edges, additions))
-        )
+        csr_v = store.reconstruct(ver)
         core.grow(n_v)
         core.bind_graph(csr_v)
         queue = core.new_queue()

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -78,19 +78,6 @@ _MASK = VERTEX_ID_LIMIT - 1
 #: would outnumber ``_SLACK - 1`` times its live ones, so it holds about
 #: this many slots per live edge at most.
 _SLACK = 2
-
-
-def _splice_sorted(keys, weights, del_keys, ins_keys, ins_weights):
-    """Fresh ``(keys, weights)``: ``del_keys`` (all present) removed and
-    the sorted ``ins_keys`` (all absent once those are gone) merged in."""
-    if len(del_keys):
-        pos = np.searchsorted(keys, del_keys)
-        keys, weights = np.delete(keys, pos), np.delete(weights, pos)
-    if len(ins_keys):
-        pos = np.searchsorted(keys, ins_keys)
-        keys = np.insert(keys, pos, ins_keys)
-        weights = np.insert(weights, pos, ins_weights)
-    return keys, weights
 
 
 def _mirrored(rows: np.ndarray) -> np.ndarray:
@@ -768,12 +755,6 @@ class DynamicGraph:
         self._flush()
         return self._out.ordered()
 
-    def key_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The live edge set as fresh sorted ``u << 31 | v`` keys and
-        weights (one gather of the out-runs)."""
-        src, dst, wgt = self.edge_arrays()
-        return (src << _SHIFT) | dst, wgt
-
     def store_stats(self) -> Dict[str, int]:
         """Incremental-store instrumentation counters (copy)."""
         return dict(self._stats)
@@ -840,78 +821,50 @@ class CommonSlice:
     vertices: Dict[int, int]
 
 
-#: An edge set as sorted ``u << 31 | v`` keys, their weights, and a
-#: vertex count.
-_EdgeSet = Tuple[np.ndarray, np.ndarray, int]
+class _Version(NamedTuple):
+    version: int
+    num_vertices: int
+    num_edges: int
+    #: Per direction (out, in): the vertices whose pointers the next version
+    #: changed, their ``(start, degree)`` here as a ``(2, k)`` array, and
+    #: the arena ``minors`` / ``weights`` arrays this version's pointers index.
+    runs: tuple
 
 
-def _columns(keys: np.ndarray, weights: np.ndarray) -> EdgeArrays:
-    return keys >> _SHIFT, keys & _MASK, weights
+def _directions(csr: CSRGraph):
+    out = (csr.out_starts, csr.out_degrees, csr.out_targets, csr.out_weights)
+    return out, (csr.in_starts, csr.in_degrees, csr.in_sources, csr.in_weights)
 
 
-def _contains(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """Which of ``probe`` are in the sorted ``keys``."""
-    if not len(keys):
-        return np.zeros(len(probe), dtype=bool)
-    return keys[np.minimum(np.searchsorted(keys, probe), len(keys) - 1)] == probe
+def _undo(prev, cur) -> tuple:
+    """The pointers of direction ``prev`` that ``cur`` changed (a pointer
+    ``cur`` kept indexes the same run in ``prev``'s arena, compacted or not)."""
+    start, degree, minors, weights = prev
+    n = len(start)
+    ids = ((cur[0][:n] != start) | (cur[1][:n] != degree)).nonzero()[0]
+    return ids, np.array([start[ids], degree[ids]]), minors, weights
 
 
-def _roll(state: _EdgeSet, deltas) -> _EdgeSet:
-    """Apply recorded ``(version, rows, keys)`` deltas, oldest first.
-
-    A key's last operation decides it (each delta deletes before it
-    inserts), so the whole run resolves in one pass: drop every touched
-    key, then merge back those whose last operation is an insertion.
-    Returns fresh arrays; the inputs are never written.
-    """
-    if not deltas:
-        return state
-    keys, weights, num_vertices = state
-    op_keys, op_weights, op_insert = [], [], []
-    for _, rows, dels in deltas:
-        ins = rows[:, :2].astype(np.int64)
-        op_keys += [(dels[:, 0] << _SHIFT) | dels[:, 1], (ins[:, 0] << _SHIFT) | ins[:, 1]]
-        op_weights += [np.zeros(len(dels)), rows[:, 2]]
-        op_insert += [np.zeros(len(dels), dtype=bool), np.ones(len(ins), dtype=bool)]
-        if len(ins):
-            num_vertices = max(num_vertices, int(ins.max()) + 1)
-    # np.unique's first index into the reversed log is each key's last op.
-    touched, last = np.unique(np.concatenate(op_keys)[::-1], return_index=True)
-    insert = np.concatenate(op_insert)[::-1][last]
-    keys, weights = _splice_sorted(
-        keys,
-        weights,
-        touched[_contains(keys, touched)],
-        touched[insert],
-        np.concatenate(op_weights)[::-1][last][insert],
-    )
-    return keys, weights, num_vertices
+def _out_runs(csr: CSRGraph, majors: np.ndarray) -> Tuple[np.ndarray, EdgeArrays]:
+    """The out-runs of the sorted ``majors`` in ``csr``: their sorted
+    ``u << 31 | v`` keys and ``(src, dst, wgt)`` columns."""
+    majors = majors[majors < csr.num_vertices]
+    degree = csr.out_degrees[majors]
+    idx = run_indices(csr.out_starts[majors], degree)
+    src, dst = np.repeat(majors, degree), csr.out_targets[idx]
+    return (src << _SHIFT) | dst, (src, dst, csr.out_weights[idx])
 
 
 class DeltaVersionStore:
-    """Delta-encoded graph version history (Version Traveler substitute).
+    """Graph version history as per-vertex run pointers: a multi-versioned
+    CSR (LLAMA-style) in the Version Traveler role of §4.7.
 
-    Stores one base edge set plus per-version deltas (insertions and
-    deletions), reconstructing any retained version on demand instead of
-    keeping a full snapshot per version. §4.7 allows either: the
-    accelerator only needs a CSR view of the requested version. Every edge
-    set is sorted ``u << 31 | v`` keys and weights: the base starts as
-    one compacting gather of the graph's out-runs
-    (:meth:`DynamicGraph.key_arrays`) and versions meet by sorted-array
-    intersection.
-
-    Reconstruction rolls forward from the last reconstructed version when
-    the requested one is newer, instead of replaying the full delta log
-    from base every time.
-
-    ``keep_versions`` bounds retention for long-running services: when
-    more than that many versions are reconstructible, the oldest deltas
-    fold into the base and their versions become unreachable (``KeyError``
-    — surfaced as ``VERSION_EVICTED`` over HTTP). ``None`` (default)
-    retains everything. A served session evicts one delta per write once
-    the bound is reached, so folded deltas are rolled into the base
-    arrays in bulk — when the base is read, or once they hold 1/64 of its
-    edge count — keeping the fold O(1) amortised per record.
+    No arena slot under a snapshot's run is written again, so a version is
+    each vertex's ``(start, degree)`` per direction plus the arena arrays
+    they index, which it keeps alive. The newest version is its snapshot;
+    each older one holds the pointers the next one changed and is rebuilt
+    by rolling the newest pointers back. ``keep_versions`` bounds retention:
+    the oldest versions are dropped and raise ``KeyError``; ``None`` keeps all.
     """
 
     def __init__(self, graph: DynamicGraph, keep_versions: Optional[int] = None):
@@ -919,143 +872,108 @@ class DeltaVersionStore:
             raise ValueError("keep_versions must be >= 1 (or None)")
         self.graph = graph
         self.keep_versions = keep_versions
-        self._base_version = graph.version
-        self._base: _EdgeSet = graph.key_arrays() + (graph.num_vertices,)
-        #: ``(version, insertion rows, deletion keys)``, oldest first; the
-        #: directed ``(n, 3)`` / ``(m, 2)`` arrays that produced ``version``.
-        self._deltas: List[Tuple[int, np.ndarray, np.ndarray]] = []
-        #: Evicted deltas not yet rolled into ``_base``, and their records.
-        self._folded: List[Tuple[int, np.ndarray, np.ndarray]] = []
-        self._folded_records = 0
-        #: Last reconstructed version and its edge set.
-        self._cursor: Optional[Tuple[int, _EdgeSet]] = None
+        self._head = graph.version, graph.snapshot()
+        self._older: List[_Version] = []
         self._evicted_versions = 0
 
-    def record_batch(self, insertions, deletions) -> None:
-        """Record the delta that produced the graph's *current* version.
-
-        Call right after ``graph.apply_batch(insertions, deletions)`` with
-        the same *logical* batch: ``(n, 3)`` ``(u, v, w)`` rows and
-        ``(m, 2)`` ``(u, v)`` keys, as arrays or tuple sequences. On
-        symmetric graphs the mirrors the mutation added implicitly are
-        expanded here, so reconstructions stay symmetric.
-        """
-        rows = np.asarray(insertions, dtype=np.float64).reshape(-1, 3)
-        keys = np.asarray(deletions, dtype=np.int64).reshape(-1, 2)
-        if self.graph.symmetric:
-            rows, keys = _mirrored(rows), _mirrored(keys)
-        self._deltas.append((self.graph.version, rows, keys))
-        self._enforce_retention()
+    def record(self) -> None:
+        """Record the graph's current version. Its (cached) snapshot becomes
+        the head; the previous head keeps the pointers this one changed."""
+        version, head = self._head
+        csr = self.graph.snapshot()
+        runs = tuple(map(_undo, _directions(head), _directions(csr)))
+        self._older.append(_Version(version, head.num_vertices, head.num_edges, runs))
+        self._head = self.graph.version, csr
+        if self.keep_versions is not None and len(self._older) >= self.keep_versions:
+            del self._older[0]
+            self._evicted_versions += 1
 
     def versions(self) -> List[int]:
         """All reconstructible versions, oldest first."""
-        return [self._base_version] + [v for v, _, _ in self._deltas]
+        return [held.version for held in self._older] + [self._head[0]]
 
-    def _base_edges(self) -> _EdgeSet:
-        """The base edge set, with any folded deltas rolled in."""
-        if self._folded:
-            self._base = _roll(self._base, self._folded)
-            self._folded, self._folded_records = [], 0
-        return self._base
-
-    def _edges_at(self, version: int) -> _EdgeSet:
-        """Edge set of ``version`` (cursor-accelerated; read-only)."""
-        if version == self._base_version:
-            return self._base_edges()
-        if version not in (v for v, _, _ in self._deltas):
-            raise KeyError(f"version {version} not recorded")
-        if self._cursor is not None and self._cursor[0] <= version:
-            start_version, state = self._cursor
-        else:
-            start_version, state = self._base_version, self._base_edges()
-        state = _roll(
-            state, [d for d in self._deltas if start_version < d[0] <= version]
-        )
-        self._cursor = (version, state)
-        return state
+    def _index(self, version: int) -> int:
+        try:
+            return self.versions().index(version)
+        except ValueError:
+            raise KeyError(f"version {version} not recorded") from None
 
     def reconstruct(self, version: int) -> CSRGraph:
-        """Rebuild the CSR snapshot of ``version`` from base + deltas.
-
-        Monotone access patterns (the common replay loop) roll forward
-        from the edge set of the last reconstructed version; anything else
-        replays from the base. Raises ``KeyError`` for versions never
-        recorded or already evicted by the retention bound.
-        """
-        keys, weights, num_vertices = self._edges_at(version)
-        return CSRGraph.from_arrays(num_vertices, *_columns(keys, weights))
+        """The CSR of ``version``: the newest snapshot's pointers rolled back
+        through the newer versions' diffs, over the arenas they index (no
+        edge copied or sorted). Raises ``KeyError`` for a version never
+        recorded or evicted."""
+        i, head = self._index(version), self._head[1]
+        if i == len(self._older):
+            return head
+        held, directions = self._older[i], []
+        for d, (start, degree, _, _) in enumerate(_directions(head)):
+            pointers = np.stack([start, degree])
+            for newer in reversed(self._older[i:]):
+                ids, values, *arena = newer.runs[d]
+                pointers[:, ids] = values
+            directions.append((*pointers[:, : held.num_vertices], *arena))
+        return CSRGraph._from_parts(held.num_vertices, held.num_edges, *directions)
 
     def common_slice(self, versions: Iterable[int]) -> CommonSlice:
         """Decompose ``versions`` into a common graph + per-version adds.
 
-        The common edge set keeps every directed edge that appears in all
-        requested versions *with the same weight* (a weight change makes
-        the edge version-specific on both sides). Raises ``KeyError`` if
-        any version is unrecorded or evicted.
+        An edge is common when every requested version holds it with the
+        same weight. Only the out-runs of vertices added or changed between
+        the oldest and newest requested version are compared (all of them
+        across a compaction): any other vertex has one run in the range.
+        Raises ``KeyError`` if any version is unrecorded or evicted.
         """
         vers = sorted({int(v) for v in versions})
         if not vers:
             raise ValueError("versions must be non-empty")
-        per_version = {ver: self._edges_at(ver) for ver in vers}
-        keys, weights, _ = per_version[vers[0]]
-        for ver in vers[1:]:
-            other_keys, other_weights, _ = per_version[ver]
+        lo, hi = self._index(vers[0]), self._index(vers[-1])
+        csrs = [self.reconstruct(ver) for ver in vers]
+        added = np.arange(csrs[0].num_vertices, csrs[-1].num_vertices)
+        changed = [held.runs[0][0] for held in self._older[lo:hi]]
+        touched = np.unique(np.concatenate([added, *changed]))
+        if csrs[-1].out_targets is not csrs[0].out_targets:
+            # A compaction can rewrite a run at its old pointers.
+            touched = np.arange(csrs[-1].num_vertices)
+        runs = [_out_runs(csr, touched) for csr in csrs]
+        keys, (_, _, weights) = runs[0]
+        for other_keys, (_, _, other_weights) in runs[1:]:
             _, mine, theirs = np.intersect1d(
                 keys, other_keys, assume_unique=True, return_indices=True
             )
             same = mine[weights[mine] == other_weights[theirs]]
             keys, weights = keys[same], weights[same]
         additions = {}
-        for ver, (ver_keys, ver_weights, _) in per_version.items():
-            extra = ~_contains(keys, ver_keys)
-            additions[ver] = _columns(ver_keys[extra], ver_weights[extra])
+        for ver, (ver_keys, columns) in zip(vers, runs):
+            extra = ~np.isin(ver_keys, keys, assume_unique=True)
+            additions[ver] = tuple(column[extra] for column in columns)
+        # The oldest version's edges, less its touched runs' uncommon ones.
+        src, dst, wgt = csrs[0].edge_arrays()
+        common = ~np.isin(src, touched)
+        common[~common] = np.isin(runs[0][0], keys, assume_unique=True)
         return CommonSlice(
             versions=vers,
-            common_edges=_columns(keys, weights),
-            common_vertices=min(n for _, _, n in per_version.values()),
+            common_edges=(src[common], dst[common], wgt[common]),
+            common_vertices=min(csr.num_vertices for csr in csrs),
             additions=additions,
-            vertices={ver: per_version[ver][2] for ver in vers},
-        )
-
-    def _enforce_retention(self) -> None:
-        """Fold oldest deltas into the base until the bound is met."""
-        if self.keep_versions is None:
-            return
-        while len(self._deltas) + 1 > self.keep_versions:
-            delta = self._deltas.pop(0)
-            self._folded.append(delta)
-            self._folded_records += len(delta[1]) + len(delta[2])
-            self._base_version = delta[0]
-            self._evicted_versions += 1
-            # A cursor parked on a folded version would alias the new base;
-            # drop it rather than reason about partial replays.
-            if self._cursor is not None and self._cursor[0] <= delta[0]:
-                self._cursor = None
-        if self._folded_records > len(self._base[0]) // 64:
-            self._base_edges()
-
-    def delta_bytes(self) -> int:
-        """Approximate storage of the delta log (16 B per record)."""
-        return sum(
-            16 * (len(ins) + len(dels)) for _, ins, dels in self._deltas
+            vertices={ver: csr.num_vertices for ver, csr in zip(vers, csrs)},
         )
 
     def stats(self) -> Dict[str, Optional[int]]:
-        """Retention/footprint counters for ops surfaces.
-
-        ``versions_held`` counts reconstructible versions (base + deltas);
-        ``evicted_versions`` how many the retention bound has folded away.
-        """
-        held = self.versions()
+        """Retention/footprint counters for ops surfaces: ``delta_records``
+        and ``delta_bytes`` measure the pointer diffs, ``arena_bytes`` the
+        arena arrays the held versions index (each once)."""
+        held, head = self.versions(), self._head[1]
+        diffs = [r for older in self._older for r in older.runs]
+        arenas = {id(a): a.nbytes for r in diffs + list(_directions(head)) for a in r[2:]}
         return {
             "versions_held": len(held),
             "oldest_version": held[0],
             "newest_version": held[-1],
-            "delta_records": sum(
-                len(ins) + len(dels) for _, ins, dels in self._deltas
-            ),
-            "delta_bytes": self.delta_bytes(),
+            "delta_records": sum(len(r[0]) for r in diffs),
+            "delta_bytes": sum(ids.nbytes + values.nbytes for ids, values, _, _ in diffs),
+            "arena_bytes": sum(arenas.values()),
             "evicted_versions": self._evicted_versions,
             "keep_versions": self.keep_versions,
-            "base_edges": len(self._base_edges()[0]),
+            "base_edges": (self._older[0] if self._older else head).num_edges,
         }

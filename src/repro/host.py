@@ -159,13 +159,13 @@ class Session:
         """Start recording graph versions for time-travel queries.
 
         From this point every applied batch (:meth:`run`) and express
-        single (:meth:`apply_update`) is logged as a delta in a
-        :class:`~repro.graph.dynamic.DeltaVersionStore`, making historical
-        versions reconstructible and enabling
-        :meth:`run_at_versions`. ``keep_versions`` bounds retention (older
-        versions fold into the base and report ``KeyError`` — the serve
-        layer surfaces that as ``VERSION_EVICTED``); ``None`` keeps all.
-        Re-enabling rebases the store on the current version.
+        single (:meth:`apply_update`) records the graph's new version in a
+        :class:`~repro.graph.dynamic.DeltaVersionStore` — the per-vertex run
+        pointers that changed — making historical versions reconstructible
+        and enabling :meth:`run_at_versions`. ``keep_versions`` bounds
+        retention (the oldest versions are scattered into the base and
+        report ``KeyError``); ``None`` keeps all. Re-enabling rebases the
+        store on the current version.
         """
         if self._closed:
             raise HostApiError("session is closed")
@@ -219,7 +219,7 @@ class Session:
             # The host swaps a fresh CSR pointer after each batch (§4.7).
             self._account_transfer("graph_uploads", 2 * batch.size * EDGE_ENTRY_BYTES)
             if self._version_store is not None:
-                self._version_store.record_batch(batch.ins, batch.dels)
+                self._version_store.record()
         return self._last_result
 
     def run_at_versions(
@@ -307,12 +307,9 @@ class Session:
         result = self._express.apply(u, v, w, op)
         if self._version_store is not None:
             # Both express paths (safe absorb and engine fallthrough) bump
-            # the graph version by one; log the single as a delta so
-            # time-travel reads see express traffic too.
-            if result.op == "insert":
-                self._version_store.record_batch([(result.u, result.v, result.w)], ())
-            else:
-                self._version_store.record_batch((), [(result.u, result.v)])
+            # the graph version by one; record it so time-travel reads see
+            # express traffic too.
+            self._version_store.record()
         if result.engine_result is not None:
             self._last_result = result.engine_result
             # The fallthrough ran as a one-edge batch on the engine, which
@@ -352,7 +349,8 @@ class Session:
         cache hits, full rebuilds — so a driver can verify the incremental
         snapshot path is actually engaged for its update pattern. With
         :meth:`enable_versioning` active, a ``version_store`` sub-dict
-        reports retention counters (versions held, delta bytes, evictions).
+        reports retention counters (versions held, diff and arena bytes,
+        evictions).
         """
         stats = self._graph.store_stats()
         if self._version_store is not None:

@@ -198,8 +198,7 @@ class ServeSession:
             raise ValueError("keep_versions must be >= 1 (or None for keep-all)")
         self.keep_versions = keep_versions
         #: Retained published snapshots keyed by graph version — the
-        #: ``?version=`` read path. Bounded in lockstep with the host
-        #: session's DeltaVersionStore retention.
+        #: ``?version=`` read path, bounded by ``keep_versions``.
         self._history: "OrderedDict[int, ReadSnapshot]" = OrderedDict()
         self._history_evicted = 0
         self._history_lock = threading.Lock()

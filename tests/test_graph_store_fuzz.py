@@ -15,6 +15,9 @@ pair) must be refused whole, leaving no trace in the store.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -379,7 +382,7 @@ class TestDeltaVersionStore:
         for _ in range(num_batches):
             insertions, deletions = _random_batch(rng, model, graph.num_vertices, True)
             graph.apply_batch(insertions, deletions)
-            store.record_batch(insertions, deletions)
+            store.record()
             _apply_to_model(model, insertions, deletions)
             saved.append((graph.version, dict(model.edges), graph.num_vertices))
         return store, saved
@@ -398,12 +401,11 @@ class TestDeltaVersionStore:
         store, saved = self._build()
         last_version = saved[-1][0]
         store.reconstruct(last_version)
-        # Same version again: must not replay past it (regression: the
-        # roll-forward cursor used to apply every later delta).
+        # Reconstruction must not depend on access order: each version
+        # twice in a row, then a jump from the newest back to an old one.
         for version, edges, n in saved:
             self._check(store, version, edges, n)
-            self._check(store, version, edges, n)  # repeat at cursor
-        # Backward jump after the cursor advanced to the end.
+            self._check(store, version, edges, n)
         self._check(store, last_version, saved[-1][1], saved[-1][2])
         self._check(store, saved[1][0], saved[1][1], saved[1][2])
 
@@ -434,18 +436,18 @@ class TestDeltaVersionStore:
             if step % 4 == 0:
                 insertions, deletions = _random_batch(rng, model, graph.num_vertices, True)
                 graph.apply_batch(insertions, deletions)
-                store.record_batch(insertions, deletions)
+                store.record()
                 _apply_to_model(model, insertions, deletions)
             elif step % 3 and model.edges:
                 live = sorted(model.edges)
                 u, v = live[int(rng.integers(0, len(live)))]
                 graph.remove_edge(u, v)
-                store.record_batch((), [(u, v)])
+                store.record()
                 model.delete(u, v)
             else:
                 u, v = _fresh_pair(rng, model, graph.num_vertices + 2, set())
                 graph.add_edge(u, v, 3.0)
-                store.record_batch([(u, v, 3.0)], ())
+                store.record()
                 model.insert(u, v, 3.0)
             saved[graph.version] = (dict(model.edges), graph.num_vertices)
             if step % 5 == 4:
@@ -455,6 +457,8 @@ class TestDeltaVersionStore:
                 self._check_slice(store.common_slice(held), saved)
         evicted = 0 if keep is None else len(saved) - keep
         assert store.stats()["evicted_versions"] == evicted
+        # Versions on both sides of a compaction were checked above.
+        assert graph.store_stats()["compactions"] >= 1
 
     @staticmethod
     def _check_slice(slice_, saved) -> None:
@@ -476,22 +480,51 @@ class TestDeltaVersionStore:
         assert slice_.common_vertices == min(saved[v][1] for v in slice_.versions)
 
     def test_retention_folds_in_bulk_and_stays_bounded(self):
-        """Evicted deltas are rolled into the base in bulk, once they hold
-        1/64 of its edges, and every retained version stays exact."""
+        """Single-edge writes at ``keep_versions=2`` hold two versions, each
+        exact, while the oldest diff is dropped on every write."""
         i = np.arange(640)
         graph = DynamicGraph.from_arrays(i // 16, 100 + i % 16, 1.0 + i % 5)
         store = DeltaVersionStore(graph, keep_versions=2)
-        lazily_folded = 0
         for k in range(50):
+            before = graph.snapshot().compact()
             graph.add_edge(k, 200 + k, 2.0)
-            store.record_batch([(k, 200 + k, 2.0)], ())
-            assert store._folded_records <= 640 // 64
-            lazily_folded = max(lazily_folded, len(store._folded))
-        assert lazily_folded > 1
-        live = graph.snapshot()
-        assert_csr_identical(live, store.reconstruct(graph.version))
-        assert store.stats()["base_edges"] == live.num_edges - 1
-        assert store._folded == []
+            store.record()
+            assert store.stats()["versions_held"] == 2
+            older, newer = store.versions()
+            assert_csr_identical(store.reconstruct(older), before)
+            assert_csr_identical(store.reconstruct(newer), graph.snapshot().compact())
+        assert store.stats()["evicted_versions"] == 49
+        assert store.stats()["base_edges"] == graph.num_edges - 1
+
+    def test_evicted_arenas_are_freed_and_the_head_shares_its_arena(self):
+        """A retained version pins only the arena arrays it indexes: once
+        retention has evicted every version over the first arena, that
+        arena is freed. The newest version reads the live arena, uncopied."""
+        i = np.arange(64)
+        graph = DynamicGraph.from_arrays(i // 8, 10 + i % 8, 1.0 + i % 3)
+        first = weakref.ref(graph.snapshot().out_targets)
+        store = DeltaVersionStore(graph, keep_versions=2)
+        assert store.reconstruct(graph.version).out_targets is first()
+        k = 0
+        while graph.snapshot().out_targets is first():
+            graph.apply_batch([(k, 30 + k, 1.0)], [])
+            store.record()
+            k += 1
+        assert first() is not None  # the version before the compaction holds it
+        graph.apply_batch([(k, 30 + k, 1.0)], [])
+        store.record()
+        gc.collect()
+        assert first() is None
+        head = store.reconstruct(graph.version)
+        assert head.out_targets is graph.snapshot().out_targets
+        assert head.in_sources is graph.snapshot().in_sources
+        arenas = {
+            id(a): a.nbytes
+            for version in store.versions()
+            for csr in [store.reconstruct(version)]
+            for a in (csr.out_targets, csr.out_weights, csr.in_sources, csr.in_weights)
+        }
+        assert store.stats()["arena_bytes"] == sum(arenas.values())
 
 
 def _edge_tuples(columns):

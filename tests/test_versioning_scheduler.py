@@ -23,10 +23,7 @@ class TestDeltaVersionStore:
                 [(e.u, e.v, e.w) for e in batch.insertions],
                 [e.key() for e in batch.deletions],
             )
-            store.record_batch(
-                [(e.u, e.v, e.w) for e in batch.insertions],
-                [e.key() for e in batch.deletions],
-            )
+            store.record()
 
     def test_reconstruct_base(self):
         graph = random_digraph(seed=1)
@@ -53,19 +50,15 @@ class TestDeltaVersionStore:
                 [(e.u, e.v, e.w) for e in batch.insertions],
                 [e.key() for e in batch.deletions],
             )
-            store.record_batch(
-                [(e.u, e.v, e.w) for e in batch.insertions],
-                [e.key() for e in batch.deletions],
-            )
+            store.record()
             snapshots[graph.version] = sorted(graph.edges())
         for version, expected in snapshots.items():
             assert sorted(store.reconstruct(version).edges()) == expected
 
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_base_is_an_independent_copy_of_the_live_edge_set(self, symmetric):
-        # The base is the graph's own key/weight arrays (shared, no
-        # per-edge rebuild): same content as edges(), and a later splice
-        # replaces the graph's arrays instead of writing into the base.
+        # The base version shares the graph's arenas; later batch splices,
+        # express edits and compactions must leave it reading the same.
         graph = DynamicGraph.from_edges(
             [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0), (3, 3, 4.0)],
             symmetric=symmetric,
@@ -74,20 +67,26 @@ class TestDeltaVersionStore:
         graph.add_edge(2, 4, 7.0)
         graph.remove_edge(0, 1)
         store = DeltaVersionStore(graph)
-        expected = sorted(graph.edges())
-        base_keys = store._base[0].copy()
         base_version = graph.version
-        want, got = graph.snapshot(), store.reconstruct(base_version)
-        assert got.num_vertices == want.num_vertices
-        for mine, theirs in zip(got.edge_arrays(), want.edge_arrays()):
-            np.testing.assert_array_equal(mine, theirs)
+        want = graph.snapshot().compact()
+        assert store.reconstruct(base_version) == want
 
         graph.apply_batch([(1, 3, 8.0)], [(2, 3)])
-        store.record_batch([(1, 3, 8.0)], [(2, 3)])
+        store.record()
         graph.add_edge(3, 0, 9.0)
-        graph.snapshot()
-        np.testing.assert_array_equal(store._base[0], base_keys)
-        assert sorted(store.reconstruct(base_version).edges()) == expected
+        store.record()
+        graph.remove_edge(4, 1)
+        store.record()
+        graph.apply_batch([(u, 5 + u, 1.5) for u in range(5)], [(0, 2)])
+        store.record()
+        assert graph.store_stats()["compactions"] >= 1
+        got = store.reconstruct(base_version).compact()
+        assert got.num_vertices == want.num_vertices
+        for name in (
+            "out_offsets", "out_targets", "out_weights",
+            "in_offsets", "in_sources", "in_weights",
+        ):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
     def test_unknown_version_rejected(self):
         graph = random_digraph(seed=4)
@@ -98,15 +97,15 @@ class TestDeltaVersionStore:
     def test_delta_bytes_grow(self):
         graph = random_digraph(seed=5)
         store = DeltaVersionStore(graph)
-        assert store.delta_bytes() == 0
+        assert store.stats()["delta_bytes"] == 0
         self._stream(store, graph)
-        assert store.delta_bytes() > 0
+        assert store.stats()["delta_bytes"] > 0
 
     def test_vertex_growth_tracked(self):
         graph = DynamicGraph.from_edges([(0, 1, 1.0)], 2)
         store = DeltaVersionStore(graph)
         graph.apply_batch([(1, 7, 2.0)], [])
-        store.record_batch([(1, 7, 2.0)], [])
+        store.record()
         assert store.reconstruct(graph.version).num_vertices == 8
 
 
@@ -119,10 +118,7 @@ class TestBoundedRetention:
                 [(e.u, e.v, e.w) for e in batch.insertions],
                 [e.key() for e in batch.deletions],
             )
-            store.record_batch(
-                [(e.u, e.v, e.w) for e in batch.insertions],
-                [e.key() for e in batch.deletions],
-            )
+            store.record()
 
     def test_keep_versions_bounds_history(self):
         graph = random_digraph(seed=20)
@@ -149,10 +145,7 @@ class TestBoundedRetention:
                 [(e.u, e.v, e.w) for e in batch.insertions],
                 [e.key() for e in batch.deletions],
             )
-            store.record_batch(
-                [(e.u, e.v, e.w) for e in batch.insertions],
-                [e.key() for e in batch.deletions],
-            )
+            store.record()
             snapshots[graph.version] = sorted(graph.edges())
         for version in store.versions():
             assert sorted(store.reconstruct(version).edges()) == snapshots[version]
@@ -192,10 +185,7 @@ class TestCommonSlice:
                 [(e.u, e.v, e.w) for e in batch.insertions],
                 [e.key() for e in batch.deletions],
             )
-            store.record_batch(
-                [(e.u, e.v, e.w) for e in batch.insertions],
-                [e.key() for e in batch.deletions],
-            )
+            store.record()
         versions = store.versions()
         slice_ = store.common_slice(versions)
         common = set(_edge_list(slice_.common_edges))
@@ -210,7 +200,7 @@ class TestCommonSlice:
         graph = DynamicGraph.from_edges([(0, 1, 1.0)], 2)
         store = DeltaVersionStore(graph)
         graph.apply_batch([(1, 9, 2.0)], [])
-        store.record_batch([(1, 9, 2.0)], [])
+        store.record()
         slice_ = store.common_slice(store.versions())
         assert slice_.common_vertices == 2
         assert slice_.vertices[store.versions()[-1]] == 10
@@ -220,7 +210,7 @@ class TestCommonSlice:
         store = DeltaVersionStore(graph)
         # Reweight = delete + insert in one batch (per paper §2.1).
         graph.apply_batch([(0, 1, 7.0)], [(0, 1)])
-        store.record_batch([(0, 1, 7.0)], [(0, 1)])
+        store.record()
         slice_ = store.common_slice(store.versions())
         common = _edge_list(slice_.common_edges)
         assert (1, 2, 3.0) in common
@@ -228,6 +218,34 @@ class TestCommonSlice:
         v0, v1 = store.versions()
         assert (0, 1, 1.0) in _edge_list(slice_.additions[v0])
         assert (0, 1, 7.0) in _edge_list(slice_.additions[v1])
+
+    def test_run_rewritten_at_its_old_pointers_is_not_common(self):
+        # Vertex 5's run changes weight in the last batch, which compacts
+        # the out-arena and lands the run back at its old (start, degree):
+        # equal pointers across a compaction do not mean an equal run.
+        graph = DynamicGraph.from_edges(
+            [(0, 1, 2.0), (4, 2, 1.0), (2, 3, 3.0), (4, 5, 1.0),
+             (5, 0, 2.0), (1, 1, 2.0), (1, 3, 1.0)],
+            6,
+        )
+        store = DeltaVersionStore(graph)
+        for ins, dels in [
+            ([(2, 4, 3.0)], [(1, 1)]),
+            ([(5, 5, 3.0), (4, 2, 2.0)], [(2, 3), (4, 2)]),
+            ([(1, 2, 2.0)], [(4, 5)]),
+            ([(4, 5, 1.0), (5, 5, 1.0)], [(5, 5), (1, 2)]),
+        ]:
+            graph.apply_batch(ins, dels)
+            store.record()
+        before, after = store.reconstruct(2), store.reconstruct(4)
+        assert after.out_targets is not before.out_targets
+        assert before.out_starts[5] == after.out_starts[5]
+        assert before.out_degrees[5] == after.out_degrees[5]
+        slice_ = store.common_slice([2, 4])
+        common = _edge_list(slice_.common_edges)
+        assert common == sorted(set(before.edges()) & set(after.edges()))
+        assert (5, 5, 3.0) in _edge_list(slice_.additions[2])
+        assert (5, 5, 1.0) in _edge_list(slice_.additions[4])
 
 
 class TestPartialDrainScheduler:
