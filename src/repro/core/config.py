@@ -54,10 +54,6 @@ class AcceleratorConfig:
     # Scheduler (§4.3)
     round_barrier_cycles: int = 24
     phase_setup_cycles: int = 400
-    #: Rows emitted per scheduler round. ``None`` drains the whole queue
-    #: each round (coarse model); a finite value models the hardware's
-    #: row-at-a-time drain, leaving the rest queued (and still coalescing).
-    scheduler_rows_per_round: "int | None" = None
 
     # Host/stream reader (§4.5)
     stream_record_bytes: int = 16  # <source, destination, weight>

@@ -299,7 +299,6 @@ class EngineCore:
         offsets = self.csr.out_offsets
         row_width = self.config.queue_row_vertices
         page_bytes = self.config.dram_page_bytes
-        max_rows = self.config.scheduler_rows_per_round
         tracer = self.tracer
 
         impacted: List[int] = []
@@ -317,7 +316,7 @@ class EngineCore:
                 if not queue.active_pending():
                     # Charge the activated slice's spill read-back to this round.
                     queue.activate_next_slice(work)
-                batch, starts = queue.drain_round(work, max_rows)
+                batch, starts = queue.drain_round(work)
                 k = len(batch)
                 if k == 0:
                     continue

@@ -53,19 +53,3 @@ class DeletePolicy(enum.Enum):
             return config.event_bytes_dap
         return config.event_bytes_jetstream
 
-
-def should_reset(policy: DeletePolicy, algorithm, state: float, event) -> bool:
-    """Impact test of Algorithm 4 under the given policy.
-
-    ``state`` is the receiver's current value; ``event`` the delete event.
-    The DAP dependency match is checked by the caller (it owns the
-    dependency array); here DAP behaves like BASE for the remaining
-    conditions.
-    """
-    if state == algorithm.identity:
-        return False  # already reset / never progressed — nothing to undo
-    if policy is DeletePolicy.VAP:
-        # A receiver strictly more progressed than the deleted path's
-        # contribution cannot have depended on it (§5.1).
-        return not algorithm.more_progressed(state, event.payload)
-    return True

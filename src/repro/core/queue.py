@@ -22,9 +22,10 @@ JetStream extensions modelled here:
 Functionally the queue drains in deterministic *rounds*: a round emits all
 currently queued events of the active slice, sorted by destination vertex
 and grouped into row batches; events generated while processing a round
-land in the queue for the next round. (Real hardware overlaps draining and
-insertion; the round model preserves semantics — the Reordering Property
-makes order irrelevant — and gives the timing model clean units.)
+land in the queue for the next round. (Real hardware drains row by row and
+overlaps draining and insertion; one full drain per round preserves
+semantics — the Reordering Property makes order irrelevant — and gives the
+timing model clean units.)
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.algorithms.base import AlgorithmKind
-from repro.core.events import NO_SOURCE, Event, EventBatch, int64_column
+from repro.core.events import NO_SOURCE, EventBatch, int64_column
 from repro.core.metrics import RoundWork
 from repro.core.policies import DeletePolicy
 
@@ -164,16 +165,11 @@ class VectorQueue(_SlicedQueue):
         self._overflow_chunks: List[List[EventBatch]] = [
             [] for _ in range(self.num_slices)
         ]
-        self._overflow_counts = np.zeros(self.num_slices, dtype=np.int64)
         self._spilled_pending = np.zeros(self.num_slices, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Insertion / coalescing
     # ------------------------------------------------------------------
-    def insert(self, event: Event, work: RoundWork) -> None:
-        """Insert one boxed event (seeding/tests; hot paths use batches)."""
-        self.insert_batch(EventBatch.from_events([event]), work)
-
     def insert_batch(self, batch: EventBatch, work: RoundWork) -> None:
         """Insert ``batch`` in array order with scatter-reduce coalescing.
 
@@ -359,11 +355,9 @@ class VectorQueue(_SlicedQueue):
         self._occupancy += n_overflow
         if self._slice_of is not None:
             ov_sids = self._slice_of[chunk.targets]
-            np.add.at(self._overflow_counts, ov_sids, 1)
             for sid in np.unique(ov_sids):
                 self._overflow_chunks[int(sid)].append(chunk.take(ov_sids == sid))
         else:
-            self._overflow_counts[0] += n_overflow
             self._overflow_chunks[0].append(chunk)
 
     def _fold(self, batch: EventBatch, folds: np.ndarray) -> None:
@@ -423,7 +417,7 @@ class VectorQueue(_SlicedQueue):
     def active_pending(self) -> bool:
         """True when the active slice holds events."""
         sid = self.active_slice
-        return bool(self._cell_counts[sid] or self._overflow_counts[sid])
+        return bool(self._cell_counts[sid] or self._overflow_chunks[sid])
 
     def activate_next_slice(self, work: Optional[RoundWork] = None) -> bool:
         """Swap to the next slice with pending events (§4.7).
@@ -435,7 +429,7 @@ class VectorQueue(_SlicedQueue):
         """
         for step in range(1, self.num_slices + 1):
             candidate = (self.active_slice + step) % self.num_slices
-            if self._cell_counts[candidate] or self._overflow_counts[candidate]:
+            if self._cell_counts[candidate] or self._overflow_chunks[candidate]:
                 if candidate != self.active_slice:
                     self.slice_switches += 1
                 if work is not None and self._spilled_pending[candidate]:
@@ -447,17 +441,14 @@ class VectorQueue(_SlicedQueue):
                 return True
         return False
 
-    def drain_round(
-        self, work: RoundWork, max_rows: Optional[int] = None
-    ) -> Tuple[EventBatch, np.ndarray]:
-        """Emit queued events of the active slice as one sorted batch.
+    def drain_round(self, work: RoundWork) -> Tuple[EventBatch, np.ndarray]:
+        """Emit every queued event of the active slice as one sorted batch.
 
         Returns ``(batch, row_starts)``: the drained events sorted by
         destination vertex (cell event first, then any overflow events for
         the same target in arrival order — the scalar drain order), and
         the indices where a new queue row of ``config.queue_row_vertices``
-        consecutive vertices begins. ``max_rows`` limits the drain to the
-        first N distinct rows, mirroring the scalar partial drain.
+        consecutive vertices begins.
         """
         sid = self.active_slice
         if self._slice_masks is not None:
@@ -465,45 +456,21 @@ class VectorQueue(_SlicedQueue):
         else:
             cell_t = np.flatnonzero(self._occupied)
         chunks = self._overflow_chunks[sid]
-        of = EventBatch.concat(chunks) if chunks else EventBatch.empty()
-        if cell_t.shape[0] == 0 and len(of) == 0:
+        if cell_t.shape[0] == 0 and not chunks:
             return EventBatch.empty(), np.empty(0, dtype=np.int64)
-        row_width = self.config.queue_row_vertices
-
-        if max_rows is not None:
-            all_t = np.unique(np.concatenate([cell_t, of.targets]))
-            rows = np.unique(all_t // row_width)
-            allowed = rows[:max_rows]
-            cell_t = cell_t[np.isin(cell_t // row_width, allowed)]
-            of_mask = np.isin(of.targets // row_width, allowed)
-        else:
-            of_mask = np.ones(len(of), dtype=bool)
 
         if self.policy.tracks_dependency:
             sources = self._sources[cell_t]
         else:  # sources only under DAP (§5.2); otherwise the fields are scratch
             sources = int64_column(NO_SOURCE, cell_t.shape[0])
-        cell_batch = EventBatch(
-            cell_t, self._payloads[cell_t], self._flags[cell_t], sources
-        )
-        of_drained = of.take(of_mask)
-        n_of = len(of_drained)
-        if n_of:
-            merged = EventBatch.concat([cell_batch, of_drained])
+        # flatnonzero order: already target-sorted
+        out = EventBatch(cell_t, self._payloads[cell_t], self._flags[cell_t], sources)
+        if chunks:
             # Per target: the coalesced cell first, then overflow events in
-            # arrival order (chunks were appended chronologically).
-            prio = np.concatenate(
-                [
-                    np.zeros(cell_t.shape[0], dtype=np.int64),
-                    np.ones(n_of, dtype=np.int64),
-                ]
-            )
-            seq = np.concatenate(
-                [np.arange(cell_t.shape[0]), np.arange(n_of)]
-            )
-            out = merged.take(np.lexsort((seq, prio, merged.targets)))
-        else:
-            out = cell_batch  # flatnonzero order: already target-sorted
+            # arrival order (chunks were appended chronologically), which a
+            # stable sort of cells-then-overflow by target keeps.
+            merged = EventBatch.concat([out, *chunks])
+            out = merged.take(np.argsort(merged.targets, kind="stable"))
 
         # Clear drained state: an empty cell holds no flags and, for an
         # accumulative fold, the identity -0.0 (see _insert_into_empty).
@@ -512,12 +479,10 @@ class VectorQueue(_SlicedQueue):
         if self.algorithm.kind is AlgorithmKind.ACCUMULATIVE:
             self._payloads[cell_t] = -0.0
         self._cell_counts[sid] -= cell_t.shape[0]
-        retained = of.take(~of_mask)
-        self._overflow_chunks[sid] = [retained] if len(retained) else []
-        self._overflow_counts[sid] -= n_of
-        self._occupancy -= cell_t.shape[0] + n_of
+        self._overflow_chunks[sid] = []
+        self._occupancy -= len(out)
 
-        out_rows = out.targets // row_width
+        out_rows = out.targets // self.config.queue_row_vertices
         bstart = np.empty(len(out), dtype=bool)
         bstart[0] = True
         np.not_equal(out_rows[1:], out_rows[:-1], out=bstart[1:])

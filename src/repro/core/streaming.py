@@ -580,11 +580,11 @@ def evaluate_at_versions(
     # The vertex→engine map installed by the first bind survives
     # (load_states never repartitions), so all passes share it.
     for ver in versions:
-        n_v = slice_.vertices[ver]
+        csr_v = slice_.graphs[ver]
+        n_v = csr_v.num_vertices
         additions = slice_.additions[ver]
         phase = metrics.phase(f"addition-pass@v{ver}")
         core.load_states(base_states)
-        csr_v = store.reconstruct(ver)
         core.grow(n_v)
         core.bind_graph(csr_v)
         queue = core.new_queue()

@@ -817,8 +817,8 @@ class CommonSlice:
     common_vertices: int
     #: version -> edges of that version not in ``common_edges``.
     additions: Dict[int, EdgeArrays]
-    #: version -> that version's vertex count.
-    vertices: Dict[int, int]
+    #: version -> that version's graph (its vertex count is ``num_vertices``).
+    graphs: Dict[int, CSRGraph]
 
 
 class _Version(NamedTuple):
@@ -956,7 +956,7 @@ class DeltaVersionStore:
             common_edges=(src[common], dst[common], wgt[common]),
             common_vertices=min(csr.num_vertices for csr in csrs),
             additions=additions,
-            vertices={ver: csr.num_vertices for ver, csr in zip(vers, csrs)},
+            graphs=dict(zip(vers, csrs)),
         )
 
     def stats(self) -> Dict[str, Optional[int]]:

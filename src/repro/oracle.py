@@ -10,7 +10,7 @@ queue's lifetime counters. Only tests and benches import it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.algorithms.base import NULL_CONTEXT, AlgorithmKind
 from repro.core.engine import _LINE, MAX_ROUNDS, EngineCore
@@ -163,21 +163,13 @@ class CoalescingQueue(_SlicedQueue):
                 return True
         return False
 
-    def drain_round(
-        self, work: RoundWork, max_rows: Optional[int] = None
-    ) -> List[List[Event]]:
-        """Emit queued events of the active slice as row batches.
+    def drain_round(self, work: RoundWork) -> List[List[Event]]:
+        """Emit every queued event of the active slice as row batches.
 
         Events are sorted by destination vertex id and grouped by queue row
         (``config.queue_row_vertices`` consecutive vertices per row), which
         is exactly the spatial-locality grouping the scheduler exploits
         when assigning batches to processors (§4.3).
-
-        ``max_rows`` limits how many rows one round emits — the
-        finer-grained hardware drain (one row per bin per step). Events
-        left behind stay queued and keep coalescing with new arrivals,
-        which is the mechanism that makes partial drains *cheaper* in total
-        events even though they take more rounds.
         """
         cells = self._cells[self.active_slice]
         overflow = self._overflow[self.active_slice]
@@ -185,16 +177,6 @@ class CoalescingQueue(_SlicedQueue):
             return []
         row_width = self.config.queue_row_vertices
         targets = sorted(set(cells) | set(overflow))
-        if max_rows is not None:
-            allowed_rows = []
-            for target in targets:
-                row = target // row_width
-                if not allowed_rows or allowed_rows[-1] != row:
-                    if len(allowed_rows) == max_rows:
-                        break
-                    allowed_rows.append(row)
-            limit = set(allowed_rows)
-            targets = [t for t in targets if t // row_width in limit]
 
         events: List[Event] = []
         for target in targets:
@@ -231,11 +213,6 @@ class CoalescingQueue(_SlicedQueue):
         identical work accounting for the same batch.
         """
         for event in batch.to_events():
-            self.insert(event, work)
-
-    def seed(self, events: Iterable[Event], work: RoundWork) -> None:
-        """Bulk-insert initial events (the Initializer module, §4.6)."""
-        for event in events:
             self.insert(event, work)
 
 
@@ -284,7 +261,6 @@ class ScalarCore(EngineCore):
         page_bytes = self.config.dram_page_bytes
         tracer = self.tracer
 
-        max_rows = self.config.scheduler_rows_per_round
         rounds = 0
         while queue.pending():
             rounds += 1
@@ -299,7 +275,7 @@ class ScalarCore(EngineCore):
             if not queue.active_pending():
                 # Charge the activated slice's spill read-back to this round.
                 queue.activate_next_slice(work)
-            for batch in queue.drain_round(work, max_rows):
+            for batch in queue.drain_round(work):
                 self._account_vertex_batch(batch, work, page_bytes)
                 edge_lines = set()
                 edge_pages = set()
@@ -386,7 +362,6 @@ class ScalarCore(EngineCore):
         vap = policy is DeletePolicy.VAP
         dap = policy is DeletePolicy.DAP
 
-        max_rows = self.config.scheduler_rows_per_round
         tracer = self.tracer
         impacted: List[int] = []
         rounds = 0
@@ -403,7 +378,7 @@ class ScalarCore(EngineCore):
             if not queue.active_pending():
                 # Charge the activated slice's spill read-back to this round.
                 queue.activate_next_slice(work)
-            for batch in queue.drain_round(work, max_rows):
+            for batch in queue.drain_round(work):
                 self._account_vertex_batch(batch, work, page_bytes)
                 edge_lines = set()
                 edge_pages = set()

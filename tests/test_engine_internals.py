@@ -9,9 +9,9 @@ import pytest
 from repro.algorithms import make_algorithm
 from repro.core.config import AcceleratorConfig
 from repro.core.engine import EngineCore, MAX_ROUNDS
-from repro.core.events import NO_SOURCE, Event
+from repro.core.events import NO_SOURCE, EventBatch
 from repro.core.metrics import PhaseStats, RunMetrics
-from repro.core.policies import DeletePolicy, should_reset
+from repro.core.policies import DeletePolicy
 from repro.core.streaming import JetStreamEngine
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import DynamicGraph
@@ -36,13 +36,14 @@ class TestRequestFlag:
         phase = PhaseStats("test")
         work = phase.new_round()
         # Converge first.
-        queue.insert(Event(0, 0.0), work)
+        queue.insert_batch(EventBatch.from_arrays([0], [0.0]), work)
         core.run_regular(queue, phase)
         assert core.states[3] == 9.0
         # Reset vertex 2 by hand; a request to vertex 1 must restore it.
         core.states[2] = math.inf
         core.states[3] = math.inf
-        queue.insert(Event(1, core.algorithm.identity, 2, NO_SOURCE), work)
+        request = EventBatch.from_arrays([1], [core.algorithm.identity], 2)
+        queue.insert_batch(request, work)
         core.run_regular(queue, phase)
         assert core.states[2] == 5.0
         assert core.states[3] == 9.0
@@ -52,7 +53,8 @@ class TestRequestFlag:
         queue = core.new_queue()
         phase = PhaseStats("test")
         work = phase.new_round()
-        queue.insert(Event(2, core.algorithm.identity, 2, NO_SOURCE), work)
+        request = EventBatch.from_arrays([2], [core.algorithm.identity], 2)
+        queue.insert_batch(request, work)
         core.run_regular(queue, phase)
         # Nothing was reachable/known: states untouched.
         assert math.isinf(core.states[2])
@@ -65,7 +67,7 @@ class TestDeletePhase:
         queue = core.new_queue()
         phase = PhaseStats("init")
         work = phase.new_round()
-        queue.insert(Event(0, 0.0), work)
+        queue.insert_batch(EventBatch.from_arrays([0], [0.0]), work)
         core.run_regular(queue, phase)
         return core
 
@@ -77,7 +79,7 @@ class TestDeletePhase:
         phase = PhaseStats("delete")
         work = phase.new_round()
         payload = 0.0 if policy is DeletePolicy.BASE else 2.0
-        queue.insert(Event(1, payload, 1, 0), work)
+        queue.insert_batch(EventBatch.from_arrays([1], [payload], 1, 0), work)
         impacted = core.run_delete(queue, phase)
         assert impacted == [1, 2, 3]
         assert all(math.isinf(core.states[v]) for v in (1, 2, 3))
@@ -90,7 +92,7 @@ class TestDeletePhase:
         phase = PhaseStats("delete")
         work = phase.new_round()
         # Vertex 1's dependency is 0; a delete claiming source 3 must drop.
-        queue.insert(Event(1, 2.0, 1, 3), work)
+        queue.insert_batch(EventBatch.from_arrays([1], [2.0], 1, 3), work)
         impacted = core.run_delete(queue, phase)
         assert impacted == []
         assert phase.deletes_discarded == 1
@@ -102,19 +104,34 @@ class TestDeletePhase:
         phase = PhaseStats("delete")
         work = phase.new_round()
         # Vertex 1 holds 2.0; a deleted path that contributed 50 is moot.
-        queue.insert(Event(1, 50.0, 1, 0), work)
+        queue.insert_batch(EventBatch.from_arrays([1], [50.0], 1, 0), work)
         impacted = core.run_delete(queue, phase)
         assert impacted == []
         assert phase.deletes_discarded == 1
 
-    def test_should_reset_helper(self):
-        algorithm = make_algorithm("sssp", source=0)
-        event = Event(1, 5.0, 1, 0)
-        assert not should_reset(DeletePolicy.BASE, algorithm, math.inf, event)
-        assert should_reset(DeletePolicy.BASE, algorithm, 3.0, event)
-        assert not should_reset(DeletePolicy.VAP, algorithm, 3.0, event)
-        assert should_reset(DeletePolicy.VAP, algorithm, 5.0, event)
-        assert should_reset(DeletePolicy.VAP, algorithm, 7.0, event)
+    def test_vap_resets_less_progressed_receiver(self):
+        core = self._converged_core(DeletePolicy.VAP)
+        queue = core.new_queue()
+        phase = PhaseStats("delete")
+        work = phase.new_round()
+        # Vertex 1 holds 2.0; VAP cannot rule out that it rests on a deleted
+        # path that contributed 1.0 (an equal one: test_delete_resets_chain).
+        queue.insert_batch(EventBatch.from_arrays([1], [1.0], 1, 0), work)
+        impacted = core.run_delete(queue, phase)
+        assert impacted == [1, 2, 3]
+        assert math.isinf(core.states[1])
+
+    @pytest.mark.parametrize("policy", [DeletePolicy.BASE, DeletePolicy.VAP])
+    def test_identity_receiver_discarded(self, policy):
+        core = make_core(policy=policy)  # never converged: all Identity
+        queue = core.new_queue()
+        phase = PhaseStats("delete")
+        work = phase.new_round()
+        queue.insert_batch(EventBatch.from_arrays([1], [2.0], 1, 0), work)
+        impacted = core.run_delete(queue, phase)
+        assert impacted == []
+        assert phase.deletes_discarded == 1
+        assert phase.vertices_reset == 0
 
 
 class TestDependencyMaintenance:

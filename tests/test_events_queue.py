@@ -239,12 +239,6 @@ class TestSlices:
         with pytest.raises(ValueError):
             make_queue(num_vertices=64, slice_of=np.zeros(10, dtype=np.int64))
 
-    def test_seed_bulk_insert(self):
-        queue = make_queue()
-        work = RoundWork()
-        queue.seed([Event(v, 1.0) for v in range(5)], work)
-        assert queue.occupancy() == 5
-
 
 def make_vector_queue(
     policy=DeletePolicy.DAP, algorithm=None, num_vertices=64, slice_of=None
@@ -297,8 +291,10 @@ class TestVectorQueue:
     def test_request_flag_survives_batch_coalescing(self):
         queue = make_vector_queue()
         work = RoundWork()
-        queue.insert(Event(5, 3.0, int(EventFlags.REQUEST)), work)
-        queue.insert(Event(5, 1.0, 0), work)
+        queue.insert_batch(
+            EventBatch.from_arrays([5], [3.0], int(EventFlags.REQUEST)), work
+        )
+        queue.insert_batch(EventBatch.from_arrays([5], [1.0]), work)
         batch, _ = queue.drain_round(work)
         assert batch.flags[0] & int(EventFlags.REQUEST)
         assert batch.payloads[0] == 1.0
@@ -306,15 +302,17 @@ class TestVectorQueue:
     def test_mixing_delete_and_regular_rejected(self):
         queue = make_vector_queue()
         work = RoundWork()
-        queue.insert(Event(5, 3.0), work)
+        queue.insert_batch(EventBatch.from_arrays([5], [3.0]), work)
         with pytest.raises(QueueError):
-            queue.insert(Event(5, 3.0, int(EventFlags.DELETE)), work)
+            queue.insert_batch(
+                EventBatch.from_arrays([5], [3.0], int(EventFlags.DELETE)), work
+            )
 
     def test_vap_keeps_most_progressed_delete(self):
         queue = make_vector_queue(policy=DeletePolicy.VAP)
         work = RoundWork()
-        queue.insert(Event(5, 9.0, 1, 1), work)
-        queue.insert(Event(5, 4.0, 1, 2), work)
+        queue.insert_batch(EventBatch.from_arrays([5], [9.0], 1, 1), work)
+        queue.insert_batch(EventBatch.from_arrays([5], [4.0], 1, 2), work)
         batch, _ = queue.drain_round(work)
         assert len(batch) == 1
         assert batch.payloads[0] == 4.0
@@ -355,29 +353,12 @@ class TestVectorQueue:
         assert row_starts.tolist() == [0, 2]
         assert queue.occupancy() == 0
 
-    def test_max_rows_partial_drain(self):
-        config = AcceleratorConfig()
-        queue = make_vector_queue()
-        work = RoundWork()
-        row = config.queue_row_vertices
-        queue.insert_batch(
-            EventBatch.from_arrays(
-                np.array([0, row, 3 * row]), np.array([1.0, 1.0, 1.0])
-            ),
-            work,
-        )
-        batch, row_starts = queue.drain_round(work, max_rows=2)
-        assert batch.targets.tolist() == [0, row]
-        assert queue.pending()
-        batch, _ = queue.drain_round(work)
-        assert batch.targets.tolist() == [3 * row]
-
     def test_cross_slice_spill_accounted(self):
         slice_of = np.array([0] * 32 + [1] * 32)
         queue = make_vector_queue(slice_of=slice_of)
         work = RoundWork()
-        queue.insert(Event(0, 1.0), work)
-        queue.insert(Event(40, 1.0), work)
+        queue.insert_batch(EventBatch.from_arrays([0], [1.0]), work)
+        queue.insert_batch(EventBatch.from_arrays([40], [1.0]), work)
         assert work.spill_bytes == queue.event_bytes
         queue.drain_round(work)
         assert queue.activate_next_slice(work)
@@ -403,7 +384,7 @@ class TestVectorQueue:
     def test_grows_for_out_of_range_target(self):
         queue = make_vector_queue(num_vertices=4)
         work = RoundWork()
-        queue.insert(Event(9, 2.0), work)
+        queue.insert_batch(EventBatch.from_arrays([9], [2.0]), work)
         batch, _ = queue.drain_round(work)
         assert batch.targets.tolist() == [9]
 
@@ -514,7 +495,7 @@ class TestSourceRule:
         queue = make(policy, algorithm())
         work = RoundWork()
         if occupied:
-            queue.insert(Event(5, 9.0, 0, 9), work)
+            queue.insert_batch(EventBatch.from_arrays([5], [9.0], 0, 9), work)
         queue.insert_batch(
             EventBatch.from_arrays(
                 np.array([5, 5, 7, 5, 8]),
@@ -544,7 +525,7 @@ class TestSourceRule:
         queue = make(DeletePolicy.DAP, SSSP())
         work = RoundWork()
         if occupied:
-            queue.insert(Event(5, 9.0, 0, 9), work)
+            queue.insert_batch(EventBatch.from_arrays([5], [9.0], 0, 9), work)
         queue.insert_batch(
             EventBatch.from_arrays(
                 np.array([5, 5, 5, 5, 7]),
@@ -561,7 +542,7 @@ class TestSourceRule:
         queue = make(DeletePolicy.DAP, PageRank())
         work = RoundWork()
         if occupied:
-            queue.insert(Event(2, 0.5, 0, 9), work)
+            queue.insert_batch(EventBatch.from_arrays([2], [0.5], 0, 9), work)
         queue.insert_batch(
             EventBatch.from_arrays(
                 np.array([2, 2, 3, 2]),
@@ -597,12 +578,12 @@ class TestVectorQueueDifferential:
             sources=rng.integers(0, 10_000, k),
         )
 
-    def _drain_both(self, scalar, vector, works, max_rows, compare_sources):
+    def _drain_both(self, scalar, vector, works, compare_sources):
         if not scalar.active_pending():
             moved = scalar.activate_next_slice(works[0])
             assert vector.activate_next_slice(works[1]) == moved
-        rows = scalar.drain_round(works[0], max_rows=max_rows)
-        got, row_starts = vector.drain_round(works[1], max_rows=max_rows)
+        rows = scalar.drain_round(works[0])
+        got, row_starts = vector.drain_round(works[1])
         want = EventBatch.from_events([event for row in rows for event in row])
         if not compare_sources:
             want.sources = got.sources
@@ -658,7 +639,7 @@ class TestVectorQueueDifferential:
 
         def drain_all(compare_sources=True):
             while scalar.pending():
-                self._drain_both(scalar, vector, works, None, compare_sources)
+                self._drain_both(scalar, vector, works, compare_sources)
             assert not vector.pending()
 
         for phase in range(12):
@@ -674,10 +655,7 @@ class TestVectorQueueDifferential:
                 hot = rng.integers(0, limit, 4)
                 cold = rng.integers(0, limit, k)
                 targets = np.where(rng.random(k) < 0.5, rng.choice(hot, k), cold)
-                insert(targets, delete_of)
-                if rng.random() < 0.4:
-                    max_rows = int(rng.integers(1, 4))
-                    self._drain_both(scalar, vector, works, max_rows, True)
+                insert(targets, delete_of)  # onto the cells of earlier inserts
             # ≥1000 duplicates of one target, between other targets' events
             run = np.full(1200, int(distinct[0]))
             run[rng.integers(0, 1200, 100)] = rng.integers(0, limit, 100)
@@ -722,7 +700,7 @@ class TestVectorQueueDifferential:
 
         def insert_after_drain(targets, ties=False, requests=True):
             while scalar.pending():
-                self._drain_both(scalar, vector, works, None, compare_sources)
+                self._drain_both(scalar, vector, works, compare_sources)
             assert not vector.pending()
             batch = self._batch(rng, pool, targets, np.zeros_like)
             if ties:
@@ -746,7 +724,7 @@ class TestVectorQueueDifferential:
             insert_after_drain(rng.integers(0, limit, 200), ties=True)
             insert_after_drain(rng.integers(0, 8, 60), requests=False)
         while scalar.pending():
-            self._drain_both(scalar, vector, works, None, compare_sources)
+            self._drain_both(scalar, vector, works, compare_sources)
         assert works[0] == works[1]
         assert scalar.lifetime_stats() == vector.lifetime_stats()
         if sliced:
@@ -763,7 +741,7 @@ class TestVectorQueueDifferential:
     def test_engine_batches_match_scalar_queue(self, algorithm, policy):
         """Regular batches in the form the engine generates — flags one
         stride-0 zero, sources only under DAP — into empty queues, queues
-        left holding rows by partial drains, and queues holding
+        left holding the previous step's cells, and queues holding
         request-flagged cells, with ±0.0 payloads and growth."""
         selective = algorithm is SSSP
         dap = policy is DeletePolicy.DAP
@@ -799,8 +777,8 @@ class TestVectorQueueDifferential:
             assert dap or batch.sources.strides == (0,)
             return batch
 
-        def drain(max_rows=None):
-            self._drain_both(scalar, vector, works, max_rows, compare_sources)
+        def drain():
+            self._drain_both(scalar, vector, works, compare_sources)
 
         def cells():
             cells = (vector._flags, vector._payloads, vector._occupied)
@@ -815,9 +793,7 @@ class TestVectorQueueDifferential:
             cold = rng.integers(0, limit if step > 20 else self.V, k)
             targets = np.where(rng.random(k) < 0.5, rng.choice(hot, k), cold)
             insert(engine_batch(targets))
-            if rng.random() < 0.5:
-                drain(max_rows=int(rng.integers(1, 4)))
-            else:
+            if rng.random() >= 0.5:  # else the next step meets these cells
                 while scalar.pending():
                     drain()
             if step % 10 == 9:

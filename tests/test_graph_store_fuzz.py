@@ -476,7 +476,7 @@ class TestDeltaVersionStore:
             assert _edge_tuples(slice_.additions[version]) == [
                 (u, v, w) for (u, v), w in sorted(edges.items()) if (u, v) not in common
             ]
-            assert slice_.vertices[version] == saved[version][1]
+            assert slice_.graphs[version].num_vertices == saved[version][1]
         assert slice_.common_vertices == min(saved[v][1] for v in slice_.versions)
 
     def test_retention_folds_in_bulk_and_stays_bounded(self):

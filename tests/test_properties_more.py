@@ -1,5 +1,5 @@
 """Additional property-based coverage: SSWP, BFS, adsorption, linear
-solver streaming; VAP/DAP delete-coalescing invariants; partial drains."""
+solver streaming; VAP/DAP delete-coalescing invariants."""
 
 import math
 
@@ -129,18 +129,3 @@ class TestDeleteCoalescingInvariants:
         [batch] = queue.drain_round(work)
         assert sorted(e.source for e in batch) == sorted(sources)
 
-
-class TestPartialDrainEquivalence:
-    @SETTINGS
-    @given(
-        data=graph_and_batch(max_n=10),
-        rows=st.sampled_from([1, 2, 4]),
-    )
-    def test_drain_width_does_not_change_results(self, data, rows):
-        n, edges, batch = data
-        graph = build_graph(n, edges, symmetric=False)
-        config = AcceleratorConfig(scheduler_rows_per_round=rows)
-        engine = JetStreamEngine(graph, make_algorithm("sssp", source=0), config=config)
-        engine.initial_compute()
-        result = engine.apply_batch(batch)
-        assert np.array_equal(result.states, reference.sssp(graph.snapshot(), 0))

@@ -153,15 +153,6 @@ class TestStaticShardedParity:
         oracle, sharded = run_static_pair(name, num_engines, census_kind=census)
         assert_run_parity(oracle, sharded, f"static/{name}/e{num_engines}")
 
-    @pytest.mark.parametrize("census", CENSUSES)
-    @pytest.mark.parametrize("name", ["sssp", "pagerank"])
-    def test_static_partial_drain(self, name, census):
-        # A bounded row window per round: the per-engine split must follow
-        # the oracle's partial drains.
-        config = AcceleratorConfig(scheduler_rows_per_round=2)
-        oracle, sharded = run_static_pair(name, 8, config, seed=33, census_kind=census)
-        assert_run_parity(oracle, sharded, f"static-partial/{name}")
-
     def test_sharded_rejects_forced_queue_slicing(self):
         # Each engine's queue must hold its whole slice resident (§4.7);
         # a queue too small for the graph cannot be sharded.
@@ -200,19 +191,6 @@ class TestStreamingShardedParity:
                 f"{context}: impacted diverge"
             )
             assert_run_parity(oracle, sharded, context)
-
-    @pytest.mark.parametrize("census", CENSUSES)
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_streaming_partial_drain(self, policy, census):
-        config = AcceleratorConfig(scheduler_rows_per_round=2)
-        oracle_runs, sharded_runs = run_stream_pair(
-            "sssp", policy, 8, config, seed=51, census_kind=census
-        )
-        for index, (oracle, sharded) in enumerate(zip(oracle_runs, sharded_runs)):
-            assert oracle.impacted == sharded.impacted
-            assert_run_parity(
-                oracle, sharded, f"stream-partial/{policy.name}/batch{index}"
-            )
 
     @pytest.mark.parametrize("census", CENSUSES)
     def test_streaming_grows_vertices(self, census):

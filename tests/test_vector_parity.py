@@ -101,12 +101,6 @@ class TestStaticParity:
         scalar, vector = run_static_pair(name, config, n=100, m=400, seed=21)
         assert_run_parity(scalar, vector, f"static-sliced/{name}")
 
-    @pytest.mark.parametrize("name", ["sssp", "pagerank"])
-    def test_static_compute_partial_drain(self, name):
-        config = AcceleratorConfig(scheduler_rows_per_round=2)
-        scalar, vector = run_static_pair(name, config, seed=33)
-        assert_run_parity(scalar, vector, f"static-partial/{name}")
-
     def test_static_compute_linear(self):
         # Contractive operator: normalize each row's out-weight sum below 1.
         from collections import defaultdict
@@ -151,18 +145,6 @@ class TestStreamingParity:
             assert scalar.impacted == vector.impacted
             assert_run_parity(scalar, vector, f"stream-sliced/{name}/batch{index}")
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_streaming_partial_drain(self, policy):
-        config = AcceleratorConfig(scheduler_rows_per_round=2)
-        scalar_runs, vector_runs = run_stream_pair(
-            "sssp", policy, config, seed=51
-        )
-        for index, (scalar, vector) in enumerate(zip(scalar_runs, vector_runs)):
-            assert scalar.impacted == vector.impacted
-            assert_run_parity(
-                scalar, vector, f"stream-partial/{policy.name}/batch{index}"
-            )
-
 
 class TestQueueGeometryParity:
     """Row-batch accounting under non-default queue geometry.
@@ -170,26 +152,20 @@ class TestQueueGeometryParity:
     The array round assigns each producer to the row batch
     ``vertex // queue_row_vertices``; the oracle builds one line/page set
     per drained row. Every round's ``vertex_lines``/``edge_lines``/
-    ``dram_pages`` must agree whatever the row width, page size and
-    partial-drain depth.
+    ``dram_pages`` must agree whatever the row width and page size.
     """
 
-    @pytest.mark.parametrize("rows_per_round", [None, 2], ids=["full", "rows2"])
     @pytest.mark.parametrize("row_vertices", [4, 16])
     @pytest.mark.parametrize("name", ["sssp", "pagerank"])
-    def test_line_and_page_counts(self, name, row_vertices, rows_per_round):
-        config = AcceleratorConfig(
-            queue_row_vertices=row_vertices,
-            dram_page_bytes=512,
-            scheduler_rows_per_round=rows_per_round,
-        )
+    def test_line_and_page_counts(self, name, row_vertices):
+        config = AcceleratorConfig(queue_row_vertices=row_vertices, dram_page_bytes=512)
         scalar_runs, vector_runs = run_stream_pair(
             name, DeletePolicy.DAP, config, n=120, m=600, seed=61
         )
         fields = ("vertex_lines", "edge_lines", "dram_pages")
         totals = dict.fromkeys(fields, 0)
         for index, (scalar, vector) in enumerate(zip(scalar_runs, vector_runs)):
-            context = f"geometry/{name}/{row_vertices}/{rows_per_round}/batch{index}"
+            context = f"geometry/{name}/{row_vertices}/batch{index}"
             want = [[row[f] for f in fields] for row in scalar.metrics.to_rows()]
             got = [[row[f] for f in fields] for row in vector.metrics.to_rows()]
             assert got == want, context

@@ -1,14 +1,9 @@
-"""Tests for delta-encoded versioning and the partial-drain scheduler."""
+"""Tests for delta-encoded versioning and CommonGraph slices."""
 
 import numpy as np
 import pytest
 
-from repro import reference
-from repro.algorithms import make_algorithm
-from repro.core.config import AcceleratorConfig
-from repro.core.streaming import JetStreamEngine
 from repro.graph.dynamic import DeltaVersionStore, DynamicGraph
-from repro.graph import generators
 from repro.streams import StreamGenerator
 
 from conftest import random_digraph
@@ -203,7 +198,7 @@ class TestCommonSlice:
         store.record()
         slice_ = store.common_slice(store.versions())
         assert slice_.common_vertices == 2
-        assert slice_.vertices[store.versions()[-1]] == 10
+        assert slice_.graphs[store.versions()[-1]].num_vertices == 10
 
     def test_reweighted_edge_not_common(self):
         graph = DynamicGraph.from_edges([(0, 1, 1.0), (1, 2, 3.0)], 3)
@@ -247,39 +242,3 @@ class TestCommonSlice:
         assert (5, 5, 3.0) in _edge_list(slice_.additions[2])
         assert (5, 5, 1.0) in _edge_list(slice_.additions[4])
 
-
-class TestPartialDrainScheduler:
-    @pytest.mark.parametrize("rows", [None, 8, 2])
-    def test_results_independent_of_drain_width(self, rows):
-        edges = generators.erdos_renyi(50, 200, seed=7)
-        graph = DynamicGraph.from_edges(edges, 50)
-        config = AcceleratorConfig(scheduler_rows_per_round=rows)
-        engine = JetStreamEngine(graph, make_algorithm("sssp", source=0), config=config)
-        engine.initial_compute()
-        stream = StreamGenerator(graph, seed=8)
-        result = engine.apply_batch(stream.next_batch(10))
-        assert np.array_equal(result.states, reference.sssp(graph.snapshot(), 0))
-
-    def test_narrow_drain_takes_more_rounds(self):
-        edges = generators.erdos_renyi(50, 200, seed=9)
-
-        def rounds_for(rows):
-            graph = DynamicGraph.from_edges(edges, 50)
-            config = AcceleratorConfig(scheduler_rows_per_round=rows)
-            engine = JetStreamEngine(
-                graph, make_algorithm("sssp", source=0), config=config
-            )
-            result = engine.initial_compute()
-            return sum(p.num_rounds for p in result.metrics.phases)
-
-        assert rounds_for(1) > rounds_for(None)
-
-    def test_delete_phase_respects_drain_width(self):
-        edges = generators.erdos_renyi(50, 200, seed=10)
-        graph = DynamicGraph.from_edges(edges, 50)
-        config = AcceleratorConfig(scheduler_rows_per_round=2)
-        engine = JetStreamEngine(graph, make_algorithm("sssp", source=0), config=config)
-        engine.initial_compute()
-        stream = StreamGenerator(graph, seed=11)
-        result = engine.apply_batch(stream.next_batch(12, insertion_ratio=0.0))
-        assert np.array_equal(result.states, reference.sssp(graph.snapshot(), 0))
