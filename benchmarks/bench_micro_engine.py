@@ -44,7 +44,7 @@ def test_queue_insert_throughput(benchmark):
         work = RoundWork()
         for event in events:
             queue.insert(event, work)
-        queue.drain_round(work)
+        queue.drain_round()
 
     benchmark(insert_all)
 
@@ -70,7 +70,7 @@ def test_vector_queue_insert_batch(benchmark, k):
     def insert_and_drain():
         work = RoundWork()
         queue.insert_batch(batch, work)
-        queue.drain_round(work)
+        queue.drain_round()
         return work
 
     work = benchmark(insert_and_drain)
@@ -88,7 +88,7 @@ def test_queue_coalesce_heavy(benchmark):
         work = RoundWork()
         for event in events:
             queue.insert(event, work)
-        queue.drain_round(work)
+        queue.drain_round()
 
     benchmark(insert_all)
 

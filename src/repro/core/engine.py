@@ -316,7 +316,7 @@ class EngineCore:
                 if not queue.active_pending():
                     # Charge the activated slice's spill read-back to this round.
                     queue.activate_next_slice(work)
-                batch, starts = queue.drain_round(work)
+                batch, starts = queue.drain_round()
                 k = len(batch)
                 if k == 0:
                     continue

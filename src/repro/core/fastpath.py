@@ -194,7 +194,7 @@ class ExpressLane:
         if tracer.enabled:
             # Safe updates produce no run span; this event is every
             # update's trace footprint (served, it nests under the
-            # request span the writer applies the update within).
+            # request span of the handler thread that applies it).
             tracer.event(
                 "express",
                 op=op,

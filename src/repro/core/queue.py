@@ -441,7 +441,7 @@ class VectorQueue(_SlicedQueue):
                 return True
         return False
 
-    def drain_round(self, work: RoundWork) -> Tuple[EventBatch, np.ndarray]:
+    def drain_round(self) -> Tuple[EventBatch, np.ndarray]:
         """Emit every queued event of the active slice as one sorted batch.
 
         Returns ``(batch, row_starts)``: the drained events sorted by

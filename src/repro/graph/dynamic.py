@@ -855,6 +855,15 @@ def _out_runs(csr: CSRGraph, majors: np.ndarray) -> Tuple[np.ndarray, EdgeArrays
     return (src << _SHIFT) | dst, (src, dst, csr.out_weights[idx])
 
 
+def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Where each of ``keys`` would sit in ``sorted_keys``, and whether it
+    is there: a membership test that sorts nothing."""
+    at = np.searchsorted(sorted_keys, keys)
+    found = at < sorted_keys.shape[0]
+    found[found] = sorted_keys[at[found]] == keys[found]
+    return at, found
+
+
 class DeltaVersionStore:
     """Graph version history as per-vertex run pointers: a multi-versioned
     CSR (LLAMA-style) in the Version Traveler role of §4.7.
@@ -938,19 +947,17 @@ class DeltaVersionStore:
         runs = [_out_runs(csr, touched) for csr in csrs]
         keys, (_, _, weights) = runs[0]
         for other_keys, (_, _, other_weights) in runs[1:]:
-            _, mine, theirs = np.intersect1d(
-                keys, other_keys, assume_unique=True, return_indices=True
-            )
-            same = mine[weights[mine] == other_weights[theirs]]
+            at, same = _lookup(other_keys, keys)
+            same[same] = other_weights[at[same]] == weights[same]
             keys, weights = keys[same], weights[same]
         additions = {}
         for ver, (ver_keys, columns) in zip(vers, runs):
-            extra = ~np.isin(ver_keys, keys, assume_unique=True)
+            extra = ~_lookup(keys, ver_keys)[1]
             additions[ver] = tuple(column[extra] for column in columns)
         # The oldest version's edges, less its touched runs' uncommon ones.
         src, dst, wgt = csrs[0].edge_arrays()
         common = ~np.isin(src, touched)
-        common[~common] = np.isin(runs[0][0], keys, assume_unique=True)
+        common[~common] = _lookup(keys, runs[0][0])[1]
         return CommonSlice(
             versions=vers,
             common_edges=(src[common], dst[common], wgt[common]),

@@ -20,8 +20,8 @@ loops check ``tracer.enabled`` once per scheduler round, so metrics cost
 nothing until a tracer carries the registry (``benchmarks/
 bench_trace_overhead.py``, mode ``off`` vs ``metrics``).
 
-Thread-safety: the serving daemon emits from its handler and writer
-threads, so all mutation goes through a registry-wide lock, taken once per
+Thread-safety: the serving daemon emits from its handler threads, so
+all mutation goes through a registry-wide lock, taken once per
 folded span or event.
 """
 

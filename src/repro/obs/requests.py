@@ -1,10 +1,10 @@
 """Served requests as spans: stage marks and the slow-request sink.
 
 ``repro serve`` opens one ``request`` span per HTTP request on the
-daemon's tracer. The serve writer applies the request's op inside
-:meth:`~repro.obs.tracer.Tracer.within` that span, so the engine's run /
-phase / round spans and ``express`` events are its descendants: where a
-slow write went is a walk down one span tree.
+daemon's tracer. A write applies on the handler thread while that span
+is open, so the engine's run / phase / round spans and ``express``
+events are its descendants: where a slow write went is a walk down one
+span tree.
 
 Stage marks say where the request's own time went. Each :func:`mark`
 records the *end* of a named stage on the span clock::

@@ -17,10 +17,9 @@ the untraced build (``benchmarks/bench_trace_overhead.py``).
 The tracer keeps one span stack per thread, so nesting is implicit: a
 round span started inside an open phase span of the same thread becomes
 its child, and sessions writing concurrently from their own threads
-build separate trees. :meth:`Tracer.within` lends a span across threads:
-the serve writer applies a request's op under the ``request`` span its
-handler thread opened, so the engine work nests under the request that
-caused it. The engine loops use the explicit
+build separate trees. A served write applies on the handler thread that
+opened its ``request`` span, so the engine work nests under the request
+that caused it. The engine loops use the explicit
 :meth:`Tracer.start`/:meth:`Tracer.end` pair under their ``enabled``
 guard; orchestration code (one call per phase) uses the context-manager
 helpers :meth:`Tracer.span`, :meth:`Tracer.phase`, and
@@ -205,7 +204,14 @@ class Tracer:
         ``t_end`` pins the end time to a clock value the caller already
         read (a request span's stage partition is computed against it).
         """
-        self._unwind(span)
+        stack = self._local.stack
+        while stack:
+            top = stack.pop()
+            if top is span:
+                break
+            top.t_end = self.clock()  # orphaned child: close it too
+            for sink in self.sinks:
+                sink.on_span_end(top)
         span.t_end = self.clock() if t_end is None else t_end
         span.attrs.update(attrs)
         for sink in self.sinks:
@@ -244,36 +250,6 @@ class Tracer:
         for sink in self.sinks:
             sink.on_event(event)
         return event
-
-    def _unwind(self, span: Span) -> None:
-        """Pop the calling thread's stack down to and including ``span``,
-        ending any forgotten child above it on the way."""
-        stack = self._local.stack
-        while stack:
-            top = stack.pop()
-            if top is span:
-                break
-            top.t_end = self.clock()  # orphaned child: close it too
-            for sink in self.sinks:
-                sink.on_span_end(top)
-
-    @contextmanager
-    def within(self, span: Optional[Span]):
-        """Nest this thread's spans and events under ``span`` for the body.
-
-        ``span`` stays open: another thread started it and ends it. The
-        serve writer applies each op inside ``within(<its request span>)``,
-        so the run spans and ``express`` events the op causes land under
-        the request that caused them. ``None`` leaves nesting unchanged.
-        """
-        if span is None:
-            yield
-            return
-        self._local.stack.append(span)
-        try:
-            yield
-        finally:
-            self._unwind(span)
 
     # ------------------------------------------------------------------
     # Context-manager helpers (orchestration-layer use)
@@ -389,9 +365,6 @@ class NullTracer:
         return _NULL_CTX
 
     def round(self, *args, **kwargs):
-        return _NULL_CTX
-
-    def within(self, *args, **kwargs):
         return _NULL_CTX
 
     def flush(self) -> None:

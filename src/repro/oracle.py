@@ -163,7 +163,7 @@ class CoalescingQueue(_SlicedQueue):
                 return True
         return False
 
-    def drain_round(self, work: RoundWork) -> List[List[Event]]:
+    def drain_round(self) -> List[List[Event]]:
         """Emit every queued event of the active slice as row batches.
 
         Events are sorted by destination vertex id and grouped by queue row
@@ -275,7 +275,7 @@ class ScalarCore(EngineCore):
             if not queue.active_pending():
                 # Charge the activated slice's spill read-back to this round.
                 queue.activate_next_slice(work)
-            for batch in queue.drain_round(work):
+            for batch in queue.drain_round():
                 self._account_vertex_batch(batch, work, page_bytes)
                 edge_lines = set()
                 edge_pages = set()
@@ -378,7 +378,7 @@ class ScalarCore(EngineCore):
             if not queue.active_pending():
                 # Charge the activated slice's spill read-back to this round.
                 queue.activate_next_slice(work)
-            for batch in queue.drain_round(work):
+            for batch in queue.drain_round():
                 self._account_vertex_batch(batch, work, page_bytes)
                 edge_lines = set()
                 edge_pages = set()

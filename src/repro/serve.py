@@ -10,15 +10,20 @@ from many concurrent clients over named sessions.
 
 Concurrency model
 -----------------
-*Writes are serialized, reads are snapshot-isolated.* Each session owns
-one writer thread draining a **bounded** ingest queue; every write op
-(batch or express update) goes through the existing
-:meth:`repro.host.Session.run` / :meth:`~repro.host.Session.apply_update`
-machinery on that thread, so the engine never sees concurrent mutation.
-When the queue is full the request is rejected immediately with HTTP 429
-``QUEUE_FULL`` — backpressure, not unbounded buffering.
+*Writes are serialized, reads are snapshot-isolated.* A write op (batch
+or express update) runs on the handler thread that received it, through
+the existing :meth:`repro.host.Session.run` /
+:meth:`~repro.host.Session.apply_update` machinery, under the session's
+one write lock, so the engine never sees concurrent mutation. The
+handler threads blocked on that lock are the session's **bounded**
+ingest queue: when ``max(1, queue_bound)`` writes already wait, the
+request is rejected immediately with HTTP 429 ``QUEUE_FULL`` —
+backpressure, not unbounded buffering. Concurrent writes apply in the
+order they take the lock, which is not defined between connections;
+one connection's requests are served one after another, so its writes
+apply in the order it sent them.
 
-After each applied write the writer publishes a :class:`ReadSnapshot`:
+After each applied write the session publishes a :class:`ReadSnapshot`:
 an immutable (write-protected) copy of the converged vertex states keyed
 by the store's ``mutation_stamp``. Reads grab the current snapshot
 reference with a single atomic attribute load and serve from it
@@ -38,9 +43,9 @@ for graph version ``v`` — still lock-free, still immutable — and answers
 is a 400 ``BAD_VERSION``. Historical reads are counted separately from
 latest reads (``repro_serve_reads_total{kind="historical"}``).
 
-Shutdown drains: the server stops accepting new work, each writer thread
-finishes every op already queued (their clients get real responses), and
-only then are engines/sessions closed.
+Shutdown drains: the server stops accepting new work, every write
+already admitted applies (its client gets a real response), and only
+then are engines/sessions closed.
 
 Transport
 ---------
@@ -66,10 +71,9 @@ spelled out.
 Tracing
 -------
 Every HTTP request is a ``request`` span on the accelerator's tracer,
-with end-of-stage marks (:mod:`repro.obs.requests`). The writer applies
-each op inside :meth:`~repro.obs.tracer.Tracer.within` the span of the
-request that submitted it, so the engine spans the op causes are that
-request's descendants. Samples that are not one request's —
+with end-of-stage marks (:mod:`repro.obs.requests`). A write applies on
+the thread whose request span is open, so the engine spans the op causes
+are that request's descendants. Samples that are not one request's —
 reads, rejections, publishes, the session count — are ``serve.*``
 events. A metrics registry on the tracer folds both into the
 ``repro_serve_*`` families; the ``/metrics`` and ``/metrics.json``
@@ -81,12 +85,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import queue
 import threading
 import traceback
 from collections import OrderedDict, deque
 from functools import cached_property
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import ThreadingHTTPServer
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
@@ -155,29 +158,13 @@ class ReadSnapshot:
         return hashlib.sha1(self.states.data).hexdigest()
 
 
-@dataclass
-class _WriteOp:
-    """One queued write: an ingest batch or a single express update."""
-
-    kind: str  # "batch" | "update"
-    payload: dict
-    enqueued_at: float
-    #: The submitter's open span (its request span when served over
-    #: HTTP): the writer nests the op's engine work under it and marks
-    #: the queued/apply/publish stages on it.
-    span: object = None
-    done: threading.Event = field(default_factory=threading.Event)
-    result: Optional[dict] = None
-    error: Optional[ServeError] = None
-
-
 class ServeSession:
-    """One served query session: bounded write queue + snapshot publisher.
+    """One served query session: bounded write admission + snapshot publisher.
 
     Wraps a :class:`repro.host.Session` whose initial evaluation has
-    already run. All writes go through :meth:`submit` and are applied by
-    the session's single writer thread; reads go through
-    :meth:`read_snapshot` and never touch the engine.
+    already run. All writes go through :meth:`submit` and are applied on
+    the submitting thread, one at a time under the session's write lock;
+    reads go through :meth:`read_snapshot` and never touch the engine.
     """
 
     def __init__(
@@ -202,9 +189,16 @@ class ServeSession:
         self._history: "OrderedDict[int, ReadSnapshot]" = OrderedDict()
         self._history_evicted = 0
         self._history_lock = threading.Lock()
-        self._queue: "queue.Queue[Optional[_WriteOp]]" = queue.Queue(
-            maxsize=max(1, queue_bound)
-        )
+        #: Held by the one write being applied; the writes blocked on it
+        #: are the session's queue.
+        self._write_lock = threading.Lock()
+        #: Guards the admission counts: ``_waiting`` writes are blocked on
+        #: the write lock (at most ``max(1, queue_bound)``), ``_admitted``
+        #: writes are not answered yet (close waits for them).
+        self._admission = threading.Condition()
+        self._waiting = 0
+        self._admitted = 0
+        self._abandon = False
         self._applied_seq = 0
         self._reads_on_snapshot = 0
         #: Applied-write log, ``(seq, kind, packed payload)`` in apply
@@ -218,16 +212,11 @@ class ServeSession:
         self._closing = False
         self._snapshot = self._build_snapshot()
         self._remember(self._snapshot)
-        self._thread = threading.Thread(
-            target=self._writer_loop,
-            name=f"repro-serve-writer-{name}",
-            daemon=True,
-        )
-        # Test/ops hook: when cleared, the writer parks *between* ops
-        # (never mid-apply), letting tests fill the queue deterministically.
+        # Test/ops hook: when cleared, the write holding the lock parks
+        # before it applies (never mid-apply), so tests fill the queue
+        # deterministically.
         self._gate = threading.Event()
         self._gate.set()
-        self._thread.start()
 
     # -- snapshot publication ------------------------------------------
     def _build_snapshot(self) -> ReadSnapshot:
@@ -302,87 +291,87 @@ class ServeSession:
 
     # -- write path ----------------------------------------------------
     def submit(self, kind: str, payload: dict) -> dict:
-        """Enqueue one write op and wait for the writer to apply it.
+        """Apply one write op on the calling thread and return its reply.
 
-        The op is applied under the caller's open span (see
-        :class:`_WriteOp`). Raises :class:`ServeError` 429 immediately
-        when the bounded queue is full (backpressure) and 409 when the
-        session is draining.
+        Writes apply one at a time under the session's write lock, in
+        the order they take it; the caller's open span (its request span
+        when served over HTTP) parents the engine work and carries the
+        queued/apply/publish stage marks. Raises :class:`ServeError` 429
+        immediately when ``max(1, queue_bound)`` writes already wait
+        (backpressure) and 409 when the session is closing.
         """
-        if self._closing:
-            raise ServeError(409, "CLOSING", "session is shutting down")
         tracer = self.session.tracer
-        op = _WriteOp(kind, payload, perf_counter(), tracer.current())
-        try:
-            self._queue.put_nowait(op)
-        except queue.Full:
-            if tracer.enabled:
-                tracer.event("serve.reject", kind=kind)
-            raise ServeError(
-                429,
-                "QUEUE_FULL",
-                f"ingest queue at bound ({self.queue_bound}); retry later",
-            )
-        op.done.wait()
-        if op.error is not None:
-            raise op.error
-        assert op.result is not None
-        return op.result
-
-    def _writer_loop(self) -> None:
-        while True:
-            op = self._queue.get()
-            if op is None:  # drain sentinel: queue is empty past here
-                return
-            self._gate.wait()
-            try:
-                op.result = self._apply(op)
-            except ServeError as exc:
-                op.error = exc
-            except (HostApiError, ValueError) as exc:
-                op.error = ServeError(409, "REJECTED", str(exc))
-            except Exception as exc:  # engine invariant violation: surface
-                op.error = ServeError(500, "INTERNAL", repr(exc))
-            finally:
-                op.done.set()
-
-    def _apply(self, op: _WriteOp) -> dict:
-        # End of the queued stage: the op waited for the writer (and any
-        # gate pause) from its parse mark until now.
-        mark(op.span, "queued")
-        tracer = self.session.tracer
-        with tracer.within(op.span):
-            applied, packed = self._apply_op(op)
-            self._applied_seq += 1
-            retired_reads, self._reads_on_snapshot = self._reads_on_snapshot, 0
-            self._snapshot = snapshot = self._build_snapshot()
-            self._remember(snapshot)
-            applied.update(seq=snapshot.seq, stamp=snapshot.stamp)
-            with self._log_lock:
-                self._log.append((snapshot.seq, op.kind, packed))
-                if self.log_bound is not None:
-                    while len(self._log) > self.log_bound:
-                        self._log.popleft()
-                        self._log_dropped += 1
-            if tracer.enabled:
-                tracer.event(
-                    "serve.publish",
-                    kind=op.kind,
-                    latency_s=perf_counter() - op.enqueued_at,
-                    queue_depth=self._queue.qsize(),
-                    reads=retired_reads,
+        submitted_at = perf_counter()
+        with self._admission:
+            if self._closing:
+                raise ServeError(409, "CLOSING", "session is shutting down")
+            if self._waiting >= max(1, self.queue_bound):
+                if tracer.enabled:
+                    tracer.event("serve.reject", kind=kind)
+                raise ServeError(
+                    429,
+                    "QUEUE_FULL",
+                    f"ingest queue at bound ({self.queue_bound}); retry later",
                 )
-        mark(op.span, "publish")
+            self._waiting += 1
+            self._admitted += 1
+        try:
+            with self._write_lock:
+                with self._admission:
+                    self._waiting -= 1
+                if self._abandon:
+                    raise ServeError(409, "CLOSING", "session closed before apply")
+                self._gate.wait()
+                try:
+                    return self._apply(kind, payload, submitted_at)
+                except ServeError:
+                    raise
+                except (HostApiError, ValueError) as exc:
+                    raise ServeError(409, "REJECTED", str(exc)) from exc
+                except Exception as exc:  # engine invariant violation: surface
+                    traceback.print_exc()
+                    raise ServeError(500, "INTERNAL", repr(exc)) from exc
+        finally:
+            with self._admission:
+                self._admitted -= 1
+                self._admission.notify_all()
+
+    def _apply(self, kind: str, payload: dict, submitted_at: float) -> dict:
+        tracer = self.session.tracer
+        span = tracer.current()
+        # End of the queued stage: the op waited for the write lock (and
+        # any gate pause) from its parse mark until now.
+        mark(span, "queued")
+        applied, packed = self._apply_op(kind, payload, span)
+        self._applied_seq += 1
+        retired_reads, self._reads_on_snapshot = self._reads_on_snapshot, 0
+        self._snapshot = snapshot = self._build_snapshot()
+        self._remember(snapshot)
+        applied.update(seq=snapshot.seq, stamp=snapshot.stamp)
+        with self._log_lock:
+            self._log.append((snapshot.seq, kind, packed))
+            if self.log_bound is not None:
+                while len(self._log) > self.log_bound:
+                    self._log.popleft()
+                    self._log_dropped += 1
+        if tracer.enabled:
+            tracer.event(
+                "serve.publish",
+                kind=kind,
+                latency_s=perf_counter() - submitted_at,
+                queue_depth=self._waiting,
+                reads=retired_reads,
+            )
+        mark(span, "publish")
         return applied
 
-    def _apply_op(self, op: _WriteOp) -> Tuple[dict, tuple]:
+    def _apply_op(self, kind: str, payload: dict, span) -> Tuple[dict, tuple]:
         """Apply one op; returns the reply and its packed log payload."""
         session = self.session
-        span = op.span
-        if op.kind == "batch":
+        if kind == "batch":
             # handle_ingest already converted the JSON lists; the same
             # arrays are staged, applied and logged.
-            insertions, deletions = _batch_arrays(op.payload)
+            insertions, deletions = _batch_arrays(payload)
             session.push_updates(insertions=insertions, deletions=deletions)
             result = session.run()
             events = int(result.metrics.events_processed)
@@ -394,12 +383,12 @@ class ServeSession:
                 "events_processed": events,
             }
             packed: tuple = (insertions, deletions)
-        elif op.kind == "update":
+        elif kind == "update":
             u, v, w, edge_op = packed = (
-                vertex_id(op.payload["u"]),
-                vertex_id(op.payload["v"]),
-                finite_weight(op.payload.get("w", 1.0)),
-                op.payload.get("op", "insert"),
+                vertex_id(payload["u"]),
+                vertex_id(payload["v"]),
+                finite_weight(payload.get("w", 1.0)),
+                payload.get("op", "insert"),
             )
             t_apply = perf_counter()
             express = session.apply_update(u, v, w, op=edge_op)
@@ -416,13 +405,13 @@ class ServeSession:
                 "express_latency_s": express.latency_s,
             }
         else:  # pragma: no cover - submit() only produces the two kinds
-            raise ServeError(400, "BAD_KIND", f"unknown write kind {op.kind!r}")
+            raise ServeError(400, "BAD_KIND", f"unknown write kind {kind!r}")
         return applied, packed
 
     # -- introspection -------------------------------------------------
     def queue_depth(self) -> int:
-        """Write ops currently queued (not counting the in-flight one)."""
-        return self._queue.qsize()
+        """Write ops waiting for the write lock (not the one holding it)."""
+        return self._waiting
 
     def applied_log(self) -> dict:
         """The applied-write log plus the count of dropped-prefix entries.
@@ -469,39 +458,28 @@ class ServeSession:
 
     # -- lifecycle / test hooks ----------------------------------------
     def pause_writer(self) -> None:
-        """Park the writer between ops (deterministic backpressure tests)."""
+        """Park the next write to take the lock before it applies
+        (deterministic backpressure tests)."""
         self._gate.clear()
 
     def resume_writer(self) -> None:
         self._gate.set()
 
     def close(self, drain: bool = True) -> None:
-        """Stop the writer and release the session.
+        """Refuse new writes, answer the admitted ones, release the session.
 
         ``drain=True`` (the default, and what shutdown uses) lets every
-        already-queued op apply and answer its client before the session
-        is torn down; ``drain=False`` abandons queued ops with a 409.
+        admitted write apply and answer its client before the session is
+        torn down; ``drain=False`` fails the writes still waiting for the
+        lock with a 409, while the one holding it completes.
         """
-        if self._closing:
-            return
-        self._closing = True
-        self._gate.set()
-        if not drain:
-            # Fail queued ops fast, then let the sentinel end the loop.
-            try:
-                while True:
-                    op = self._queue.get_nowait()
-                    if op is not None:
-                        op.error = ServeError(
-                            409, "CLOSING", "session closed before apply"
-                        )
-                        op.done.set()
-            except queue.Empty:
-                pass
-        # The sentinel queues *behind* any in-flight drain work; put()
-        # blocks if the queue is momentarily full of real ops.
-        self._queue.put(None)
-        self._thread.join(timeout=60.0)
+        with self._admission:
+            if self._closing:
+                return
+            self._closing = True
+            self._abandon = not drain
+            self._gate.set()
+            self._admission.wait_for(lambda: self._admitted == 0, timeout=60.0)
         self.session.close()
 
 
@@ -751,8 +729,8 @@ class _ServeHandler(PayloadHandler):
                 [?vertices=][&version=]     version= = time-travel read (ring)
     GET     /sessions/<s>/stats             queue depth, transfers, express stats
     GET     /sessions/<s>/log               applied-write log (apply order)
-    POST    /sessions/<s>/ingest            update batch (429 when queue full)
-    POST    /sessions/<s>/update            single express update (429 when full)
+    POST    /sessions/<s>/ingest            update batch (429 when too many wait)
+    POST    /sessions/<s>/update            single express update (429 likewise)
     POST    /sessions/<s>/close             drain + close one session
     POST    /shutdown                       drain all sessions, stop the server
     ======  ==============================  =====================================
@@ -985,9 +963,10 @@ class ServeServer:
         with ServeServer(app, port=8800) as server:
             server.serve_until_shutdown()   # Ctrl-C or POST /shutdown
 
-    Requests are handled on per-connection threads; write handlers block
-    on the per-session writer (bounded queue), read handlers return
-    immediately from the published snapshot.
+    Requests are handled on per-connection threads; a write handler
+    applies its op under the session's write lock (a bounded number may
+    wait for it), read handlers return immediately from the published
+    snapshot.
     """
 
     def __init__(self, app: ServeApp, port: int = 0, host: str = "127.0.0.1"):

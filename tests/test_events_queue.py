@@ -49,7 +49,7 @@ class TestRegularCoalescing:
         queue = make_queue()
         work = RoundWork()
         queue.insert(Event(5, 3.0), work)
-        batches = queue.drain_round(work)
+        batches = queue.drain_round()
         assert [e.target for batch in batches for e in batch] == [5]
         assert not queue.pending()
 
@@ -58,7 +58,7 @@ class TestRegularCoalescing:
         work = RoundWork()
         queue.insert(Event(5, 3.0, 0, 1), work)
         queue.insert(Event(5, 7.0, 0, 2), work)
-        [batch] = queue.drain_round(work)
+        [batch] = queue.drain_round()
         assert batch[0].payload == 3.0  # min for SSSP
         assert batch[0].source == 1  # dominant contribution's source
         assert queue.total_coalesces == 1
@@ -68,7 +68,7 @@ class TestRegularCoalescing:
         work = RoundWork()
         queue.insert(Event(5, 7.0, 0, 1), work)
         queue.insert(Event(5, 3.0, 0, 2), work)
-        [batch] = queue.drain_round(work)
+        [batch] = queue.drain_round()
         assert batch[0].payload == 3.0
         assert batch[0].source == 2
 
@@ -77,7 +77,7 @@ class TestRegularCoalescing:
         work = RoundWork()
         queue.insert(Event(2, 0.5), work)
         queue.insert(Event(2, 0.25), work)
-        [batch] = queue.drain_round(work)
+        [batch] = queue.drain_round()
         assert batch[0].payload == pytest.approx(0.75)
 
     def test_request_flag_survives_coalescing(self):
@@ -85,7 +85,7 @@ class TestRegularCoalescing:
         work = RoundWork()
         queue.insert(Event(5, 3.0, int(EventFlags.REQUEST)), work)
         queue.insert(Event(5, 1.0, 0), work)
-        [batch] = queue.drain_round(work)
+        [batch] = queue.drain_round()
         assert batch[0].is_request
         assert batch[0].payload == 1.0
 
@@ -110,7 +110,7 @@ class TestDeleteCoalescing:
         work = RoundWork()
         queue.insert(Event(5, 0.0, 1, 1), work)
         queue.insert(Event(5, 0.0, 1, 2), work)
-        [batch] = queue.drain_round(work)
+        [batch] = queue.drain_round()
         assert len(batch) == 1
 
     def test_vap_keeps_most_progressed(self):
@@ -118,7 +118,7 @@ class TestDeleteCoalescing:
         work = RoundWork()
         queue.insert(Event(5, 9.0, 1, 1), work)
         queue.insert(Event(5, 4.0, 1, 2), work)
-        [batch] = queue.drain_round(work)
+        [batch] = queue.drain_round()
         assert batch[0].payload == 4.0  # most progressed for SSSP
 
     def test_dap_overflow_preserves_all(self):
@@ -128,7 +128,7 @@ class TestDeleteCoalescing:
         queue.insert(Event(5, 9.0, 1, 1), work)
         queue.insert(Event(5, 4.0, 1, 2), work)
         queue.insert(Event(5, 2.0, 1, 3), work)
-        [batch] = queue.drain_round(work)
+        [batch] = queue.drain_round()
         assert len(batch) == 3
         assert {e.source for e in batch} == {1, 2, 3}
 
@@ -147,7 +147,7 @@ class TestDeleteCoalescing:
         work = RoundWork()
         queue.insert(Event(5, 9.0, 1, 1), work)
         queue.insert(Event(5, 4.0, 1, 2), work)
-        [batch] = queue.drain_round(work)
+        [batch] = queue.drain_round()
         assert len(batch) == 1
 
 
@@ -157,7 +157,7 @@ class TestDraining:
         work = RoundWork()
         for v in (33, 2, 17, 9):
             queue.insert(Event(v, 1.0), work)
-        events = [e.target for b in queue.drain_round(work) for e in b]
+        events = [e.target for b in queue.drain_round() for e in b]
         assert events == sorted(events)
 
     def test_row_batching(self):
@@ -168,19 +168,19 @@ class TestDraining:
         queue.insert(Event(0, 1.0), work)
         queue.insert(Event(1, 1.0), work)
         queue.insert(Event(row, 1.0), work)  # next row
-        batches = queue.drain_round(work)
+        batches = queue.drain_round()
         assert len(batches) == 2
         assert [e.target for e in batches[0]] == [0, 1]
 
     def test_drain_empty(self):
         queue = make_queue()
-        assert queue.drain_round(RoundWork()) == []
+        assert queue.drain_round() == []
 
     def test_generated_events_go_to_next_round(self):
         queue = make_queue()
         work = RoundWork()
         queue.insert(Event(1, 1.0), work)
-        queue.drain_round(work)
+        queue.drain_round()
         queue.insert(Event(2, 1.0), work)
         assert queue.pending()
 
@@ -189,7 +189,7 @@ class TestDraining:
         work = RoundWork()
         for v in range(10):
             queue.insert(Event(v, 1.0), work)
-        queue.drain_round(work)
+        queue.drain_round()
         assert queue.peak_occupancy == 10
         assert queue.occupancy() == 0
 
@@ -203,7 +203,7 @@ class TestSlices:
         queue.insert(Event(40, 1.0), work)  # inactive slice: off-chip write
         assert work.spill_bytes == queue.event_bytes
         # The matching read-back is charged when the slice activates.
-        queue.drain_round(work)
+        queue.drain_round()
         assert queue.activate_next_slice(work)
         assert work.spill_bytes == 2 * queue.event_bytes
         # Re-activating later does not double-charge.
@@ -217,7 +217,7 @@ class TestSlices:
         work = RoundWork()
         queue.insert(Event(0, 1.0), work)
         queue.insert(Event(40, 1.0), work)
-        drained = [e.target for b in queue.drain_round(work) for e in b]
+        drained = [e.target for b in queue.drain_round() for e in b]
         assert drained == [0]
         assert queue.pending()
 
@@ -228,7 +228,7 @@ class TestSlices:
         queue.insert(Event(40, 1.0), work)
         assert queue.activate_next_slice()
         assert queue.active_slice == 1
-        drained = [e.target for b in queue.drain_round(work) for e in b]
+        drained = [e.target for b in queue.drain_round() for e in b]
         assert drained == [40]
 
     def test_activate_when_all_empty(self):
@@ -273,7 +273,7 @@ class TestVectorQueue:
             ),
             work,
         )
-        batch, _ = queue.drain_round(work)
+        batch, _ = queue.drain_round()
         assert batch.payloads.tolist() == [3.0]
         assert batch.sources.tolist() == [2]  # first event attaining the min
         assert queue.total_coalesces == 2
@@ -285,7 +285,7 @@ class TestVectorQueue:
             EventBatch.from_arrays(np.array([2, 2, 2]), np.array([0.5, 0.25, 0.125])),
             work,
         )
-        batch, _ = queue.drain_round(work)
+        batch, _ = queue.drain_round()
         assert batch.payloads[0] == pytest.approx(0.875)
 
     def test_request_flag_survives_batch_coalescing(self):
@@ -295,7 +295,7 @@ class TestVectorQueue:
             EventBatch.from_arrays([5], [3.0], int(EventFlags.REQUEST)), work
         )
         queue.insert_batch(EventBatch.from_arrays([5], [1.0]), work)
-        batch, _ = queue.drain_round(work)
+        batch, _ = queue.drain_round()
         assert batch.flags[0] & int(EventFlags.REQUEST)
         assert batch.payloads[0] == 1.0
 
@@ -313,7 +313,7 @@ class TestVectorQueue:
         work = RoundWork()
         queue.insert_batch(EventBatch.from_arrays([5], [9.0], 1, 1), work)
         queue.insert_batch(EventBatch.from_arrays([5], [4.0], 1, 2), work)
-        batch, _ = queue.drain_round(work)
+        batch, _ = queue.drain_round()
         assert len(batch) == 1
         assert batch.payloads[0] == 4.0
 
@@ -331,7 +331,7 @@ class TestVectorQueue:
             work,
         )
         assert work.spill_bytes == 2 * 2 * queue.event_bytes
-        batch, _ = queue.drain_round(work)
+        batch, _ = queue.drain_round()
         assert len(batch) == 3
         assert set(batch.sources.tolist()) == {1, 2, 3}
         # Coalesced cell drains first, overflow in arrival order.
@@ -348,7 +348,7 @@ class TestVectorQueue:
             ),
             work,
         )
-        batch, row_starts = queue.drain_round(work)
+        batch, row_starts = queue.drain_round()
         assert batch.targets.tolist() == [0, 1, row]
         assert row_starts.tolist() == [0, 2]
         assert queue.occupancy() == 0
@@ -360,7 +360,7 @@ class TestVectorQueue:
         queue.insert_batch(EventBatch.from_arrays([0], [1.0]), work)
         queue.insert_batch(EventBatch.from_arrays([40], [1.0]), work)
         assert work.spill_bytes == queue.event_bytes
-        queue.drain_round(work)
+        queue.drain_round()
         assert queue.activate_next_slice(work)
         assert work.spill_bytes == 2 * queue.event_bytes
         readback = RoundWork()
@@ -374,18 +374,18 @@ class TestVectorQueue:
         queue.insert_batch(
             EventBatch.from_arrays(np.array([0, 40]), np.array([1.0, 1.0])), work
         )
-        batch, _ = queue.drain_round(work)
+        batch, _ = queue.drain_round()
         assert batch.targets.tolist() == [0]
         assert queue.pending()
         assert queue.activate_next_slice(work)
-        batch, _ = queue.drain_round(work)
+        batch, _ = queue.drain_round()
         assert batch.targets.tolist() == [40]
 
     def test_grows_for_out_of_range_target(self):
         queue = make_vector_queue(num_vertices=4)
         work = RoundWork()
         queue.insert_batch(EventBatch.from_arrays([9], [2.0]), work)
-        batch, _ = queue.drain_round(work)
+        batch, _ = queue.drain_round()
         assert batch.targets.tolist() == [9]
 
     def test_lifetime_stats_shape(self):
@@ -395,7 +395,7 @@ class TestVectorQueue:
             EventBatch.from_arrays(np.array([1, 1, 2]), np.array([3.0, 2.0, 1.0])),
             work,
         )
-        queue.drain_round(work)
+        queue.drain_round()
         stats = queue.lifetime_stats()
         assert stats["total_inserts"] == 3
         assert stats["total_coalesces"] == 1
@@ -452,8 +452,8 @@ class TestVectorQueue:
                     if not queue.active_pending():
                         assert queue.activate_next_slice(work)
                         assert untouched.activate_next_slice(untouched_work)
-                    got, got_rows = queue.drain_round(work)
-                    want, want_rows = untouched.drain_round(untouched_work)
+                    got, got_rows = queue.drain_round()
+                    want, want_rows = untouched.drain_round()
                     assert _batch_bytes(got) == _batch_bytes(want)
                     assert got_rows.tolist() == want_rows.tolist()
                 assert not untouched.pending()
@@ -476,7 +476,7 @@ QUEUES = [
 
 
 def _drained_sources(queue, work):
-    drained = queue.drain_round(work)
+    drained = queue.drain_round()
     if isinstance(drained, tuple):  # VectorQueue: (batch, row_starts)
         return drained[0].sources.tolist()
     return [event.source for row in drained for event in row]
@@ -582,8 +582,8 @@ class TestVectorQueueDifferential:
         if not scalar.active_pending():
             moved = scalar.activate_next_slice(works[0])
             assert vector.activate_next_slice(works[1]) == moved
-        rows = scalar.drain_round(works[0])
-        got, row_starts = vector.drain_round(works[1])
+        rows = scalar.drain_round()
+        got, row_starts = vector.drain_round()
         want = EventBatch.from_events([event for row in rows for event in row])
         if not compare_sources:
             want.sources = got.sources

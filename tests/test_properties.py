@@ -167,7 +167,7 @@ class TestQueueCoalescing:
         work = RoundWork()
         for payload in payloads:
             queue.insert(Event(3, payload), work)
-        [batch] = queue.drain_round(work)
+        [batch] = queue.drain_round()
         expected = payloads[0]
         for payload in payloads[1:]:
             expected = algorithm.reduce(expected, payload)
@@ -187,7 +187,7 @@ class TestQueueCoalescing:
         work = RoundWork()
         for payload in payloads:
             queue.insert(Event(3, payload), work)
-        [batch] = queue.drain_round(work)
+        [batch] = queue.drain_round()
         assert batch[0].payload == sum(payloads) or math.isclose(
             batch[0].payload, math.fsum(payloads), rel_tol=1e-9, abs_tol=1e-12
         )

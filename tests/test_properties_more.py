@@ -105,7 +105,7 @@ class TestDeleteCoalescingInvariants:
         work = RoundWork()
         for i, payload in enumerate(payloads):
             queue.insert(Event(3, payload, 1, i), work)
-        [batch] = queue.drain_round(work)
+        [batch] = queue.drain_round()
         assert len(batch) == 1
         assert batch[0].payload == min(payloads)
 
@@ -126,6 +126,6 @@ class TestDeleteCoalescingInvariants:
         work = RoundWork()
         for source in sources:
             queue.insert(Event(3, 1.0, 1, source), work)
-        [batch] = queue.drain_round(work)
+        [batch] = queue.drain_round()
         assert sorted(e.source for e in batch) == sorted(sources)
 

@@ -23,6 +23,7 @@ import json
 import math
 import socket
 import statistics
+import sys
 import threading
 import time
 import urllib.error
@@ -31,7 +32,9 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.graph import generators
+from repro.graph.csr import CSRGraph
 from repro.host import Accelerator
 from repro.obs import REGISTRY, MemorySink, Tracer
 from repro.serve import (
@@ -247,12 +250,10 @@ class TestBackpressure:
 
         t1 = threading.Thread(target=submitter, args=({"insertions": [[1, 3, 0.5]]},))
         t1.start()
-        # unfinished_tasks counts put() calls (no task_done anywhere), so
-        # "1 put ever AND queue empty" == the writer dequeued A and is
-        # parked at the gate — deterministic, no sleeps.
+        # One write admitted and none waiting == A holds the write lock
+        # and is parked at the gate — deterministic, no sleeps.
         wait_until(
-            lambda: served._queue.unfinished_tasks == 1
-            and served._queue.qsize() == 0
+            lambda: served._admitted == 1 and served.queue_depth() == 0
         )
         return t1, submitter
 
@@ -290,13 +291,119 @@ class TestBackpressure:
         with pytest.raises(ServeError):
             served.submit("update", {"u": 2, "v": 1, "w": 1.0})
         rejected_in = time.perf_counter() - t0
-        # put_nowait: the writer is parked, yet the reject returned at once.
+        # The write holding the lock is parked, yet the reject returned at once.
         assert rejected_in < 1.0
 
         served.resume_writer()
         t1.join(timeout=10)
         t2.join(timeout=10)
         assert not errors
+
+
+def _target(kind: str, payload: dict) -> int:
+    """The head of the one edge a write of :class:`TestInlineWrites` inserts."""
+    return payload["v"] if kind == "update" else payload["insertions"][0][1]
+
+
+class TestInlineWrites:
+    """A write applies on its submitter's thread, one at a time under the
+    session's write lock; the session starts no thread of its own."""
+
+    K = 8
+    N = 12
+
+    def test_concurrent_submitters_apply_in_lock_order(self, monkeypatch):
+        base = [(v, v + 1, 10.0) for v in range(self.N - 1)]
+        writes = [
+            ("update", {"u": 0, "v": v, "w": float(v)})
+            if v % 2
+            else ("batch", {"insertions": [[0, v, float(v)]]})
+            for v in range(2, 2 + self.K)
+        ]
+        started = []
+        real_start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread)
+            real_start(thread)
+
+        before = set(threading.enumerate())
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        # Switch threads often, so a lost update to the admission counts
+        # would show as a wrong depth or a close that never returns.
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        app = ServeApp()
+        replies, errors = {}, []
+        try:
+            served = make_session(app, queue_bound=self.K, edges=base)
+            served.pause_writer()
+
+            def submitter(i):
+                try:
+                    replies[i] = served.submit(*writes[i])
+                except ServeError as exc:
+                    errors.append(exc)
+
+            submitters = [
+                threading.Thread(target=submitter, args=(i,)) for i in range(self.K)
+            ]
+            for thread in submitters:
+                thread.start()
+            # All admitted: one holds the lock at the gate, K - 1 wait.
+            wait_until(lambda: served._admitted == self.K)
+            assert served.queue_depth() == self.K - 1
+            # (Threads an earlier test left may end meanwhile: only new
+            # threads are compared.)
+            assert set(threading.enumerate()) - before == set(submitters)
+            served.resume_writer()
+            for thread in submitters:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert not errors
+            seqs = {i: reply["seq"] for i, reply in replies.items()}
+            assert sorted(seqs.values()) == list(range(1, self.K + 1))
+            log = served.applied_log()["log"]
+            assert [entry["seq"] for entry in log] == list(range(1, self.K + 1))
+            # Each write inserts a distinct edge (0, v): the log names it.
+            by_seq = {seq: i for i, seq in seqs.items()}
+            for entry in log:
+                kind, payload = writes[by_seq[entry["seq"]]]
+                assert entry["kind"] == kind
+                assert _target(kind, entry["payload"]) == _target(kind, payload)
+            edges = base + [(0, v, float(v)) for v in range(2, 2 + self.K)]
+            want = reference.sssp(CSRGraph(self.N, edges), 0)
+            assert np.array_equal(served.read_snapshot().states, want)
+        finally:
+            app.close()
+            sys.setswitchinterval(switch_interval)
+        assert set(threading.enumerate()) - before == set()
+        assert started == submitters
+
+    def test_failed_apply_answers_500_and_releases_the_lock(self, app, monkeypatch):
+        served = make_session(app)
+        real_run = served.session.run
+        calls = []
+
+        def run_failing_once(*args, **kwargs):
+            # Run first: a batch left staged would refuse every later push.
+            result = real_run(*args, **kwargs)
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("engine invariant broken")
+            return result
+
+        monkeypatch.setattr(served.session, "run", run_failing_once)
+        with pytest.raises(ServeError) as exc:
+            served.submit("batch", {"insertions": [[1, 3, 0.5]]})
+        assert exc.value.status == 500 and exc.value.code == "INTERNAL"
+        assert "engine invariant broken" in exc.value.message
+        assert not served._write_lock.locked()
+        assert served.queue_depth() == 0 and served._admitted == 0
+        reply = served.submit("batch", {"insertions": [[0, 3, 9.0]]})
+        assert reply["seq"] == 1
+        assert served.read_snapshot().seq == 1
+        assert served.queue_depth() == 0
 
 
 class TestGracefulShutdown:
@@ -314,8 +421,7 @@ class TestGracefulShutdown:
         t1 = threading.Thread(target=submitter, args=(1, 3))
         t1.start()
         wait_until(
-            lambda: served._queue.unfinished_tasks == 1
-            and served._queue.qsize() == 0
+            lambda: served._admitted == 1 and served.queue_depth() == 0
         )
         t2 = threading.Thread(target=submitter, args=(0, 3))
         t2.start()
@@ -343,8 +449,7 @@ class TestGracefulShutdown:
         t1 = threading.Thread(target=submitter, args=(1, 3))
         t1.start()
         wait_until(
-            lambda: served._queue.unfinished_tasks == 1
-            and served._queue.qsize() == 0
+            lambda: served._admitted == 1 and served.queue_depth() == 0
         )
         t2 = threading.Thread(target=submitter, args=(0, 3))
         t2.start()
@@ -842,8 +947,7 @@ class TestHttpProtocol:
         t1 = threading.Thread(target=submit, args=(1, 3))
         t1.start()
         wait_until(
-            lambda: served._queue.unfinished_tasks == 1
-            and served._queue.qsize() == 0
+            lambda: served._admitted == 1 and served.queue_depth() == 0
         )
         t2 = threading.Thread(target=submit, args=(2, 0))
         t2.start()
@@ -935,8 +1039,7 @@ class TestHttpProtocol:
             t1 = threading.Thread(target=submit, args=(2, 0))
             t1.start()
             wait_until(
-                lambda: served._queue.unfinished_tasks == 3
-                and served._queue.qsize() == 0
+                lambda: served._admitted == 1 and served.queue_depth() == 0
             )
             t2 = threading.Thread(target=submit, args=(3, 0))
             t2.start()
