@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
+from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -34,15 +36,28 @@ import numpy as np
 #: core imports.
 SELF_SUPPORT = -1
 
+#: Edge scans a local repair (``insert-cascade-repaired``,
+#: ``delete-subtree-repaired``) may spend before it gives up, writes
+#: nothing, and leaves the update to the engine. A scan costs about a
+#: microsecond of Python; a one-edge engine batch costs 1-2 ms whatever it
+#: touches, and a repair that gives up pays its scans on top of that batch.
+#: 512 scans repair 97% of the unsafe updates of the e2e ``serve-updates``
+#: stream and keep the wasted work of the rest under the batch's cost.
+REPAIR_EDGE_BOUND = 512
+
+#: Reasons of the safe verdicts that carry a local repair.
+REPAIR_REASONS = frozenset({"insert-cascade-repaired", "delete-subtree-repaired"})
+
 
 @dataclass(frozen=True)
 class UpdateClassification:
     """Verdict of :meth:`Algorithm.classify_update` on one edge update.
 
     ``safe`` means the update provably cannot invalidate the converged
-    state beyond the recorded ``new_state`` write, so the express lane may
-    apply it with an O(degree) array touch; unsafe updates fall through to
-    the full incremental engine. RisGraph-style classification (PAPERS.md).
+    state beyond the recorded ``new_state`` / ``state_updates`` writes, so
+    the express lane may apply it with an array touch per write; unsafe
+    updates fall through to the full incremental engine. RisGraph-style
+    classification (PAPERS.md).
     """
 
     safe: bool
@@ -52,6 +67,8 @@ class UpdateClassification:
     #: The single ``(vertex, value)`` state write a safe improving insert
     #: performs; ``None`` when the converged state is untouched.
     new_state: Optional[Tuple[int, float]] = None
+    #: ``(vertex, value)`` state writes of a local repair (``REPAIR_REASONS``).
+    state_updates: Tuple[Tuple[int, float], ...] = ()
     #: ``(vertex, source)`` dependency-tree rewrites (DAP coherence).
     #: ``source == SELF_SUPPORT`` records support by the vertex's own
     #: initial event.
@@ -60,6 +77,106 @@ class UpdateClassification:
     edges_scanned: int = 0
     #: Vertex-state reads performed while classifying.
     state_reads: int = 0
+
+
+class _LocalRepair:
+    """A bounded repair of one unsafe update, into a tentative overlay.
+
+    ``values`` / ``deps`` map every vertex the repair touches to its new
+    state and dependency (``SELF_SUPPORT``: its self event, or nothing);
+    the converged view is only read. Each method returns False once the
+    repair has scanned more than :data:`REPAIR_EDGE_BOUND` edges, and the
+    caller then drops the overlay, so an update is repaired whole or not
+    at all.
+    """
+
+    __slots__ = ("algorithm", "view", "scanned", "reads", "values", "deps")
+
+    def __init__(self, algorithm, view, scanned: int, reads: int):
+        self.algorithm = algorithm
+        self.view = view
+        self.scanned = scanned
+        self.reads = reads
+        self.values = {}
+        self.deps = {}
+
+    def state(self, x: int) -> float:
+        value = self.values.get(x)
+        if value is None:
+            self.reads += 1
+            value = self.view.state(x)
+        return value
+
+    def relax(self, frontier, removed, added) -> bool:
+        """Propagate from the ``frontier`` vertices (already in ``values``)
+        until no state improves, over the live out-edges less the
+        ``removed`` ``(u, v)`` pairs plus ``added`` (``{u: [(v, w)]}``,
+        the insert's edges the store does not hold yet)."""
+        mp, prop = self.algorithm.more_progressed, self.algorithm.propagate
+        identity = self.algorithm.identity
+        values, deps, out_edges = self.values, self.deps, self.view.out_edges
+        queue, queued = deque(frontier), set(frontier)
+        while queue:
+            x = queue.popleft()
+            queued.discard(x)
+            value = values[x]
+            if value == identity:
+                continue
+            for t, wt in chain(out_edges(x), added.get(x, ())):
+                self.scanned += 1
+                if self.scanned > REPAIR_EDGE_BOUND:
+                    return False
+                if (x, t) in removed:
+                    continue
+                cand = prop(value, wt, NULL_CONTEXT)
+                if mp(cand, self.state(t)):
+                    values[t], deps[t] = cand, x
+                    if t not in queued:
+                        queued.add(t)
+                        queue.append(t)
+        return True
+
+    def reset_subtrees(self, directed) -> bool:
+        """Reset, re-approximate and relax the dependency subtrees the
+        deleted ``directed`` edges support (DAP's reset set, §5.2)."""
+        algorithm, view = self.algorithm, self.view
+        mp, prop = algorithm.more_progressed, algorithm.propagate
+        removed = set(directed)
+        members = [b for a, b in directed if view.dependency(b) == a]
+        inside = set(members)
+        for x in members:  # grows as the walk finds dependency children
+            for t, _ in view.out_edges(x):
+                self.scanned += 1
+                if self.scanned > REPAIR_EDGE_BOUND:
+                    return False
+                if t not in inside and view.dependency(t) == x:
+                    inside.add(t)
+                    members.append(t)
+        for x in members:
+            best, dep = algorithm.self_event(x), SELF_SUPPORT
+            if best is None:
+                best = algorithm.identity
+            for s, ws in view.in_edges(x):
+                self.scanned += 1
+                if self.scanned > REPAIR_EDGE_BOUND:
+                    return False
+                if s in inside or (s, x) in removed:
+                    continue
+                cand = prop(self.state(s), ws, NULL_CONTEXT)
+                if mp(cand, best):
+                    best, dep = cand, s
+            self.values[x], self.deps[x] = best, dep
+        return self.relax(members, removed, {})
+
+    def verdict(self, reason: str) -> UpdateClassification:
+        return UpdateClassification(
+            True,
+            reason,
+            state_updates=tuple(self.values.items()),
+            dependency_updates=tuple(self.deps.items()),
+            edges_scanned=self.scanned,
+            state_reads=self.reads,
+        )
 
 
 def classify_monotonic_update(algorithm, view, u, v, w, op) -> UpdateClassification:
@@ -95,8 +212,27 @@ def classify_monotonic_update(algorithm, view, u, v, w, op) -> UpdateClassificat
       an SSWP capacity loop feeding itself); an equal-value supporter is
       NOT accepted. Safe, rewrites ``dependency(v)`` to the witness.
 
-    Everything else — cascading inserts, vertex growth, unsupported
-    deletes, state inconsistencies — is unsafe and takes the engine path.
+    Two unsafe cases are repaired here instead, into a tentative overlay
+    (:class:`_LocalRepair`) that the express lane commits whole:
+
+    * **insert, cascade** — the improved endpoint ``b`` takes ``nv`` and
+      the improvement relaxes forward from ``b`` until nothing improves.
+      Safe, ``insert-cascade-repaired``.
+    * **delete, unsupported, DAP** — the dependency subtree of each
+      endpoint whose dependency is the deleted edge (the vertices whose
+      chain runs through it) resets; each reset vertex is re-approximated
+      from its self event and its in-edges from outside the subtree, whose
+      states the delete cannot touch, and the subtree then relaxes from
+      inside. Safe, ``delete-subtree-repaired``. Without a dependency tree
+      (BASE/VAP) nothing says which states the edge supported.
+
+    Both end on the unique fixed point of the new graph, the one the
+    engine reaches; only the dependency chosen on ties may differ. A
+    repair that would scan more than :data:`REPAIR_EDGE_BOUND` edges
+    writes nothing and keeps its unsafe verdict (``insert-cascades``,
+    ``delete-unsupported``). Everything else — vertex growth, state
+    inconsistencies, unsupported deletes without a dependency tree — is
+    unsafe and takes the engine path.
     """
     mp = algorithm.more_progressed
     prop = algorithm.propagate
@@ -138,30 +274,29 @@ def classify_monotonic_update(algorithm, view, u, v, w, op) -> UpdateClassificat
             )
         a, b = improving[0]
         nv = cands[(a, b)]
-        # Would the improved value cascade past b? Scan b's out-edges in
-        # the post-insert graph (the mirror edge joins them when symmetric).
-        out = list(view.out_edges(b))
-        if mirrored:
-            out.append((a, w))
-        for t, wt in out:
-            scanned += 1
-            out_cand = prop(nv, wt, NULL_CONTEXT)
-            basis = nv if t == b else view.state(t)
-            reads += 0 if t == b else 1
-            if mp(out_cand, basis):
-                return UpdateClassification(
-                    False,
-                    "insert-cascades",
-                    edges_scanned=scanned,
-                    state_reads=reads,
-                )
+        # Relax forward from b in the post-insert graph (the inserted edge
+        # and its mirror join the adjacency the store does not hold yet).
+        repair = _LocalRepair(algorithm, view, scanned, reads)
+        repair.values[b], repair.deps[b] = nv, a
+        added = {}
+        for x, y in directed:
+            added.setdefault(x, []).append((y, w))
+        if not repair.relax([b], (), added):
+            return UpdateClassification(
+                False,
+                "insert-cascades",
+                edges_scanned=repair.scanned,
+                state_reads=repair.reads,
+            )
+        if len(repair.values) > 1:
+            return repair.verdict("insert-cascade-repaired")
         return UpdateClassification(
             True,
             "insert-local-improvement",
             new_state=(b, nv),
             dependency_updates=((b, a),),
-            edges_scanned=scanned,
-            state_reads=reads,
+            edges_scanned=repair.scanned,
+            state_reads=repair.reads,
         )
 
     if op != "delete":
@@ -216,6 +351,11 @@ def classify_monotonic_update(algorithm, view, u, v, w, op) -> UpdateClassificat
                 witness = s
                 break
         if witness is None:
+            if view.dependency(b) is not None:  # DAP keeps the tree
+                repair = _LocalRepair(algorithm, view, scanned, reads)
+                if repair.reset_subtrees(directed):
+                    return repair.verdict("delete-subtree-repaired")
+                scanned, reads = repair.scanned, repair.reads
             return UpdateClassification(
                 False,
                 "delete-unsupported",

@@ -135,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--express",
         action="store_true",
         help="apply the stream as single updates through the express lane "
-        "(safe/unsafe classification; batches x batch-size updates total)",
+        "(safe updates and local repairs stay on the lane, the rest run as "
+        "one-edge engine batches; batches x batch-size updates total)",
     )
 
     serve = sub.add_parser(
@@ -594,8 +595,8 @@ def _run_express_stream(args, engine) -> None:
 
     Applies ``batches x batch-size`` single-edge updates through the
     express lane, printing per-chunk latency percentiles and the
-    safe/unsafe split; unsafe updates transparently run as one-edge
-    engine batches.
+    safe/unsafe split; safe updates include local repairs, and unsafe
+    ones transparently run as one-edge engine batches.
     """
     import statistics
 
@@ -652,7 +653,8 @@ def _run_express_stream(args, engine) -> None:
     stats = lane.stats
     ratio = stats["safe_applied"] / applied if applied else 0.0
     print(
-        f"express lane: {stats['safe_applied']} safe / "
+        f"express lane: {stats['safe_applied']} safe "
+        f"({stats['local_repairs']} local repairs) / "
         f"{stats['engine_fallthroughs']} engine fallthroughs "
         f"({ratio:.0%} safe)"
     )

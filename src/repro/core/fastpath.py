@@ -7,9 +7,15 @@ single edge. RisGraph observes that on a *converged* state most single-edge
 updates are provably absorbable with an O(degree) check: an insert that
 improves nothing, or improves exactly one endpoint without cascading; a
 delete whose edge was not load bearing, or whose target keeps another
-strict witness. :class:`ExpressLane` applies those *safe* updates with one
-state write and a pending single-edge store edit, and falls through to the
-full engine path for everything else.
+strict witness. Most of the rest stay local too (RisGraph's per-update
+path): a cascading insert relaxes forward from the endpoint it improves,
+and under DAP an unsupported delete resets and re-converges just the
+dependency subtree it supported. :class:`ExpressLane` applies those *safe*
+updates with their state writes and a pending single-edge store edit, and
+falls through to the full engine path for everything else: accumulative
+algorithms, vertex growth, BASE/VAP unsupported deletes (no dependency
+tree), and repairs that outgrow
+:data:`~repro.algorithms.base.REPAIR_EDGE_BOUND`.
 
 The classification itself lives next to the algorithms
 (:func:`repro.algorithms.base.classify_monotonic_update`); this module
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterator, Optional, Tuple
 
-from repro.algorithms.base import SELF_SUPPORT, UpdateClassification
+from repro.algorithms.base import REPAIR_REASONS, SELF_SUPPORT, UpdateClassification
 from repro.core.events import NO_SOURCE
 from repro.core.streaming import JetStreamEngine, StreamingResult
 from repro.streams import UpdateBatch, finite_weight, vertex_id
@@ -37,9 +43,11 @@ from repro.streams import UpdateBatch, finite_weight, vertex_id
 
 #: Counter keys of :attr:`ExpressLane.stats`. :meth:`Session.express_stats`
 #: derives its lane-less zero shape from this tuple, so the two can never
-#: drift apart when a counter is added. ``resyncs`` stays 0: the lane has no
-#: private graph copy to re-synchronize, but readers of the key remain.
-EXPRESS_STAT_KEYS = ("safe_applied", "engine_fallthroughs", "resyncs")
+#: drift apart when a counter is added. ``safe_applied`` counts every update
+#: absorbed without the engine, ``local_repairs`` the part of those that
+#: needed a local repair. ``resyncs`` stays 0: the lane has no private graph
+#: copy to re-synchronize, but readers of the key remain.
+EXPRESS_STAT_KEYS = ("safe_applied", "engine_fallthroughs", "resyncs", "local_repairs")
 
 
 @dataclass(frozen=True)
@@ -65,7 +73,8 @@ class ExpressResult:
     edges_scanned: int
     #: Vertex-state reads performed while classifying.
     state_reads: int
-    #: The single state write a safe improving insert performed.
+    #: The single state write a safe improving insert performed (``None``
+    #: for a local repair, which may write many).
     new_state: Optional[Tuple[int, float]] = None
     #: Full engine result when the update took the fallthrough path.
     engine_result: Optional[StreamingResult] = None
@@ -135,11 +144,11 @@ class ExpressLane:
     def apply(self, u: int, v: int, w: float = 1.0, op: str = "insert") -> ExpressResult:
         """Classify-and-apply one edge update.
 
-        Safe updates mutate the store (a pending edit, no CSR splice) and the
-        engine's state/dependency arrays in one pass; unsafe updates are
-        wrapped in a single-edge :class:`UpdateBatch` and handed to
-        :meth:`JetStreamEngine.apply_batch`. Either way the converged
-        invariant holds again when this returns.
+        Safe updates, local repairs included, mutate the store (a pending
+        edit, no CSR splice) and the engine's state/dependency arrays in
+        one pass; unsafe updates are wrapped in a single-edge
+        :class:`UpdateBatch` and handed to :meth:`JetStreamEngine.apply_batch`.
+        Either way the converged invariant holds again when this returns.
         """
         if op not in ("insert", "delete"):
             raise ValueError(f"unknown update op {op!r}")
@@ -216,6 +225,8 @@ class ExpressLane:
         if cls.new_state is not None:
             b, nv = cls.new_state
             core.states[b] = nv
+        for vtx, value in cls.state_updates:
+            core.states[vtx] = value
         if self.tracks_dependency:
             for vtx, src in cls.dependency_updates:
                 core.dependency[vtx] = NO_SOURCE if src == SELF_SUPPORT else src
@@ -224,6 +235,7 @@ class ExpressLane:
         else:
             graph.remove_edge(u, v)
         self.stats["safe_applied"] += 1
+        self.stats["local_repairs"] += cls.reason in REPAIR_REASONS
 
     def _apply_engine(self, u: int, v: int, w: float, op: str) -> StreamingResult:
         if op == "insert":

@@ -335,9 +335,21 @@ def _compact_parts(num_vertices: int, src: np.ndarray, dst: np.ndarray, wgt: np.
         raise ValueError("vertex ids must be non-negative")
     if len(src) and (src.max() >= num_vertices or dst.max() >= num_vertices):
         raise ValueError("edge endpoint out of range")
+    if not _in_key_order(src, dst):
+        order = np.lexsort((dst, src))
+        src, dst, wgt = src[order], dst[order], wgt[order]
+    # The rows are in (src, dst) order now, so one stable sort by
+    # destination puts the in-direction in (dst, src) order.
+    order = np.argsort(dst, kind="stable")
     out = _build_csr(num_vertices, src, dst, wgt)
-    in_ = _build_csr(num_vertices, dst, src, wgt)
+    in_ = _build_csr(num_vertices, dst[order], src[order], wgt[order])
     return int(num_vertices), len(src), _runs(*out), _runs(*in_), (out[0], in_[0])
+
+
+def _in_key_order(src: np.ndarray, dst: np.ndarray) -> bool:
+    """True when the rows are already sorted by ``(src, dst)``."""
+    step = np.diff(src)
+    return bool((step >= 0).all() and ((step > 0) | (np.diff(dst) >= 0)).all())
 
 
 def _offsets(degrees: np.ndarray) -> np.ndarray:
@@ -353,19 +365,12 @@ def _runs(offsets: np.ndarray, minors: np.ndarray, weights: np.ndarray):
 
 
 def _build_csr(
-    num_vertices: int, src: np.ndarray, dst: np.ndarray, wgt: np.ndarray
+    num_vertices: int, majors: np.ndarray, minors: np.ndarray, weights: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Build offsets/targets/weights arrays sorted by source then target."""
-    if len(src) == 0:
-        return (
-            np.zeros(num_vertices + 1, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-        )
-    order = np.lexsort((dst, src))
-    src, dst, wgt = src[order], dst[order], wgt[order]
-    offsets = _offsets(np.bincount(src, minlength=num_vertices))
-    return offsets, dst.astype(np.int64), wgt.astype(np.float64)
+    """Offsets and fresh minor/weight arrays of one direction whose rows
+    are already sorted by ``(major, minor)``."""
+    offsets = _offsets(np.bincount(majors, minlength=num_vertices))
+    return offsets, minors.astype(np.int64), weights.astype(np.float64)
 
 
 def run_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -21,8 +21,9 @@ nothing mutates unless the whole batch passes), then spliced into both
 directions at once (:meth:`DynamicGraph.apply_batch`). *Single* edges
 (:meth:`~DynamicGraph.add_edge` / :meth:`~DynamicGraph.remove_edge`, the
 express lane's path) are recorded as pending edits, indexed by source and
-by target and bounded by the next flush, and folded into the arenas
-lazily when a snapshot or batch check needs them. Adjacency and degree
+by target, and folded into the arenas lazily when a snapshot or batch
+check needs them, or by the single-edge path itself once they outgrow a
+bound tied to the edge count (:data:`_PENDING_SHARE`). Adjacency and degree
 queries do not flush: they read a vertex's stored run (or degree) and its
 pending edits, so the express lane classifies against the store itself.
 Either way a splice gathers only the touched vertices' runs, merges the
@@ -78,6 +79,18 @@ _MASK = VERTEX_ID_LIMIT - 1
 #: would outnumber ``_SLACK - 1`` times its live ones, so it holds about
 #: this many slots per live edge at most.
 _SLACK = 2
+
+#: The single-edge path flushes once more than ``max(_PENDING_FLOOR,
+#: num_edges // _PENDING_SHARE)`` edits (``num_edges`` as of the first of
+#: them) are pending. A flush costs a fixed ~0.1-0.4 ms of array work
+#: plus its edited runs, so the floor amortises it to about a
+#: microsecond per edit on any graph; the share caps the pending dicts
+#: (~200 bytes per edit across both indexes) at a few bytes per stored
+#: edge, and with them the per-vertex filtering every adjacency read of
+#: an edited vertex pays. Without it a stream of express updates, which
+#: never flush, grows them without bound.
+_PENDING_FLOOR = 256
+_PENDING_SHARE = 64
 
 
 def _mirrored(rows: np.ndarray) -> np.ndarray:
@@ -384,6 +397,11 @@ class DynamicGraph:
         #: weight, ``None`` for a deletion. Emptied by every flush.
         self._pending_out: Dict[int, Dict[int, Optional[float]]] = {}
         self._pending_in: Dict[int, Dict[int, Optional[float]]] = {}
+        #: Edits recorded since the last flush, and the count past which
+        #: the single-edge path flushes; :meth:`_edit` restarts both once a
+        #: flush has emptied the edits (see :data:`_PENDING_SHARE`).
+        self._pending_edits = 0
+        self._pending_limit = _PENDING_FLOOR
         self._num_edges = 0
         #: Monotone mutation stamp, moved only by a change to the edge set
         #: or vertex count; keys the snapshot cache.
@@ -482,6 +500,8 @@ class DynamicGraph:
         if self.symmetric and u != v:
             self._insert_one(v, u, w)
         self.version += 1
+        if self._pending_edits > self._pending_limit:
+            self._flush()
 
     def remove_edge(self, u: int, v: int) -> float:
         """Delete directed edge ``u -> v``; returns its weight."""
@@ -489,6 +509,8 @@ class DynamicGraph:
         if self.symmetric and u != v:
             self._remove_one(v, u)
         self.version += 1
+        if self._pending_edits > self._pending_limit:
+            self._flush()
         return w
 
     def _insert_one(self, u: int, v: int, w: float) -> None:
@@ -510,8 +532,12 @@ class DynamicGraph:
 
     def _edit(self, u: int, v: int, w: Optional[float]) -> None:
         """Record a pending edit of ``u -> v`` in both indexes."""
+        if not self._pending_out:
+            self._pending_edits = 0
+            self._pending_limit = max(_PENDING_FLOOR, self._num_edges // _PENDING_SHARE)
         self._pending_out.setdefault(u, {})[v] = w
         self._pending_in.setdefault(v, {})[u] = w
+        self._pending_edits += 1
         self._mutations += 1
 
     def _weight(self, u: int, v: int) -> Optional[float]:

@@ -282,8 +282,9 @@ class Session:
 
         Classifies the insert/delete against the converged state: safe
         updates are absorbed with an O(degree) check and at most one state
-        write; unsafe ones transparently run as a single-edge batch on the
-        engine. Requires a converged state — :meth:`configure` *and* an
+        write, cascading inserts and (DAP) unsupported deletes with a
+        bounded local repair; the rest transparently run as a single-edge
+        batch on the engine. Requires a converged state — :meth:`configure` *and* an
         initial :meth:`run` must have happened — and refuses to overtake a
         staged batch (the stream order would silently invert).
         """
@@ -320,7 +321,8 @@ class Session:
         return result
 
     def express_stats(self) -> dict:
-        """Express-lane counters: safe applies and engine fallthroughs.
+        """Express-lane counters: safe applies (``local_repairs`` of them
+        repaired locally) and engine fallthroughs.
 
         ``resyncs`` is always 0 (the lane reads the store directly and
         keeps no copy to re-synchronize); the key stays for its readers.

@@ -3,8 +3,9 @@
 The invariant under test: **a stream driven through the express lane
 (:class:`repro.core.fastpath.ExpressLane`) is bit-identical to running the
 exact same update sequence purely through the engine** — safe updates
-absorbed with an O(degree) touch, unsafe ones falling through as one-edge
-batches, full batches hitting ``apply_batch`` directly in between (which
+absorbed with an O(degree) touch, cascading inserts and (DAP) unsupported
+deletes repaired locally, the rest falling through as one-edge batches,
+full batches hitting ``apply_batch`` directly in between (which
 deliberately goes *around* the lane, so every round the lane must
 classify against a store it did not mutate itself).
 
@@ -48,10 +49,14 @@ POLICIES = {
 }
 SCENARIO_SEEDS = list(range(3))
 
-NUM_VERTICES = 48
-NUM_EDGES = 150
-NUM_ROUNDS = 3
-SINGLES_PER_ROUND = 8
+#: Sparse enough that inserts cascade and deletes strand dependency
+#: subtrees: across the 36 scenarios each local repair
+#: (``insert-cascade-repaired``, ``delete-subtree-repaired``) fires 90+
+#: times.
+NUM_VERTICES = 96
+NUM_EDGES = 200
+NUM_ROUNDS = 4
+SINGLES_PER_ROUND = 16
 BATCH_SIZE = 8
 DELETE_PROB = 0.3
 

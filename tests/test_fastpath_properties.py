@@ -11,8 +11,9 @@ Two claims back the whole fast path, and both are checked here directly:
 
 2. **The harness has teeth.** A deliberately mislabeled update — a
    forged ``safe`` verdict for a load-bearing delete or a cascading
-   insert, pushed straight through the lane's apply kernel — must be
-   caught by the same fixed-point assertion. This pins the test's own
+   insert without the writes its local repair needs, pushed straight
+   through the lane's apply kernel — must be caught by the same
+   fixed-point assertion. This pins the test's own
    sensitivity: a future weakening of ``assert_fixed_point`` (or an
    accidental re-convergence hidden in the apply path) fails loudly.
 """
@@ -24,15 +25,15 @@ from typing import List, Tuple
 import numpy as np
 import pytest
 
-from repro.algorithms import make_algorithm
+from repro.algorithms import base, make_algorithm
 from repro.algorithms.base import UpdateClassification
 from repro.core.fastpath import ExpressLane
 from repro.core.policies import DeletePolicy
 from repro.core.streaming import JetStreamEngine
 from repro.graph import generators
-from repro.graph.dynamic import DynamicGraph
+from repro.graph.dynamic import _PENDING_FLOOR, _PENDING_SHARE, DynamicGraph
 from repro.reference import compute_reference
-from repro.streams import StreamGenerator
+from repro.streams import StreamGenerator, UpdateBatch
 
 PROPERTY_ALGORITHMS = ["sssp", "sswp", "bfs", "cc"]
 PROPERTY_SEEDS = [0, 1]
@@ -169,10 +170,11 @@ def test_mislabeled_load_bearing_delete_is_caught():
     """Forging ``safe`` for a support-edge delete trips the harness."""
     engine = _chain_engine()
     lane = ExpressLane(engine)
-    # The real classifier refuses this delete: 0->1 is 1's only support.
+    # 0->1 is 1's only support: the real classifier resets 1 and the
+    # subtree hanging off it (2, 3), with one write each.
     verdict = lane.classify(0, 1, 2.0, "delete")
-    assert not verdict.safe
-    assert verdict.reason == "delete-unsupported"
+    assert verdict.reason == "delete-subtree-repaired"
+    assert [x for x, _ in verdict.state_updates] == [1, 2, 3]
 
     forged = UpdateClassification(safe=True, reason="delete-non-support")
     lane._apply_safe(0, 1, 2.0, "delete", forged)
@@ -184,11 +186,11 @@ def test_mislabeled_cascading_insert_is_caught():
     """Forging ``safe`` for a cascading insert trips the harness."""
     engine = _chain_engine()
     lane = ExpressLane(engine)
-    # Insert 0->2 with weight 1: improves vertex 2 (5 -> 1) but the
-    # improvement must cascade to 3, so the classifier rejects it.
+    # Insert 0->2 with weight 1: improves vertex 2 (5 -> 1) and the
+    # improvement must cascade to 3, so the classifier repairs both.
     verdict = lane.classify(0, 2, 1.0, "insert")
-    assert not verdict.safe
-    assert verdict.reason == "insert-cascades"
+    assert verdict.reason == "insert-cascade-repaired"
+    assert verdict.state_updates == ((2, 1.0), (3, 2.0))
 
     forged = UpdateClassification(
         safe=True,
@@ -213,3 +215,82 @@ def test_classification_is_pure():
     assert np.array_equal(before, engine.query_result())
     assert lane.stats["safe_applied"] == 0
     assert lane.stats["engine_fallthroughs"] == 0
+
+
+# ----------------------------------------------------------------------
+# A local repair is all or nothing; safe updates keep the store bounded.
+# ----------------------------------------------------------------------
+LINE_EDGES = [(i, i + 1, 1.0) for i in range(8)]
+
+
+def _line_engine() -> JetStreamEngine:
+    graph = DynamicGraph.from_edges(LINE_EDGES, 9)
+    engine = JetStreamEngine(
+        graph, make_algorithm("sssp", source=0), policy=DeletePolicy.DAP
+    )
+    engine.initial_compute()
+    return engine
+
+
+def test_repair_over_the_bound_writes_nothing(monkeypatch):
+    """A cascade and a subtree delete that outgrow the scan bound leave no
+    trace of their overlay: the update runs as the engine's one-edge
+    batch, and states, dependencies and edges equal an engine-only
+    replay."""
+    monkeypatch.setattr(base, "REPAIR_EDGE_BOUND", 2)
+    express, oracle = _line_engine(), _line_engine()
+    lane = ExpressLane(express)
+    # 0->3 improves 3 (3 -> 0.5) and cascades down the line; deleting
+    # 0->1 then strands 1 and 2.
+    updates = [
+        (0, 3, 0.5, "insert", "insert-cascades"),
+        (0, 1, 1.0, "delete", "delete-unsupported"),
+    ]
+    for u, v, w, op, reason in updates:
+        before = dict(lane.stats)
+        result = lane.apply(u, v, w, op)
+        if op == "insert":
+            oracle.apply_batch(UpdateBatch(insertions=[(u, v, w)]))
+        else:
+            oracle.apply_batch(UpdateBatch(deletions=[(u, v)]))
+        assert (result.safe, result.reason) == (False, reason)
+        assert result.engine_result is not None
+        assert lane.stats["engine_fallthroughs"] == before["engine_fallthroughs"] + 1
+        assert lane.stats["local_repairs"] == before["local_repairs"]
+        assert np.array_equal(express.query_result(), oracle.query_result())
+        assert np.array_equal(express.core.dependency, oracle.core.dependency)
+        assert list(express.graph.edges()) == list(oracle.graph.edges())
+
+
+def test_safe_updates_keep_pending_edits_bounded():
+    """A long run of express updates, which never flush by themselves,
+    keeps at most the store's bound of single-edge edits pending, and
+    lands on the states an engine-only replay of the same batches does."""
+    algorithm = make_algorithm("sssp", source=0)
+    edges = generators.rmat(512, 2048, seed=3, weighted=True)
+    express = JetStreamEngine(
+        DynamicGraph.from_edges(edges, 512), algorithm, policy=DeletePolicy.DAP
+    )
+    oracle = JetStreamEngine(
+        DynamicGraph.from_edges(edges, 512),
+        make_algorithm("sssp", source=0),
+        policy=DeletePolicy.DAP,
+    )
+    express.initial_compute()
+    oracle.initial_compute()
+    lane = ExpressLane(express)
+    graph = express.graph
+    bound = max(_PENDING_FLOOR, graph.num_edges // _PENDING_SHARE)
+    generator = StreamGenerator(DynamicGraph.from_edges(edges, 512), seed=9)
+    for batch in generator.stream(50, 24):
+        # A batch's deletions precede its insertions; none repeats an edge.
+        for e in batch.deletions:
+            lane.apply(e.u, e.v, e.w, "delete")
+            assert sum(map(len, graph._pending_out.values())) <= bound
+        for e in batch.insertions:
+            lane.apply(e.u, e.v, e.w, "insert")
+            assert sum(map(len, graph._pending_out.values())) <= bound
+        oracle.apply_batch(batch)
+        assert np.array_equal(express.query_result(), oracle.query_result())
+    assert lane.stats["safe_applied"] >= 3 * bound
+    assert graph.store_stats()["flushes"] >= 3

@@ -7,6 +7,7 @@ import pytest
 
 from repro import reference
 from repro.core.config import AcceleratorConfig
+from repro.core.policies import DeletePolicy
 from repro.host import Accelerator, HostApiError
 from repro.sim.noc import CrossbarModel
 from repro.sim.timing import AcceleratorTimingModel
@@ -299,7 +300,9 @@ class TestExpressLaneProtocol:
 
     def test_unsafe_update_falls_through_to_engine(self):
         session = Accelerator().load_graph(EDGES)
-        session.configure("sssp", source=0)
+        # VAP keeps no dependency tree, so the lane cannot repair a
+        # load-bearing delete locally: it runs as a one-edge batch.
+        session.configure("sssp", source=0, policy=DeletePolicy.VAP)
         session.run()
         result = session.apply_update(0, 1, op="delete")
         assert not result.safe
@@ -319,6 +322,7 @@ class TestExpressLaneProtocol:
             "safe_applied": 0,
             "engine_fallthroughs": 0,
             "resyncs": 0,
+            "local_repairs": 0,
         }
         with pytest.raises(HostApiError, match="run\\(\\) the initial evaluation"):
             session.apply_update(0, 3, 1.0)
@@ -331,10 +335,10 @@ class TestExpressLaneProtocol:
         from repro.graph.csr import EDGE_ENTRY_BYTES
 
         express = Accelerator().load_graph(EDGES)
-        express.configure("sssp", source=0)
+        express.configure("sssp", source=0, policy=DeletePolicy.VAP)
         express.run()
         batch = Accelerator().load_graph(EDGES)
-        batch.configure("sssp", source=0)
+        batch.configure("sssp", source=0, policy=DeletePolicy.VAP)
         batch.run()
 
         before_express = express.transfer_stats().graph_uploads

@@ -233,6 +233,7 @@ class TestServeSessionCore:
             "safe_applied",
             "engine_fallthroughs",
             "resyncs",
+            "local_repairs",
         }
         assert stats["transfers"]["graph_uploads"] > 0
 
