@@ -25,9 +25,12 @@ from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.core.streaming import StreamingResult
 
 
 #: Sentinel dependency for a vertex supported by its own initial/self
@@ -49,25 +52,27 @@ REPAIR_EDGE_BOUND = 512
 REPAIR_REASONS = frozenset({"insert-cascade-repaired", "delete-subtree-repaired"})
 
 
-@dataclass(frozen=True)
-class UpdateClassification:
-    """Verdict of :meth:`Algorithm.classify_update` on one edge update.
+@dataclass
+class ExpressResult:
+    """Verdict and outcome of one express-lane update.
 
-    ``safe`` means the update provably cannot invalidate the converged
-    state beyond the recorded ``new_state`` / ``state_updates`` writes, so
-    the express lane may apply it with an array touch per write; unsafe
-    updates fall through to the full incremental engine. RisGraph-style
-    classification (PAPERS.md).
+    :func:`classify_monotonic_update` fills the verdict (``safe`` through
+    ``state_reads``); :meth:`repro.core.fastpath.ExpressLane.apply` then
+    sets the update itself, its timings and, on a fall-through only, the
+    engine's result on the same record. ``safe`` means the update provably
+    cannot invalidate the converged state beyond the recorded
+    ``state_updates`` / ``dependency_updates`` writes, so the express lane
+    may apply it with an array touch per write; unsafe updates fall
+    through to the full incremental engine. RisGraph-style classification
+    (PAPERS.md).
     """
 
     safe: bool
     #: Short machine-readable tag naming the rule that fired (pinned by
     #: the fastpath goldens so refactors can't silently reclassify).
     reason: str
-    #: The single ``(vertex, value)`` state write a safe improving insert
-    #: performs; ``None`` when the converged state is untouched.
-    new_state: Optional[Tuple[int, float]] = None
-    #: ``(vertex, value)`` state writes of a local repair (``REPAIR_REASONS``).
+    #: ``(vertex, value)`` state writes: one for a local improvement, one
+    #: per touched vertex for a local repair (``REPAIR_REASONS``).
     state_updates: Tuple[Tuple[int, float], ...] = ()
     #: ``(vertex, source)`` dependency-tree rewrites (DAP coherence).
     #: ``source == SELF_SUPPORT`` records support by the vertex's own
@@ -77,6 +82,18 @@ class UpdateClassification:
     edges_scanned: int = 0
     #: Vertex-state reads performed while classifying.
     state_reads: int = 0
+    op: str = ""
+    u: int = -1
+    v: int = -1
+    w: float = 0.0
+    #: Time spent in classification alone (the prefix of ``latency_s``);
+    #: the remainder is the safe apply or the engine fallthrough. Request
+    #: tracing uses the split to carve a ``classify`` stage out of the
+    #: apply window.
+    classify_s: float = 0.0
+    latency_s: float = 0.0
+    #: Full engine result when the update took the fallthrough path.
+    engine_result: Optional["StreamingResult"] = None
 
 
 class _LocalRepair:
@@ -84,17 +101,21 @@ class _LocalRepair:
 
     ``values`` / ``deps`` map every vertex the repair touches to its new
     state and dependency (``SELF_SUPPORT``: its self event, or nothing);
-    the converged view is only read. Each method returns False once the
-    repair has scanned more than :data:`REPAIR_EDGE_BOUND` edges, and the
-    caller then drops the overlay, so an update is repaired whole or not
-    at all.
+    the store and the converged ``states`` / ``dependency`` arrays are
+    only read. Each method returns False once the repair has scanned more
+    than :data:`REPAIR_EDGE_BOUND` edges, and the caller then drops the
+    overlay, so an update is repaired whole or not at all.
     """
 
-    __slots__ = ("algorithm", "view", "scanned", "reads", "values", "deps")
+    __slots__ = (
+        "algorithm", "graph", "states", "dependency", "scanned", "reads", "values", "deps"
+    )
 
-    def __init__(self, algorithm, view, scanned: int, reads: int):
+    def __init__(self, algorithm, graph, states, dependency, scanned: int, reads: int):
         self.algorithm = algorithm
-        self.view = view
+        self.graph = graph
+        self.states = states
+        self.dependency = dependency
         self.scanned = scanned
         self.reads = reads
         self.values = {}
@@ -104,7 +125,7 @@ class _LocalRepair:
         value = self.values.get(x)
         if value is None:
             self.reads += 1
-            value = self.view.state(x)
+            value = self.states.item(x)
         return value
 
     def relax(self, frontier, removed, added) -> bool:
@@ -114,7 +135,7 @@ class _LocalRepair:
         the insert's edges the store does not hold yet)."""
         mp, prop = self.algorithm.more_progressed, self.algorithm.propagate
         identity = self.algorithm.identity
-        values, deps, out_edges = self.values, self.deps, self.view.out_edges
+        values, deps, out_edges = self.values, self.deps, self.graph.out_edges
         queue, queued = deque(frontier), set(frontier)
         while queue:
             x = queue.popleft()
@@ -139,24 +160,24 @@ class _LocalRepair:
     def reset_subtrees(self, directed) -> bool:
         """Reset, re-approximate and relax the dependency subtrees the
         deleted ``directed`` edges support (DAP's reset set, §5.2)."""
-        algorithm, view = self.algorithm, self.view
+        algorithm, graph, dependency = self.algorithm, self.graph, self.dependency.item
         mp, prop = algorithm.more_progressed, algorithm.propagate
         removed = set(directed)
-        members = [b for a, b in directed if view.dependency(b) == a]
+        members = [b for a, b in directed if dependency(b) == a]
         inside = set(members)
         for x in members:  # grows as the walk finds dependency children
-            for t, _ in view.out_edges(x):
+            for t, _ in graph.out_edges(x):
                 self.scanned += 1
                 if self.scanned > REPAIR_EDGE_BOUND:
                     return False
-                if t not in inside and view.dependency(t) == x:
+                if t not in inside and dependency(t) == x:
                     inside.add(t)
                     members.append(t)
         for x in members:
             best, dep = algorithm.self_event(x), SELF_SUPPORT
             if best is None:
                 best = algorithm.identity
-            for s, ws in view.in_edges(x):
+            for s, ws in graph.in_edges(x):
                 self.scanned += 1
                 if self.scanned > REPAIR_EDGE_BOUND:
                     return False
@@ -168,25 +189,29 @@ class _LocalRepair:
             self.values[x], self.deps[x] = best, dep
         return self.relax(members, removed, {})
 
-    def verdict(self, reason: str) -> UpdateClassification:
-        return UpdateClassification(
+    def verdict(self, reason: str) -> ExpressResult:
+        return ExpressResult(
             True,
             reason,
-            state_updates=tuple(self.values.items()),
-            dependency_updates=tuple(self.deps.items()),
-            edges_scanned=self.scanned,
-            state_reads=self.reads,
+            tuple(self.values.items()),
+            tuple(self.deps.items()),
+            self.scanned,
+            self.reads,
         )
 
 
-def classify_monotonic_update(algorithm, view, u, v, w, op) -> UpdateClassification:
-    """Shared safe/unsafe classifier for selective (monotonic) algorithms.
+def classify_monotonic_update(
+    algorithm, graph, states, dependency, u, v, w, op
+) -> ExpressResult:
+    """Safe/unsafe classifier for selective (monotonic) algorithms.
 
-    ``view`` provides the converged picture the decision is made against:
-    ``num_vertices``, ``symmetric``, ``state(x)``, ``dependency(x)`` (or
-    ``None`` when the policy does not track dependencies), ``out_edges(x)``
-    and ``in_edges(x)`` iterators, and for deletes the directed edge set
-    being removed.
+    The decision is made against the converged picture and mutates
+    nothing: ``graph`` is the store (``num_vertices``, ``symmetric``, and
+    ``out_edges(x)`` / ``in_edges(x)`` with its pending edits included),
+    ``states`` the converged state array and ``dependency`` the DAP
+    dependency array, or ``None`` when the policy keeps no tree.
+    Accumulative algorithms are never classified (a single edge shifts
+    mass globally; no local write absorbs it).
 
     The rules (proofs sketched per case; ``mp`` is the strict progression
     order, ``prop`` the context-free propagate):
@@ -209,15 +234,19 @@ def classify_monotonic_update(algorithm, view, u, v, w, op) -> UpdateClassificat
       another in-edge ``(s, v)`` whose contribution equals ``state(v)``
       with ``state(s)`` *strictly* more progressed. Strictness is what
       rules out plateau cycles sustaining a spurious fixed point (e.g.
-      an SSWP capacity loop feeding itself); an equal-value supporter is
-      NOT accepted. Safe, rewrites ``dependency(v)`` to the witness.
+      an SSWP capacity loop feeding itself, where ``min(x, w) == x``
+      whenever ``w >= x``); an equal-value supporter is NOT accepted. On
+      SSSP (positive weights) and BFS every supporter is strictly closer
+      anyway; on CC a label passes through unchanged, so no in-edge is
+      ever a strict witness. Safe, rewrites ``dependency(v)`` to the witness.
 
     Two unsafe cases are repaired here instead, into a tentative overlay
     (:class:`_LocalRepair`) that the express lane commits whole:
 
     * **insert, cascade** — the improved endpoint ``b`` takes ``nv`` and
       the improvement relaxes forward from ``b`` until nothing improves.
-      Safe, ``insert-cascade-repaired``.
+      Safe, ``insert-cascade-repaired``. A local improvement is the same
+      relaxation stopping at ``b``.
     * **delete, unsupported, DAP** — the dependency subtree of each
       endpoint whose dependency is the deleted edge (the vertices whose
       chain runs through it) resets; each reset vertex is re-approximated
@@ -236,53 +265,49 @@ def classify_monotonic_update(algorithm, view, u, v, w, op) -> UpdateClassificat
     """
     mp = algorithm.more_progressed
     prop = algorithm.propagate
-    n = view.num_vertices
+    state = states.item
+    n = graph.num_vertices
     reads = 0
     scanned = 0
 
     if u >= n or v >= n or u < 0 or v < 0:
-        return UpdateClassification(False, "vertex-growth")
+        return ExpressResult(False, "vertex-growth")
 
-    mirrored = view.symmetric and u != v
+    mirrored = graph.symmetric and u != v
     directed = [(u, v), (v, u)] if mirrored else [(u, v)]
 
     if op == "insert":
         improving = []
         cands = {}
         for a, b in directed:
-            cand = prop(view.state(a), w, NULL_CONTEXT)
+            cand = prop(state(a), w, NULL_CONTEXT)
             reads += 2
             cands[(a, b)] = cand
-            if mp(cand, view.state(b)):
+            if mp(cand, state(b)):
                 improving.append((a, b))
-            elif mp(view.state(b), cand) or cand == view.state(b):
+            elif mp(state(b), cand) or cand == state(b):
                 pass
             else:
                 # Incomparable values (NaN-like): leave it to the engine.
-                return UpdateClassification(
-                    False, "insert-incomparable", state_reads=reads
-                )
+                return ExpressResult(False, "insert-incomparable", state_reads=reads)
         if not improving:
-            return UpdateClassification(
-                True, "insert-no-improvement", state_reads=reads
-            )
+            return ExpressResult(True, "insert-no-improvement", state_reads=reads)
         if len(improving) > 1:
             # Impossible at a genuine fixed point with sane weights;
             # defensively routed to the engine rather than reasoned about.
-            return UpdateClassification(
+            return ExpressResult(
                 False, "insert-improves-both-endpoints", state_reads=reads
             )
         a, b = improving[0]
-        nv = cands[(a, b)]
         # Relax forward from b in the post-insert graph (the inserted edge
         # and its mirror join the adjacency the store does not hold yet).
-        repair = _LocalRepair(algorithm, view, scanned, reads)
-        repair.values[b], repair.deps[b] = nv, a
+        repair = _LocalRepair(algorithm, graph, states, dependency, scanned, reads)
+        repair.values[b], repair.deps[b] = cands[(a, b)], a
         added = {}
         for x, y in directed:
             added.setdefault(x, []).append((y, w))
         if not repair.relax([b], (), added):
-            return UpdateClassification(
+            return ExpressResult(
                 False,
                 "insert-cascades",
                 edges_scanned=repair.scanned,
@@ -290,14 +315,7 @@ def classify_monotonic_update(algorithm, view, u, v, w, op) -> UpdateClassificat
             )
         if len(repair.values) > 1:
             return repair.verdict("insert-cascade-repaired")
-        return UpdateClassification(
-            True,
-            "insert-local-improvement",
-            new_state=(b, nv),
-            dependency_updates=((b, a),),
-            edges_scanned=repair.scanned,
-            state_reads=repair.reads,
-        )
+        return repair.verdict("insert-local-improvement")
 
     if op != "delete":
         raise ValueError(f"unknown update op {op!r}")
@@ -306,27 +324,24 @@ def classify_monotonic_update(algorithm, view, u, v, w, op) -> UpdateClassificat
     dep_updates = []
     reason = "delete-non-support"
     for a, b in directed:
-        state_b = view.state(b)
+        state_b = state(b)
         reads += 1
         if state_b == algorithm.identity:
             # Never progressed: nothing for the delete to invalidate. A
             # stale dependency on the deleted edge is impossible (resets
             # clear it), so no defensive check is needed.
             continue
-        cand = prop(view.state(a), w, NULL_CONTEXT)
+        cand = prop(state(a), w, NULL_CONTEXT)
         reads += 1
         if mp(cand, state_b):
             # The converged state is not a fixed point of the current
             # graph — never the lane's job to repair.
-            return UpdateClassification(
-                False, "delete-state-inconsistent", state_reads=reads
-            )
+            return ExpressResult(False, "delete-state-inconsistent", state_reads=reads)
         if mp(state_b, cand):
-            dep = view.dependency(b)
-            if dep is not None and dep == a:
+            if dependency is not None and dependency.item(b) == a:
                 # A non-supporting edge recorded as the dependency means
                 # the dependency tree is stale; let the engine re-derive.
-                return UpdateClassification(
+                return ExpressResult(
                     False, "delete-stale-dependency", state_reads=reads
                 )
             continue
@@ -338,11 +353,11 @@ def classify_monotonic_update(algorithm, view, u, v, w, op) -> UpdateClassificat
             reason = "delete-self-supported"
             continue
         witness = None
-        for s, ws in view.in_edges(b):
+        for s, ws in graph.in_edges(b):
             if (s, b) in removed:
                 continue
             scanned += 1
-            state_s = view.state(s)
+            state_s = state(s)
             reads += 1
             if (
                 prop(state_s, ws, NULL_CONTEXT) == state_b
@@ -351,12 +366,14 @@ def classify_monotonic_update(algorithm, view, u, v, w, op) -> UpdateClassificat
                 witness = s
                 break
         if witness is None:
-            if view.dependency(b) is not None:  # DAP keeps the tree
-                repair = _LocalRepair(algorithm, view, scanned, reads)
+            if dependency is not None:  # DAP keeps the tree
+                repair = _LocalRepair(
+                    algorithm, graph, states, dependency, scanned, reads
+                )
                 if repair.reset_subtrees(directed):
                     return repair.verdict("delete-subtree-repaired")
                 scanned, reads = repair.scanned, repair.reads
-            return UpdateClassification(
+            return ExpressResult(
                 False,
                 "delete-unsupported",
                 edges_scanned=scanned,
@@ -364,7 +381,7 @@ def classify_monotonic_update(algorithm, view, u, v, w, op) -> UpdateClassificat
             )
         dep_updates.append((b, witness))
         reason = "delete-rewitnessed"
-    return UpdateClassification(
+    return ExpressResult(
         True,
         reason,
         dependency_updates=tuple(dep_updates),
@@ -473,18 +490,6 @@ class Algorithm(ABC):
         """Initial payload owed to a vertex created mid-stream (e.g. the
         PageRank teleport mass). ``None`` when nothing is owed."""
         return None
-
-    def classify_update(self, view, u: int, v: int, w: float, op: str) -> UpdateClassification:
-        """Safe/unsafe verdict for a single edge update (express lane).
-
-        The default is maximally conservative: every update is unsafe and
-        takes the full engine path. Selective (monotonic) algorithms
-        override this with :func:`classify_monotonic_update`; accumulative
-        algorithms (PageRank, Adsorption) keep the default because a
-        single edge shifts mass globally — no single-write application
-        exists.
-        """
-        return UpdateClassification(False, "unclassified-algorithm")
 
     def more_progressed(self, a: float, b: float) -> bool:
         """True when ``a`` is *strictly* closer to convergence than ``b``.

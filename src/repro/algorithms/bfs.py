@@ -12,12 +12,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.algorithms.base import (
-    Algorithm,
-    AlgorithmKind,
-    SourceContext,
-    classify_monotonic_update,
-)
+from repro.algorithms.base import Algorithm, AlgorithmKind, SourceContext
 
 
 class BFS(Algorithm):
@@ -54,12 +49,6 @@ class BFS(Algorithm):
 
     def more_progressed(self, a: float, b: float) -> bool:
         return a < b
-
-    def classify_update(self, view, u, v, w, op):
-        # Hop counts strictly increase along supports (state + 1), so a
-        # supporting predecessor is always one level closer — the generic
-        # strict-witness rescan is exact.
-        return classify_monotonic_update(self, view, u, v, w, op)
 
     def propagate_arrays(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
         return values + 1.0

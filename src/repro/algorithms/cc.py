@@ -16,12 +16,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.algorithms.base import (
-    Algorithm,
-    AlgorithmKind,
-    SourceContext,
-    classify_monotonic_update,
-)
+from repro.algorithms.base import Algorithm, AlgorithmKind, SourceContext
 
 
 class ConnectedComponents(Algorithm):
@@ -57,14 +52,6 @@ class ConnectedComponents(Algorithm):
 
     def more_progressed(self, a: float, b: float) -> bool:
         return a < b
-
-    def classify_update(self, view, u, v, w, op):
-        # Labels pass through unchanged, so an in-edge witness can never
-        # be *strictly* more progressed than its target: the generic rules
-        # collapse to "insert between equal labels / delete where each
-        # endpoint carries its own minimum label" — everything else (a
-        # potential merge or split) takes the engine path.
-        return classify_monotonic_update(self, view, u, v, w, op)
 
     def propagate_arrays(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
         return values

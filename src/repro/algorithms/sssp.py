@@ -7,12 +7,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.algorithms.base import (
-    Algorithm,
-    AlgorithmKind,
-    SourceContext,
-    classify_monotonic_update,
-)
+from repro.algorithms.base import Algorithm, AlgorithmKind, SourceContext
 
 
 class SSSP(Algorithm):
@@ -52,12 +47,6 @@ class SSSP(Algorithm):
 
     def more_progressed(self, a: float, b: float) -> bool:
         return a < b
-
-    def classify_update(self, view, u, v, w, op):
-        # Distances only shrink; with positive weights every supporting
-        # predecessor is strictly closer, so the generic monotonic rules
-        # apply unmodified.
-        return classify_monotonic_update(self, view, u, v, w, op)
 
     def propagate_arrays(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
         return values + weights

@@ -7,12 +7,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.algorithms.base import (
-    Algorithm,
-    AlgorithmKind,
-    SourceContext,
-    classify_monotonic_update,
-)
+from repro.algorithms.base import Algorithm, AlgorithmKind, SourceContext
 
 
 class SSWP(Algorithm):
@@ -54,13 +49,6 @@ class SSWP(Algorithm):
 
     def more_progressed(self, a: float, b: float) -> bool:
         return a > b
-
-    def classify_update(self, view, u, v, w, op):
-        # Widths plateau (min(x, w) == x whenever w >= x), so equal-width
-        # cycles can sustain a spurious fixed point after a delete; the
-        # generic rules' *strict*-supporter requirement is load bearing
-        # here — an equal-width witness is never accepted.
-        return classify_monotonic_update(self, view, u, v, w, op)
 
     def propagate_arrays(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
         return np.minimum(values, weights)

@@ -18,11 +18,14 @@ tree), and repairs that outgrow
 :data:`~repro.algorithms.base.REPAIR_EDGE_BOUND`.
 
 The classification itself lives next to the algorithms
-(:func:`repro.algorithms.base.classify_monotonic_update`); this module
-supplies the converged *view* the classifier reads — the engine's states
-and dependency tree over the store's live edge set — and the apply kernel
-that keeps the :class:`~repro.graph.dynamic.DynamicGraph` store, the engine
-state arrays, and the DAP dependency tree coherent. The store answers
+(:func:`repro.algorithms.base.classify_monotonic_update`), which reads the
+store and the engine's state and dependency arrays directly and returns
+the :class:`~repro.algorithms.base.ExpressResult` this lane completes and
+returns: one record per update, whose ``state_updates`` and
+``dependency_updates`` are the writes a safe apply commits. This module
+is the apply kernel that keeps the
+:class:`~repro.graph.dynamic.DynamicGraph` store, the engine state
+arrays, and the DAP dependency tree coherent. The store answers
 adjacency queries from its arrays plus its pending single-edge edits
 without flushing, so the lane keeps no copy of the graph: whatever
 mutated the store last (a safe apply, an engine batch, external code),
@@ -31,11 +34,15 @@ the next classification reads it as it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
-from typing import Iterator, Optional, Tuple
 
-from repro.algorithms.base import REPAIR_REASONS, SELF_SUPPORT, UpdateClassification
+from repro.algorithms.base import (
+    REPAIR_REASONS,
+    SELF_SUPPORT,
+    AlgorithmKind,
+    ExpressResult,
+    classify_monotonic_update,
+)
 from repro.core.events import NO_SOURCE
 from repro.core.streaming import JetStreamEngine, StreamingResult
 from repro.streams import UpdateBatch, finite_weight, vertex_id
@@ -48,73 +55,6 @@ from repro.streams import UpdateBatch, finite_weight, vertex_id
 #: needed a local repair. ``resyncs`` stays 0: the lane has no private graph
 #: copy to re-synchronize, but readers of the key remain.
 EXPRESS_STAT_KEYS = ("safe_applied", "engine_fallthroughs", "resyncs", "local_repairs")
-
-
-@dataclass(frozen=True)
-class ExpressResult:
-    """Outcome of one :meth:`ExpressLane.apply` call."""
-
-    op: str
-    u: int
-    v: int
-    w: float
-    #: True when the update was absorbed on the express path; False when
-    #: it fell through to the engine.
-    safe: bool
-    #: Classification rule that fired (see ``classify_monotonic_update``).
-    reason: str
-    latency_s: float
-    #: Time spent in classification alone (the prefix of ``latency_s``);
-    #: the remainder is the safe apply or the engine fallthrough. Request
-    #: tracing uses the split to carve a ``classify`` stage out of the
-    #: apply window.
-    classify_s: float
-    #: Adjacency entries examined while classifying.
-    edges_scanned: int
-    #: Vertex-state reads performed while classifying.
-    state_reads: int
-    #: The single state write a safe improving insert performed (``None``
-    #: for a local repair, which may write many).
-    new_state: Optional[Tuple[int, float]] = None
-    #: Full engine result when the update took the fallthrough path.
-    engine_result: Optional[StreamingResult] = None
-
-
-class _ConvergedView:
-    """What the classifier sees: converged states over the live edge set.
-
-    States and dependencies read through ``engine.core`` on every call —
-    the core replaces its arrays on allocate/grow, so caching a
-    reference would go stale. Adjacency is the store's own query.
-    """
-
-    __slots__ = ("_lane",)
-
-    def __init__(self, lane: "ExpressLane"):
-        self._lane = lane
-
-    @property
-    def num_vertices(self) -> int:
-        return self._lane.engine.graph.num_vertices
-
-    @property
-    def symmetric(self) -> bool:
-        return self._lane.engine.graph.symmetric
-
-    def state(self, x: int) -> float:
-        return float(self._lane.engine.core.states[x])
-
-    def dependency(self, x: int) -> Optional[int]:
-        lane = self._lane
-        if not lane.tracks_dependency:
-            return None
-        return int(lane.engine.core.dependency[x])
-
-    def out_edges(self, x: int) -> Iterator[Tuple[int, float]]:
-        return self._lane.engine.graph.out_edges(x)
-
-    def in_edges(self, x: int) -> Iterator[Tuple[int, float]]:
-        return self._lane.engine.graph.in_edges(x)
 
 
 class ExpressLane:
@@ -133,13 +73,23 @@ class ExpressLane:
             )
         self.engine = engine
         self.tracks_dependency = engine.policy.tracks_dependency
-        self._view = _ConvergedView(self)
         self.stats = {key: 0 for key in EXPRESS_STAT_KEYS}
 
     # ------------------------------------------------------------------
-    def classify(self, u: int, v: int, w: float, op: str) -> UpdateClassification:
-        """Classify one update against the converged view (no mutation)."""
-        return self.engine.algorithm.classify_update(self._view, u, v, w, op)
+    def classify(self, u: int, v: int, w: float, op: str) -> ExpressResult:
+        """Classify one update against the converged state (no mutation).
+
+        Selective algorithms go through :func:`classify_monotonic_update`;
+        accumulative ones are never safe (``unclassified-algorithm``).
+        """
+        engine = self.engine
+        if engine.algorithm.kind is not AlgorithmKind.SELECTIVE:
+            return ExpressResult(False, "unclassified-algorithm")
+        core = engine.core
+        dependency = core.dependency if self.tracks_dependency else None
+        return classify_monotonic_update(
+            engine.algorithm, engine.graph, core.states, dependency, u, v, w, op
+        )
 
     def apply(self, u: int, v: int, w: float = 1.0, op: str = "insert") -> ExpressResult:
         """Classify-and-apply one edge update.
@@ -149,6 +99,8 @@ class ExpressLane:
         one pass; unsafe updates are wrapped in a single-edge
         :class:`UpdateBatch` and handed to :meth:`JetStreamEngine.apply_batch`.
         Either way the converged invariant holds again when this returns.
+        The classifier's record comes back with the update, its timings
+        and, on a fall-through, the engine's result filled in.
         """
         if op not in ("insert", "delete"):
             raise ValueError(f"unknown update op {op!r}")
@@ -167,38 +119,14 @@ class ExpressLane:
                 raise ValueError(f"cannot delete missing edge {u}->{v}")
             w = graph.edge_weight(u, v)
 
-        cls = self.classify(u, v, w, op)
-        classify_s = perf_counter() - t0
-        if cls.safe:
-            self._apply_safe(u, v, w, op, cls)
-            result = ExpressResult(
-                op=op,
-                u=u,
-                v=v,
-                w=w,
-                safe=True,
-                reason=cls.reason,
-                latency_s=perf_counter() - t0,
-                classify_s=classify_s,
-                edges_scanned=cls.edges_scanned,
-                state_reads=cls.state_reads,
-                new_state=cls.new_state,
-            )
+        result = self.classify(u, v, w, op)
+        result.classify_s = perf_counter() - t0
+        if result.safe:
+            self._apply_safe(u, v, w, op, result)
         else:
-            engine_result = self._apply_engine(u, v, w, op)
-            result = ExpressResult(
-                op=op,
-                u=u,
-                v=v,
-                w=w,
-                safe=False,
-                reason=cls.reason,
-                latency_s=perf_counter() - t0,
-                classify_s=classify_s,
-                edges_scanned=cls.edges_scanned,
-                state_reads=cls.state_reads,
-                engine_result=engine_result,
-            )
+            result.engine_result = self._apply_engine(u, v, w, op)
+        result.latency_s = perf_counter() - t0
+        result.op, result.u, result.v, result.w = op, u, v, w
         tracer = self.engine.tracer
         if tracer.enabled:
             # Safe updates produce no run span; this event is every
@@ -210,7 +138,7 @@ class ExpressLane:
                 safe=result.safe,
                 reason=result.reason,
                 latency_s=result.latency_s,
-                classify_s=classify_s,
+                classify_s=result.classify_s,
                 edges_scanned=result.edges_scanned,
                 state_reads=result.state_reads,
             )
@@ -218,24 +146,21 @@ class ExpressLane:
 
     # ------------------------------------------------------------------
     def _apply_safe(
-        self, u: int, v: int, w: float, op: str, cls: UpdateClassification
+        self, u: int, v: int, w: float, op: str, verdict: ExpressResult
     ) -> None:
         graph = self.engine.graph
         core = self.engine.core
-        if cls.new_state is not None:
-            b, nv = cls.new_state
-            core.states[b] = nv
-        for vtx, value in cls.state_updates:
+        for vtx, value in verdict.state_updates:
             core.states[vtx] = value
         if self.tracks_dependency:
-            for vtx, src in cls.dependency_updates:
+            for vtx, src in verdict.dependency_updates:
                 core.dependency[vtx] = NO_SOURCE if src == SELF_SUPPORT else src
         if op == "insert":
             graph.add_edge(u, v, w)
         else:
             graph.remove_edge(u, v)
         self.stats["safe_applied"] += 1
-        self.stats["local_repairs"] += cls.reason in REPAIR_REASONS
+        self.stats["local_repairs"] += verdict.reason in REPAIR_REASONS
 
     def _apply_engine(self, u: int, v: int, w: float, op: str) -> StreamingResult:
         if op == "insert":

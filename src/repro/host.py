@@ -33,9 +33,10 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.algorithms import make_algorithm
+from repro.algorithms.base import ExpressResult
 from repro.core.config import AcceleratorConfig
 from repro.core.policies import DeletePolicy
-from repro.core.fastpath import EXPRESS_STAT_KEYS, ExpressLane, ExpressResult
+from repro.core.fastpath import EXPRESS_STAT_KEYS, ExpressLane
 from repro.core.streaming import (
     JetStreamEngine,
     MultiVersionResult,
@@ -90,6 +91,10 @@ class Session:
         """The accelerator's observability hook (NULL_TRACER when off)."""
         return self._accelerator.tracer
 
+    def _require_open(self) -> None:
+        if self._closed:
+            raise HostApiError("session is closed; open a new one with load_graph()")
+
     def _account_transfer(self, direction: str, nbytes: int) -> None:
         setattr(self.transfers, direction, getattr(self.transfers, direction) + nbytes)
         tracer = self._accelerator.tracer
@@ -118,10 +123,7 @@ class Session:
         :meth:`read_results` is refused until it happens. A staged
         (un-run) batch blocks reconfiguration — run or it would be lost.
         """
-        if self._closed:
-            raise HostApiError(
-                "session is closed; open a new one with load_graph()"
-            )
+        self._require_open()
         if self._pending is not None:
             raise HostApiError(
                 "cannot reconfigure with a staged update batch; run() it "
@@ -167,8 +169,7 @@ class Session:
         report ``KeyError``); ``None`` keeps all. Re-enabling rebases the
         store on the current version.
         """
-        if self._closed:
-            raise HostApiError("session is closed")
+        self._require_open()
         self._version_store = DeltaVersionStore(
             self._graph, keep_versions=keep_versions
         )
@@ -194,8 +195,12 @@ class Session:
         the graph at :meth:`run`: a delete of a missing edge or an insert
         of a live one (unless the batch also deletes it — the
         weight-change idiom) raises there and leaves graph and results
-        untouched.
+        untouched. Refused before :meth:`configure` (nothing could run the
+        batch) and after :meth:`close`.
         """
+        self._require_open()
+        if self._engine is None:
+            raise HostApiError("configure() the session before push_updates()")
         if self._pending is not None:
             raise HostApiError("a batch is already staged; run() it first")
         self._pending = UpdateBatch(insertions, deletions)
@@ -207,6 +212,7 @@ class Session:
 
     def run(self) -> StreamingResult:
         """Run the accelerator: initial evaluation, or the staged batch."""
+        self._require_open()
         if self._engine is None:
             raise HostApiError("configure() the session before run()")
         if self._last_result is None:
@@ -237,8 +243,7 @@ class Session:
         happened). Requires :meth:`enable_versioning` and a configured
         session.
         """
-        if self._closed:
-            raise HostApiError("session is closed")
+        self._require_open()
         if self._engine is None:
             raise HostApiError("configure() the session before run_at_versions()")
         if self._version_store is None:
@@ -288,6 +293,7 @@ class Session:
         initial :meth:`run` must have happened — and refuses to overtake a
         staged batch (the stream order would silently invert).
         """
+        self._require_open()
         if self._engine is None:
             raise HostApiError("configure() the session before apply_update()")
         if self._last_result is None:
@@ -333,6 +339,7 @@ class Session:
 
     def read_results(self) -> np.ndarray:
         """DMA the converged vertex states back to the host."""
+        self._require_open()
         if self._last_result is None:
             raise HostApiError("nothing computed yet; run() first")
         states = self._engine.query_result()
@@ -380,8 +387,8 @@ class Session:
         Idempotent. A long-running host opens and closes many sessions
         over its lifetime; deregistering here is what keeps
         ``Accelerator.sessions`` from leaking every engine/graph ever
-        opened. A closed session refuses further protocol calls the same
-        way an unconfigured one does.
+        opened. A closed session refuses every further protocol call with
+        :class:`HostApiError`.
         """
         if self._closed:
             return

@@ -220,8 +220,7 @@ class ServeSession:
 
     # -- snapshot publication ------------------------------------------
     def _build_snapshot(self) -> ReadSnapshot:
-        states = self.session.read_results()
-        states = np.array(states, copy=True)
+        states = self.session.read_results()  # a fresh copy: freeze it
         states.setflags(write=False)
         return ReadSnapshot(
             seq=self._applied_seq,

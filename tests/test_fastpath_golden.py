@@ -11,7 +11,8 @@ pinned in ``tests/data/fastpath_goldens.json``:
 * the **work counters** (``edges_scanned``, ``state_reads``) — the
   O(degree) claim in numbers; a scan-cost regression shows up as a
   counter diff, not a flaky timing assertion;
-* the single ``new_state`` write safe improving inserts perform.
+* the single state write of a safe improving insert
+  (``insert-local-improvement``), kept under its ``new_state`` key.
 
 The unclassified fallback (``unclassified-algorithm`` for accumulative
 algorithms like PageRank) is pinned too, via classify-only probes.
@@ -105,8 +106,8 @@ def run_trace(name: str) -> dict:
                 "edges_scanned": result.edges_scanned,
                 "state_reads": result.state_reads,
                 "new_state": (
-                    [result.new_state[0], result.new_state[1]]
-                    if result.new_state is not None
+                    list(result.state_updates[0])
+                    if result.reason == "insert-local-improvement"
                     else None
                 ),
             }

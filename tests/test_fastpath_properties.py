@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import base, make_algorithm
-from repro.algorithms.base import UpdateClassification
+from repro.algorithms.base import ExpressResult
 from repro.core.fastpath import ExpressLane
 from repro.core.policies import DeletePolicy
 from repro.core.streaming import JetStreamEngine
@@ -176,7 +176,7 @@ def test_mislabeled_load_bearing_delete_is_caught():
     assert verdict.reason == "delete-subtree-repaired"
     assert [x for x, _ in verdict.state_updates] == [1, 2, 3]
 
-    forged = UpdateClassification(safe=True, reason="delete-non-support")
+    forged = ExpressResult(safe=True, reason="delete-non-support")
     lane._apply_safe(0, 1, 2.0, "delete", forged)
     with pytest.raises(AssertionError, match="not a fixed point"):
         assert_fixed_point(engine, "forged delete (0, 1)")
@@ -192,15 +192,40 @@ def test_mislabeled_cascading_insert_is_caught():
     assert verdict.reason == "insert-cascade-repaired"
     assert verdict.state_updates == ((2, 1.0), (3, 2.0))
 
-    forged = UpdateClassification(
+    forged = ExpressResult(
         safe=True,
         reason="insert-local-improvement",
-        new_state=(2, 1.0),
+        state_updates=((2, 1.0),),
         dependency_updates=((2, 0),),
     )
     lane._apply_safe(0, 2, 1.0, "insert", forged)
     with pytest.raises(AssertionError, match="not a fixed point"):
         assert_fixed_point(engine, "forged insert (0, 2)")
+
+
+def test_one_record_per_update():
+    """The classifier's record is what ``apply`` returns: the update and
+    its timings are filled in, the engine's result only on a fall-through,
+    and a local improvement is one state write with its dependency."""
+    engine = _chain_engine()
+    lane = ExpressLane(engine)
+    improved = lane.apply(1, 3, 0.5, "insert")
+    assert improved.reason == "insert-local-improvement"
+    assert improved.state_updates == ((3, 2.5),)
+    assert improved.dependency_updates == ((3, 1),)
+    repaired = lane.apply(0, 1, 2.0, "delete")
+    assert repaired.reason == "delete-subtree-repaired"
+    grown = lane.apply(3, 4, 1.0, "insert")
+    assert grown.reason == "vertex-growth"
+    for result, update in (
+        (improved, ("insert", 1, 3, 0.5)),
+        (repaired, ("delete", 0, 1, 2.0)),
+        (grown, ("insert", 3, 4, 1.0)),
+    ):
+        assert (result.op, result.u, result.v, result.w) == update
+        assert (result.engine_result is None) == result.safe
+        assert 0 <= result.classify_s <= result.latency_s
+    assert not grown.safe and grown.engine_result is not None
 
 
 def test_classification_is_pure():

@@ -38,6 +38,19 @@ class TestSessionLifecycle:
         with pytest.raises(HostApiError):
             session.run()
 
+    def test_push_before_configure_rejected(self):
+        """Regression: the batch used to be staged, and then run() and
+        configure() both refused for good (a wedged session)."""
+        session = Accelerator().load_graph(EDGES)
+        records = session.transfer_stats().update_records
+        with pytest.raises(HostApiError, match="configure"):
+            session.push_updates(insertions=[(3, 0, 1.0)])
+        assert session.transfer_stats().update_records == records
+        session.configure("sssp", source=0)
+        session.run()
+        session.push_updates(insertions=[(3, 0, 1.0)])
+        session.run()
+
     def test_read_before_run_rejected(self):
         session = Accelerator().load_graph(EDGES)
         session.configure("sssp")
@@ -290,7 +303,7 @@ class TestExpressLaneProtocol:
         session.run()
         result = session.apply_update(1, 3, 0.5, "insert")
         assert result.safe and result.reason == "insert-local-improvement"
-        assert result.new_state == (3, 2.5)
+        assert result.state_updates == ((3, 2.5),)
         assert list(session.read_results()) == [0.0, 2.0, 5.0, 2.5]
         assert session.express_stats()["safe_applied"] == 1
         assert session.express_stats()["engine_fallthroughs"] == 0
@@ -395,6 +408,20 @@ class TestSessionClose:
         session.close()
         with pytest.raises(HostApiError, match="closed"):
             session.configure("sssp", source=0)
+
+    def test_closed_session_refuses_push_and_read(self):
+        """Regression: a closed session accepted (and counted) a batch,
+        and read_results() died with an AttributeError."""
+        session = Accelerator().load_graph(EDGES)
+        session.configure("sssp", source=0)
+        session.run()
+        session.close()
+        records = session.transfer_stats().update_records
+        with pytest.raises(HostApiError, match="closed"):
+            session.push_updates(insertions=[(3, 0, 1.0)])
+        assert session.transfer_stats().update_records == records
+        with pytest.raises(HostApiError, match="closed"):
+            session.read_results()
 
 
 class TestExpressStatsShape:
