@@ -32,9 +32,11 @@ service interleaves, and records the sustained rates the ROADMAP's
 Each shape's ``exact`` row is a request count (update records applied,
 express updates, reads served), fixed by the workload configuration and
 never by timing, so it stays meaningful although client interleaving
-varies run to run. Every rate and latency is an ``info`` row: the mixed
-phase's rates are bimodal from run to run on a 2-core host, and none of
-them is gated.
+varies run to run. **serve/express/results_read_bytes** is the state the
+two express phases read back to publish snapshots: 0, since a heavy
+insert improves no state and its snapshot reuses the previous array.
+Every rate and latency is an ``info`` row: the mixed phase's rates are
+bimodal from run to run on a 2-core host, and none of them is gated.
 
 Run and gated only by ``repro bench check --suite serve``
 (``--quick`` for the small grid).
@@ -269,6 +271,11 @@ def run_express_phase(client, updates) -> dict:
     return {"updates": len(updates), "updates_per_s": len(updates) / elapsed}
 
 
+def results_read_bytes(base_url: str) -> int:
+    """State bytes the ``bench`` session has read back for snapshots."""
+    return Client(base_url).get("/sessions/bench/stats")["transfers"]["results_read"]
+
+
 def run_traced_phase(server, cfg: dict, base_edges, untraced: dict) -> dict:
     """The mixed workload again with request tracing armed.
 
@@ -354,6 +361,7 @@ def collect(quick: bool) -> dict:
         updates = fresh_single_updates(
             cfg, base_edges, 2 * cfg["express_updates"]
         )
+        results_read = results_read_bytes(server.url)
         express = run_express_phase(
             Client(server.url), updates[: cfg["express_updates"]]
         )
@@ -364,6 +372,7 @@ def collect(quick: bool) -> dict:
             )
         finally:
             keepalive_client.close()
+        results_read = results_read_bytes(server.url) - results_read
     finally:
         server.stop()
     rows = [
@@ -372,6 +381,7 @@ def collect(quick: bool) -> dict:
         row("read_keepalive", "exact", mixed["reads_keepalive"]),
         row("express", "exact", express["updates"]),
         row("express_keepalive", "exact", keepalive["updates"]),
+        row("express/results_read_bytes", "exact", results_read),
         row("mixed_ingest_traced", "exact", traced["records_applied"]),
         row("mixed_ingest/batches_per_s", "info", mixed["batches_per_s"]),
         row("mixed_ingest/p50_us", "info", mixed["ingest_p50_us"]),

@@ -156,7 +156,7 @@ class ExpressLane:
             for vtx, src in verdict.dependency_updates:
                 core.dependency[vtx] = NO_SOURCE if src == SELF_SUPPORT else src
         if op == "insert":
-            graph.add_edge(u, v, w)
+            graph.add_checked_edge(u, v, w)  # apply() checked ids, weight, absence
         else:
             graph.remove_edge(u, v)
         self.stats["safe_applied"] += 1

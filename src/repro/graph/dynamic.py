@@ -495,6 +495,16 @@ class DynamicGraph:
         if not (0 <= u < VERTEX_ID_LIMIT and 0 <= v < VERTEX_ID_LIMIT):
             raise GraphMutationError("vertex ids must be non-negative and below 2**31")
         w = finite_weight(w)
+        if self._weight(u, v) is not None:
+            raise GraphMutationError(
+                f"edge {u}->{v} already exists; model weight change as "
+                "delete followed by insert (per paper §2.1)"
+            )
+        self.add_checked_edge(u, v, w)
+
+    def add_checked_edge(self, u: int, v: int, w: float) -> None:
+        """:meth:`add_edge` for a caller that has already checked what it
+        checks: valid ids, a finite weight and no live ``u -> v``."""
         self._grow(max(u, v) + 1)
         self._insert_one(u, v, w)
         if self.symmetric and u != v:
@@ -514,11 +524,6 @@ class DynamicGraph:
         return w
 
     def _insert_one(self, u: int, v: int, w: float) -> None:
-        if self._weight(u, v) is not None:
-            raise GraphMutationError(
-                f"edge {u}->{v} already exists; model weight change as "
-                "delete followed by insert (per paper §2.1)"
-            )
         self._edit(u, v, w)
         self._num_edges += 1
 

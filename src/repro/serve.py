@@ -24,13 +24,15 @@ one connection's requests are served one after another, so its writes
 apply in the order it sent them.
 
 After each applied write the session publishes a :class:`ReadSnapshot`:
-an immutable (write-protected) copy of the converged vertex states keyed
-by the store's ``mutation_stamp``. Reads grab the current snapshot
-reference with a single atomic attribute load and serve from it
-**lock-free**: a query never waits on an in-flight batch, and can never
-observe a torn, mid-convergence state. A client that completed a write
-is guaranteed to see a snapshot at least as new as its own write on a
-subsequent read (writes respond only after publishing).
+the converged vertex states, write-protected, keyed by the store's
+``mutation_stamp`` — a fresh copy, or, after an express update whose
+verdict wrote no state, the previous snapshot's array and digest under
+the new ``seq``. Reads grab the current snapshot reference with a
+single atomic attribute load and serve from it **lock-free**: a query
+never waits on an in-flight batch, and can never observe a torn,
+mid-convergence state. A client that completed a write is guaranteed
+to see a snapshot at least as new as its own write on a subsequent
+read (writes respond only after publishing).
 
 Time travel
 -----------
@@ -88,8 +90,7 @@ import json
 import threading
 import traceback
 from collections import OrderedDict, deque
-from functools import cached_property
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from http.server import ThreadingHTTPServer
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
@@ -144,18 +145,22 @@ class ReadSnapshot:
     seq: int
     stamp: int
     graph_version: int
-    states: np.ndarray  # write-protected copy
+    states: np.ndarray  # write-protected; never written once published
+    _digest_cell: list = field(default_factory=list, repr=False, compare=False)
 
-    @cached_property
+    @property
     def digest(self) -> str:
         """Content hash of the states array (torn-read verification).
 
-        Computed once per snapshot, not per read — every reader of this
-        (immutable) snapshot shares the cached value. Hashes the array's
-        own (contiguous) buffer: the digest of ``states.tobytes()``
-        without copying it.
+        SHA-1 of ``states.tobytes()``, hashed from the array's own
+        (contiguous) buffer without copying it, by the first reader of
+        any snapshot over that array: every snapshot sharing the array
+        shares the cached value.
         """
-        return hashlib.sha1(self.states.data).hexdigest()
+        cell = self._digest_cell
+        if not cell:
+            cell.append(hashlib.sha1(self.states.data).hexdigest())
+        return cell[0]
 
 
 class ServeSession:
@@ -219,14 +224,17 @@ class ServeSession:
         self._gate.set()
 
     # -- snapshot publication ------------------------------------------
-    def _build_snapshot(self) -> ReadSnapshot:
-        states = self.session.read_results()  # a fresh copy: freeze it
-        states.setflags(write=False)
+    def _build_snapshot(self, kept: Optional[ReadSnapshot] = None) -> ReadSnapshot:
+        """This seq's snapshot: a fresh copy, or ``kept``'s array and
+        digest when no state was written since it was published."""
+        if kept is None:
+            states, cell = self.session.read_results(), []  # a copy: freeze it
+            states.setflags(write=False)
+        else:
+            states, cell = kept.states, kept._digest_cell
+        graph = self.session.graph
         return ReadSnapshot(
-            seq=self._applied_seq,
-            stamp=self.session.graph.mutation_stamp,
-            graph_version=self.session.graph.version,
-            states=states,
+            self._applied_seq, graph.mutation_stamp, graph.version, states, cell
         )
 
     def _remember(self, snapshot: ReadSnapshot) -> None:
@@ -341,10 +349,13 @@ class ServeSession:
         # End of the queued stage: the op waited for the write lock (and
         # any gate pause) from its parse mark until now.
         mark(span, "queued")
-        applied, packed = self._apply_op(kind, payload, span)
+        previous, stamp = self._snapshot, self.session.graph.mutation_stamp
+        applied, packed, wrote_states = self._apply_op(kind, payload, span)
         self._applied_seq += 1
         retired_reads, self._reads_on_snapshot = self._reads_on_snapshot, 0
-        self._snapshot = snapshot = self._build_snapshot()
+        # A failed write that moved the store since ``previous`` staled it.
+        kept = None if wrote_states or previous.stamp != stamp else previous
+        self._snapshot = snapshot = self._build_snapshot(kept)
         self._remember(snapshot)
         applied.update(seq=snapshot.seq, stamp=snapshot.stamp)
         with self._log_lock:
@@ -364,8 +375,10 @@ class ServeSession:
         mark(span, "publish")
         return applied
 
-    def _apply_op(self, kind: str, payload: dict, span) -> Tuple[dict, tuple]:
-        """Apply one op; returns the reply and its packed log payload."""
+    def _apply_op(self, kind: str, payload: dict, span) -> Tuple[dict, tuple, bool]:
+        """Apply one op; returns the reply, its packed log payload and
+        whether it may have written a state (a safe express verdict
+        writes exactly its ``state_updates``)."""
         session = self.session
         if kind == "batch":
             # handle_ingest already converted the JSON lists; the same
@@ -382,6 +395,7 @@ class ServeSession:
                 "events_processed": events,
             }
             packed: tuple = (insertions, deletions)
+            wrote_states = True
         elif kind == "update":
             u, v, w, edge_op = packed = (
                 vertex_id(payload["u"]),
@@ -403,9 +417,10 @@ class ServeSession:
                 "reason": express.reason,
                 "express_latency_s": express.latency_s,
             }
+            wrote_states = not express.safe or bool(express.state_updates)
         else:  # pragma: no cover - submit() only produces the two kinds
             raise ServeError(400, "BAD_KIND", f"unknown write kind {kind!r}")
-        return applied, packed
+        return applied, packed, wrote_states
 
     # -- introspection -------------------------------------------------
     def queue_depth(self) -> int:

@@ -213,13 +213,16 @@ class TestFlatten:
         }
         rep = script.collect(True)
         exact = {r["key"]: r["value"] for r in rep["rows"] if r["kind"] == "exact"}
-        # Exact request counts, fixed by the configuration, never by timing.
+        # Exact request counts, fixed by the configuration, never by timing,
+        # and the state bytes the express phases read back: none, as their
+        # heavy inserts change no state.
         assert exact == {
             "mixed_ingest": 12,
             "mixed_read": 8,
             "read_keepalive": 4,
             "express": 5,
             "express_keepalive": 5,
+            "express/results_read_bytes": 0,
             "mixed_ingest_traced": 12,
         }
         assert {r["kind"] for r in rep["rows"]} == {"exact", "info"}

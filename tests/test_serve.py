@@ -38,6 +38,7 @@ from repro.graph.csr import CSRGraph
 from repro.host import Accelerator
 from repro.obs import REGISTRY, MemorySink, Tracer
 from repro.serve import (
+    DEFAULT_KEEP_VERSIONS,
     DEFAULT_QUEUE_BOUND,
     ReadSnapshot,
     ServeApp,
@@ -1332,3 +1333,123 @@ class TestReadSnapshotDigest:
         snapshot = ReadSnapshot(seq=0, stamp=0, graph_version=0, states=states)
         assert snapshot.digest == state_digest(states)
         assert snapshot.digest is snapshot.digest  # cached, not recomputed
+
+
+class TestStatePreservingPublish:
+    """A write whose verdict wrote no state republishes the previous array.
+
+    Lockstep over a seeded served stream that takes every SSSP/DAP
+    verdict, an engine fall-through and an ingest batch: after each
+    write the published snapshot must equal the session's converged
+    states bit for bit, share the previous snapshot's array exactly when
+    the verdict kept every state, and leave every retained version its
+    own ``seq`` and ``graph_version``. SHA-1 runs once per distinct array.
+    """
+
+    N = 32
+    #: Verdicts whose safe apply writes no vertex state.
+    PRESERVING = {
+        "insert-no-improvement",
+        "delete-non-support",
+        "delete-rewitnessed",
+        "delete-self-supported",
+    }
+
+    def _writes(self, rng, live):
+        """Seeded single updates, a batch halfway, then scripted ones."""
+        for step in range(150):
+            if step == 75:
+                fresh = [(u, v) for u in (5, 7) for v in (6, 8) if (u, v) not in live]
+                gone = next(iter(live))
+                del live[gone]
+                live.update(dict.fromkeys(fresh, 1.0))
+                yield "batch", {
+                    "insertions": [[u, v, 1.0] for u, v in fresh],
+                    "deletions": [list(gone)],
+                }
+            if rng.random() < 0.5:
+                u, v = map(int, rng.integers(0, self.N, 2))
+                if u == v or (u, v) in live:
+                    continue
+                live[(u, v)] = w = float(rng.integers(1, 4))
+                yield "update", {"u": u, "v": v, "w": w}
+            else:
+                keys = list(live)
+                u, v = keys[int(rng.integers(len(keys)))]
+                del live[(u, v)]
+                yield "update", {"u": u, "v": v, "op": "delete"}
+        # A zero-weight loop through the source makes one of its in-edges
+        # a delete the source's own self event supports.
+        for u, v in ((0, 31), (31, 0)):
+            if (u, v) in live:
+                yield "update", {"u": u, "v": v, "op": "delete"}
+        yield "update", {"u": 0, "v": 31, "w": 0.0}
+        yield "update", {"u": 31, "v": 0, "w": 0.0}
+        yield "update", {"u": 31, "v": 0, "op": "delete"}
+        yield "update", {"u": 3, "v": self.N, "w": 1.0}  # vertex growth: engine
+
+    def test_lockstep_publish(self, app, monkeypatch):
+        rng = np.random.default_rng(11)
+        live = {}
+        while len(live) < 4 * self.N:
+            u, v = map(int, rng.integers(0, self.N, 2))
+            if u != v and (u, v) not in live:
+                live[(u, v)] = float(rng.integers(1, 4))
+        served = app.create_session(
+            [(u, v, w) for (u, v), w in live.items()], "sssp", name="ls", source=0
+        )
+        sha1 = hashlib.sha1
+        hashed = []
+        monkeypatch.setattr(
+            hashlib, "sha1", lambda data: hashed.append(1) or sha1(data)
+        )
+        arrays = {}  # id -> array, held so ids are never reused
+        published = {}  # graph_version -> (seq, states)
+        reasons = set()
+        previous = served.read_snapshot()
+        for kind, payload in self._writes(rng, live):
+            reply = served.submit(kind, payload)
+            snapshot = served.read_snapshot()
+            states = served.session.read_results()
+            assert snapshot.states.tobytes() == states.tobytes()
+            assert app.handle_read("ls")["digest"] == sha1(states.data).hexdigest()
+            kept = reply.get("safe") and reply["reason"] in self.PRESERVING
+            assert (snapshot.states is previous.states) == bool(kept), reply
+            reasons.add(reply.get("reason", "batch"))
+            arrays[id(snapshot.states)] = snapshot.states
+            published[snapshot.graph_version] = (snapshot.seq, snapshot.states)
+            retained = list(published.items())[-DEFAULT_KEEP_VERSIONS:]
+            for version, (seq, old) in retained:
+                read = app.handle_read("ls", version=version)
+                assert (read["seq"], read["graph_version"]) == (seq, version)
+                assert read["digest"] == sha1(old.data).hexdigest()
+            previous = snapshot
+        assert self.PRESERVING | {
+            "batch",
+            "insert-local-improvement",
+            "insert-cascade-repaired",
+            "delete-subtree-repaired",
+            "vertex-growth",
+        } <= reasons
+        assert len(arrays) < len(published) - 100  # most writes shared
+        assert len(hashed) == len(arrays)
+
+    def test_write_after_a_failed_one_publishes_a_fresh_copy(self, app, monkeypatch):
+        # The failed batch still converged (its run raised afterwards), so
+        # the published snapshot is stale: the next write must not reuse it.
+        served = make_session(app)
+        real_run = served.session.run
+
+        def run_then_fail(*args, **kwargs):
+            real_run(*args, **kwargs)
+            raise RuntimeError("engine invariant broken")
+
+        monkeypatch.setattr(served.session, "run", run_then_fail)
+        with pytest.raises(ServeError):
+            served.submit("batch", {"insertions": [[1, 3, 0.5]]})
+        stale = served.read_snapshot()
+        reply = served.submit("update", {"u": 3, "v": 0, "w": 1.0})
+        assert reply["reason"] == "insert-no-improvement"
+        snapshot = served.read_snapshot()
+        assert snapshot.states is not stale.states
+        assert list(snapshot.states) == [0.0, 2.0, 5.0, 2.5]
